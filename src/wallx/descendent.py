@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .kclasses import cy_limit_theta, theta_closed
-from .ring import LaurentElement, Trunc, exact_laurent_div, plethystic_exp
+from .ring import LaurentElement, Trunc, exact_laurent_div, laurent_sum, plethystic_exp
 from .ucoeff import set_partitions
 
 __all__ = [
@@ -213,11 +213,12 @@ def exp_minus_delta(
     for m in range(1, order + 1):
         factor = Fraction(-1, m)
         for source in basis:
-            acc: dict[SetPartition, LaurentElement] = {}
+            pieces: dict[SetPartition, list[LaurentElement]] = {}
             for mid, coeff in columns[source].items():
+                scaled = factor * coeff
                 for target, entry in step[mid].items():
-                    prev = acc.get(target, LaurentElement.zero())
-                    acc[target] = prev + factor * coeff * entry
+                    pieces.setdefault(target, []).append(scaled * entry)
+            acc = {target: laurent_sum(items) for target, items in pieces.items()}
             columns[source] = acc
             for target, coeff in acc.items():
                 prev = out.get((target, source), LaurentElement.zero())
@@ -285,17 +286,20 @@ def pt_symbol(keys=()) -> LaurentElement:
 def _y_recursive(keys: tuple[int, ...]) -> LaurentElement:
     if len(keys) <= 1:
         return dt0_symbol(keys)
-    acc = dt0_symbol(keys)
     inv = dt0_symbol(()).monomial_inverse()
-    for part in set_partitions(range(len(keys))):
-        n = len(part)
-        if n <= 1:
-            continue
-        term = inv ** (n - 1)
-        for block in part:
-            term = term * _y_recursive(tuple(sorted(keys[i] for i in block)))
-        acc = acc - term
-    return acc
+
+    def terms():
+        yield dt0_symbol(keys)
+        for part in set_partitions(range(len(keys))):
+            n = len(part)
+            if n <= 1:
+                continue
+            term = inv ** (n - 1)
+            for block in part:
+                term = term * _y_recursive(tuple(sorted(keys[i] for i in block)))
+            yield -term
+
+    return laurent_sum(terms())
 
 
 def y_recursion(keys) -> LaurentElement:
@@ -309,15 +313,17 @@ def y_explicit(keys) -> LaurentElement:
     if not keys:
         return dt0_symbol(())
     inv = dt0_symbol(()).monomial_inverse()
-    acc = LaurentElement.zero()
-    for part in set_partitions(range(len(keys))):
-        n = len(part)
-        coeff = Fraction(math.factorial(n - 1) * (-1 if n % 2 == 0 else 1))
-        term = coeff * inv ** (n - 1)
-        for block in part:
-            term = term * dt0_symbol(keys[i] for i in block)
-        acc = acc + term
-    return acc
+
+    def terms():
+        for part in set_partitions(range(len(keys))):
+            n = len(part)
+            coeff = Fraction(math.factorial(n - 1) * (-1 if n % 2 == 0 else 1))
+            term = coeff * inv ** (n - 1)
+            for block in part:
+                term = term * dt0_symbol(keys[i] for i in block)
+            yield term
+
+    return laurent_sum(terms())
 
 
 def dt_to_pt(keys, route: str = "y") -> LaurentElement:
@@ -332,16 +338,17 @@ def dt_to_pt(keys, route: str = "y") -> LaurentElement:
     keys = tuple(int(k) for k in keys)
     idx = range(len(keys))
     inv = dt0_symbol(()).monomial_inverse()
-    acc = LaurentElement.zero()
-    if route == "y":
+
+    def y_terms():
         for part in set_partitions(idx):
             n = len(part)
             term = pt_symbol(sum(keys[i] for i in b) for b in part)
             term = term * dt0_symbol(()) ** (1 - n)
             for block in part:
                 term = term * y_recursion(keys[i] for i in block)
-            acc = acc + term
-    elif route == "theorem":
+            yield term
+
+    def theorem_terms():
         for part in set_partitions(idx):
             n = len(part)
             pt = pt_symbol(sum(keys[i] for i in b) for b in part)
@@ -353,10 +360,13 @@ def dt_to_pt(keys, route: str = "y") -> LaurentElement:
                     coeff = coeff * math.factorial(len(sub) - 1)
                     for piece in sub:
                         term = term * dt0_symbol(keys[i] for i in piece)
-                acc = acc + coeff * term
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    return acc
+                yield coeff * term
+
+    if route == "y":
+        return laurent_sum(y_terms())
+    if route == "theorem":
+        return laurent_sum(theorem_terms())
+    raise ValueError(f"unknown route {route!r}")
 
 
 # -- degree rescaling and the kernel-coefficient series ---------------------

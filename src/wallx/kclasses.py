@@ -23,6 +23,7 @@ from .ring import (
     as_element,
     as_rational,
     exact_laurent_div,
+    laurent_sum,
     plethystic_exp,
     residue_K,
     residue_coh,
@@ -154,26 +155,23 @@ def elementary_symmetric(k: int, xs) -> LaurentElement:
     """k-th elementary symmetric polynomial of the given elements."""
     if k < 0:
         return LaurentElement.zero()
-    acc = LaurentElement.zero()
-    for combo in itertools.combinations(list(xs), k):
-        term = ONE
-        for x in combo:
-            term = term * x
-        acc = acc + term
-    return acc
+    return laurent_sum(_product(combo) for combo in itertools.combinations(list(xs), k))
 
 
 def complete_homogeneous(k: int, xs) -> LaurentElement:
     """k-th complete homogeneous symmetric polynomial of the given elements."""
     if k < 0:
         return LaurentElement.zero()
-    acc = LaurentElement.zero()
-    for combo in itertools.combinations_with_replacement(list(xs), k):
-        term = ONE
-        for x in combo:
-            term = term * x
-        acc = acc + term
-    return acc
+    return laurent_sum(
+        _product(combo) for combo in itertools.combinations_with_replacement(list(xs), k)
+    )
+
+
+def _product(factors) -> LaurentElement:
+    term = ONE
+    for x in factors:
+        term = term * x
+    return term
 
 
 def chern_character(E: VirtualClass, p: int) -> LaurentElement:
@@ -182,10 +180,7 @@ def chern_character(E: VirtualClass, p: int) -> LaurentElement:
         raise ModeMismatch("chern_character needs an additive-mode class")
     if p == 0:
         return LaurentElement.const(E.rank)
-    acc = LaurentElement.zero()
-    for w, s in E.roots:
-        acc = acc + Fraction(s, math.factorial(p)) * w**p
-    return acc
+    return laurent_sum(Fraction(s, math.factorial(p)) * w**p for w, s in E.roots)
 
 
 # -- wedge and Euler classes ----------------------------------------------------
@@ -214,19 +209,22 @@ def _ehat_factor(zel: LaurentElement, w: LaurentElement) -> LaurentElement:
 
 def _binomial_series(a: Fraction, x: LaurentElement, trunc: Trunc) -> LaurentElement:
     """(1 - x)**a as a truncated series, for any rational exponent a."""
-    acc = LaurentElement.const(1, trunc)
-    coeff = Fraction(1)
-    power = acc
-    j = 0
-    while True:
-        j += 1
-        coeff = coeff * (a - (j - 1)) / j
-        power = power * (-x)
-        term = coeff * power
-        if not term:
-            break
-        acc = acc + term
-    return acc
+
+    def terms():
+        power = LaurentElement.const(1, trunc)
+        yield power
+        coeff = Fraction(1)
+        j = 0
+        while True:
+            j += 1
+            coeff = coeff * (a - (j - 1)) / j
+            power = power * (-x)
+            term = coeff * power
+            if not term:
+                return
+            yield term
+
+    return laurent_sum(terms())
 
 
 def _aug_weight(w: LaurentElement, trunc: Trunc) -> LaurentElement:
@@ -248,12 +246,14 @@ def _inverse_wedge_factor(wt: LaurentElement, trunc: Trunc) -> LaurentElement:
     xi = LaurentElement.gen(AUG_Z)
     a = LaurentElement.const(1, trunc) - wt
     step = wt.invert_series() * xi
-    cur = step
-    acc = LaurentElement.zero(trunc)
-    while cur:
-        acc = acc + cur
-        cur = cur * (-a) * step
-    return acc
+
+    def terms():
+        cur = step
+        while cur:
+            yield cur
+            cur = cur * (-a) * step
+
+    return laurent_sum(terms(), trunc)
 
 
 def wedge(E: VirtualClass, z="z", order: int | None = None) -> LaurentElement:
@@ -365,10 +365,7 @@ def quantum_integer(n: int, *, kappa: str = KAPPA) -> LaurentElement:
     if n < 0:
         return -quantum_integer(-n, kappa=kappa)
     sign = 1 if n % 2 == 1 else -1
-    acc = LaurentElement.zero()
-    for j in range(n):
-        acc = acc + LaurentElement.monomial(sign, {kappa: Fraction(n - 1 - 2 * j, 2)})
-    return acc
+    return LaurentElement({((kappa, n - 1 - 2 * j),): sign for j in range(n)})
 
 
 # -- the vertex kernel ----------------------------------------------------------
@@ -628,24 +625,24 @@ def theta_closed(
     h = LaurentElement.gen(hbar)
 
     def bracket(p: int) -> LaurentElement:
-        acc = LaurentElement.zero()
-        for a in range(1, p):
-            c = Fraction(math.factorial(p - 1), math.factorial(p - a))
-            acc = acc + c * h ** (p - a) * ch(a)
-        return acc
+        return laurent_sum(
+            Fraction(math.factorial(p - 1), math.factorial(p - a)) * h ** (p - a) * ch(a)
+            for a in range(1, p)
+        )
 
-    total = LaurentElement.zero()
-    for m in range(n + 1):
-        for parts in _compositions_min2(n - m):
-            k = len(parts)
-            coeff = Fraction((-1) ** k, math.factorial(k)) * (-1) ** m * _gbinom(
-                rank, m
-            )
-            term = LaurentElement.const(coeff) * h**m
-            for p in parts:
-                term = term * bracket(p)
-            total = total + term
-    return (1 if rank % 2 == 0 else -1) * total
+    def terms():
+        for m in range(n + 1):
+            for parts in _compositions_min2(n - m):
+                k = len(parts)
+                coeff = Fraction((-1) ** k, math.factorial(k)) * (-1) ** m * _gbinom(
+                    rank, m
+                )
+                term = LaurentElement.const(coeff) * h**m
+                for p in parts:
+                    term = term * bracket(p)
+                yield term
+
+    return (1 if rank % 2 == 0 else -1) * laurent_sum(terms())
 
 
 def cy_limit_theta(

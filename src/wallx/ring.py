@@ -43,7 +43,10 @@ def _exp2(e: Scalar) -> int:
 
 
 def _mono(entries: Mapping[str, int] | Iterable[tuple[str, int]]) -> Mono:
-    items = entries.items() if isinstance(entries, Mapping) else entries
+    if isinstance(entries, tuple):
+        items = entries
+    else:
+        items = entries.items() if isinstance(entries, Mapping) else entries
     return tuple(sorted((v, int(e)) for v, e in items if e))
 
 
@@ -85,12 +88,15 @@ class Trunc:
     sign: int = 1
 
     def keeps(self, m: Mono) -> bool:
-        d = _mono_deg2(m, self.names)
+        return self.keeps_deg2(_mono_deg2(m, self.names))
+
+    def keeps_deg2(self, d: int) -> bool:
+        """Whether a monomial of doubled degree ``d`` in ``names`` is kept."""
         return d <= self.order2 if self.sign > 0 else d >= -self.order2
 
 
 def _combine_trunc(a: Trunc | None, b: Trunc | None) -> Trunc | None:
-    if a is None:
+    if a is None or a == b:
         return b
     if b is None:
         return a
@@ -99,12 +105,48 @@ def _combine_trunc(a: Trunc | None, b: Trunc | None) -> Trunc | None:
     return Trunc(a.names | b.names, min(a.order2, b.order2), a.sign)
 
 
+def _kept(
+    terms: dict[Mono, Fraction], trunc: Trunc | None, within: Trunc | None = None
+) -> dict[Mono, Fraction]:
+    """``terms`` restricted to the monomials ``trunc`` keeps, order preserved.
+
+    ``within`` is a truncation the terms are known to satisfy; when it equals
+    ``trunc`` the terms come back unfiltered.
+    """
+    if trunc is None or trunc == within:
+        return terms
+    return {m: c for m, c in terms.items() if trunc.keeps(m)}
+
+
+def _add_terms(out: dict[Mono, Fraction], pairs: Iterable[tuple[Mono, Fraction]]) -> None:
+    """Add canonical (monomial, coefficient) pairs into ``out`` in place,
+    dropping zero sums."""
+    get = out.get
+    for m, c in pairs:
+        prev = get(m)
+        if prev is None:
+            out[m] = c
+        else:
+            total = prev + c
+            if total:
+                out[m] = total
+            else:
+                del out[m]
+
+
 class LaurentElement:
     """A finite sum of rational multiples of monomials, optionally truncated.
 
-    Immutable by convention: no method mutates ``terms`` after construction.
-    Equality compares the stored terms only (truncation metadata is carried
-    along but is not part of the mathematical value).
+    Immutable by convention: no method mutates ``terms`` after construction,
+    so elements may share one ``terms`` dict.  Equality compares the stored
+    terms only (truncation metadata is carried along but is not part of the
+    mathematical value).
+
+    Every element is canonical: each key of ``terms`` is a monomial sorted by
+    variable name with no zero exponent, each value is a nonzero Fraction,
+    and every monomial is kept by ``trunc``.  The constructor normalizes
+    arbitrary input into this form; the arithmetic builds results that are
+    canonical by construction and wraps them with ``_trusted`` instead.
     """
 
     __slots__ = ("terms", "trunc")
@@ -177,19 +219,17 @@ class LaurentElement:
         e2 = _exp2(exponent)
         out: dict[Mono, Fraction] = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            if d.pop(var, 0) == e2:
-                out[tuple(sorted(d.items()))] = c
-        return LaurentElement(out)
+            if dict(m).get(var, 0) == e2:
+                out[_mono_drop(m, var)] = c
+        return _trusted(out)
 
     def coeffs_in(self, var: str) -> dict[int, "LaurentElement"]:
         """Split into {doubled exponent of var: coefficient element}."""
         grouped: dict[int, dict[Mono, Fraction]] = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            e2 = d.pop(var, 0)
-            grouped.setdefault(e2, {})[tuple(sorted(d.items()))] = c
-        return {e2: LaurentElement(t) for e2, t in grouped.items()}
+            e2 = dict(m).get(var, 0)
+            grouped.setdefault(e2, {})[_mono_drop(m, var)] = c
+        return {e2: _trusted(t) for e2, t in grouped.items()}
 
     def val2(self, var: str) -> int | None:
         """Minimal doubled exponent of ``var`` over all terms (None if zero)."""
@@ -209,19 +249,14 @@ class LaurentElement:
             return NotImplemented
         other = as_element(other)
         trunc = _combine_trunc(self.trunc, other.trunc)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m, _ZERO) + c
-            if acc:
-                out[m] = acc
-            elif m in out:
-                del out[m]
-        return LaurentElement(out, trunc)
+        out = dict(_kept(self.terms, trunc, self.trunc))
+        _add_terms(out, _kept(other.terms, trunc, other.trunc).items())
+        return _trusted(out, trunc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentElement":
-        return LaurentElement({m: -c for m, c in self.terms.items()}, self.trunc)
+        return _trusted({m: -c for m, c in self.terms.items()}, self.trunc)
 
     def __sub__(self, other):
         if isinstance(other, RationalElement):
@@ -240,21 +275,31 @@ class LaurentElement:
             c = _frac(other)
             if not c:
                 return LaurentElement.zero(self.trunc)
-            return LaurentElement({m: k * c for m, k in self.terms.items()}, self.trunc)
+            return _trusted({m: k * c for m, k in self.terms.items()}, self.trunc)
         other = as_element(other)
         trunc = _combine_trunc(self.trunc, other.trunc)
         out: dict[Mono, Fraction] = {}
+        get = out.get
+        names = frozenset() if trunc is None else trunc.names
+        right = [(m2, c2, _mono_deg2(m2, names)) for m2, c2 in other.terms.items()]
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                if trunc is not None and not trunc.keeps(m):
+            d1 = _mono_deg2(m1, names)
+            for m2, c2, d2 in right:
+                # Degrees add under multiplication, so a pair out of range is
+                # dropped before its monomial is formed.
+                if trunc is not None and not trunc.keeps_deg2(d1 + d2):
                     continue
-                acc = out.get(m, _ZERO) + c1 * c2
-                if acc:
-                    out[m] = acc
-                elif m in out:
-                    del out[m]
-        return LaurentElement(out, trunc)
+                m = _mono_mul(m1, m2)
+                prev = get(m)
+                if prev is None:
+                    out[m] = c1 * c2
+                else:
+                    total = prev + c1 * c2
+                    if total:
+                        out[m] = total
+                    else:
+                        del out[m]
+        return _trusted(out, trunc)
 
     __rmul__ = __mul__
 
@@ -272,7 +317,7 @@ class LaurentElement:
         if len(self.terms) != 1:
             raise ValueError("only single-term elements have a monomial inverse")
         (m, c), = self.terms.items()
-        return LaurentElement({_mono_pow(m, -1): 1 / c})
+        return _trusted({_mono_pow(m, -1): 1 / c})
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -306,17 +351,17 @@ class LaurentElement:
 
     def truncate(self, names: Iterable[str], order: int, sign: int = 1) -> "LaurentElement":
         t = _combine_trunc(self.trunc, Trunc(frozenset(names), 2 * order, sign))
-        return LaurentElement(self.terms, t)
+        return _trusted(_kept(self.terms, t, self.trunc), t)
 
     def without_trunc(self) -> "LaurentElement":
-        return LaurentElement(self.terms, None)
+        return _trusted(self.terms)
 
     def trunc_zero_part(self) -> "LaurentElement":
         """Terms of total degree 0 in the truncation variables."""
         if self.trunc is None:
             raise ValueError("element is not a truncated series")
         names = self.trunc.names
-        return LaurentElement(
+        return _trusted(
             {m: c for m, c in self.terms.items() if _mono_deg2(m, names) == 0}
         )
 
@@ -331,12 +376,7 @@ class LaurentElement:
             raise NonExpandable("series constant term is not an invertible monomial")
         c0inv = c0.monomial_inverse()
         h = (self - c0) * c0inv  # positive truncation-degree part
-        acc = LaurentElement.const(1, self.trunc)
-        term = acc
-        while term:
-            term = term * (-h)
-            acc = acc + term
-        return acc * c0inv
+        return laurent_sum(_powers(LaurentElement.const(1, self.trunc), -h)) * c0inv
 
     def negate_var(self, var: str) -> "LaurentElement":
         """Substitute ``var -> var**-1`` by negating its exponents."""
@@ -345,13 +385,11 @@ class LaurentElement:
             if trunc.names != frozenset({var}):
                 raise ValueError("cannot negate one variable of a joint truncation")
             trunc = Trunc(trunc.names, trunc.order2, -trunc.sign)
-        out: dict[Mono, Fraction] = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            if var in d:
-                d[var] = -d[var]
-            out[tuple(sorted(d.items()))] = c
-        return LaurentElement(out, trunc)
+        out = {
+            tuple((v, -e) if v == var else (v, e) for v, e in m): c
+            for m, c in self.terms.items()
+        }
+        return _trusted(out, trunc)
 
     # -- substitution ------------------------------------------------------
 
@@ -363,8 +401,8 @@ class LaurentElement:
         (vm, vc), = value.terms.items()
         out: dict[Mono, Fraction] = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            e2 = d.pop(var, 0)
+            e2 = dict(m).get(var, 0)
+            rest = _mono_drop(m, var)
             if e2:
                 if e2 % 2 == 0:
                     c = c * vc ** (e2 // 2)
@@ -378,57 +416,47 @@ class LaurentElement:
                     if prod % 2:
                         raise ValueError("substitution produces a quarter-integer power")
                     scaled.append((w, prod // 2))
-                newm = _mono_mul(tuple(sorted(d.items())), _mono(scaled))
+                newm = _mono_mul(rest, _mono(scaled))
             else:
-                newm = tuple(sorted(d.items()))
-            acc = out.get(newm, _ZERO) + c
-            if acc:
-                out[newm] = acc
-            elif newm in out:
-                del out[newm]
-        return LaurentElement(out, self.trunc)
+                newm = rest
+            _add_terms(out, ((newm, c),))
+        return _trusted(_kept(out, self.trunc), self.trunc)
 
     def subs_poly(self, var: str, value: "LaurentElement") -> "LaurentElement":
         """Substitute a general value for ``var``; needs nonneg integer powers."""
         value = as_element(value)
         pieces = self.coeffs_in(var)
         trunc = _combine_trunc(self.trunc, value.trunc)
-        acc = LaurentElement.zero(trunc)
         powers: dict[int, LaurentElement] = {0: LaurentElement.const(1, trunc)}
-        for e2 in sorted(pieces):
-            if e2 < 0 or e2 % 2:
-                raise ValueError(
-                    f"subs_poly needs nonnegative integer powers of {var!r}"
-                )
-            k = e2 // 2
-            if k not in powers:
-                p = powers[max(powers)]
-                for _ in range(max(powers), k):
-                    p = p * value
-                powers[k] = p
-            acc = acc + pieces[e2] * powers[k]
-        return acc
+
+        def terms():
+            for e2 in sorted(pieces):
+                if e2 < 0 or e2 % 2:
+                    raise ValueError(
+                        f"subs_poly needs nonnegative integer powers of {var!r}"
+                    )
+                k = e2 // 2
+                if k not in powers:
+                    p = powers[max(powers)]
+                    for _ in range(max(powers), k):
+                        p = p * value
+                    powers[k] = p
+                yield pieces[e2] * powers[k]
+
+        return laurent_sum(terms(), trunc)
 
     def subs_zero(self, var: str) -> "LaurentElement":
         """Substitute 0 for ``var`` (drops terms with positive powers)."""
         v2 = self.val2(var)
         if v2 is not None and v2 < 0:
             raise ZeroDivisionError(f"negative power of {var!r} at 0")
-        return LaurentElement(self.coeff_of(var, 0).terms, self.trunc)
+        return _trusted(self.coeff_of(var, 0).terms, self.trunc)
 
     def subs_one(self, var: str) -> "LaurentElement":
         """Substitute 1 for ``var`` (drops it from every monomial)."""
         out: dict[Mono, Fraction] = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            d.pop(var, 0)
-            newm = tuple(sorted(d.items()))
-            acc = out.get(newm, _ZERO) + c
-            if acc:
-                out[newm] = acc
-            elif newm in out:
-                del out[newm]
-        return LaurentElement(out, self.trunc)
+        _add_terms(out, ((_mono_drop(m, var), c) for m, c in self.terms.items()))
+        return _trusted(_kept(out, self.trunc), self.trunc)
 
     # -- display -----------------------------------------------------------
 
@@ -463,12 +491,62 @@ class LaurentElement:
         return " ".join(parts)
 
 
+_set_terms = LaurentElement.terms.__set__
+_set_trunc = LaurentElement.trunc.__set__
+
+
+def _trusted(terms: dict[Mono, Fraction], trunc: Trunc | None = None) -> LaurentElement:
+    """Wrap ``terms`` as an element without normalizing them.
+
+    ``terms`` must already be canonical (see LaurentElement) and must not be
+    mutated afterwards.
+    """
+    el = object.__new__(LaurentElement)
+    _set_terms(el, terms)
+    _set_trunc(el, trunc)
+    return el
+
+
+def _mono_drop(m: Mono, var: str) -> Mono:
+    """``m`` without ``var``; dropping an entry keeps a monomial sorted."""
+    return tuple(entry for entry in m if entry[0] != var)
+
+
 def as_element(x) -> LaurentElement:
     if isinstance(x, LaurentElement):
         return x
     if isinstance(x, (int, Fraction)):
         return LaurentElement.const(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as a Laurent element")
+
+
+def laurent_sum(items: Iterable, trunc: Trunc | None = None) -> LaurentElement:
+    """The sum of Laurent elements or scalars, built in place in one dict.
+
+    Equal to folding ``+`` over ``items`` from ``LaurentElement.zero(trunc)``,
+    truncation included, at a cost linear in the terms added instead of a
+    copy of the running sum per item.
+    """
+    out: dict[Mono, Fraction] = {}
+    for x in items:
+        x = as_element(x)
+        if x.trunc != trunc:
+            combined = _combine_trunc(trunc, x.trunc)
+            if combined != trunc:
+                for m in [m for m in out if not combined.keeps(m)]:
+                    del out[m]
+                trunc = combined
+        _add_terms(out, _kept(x.terms, trunc, x.trunc).items())
+    return _trusted(out, trunc)
+
+
+def _powers(first: LaurentElement, step: LaurentElement):
+    """first, first·step, first·step², … through the first zero product."""
+    term = first
+    yield term
+    while term:
+        term = term * step
+        yield term
 
 
 ONE = LaurentElement.const(1)
@@ -661,15 +739,12 @@ def _expand_zero(
     if inner2 < 0:
         return LaurentElement.zero(trunc)
     inner = Trunc(frozenset({var}), inner2, 1)
-    acc = LaurentElement.const(1, inner)
-    term = acc
-    while term:
-        term = term * (-h)
-        acc = acc + term
+    acc = laurent_sum(_powers(LaurentElement.const(1, inner), -h))
     # Strip the inner truncation before the prefactor multiply: every kept
     # accumulator term may combine with prefactor terms of higher degree, and
     # the final truncation below is the only bound that matters.
-    return LaurentElement((pref * acc.without_trunc()).terms, trunc)
+    product = pref * acc.without_trunc()
+    return _trusted(_kept(product.terms, trunc), trunc)
 
 
 def expand(f: Element, point: str, order: int, *, var: str = "z") -> LaurentElement:
@@ -788,14 +863,17 @@ def plethystic_exp(g: LaurentElement) -> LaurentElement:
         raise ValueError("series exponential needs a truncated input")
     if g.trunc_zero_part():
         raise NonzeroConstantTerm("series exponential needs zero constant term")
-    acc = LaurentElement.const(1, g.trunc)
-    term = acc
-    m = 0
-    while term:
-        m += 1
-        term = term * g / m
-        acc = acc + term
-    return acc
+
+    def terms():
+        term = LaurentElement.const(1, g.trunc)
+        yield term
+        m = 0
+        while term:
+            m += 1
+            term = term * g / m
+            yield term
+
+    return laurent_sum(terms())
 
 
 def plethystic_log(f: LaurentElement) -> LaurentElement:
@@ -806,16 +884,18 @@ def plethystic_log(f: LaurentElement) -> LaurentElement:
     if f.trunc_zero_part() != ONE:
         raise NonzeroConstantTerm("series logarithm needs constant term 1")
     h = f - LaurentElement.const(1)
-    acc = LaurentElement.zero(f.trunc)
-    power = LaurentElement.const(1, f.trunc)
-    m = 0
-    while True:
-        m += 1
-        power = power * h
-        if not power:
-            break
-        acc = acc + Fraction((-1) ** (m + 1), m) * power
-    return acc
+
+    def terms():
+        power = LaurentElement.const(1, f.trunc)
+        m = 0
+        while True:
+            m += 1
+            power = power * h
+            if not power:
+                return
+            yield Fraction((-1) ** (m + 1), m) * power
+
+    return laurent_sum(terms(), f.trunc)
 
 
 def exact_laurent_div(num: Element, den: Element, var: str) -> LaurentElement:
@@ -844,24 +924,26 @@ def exact_laurent_div(num: Element, den: Element, var: str) -> LaurentElement:
     # For an exact division the quotient's lowest var-degree is forced.
     floor = min(cn) - min(cd)
     rem = dict(cn)
-    out = LaurentElement.zero()
-    while rem:
-        e = max(rem)
-        qe = e - top
-        if qe < floor:
-            raise NonExpandable("division is not exact")
-        qc = rem.pop(e) * lead_inv
-        out = out + qc * LaurentElement.monomial(1, {var: Fraction(qe, 2)})
-        for eb, cb in cd.items():
-            if eb == top:
-                continue
-            ne = qe + eb
-            acc = rem.get(ne, LaurentElement.zero()) - qc * cb
-            if acc.terms:
-                rem[ne] = acc
-            elif ne in rem:
-                del rem[ne]
-    return out
+
+    def quotient_terms():
+        while rem:
+            e = max(rem)
+            qe = e - top
+            if qe < floor:
+                raise NonExpandable("division is not exact")
+            qc = rem.pop(e) * lead_inv
+            yield qc * LaurentElement.monomial(1, {var: Fraction(qe, 2)})
+            for eb, cb in cd.items():
+                if eb == top:
+                    continue
+                ne = qe + eb
+                acc = rem.get(ne, LaurentElement.zero()) - qc * cb
+                if acc.terms:
+                    rem[ne] = acc
+                elif ne in rem:
+                    del rem[ne]
+
+    return laurent_sum(quotient_terms())
 
 
 # -- specialization at kappa = 1 ----------------------------------------------
@@ -882,10 +964,10 @@ def _divide_y_minus_one(el: LaurentElement, var: str) -> LaurentElement:
         quot[j - 1] = carry
     if carry + coeffs.get(0, ZERO) != ZERO:
         raise ValueError("element does not vanish at 1")
-    out = LaurentElement.zero()
-    for j, c in quot.items():
-        out = out + c * LaurentElement({((var, j),): _ONE} if j else {(): _ONE})
-    return out
+    return laurent_sum(
+        c * LaurentElement({((var, j),): _ONE} if j else {(): _ONE})
+        for j, c in quot.items()
+    )
 
 
 def _clear_negative(el: LaurentElement, var: str) -> tuple[LaurentElement, int]:

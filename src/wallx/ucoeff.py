@@ -166,16 +166,19 @@ class StabilityData:
     """Weak stability data: a slope assignment plus optional numerical data.
 
     ``slope`` is either a mapping from class vectors to slope values or a
-    callable computing them; lookups that fail raise SlopeUndefined.  The
-    optional ``chi`` (an antisymmetric integer matrix or a callable) and
-    ``fr`` (a mapping or callable) feed the downstream wall-crossing
-    operations.
+    callable computing them; lookups that fail raise SlopeUndefined, on every
+    call.  A successful lookup is memoized per class on this object, so the
+    source is read at most once per class and must be a pure function of the
+    class: a mapping must not change after construction.  The optional
+    ``chi`` (an antisymmetric integer matrix or a callable) and ``fr`` (a
+    mapping or callable) feed the downstream wall-crossing operations.
     """
 
-    __slots__ = ("_slope", "_rank", "_chi", "_fr", "name")
+    __slots__ = ("_slope", "_slopes", "_rank", "_chi", "_fr", "name")
 
     def __init__(self, slope, *, rank=None, chi=None, fr=None, name="tau"):
         object.__setattr__(self, "_slope", slope)
+        object.__setattr__(self, "_slopes", {})
         object.__setattr__(self, "_rank", rank)
         if chi is not None and not callable(chi):
             chi = _chi_from_matrix(chi)
@@ -188,6 +191,9 @@ class StabilityData:
 
     def slope_of(self, cls) -> SlopeValue:
         cls = as_class(cls)
+        hit = self._slopes.get(cls)
+        if hit is not None:
+            return hit
         source = self._slope
         if callable(source):
             value = source(cls)
@@ -198,7 +204,8 @@ class StabilityData:
                 raise SlopeUndefined(f"no slope for class {cls}") from None
         if value is None:
             raise SlopeUndefined(f"no slope for class {cls}")
-        return _to_slope(value)
+        out = self._slopes[cls] = _to_slope(value)
+        return out
 
     def rank_of(self, cls) -> int:
         cls = as_class(cls)
@@ -299,6 +306,50 @@ def double_groupings(n: int):
             yield first, second
 
 
+def _interval_slopes(stability: StabilityData, classes: list[ClassVec]):
+    """Lazy ``(i, j) -> slope of classes[i] + … + classes[j-1]``.
+
+    Sums come from running partial sums and each slope is looked up at most
+    once, so a coefficient sum touches every interval once however many
+    groupings share it.
+    """
+    dim = len(classes[0])
+    if any(len(c) != dim for c in classes):
+        raise ValueError("class vectors of mixed dimension")
+    prefix = [(0,) * dim]
+    for cls in classes:
+        prefix.append(tuple(a + b for a, b in zip(prefix[-1], cls)))
+    cache: dict[tuple[int, int], SlopeValue] = {}
+
+    def slope(i: int, j: int) -> SlopeValue:
+        hit = cache.get((i, j))
+        if hit is None:
+            span = tuple(b - a for a, b in zip(prefix[i], prefix[j]))
+            hit = cache[i, j] = stability.slope_of(span)
+        return hit
+
+    return slope
+
+
+def _sign(cuts: Sequence[int], first, second) -> int:
+    """S of the parts ``classes[cuts[k]:cuts[k+1]]``, with ``first`` and
+    ``second`` the interval slopes of the two stabilities."""
+    lo, hi = cuts[0], cuts[-1]
+    r = 0
+    for i in range(1, len(cuts) - 1):
+        first_here = first(cuts[i - 1], cuts[i])
+        first_next = first(cuts[i], cuts[i + 1])
+        second_left = second(lo, cuts[i])
+        second_right = second(cuts[i], hi)
+        if first_here <= first_next and second_left > second_right:
+            r += 1
+        elif first_here > first_next and second_left <= second_right:
+            pass
+        else:
+            return 0
+    return 1 if r % 2 == 0 else -1
+
+
 def S_coeff(classes: Sequence, tau: StabilityData, tau_prime: StabilityData) -> Fraction:
     """The sign coefficient of an ordered tuple of effective classes.
 
@@ -311,19 +362,9 @@ def S_coeff(classes: Sequence, tau: StabilityData, tau_prime: StabilityData) -> 
     n = len(classes)
     if n == 0:
         raise ValueError("need at least one class")
-    r = 0
-    for i in range(1, n):
-        first_here = tau.slope_of(classes[i - 1])
-        first_next = tau.slope_of(classes[i])
-        second_left = tau_prime.slope_of(class_sum(classes[:i]))
-        second_right = tau_prime.slope_of(class_sum(classes[i:]))
-        if first_here <= first_next and second_left > second_right:
-            r += 1
-        elif first_here > first_next and second_left <= second_right:
-            pass
-        else:
-            return Fraction(0)
-    return Fraction(1) if r % 2 == 0 else Fraction(-1)
+    first = _interval_slopes(tau, classes)
+    second = _interval_slopes(tau_prime, classes)
+    return Fraction(_sign(range(n + 1), first, second))
 
 
 def U_coeff(classes: Sequence, tau: StabilityData, tau_prime: StabilityData) -> Fraction:
@@ -332,38 +373,38 @@ def U_coeff(classes: Sequence, tau: StabilityData, tau_prime: StabilityData) -> 
     n = len(classes)
     if n == 0:
         raise ValueError("need at least one class")
-    total_slope = tau_prime.slope_of(class_sum(classes))
+    first_slope = _interval_slopes(tau, classes)
+    second_slope = _interval_slopes(tau_prime, classes)
+    total_slope = second_slope(0, n)
     acc = Fraction(0)
     for first in compositions(n):
+        # bounds[b]:bounds[b+1] is the b-th outer block, summing to beta_b
         bounds = [0]
         for size in first:
             bounds.append(bounds[-1] + size)
-        blocks = [classes[bounds[i] : bounds[i + 1]] for i in range(len(first))]
-        betas = [class_sum(block) for block in blocks]
         if not all(
-            tau.slope_of(beta) == tau.slope_of(member)
-            for beta, block in zip(betas, blocks)
-            for member in block
+            first_slope(bounds[b], bounds[b + 1]) == first_slope(i, i + 1)
+            for b in range(len(first))
+            for i in range(bounds[b], bounds[b + 1])
         ):
             continue
         first_weight = Fraction(1)
         for size in first:
             first_weight /= math.factorial(size)
-        m = len(betas)
+        m = len(first)
         for second in compositions(m):
             inner = [0]
             for size in second:
                 inner.append(inner[-1] + size)
-            beta_blocks = [betas[inner[j] : inner[j + 1]] for j in range(len(second))]
             if any(
-                tau_prime.slope_of(class_sum(group)) != total_slope
-                for group in beta_blocks
+                second_slope(bounds[inner[j]], bounds[inner[j + 1]]) != total_slope
+                for j in range(len(second))
             ):
                 continue
             l = len(second)
             term = Fraction(-1 if l % 2 == 0 else 1, l) * first_weight
-            for group in beta_blocks:
-                term *= S_coeff(group, tau, tau_prime)
+            for j in range(l):
+                term *= _sign(bounds[inner[j] : inner[j + 1] + 1], first_slope, second_slope)
                 if not term:
                     break
             acc += term

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .freelie import LieContext, LieElement, evaluate_lie
 from .kclasses import KAPPA, quantum_integer
-from .ring import LaurentElement, exact_laurent_div
+from .ring import LaurentElement, exact_laurent_div, laurent_sum
 from .ucoeff import (
     EffectiveMonoid,
     StabilityData,
@@ -337,18 +337,20 @@ def pair_invariant_rhs(
     extended = _extended_backend(backend, fr)
     dim = len(alpha)
     slot = extended.lift((0,) * dim + (1,), LaurentElement.const(1))
-    acc = LaurentElement.zero()
-    for parts in _equal_slope_decompositions(monoid, alpha, tau, max_parts):
-        if len(parts) < min_parts:
-            continue
-        nested = slot
-        for cls in parts:
-            entry = extended.lift(cls + (0,), table.value(cls))
-            nested = extended.bracket(entry, nested)
-        if nested.cls is None:
-            continue
-        acc = acc + Fraction(1, math.factorial(len(parts))) * nested.value
-    return acc
+
+    def terms():
+        for parts in _equal_slope_decompositions(monoid, alpha, tau, max_parts):
+            if len(parts) < min_parts:
+                continue
+            nested = slot
+            for cls in parts:
+                entry = extended.lift(cls + (0,), table.value(cls))
+                nested = extended.bracket(entry, nested)
+            if nested.cls is None:
+                continue
+            yield Fraction(1, math.factorial(len(parts))) * nested.value
+
+    return laurent_sum(terms())
 
 
 def invert_semistable(
@@ -427,21 +429,23 @@ def vw_wcf(
             else:
                 o_alpha = o_table[alpha]
         decomps = reduced_filter(decomps, o_table, o_alpha)
-    acc = LaurentElement.zero()
-    for parts in decomps:
-        u = U_coeff(parts, tau_one, tau_two)
-        if not u:
-            continue
-        term = LaurentElement.const(u / len(parts))
-        partial = (0,) * len(alpha)
-        for i, cls in enumerate(parts):
-            if i > 0:
-                term = term * qint(chi(partial, cls))
-            value = table.value(cls)
-            if value is None:
-                term = LaurentElement.zero()
-                break
-            term = term * value
-            partial = tuple(a + b for a, b in zip(partial, cls))
-        acc = acc + term
-    return acc
+
+    def terms():
+        for parts in decomps:
+            u = U_coeff(parts, tau_one, tau_two)
+            if not u:
+                continue
+            term = LaurentElement.const(u / len(parts))
+            partial = (0,) * len(alpha)
+            for i, cls in enumerate(parts):
+                if i > 0:
+                    term = term * qint(chi(partial, cls))
+                value = table.value(cls)
+                if value is None:
+                    term = LaurentElement.zero()
+                    break
+                term = term * value
+                partial = tuple(a + b for a, b in zip(partial, cls))
+            yield term
+
+    return laurent_sum(terms())

@@ -12,6 +12,7 @@ from wallx.ring import (
     LaurentElement,
     RationalElement,
     SlopeValue,
+    Trunc,
     WeightSymbol,
     as_rational,
     exact_laurent_div,
@@ -19,6 +20,7 @@ from wallx.ring import (
     expand_around_one,
     expand_general,
     kappa_one_vanishing_order,
+    laurent_sum,
     plethystic_exp,
     plethystic_log,
     residue_K,
@@ -99,6 +101,137 @@ def test_truncation_combines_as_minimum() -> None:
     a = (one + x).truncate(["x"], 5)
     b = (one + x).truncate(["x"], 3)
     assert (a * b).trunc.order2 == 6
+
+
+# -- canonical form and truncated products -------------------------------------
+
+
+def _assert_canonical(el: L) -> None:
+    """The invariant every element keeps, however it was built."""
+    assert L(dict(el.terms), el.trunc).terms == el.terms
+    for m, c in el.terms.items():
+        assert isinstance(c, Fraction) and c != 0
+        assert m == tuple(sorted(m))
+        assert len({v for v, _ in m}) == len(m)
+        assert all(isinstance(e, int) and e != 0 for _, e in m)
+        assert el.trunc is None or el.trunc.keeps(m)
+
+
+def _operands(rng: random.Random, sign: int) -> list[L]:
+    """Half-integer elements: untruncated, and truncated with ``sign`` on
+    one or two variables at several orders."""
+    out = [_random_element(rng, ["z", "t"]), _random_element(rng, ["z", "k"])]
+    out.append(_random_element(rng, ["z", "t"]).truncate(["z"], 1, sign))
+    out.append(_random_element(rng, ["z", "k"]).truncate(["z", "k"], 2, sign))
+    out.append(_random_element(rng, ["t", "k"], nterms=6).truncate(["t"], 0, sign))
+    return out
+
+
+def _check_operations(a: L, b: L) -> None:
+    results = [a + b, a - b, -a, a * 3, a * Fraction(-2, 3), a * 0, a * b]
+    results.append(laurent_sum([a, b, -a, 2, b * b]))
+    for el in results:
+        _assert_canonical(el)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_arithmetic_results_are_canonical(sign: int) -> None:
+    rng = random.Random(40 + sign)
+    for _ in range(6):
+        operands = _operands(rng, sign)
+        for a in operands:
+            for b in operands:
+                _check_operations(a, b)
+
+
+def test_canonical_form_property() -> None:
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exponent = st.integers(-4, 4)  # doubled, so odd values are half-integers
+    mono = st.dictionaries(st.sampled_from(["z", "t", "k"]), exponent, max_size=3)
+    coeff = st.fractions(max_denominator=4).filter(bool)
+
+    @st.composite
+    def elements(draw, sign):
+        terms = draw(st.lists(st.tuples(mono, coeff), max_size=5))
+        el = L({tuple(m.items()): c for m, c in terms})
+        names = draw(st.sets(st.sampled_from(["z", "t", "k"]), max_size=2))
+        if names:
+            el = el.truncate(names, draw(st.integers(-1, 3)), sign)
+        return el
+
+    signed_pairs = st.sampled_from([1, -1]).flatmap(
+        lambda sign: st.tuples(elements(sign), elements(sign))
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(signed_pairs)
+    def check(pair):
+        _check_operations(*pair)
+
+    check()
+
+
+def test_laurent_sum_equals_folded_addition() -> None:
+    rng = random.Random(5)
+    for sign in (1, -1):
+        items = _operands(rng, sign) + [Fraction(3, 2), 0, -1]
+        for start in (None, Trunc(frozenset({"k"}), 2, sign)):
+            folded = L.zero(start)
+            for item in items:
+                folded = folded + item
+            summed = laurent_sum(items, start)
+            assert summed.terms == folded.terms
+            assert summed.trunc == folded.trunc
+    assert laurent_sum([]) == L.zero() and laurent_sum([]).trunc is None
+
+
+def _truncated_product_oracle(a: L, b: L) -> L:
+    """The untruncated product, filtered by the joint truncation: the union
+    of the variable sets at the smaller order."""
+    truncs = [t for t in (a.trunc, b.trunc) if t is not None]
+    trunc = Trunc(
+        frozenset().union(*(t.names for t in truncs)),
+        min(t.order2 for t in truncs),
+        truncs[0].sign,
+    )
+    full = a.without_trunc() * b.without_trunc()
+    return L({m: c for m, c in full.terms.items() if trunc.keeps(m)})
+
+
+def test_truncated_product_matches_filtered_full_product() -> None:
+    rng = random.Random(17)
+    for sign in (1, -1):
+        for _ in range(10):
+            a = _random_element(rng, ["z", "t", "k"], nterms=6).truncate(
+                ["z"], rng.randint(-1, 3), sign
+            )
+            b = _random_element(rng, ["z", "t", "k"], nterms=6).truncate(
+                ["t", "k"], rng.randint(-1, 3), sign
+            )
+            c = _random_element(rng, ["z", "t"], nterms=6)
+            for left, right in ((a, b), (b, a), (a, a), (a, c), (c, b)):
+                assert left * right == _truncated_product_oracle(left, right)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_truncated_power_matches_filtered_full_power(sign: int) -> None:
+    # A series of one-signed degree loses nothing to truncating each factor.
+    rng = random.Random(29 + sign)
+    for _ in range(6):
+        base = L.zero()
+        for _ in range(4):
+            exps = {"z": Fraction(sign * rng.randint(0, 4), 2)}
+            exps["k"] = Fraction(rng.randint(-2, 2), 2)
+            base = base + L.monomial(Fraction(rng.randint(-3, 3), 2), exps)
+        series = base.truncate(["z"], 3, sign)
+        for k in range(5):
+            power = series**k
+            _assert_canonical(power)
+            full = base**k
+            assert power == L(
+                {m: c for m, c in full.terms.items() if series.trunc.keeps(m)}
+            )
 
 
 # -- expansion -----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 from fractions import Fraction
@@ -19,7 +20,7 @@ from wallx.freelie import (
     expand_to_uea,
     left_nested,
 )
-from wallx.ring import SlopeValue
+from wallx.ring import LaurentElement, SlopeValue
 from wallx.ucoeff import (
     EffectiveMonoid,
     S_coeff,
@@ -36,6 +37,7 @@ from wallx.ucoeff import (
     utilde_lie_element,
     utilde_word_sum,
 )
+from wallx.wallcross import InvariantTable, vw_wcf
 
 F = Fraction
 
@@ -206,6 +208,77 @@ class TestStabilityData:
         assert not bad.see_saw_holds(mon, (1, 1))
 
 
+def counting_linear(a, b, calls):
+    """Linear slope (a·γ)/(b·γ) that records every class it is asked for."""
+
+    def slope(cls):
+        calls[cls] += 1
+        num = sum(x * c for x, c in zip(a, cls))
+        den = sum(x * c for x, c in zip(b, cls))
+        return SlopeValue.of(F(num, den))
+
+    return slope
+
+
+class TestSlopeMemo:
+    def test_source_read_once_per_class_over_a_ladder(self):
+        mon = EffectiveMonoid([(1, 0), (0, 1)])
+        first, second = collections.Counter(), collections.Counter()
+        tau = StabilityData(counting_linear((1, 0), (1, 1), first))
+        taup = StabilityData(counting_linear((0, 1), (1, 1), second))
+        box = [(i, j) for i in range(4) for j in range(4) if i + j]
+        table = InvariantTable(
+            {cls: LaurentElement.gen(f"a{cls[0]}{cls[1]}") for cls in box},
+            monoid=mon,
+        )
+        for target in sorted(box, key=sum):
+            vw_wcf(target, tau, taup, table, [[0, 1], [-1, 0]])
+        assert set(first) == set(second) == set(box)
+        assert set(first.values()) == set(second.values()) == {1}
+
+    def test_undefined_raises_on_every_call(self):
+        zero_over_zero = linear_stability([1, -1], [1, -1])
+        mapping = StabilityData({(1, 0): 0})
+        for _ in range(3):
+            with pytest.raises(SlopeUndefined):
+                zero_over_zero.slope_of((1, 1))
+            with pytest.raises(SlopeUndefined):
+                mapping.slope_of((0, 1))
+        assert zero_over_zero.slope_of((1, 0)) == SlopeValue.of(1)
+
+    def test_failed_lookups_are_not_memoized(self):
+        calls = collections.Counter()
+
+        def partial(cls):
+            calls[cls] += 1
+            return None if cls == (1, 1) else 0
+
+        tau = StabilityData(partial)
+        for _ in range(3):
+            with pytest.raises(SlopeUndefined):
+                tau.slope_of((1, 1))
+        assert calls[(1, 1)] == 3
+
+    def test_list_class_shares_the_tuple_entry(self):
+        calls = collections.Counter()
+        tau = StabilityData(counting_linear((2, 1), (1, 1), calls))
+        assert tau.slope_of([1, 0]) == tau.slope_of((1, 0)) == SlopeValue.of(2)
+        assert tau.slope_of([F(1), 0]) == SlopeValue.of(2)
+        assert calls == {(1, 0): 1}
+
+    def test_objects_do_not_share_a_memo(self):
+        calls = collections.Counter()
+        source = counting_linear((1, 0), (1, 1), calls)
+        one, two = StabilityData(source), StabilityData(source)
+        one.slope_of((1, 1))
+        two.slope_of((1, 1))
+        assert calls[(1, 1)] == 2
+        left = StabilityData({(1, 0): 0})
+        right = StabilityData({(1, 0): 1})
+        assert left.slope_of((1, 0)) == SlopeValue.of(0)
+        assert right.slope_of((1, 0)) == SlopeValue.of(1)
+
+
 A = (1, 0)
 B1 = (0, 1)
 B2 = (0, 2)
@@ -247,7 +320,62 @@ class TestSCoefficient:
             S_coeff([A, B1, B1], tau, tau)
 
 
+def s_by_definition(classes, tau, taup):
+    """S straight from its definition, every partial sum recomputed."""
+    r = 0
+    for i in range(1, len(classes)):
+        first_here = tau.slope_of(classes[i - 1])
+        first_next = tau.slope_of(classes[i])
+        left = taup.slope_of(class_sum(classes[:i]))
+        right = taup.slope_of(class_sum(classes[i:]))
+        if first_here <= first_next and left > right:
+            r += 1
+        elif not (first_here > first_next and left <= right):
+            return 0
+    return (-1) ** r
+
+
+def u_by_definition(classes, tau, taup):
+    """U straight from its defining sum over double groupings."""
+    total_slope = taup.slope_of(class_sum(classes))
+    acc = F(0)
+    for outer, inner in double_groupings(len(classes)):
+        blocks, start = [], 0
+        for size in outer:
+            blocks.append(classes[start : start + size])
+            start += size
+        betas = [class_sum(block) for block in blocks]
+        if any(
+            tau.slope_of(member) != tau.slope_of(beta)
+            for beta, block in zip(betas, blocks)
+            for member in block
+        ):
+            continue
+        groups, start = [], 0
+        for size in inner:
+            groups.append(betas[start : start + size])
+            start += size
+        if any(taup.slope_of(class_sum(g)) != total_slope for g in groups):
+            continue
+        term = F((-1) ** (len(groups) - 1), len(groups))
+        for size in outer:
+            term /= math.factorial(size)
+        for group in groups:
+            term *= s_by_definition(group, tau, taup)
+        acc += term
+    return acc
+
+
 class TestUCoefficient:
+    def test_matches_definition_under_random_linear_stabilities(self):
+        rng = random.Random(23)
+        mon = EffectiveMonoid([(1, 0), (0, 1), (1, 1)])
+        for _ in range(6):
+            tau, taup = random_linear(rng, 2), random_linear(rng, 2)
+            for parts in mon.decompositions((2, 2)):
+                assert S_coeff(parts, tau, taup) == s_by_definition(parts, tau, taup)
+                assert U_coeff(parts, tau, taup) == u_by_definition(parts, tau, taup)
+
     def test_single_class_always_one(self):
         rng = random.Random(3)
         for _ in range(5):
