@@ -242,15 +242,23 @@ def factorized_entry(sigma: SetPartition, order: int) -> LaurentElement:
     compare this with the direct entry of the matrix exponential.
     """
     n = len(sigma.blocks)
-    stay = (n - 1) * merge_symbol(())
-    acc = LaurentElement.zero()
-    power = ONE
+    corners = [corner_entry(block, order) for block in sigma.blocks]
+    factors = [merge_symbol(()), *corners]
+    # Every merge symbol enters with a nonnegative exponent, so total degree
+    # never falls under a product: truncating as the product grows loses
+    # nothing that the final truncation at ``order`` would keep.
+    assert all(e >= 0 for el in factors for m in el.terms for _, e in m)
+    trunc = Trunc(frozenset().union(*(el.variables() for el in factors)), 2 * order)
+    stay = (n - 1) * merge_symbol(()) * LaurentElement.const(1, trunc)
+    power = LaurentElement.const(1, trunc)
+    terms = []
     for m in range(order + 1):
-        acc = acc + Fraction(1, math.factorial(m)) * power
+        terms.append(Fraction(1, math.factorial(m)) * power)
         power = power * stay
-    for block in sigma.blocks:
-        acc = acc * corner_entry(block, order)
-    return total_truncate(acc, order)
+    acc = laurent_sum(terms, trunc)
+    for corner in corners:
+        acc = acc * corner
+    return acc.without_trunc()
 
 
 def total_truncate(element: LaurentElement, order: int) -> LaurentElement:

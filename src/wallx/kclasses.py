@@ -18,7 +18,6 @@ from fractions import Fraction
 from .errors import ModeMismatch, TrivialWeightAtOne
 from .ring import (
     LaurentElement,
-    RationalElement,
     Trunc,
     as_element,
     as_rational,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import (
     NonExpandable,
@@ -27,11 +27,20 @@ Scalar = Union[int, Fraction]
 Mono = tuple[tuple[str, int], ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _coef(x) -> Scalar:
+    """The canonical form of a coefficient: an ``int`` when it is integral,
+    otherwise a ``Fraction`` with denominator > 1.  Never a float or a bool."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _exp2(e: Scalar) -> int:
@@ -106,8 +115,8 @@ def _combine_trunc(a: Trunc | None, b: Trunc | None) -> Trunc | None:
 
 
 def _kept(
-    terms: dict[Mono, Fraction], trunc: Trunc | None, within: Trunc | None = None
-) -> dict[Mono, Fraction]:
+    terms: dict[Mono, Scalar], trunc: Trunc | None, within: Trunc | None = None
+) -> dict[Mono, Scalar]:
     """``terms`` restricted to the monomials ``trunc`` keeps, order preserved.
 
     ``within`` is a truncation the terms are known to satisfy; when it equals
@@ -118,7 +127,7 @@ def _kept(
     return {m: c for m, c in terms.items() if trunc.keeps(m)}
 
 
-def _add_terms(out: dict[Mono, Fraction], pairs: Iterable[tuple[Mono, Fraction]]) -> None:
+def _add_terms(out: dict[Mono, Scalar], pairs: Iterable[tuple[Mono, Scalar]]) -> None:
     """Add canonical (monomial, coefficient) pairs into ``out`` in place,
     dropping zero sums."""
     get = out.get
@@ -128,10 +137,12 @@ def _add_terms(out: dict[Mono, Fraction], pairs: Iterable[tuple[Mono, Fraction]]
             out[m] = c
         else:
             total = prev + c
-            if total:
+            if not total:
+                del out[m]
+            elif type(total) is int:
                 out[m] = total
             else:
-                del out[m]
+                out[m] = _coef(total)
 
 
 class LaurentElement:
@@ -143,10 +154,14 @@ class LaurentElement:
     mathematical value).
 
     Every element is canonical: each key of ``terms`` is a monomial sorted by
-    variable name with no zero exponent, each value is a nonzero Fraction,
-    and every monomial is kept by ``trunc``.  The constructor normalizes
-    arbitrary input into this form; the arithmetic builds results that are
-    canonical by construction and wraps them with ``_trusted`` instead.
+    variable name with no zero exponent, each value is a nonzero exact
+    rational stored as an ``int`` when it is integral and as a ``Fraction``
+    with denominator > 1 otherwise (never a float), and every monomial is
+    kept by ``trunc``.  Coefficients are nearly always integers, and ``int``
+    arithmetic costs a fraction of ``Fraction`` arithmetic.  The constructor
+    normalizes arbitrary input into this form; the arithmetic builds results
+    that are canonical by construction and wraps them with ``_trusted``
+    instead.
     """
 
     __slots__ = ("terms", "trunc")
@@ -156,18 +171,18 @@ class LaurentElement:
         terms: Mapping[Mono, Scalar] | None = None,
         trunc: Trunc | None = None,
     ) -> None:
-        clean: dict[Mono, Fraction] = {}
+        clean: dict[Mono, Scalar] = {}
         if terms:
             for m, c in terms.items():
-                c = _frac(c)
+                c = _coef(c)
                 if not c:
                     continue
                 m = _mono(m)
                 if trunc is not None and not trunc.keeps(m):
                     continue
-                acc = clean.get(m, _ZERO) + c
+                acc = clean.get(m, 0) + c
                 if acc:
-                    clean[m] = acc
+                    clean[m] = _coef(acc)
                 elif m in clean:
                     del clean[m]
         object.__setattr__(self, "terms", clean)
@@ -184,16 +199,16 @@ class LaurentElement:
 
     @staticmethod
     def const(c: Scalar, trunc: Trunc | None = None) -> "LaurentElement":
-        return LaurentElement({(): _frac(c)}, trunc)
+        return LaurentElement({(): c}, trunc)
 
     @staticmethod
     def gen(name: str) -> "LaurentElement":
-        return LaurentElement({((name, 2),): _ONE})
+        return LaurentElement({((name, 2),): 1})
 
     @staticmethod
     def monomial(coeff: Scalar, exps: Mapping[str, Scalar]) -> "LaurentElement":
         m = _mono({v: _exp2(e) for v, e in exps.items()})
-        return LaurentElement({m: _frac(coeff)})
+        return LaurentElement({m: coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -208,7 +223,7 @@ class LaurentElement:
         if not self.terms:
             return _ZERO
         if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
+            return Fraction(self.terms[()])
         return None
 
     def variables(self) -> set[str]:
@@ -217,7 +232,7 @@ class LaurentElement:
     def coeff_of(self, var: str, exponent: Scalar) -> "LaurentElement":
         """Coefficient of ``var**exponent`` as an element without ``var``."""
         e2 = _exp2(exponent)
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Scalar] = {}
         for m, c in self.terms.items():
             if dict(m).get(var, 0) == e2:
                 out[_mono_drop(m, var)] = c
@@ -225,7 +240,7 @@ class LaurentElement:
 
     def coeffs_in(self, var: str) -> dict[int, "LaurentElement"]:
         """Split into {doubled exponent of var: coefficient element}."""
-        grouped: dict[int, dict[Mono, Fraction]] = {}
+        grouped: dict[int, dict[Mono, Scalar]] = {}
         for m, c in self.terms.items():
             e2 = dict(m).get(var, 0)
             grouped.setdefault(e2, {})[_mono_drop(m, var)] = c
@@ -272,22 +287,40 @@ class LaurentElement:
         if isinstance(other, RationalElement):
             return NotImplemented
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
+            c = _coef(other)
             if not c:
                 return LaurentElement.zero(self.trunc)
-            return _trusted({m: k * c for m, k in self.terms.items()}, self.trunc)
+            return _trusted(
+                _canonical({m: k * c for m, k in self.terms.items()}), self.trunc
+            )
         other = as_element(other)
         trunc = _combine_trunc(self.trunc, other.trunc)
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Scalar] = {}
         get = out.get
-        names = frozenset() if trunc is None else trunc.names
-        right = [(m2, c2, _mono_deg2(m2, names)) for m2, c2 in other.terms.items()]
+        if trunc is None:
+            right = list(other.terms.items())
+            for m1, c1 in self.terms.items():
+                for m2, c2 in right:
+                    m = _mono_mul(m1, m2)
+                    prev = get(m)
+                    if prev is None:
+                        out[m] = c1 * c2
+                    else:
+                        total = prev + c1 * c2
+                        if total:
+                            out[m] = total
+                        else:
+                            del out[m]
+            return _trusted(_canonical(out))
+        names = trunc.names
+        keeps = trunc.keeps_deg2
+        graded = [(m2, c2, _mono_deg2(m2, names)) for m2, c2 in other.terms.items()]
         for m1, c1 in self.terms.items():
             d1 = _mono_deg2(m1, names)
-            for m2, c2, d2 in right:
+            for m2, c2, d2 in graded:
                 # Degrees add under multiplication, so a pair out of range is
                 # dropped before its monomial is formed.
-                if trunc is not None and not trunc.keeps_deg2(d1 + d2):
+                if not keeps(d1 + d2):
                     continue
                 m = _mono_mul(m1, m2)
                 prev = get(m)
@@ -299,7 +332,7 @@ class LaurentElement:
                         out[m] = total
                     else:
                         del out[m]
-        return _trusted(out, trunc)
+        return _trusted(_canonical(out), trunc)
 
     __rmul__ = __mul__
 
@@ -317,11 +350,11 @@ class LaurentElement:
         if len(self.terms) != 1:
             raise ValueError("only single-term elements have a monomial inverse")
         (m, c), = self.terms.items()
-        return _trusted({_mono_pow(m, -1): 1 / c})
+        return _trusted({_mono_pow(m, -1): _coef(Fraction(1, c))})
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (1 / _frac(other))
+            return self * Fraction(1, other)
         if isinstance(other, RationalElement):
             return as_rational(self) / other
         other = as_element(other)
@@ -371,12 +404,13 @@ class LaurentElement:
             if self.is_monomial():
                 return self.monomial_inverse()
             raise ValueError("inversion of a multi-term element needs truncation")
-        c0 = self.trunc_zero_part()
-        if not c0.is_monomial():
+        if _below_zero(self):
+            raise NonExpandable("series has a term below its constant part")
+        if not self.trunc_zero_part().is_monomial():
             raise NonExpandable("series constant term is not an invertible monomial")
-        c0inv = c0.monomial_inverse()
-        h = (self - c0) * c0inv  # positive truncation-degree part
-        return laurent_sum(_powers(LaurentElement.const(1, self.trunc), -h)) * c0inv
+        t = self.trunc
+        terms = _series_div(ONE, self, t.names, t.sign, t.order2, "series constant term")
+        return _trusted(terms, t)
 
     def negate_var(self, var: str) -> "LaurentElement":
         """Substitute ``var -> var**-1`` by negating its exponents."""
@@ -399,13 +433,13 @@ class LaurentElement:
         if len(value.terms) != 1:
             raise ValueError("subs_monomial needs a single-term value")
         (vm, vc), = value.terms.items()
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Scalar] = {}
         for m, c in self.terms.items():
             e2 = dict(m).get(var, 0)
             rest = _mono_drop(m, var)
             if e2:
                 if e2 % 2 == 0:
-                    c = c * vc ** (e2 // 2)
+                    c = _coef(c * Fraction(vc) ** (e2 // 2))
                 elif vc != 1:
                     raise ValueError(
                         "half-integer power of a value with coefficient != 1"
@@ -454,7 +488,7 @@ class LaurentElement:
 
     def subs_one(self, var: str) -> "LaurentElement":
         """Substitute 1 for ``var`` (drops it from every monomial)."""
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Scalar] = {}
         _add_terms(out, ((_mono_drop(m, var), c) for m, c in self.terms.items()))
         return _trusted(_kept(out, self.trunc), self.trunc)
 
@@ -495,7 +529,14 @@ _set_terms = LaurentElement.terms.__set__
 _set_trunc = LaurentElement.trunc.__set__
 
 
-def _trusted(terms: dict[Mono, Fraction], trunc: Trunc | None = None) -> LaurentElement:
+def _below_zero(series: LaurentElement) -> bool:
+    """Whether a truncated series has a term of negative degree in its
+    expansion direction; no power of such a series ever truncates to zero."""
+    t = series.trunc
+    return any(t.sign * _mono_deg2(m, t.names) < 0 for m in series.terms)
+
+
+def _trusted(terms: dict[Mono, Scalar], trunc: Trunc | None = None) -> LaurentElement:
     """Wrap ``terms`` as an element without normalizing them.
 
     ``terms`` must already be canonical (see LaurentElement) and must not be
@@ -505,6 +546,15 @@ def _trusted(terms: dict[Mono, Fraction], trunc: Trunc | None = None) -> Laurent
     _set_terms(el, terms)
     _set_trunc(el, trunc)
     return el
+
+
+def _canonical(terms: dict[Mono, Scalar]) -> dict[Mono, Scalar]:
+    """``terms`` with every coefficient in canonical form (see ``_coef``),
+    changed in place: products and sums of Fractions may be integral."""
+    for m, c in terms.items():
+        if type(c) is not int:
+            terms[m] = _coef(c)
+    return terms
 
 
 def _mono_drop(m: Mono, var: str) -> Mono:
@@ -527,7 +577,7 @@ def laurent_sum(items: Iterable, trunc: Trunc | None = None) -> LaurentElement:
     truncation included, at a cost linear in the terms added instead of a
     copy of the running sum per item.
     """
-    out: dict[Mono, Fraction] = {}
+    out: dict[Mono, Scalar] = {}
     for x in items:
         x = as_element(x)
         if x.trunc != trunc:
@@ -540,13 +590,55 @@ def laurent_sum(items: Iterable, trunc: Trunc | None = None) -> LaurentElement:
     return _trusted(out, trunc)
 
 
-def _powers(first: LaurentElement, step: LaurentElement):
-    """first, first·step, first·step², … through the first zero product."""
-    term = first
-    yield term
-    while term:
-        term = term * step
-        yield term
+def _graded(
+    terms: dict[Mono, Scalar], names: frozenset[str], sign: int
+) -> dict[int, dict[Mono, Scalar]]:
+    """``terms`` split by ``sign`` times the total doubled degree in ``names``."""
+    pieces: dict[int, dict[Mono, Scalar]] = {}
+    for m, c in terms.items():
+        pieces.setdefault(sign * _mono_deg2(m, names), {})[m] = c
+    return pieces
+
+
+def _series_div(
+    num: LaurentElement,
+    den: LaurentElement,
+    names: frozenset[str],
+    sign: int,
+    top: int,
+    lead_name: str,
+) -> dict[Mono, Scalar]:
+    """The terms of graded degree <= ``top`` of the series num/den.
+
+    The grading is ``sign`` times the total doubled degree in ``names``, and
+    ``num`` must be nonzero.  The lowest graded piece d of ``den`` must be a
+    single monomial (NonExpandable otherwise, naming it ``lead_name``).  With
+    h_e the degree-e piece of den/d - 1, the quotient's degree-n piece is
+    q_n = p_n - Σ_e h_e·q_{n-e}, where p_n is the degree-n piece of num/d:
+    each piece is computed once (power-series division, Knuth TAOCP vol. 2,
+    §4.7), and every term returned is exact.
+    """
+    den_pieces = _graded(den.terms, names, sign)
+    low = min(den_pieces)
+    lead = den_pieces.pop(low)
+    if len(lead) != 1:
+        raise NonExpandable(f"{lead_name} is not a single monomial")
+    lead_inv = _trusted(lead).monomial_inverse()
+    steps = [(e - low, -(_trusted(p) * lead_inv)) for e, p in sorted(den_pieces.items())]
+    pref = _graded((num * lead_inv).terms, names, sign)
+    out: dict[Mono, Scalar] = {}
+    quot: dict[int, LaurentElement] = {}
+    for n in range(min(pref), top + 1):
+        items = [_trusted(pref[n])] if n in pref else []
+        for e, step in steps:
+            prev = quot.get(n - e)
+            if prev is not None:
+                items.append(step * prev)
+        piece = laurent_sum(items)
+        if piece:
+            quot[n] = piece
+            out.update(piece.terms)
+    return out
 
 
 ONE = LaurentElement.const(1)
@@ -585,7 +677,7 @@ class RationalElement:
             raise ZeroDivisionError("zero denominator")
         content = _mono_content(den)
         if content:
-            shrink = LaurentElement({_mono_pow(content, -1): _ONE})
+            shrink = LaurentElement({_mono_pow(content, -1): 1})
             num = num * shrink
             den = den * shrink
         if den.is_monomial():
@@ -681,7 +773,7 @@ class RationalElement:
         if shift2 % 2:
             shift2 += 1
         if shift2:
-            scale = LaurentElement({((var, shift2),): _ONE})
+            scale = LaurentElement({((var, shift2),): 1})
             num = num * scale
             den = den * scale
         return RationalElement(num.subs_poly(var, value), den.subs_poly(var, value))
@@ -719,32 +811,8 @@ def _expand_zero(
     trunc = Trunc(frozenset({var}), order2, 1)
     if not num.terms:
         return LaurentElement.zero(trunc)
-    vd = den.val2(var)
-    assert vd is not None
-    dshift = den * LaurentElement({((var, -vd),): _ONE}) if vd else den
-    d0 = LaurentElement(
-        {m: c for m, c in dshift.terms.items() if dict(m).get(var, 0) == 0}
-    )
-    if not d0.is_monomial():
-        raise NonExpandable(
-            f"denominator constant term in {var!r} is not a single monomial"
-        )
-    h = (dshift - d0) * d0.monomial_inverse()
-    pref = num * d0.monomial_inverse()
-    if vd:
-        pref = pref * LaurentElement({((var, -vd),): _ONE})
-    sh = pref.val2(var)
-    assert sh is not None
-    inner2 = order2 - sh
-    if inner2 < 0:
-        return LaurentElement.zero(trunc)
-    inner = Trunc(frozenset({var}), inner2, 1)
-    acc = laurent_sum(_powers(LaurentElement.const(1, inner), -h))
-    # Strip the inner truncation before the prefactor multiply: every kept
-    # accumulator term may combine with prefactor terms of higher degree, and
-    # the final truncation below is the only bound that matters.
-    product = pref * acc.without_trunc()
-    return _trusted(_kept(product.terms, trunc), trunc)
+    lead_name = f"denominator constant term in {var!r}"
+    return _trusted(_series_div(num, den, trunc.names, 1, order2, lead_name), trunc)
 
 
 def expand(f: Element, point: str, order: int, *, var: str = "z") -> LaurentElement:
@@ -863,6 +931,8 @@ def plethystic_exp(g: LaurentElement) -> LaurentElement:
         raise ValueError("series exponential needs a truncated input")
     if g.trunc_zero_part():
         raise NonzeroConstantTerm("series exponential needs zero constant term")
+    if _below_zero(g):
+        raise NonExpandable("series exponential of a term below degree 0")
 
     def terms():
         term = LaurentElement.const(1, g.trunc)
@@ -883,6 +953,8 @@ def plethystic_log(f: LaurentElement) -> LaurentElement:
         raise ValueError("series logarithm needs a truncated input")
     if f.trunc_zero_part() != ONE:
         raise NonzeroConstantTerm("series logarithm needs constant term 1")
+    if _below_zero(f):
+        raise NonExpandable("series logarithm of a term below degree 0")
     h = f - LaurentElement.const(1)
 
     def terms():
@@ -965,7 +1037,7 @@ def _divide_y_minus_one(el: LaurentElement, var: str) -> LaurentElement:
     if carry + coeffs.get(0, ZERO) != ZERO:
         raise ValueError("element does not vanish at 1")
     return laurent_sum(
-        c * LaurentElement({((var, j),): _ONE} if j else {(): _ONE})
+        c * LaurentElement({((var, j),): 1} if j else {(): 1})
         for j, c in quot.items()
     )
 
@@ -974,7 +1046,7 @@ def _clear_negative(el: LaurentElement, var: str) -> tuple[LaurentElement, int]:
     v = el.val2(var)
     if v is None or v >= 0:
         return el, 0
-    return el * LaurentElement({((var, -v),): _ONE}), -v
+    return el * LaurentElement({((var, -v),): 1}), -v
 
 
 def specialize_kappa(f: Element, *, var: str = "k"):

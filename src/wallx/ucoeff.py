@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DecompositionOverflow,

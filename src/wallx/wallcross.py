@@ -31,7 +31,6 @@ from .ucoeff import (
     U_coeff,
     _chi_from_matrix,
     as_class,
-    class_sum,
     utilde_lie_element,
 )
 

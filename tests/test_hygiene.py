@@ -1,0 +1,55 @@
+"""Source hygiene: every name a module of the package imports is used."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "wallx"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import statement that the module never reads.
+
+    A name counts as read when it appears as a ``Name`` anywhere, as the
+    root of an attribute chain, or in ``__all__``.  ``from __future__``
+    imports bind nothing and are skipped.
+    """
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {
+                elt.value
+                for elt in ast.walk(node.value)
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+            }
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path: Path) -> None:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unused_imports(tree) == []
+
+
+def test_scan_sees_an_unused_import() -> None:
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from typing import Callable, Mapping\n"
+        "def f(m: Mapping) -> None:\n"
+        "    os.getcwd()\n"
+    )
+    assert _unused_imports(tree) == ["Callable (line 3)"]

@@ -106,11 +106,17 @@ def test_truncation_combines_as_minimum() -> None:
 # -- canonical form and truncated products -------------------------------------
 
 
+def _canonical_coeff(c) -> bool:
+    """An int, or a Fraction that is not integral: no float, bool or
+    integral Fraction."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
 def _assert_canonical(el: L) -> None:
     """The invariant every element keeps, however it was built."""
     assert L(dict(el.terms), el.trunc).terms == el.terms
     for m, c in el.terms.items():
-        assert isinstance(c, Fraction) and c != 0
+        assert _canonical_coeff(c) and c != 0
         assert m == tuple(sorted(m))
         assert len({v for v, _ in m}) == len(m)
         assert all(isinstance(e, int) and e != 0 for _, e in m)
@@ -304,6 +310,165 @@ def test_expand_rejects_truncated_series() -> None:
         expand(s, "zero", 2)
 
 
+# -- series division against geometric powers ------------------------------------
+
+
+def _powers(first: L, step: L):
+    """first, first·step, first·step², … through the first zero product."""
+    term = first
+    yield term
+    while term:
+        term = term * step
+        yield term
+
+
+def _expand_by_powers(f: RationalElement, point: str, order: int, var: str) -> L:
+    """``expand`` by summing geometric powers of the denominator's tail, then
+    multiplying by the untruncated prefactor: the route that power-series
+    division replaced."""
+    num, den = f.num, f.den
+    if point == "infinity":
+        num, den = num.negate_var(var), den.negate_var(var)
+    trunc = Trunc(frozenset({var}), 2 * order, 1)
+    if not num.terms:
+        return L.zero(trunc)
+    shift = L.monomial(1, {var: Fraction(-den.val2(var), 2)})
+    dshift = den * shift
+    d0 = dshift.coeff_of(var, 0)
+    assert d0.is_monomial()
+    h = (dshift - d0) * d0.monomial_inverse()
+    pref = num * d0.monomial_inverse() * shift
+    inner2 = 2 * order - pref.val2(var)
+    if inner2 < 0:
+        out = L.zero(trunc)
+    else:
+        start = L.const(1, Trunc(frozenset({var}), inner2, 1))
+        product = pref * laurent_sum(_powers(start, -h)).without_trunc()
+        out = L(product.terms, trunc)
+    return out.negate_var(var) if point == "infinity" else out
+
+
+def _invert_by_powers(series: L) -> L:
+    """``invert_series`` by geometric powers of the tail over the constant part."""
+    c0 = series.trunc_zero_part()
+    c0inv = c0.monomial_inverse()
+    h = (series - c0) * c0inv
+    return laurent_sum(_powers(L.const(1, series.trunc), -h)) * c0inv
+
+
+def _random_term(rng: random.Random, others: list[str], var: str, e2: int) -> L:
+    exps = {v: Fraction(rng.randint(-2, 2), 2) for v in others}
+    exps[var] = Fraction(e2, 2)
+    return L.monomial(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)), exps)
+
+
+def _random_quotient(rng: random.Random, others: list[str]) -> RationalElement:
+    """num/den in z with half-integer exponents, whose denominator has a
+    single-monomial lowest and highest piece in z, so both points expand."""
+    num = laurent_sum(
+        _random_term(rng, others, "z", rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))
+    )
+    lo = rng.randint(-3, 2)
+    hi = lo + rng.randint(1, 4)
+    den = _random_term(rng, others, "z", lo) + _random_term(rng, others, "z", hi)
+    for _ in range(rng.randint(0, 3)):
+        if hi - lo > 1:
+            den = den + _random_term(rng, others, "z", rng.randint(lo + 1, hi - 1))
+    return RationalElement(num, den)
+
+
+@pytest.mark.parametrize("others", [["t"], ["t", "k"]])
+def test_expand_matches_geometric_powers(others: list[str]) -> None:
+    rng = random.Random(61 + len(others))
+    for _ in range(25):
+        f = _random_quotient(rng, others)
+        for point in ("zero", "infinity"):
+            for order in range(5):
+                got = expand(f, point, order)
+                _assert_canonical(got)
+                assert got == _expand_by_powers(f, point, order, "z")
+                sign = 1 if point == "zero" else -1
+                assert got.trunc == Trunc(frozenset({"z"}), 2 * order, sign)
+
+
+def _random_series(rng: random.Random, names: list[str], sign: int, order: int) -> L:
+    """A truncated series in ``names`` whose terms all have degree >= 0 in
+    its direction and whose constant part is one monomial."""
+    const = L.monomial(
+        Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2)),
+        {"k": Fraction(rng.randint(-2, 2), 2)},
+    )
+    acc = const
+    for _ in range(5):
+        exps = {v: Fraction(sign * rng.randint(0, 3), 2) for v in names}
+        if not any(exps.values()):
+            continue
+        exps["k"] = Fraction(rng.randint(-2, 2), 2)
+        acc = acc + L.monomial(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), exps)
+    return acc.truncate(names, order, sign)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("names", [["z"], ["z", "t"]])
+def test_invert_series_matches_geometric_powers(names: list[str], sign: int) -> None:
+    rng = random.Random(83 + sign + len(names))
+    for _ in range(15):
+        order = rng.randint(0, 4)
+        series = _random_series(rng, names, sign, order)
+        inverse = series.invert_series()
+        _assert_canonical(inverse)
+        assert inverse == _invert_by_powers(series)
+        assert inverse.trunc == series.trunc
+        assert (inverse * series).terms == {(): 1}
+
+
+def test_series_division_property() -> None:
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    half = st.integers(-2, 2)
+
+    def term(var_e2):
+        return st.builds(
+            lambda c, e2, et, ek: L({(("k", ek), ("t", et), ("z", e2)): c}),
+            coeff, var_e2, half, half,
+        )
+
+    @st.composite
+    def quotients(draw):
+        lo = draw(st.integers(-3, 2))
+        hi = draw(st.integers(lo + 1, lo + 4))
+        num = laurent_sum(draw(st.lists(term(st.integers(-3, 3)), min_size=1, max_size=4)))
+        den = draw(term(st.just(lo))) + draw(term(st.just(hi)))
+        if hi - lo > 1:
+            middle = st.lists(term(st.integers(lo + 1, hi - 1)), max_size=3)
+            den = den + laurent_sum(draw(middle))
+        return RationalElement(num, den)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(quotients(), st.sampled_from(["zero", "infinity"]), st.integers(0, 4))
+    def check(f, point, order):
+        got = expand(f, point, order)
+        _assert_canonical(got)
+        assert got == _expand_by_powers(f, point, order, "z")
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (one + x.monomial_inverse()).truncate(["x"], 3).invert_series(),
+        lambda: (one + x).truncate(["x"], 3, -1).invert_series(),
+    ],
+    ids=["below-zero", "above-zero-at-infinity"],
+)
+def test_invert_series_refuses_a_term_below_its_constant_part(make) -> None:
+    # Powers of such a tail never pass the truncation: this used to loop forever.
+    with pytest.raises(NonExpandable):
+        make()
+
+
 # -- residues ------------------------------------------------------------------
 
 
@@ -388,6 +553,19 @@ def test_plethystic_exp_rejects_constant_term() -> None:
 def test_plethystic_log_needs_constant_one() -> None:
     with pytest.raises(NonzeroConstantTerm):
         plethystic_log((x + 2 * one).truncate(["x"], 3))
+
+
+def test_plethystic_exp_refuses_a_term_below_degree_zero() -> None:
+    # Powers of x**-1 never pass the truncation: this used to loop forever.
+    with pytest.raises(NonExpandable):
+        plethystic_exp(x.monomial_inverse().truncate(["x"], 3))
+    with pytest.raises(NonExpandable):
+        plethystic_exp((x * x).truncate(["x"], 3, -1))
+
+
+def test_plethystic_log_refuses_a_term_below_degree_zero() -> None:
+    with pytest.raises(NonExpandable):
+        plethystic_log((one + x.monomial_inverse()).truncate(["x"], 3))
 
 
 # -- specialization at kappa = 1 -----------------------------------------------
@@ -482,6 +660,49 @@ def test_exact_laurent_div_half_power_divisor() -> None:
 def test_exact_laurent_div_rejects_inexact() -> None:
     with pytest.raises(NonExpandable):
         exact_laurent_div(z * z + one, z + one, "z")
+
+
+# -- coefficient representation --------------------------------------------------
+
+
+def _from_fractions(pairs: list[tuple[Fraction, dict]]) -> L:
+    """An element built only from Fraction coefficients and exponents."""
+    return laurent_sum(
+        L.monomial(c, {v: Fraction(e) for v, e in exps.items()}) for c, exps in pairs
+    )
+
+
+def test_coefficients_are_ints_or_proper_fractions() -> None:
+    k = L.gen("k")
+    cases = [
+        (
+            L.monomial(1, {"z": -1}).subs_monomial("z", 2 * t),
+            [(Fraction(1, 2), {"t": -1})],
+        ),
+        ((3 * x).monomial_inverse(), [(Fraction(1, 3), {"x": -1})]),
+        ((2 * x + 4) / 4, [(Fraction(1, 2), {"x": 1}), (Fraction(1), {})]),
+        ((2 * x) ** -2, [(Fraction(1, 4), {"x": -2})]),
+        (
+            exact_laurent_div(z * z - one, 2 * z + 2, "z"),
+            [(Fraction(1, 2), {"z": 1}), (Fraction(-1, 2), {})],
+        ),
+        (
+            exact_laurent_div(2 * z * z - 2, 2 * z + 2, "z"),
+            [(Fraction(1), {"z": 1}), (Fraction(-1), {})],
+        ),
+        (specialize_kappa((k * k - one) / (3 * k - 3)), [(Fraction(2, 3), {})]),
+        (specialize_kappa((k * k - one) / (k - one)), [(Fraction(2), {})]),
+        (L.const(Fraction(6, 3)) * Fraction(1, 2) + Fraction(1, 2), [(Fraction(3, 2), {})]),
+        (
+            L.const(True) + L.monomial(Fraction(4, 2), {"x": 1}),
+            [(Fraction(1), {}), (Fraction(2), {"x": 1})],
+        ),
+    ]
+    for got, expected in cases:
+        assert got == _from_fractions(expected)
+        assert got.terms and all(_canonical_coeff(c) for c in got.terms.values())
+    assert type(L.const(2).as_fraction()) is Fraction
+    assert type(L.zero().as_fraction()) is Fraction
 
 
 # -- slope values and symbols ----------------------------------------------------
