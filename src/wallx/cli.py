@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .descendent import dt_to_pt, y_recursion
 from .errors import ConfigError, WallxError
-from .freelie import LieElement, _standard_split
+from .freelie import LieElement, standard_split
 from .ring import LaurentElement
 from .selftest import run_all
 from .ucoeff import (
@@ -29,9 +29,9 @@ from .ucoeff import (
     StabilityData,
     U_coeff,
     Utilde,
-    utilde_word_sum,
+    utilde_lie_element,
 )
-from .wallcross import FreeLieBackend, InvariantTable, vw_wcf, wcf_rhs
+from .wallcross import InvariantTable, vw_wcf
 
 L = LaurentElement
 
@@ -217,6 +217,9 @@ def parse_config(text: str) -> Config:
 
     fr = _named_nat_map(raw.get("fr", {}), classes, text, "fr")
     o = _named_nat_map(raw.get("o", {}), classes, text, "o")
+    if o and len(o) < len(classes):
+        missing = ", ".join(name for name in classes if name not in o)
+        _fail(text, "o", f"o must give a count for every class; missing: {missing}")
 
     invariants: dict = {}
     for name, value in raw.get("invariants", {}).items():
@@ -336,7 +339,7 @@ def cmd_ucoeff(
 def _bracketing(word: tuple, ctx, label) -> str:
     if len(word) == 1:
         return label(word[0])
-    left, right = _standard_split(word, ctx)
+    left, right = standard_split(word, ctx)
     return f"[{_bracketing(left, ctx, label)},{_bracketing(right, ctx, label)}]"
 
 
@@ -395,15 +398,7 @@ def cmd_wallcross(
     elif backend == "free":
         for name in targets:
             vec = class_vector(config, name)
-            words = utilde_word_sum(vec, t1, t2, monoid, max_parts=max_parts)
-            ctx = words.context
-            letters = InvariantTable(
-                {cls: LieElement.letter(ctx, cls) for cls in ctx.letters},
-                monoid=monoid,
-            )
-            element = wcf_rhs(
-                vec, t1, t2, letters, FreeLieBackend(ctx), max_parts=max_parts
-            )
+            element = utilde_lie_element(vec, t1, t2, monoid, max_parts=max_parts)
             rows.append(
                 {
                     "class": name,

@@ -50,7 +50,6 @@ __all__ = [
     "y_explicit",
     "dt_to_pt",
     "adams",
-    "xi_series",
     "build_xi",
     "td_series",
     "pair_chern_character",
@@ -202,36 +201,46 @@ def exp_minus_delta(
     summand carries exactly the degree-m terms: truncating at total symbol
     degree <= order is the same as stopping the sum at m = order.
     """
+    basis = partitions_of(ground)
+    step = {p: delta_apply(p) for p in basis}
+    return {
+        (target, source): val
+        for source in basis
+        for target, val in _exp_column(source, step, order).items()
+        if val
+    }
+
+
+def _exp_column(source: SetPartition, step, order: int) -> dict:
+    """Column ``source`` of the truncated exponential: target -> entry.
+
+    ``step`` maps every partition reachable from ``source`` to its
+    ``delta_apply`` column.
+    """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    basis = partitions_of(ground)
-    columns: dict[SetPartition, dict[SetPartition, LaurentElement]] = {
-        p: {p: ONE} for p in basis
-    }
-    out = {(p, p): ONE for p in basis}
-    step = {p: delta_apply(p) for p in basis}
+    column = {source: ONE}
+    out = {source: ONE}
     for m in range(1, order + 1):
         factor = Fraction(-1, m)
-        for source in basis:
-            pieces: dict[SetPartition, list[LaurentElement]] = {}
-            for mid, coeff in columns[source].items():
-                scaled = factor * coeff
-                for target, entry in step[mid].items():
-                    pieces.setdefault(target, []).append(scaled * entry)
-            acc = {target: laurent_sum(items) for target, items in pieces.items()}
-            columns[source] = acc
-            for target, coeff in acc.items():
-                prev = out.get((target, source), LaurentElement.zero())
-                out[target, source] = prev + coeff
-    return {key: val for key, val in out.items() if val}
+        pieces: dict[SetPartition, list[LaurentElement]] = {}
+        for mid, coeff in column.items():
+            scaled = factor * coeff
+            for target, entry in step[mid].items():
+                pieces.setdefault(target, []).append(scaled * entry)
+        column = {target: laurent_sum(items) for target, items in pieces.items()}
+        for target, coeff in column.items():
+            prev = out.get(target, LaurentElement.zero())
+            out[target] = prev + coeff
+    return out
 
 
 def corner_entry(ground, order: int) -> LaurentElement:
     """The coarsest-from-finest entry of the truncated matrix exponential."""
     ground = _as_ground(ground)
-    table = exp_minus_delta(ground, order)
-    key = (SetPartition.coarsest(ground), SetPartition.finest(ground))
-    return table.get(key, LaurentElement.zero())
+    step = {p: delta_apply(p) for p in partitions_of(ground)}
+    column = _exp_column(SetPartition.finest(ground), step, order)
+    return column.get(SetPartition.coarsest(ground), LaurentElement.zero())
 
 
 def factorized_entry(sigma: SetPartition, order: int) -> LaurentElement:
@@ -403,18 +412,6 @@ def adams(k: int, element: LaurentElement, grading) -> LaurentElement:
             coeff = coeff * Fraction(k) ** n
         out[mono] = coeff
     return LaurentElement(out, element.trunc)
-
-
-def xi_series(source, order: int, *, hbar: str = "hbar", ch_prefix: str = "ch"):
-    """Σ_{n <= order} θ_{n+1}/(hbar·n!), with the division taken exactly."""
-    h = LaurentElement.gen(hbar)
-    acc = LaurentElement.zero()
-    for n in range(order + 1):
-        term = exact_laurent_div(
-            theta_closed(source, n + 1, hbar=hbar, ch_prefix=ch_prefix), h, hbar
-        )
-        acc = acc + Fraction(1, math.factorial(n)) * term
-    return acc
 
 
 def build_xi(

@@ -4,9 +4,10 @@ Words are tuples of letters from a declared alphabet; Lyndon words (ordered by
 length, then lexicographically in declaration order) index the Lie basis, and
 their standard bracketings expand into the tensor algebra.  The module
 provides the expansion homomorphism, its one-sided inverse on primitive
-elements (the Dynkin projection, with a round-trip soundness check), exp(ad)
-conjugation checks in the truncated enveloping algebra, and the total-term
-vanishing sum for a pair of commuting markers.
+elements (a triangular rewrite in the Lyndon basis that rejects anything
+outside the Lie subspace), exp(ad) conjugation checks in the truncated
+enveloping algebra, and the total-term vanishing sum for a pair of commuting
+markers.
 """
 
 from __future__ import annotations
@@ -14,18 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Hashable, Mapping, NamedTuple, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .errors import BracketNonzero, NotPrimitive
 
 Word = tuple
-
-
-class ClassSymbol(NamedTuple):
-    """A class symbol: a display label paired with its monoid degree."""
-
-    label: str
-    degree: tuple
 
 
 class LieContext:
@@ -119,7 +113,7 @@ def _is_lyndon(word: Word, ctx: LieContext) -> bool:
     return len(word) > 0 and all(k < k[i:] for i in range(1, len(word)))
 
 
-def _standard_split(word: Word, ctx: LieContext) -> tuple[Word, Word]:
+def standard_split(word: Word, ctx: LieContext) -> tuple[Word, Word]:
     """Standard factorization of a Lyndon word: split before the
     lexicographically least proper suffix."""
     k = ctx.key(word)
@@ -361,7 +355,7 @@ def _expand_lyndon(word: Word, ctx: LieContext) -> dict[Word, Fraction]:
     if len(word) == 1:
         out = {word: Fraction(1)}
     else:
-        left, right = _standard_split(word, ctx)
+        left, right = standard_split(word, ctx)
         a = _expand_lyndon(left, ctx)
         b = _expand_lyndon(right, ctx)
         out = {}
@@ -434,8 +428,9 @@ def left_nested(word: Word, ctx: LieContext) -> LieElement:
 def dynkin_project(p: UEAElement, n: int) -> LieElement:
     """Recover the Lie element with expansion ``p`` (homogeneous of length n).
 
-    Computes (1/n)·Σ_w p[w]·leftNestedBracket(w) and verifies the round trip
-    expand_to_uea(result) == p, raising NotPrimitive on failure.
+    The result equals the Dynkin–Specht–Wever sum (1/n)·Σ_w p[w]·[w] over
+    left-nested bracketings, but is computed by the triangular rewrite of
+    ``uea_to_lie``; NotPrimitive is raised when ``p`` is not a Lie element.
     """
     ctx = p.context
     ctx.require_free("dynkin_project")
@@ -443,12 +438,7 @@ def dynkin_project(p: UEAElement, n: int) -> LieElement:
         return LieElement.zero(ctx)
     if p.word_lengths() != {n}:
         raise ValueError(f"input is not homogeneous of word length {n}")
-    acc = LieElement.zero(ctx)
-    for word, coeff in p.terms.items():
-        acc = acc + left_nested(word, ctx) * (coeff * Fraction(1, n))
-    if expand_to_uea(acc) != p:
-        raise NotPrimitive(f"round trip failed on a length-{n} element")
-    return acc
+    return uea_to_lie(p)
 
 
 def evaluate_lie(x: LieElement, leaf, bracket, zero, scale=None):
@@ -465,7 +455,7 @@ def evaluate_lie(x: LieElement, leaf, bracket, zero, scale=None):
     def build(word: Word):
         if len(word) == 1:
             return leaf(word[0])
-        left, right = _standard_split(word, ctx)
+        left, right = standard_split(word, ctx)
         return bracket(build(left), build(right))
 
     acc = zero

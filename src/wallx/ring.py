@@ -1143,23 +1143,3 @@ class SlopeValue:
             return {-1: "-inf", 1: "inf"}.get(e[0], str(e[1]))
 
         return "(" + ", ".join(fmt(e) for e in self.entries) + ")"
-
-
-_KINDS = ("multiplicative", "additive", "formal")
-
-
-@dataclass(frozen=True)
-class WeightSymbol:
-    """A declared variable name with its flavor of grading."""
-
-    name: str
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}")
-        if not self.name or not self.name.replace("_", "a").isalnum():
-            raise ValueError(f"bad symbol name {self.name!r}")
-
-    def el(self) -> LaurentElement:
-        return LaurentElement.gen(self.name)

@@ -170,8 +170,9 @@ class StabilityData:
     call.  A successful lookup is memoized per class on this object, so the
     source is read at most once per class and must be a pure function of the
     class: a mapping must not change after construction.  The optional
-    ``chi`` (an antisymmetric integer matrix or a callable) and ``fr`` (a
-    mapping or callable) feed the downstream wall-crossing operations.
+    ``chi`` (an antisymmetric integer matrix or a callable), ``rank`` and
+    ``fr`` (each a class-keyed mapping, read once here, or a callable) feed
+    the downstream wall-crossing operations.
     """
 
     __slots__ = ("_slope", "_slopes", "_rank", "_chi", "_fr", "name")
@@ -179,10 +180,14 @@ class StabilityData:
     def __init__(self, slope, *, rank=None, chi=None, fr=None, name="tau"):
         object.__setattr__(self, "_slope", slope)
         object.__setattr__(self, "_slopes", {})
+        if rank is not None:
+            rank = class_lookup(rank, ValueError, "rank")
         object.__setattr__(self, "_rank", rank)
-        if chi is not None and not callable(chi):
-            chi = _chi_from_matrix(chi)
+        if chi is not None:
+            chi = pairing_form(chi)
         object.__setattr__(self, "_chi", chi)
+        if fr is not None:
+            fr = class_lookup(fr, MissingFr, "fr value")
         object.__setattr__(self, "_fr", fr)
         object.__setattr__(self, "name", name)
 
@@ -208,11 +213,9 @@ class StabilityData:
         return out
 
     def rank_of(self, cls) -> int:
-        cls = as_class(cls)
-        source = self._rank
-        if source is None:
+        if self._rank is None:
             raise ValueError(f"{self.name} carries no rank function")
-        return int(source(cls) if callable(source) else source[cls])
+        return self._rank(cls)
 
     def chi(self, a, b) -> int:
         if self._chi is None:
@@ -220,16 +223,9 @@ class StabilityData:
         return int(self._chi(as_class(a), as_class(b)))
 
     def fr(self, cls) -> int:
-        cls = as_class(cls)
-        source = self._fr
-        if source is None:
+        if self._fr is None:
             raise MissingFr(f"{self.name} carries no fr values")
-        if callable(source):
-            return int(source(cls))
-        try:
-            return int(source[cls])
-        except KeyError:
-            raise MissingFr(f"no fr value for class {cls}") from None
+        return self._fr(cls)
 
     def has_chi(self) -> bool:
         return self._chi is not None
@@ -248,8 +244,15 @@ class StabilityData:
         return True
 
 
-def _chi_from_matrix(matrix):
-    rows = tuple(tuple(int(x) for x in row) for row in matrix)
+def pairing_form(chi):
+    """The pairing ``(a, b) -> int`` given by a callable or an integer matrix.
+
+    A callable is returned unchanged; a matrix must be square and
+    antisymmetric, and its form refuses classes of another dimension.
+    """
+    if callable(chi):
+        return chi
+    rows = tuple(tuple(int(x) for x in row) for row in chi)
     size = len(rows)
     for i, row in enumerate(rows):
         if len(row) != size:
@@ -258,12 +261,32 @@ def _chi_from_matrix(matrix):
             if rows[i][j] != -rows[j][i]:
                 raise ValueError("pairing matrix must be antisymmetric")
 
-    def chi(a: ClassVec, b: ClassVec) -> int:
+    def form(a: ClassVec, b: ClassVec) -> int:
         if len(a) != size or len(b) != size:
             raise ValueError("class dimension does not match the pairing matrix")
         return sum(a[i] * rows[i][j] * b[j] for i in range(size) for j in range(size))
 
-    return chi
+    return form
+
+
+def class_lookup(source, missing: type[Exception], what: str):
+    """``cls -> int`` read from a class-keyed mapping or a callable.
+
+    A mapping is copied once; a class it lacks raises ``missing`` with the
+    message "no <what> for class <cls>".
+    """
+    if callable(source):
+        return lambda cls: int(source(as_class(cls)))
+    mapping = {as_class(cls): int(v) for cls, v in source.items()}
+
+    def lookup(cls) -> int:
+        cls = as_class(cls)
+        try:
+            return mapping[cls]
+        except KeyError:
+            raise missing(f"no {what} for class {cls}") from None
+
+    return lookup
 
 
 def linear_stability(a: Sequence[int], b: Sequence[int], **extra) -> StabilityData:
@@ -296,14 +319,6 @@ def compositions(n: int):
         for cuts in itertools.combinations(range(1, n), k):
             bounds = (0,) + cuts + (n,)
             yield tuple(bounds[i + 1] - bounds[i] for i in range(len(bounds) - 1))
-
-
-def double_groupings(n: int):
-    """All double groupings of n letters as (outer block sizes over letters,
-    inner block sizes over outer blocks)."""
-    for first in compositions(n):
-        for second in compositions(len(first)):
-            yield first, second
 
 
 def _interval_slopes(stability: StabilityData, classes: list[ClassVec]):

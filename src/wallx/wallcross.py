@@ -29,8 +29,9 @@ from .ucoeff import (
     EffectiveMonoid,
     StabilityData,
     U_coeff,
-    _chi_from_matrix,
     as_class,
+    class_lookup,
+    pairing_form,
     utilde_lie_element,
 )
 
@@ -88,8 +89,7 @@ class QuantumTorusBackend:
     def __init__(self, chi, *, qint=None, kappa: str = KAPPA):
         if chi is None:
             raise MissingChi("the quantum torus needs a pairing form")
-        if not callable(chi):
-            chi = _chi_from_matrix(chi)
+        chi = pairing_form(chi)
         if qint is None:
             qint = lambda n: quantum_integer(n, kappa=kappa)
         object.__setattr__(self, "chi", chi)
@@ -246,19 +246,7 @@ def wcf_rhs(
 
 def reduced_filter(decompositions, o_table, o_alpha: int):
     """Keep the splittings whose o counts add up to the target count."""
-    if isinstance(o_table, InvariantTable):
-        lookup = o_table.o_of
-    elif callable(o_table):
-        lookup = o_table
-    else:
-        mapping = {as_class(cls): int(v) for cls, v in o_table.items()}
-
-        def lookup(cls):
-            cls = as_class(cls)
-            if cls not in mapping:
-                raise ValueError(f"no o count for class {cls}")
-            return mapping[cls]
-
+    lookup = _o_lookup(o_table)
     o_alpha = int(o_alpha)
     return [
         parts
@@ -267,23 +255,18 @@ def reduced_filter(decompositions, o_table, o_alpha: int):
     ]
 
 
+def _o_lookup(o_table):
+    if isinstance(o_table, InvariantTable):
+        return o_table.o_of
+    return class_lookup(o_table, ValueError, "o count")
+
+
 def _fr_lookup(fr, tau: StabilityData | None):
     if fr is None:
         if tau is None:
             raise MissingFr("no fr values supplied")
         return tau.fr
-    if callable(fr):
-        return fr
-
-    mapping = {as_class(cls): int(v) for cls, v in fr.items()}
-
-    def lookup(cls):
-        cls = as_class(cls)
-        if cls not in mapping:
-            raise MissingFr(f"no fr value for class {cls}")
-        return mapping[cls]
-
-    return lookup
+    return class_lookup(fr, MissingFr, "fr value")
 
 
 def _extended_backend(backend: QuantumTorusBackend, fr) -> QuantumTorusBackend:
@@ -414,19 +397,12 @@ def vw_wcf(
     specializing the bracket route to the quantum torus gives the same value."""
     alpha = as_class(alpha)
     monoid = _require_monoid(table, monoid)
-    if chi is None:
-        raise MissingChi("the numerical sum needs a pairing form")
-    if not callable(chi):
-        chi = _chi_from_matrix(chi)
-    if qint is None:
-        qint = lambda n: quantum_integer(n, kappa=kappa)
+    backend = QuantumTorusBackend(chi, qint=qint, kappa=kappa)
+    chi, qint = backend.chi, backend.qint
     decomps = monoid.decompositions(alpha, max_parts=max_parts)
     if o_table is not None:
         if o_alpha is None:
-            if isinstance(o_table, InvariantTable):
-                o_alpha = o_table.o_of(alpha)
-            else:
-                o_alpha = o_table[alpha]
+            o_alpha = _o_lookup(o_table)(alpha)
         decomps = reduced_filter(decomps, o_table, o_alpha)
 
     def terms():

@@ -9,16 +9,22 @@ import pytest
 from wallx import selftest
 from wallx.cli import (
     Config,
+    _lie_terms,
+    _name_map,
     build_invariant_table,
     build_monoid,
     build_stability,
+    class_vector,
     main,
     parse_config,
     serialize_config,
 )
 from wallx.errors import ConfigError
+from wallx.freelie import LieElement
 from wallx.kclasses import quantum_integer
 from wallx.ring import LaurentElement
+from wallx.ucoeff import utilde_word_sum
+from wallx.wallcross import FreeLieBackend, InvariantTable, wcf_rhs
 
 F = Fraction
 L = LaurentElement
@@ -142,6 +148,17 @@ class TestConfigParsing:
     def test_negative_count_rejected(self):
         with pytest.raises(ConfigError, match="nonnegative"):
             parse_config('{"classes": {"A": [1]}, "o": {"A": -1}}')
+
+    def test_partial_o_section_names_missing_classes(self):
+        text = DEMO.replace('"invariants"', '"o": {"A": 1},\n  "invariants"')
+        line = text.splitlines().index('  "o": {"A": 1},') + 1
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text)
+        assert str(caught.value) == (
+            f"line {line}: o must give a count for every class; missing: B, T"
+        )
+        full = text.replace('"o": {"A": 1}', '"o": {"A": 1, "B": 0, "T": 1}')
+        assert parse_config(full).o == {"A": 1, "B": 0, "T": 1}
 
     def test_bad_invariant_symbol(self):
         with pytest.raises(ConfigError, match="symbol"):
@@ -305,6 +322,63 @@ class TestWallcrossCommand:
                 "coeff": "-1",
             },
         ]
+
+    def test_free_backend_equals_letter_table_route(self, tmp_path, capsys):
+        # Three generators and every class of the box up to (2,1,1), with
+        # linear slopes (a.g)/(mass g) so that every splitting part has one.
+        box = [
+            (x, y, z)
+            for x in range(3) for y in range(2) for z in range(2)
+            if x + y + z
+        ]
+
+        def slopes(a):
+            return {
+                f"c{x}{y}{z}": [str(F(a[0] * x + a[1] * y + a[2] * z, x + y + z))]
+                for x, y, z in box
+            }
+
+        text = json.dumps(
+            {
+                "classes": {f"c{x}{y}{z}": [x, y, z] for x, y, z in box},
+                "stabilities": {"before": slopes((0, 1, 2)), "after": slopes((2, 1, 0))},
+            }
+        )
+        code, tree = run_machine(
+            capsys,
+            ["wallcross", demo_file(tmp_path, text), "--tau", "before", "--tau-prime", "after"],
+        )
+        assert code == 0
+        cfg = parse_config(text)
+        monoid = build_monoid(cfg)
+        t1, t2 = build_stability(cfg, "before"), build_stability(cfg, "after")
+        assert [row["class"] for row in tree["rows"]] == list(cfg.classes)
+        nonzero = 0
+        for row in tree["rows"]:
+            vec = class_vector(cfg, row["class"])
+            # the letters-table route: every letter stands for itself, and the
+            # Lie element is re-bracketed through the free Lie backend
+            ctx = utilde_word_sum(vec, t1, t2, monoid).context
+            letters = InvariantTable(
+                {cls: LieElement.letter(ctx, cls) for cls in ctx.letters}, monoid=monoid
+            )
+            element = wcf_rhs(vec, t1, t2, letters, FreeLieBackend(ctx))
+            assert row["terms"] == _lie_terms(element, _name_map(cfg))
+            nonzero += len(row["terms"]) > 1
+        assert nonzero >= 3
+
+    def test_partial_o_section_exits_with_config_error(self, tmp_path, capsys):
+        text = DEMO.replace('"invariants"', '"o": {"A": 1},\n  "invariants"')
+        code = main(
+            [
+                "wallcross", demo_file(tmp_path, text),
+                "--tau", "before", "--tau-prime", "after", "--backend", "qtorus",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ")
+        assert "missing: B, T" in err
 
     def test_vwnum_is_qtorus_alias(self, tmp_path, capsys):
         path = demo_file(tmp_path)

@@ -22,11 +22,10 @@ from wallx.descendent import (
     pt_symbol,
     td_series,
     total_truncate,
-    xi_series,
     y_explicit,
     y_recursion,
 )
-from wallx.kclasses import VirtualClass, chern_character, theta_coefficients
+from wallx.kclasses import VirtualClass, chern_character, theta_closed, theta_coefficients
 from wallx.ring import LaurentElement, exact_laurent_div
 from wallx.ucoeff import mu_n
 
@@ -36,6 +35,16 @@ X = merge_symbol(())
 X1 = merge_symbol((1,))
 X2 = merge_symbol((2,))
 X12 = merge_symbol((1, 2))
+
+
+def xi_series(source, order: int):
+    """Σ_{n <= order} θ_{n+1}/(hbar·n!), the undeformed kernel series."""
+    h = L.gen("hbar")
+    acc = L.zero()
+    for n in range(order + 1):
+        term = exact_laurent_div(theta_closed(source, n + 1), h, "hbar")
+        acc = acc + F(1, math.factorial(n)) * term
+    return acc
 
 
 def pure_coeff(element, **exps):
@@ -174,6 +183,15 @@ class TestMatrixExponential:
                 inner = inner + d_coarse**i * d_fine ** (m - 1 - i)
             oracle = oracle + F((-1) ** m, math.factorial(m)) * X12 * inner
         assert corner == total_truncate(oracle, order)
+
+    def test_corner_is_the_table_entry(self):
+        for n, order in ((0, 3), (1, 3), (3, 4), (4, 3)):
+            table = exp_minus_delta(n, order)
+            key = (SetPartition.coarsest(n), SetPartition.finest(n))
+            assert corner_entry(n, order) == table.get(key, L.zero())
+        for call in (exp_minus_delta, corner_entry):
+            with pytest.raises(ValueError, match="nonnegative"):
+                call(2, -1)
 
     def test_order_stability(self):
         small = exp_minus_delta(3, 3)

@@ -6,7 +6,6 @@ import pytest
 
 from wallx.errors import BracketNonzero, NotPrimitive
 from wallx.freelie import (
-    ClassSymbol,
     LieContext,
     LieElement,
     UEAElement,
@@ -43,6 +42,43 @@ def _random_lie(rng, ctx, words, nterms):
     for word in rng.sample(words, min(nterms, len(words))):
         terms[word] = F(rng.randint(-5, 5), rng.randint(1, 4))
     return LieElement(ctx, terms)
+
+
+def _dynkin_specht_wever(p, n):
+    """Independent route to the Lie element with expansion ``p``: the sum
+    (1/n)·Σ_w p[w]·[w] over left-nested bracketings, kept only if its
+    expansion gives ``p`` back."""
+    ctx = p.context
+    acc = LieElement.zero(ctx)
+    for word, coeff in p.terms.items():
+        acc = acc + left_nested(word, ctx) * (coeff * F(1, n))
+    if expand_to_uea(acc) != p:
+        raise NotPrimitive(f"round trip failed on a length-{n} element")
+    return acc
+
+
+def _left_nested_uea(word, ctx):
+    """[[..[w1, w2], ..], wn] bracketed in the tensor algebra itself."""
+    acc = UEAElement.letter(ctx, word[0])
+    for letter in word[1:]:
+        acc = acc.bracket(UEAElement.letter(ctx, letter))
+    return acc
+
+
+def _check_against_oracles(p, n):
+    try:
+        expected = _dynkin_specht_wever(p, n)
+    except NotPrimitive:
+        with pytest.raises(NotPrimitive):
+            dynkin_project(p, n)
+        return
+    got = dynkin_project(p, n)
+    assert got == expected
+    # Dynkin–Specht–Wever read in the tensor algebra: no Lyndon rewrite.
+    dsw = UEAElement.zero(p.context)
+    for word, coeff in p.terms.items():
+        dsw = dsw + _left_nested_uea(word, p.context) * (coeff * F(1, n))
+    assert expand_to_uea(got) == dsw == p
 
 
 class TestLyndonWords:
@@ -154,9 +190,46 @@ class TestRoundTrips:
     def test_dynkin_rejects_single_word(self):
         ctx = LieContext(["e1", "e2"])
         p = UEAElement(ctx, {("e1", "e2"): F(1)})
-        # round trip gives (1/2)[e1, e2], whose expansion is not p
+        # removing e1.e2 - e2.e1 leaves e2.e1, whose leading word is not Lyndon
         with pytest.raises(NotPrimitive):
             dynkin_project(p, 2)
+
+    def test_dynkin_equals_specht_wever_oracle(self):
+        rng = random.Random(41)
+        ctx = LieContext(["a", "b", "c"])
+        for n in range(1, 7):
+            lyndon = [w for w in lyndon_words(ctx.letters, n) if len(w) == n]
+            for _ in range(3):
+                _check_against_oracles(expand_to_uea(_random_lie(rng, ctx, lyndon, 4)), n)
+            # perturbing one word makes the element non-Lie for n >= 2
+            p = expand_to_uea(_random_lie(rng, ctx, lyndon, 3))
+            word = tuple(rng.choice(ctx.letters) for _ in range(n))
+            p = p + UEAElement(ctx, {word: F(1, 3)})
+            _check_against_oracles(p, n)
+
+    def test_dynkin_equals_specht_wever_oracle_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ctx = LieContext(["a", "b", "c"])
+        by_length = {
+            n: [w for w in lyndon_words(ctx.letters, n) if len(w) == n]
+            for n in range(1, 6)
+        }
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+        @st.composite
+        def lie_elements(draw):
+            n = draw(st.integers(1, 5))
+            words = draw(st.lists(st.sampled_from(by_length[n]), min_size=1, max_size=4))
+            return n, LieElement(ctx, {w: draw(coeff) for w in words})
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(lie_elements())
+        def check(case):
+            n, x = case
+            _check_against_oracles(expand_to_uea(x), n)
+
+        check()
 
     def test_dynkin_rejects_mixed_lengths(self):
         ctx = LieContext(["e1", "e2"])
@@ -409,14 +482,3 @@ class TestTotalTermSum:
     def test_zero_class_rejected(self):
         with pytest.raises(ValueError):
             ordered_degree_decompositions((2,), [(0,)], 2)
-
-
-class TestClassSymbol:
-    def test_fields_and_use_as_letter(self):
-        alpha = ClassSymbol("alpha", (1, 0))
-        beta = ClassSymbol("beta", (0, 1))
-        assert alpha.label == "alpha"
-        assert alpha.degree == (1, 0)
-        ctx = LieContext([alpha, beta])
-        x = LieElement.letter(ctx, alpha).bracket(LieElement.letter(ctx, beta))
-        assert expand_to_uea(x).terms[(alpha, beta)] == 1

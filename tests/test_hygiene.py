@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module of the package imports is used."""
+"""Source hygiene: every name a module of the package imports is used, and
+no module reaches into a sibling's private names."""
 
 from __future__ import annotations
 
@@ -38,6 +39,18 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
 
 
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Underscore names imported from a module of the package."""
+    return [
+        f"{'.' * node.level}{node.module or ''}.{alias.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "wallx")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path: Path) -> None:
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -53,3 +66,22 @@ def test_scan_sees_an_unused_import() -> None:
         "    os.getcwd()\n"
     )
     assert _unused_imports(tree) == ["Callable (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_crosses_modules(path: Path) -> None:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _private_imports(tree) == []
+
+
+def test_scan_sees_a_private_import() -> None:
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from .ring import LaurentElement, _coef\n"
+        "from wallx.freelie import _expand_lyndon\n"
+        "from os import _exit\n"
+    )
+    assert _private_imports(tree) == [
+        ".ring._coef (line 2)",
+        "wallx.freelie._expand_lyndon (line 3)",
+    ]

@@ -13,7 +13,6 @@ from wallx.ring import (
     RationalElement,
     SlopeValue,
     Trunc,
-    WeightSymbol,
     as_rational,
     exact_laurent_div,
     expand,
@@ -720,10 +719,3 @@ def test_slope_value_total_order() -> None:
 def test_slope_value_lexicographic_tuples() -> None:
     assert SlopeValue.of(0, "inf") < SlopeValue.of("1/2", "-inf")
     assert SlopeValue.of(1, 2) < SlopeValue.of(1, 3)
-
-
-def test_weight_symbol_validation() -> None:
-    s = WeightSymbol("t1", "multiplicative")
-    assert s.el() == t * L.monomial(1, {"t1": 1}) / t
-    with pytest.raises(ValueError):
-        WeightSymbol("t1", "weird")

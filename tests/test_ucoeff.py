@@ -28,11 +28,12 @@ from wallx.ucoeff import (
     U_coeff,
     Utilde,
     c_n,
+    class_lookup,
     class_sum,
     compositions,
-    double_groupings,
     linear_stability,
     mu_n,
+    pairing_form,
     set_partitions,
     utilde_lie_element,
     utilde_word_sum,
@@ -40,6 +41,14 @@ from wallx.ucoeff import (
 from wallx.wallcross import InvariantTable, vw_wcf
 
 F = Fraction
+
+
+def double_groupings(n: int):
+    """All double groupings of n letters as (outer block sizes over letters,
+    inner block sizes over outer blocks)."""
+    for first in compositions(n):
+        for second in compositions(len(first)):
+            yield first, second
 
 
 def simple_type_stability(t):
@@ -206,6 +215,63 @@ class TestStabilityData:
             }
         )
         assert not bad.see_saw_holds(mon, (1, 1))
+
+
+class TestPairingForm:
+    def test_matrix_form(self):
+        chi = pairing_form([[0, 2, -1], [-2, 0, 4], [1, -4, 0]])
+        assert chi((1, 0, 0), (0, 1, 0)) == 2
+        assert chi((0, 1, 1), (1, 1, 0)) == -2 + 1 - 4
+        with pytest.raises(ValueError, match="dimension"):
+            chi((1, 0), (0, 1))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            pairing_form([[0, 1], [-1, 0], [0, 0]])
+        with pytest.raises(ValueError, match="square"):
+            pairing_form([[0, 1, 0], [-1, 0]])
+
+    def test_non_antisymmetric_rejected(self):
+        with pytest.raises(ValueError, match="antisymmetric"):
+            pairing_form([[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="antisymmetric"):
+            pairing_form([[1, 0], [0, -1]])
+
+    def test_callable_returned_unchanged(self):
+        def chi(a, b):
+            return a[0] * b[1] - a[1] * b[0]
+
+        assert pairing_form(chi) is chi
+        assert StabilityData({}, chi=chi).chi((1, 0), (0, 1)) == 1
+
+
+class TestClassLookup:
+    def test_mapping_and_missing(self):
+        lookup = class_lookup({(1, 0): 3, (0, 1): "2"}, ValueError, "count")
+        assert lookup([1, 0]) == 3 and lookup((0, 1)) == 2
+        with pytest.raises(ValueError, match=r"no count for class \(1, 1\)"):
+            lookup((1, 1))
+
+    def test_callable(self):
+        lookup = class_lookup(lambda cls: cls[0] + 2 * cls[1], MissingFr, "fr value")
+        assert lookup([1, 1]) == 3
+
+    def test_rank_mapping_missing_class(self):
+        tau = StabilityData({}, rank={(1, 0): 1})
+        assert tau.rank_of((1, 0)) == 1
+        with pytest.raises(ValueError, match=r"no rank for class \(0, 1\)"):
+            tau.rank_of((0, 1))
+        with pytest.raises(ValueError, match="no rank function"):
+            StabilityData({}).rank_of((1, 0))
+
+    def test_callable_fr(self):
+        tau = StabilityData({}, fr=lambda cls: cls[0] - cls[1])
+        assert tau.fr((3, 1)) == 2
+
+    def test_mapping_fr_missing_class(self):
+        tau = StabilityData({}, fr={(1, 0): 3})
+        with pytest.raises(MissingFr, match=r"no fr value for class \(0, 1\)"):
+            tau.fr((0, 1))
 
 
 def counting_linear(a, b, calls):

@@ -361,6 +361,25 @@ class TestVwWcf:
         for alpha in ((1, 1), (2, 1)):
             assert vw_wcf(alpha, tau, tau, table, CHI) == table.value(alpha)
 
+    def test_missing_chi(self):
+        tau = linear_stability([1, 2], [1, 1])
+        table = symbol_table(MONOID.effective_upto(2), monoid=MONOID)
+        with pytest.raises(MissingChi):
+            vw_wcf((1, 1), tau, tau, table, None)
+
+    def test_o_mapping_without_target(self):
+        tau = linear_stability([1, 0], [1, 1])
+        taup = linear_stability([0, 1], [1, 1])
+        table = symbol_table(MONOID.effective_upto(2), monoid=MONOID)
+        o = {(1, 0): 1, (0, 1): 1}
+        with pytest.raises(ValueError, match=r"no o count for class \(1, 1\)"):
+            vw_wcf((1, 1), tau, taup, table, CHI, o_table=o)
+        o[(1, 1)] = 1
+        assert vw_wcf((1, 1), tau, taup, table, CHI, o_table=o) == table.value((1, 1))
+        assert vw_wcf(
+            (1, 1), tau, taup, table, CHI, o_table=lambda cls: 1
+        ) == table.value((1, 1))
+
     def test_matches_bracket_route(self):
         rng = random.Random(13)
         qt = QuantumTorusBackend(CHI)
