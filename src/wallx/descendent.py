@@ -237,7 +237,11 @@ def _exp_column(source: SetPartition, step, order: int) -> dict:
 
 def corner_entry(ground, order: int) -> LaurentElement:
     """The coarsest-from-finest entry of the truncated matrix exponential."""
-    ground = _as_ground(ground)
+    return _corner(_as_ground(ground), order)
+
+
+@lru_cache(maxsize=None)
+def _corner(ground: tuple[int, ...], order: int) -> LaurentElement:
     step = {p: delta_apply(p) for p in partitions_of(ground)}
     column = _exp_column(SetPartition.finest(ground), step, order)
     return column.get(SetPartition.coarsest(ground), LaurentElement.zero())

@@ -43,6 +43,10 @@ class SlopeUndefined(WallxError):
     """A stability table has no slope for a class that the computation needs."""
 
 
+class SeeSawFailure(WallxError):
+    """A stability breaks the weak see-saw property on a class the computation needs."""
+
+
 class DecompositionOverflow(WallxError):
     """A class admits decompositions with more parts than the configured cap."""
 

@@ -60,18 +60,48 @@ def _mono(entries: Mapping[str, int] | Iterable[tuple[str, int]]) -> Mono:
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
+    """The product of two monomials, by one merge of their sorted entries."""
     if not a:
         return b
     if not b:
         return a
-    acc: dict[str, int] = dict(a)
-    for v, e in b:
-        n = acc.get(v, 0) + e
-        if n:
-            acc[v] = n
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    va, ea = a[0]
+    vb, eb = b[0]
+    while True:
+        if va < vb:
+            out.append(a[i])
+            i += 1
+            if i == na:
+                break
+            va, ea = a[i]
+        elif vb < va:
+            out.append(b[j])
+            j += 1
+            if j == nb:
+                break
+            vb, eb = b[j]
         else:
-            del acc[v]
-    return tuple(sorted(acc.items()))
+            e = ea + eb
+            if e:
+                out.append((va, e))
+            i += 1
+            j += 1
+            if i == na or j == nb:
+                break
+            va, ea = a[i]
+            vb, eb = b[j]
+    if i < na:
+        out.extend(a[i:])
+    elif j < nb:
+        out.extend(b[j:])
+    return tuple(out)
 
 
 def _mono_pow(m: Mono, k: int) -> Mono:
@@ -995,27 +1025,29 @@ def exact_laurent_div(num: Element, den: Element, var: str) -> LaurentElement:
     lead_inv = lead.monomial_inverse()
     # For an exact division the quotient's lowest var-degree is forced.
     floor = min(cn) - min(cd)
-    rem = dict(cn)
-
-    def quotient_terms():
-        while rem:
-            e = max(rem)
-            qe = e - top
-            if qe < floor:
-                raise NonExpandable("division is not exact")
-            qc = rem.pop(e) * lead_inv
-            yield qc * LaurentElement.monomial(1, {var: Fraction(qe, 2)})
-            for eb, cb in cd.items():
-                if eb == top:
-                    continue
-                ne = qe + eb
-                acc = rem.get(ne, LaurentElement.zero()) - qc * cb
-                if acc.terms:
-                    rem[ne] = acc
-                elif ne in rem:
+    # Each lower divisor coefficient, negated, with its degree below the top.
+    lower = [(eb - top, -cb) for eb, cb in cd.items() if eb != top]
+    rem = {e: dict(c.terms) for e, c in cn.items()}
+    out: dict[Mono, Scalar] = {}
+    while rem:
+        e = max(rem)
+        qe = e - top
+        if qe < floor:
+            raise NonExpandable("division is not exact")
+        qc = _trusted(rem.pop(e)) * lead_inv
+        shift = ((var, qe),) if qe else ()
+        _add_terms(out, ((_mono_mul(m, shift), c) for m, c in qc.terms.items()))
+        for offset, cb in lower:
+            product = qc * cb
+            ne = e + offset
+            left = rem.get(ne)
+            if left is None:
+                rem[ne] = dict(product.terms)
+            else:
+                _add_terms(left, product.terms.items())
+                if not left:
                     del rem[ne]
-
-    return laurent_sum(quotient_terms())
+    return _trusted(out)
 
 
 # -- specialization at kappa = 1 ----------------------------------------------

@@ -53,7 +53,7 @@ def _mass(cls: ClassVec) -> int:
 class EffectiveMonoid:
     """The cone of nonzero natural-number combinations of the generators."""
 
-    __slots__ = ("generators", "dim", "_member_cache")
+    __slots__ = ("generators", "dim", "_member_cache", "_below_cache")
 
     def __init__(self, generators: Iterable[ClassVec]):
         gens = tuple(as_class(g) for g in generators)
@@ -72,6 +72,7 @@ class EffectiveMonoid:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_member_cache", {})
+        object.__setattr__(self, "_below_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("EffectiveMonoid is immutable")
@@ -117,6 +118,52 @@ class EffectiveMonoid:
                         fresh.append(bigger)
             frontier = fresh
         return sorted(found)
+
+    def below(self, target) -> tuple[ClassVec, ...]:
+        """The effective classes β with ``target`` − β effective or zero,
+        ordered by mass, then by class; empty when ``target`` is not
+        effective.
+
+        Each such β other than a generator is β′ + g for a generator g and
+        some β′ of the same kind, so a walk up from the generators finds
+        them all.  The result is memoized per target.
+        """
+        target = as_class(target)
+        hit = self._below_cache.get(target)
+        if hit is not None:
+            return hit
+        found: set[ClassVec] = set()
+        frontier = [(0,) * self.dim] if self.contains(target) else []
+        while frontier:
+            fresh = []
+            for cls in frontier:
+                for g in self.generators:
+                    bigger = tuple(c + gc for c, gc in zip(cls, g))
+                    if bigger in found:
+                        continue
+                    if self._reachable(tuple(t - b for t, b in zip(target, bigger))):
+                        found.add(bigger)
+                        fresh.append(bigger)
+            frontier = fresh
+        out = self._below_cache[target] = tuple(
+            sorted(found, key=lambda cls: (_mass(cls), cls))
+        )
+        return out
+
+    def longest_splitting(self, target) -> int:
+        """The most parts of any ordered splitting of ``target`` into
+        effective classes (0 when ``target`` is not effective).
+
+        A longest splitting is one into generators, so this is a longest
+        path over ``below(target)``, found without enumerating splittings.
+        """
+        longest = {(0,) * self.dim: 0}
+        for cls in self.below(target):
+            longest[cls] = 1 + max(
+                longest.get(tuple(c - gc for c, gc in zip(cls, g)), -1)
+                for g in self.generators
+            )
+        return longest.get(as_class(target), 0)
 
     def decompositions(
         self, target, max_parts: int = 8, min_parts: int = 1
@@ -230,15 +277,18 @@ class StabilityData:
     def has_chi(self) -> bool:
         return self._chi is not None
 
-    def see_saw_holds(self, monoid: EffectiveMonoid, target, max_parts: int = 8) -> bool:
-        """Check the weak see-saw property over two-part splittings of target."""
+    def see_saw_holds(self, monoid: EffectiveMonoid, target) -> bool:
+        """Check the weak see-saw property over the two-part splittings
+        β + (target − β): the slope of ``target`` lies between theirs."""
         target = as_class(target)
         mid = self.slope_of(target)
-        for parts in monoid.decompositions(target, max_parts=max_parts, min_parts=2):
-            if len(parts) != 2:
+        for beta in monoid.below(target):
+            rest = tuple(t - b for t, b in zip(target, beta))
+            # The condition is symmetric in the two parts: test each pair once.
+            if beta == target or rest < beta:
                 continue
-            left = self.slope_of(parts[0])
-            right = self.slope_of(parts[1])
+            left = self.slope_of(beta)
+            right = self.slope_of(rest)
             if not (left >= mid >= right or left <= mid <= right):
                 return False
         return True

@@ -5,9 +5,18 @@ bracket side is either the formal free Lie algebra on class symbols or the
 quantum torus, whose bracket multiplies values and picks up the quantum
 integer of the pairing of the classes.  The main entry points assemble the
 universal-coefficient Lie element and push it through a backend, evaluate
-the framed pair sum with its distinguished degree-zero slot, invert that sum
-by rank induction, and compute the numerical wall-crossing sum directly from
-the left-nested product formula.
+the framed pair sum with its distinguished degree-zero slot, and invert
+that sum by rank induction.
+
+The numerical wall-crossing sum ``vw_wcf`` is read from the factorization
+identity instead of summing over ordered splittings: the product of
+exponentials over the slopes of one stability, in decreasing order, equals
+the same product over the slopes of the other, in the quantum torus
+truncated to the classes below the target.  The new invariants come out of
+that product one mass level at a time.  Its input contract: both
+stabilities satisfy the weak see-saw property on every class below the
+target, and the table has an entry for each of those classes unless it
+counts missing entries as zero.
 """
 
 from __future__ import annotations
@@ -17,8 +26,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import (
+    DecompositionOverflow,
     MissingChi,
     MissingFr,
+    SeeSawFailure,
     UnsupportedClass,
     ZeroQuantumInteger,
 )
@@ -34,6 +45,20 @@ from .ucoeff import (
     pairing_form,
     utilde_lie_element,
 )
+
+# ``U_coeff`` stays importable from this module, beside the sums it expands.
+__all__ = [
+    "FreeLieBackend",
+    "GradedValue",
+    "InvariantTable",
+    "QuantumTorusBackend",
+    "U_coeff",
+    "invert_semistable",
+    "pair_invariant_rhs",
+    "unrefined_integer",
+    "vw_wcf",
+    "wcf_rhs",
+]
 
 
 def unrefined_integer(n: int, *, kappa: str = KAPPA) -> LaurentElement:
@@ -244,17 +269,6 @@ def wcf_rhs(
     )
 
 
-def reduced_filter(decompositions, o_table, o_alpha: int):
-    """Keep the splittings whose o counts add up to the target count."""
-    lookup = _o_lookup(o_table)
-    o_alpha = int(o_alpha)
-    return [
-        parts
-        for parts in decompositions
-        if sum(lookup(p) for p in parts) == o_alpha
-    ]
-
-
 def _o_lookup(o_table):
     if isinstance(o_table, InvariantTable):
         return o_table.o_of
@@ -392,35 +406,174 @@ def vw_wcf(
     o_table=None,
     o_alpha: int | None = None,
 ) -> LaurentElement:
-    """Numerical wall-crossing sum, written directly as
-    Σ Ũ(α⃗; τ₁, τ₂)·Π_{i≥2}[χ(α₁+…+α_{i−1}, α_i)]·Π table(α_i);
-    specializing the bracket route to the quantum torus gives the same value."""
+    """Numerical wall-crossing sum ε′(α), read from the factorization identity
+
+        Π_{s ↓} exp(Σ_{τ₁(γ)=s} ε(γ)·x^γ) = Π_{s ↓} exp(Σ_{τ₂(γ)=s} ε′(γ)·x^γ)
+
+    in the quantum torus truncated to the classes ≤ α, each product taken
+    over slopes in decreasing order; its expansion is the splitting sum
+    Σ Ũ(α⃗; τ₁, τ₂)·Π_{i≥2}[χ(α₁+…+α_{i−1}, α_i)]·Π table(α_i).
+
+    Input contract: both stabilities satisfy the weak see-saw property on
+    every class ≤ α (else SeeSawFailure, before any product); the table has
+    an entry for every class ≤ α unless it sets ``zero_missing`` (else
+    UnsupportedClass); a splitting of α into more than ``max_parts`` parts
+    raises DecompositionOverflow; ``qint`` is None (quantum integers in
+    ``kappa``) or ``unrefined_integer``.  With ``o_table`` only the
+    splittings whose o counts add up to ``o_alpha`` (default: the count of
+    α) contribute.
+    """
     alpha = as_class(alpha)
     monoid = _require_monoid(table, monoid)
-    backend = QuantumTorusBackend(chi, qint=qint, kappa=kappa)
-    chi, qint = backend.chi, backend.qint
-    decomps = monoid.decompositions(alpha, max_parts=max_parts)
+    chi = QuantumTorusBackend(chi, kappa=kappa).chi
+    if qint is not None and qint is not unrefined_integer:
+        raise ValueError("vw_wcf takes qint=None (refined) or unrefined_integer")
+    if not monoid.contains(alpha):
+        return LaurentElement.zero()
+    if monoid.longest_splitting(alpha) > max_parts:
+        raise DecompositionOverflow(f"{alpha} needs more than {max_parts} parts")
+    classes = monoid.below(alpha)
+    for cls in classes:
+        for tau in (tau_one, tau_two):
+            if not tau.see_saw_holds(monoid, cls):
+                raise SeeSawFailure(
+                    f"{tau.name} breaks the weak see-saw property at class {cls}"
+                )
+    entries = {}
+    for cls in classes:
+        value = table.value(cls)
+        if value is None:
+            continue
+        if not isinstance(value, LaurentElement):
+            value = LaurentElement.const(value)
+        entries[cls] = value
+    if qint is not None:
+        kappa = _fresh_name("kappa", entries.values())
+    grade = None
     if o_table is not None:
+        lookup = _o_lookup(o_table)
         if o_alpha is None:
-            o_alpha = _o_lookup(o_table)(alpha)
-        decomps = reduced_filter(decomps, o_table, o_alpha)
+            o_alpha = lookup(alpha)
+        grade = _fresh_name("o", entries.values())
 
-    def terms():
-        for parts in decomps:
-            u = U_coeff(parts, tau_one, tau_two)
-            if not u:
+    # With x^a·x^b = t^(-χ(a,b))·x^(a+b), t = −κ^(1/2), the commutator of
+    # x^a and x^b is [χ(a,b)]·D·x^(a+b), D = κ^(1/2) − κ^(-1/2), so the
+    # bracket algebra sits in the torus as ε(γ) ↦ ε(γ)·x^γ/D.  Rescaling x^γ
+    # by D^mass(γ) clears every denominator, and storing the coefficient at
+    # γ times mass(γ)! turns the structure constants into binomial integers,
+    # so the 1/k! of the exponentials do not spread fractions.  The entry at
+    # γ is ε(γ)·scale[mass(γ)], scale[m] = m!·D^(m-1), and the answer at α
+    # is divided by scale[mass(α)] once.
+    mass = sum(alpha)
+    d = LaurentElement({((kappa, 1),): 1, ((kappa, -1),): -1})
+    scale = [None, LaurentElement.const(1)]
+    for m in range(2, mass + 1):
+        scale.append(scale[-1] * d * m)
+    for cls, value in entries.items():
+        value = value * scale[sum(cls)]
+        if grade is not None:
+            value = value * LaurentElement.monomial(1, {grade: lookup(cls)})
+        entries[cls] = value
+
+    splits = _splits(classes, chi, kappa)
+    before = _refactor(
+        classes, tau_one.slope_of, splits, lambda cls, rest: entries.get(cls)
+    )
+    after = _refactor(
+        classes, tau_two.slope_of, splits, lambda cls, rest: before[cls][1] - rest
+    )
+    out = after[alpha][0]
+    if grade is not None:
+        out = out.coeff_of(grade, int(o_alpha))
+    if mass > 1:
+        out = exact_laurent_div(out, scale[mass], kappa)
+    if qint is not None:
+        out = out.subs_one(kappa)
+    return out
+
+
+def _fresh_name(base: str, values) -> str:
+    """``base`` primed until it names no variable of the elements ``values``."""
+    taken = {v for value in values for v in value.variables()}
+    while base in taken:
+        base += "'"
+    return base
+
+
+def _splits(classes, chi, kappa: str) -> dict:
+    """For each class γ, its splittings γ = β + δ within ``classes``, each
+    with the weight C(mass(γ), mass(β))·t^(-χ(β,δ)), t = −κ^(1/2), of the
+    product of the mass-factorial-scaled coefficients at β and δ."""
+    members = set(classes)
+    out = {cls: [] for cls in classes}
+    for beta in classes:
+        for delta in classes:
+            total = tuple(a + b for a, b in zip(beta, delta))
+            if total not in members:
                 continue
-            term = LaurentElement.const(u / len(parts))
-            partial = (0,) * len(alpha)
-            for i, cls in enumerate(parts):
-                if i > 0:
-                    term = term * qint(chi(partial, cls))
-                value = table.value(cls)
-                if value is None:
-                    term = LaurentElement.zero()
-                    break
-                term = term * value
-                partial = tuple(a + b for a, b in zip(partial, cls))
-            yield term
+            c = chi(beta, delta)
+            weight = math.comb(sum(total), sum(beta)) * (-1 if c % 2 else 1)
+            out[total].append((beta, delta, LaurentElement({((kappa, -c),): weight})))
+    return out
 
-    return laurent_sum(terms())
+
+def _refactor(classes, slope_of, splits, linear) -> dict:
+    """Factor a truncated quantum-torus element as Π_{s ↓} exp(X_s), X_s
+    supported on the classes of slope s, one class at a time.
+
+    Coefficients are scaled as in ``vw_wcf``, so the product of the
+    coefficients at β and δ lands at β + δ times the weight ``splits``
+    gives it.  ``classes`` come in increasing mass, so the coefficient of
+    the product at a class is its X coefficient plus ``rest``, a sum of
+    products of coefficients at earlier classes; weak see-saw keeps each
+    exp(X_s) on the classes of slope s.  ``linear(cls, rest)`` returns the
+    X coefficient at ``cls`` (None for zero).  The result maps each class
+    to its X coefficient and its product coefficient.
+    """
+    slopes = sorted({slope_of(cls) for cls in classes}, reverse=True)
+    rank = {s: j for j, s in enumerate(slopes)}
+    group = {cls: rank[slope_of(cls)] for cls in classes}
+    powers = {}  # cls -> {k: coefficient of X_s^k}, s the slope of cls
+    expo = {}  # cls -> coefficient of exp(X_s), or None
+    partial = {}  # cls -> [coefficient of exp(X_0)⋯exp(X_j), or None, for each j]
+    out = {}
+    for cls in classes:
+        home = group[cls]
+        cross_terms: dict[int, list] = {}  # j -> products ending in exp(X_j)
+        power_terms: dict[int, list] = {}  # k -> products of k X coefficients
+        for beta, delta, weight in splits[cls]:
+            j = group[delta]
+            right = expo[delta]
+            if j and right is not None:
+                left = partial[beta][j - 1]
+                if left is not None:
+                    cross_terms.setdefault(j, []).append(left * (right * weight))
+            if j == home and group[beta] == home:
+                x = powers[delta].get(1)
+                if x is not None:
+                    x = x * weight
+                    for k, value in powers[beta].items():
+                        power_terms.setdefault(k + 1, []).append(value * x)
+        power = {k: laurent_sum(terms) for k, terms in power_terms.items()}
+        here = laurent_sum(
+            Fraction(1, math.factorial(k)) * value for k, value in power.items()
+        )
+        cross = {j: laurent_sum(terms) for j, terms in cross_terms.items()}
+        x = linear(cls, laurent_sum([here, *cross.values()]))
+        if x:
+            power[1] = x
+            here = here + x
+        powers[cls] = {k: value for k, value in power.items() if value}
+        expo[cls] = here if here else None
+        if here:
+            cross[home] = cross[home] + here if home in cross else here
+        running = None
+        cumulative = []
+        for j in range(len(slopes)):
+            step = cross.get(j)
+            if step:
+                running = step if running is None else running + step
+            cumulative.append(running)
+        partial[cls] = cumulative
+        out[cls] = (x or LaurentElement.zero(), running or LaurentElement.zero())
+    return out

@@ -191,6 +191,53 @@ def test_laurent_sum_equals_folded_addition() -> None:
     assert laurent_sum([]) == L.zero() and laurent_sum([]).trunc is None
 
 
+def _merged_product_oracle(a: L, b: L) -> L:
+    """The untruncated product with each pair of monomials combined through
+    a dict of exponents and sorted, the way monomials were once merged."""
+    out: dict = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            m = tuple(sorted((v, e) for v, e in exps.items() if e))
+            out[m] = out.get(m, 0) + c1 * c2
+    return L(out)
+
+
+@pytest.mark.parametrize(
+    "left_names, right_names",
+    [
+        (["a", "k"], ["a", "k"]),  # shared variables
+        (["a", "b"], ["c", "d"]),  # disjoint, all of one before the other
+        (["c", "d"], ["a", "b"]),
+        (["a", "c", "e"], ["b", "d", "f"]),  # disjoint, interleaved
+        (["a", "b", "k"], ["b", "c", "k"]),  # partly shared
+        (["x", "x1", "x12", "x123"], ["x1", "x2", "x12", "x13"]),  # many names
+    ],
+)
+def test_monomial_merge_matches_dict_and_sort(left_names, right_names) -> None:
+    rng = random.Random(",".join(left_names + right_names))
+    for _ in range(10):
+        a = _random_element(rng, left_names, nterms=5)
+        b = _random_element(rng, right_names, nterms=5)
+        for left, right in ((a, b), (b, a), (a, a)):
+            product = left * right
+            _assert_canonical(product)
+            assert product == _merged_product_oracle(left, right)
+
+
+def test_monomial_merge_cancels_exponents() -> None:
+    k = L.monomial(1, {"k": Fraction(1, 2)})
+    abk = L.monomial(3, {"a": 1, "b": -2, "k": Fraction(-1, 2)})
+    inverse = L.monomial(1, {"a": -1, "b": 2, "k": Fraction(1, 2)})
+    assert (k * abk).terms == {(("a", 2), ("b", -4)): 3}
+    assert (abk * inverse).terms == {(): 3}
+    mixed = L.monomial(1, {"a": -1, "c": 1}) * abk
+    assert mixed.terms == {(("b", -4), ("c", 2), ("k", -1)): 3}
+    assert mixed == _merged_product_oracle(L.monomial(1, {"a": -1, "c": 1}), abk)
+
+
 def _truncated_product_oracle(a: L, b: L) -> L:
     """The untruncated product, filtered by the joint truncation: the union
     of the variable sets at the smaller order."""
@@ -654,6 +701,25 @@ def test_exact_laurent_div_half_power_divisor() -> None:
     assert exact_laurent_div(k.monomial_inverse() - k, divisor, "k") == (
         khalf + khalf.monomial_inverse()
     )
+
+
+def test_exact_laurent_div_by_powers_of_a_symmetric_difference() -> None:
+    # Constant lower coefficients (powers of k^(1/2) - k^(-1/2)) and a
+    # non-constant leading one (2t·z^2 + t·z - 3).
+    rng = random.Random(23)
+    khalf = L.monomial(1, {"k": Fraction(1, 2)})
+    d = khalf - khalf.monomial_inverse()
+    power = one
+    for _ in range(5):
+        power = power * d
+        q = _random_element(rng, ["k", "a", "b"], 5)
+        assert exact_laurent_div(q * power, power, "k") == q
+    lead = 2 * t * z * z + t * z - 3
+    for _ in range(4):
+        q = _random_element(rng, ["z", "t", "k"], 4)
+        assert exact_laurent_div(q * lead, lead, "z") == q
+    with pytest.raises(NonExpandable):
+        exact_laurent_div(power * d + one, power, "k")
 
 
 def test_exact_laurent_div_rejects_inexact() -> None:

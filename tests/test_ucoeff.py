@@ -159,6 +159,34 @@ class TestEffectiveMonoid:
             mon.decompositions((9,))
         assert len(mon.decompositions((9,), max_parts=9)) == 2 ** 8
 
+    MONOIDS = [
+        EffectiveMonoid([(1, 0), (0, 1)]),
+        EffectiveMonoid([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]),
+        EffectiveMonoid([(1, 1), (2, -1)]),
+        EffectiveMonoid([(2,), (3,)]),
+    ]
+
+    def test_below_against_the_splittings(self):
+        for mon in self.MONOIDS:
+            for target in mon.effective_upto(4):
+                pieces = {
+                    cls for parts in mon.decompositions(target) for cls in parts
+                }
+                below = mon.below(target)
+                assert set(below) == pieces
+                assert list(below) == sorted(below, key=lambda c: (sum(c), c))
+        mon = self.MONOIDS[0]
+        assert mon.below((-1, 2)) == ()
+        assert mon.below((2, 1)) is mon.below([2, 1])
+
+    def test_longest_splitting_against_the_splittings(self):
+        for mon in self.MONOIDS:
+            for target in mon.effective_upto(5):
+                longest = max(len(p) for p in mon.decompositions(target, max_parts=10))
+                assert mon.longest_splitting(target) == longest
+        assert self.MONOIDS[3].longest_splitting((1,)) == 0
+        assert self.MONOIDS[3].longest_splitting((7,)) == 3
+
     def test_non_effective_target(self):
         mon = EffectiveMonoid([(2, 0)])
         assert mon.decompositions((3, 0)) == []
@@ -215,6 +243,35 @@ class TestStabilityData:
             }
         )
         assert not bad.see_saw_holds(mon, (1, 1))
+
+    def test_see_saw_against_two_part_splittings(self):
+        rng = random.Random(41)
+        mon = EffectiveMonoid([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)])
+        for _ in range(20):
+            slopes = {
+                cls: SlopeValue.of(rng.randint(-2, 2)) for cls in mon.effective_upto(3)
+            }
+            tau = StabilityData(slopes)
+            for target in mon.effective_upto(3):
+                mid = tau.slope_of(target)
+                expected = all(
+                    tau.slope_of(a) >= mid >= tau.slope_of(b)
+                    or tau.slope_of(a) <= mid <= tau.slope_of(b)
+                    for a, b in (
+                        parts
+                        for parts in mon.decompositions(target, min_parts=2)
+                        if len(parts) == 2
+                    )
+                )
+                assert tau.see_saw_holds(mon, target) == expected
+
+    def test_see_saw_on_a_class_with_long_splittings(self):
+        # (5, 5) splits into up to ten parts, past the default cap of the
+        # splitting enumeration; the check needs only the two-part ones.
+        mon = EffectiveMonoid([(1, 0), (0, 1)])
+        with pytest.raises(DecompositionOverflow):
+            mon.decompositions((5, 5))
+        assert linear_stability([1, 2], [1, 1]).see_saw_holds(mon, (5, 5))
 
 
 class TestPairingForm:

@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 
 from wallx.errors import (
+    DecompositionOverflow,
     MissingChi,
     MissingFr,
+    SeeSawFailure,
     UnsupportedClass,
+    WallxError,
     ZeroQuantumInteger,
 )
 from wallx.freelie import LieContext, LieElement, left_nested
@@ -17,6 +20,7 @@ from wallx.ucoeff import (
     EffectiveMonoid,
     StabilityData,
     U_coeff,
+    class_lookup,
     class_sum,
     linear_stability,
     utilde_word_sum,
@@ -28,7 +32,6 @@ from wallx.wallcross import (
     QuantumTorusBackend,
     invert_semistable,
     pair_invariant_rhs,
-    reduced_filter,
     unrefined_integer,
     vw_wcf,
     wcf_rhs,
@@ -216,6 +219,62 @@ class TestWcfRhs:
         assert not relation.terms
         got = wcf_rhs(target, tau, taup, table, qt, max_parts=3)
         assert got.value == direct
+
+
+# -- the splitting-sum oracle of vw_wcf ----------------------------------------
+
+
+def reduced_filter(decompositions, o_table, o_alpha: int):
+    """Keep the splittings whose o counts add up to the target count."""
+    if isinstance(o_table, InvariantTable):
+        lookup = o_table.o_of
+    else:
+        lookup = class_lookup(o_table, ValueError, "o count")
+    return [
+        parts
+        for parts in decompositions
+        if sum(lookup(p) for p in parts) == int(o_alpha)
+    ]
+
+
+def u_terms(alpha, tau, taup, monoid, max_parts=8):
+    """Every ordered splitting of ``alpha`` with a nonzero U coefficient."""
+    out = []
+    for parts in monoid.decompositions(alpha, max_parts=max_parts):
+        u = U_coeff(parts, tau, taup)
+        if u:
+            out.append((parts, u))
+    return out
+
+
+def splitting_sum(terms, table, chi, *, qint=None, keep=None):
+    """Σ over the splittings of ``terms`` (from ``u_terms``) of
+    Ũ(α⃗; τ, τ′)·Π_{i≥2}[χ(α₁+…+α_{i−1}, α_i)]·Π table(α_i), the sum
+    ``vw_wcf`` expands; ``keep`` lists the splittings to sum over."""
+    backend = QuantumTorusBackend(chi, qint=qint)
+    chi, qint = backend.chi, backend.qint
+    acc = L.zero()
+    for parts, u in terms:
+        if keep is not None and parts not in keep:
+            continue
+        term = L.const(u / len(parts))
+        partial = (0,) * len(parts[0])
+        for i, cls in enumerate(parts):
+            if i > 0:
+                term = term * qint(chi(partial, cls))
+            value = table.value(cls)
+            if value is None:
+                term = L.zero()
+                break
+            term = term * value
+            partial = class_sum([partial, cls])
+        acc = acc + term
+    return acc
+
+
+def reduced_splittings(terms, o_table, o_alpha):
+    """The splittings of ``terms`` whose o counts add up to ``o_alpha``."""
+    return set(reduced_filter([parts for parts, _ in terms], o_table, o_alpha))
 
 
 class TestReducedFilter:
@@ -448,6 +507,248 @@ class TestVwWcf:
                 (2, 1), tau, taup, table, CHI, qint=unrefined_integer
             )
             assert specialize_kappa(refined) == unrefined
+
+
+TWO = EffectiveMonoid([(1, 0), (0, 1)])
+THREE = EffectiveMonoid([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+NON_FREE = EffectiveMonoid([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)])
+CHI3 = [[0, 1, -2], [-1, 0, 1], [2, -1, 0]]
+ORACLE_MASS = 6
+
+
+def tied_table(monoid, a, b, step, mass=ORACLE_MASS):
+    """A slope table with ties: (a·γ)/(b·γ) rounded down to a multiple of
+    ``step`` on every class up to ``mass``.  Rounding down is weakly
+    increasing, so the weak see-saw of the linear slope survives it."""
+    out = {}
+    for cls in monoid.effective_upto(mass):
+        ratio = F(
+            sum(x * c for x, c in zip(a, cls)), sum(x * c for x, c in zip(b, cls))
+        )
+        out[cls] = SlopeValue.of(math.floor(ratio / step) * step)
+    return StabilityData(out)
+
+
+def crossing_table(monoid, mass, seed):
+    """Symbol entries on every class up to ``mass`` with seeded o counts.
+    Two entries use the names ``kappa`` and ``o``, the first names the
+    unrefined and reduced routes try for their private variables."""
+    rng = random.Random(seed)
+    classes = monoid.effective_upto(mass)
+    entries = {cls: L.gen("v" + "_".join(map(str, cls))) for cls in classes}
+    entries[classes[0]] = L.gen("kappa") * L.gen("o")
+    entries[classes[1]] = L.gen("k") + 2
+    return InvariantTable(
+        entries, o={cls: rng.randint(0, 2) for cls in classes}, monoid=monoid
+    )
+
+
+ORACLE_CASES = {
+    "two-generators": (
+        [TWO],
+        CHI,
+        [
+            (linear_stability([1, 0], [1, 1]), linear_stability([0, 1], [1, 1])),
+            (linear_stability([2, -1], [1, 3]), linear_stability([-1, 3], [2, 1])),
+            (linear_stability([1, 0], [0, 1]), linear_stability([-1, 2], [1, 1])),
+        ],
+    ),
+    # The two monoids have the same effective classes, hence the same
+    # splittings, so one oracle sum serves both.
+    "three-generators-and-non-free": (
+        [THREE, NON_FREE],
+        CHI3,
+        [
+            (
+                linear_stability([1, 0, 2], [1, 1, 1]),
+                linear_stability([0, 1, 1], [1, 1, 1]),
+            ),
+            (
+                linear_stability([2, -1, 0], [1, 2, 1]),
+                linear_stability([-1, 1, 3], [2, 1, 1]),
+            ),
+            (
+                linear_stability([0, 3, 1], [1, 1, 2]),
+                linear_stability([1, -2, 2], [1, 1, 1]),
+            ),
+        ],
+    ),
+    "tied-table": (
+        [TWO],
+        CHI,
+        [
+            (
+                tied_table(TWO, [1, 0], [1, 1], F(1, 2)),
+                tied_table(TWO, [0, 1], [1, 1], F(1, 3)),
+            ),
+            (
+                tied_table(TWO, [3, -1], [1, 1], 1),
+                tied_table(TWO, [-1, 2], [1, 2], F(1, 2)),
+            ),
+            (
+                tied_table(TWO, [1, 0], [1, 1], F(1, 3)),
+                linear_stability([0, 1], [1, 1]),
+            ),
+        ],
+    ),
+}
+
+
+def test_non_free_monoid_has_the_free_cone():
+    assert NON_FREE.effective_upto(ORACLE_MASS) == THREE.effective_upto(ORACLE_MASS)
+    assert NON_FREE.longest_splitting((1, 1, 0)) == 2
+
+
+@pytest.mark.parametrize(
+    "name, pair",
+    [(name, i) for name in ORACLE_CASES for i in range(3)],
+    ids=lambda v: str(v),
+)
+def test_vw_wcf_equals_splitting_sum_up_to_mass_six(name, pair):
+    monoids, chi, pairs = ORACLE_CASES[name]
+    tau, taup = pairs[pair]
+    tables = [crossing_table(monoid, ORACLE_MASS, seed=pair) for monoid in monoids]
+    for alpha in monoids[0].effective_upto(ORACLE_MASS):
+        terms = u_terms(alpha, tau, taup, monoids[0])
+        keep = reduced_splittings(terms, tables[0], tables[0].o_of(alpha))
+        expected = [
+            splitting_sum(terms, tables[0], chi),
+            splitting_sum(terms, tables[0], chi, keep=keep),
+            splitting_sum(terms, tables[0], chi, qint=unrefined_integer),
+        ]
+        for table in tables:
+            assert [
+                vw_wcf(alpha, tau, taup, table, chi),
+                vw_wcf(alpha, tau, taup, table, chi, o_table=table),
+                vw_wcf(alpha, tau, taup, table, chi, qint=unrefined_integer),
+            ] == expected
+
+
+def test_vw_wcf_equals_splitting_sum_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monoids = {2: [TWO], 3: [THREE, NON_FREE]}
+
+    @st.composite
+    def cases(draw):
+        dim = draw(st.sampled_from([2, 3]))
+        monoid = draw(st.sampled_from(monoids[dim]))
+        entries = st.integers(-3, 3)
+        den = st.integers(1, 3)
+        stabs = []
+        for _ in range(2):
+            a = draw(st.lists(entries, min_size=dim, max_size=dim))
+            b = draw(st.lists(den, min_size=dim, max_size=dim))
+            step = draw(st.sampled_from([None, F(1, 2), F(1), F(2)]))
+            if step is None:
+                stabs.append(linear_stability(a, b))
+            else:
+                stabs.append(tied_table(monoid, a, b, step, mass=4))
+        upper = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+        chi = [[0] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                chi[i][j], chi[j][i] = upper[i + j - 1], -upper[i + j - 1]
+        alpha = draw(st.sampled_from(monoid.effective_upto(4 if dim == 2 else 3)))
+        seed = draw(st.integers(0, 1000))
+        return monoid, stabs, chi, alpha, seed
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        monoid, (tau, taup), chi, alpha, seed = case
+        table = crossing_table(monoid, 4, seed)
+        terms = u_terms(alpha, tau, taup, monoid)
+        o_alpha = random.Random(seed).randint(0, 3)
+        keep = reduced_splittings(terms, table, o_alpha)
+        assert vw_wcf(alpha, tau, taup, table, chi) == splitting_sum(terms, table, chi)
+        assert vw_wcf(
+            alpha, tau, taup, table, chi, o_table=table, o_alpha=o_alpha
+        ) == splitting_sum(terms, table, chi, keep=keep)
+        assert vw_wcf(
+            alpha, tau, taup, table, chi, qint=unrefined_integer
+        ) == splitting_sum(terms, table, chi, qint=unrefined_integer)
+
+    check()
+
+
+class TestVwWcfContract:
+    TAU = linear_stability([1, 0], [1, 1])
+    TAUP = linear_stability([0, 1], [1, 1])
+
+    @staticmethod
+    def broken_at_11():
+        """A linear slope except at (1, 1), which lies above both parts."""
+        linear = linear_stability([1, 0], [1, 1])
+        return StabilityData(
+            lambda cls: SlopeValue.of(5) if cls == (1, 1) else linear.slope_of(cls)
+        )
+
+    def test_refuses_a_see_saw_failure_before_any_product(self):
+        bad = self.broken_at_11()
+        # No table entry at all: the refusal comes before any entry is read.
+        empty = InvariantTable({}, monoid=MONOID)
+        for target in ((1, 1), (2, 1), (1, 2)):
+            for pair in ((bad, self.TAUP), (self.TAU, bad)):
+                with pytest.raises(SeeSawFailure, match=r"\(1, 1\)") as info:
+                    vw_wcf(target, *pair, empty, CHI)
+                assert isinstance(info.value, WallxError)
+        # Classes not above (1, 1) are unaffected.
+        table = symbol_table(MONOID.effective_upto(3), monoid=MONOID)
+        assert vw_wcf((2, 0), bad, self.TAUP, table, CHI) == table.value((2, 0))
+
+    def test_max_parts_overflows_where_the_splittings_do(self):
+        cases = [
+            (MONOID, CHI, self.TAU, self.TAUP),
+            (
+                NON_FREE,
+                CHI3,
+                linear_stability([1, 0, 2], [1, 1, 1]),
+                linear_stability([0, 1, 1], [1, 1, 1]),
+            ),
+        ]
+        for monoid, chi, tau, taup in cases:
+            table = symbol_table(monoid.effective_upto(4), monoid=monoid)
+            for alpha in monoid.effective_upto(4):
+                for max_parts in range(1, 5):
+                    try:
+                        monoid.decompositions(alpha, max_parts=max_parts)
+                    except DecompositionOverflow:
+                        with pytest.raises(DecompositionOverflow, match="parts"):
+                            vw_wcf(alpha, tau, taup, table, chi, max_parts=max_parts)
+                    else:
+                        vw_wcf(alpha, tau, taup, table, chi, max_parts=max_parts)
+
+    def test_refuses_other_quantum_integers(self):
+        table = symbol_table(MONOID.effective_upto(2), monoid=MONOID)
+        for qint in (quantum_integer, lambda n: L.const(n)):
+            with pytest.raises(ValueError, match="qint"):
+                vw_wcf((1, 1), self.TAU, self.TAUP, table, CHI, qint=qint)
+
+    def test_every_class_below_the_target_needs_an_entry(self):
+        # With one stability on both sides only the target's own entry
+        # enters the answer, but every class below it is still read.
+        table = symbol_table([(2, 1)], monoid=MONOID)
+        with pytest.raises(UnsupportedClass):
+            vw_wcf((2, 1), self.TAU, self.TAU, table, CHI)
+        sparse = symbol_table([(2, 1)], zero_missing=True, monoid=MONOID)
+        assert vw_wcf((2, 1), self.TAU, self.TAU, sparse, CHI) == sparse.value((2, 1))
+
+    def test_zero_missing_entries_drop_their_splittings(self):
+        full = symbol_table(MONOID.effective_upto(3), monoid=MONOID)
+        kept = [(1, 0), (0, 1), (2, 1), (1, 1)]
+        sparse = InvariantTable(
+            {cls: full.value(cls) for cls in kept}, zero_missing=True, monoid=MONOID
+        )
+        for alpha in ((1, 1), (2, 1), (1, 2)):
+            terms = u_terms(alpha, self.TAU, self.TAUP, MONOID)
+            assert vw_wcf(alpha, self.TAU, self.TAUP, sparse, CHI) == splitting_sum(
+                terms, sparse, chi=CHI
+            )
+
+    def test_a_class_outside_the_cone_gives_zero(self):
+        table = symbol_table(MONOID.effective_upto(2), monoid=MONOID)
+        assert vw_wcf((1, -1), self.TAU, self.TAUP, table, CHI) == L.zero()
 
 
 class TestSimpleTypeExponential:
