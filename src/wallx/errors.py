@@ -35,10 +35,6 @@ class NotPrimitive(WallxError):
     """A tensor-algebra element is not the expansion of any Lie element."""
 
 
-class BracketNonzero(WallxError):
-    """The two distinguished letters were required to commute but do not."""
-
-
 class SlopeUndefined(WallxError):
     """A stability table has no slope for a class that the computation needs."""
 

@@ -5,19 +5,16 @@ length, then lexicographically in declaration order) index the Lie basis, and
 their standard bracketings expand into the tensor algebra.  The module
 provides the expansion homomorphism, its one-sided inverse on primitive
 elements (a triangular rewrite in the Lyndon basis that rejects anything
-outside the Lie subspace), exp(ad) conjugation checks in the truncated
-enveloping algebra, and the total-term vanishing sum for a pair of commuting
-markers.
+outside the Lie subspace), and exp(ad) conjugation checks in the truncated
+enveloping algebra.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
-from .errors import BracketNonzero, NotPrimitive
+from .errors import NotPrimitive
 
 Word = tuple
 
@@ -495,97 +492,3 @@ def exp_ad_check(x: LieElement, y: LieElement, order: int) -> bool:
     exm = _exp_truncated(-xe, order)
     rhs = ex._product(ye, order)._product(exm, order)
     return lhs.truncated(order) == rhs.truncated(order)
-
-
-# -- the total-term vanishing sum ----------------------------------------------------
-
-
-def _as_uea(ctx: LieContext, value) -> UEAElement:
-    if isinstance(value, UEAElement):
-        _same_context_pair(ctx, value)
-        return value
-    if isinstance(value, LieElement):
-        _same_context_pair(ctx, value)
-        return expand_to_uea(value)
-    return UEAElement.letter(ctx, value)
-
-
-def _same_context_pair(ctx: LieContext, el) -> None:
-    if el.context is not ctx:
-        raise ValueError("elements live in different contexts")
-
-
-def _vec_sub(a: tuple, b: tuple) -> tuple | None:
-    if len(a) != len(b):
-        raise ValueError("degree tuples of different lengths")
-    out = tuple(x - y for x, y in zip(a, b))
-    return out if all(c >= 0 for c in out) else None
-
-
-def ordered_degree_decompositions(
-    target: tuple, support: Sequence[tuple], min_parts: int = 2
-) -> list[tuple]:
-    """Ordered tuples over ``support`` (repetition allowed) summing to target."""
-    for part in support:
-        if not all(c >= 0 for c in part) or not any(part):
-            raise ValueError("support classes must be nonzero and nonnegative")
-    out: list[tuple] = []
-
-    def rec(rem: tuple, prefix: tuple) -> None:
-        if not any(rem):
-            if len(prefix) >= min_parts:
-                out.append(prefix)
-            return
-        for part in support:
-            nxt = _vec_sub(rem, part)
-            if nxt is not None:
-                rec(nxt, prefix + (part,))
-
-    rec(target, ())
-    return out
-
-
-def total_term_sum(
-    z_table: Mapping[tuple, object], delta1, delta2, target: tuple
-) -> UEAElement:
-    """Σ over ordered decompositions of ``target`` (n ≥ 2) of the two-marker
-    nested-bracket sum
-
-        C(α⃗) = Σ_{m=0}^n [ (1/m!)[z_{α_m},[..[z_{α_1},δ₁]..]],
-                            (1/(n-m)!)[z_{α_n},[..[z_{α_{m+1}},δ₂]..]] ].
-
-    The markers must commute; otherwise BracketNonzero is raised.  The result
-    is returned in its enveloping-algebra expansion (the vanishing statement
-    is an identity of Lie elements).
-    """
-    ctx = None
-    for candidate in itertools.chain(z_table.values(), (delta1, delta2)):
-        if isinstance(candidate, (UEAElement, LieElement)):
-            ctx = candidate.context
-            break
-    if ctx is None:
-        raise ValueError("no Lie or enveloping element to take a context from")
-    d1 = _as_uea(ctx, delta1)
-    d2 = _as_uea(ctx, delta2)
-    if not d1.bracket(d2).is_zero():
-        raise BracketNonzero("the two markers do not commute")
-    values = {}
-    for deg, v in z_table.items():
-        el = _as_uea(ctx, v)
-        if not el.is_zero():
-            values[deg] = el
-    support = sorted(values)
-    acc = UEAElement.zero(ctx)
-    for parts in ordered_degree_decompositions(target, support, 2):
-        n = len(parts)
-        for m in range(n + 1):
-            left = d1
-            for beta in parts[:m]:
-                left = values[beta].bracket(left)
-            right = d2
-            for beta in parts[m:]:
-                right = values[beta].bracket(right)
-            acc = acc + left.bracket(right) * Fraction(
-                1, math.factorial(m) * math.factorial(n - m)
-            )
-    return acc

@@ -5,9 +5,14 @@ Classes are integer vectors; the effective cone consists of the nonzero
 natural-number combinations of a declared generator list, each generator
 carrying positive total mass so that every enumeration below terminates.
 The S and U coefficients are computed directly from their defining sums over
-index conditions and permissible double groupings; the bracket-side
-coefficients come from the length-graded Dynkin projection of the U-side
-word sum.
+index conditions and permissible double groupings.
+
+The U-side word sum Σ U(α⃗)·z_{α₁}⋯z_{α_n} is the τ′-factor at α of
+Π_{τ-slopes ↓} exp(Σ z_γ) in the free associative algebra truncated to the
+classes ≤ α.  ``utilde_lie_element`` reads it off with ``refactor``, the
+slope-ordered peel, which enumerates no splitting and also serves
+``wallcross.vw_wcf`` over the quantum torus; its input contract is checked
+by ``peel_classes``.  ``utilde_word_sum`` keeps the splitting sum.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .errors import (
     DecompositionOverflow,
     MissingChi,
     MissingFr,
+    SeeSawFailure,
     SlopeUndefined,
 )
 from .freelie import LieContext, LieElement, UEAElement, dynkin_project
@@ -216,17 +222,19 @@ class StabilityData:
     callable computing them; lookups that fail raise SlopeUndefined, on every
     call.  A successful lookup is memoized per class on this object, so the
     source is read at most once per class and must be a pure function of the
-    class: a mapping must not change after construction.  The optional
+    class: a mapping must not change after construction.  The weak see-saw
+    verdict of a class is kept in the same way, per monoid.  The optional
     ``chi`` (an antisymmetric integer matrix or a callable), ``rank`` and
     ``fr`` (each a class-keyed mapping, read once here, or a callable) feed
     the downstream wall-crossing operations.
     """
 
-    __slots__ = ("_slope", "_slopes", "_rank", "_chi", "_fr", "name")
+    __slots__ = ("_slope", "_slopes", "_see_saw", "_rank", "_chi", "_fr", "name")
 
     def __init__(self, slope, *, rank=None, chi=None, fr=None, name="tau"):
         object.__setattr__(self, "_slope", slope)
         object.__setattr__(self, "_slopes", {})
+        object.__setattr__(self, "_see_saw", {})
         if rank is not None:
             rank = class_lookup(rank, ValueError, "rank")
         object.__setattr__(self, "_rank", rank)
@@ -279,9 +287,19 @@ class StabilityData:
 
     def see_saw_holds(self, monoid: EffectiveMonoid, target) -> bool:
         """Check the weak see-saw property over the two-part splittings
-        β + (target − β): the slope of ``target`` lies between theirs."""
+        β + (target − β): the slope of ``target`` lies between theirs.
+
+        The verdict is memoized per class and per monoid generators, since
+        ``monoid.below`` depends on both; a SlopeUndefined raised on the way
+        is not kept.
+        """
         target = as_class(target)
+        key = (monoid.generators, target)
+        hit = self._see_saw.get(key)
+        if hit is not None:
+            return hit
         mid = self.slope_of(target)
+        holds = True
         for beta in monoid.below(target):
             rest = tuple(t - b for t, b in zip(target, beta))
             # The condition is symmetric in the two parts: test each pair once.
@@ -290,8 +308,10 @@ class StabilityData:
             left = self.slope_of(beta)
             right = self.slope_of(rest)
             if not (left >= mid >= right or left <= mid <= right):
-                return False
-        return True
+                holds = False
+                break
+        self._see_saw[key] = holds
+        return holds
 
 
 def pairing_form(chi):
@@ -515,23 +535,180 @@ def utilde_lie_element(
     max_parts: int = 8,
     context: LieContext | None = None,
 ) -> LieElement:
-    """The unique Lie element whose expansion is the U-side word sum.
+    """The unique Lie element whose expansion is the U-side word sum
+    Σ U(α₁,…,α_n; τ, τ′)·z_{α₁}⋯z_{α_n} over the splittings of α.
 
-    Computed length by length through the Dynkin projection; NotPrimitive
-    propagates when the word sum fails to be primitive (inconsistent
-    stability data).
+    The word sum is X′_α from ``refactor`` in the free associative algebra
+    on the letters z_γ, γ ≤ α, with X_γ = z_γ: coefficients are stored
+    times mass(γ)!, so concatenation carries the weight C(mass(β+δ),
+    mass(β)), and X′_α is divided by mass(α)! once.  It is then rewritten
+    into the Lyndon basis length by length by the Dynkin projection.  The
+    input contract is that of ``peel_classes``; a target that is not
+    effective gives zero.  With ``context`` None the letters are the sorted
+    classes of the nonzero words.
     """
-    words = utilde_word_sum(
-        alpha, tau, tau_prime, monoid, max_parts=max_parts, context=context
-    )
-    context = words.context
+    alpha = as_class(alpha)
+    words: dict = {}
+    classes = peel_classes(alpha, tau, tau_prime, monoid, max_parts)
+    if classes:
+        entry = lambda cls: {(cls,): math.factorial(_mass(cls))}
+        weight = lambda beta, delta: math.comb(_mass(beta) + _mass(delta), _mass(beta))
+        after = refactor(
+            classes, tau, tau_prime, entry, weight,
+            mul=_word_mul, scale=_word_scale, total=_word_total,
+        )[alpha]
+        words = {w: Fraction(c) / math.factorial(_mass(alpha)) for w, c in after.items()}
+    if context is None:
+        context = LieContext(sorted({cls for word in words for cls in word}))
     result = LieElement.zero(context)
-    for n in sorted(words.word_lengths()):
-        piece = UEAElement(
-            context, {w: c for w, c in words.terms.items() if len(w) == n}
-        )
+    for n in sorted({len(word) for word in words}):
+        piece = UEAElement(context, {w: c for w, c in words.items() if len(w) == n})
         result = result + dynkin_project(piece, n)
     return result
+
+
+# -- the slope-ordered peel ---------------------------------------------------------
+
+
+def peel_classes(
+    alpha, tau: StabilityData, tau_prime: StabilityData, monoid: EffectiveMonoid, max_parts: int
+) -> tuple[ClassVec, ...]:
+    """The classes ≤ α (``monoid.below(alpha)``) that ``refactor`` runs
+    over, once its input contract is checked.
+
+    Empty when α is not effective.  A splitting of α into more than
+    ``max_parts`` parts raises DecompositionOverflow, and either stability
+    breaking the weak see-saw property on a class ≤ α raises
+    SeeSawFailure.
+    """
+    alpha = as_class(alpha)
+    if not monoid.contains(alpha):
+        return ()
+    if monoid.longest_splitting(alpha) > max_parts:
+        raise DecompositionOverflow(f"{alpha} needs more than {max_parts} parts")
+    classes = monoid.below(alpha)
+    for cls in classes:
+        for stability in (tau, tau_prime):
+            if not stability.see_saw_holds(monoid, cls):
+                raise SeeSawFailure(
+                    f"{stability.name} breaks the weak see-saw property at class {cls}"
+                )
+    return classes
+
+
+def refactor(
+    classes, tau: StabilityData, tau_prime: StabilityData, entry, weight, *, mul, scale, total
+) -> dict:
+    """The τ′-factors of a slope-ordered product: the X′ with
+
+        Π_{s ↓} exp(Σ_{τ(γ)=s} X_γ) = Π_{s ↓} exp(Σ_{τ′(γ)=s} X′_γ),
+
+    each product over slopes in decreasing order, in an algebra graded by
+    the classes and truncated to ``classes`` (from ``peel_classes``).
+
+    Each class carries one coefficient, ``entry(γ)`` being X_γ (None for
+    zero).  The coefficients at β and δ multiply to the coefficient at
+    β + δ as ``mul(x_β, scale(x_δ, weight(β, δ)))``; ``scale`` also applies
+    the 1/k! of the exponentials and the sign of a difference, ``total``
+    sums an iterable of coefficients (empty: zero), and a coefficient is
+    zero when it is falsy.  The result maps each class to X′_γ.
+
+    The product is peeled one class at a time in increasing mass (the
+    mass-graded peel): the coefficient of a product at a class is its
+    linear term plus products of coefficients at lighter classes, and the
+    weak see-saw property keeps each exp(X_s) on the classes of slope s.
+    """
+    members = set(classes)
+    splits = {cls: [] for cls in classes}
+    for beta in classes:
+        for delta in classes:
+            cls = tuple(a + b for a, b in zip(beta, delta))
+            if cls in members:
+                splits[cls].append((beta, delta, weight(beta, delta)))
+    algebra = (mul, scale, total)
+    before = _factor(classes, tau.slope_of, splits, lambda cls, rest: entry(cls), algebra)
+    differ = lambda cls, rest: total((before[cls][1], scale(rest, -1)))
+    after = _factor(classes, tau_prime.slope_of, splits, differ, algebra)
+    return {cls: x for cls, (x, _) in after.items()}
+
+
+def _factor(classes, slope_of, splits, linear, algebra) -> dict:
+    """Factor a truncated product as Π_{s ↓} exp(X_s), X_s supported on the
+    classes of slope s.  The product's coefficient at a class is its X
+    coefficient plus ``rest``, the products of coefficients at lighter
+    classes; ``linear(cls, rest)`` returns the X coefficient (falsy for
+    zero).  Maps each class to its X and its product coefficient."""
+    mul, scale, total = algebra
+    slopes = sorted({slope_of(cls) for cls in classes}, reverse=True)
+    rank = {s: j for j, s in enumerate(slopes)}
+    group = {cls: rank[slope_of(cls)] for cls in classes}
+    powers = {}  # cls -> {k: coefficient of X_s^k}, s the slope of cls
+    expo = {}  # cls -> coefficient of exp(X_s), or None
+    partial = {}  # cls -> [coefficient of exp(X_0)⋯exp(X_j), or None, for each j]
+    out = {}
+    for cls in classes:
+        home = group[cls]
+        cross_terms: dict[int, list] = {}  # j -> products ending in exp(X_j)
+        power_terms: dict[int, list] = {}  # k -> products of k X coefficients
+        for beta, delta, weight in splits[cls]:
+            j = group[delta]
+            right = expo[delta]
+            if j and right is not None:
+                left = partial[beta][j - 1]
+                if left is not None:
+                    cross_terms.setdefault(j, []).append(mul(left, scale(right, weight)))
+            if j == home and group[beta] == home:
+                x = powers[delta].get(1)
+                if x is not None:
+                    x = scale(x, weight)
+                    for k, value in powers[beta].items():
+                        power_terms.setdefault(k + 1, []).append(mul(value, x))
+        power = {k: total(terms) for k, terms in power_terms.items()}
+        here = total(scale(value, Fraction(1, math.factorial(k))) for k, value in power.items())
+        cross = {j: total(terms) for j, terms in cross_terms.items()}
+        x = linear(cls, total((here, *cross.values())))
+        if x:
+            power[1] = x
+            here = total((here, x))
+        powers[cls] = {k: value for k, value in power.items() if value}
+        expo[cls] = here if here else None
+        if here:
+            cross[home] = total((cross[home], here)) if home in cross else here
+        running = None
+        cumulative = []
+        for j in range(len(slopes)):
+            step = cross.get(j)
+            if step:
+                running = step if running is None else total((running, step))
+            cumulative.append(running)
+        partial[cls] = cumulative
+        out[cls] = (x or total(()), running or total(()))
+    return out
+
+
+# Word polynomials, the homogeneous coefficients of the free associative
+# algebra, as word -> coefficient dicts.
+
+
+def _word_mul(left: dict, right: dict) -> dict:
+    # A word of class β + δ splits in one way only into words of classes β
+    # and δ (every letter has positive mass), so no two terms merge.
+    return {a + b: x * y for a, x in left.items() for b, y in right.items()}
+
+
+def _word_scale(value: dict, factor) -> dict:
+    # Most scaled coefficients are integers; keeping them as int, not
+    # Fraction, makes the sums several times cheaper.
+    out = {w: c * factor for w, c in value.items()}
+    return {w: c.numerator if c.denominator == 1 else c for w, c in out.items()}
+
+
+def _word_total(items) -> dict:
+    out: dict = {}
+    for item in items:
+        for w, c in item.items():
+            out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
 
 
 # -- composition sums ---------------------------------------------------------------

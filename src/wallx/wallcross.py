@@ -13,8 +13,9 @@ identity instead of summing over ordered splittings: the product of
 exponentials over the slopes of one stability, in decreasing order, equals
 the same product over the slopes of the other, in the quantum torus
 truncated to the classes below the target.  The new invariants come out of
-that product one mass level at a time.  Its input contract: both
-stabilities satisfy the weak see-saw property on every class below the
+that product one class at a time in increasing mass, by ``ucoeff.refactor``,
+the peel that also gives ``wcf_rhs`` its Lie element.  Its input contract:
+both stabilities satisfy the weak see-saw property on every class below the
 target, and the table has an entry for each of those classes unless it
 counts missing entries as zero.
 """
@@ -22,14 +23,13 @@ counts missing entries as zero.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import (
-    DecompositionOverflow,
     MissingChi,
     MissingFr,
-    SeeSawFailure,
     UnsupportedClass,
     ZeroQuantumInteger,
 )
@@ -43,6 +43,8 @@ from .ucoeff import (
     as_class,
     class_lookup,
     pairing_form,
+    peel_classes,
+    refactor,
     utilde_lie_element,
 )
 
@@ -254,7 +256,14 @@ def wcf_rhs(
 ):
     """Σ over splittings of Ũ(α₁,…,α_n; τ, τ′) times the nested bracket of
     the table entries, assembled through the canonical Lie element so the
-    result cannot depend on any coefficient convention."""
+    result cannot depend on any coefficient convention.
+
+    The Lie element comes from ``utilde_lie_element``, the slope-ordered
+    peel in the free associative algebra, so the input contract is that of
+    ``vw_wcf``: both stabilities satisfy the weak see-saw property on every
+    class ≤ α (else SeeSawFailure, before any product), a splitting into
+    more than ``max_parts`` parts raises DecompositionOverflow, and an α
+    outside the cone gives the backend's zero."""
     alpha = as_class(alpha)
     monoid = _require_monoid(table, monoid)
     element = utilde_lie_element(alpha, tau, tau_prime, monoid, max_parts=max_parts)
@@ -428,17 +437,9 @@ def vw_wcf(
     chi = QuantumTorusBackend(chi, kappa=kappa).chi
     if qint is not None and qint is not unrefined_integer:
         raise ValueError("vw_wcf takes qint=None (refined) or unrefined_integer")
-    if not monoid.contains(alpha):
+    classes = peel_classes(alpha, tau_one, tau_two, monoid, max_parts)
+    if not classes:
         return LaurentElement.zero()
-    if monoid.longest_splitting(alpha) > max_parts:
-        raise DecompositionOverflow(f"{alpha} needs more than {max_parts} parts")
-    classes = monoid.below(alpha)
-    for cls in classes:
-        for tau in (tau_one, tau_two):
-            if not tau.see_saw_holds(monoid, cls):
-                raise SeeSawFailure(
-                    f"{tau.name} breaks the weak see-saw property at class {cls}"
-                )
     entries = {}
     for cls in classes:
         value = table.value(cls)
@@ -475,14 +476,17 @@ def vw_wcf(
             value = value * LaurentElement.monomial(1, {grade: lookup(cls)})
         entries[cls] = value
 
-    splits = _splits(classes, chi, kappa)
-    before = _refactor(
-        classes, tau_one.slope_of, splits, lambda cls, rest: entries.get(cls)
-    )
-    after = _refactor(
-        classes, tau_two.slope_of, splits, lambda cls, rest: before[cls][1] - rest
-    )
-    out = after[alpha][0]
+    def weight(beta, delta):
+        c = chi(beta, delta)
+        sign = -1 if c % 2 else 1
+        return LaurentElement(
+            {((kappa, -c),): math.comb(sum(beta) + sum(delta), sum(beta)) * sign}
+        )
+
+    out = refactor(
+        classes, tau_one, tau_two, entries.get, weight,
+        mul=operator.mul, scale=operator.mul, total=laurent_sum,
+    )[alpha]
     if grade is not None:
         out = out.coeff_of(grade, int(o_alpha))
     if mass > 1:
@@ -498,82 +502,3 @@ def _fresh_name(base: str, values) -> str:
     while base in taken:
         base += "'"
     return base
-
-
-def _splits(classes, chi, kappa: str) -> dict:
-    """For each class γ, its splittings γ = β + δ within ``classes``, each
-    with the weight C(mass(γ), mass(β))·t^(-χ(β,δ)), t = −κ^(1/2), of the
-    product of the mass-factorial-scaled coefficients at β and δ."""
-    members = set(classes)
-    out = {cls: [] for cls in classes}
-    for beta in classes:
-        for delta in classes:
-            total = tuple(a + b for a, b in zip(beta, delta))
-            if total not in members:
-                continue
-            c = chi(beta, delta)
-            weight = math.comb(sum(total), sum(beta)) * (-1 if c % 2 else 1)
-            out[total].append((beta, delta, LaurentElement({((kappa, -c),): weight})))
-    return out
-
-
-def _refactor(classes, slope_of, splits, linear) -> dict:
-    """Factor a truncated quantum-torus element as Π_{s ↓} exp(X_s), X_s
-    supported on the classes of slope s, one class at a time.
-
-    Coefficients are scaled as in ``vw_wcf``, so the product of the
-    coefficients at β and δ lands at β + δ times the weight ``splits``
-    gives it.  ``classes`` come in increasing mass, so the coefficient of
-    the product at a class is its X coefficient plus ``rest``, a sum of
-    products of coefficients at earlier classes; weak see-saw keeps each
-    exp(X_s) on the classes of slope s.  ``linear(cls, rest)`` returns the
-    X coefficient at ``cls`` (None for zero).  The result maps each class
-    to its X coefficient and its product coefficient.
-    """
-    slopes = sorted({slope_of(cls) for cls in classes}, reverse=True)
-    rank = {s: j for j, s in enumerate(slopes)}
-    group = {cls: rank[slope_of(cls)] for cls in classes}
-    powers = {}  # cls -> {k: coefficient of X_s^k}, s the slope of cls
-    expo = {}  # cls -> coefficient of exp(X_s), or None
-    partial = {}  # cls -> [coefficient of exp(X_0)⋯exp(X_j), or None, for each j]
-    out = {}
-    for cls in classes:
-        home = group[cls]
-        cross_terms: dict[int, list] = {}  # j -> products ending in exp(X_j)
-        power_terms: dict[int, list] = {}  # k -> products of k X coefficients
-        for beta, delta, weight in splits[cls]:
-            j = group[delta]
-            right = expo[delta]
-            if j and right is not None:
-                left = partial[beta][j - 1]
-                if left is not None:
-                    cross_terms.setdefault(j, []).append(left * (right * weight))
-            if j == home and group[beta] == home:
-                x = powers[delta].get(1)
-                if x is not None:
-                    x = x * weight
-                    for k, value in powers[beta].items():
-                        power_terms.setdefault(k + 1, []).append(value * x)
-        power = {k: laurent_sum(terms) for k, terms in power_terms.items()}
-        here = laurent_sum(
-            Fraction(1, math.factorial(k)) * value for k, value in power.items()
-        )
-        cross = {j: laurent_sum(terms) for j, terms in cross_terms.items()}
-        x = linear(cls, laurent_sum([here, *cross.values()]))
-        if x:
-            power[1] = x
-            here = here + x
-        powers[cls] = {k: value for k, value in power.items() if value}
-        expo[cls] = here if here else None
-        if here:
-            cross[home] = cross[home] + here if home in cross else here
-        running = None
-        cumulative = []
-        for j in range(len(slopes)):
-            step = cross.get(j)
-            if step:
-                running = step if running is None else running + step
-            cumulative.append(running)
-        partial[cls] = cumulative
-        out[cls] = (x or LaurentElement.zero(), running or LaurentElement.zero())
-    return out

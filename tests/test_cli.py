@@ -419,14 +419,28 @@ class TestWallcrossCommand:
                 "invariants": {"A": "a", "B": "b", "T": "t"},
             }
         )
-        code = main(
-            [
-                "wallcross", demo_file(tmp_path, config),
-                "--tau", "t1", "--tau-prime", "t2", "--backend", "qtorus",
-            ]
+        # (1, 1) above both of its parts breaks the weak see-saw property
+        broken = json.dumps(
+            {
+                "classes": {"A": [1, 0], "B": [0, 1], "T": [1, 1]},
+                "stabilities": {
+                    "t1": {"A": ["0"], "B": ["1"], "T": ["5"]},
+                    "t2": {"A": ["0"], "B": ["1"], "T": ["1/2"]},
+                },
+                "chi": [[0, 1], [-1, 0]],
+                "invariants": {"A": "a", "B": "b", "T": "t"},
+            }
         )
-        assert code == 1
-        assert "SlopeUndefined" in capsys.readouterr().err
+        for text, error in ((config, "SlopeUndefined"), (broken, "SeeSawFailure")):
+            for backend in ("qtorus", "free"):
+                code = main(
+                    [
+                        "wallcross", demo_file(tmp_path, text),
+                        "--tau", "t1", "--tau-prime", "t2", "--backend", backend,
+                    ]
+                )
+                assert code == 1
+                assert error in capsys.readouterr().err
 
     def test_unreadable_config_path(self, tmp_path, capsys):
         code = main(

@@ -265,6 +265,31 @@ class TestStabilityData:
                 )
                 assert tau.see_saw_holds(mon, target) == expected
 
+    def test_see_saw_verdict_is_kept_per_monoid(self, monkeypatch):
+        # Over (1, 0), (0, 1) the split (0, 1) + (2, 0) of (2, 1) breaks the
+        # see-saw; over (1, 0), (1, 1) only (1, 0) + (1, 1) exists, and holds.
+        slopes = {(1, 0): 0, (0, 1): F(1, 5), (2, 0): F(1, 10), (1, 1): 1, (2, 1): F(1, 2)}
+        tau = StabilityData(slopes)
+        free = EffectiveMonoid([(1, 0), (0, 1)])
+        other = EffectiveMonoid([(1, 0), (1, 1)])
+        walks = collections.Counter()
+        below = EffectiveMonoid.below
+
+        def counted(monoid, target):
+            walks[monoid.generators, target] += 1
+            return below(monoid, target)
+
+        monkeypatch.setattr(EffectiveMonoid, "below", counted)
+        for _ in range(2):
+            assert tau.see_saw_holds(other, (2, 1))
+            assert not tau.see_saw_holds(free, (2, 1))
+        assert set(walks.values()) == {1}
+        # A failed slope lookup is not kept as a verdict.
+        partial = StabilityData({(1, 0): 0, (1, 1): 1})
+        for _ in range(2):
+            with pytest.raises(SlopeUndefined):
+                partial.see_saw_holds(free, (1, 1))
+
     def test_see_saw_on_a_class_with_long_splittings(self):
         # (5, 5) splits into up to ten parts, past the default cap of the
         # splitting enumeration; the check needs only the two-part ones.

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from wallx.errors import (
     WallxError,
     ZeroQuantumInteger,
 )
-from wallx.freelie import LieContext, LieElement, left_nested
+from wallx.freelie import LieContext, LieElement, UEAElement, expand_to_uea, left_nested
 from wallx.kclasses import quantum_integer
 from wallx.ring import LaurentElement, SlopeValue, specialize_kappa
 from wallx.ucoeff import (
@@ -23,6 +24,7 @@ from wallx.ucoeff import (
     class_lookup,
     class_sum,
     linear_stability,
+    utilde_lie_element,
     utilde_word_sum,
 )
 from wallx.wallcross import (
@@ -237,10 +239,16 @@ def reduced_filter(decompositions, o_table, o_alpha: int):
     ]
 
 
+@functools.lru_cache(maxsize=None)
+def splittings(monoid, alpha, max_parts=8):
+    """``monoid.decompositions``, kept: the oracle cases share monoids."""
+    return tuple(monoid.decompositions(alpha, max_parts=max_parts))
+
+
 def u_terms(alpha, tau, taup, monoid, max_parts=8):
     """Every ordered splitting of ``alpha`` with a nonzero U coefficient."""
     out = []
-    for parts in monoid.decompositions(alpha, max_parts=max_parts):
+    for parts in splittings(monoid, alpha, max_parts):
         u = U_coeff(parts, tau, taup)
         if u:
             out.append((parts, u))
@@ -605,11 +613,17 @@ def test_non_free_monoid_has_the_free_cone():
     ids=lambda v: str(v),
 )
 def test_vw_wcf_equals_splitting_sum_up_to_mass_six(name, pair):
+    # The same U terms also check the Lie element of the free backend.
     monoids, chi, pairs = ORACLE_CASES[name]
     tau, taup = pairs[pair]
     tables = [crossing_table(monoid, ORACLE_MASS, seed=pair) for monoid in monoids]
+    ctx = LieContext(monoids[0].effective_upto(ORACLE_MASS))
     for alpha in monoids[0].effective_upto(ORACLE_MASS):
         terms = u_terms(alpha, tau, taup, monoids[0])
+        words = UEAElement(ctx, dict(terms))
+        for monoid in monoids:
+            element = utilde_lie_element(alpha, tau, taup, monoid, context=ctx)
+            assert expand_to_uea(element) == words
         keep = reduced_splittings(terms, tables[0], tables[0].o_of(alpha))
         expected = [
             splitting_sum(terms, tables[0], chi),
@@ -668,6 +682,9 @@ def test_vw_wcf_equals_splitting_sum_hypothesis():
         assert vw_wcf(
             alpha, tau, taup, table, chi, qint=unrefined_integer
         ) == splitting_sum(terms, table, chi, qint=unrefined_integer)
+        ctx = LieContext(monoid.effective_upto(4))
+        element = utilde_lie_element(alpha, tau, taup, monoid, context=ctx)
+        assert expand_to_uea(element) == UEAElement(ctx, dict(terms))
 
     check()
 
@@ -684,15 +701,37 @@ class TestVwWcfContract:
             lambda cls: SlopeValue.of(5) if cls == (1, 1) else linear.slope_of(cls)
         )
 
+    @staticmethod
+    def free_routes(table, monoid=MONOID):
+        """The free backend's entry points, called like ``vw_wcf``."""
+        ctx = LieContext(monoid.effective_upto(4))
+        letters = InvariantTable(
+            {cls: LieElement.letter(ctx, cls) for cls in ctx.letters}, monoid=monoid
+        )
+        return [
+            lambda alpha, tau, taup, **kw: utilde_lie_element(
+                alpha, tau, taup, monoid, context=ctx, **kw
+            ),
+            lambda alpha, tau, taup, **kw: wcf_rhs(
+                alpha, tau, taup, letters, FreeLieBackend(ctx), **kw
+            ),
+            lambda alpha, tau, taup, **kw: wcf_rhs(
+                alpha, tau, taup, table, QuantumTorusBackend(CHI), monoid=monoid, **kw
+            ),
+        ]
+
     def test_refuses_a_see_saw_failure_before_any_product(self):
         bad = self.broken_at_11()
         # No table entry at all: the refusal comes before any entry is read.
         empty = InvariantTable({}, monoid=MONOID)
+        routes = [lambda *args: vw_wcf(*args, empty, CHI)] + self.free_routes(empty)
         for target in ((1, 1), (2, 1), (1, 2)):
             for pair in ((bad, self.TAUP), (self.TAU, bad)):
-                with pytest.raises(SeeSawFailure, match=r"\(1, 1\)") as info:
-                    vw_wcf(target, *pair, empty, CHI)
-                assert isinstance(info.value, WallxError)
+                # Twice each: the kept see-saw verdict refuses again.
+                for route in routes + routes:
+                    with pytest.raises(SeeSawFailure, match=r"\(1, 1\)") as info:
+                        route(target, *pair)
+                    assert isinstance(info.value, WallxError)
         # Classes not above (1, 1) are unaffected.
         table = symbol_table(MONOID.effective_upto(3), monoid=MONOID)
         assert vw_wcf((2, 0), bad, self.TAUP, table, CHI) == table.value((2, 0))
@@ -709,15 +748,20 @@ class TestVwWcfContract:
         ]
         for monoid, chi, tau, taup in cases:
             table = symbol_table(monoid.effective_upto(4), monoid=monoid)
+            routes = [
+                lambda *args, **kw: vw_wcf(*args, table, chi, **kw)
+            ] + self.free_routes(table, monoid)[:2]
             for alpha in monoid.effective_upto(4):
                 for max_parts in range(1, 5):
                     try:
                         monoid.decompositions(alpha, max_parts=max_parts)
                     except DecompositionOverflow:
-                        with pytest.raises(DecompositionOverflow, match="parts"):
-                            vw_wcf(alpha, tau, taup, table, chi, max_parts=max_parts)
+                        for route in routes:
+                            with pytest.raises(DecompositionOverflow, match="parts"):
+                                route(alpha, tau, taup, max_parts=max_parts)
                     else:
-                        vw_wcf(alpha, tau, taup, table, chi, max_parts=max_parts)
+                        for route in routes:
+                            route(alpha, tau, taup, max_parts=max_parts)
 
     def test_refuses_other_quantum_integers(self):
         table = symbol_table(MONOID.effective_upto(2), monoid=MONOID)
@@ -749,6 +793,11 @@ class TestVwWcfContract:
     def test_a_class_outside_the_cone_gives_zero(self):
         table = symbol_table(MONOID.effective_upto(2), monoid=MONOID)
         assert vw_wcf((1, -1), self.TAU, self.TAUP, table, CHI) == L.zero()
+        element, letters, value = [
+            route((1, -1), self.TAU, self.TAUP) for route in self.free_routes(table)
+        ]
+        assert element.is_zero() and letters.is_zero()
+        assert value == QuantumTorusBackend(CHI).zero()
 
 
 class TestSimpleTypeExponential:

@@ -1,5 +1,7 @@
-"""Gate for ``vw_wcf``: equality with the splitting-sum oracle on every class
-of two generators up to mass 8, for four stability pairs.
+"""Gate for the slope-ordered peel: ``vw_wcf`` equals the splitting-sum
+oracle, and the expansion of ``utilde_lie_element`` equals the U-side word
+sum, on every class of two generators up to mass 8, for four stability
+pairs.  Both checks share one set of U terms per class.
 
 Too slow for the test suite (the oracle enumerates 2,568 splittings of
 (4, 4) alone), so it runs as a script:
@@ -18,8 +20,9 @@ from fractions import Fraction
 
 from test_wallcross import splitting_sum, tied_table, u_terms
 
+from wallx.freelie import LieContext, UEAElement, expand_to_uea
 from wallx.ring import LaurentElement
-from wallx.ucoeff import EffectiveMonoid, linear_stability
+from wallx.ucoeff import EffectiveMonoid, linear_stability, utilde_lie_element
 from wallx.wallcross import InvariantTable, vw_wcf
 
 MASS = 8
@@ -50,8 +53,9 @@ def main() -> int:
         {cls: LaurentElement.gen(f"v{cls[0]}_{cls[1]}") for cls in classes},
         monoid=MONOID,
     )
+    ctx = LieContext(classes)
     for name, tau, taup in pairs():
-        oracle_s = product_s = 0.0
+        oracle_s = product_s = words_s = 0.0
         splittings = 0
         for alpha in classes:
             splittings += len(MONOID.decompositions(alpha))
@@ -65,9 +69,16 @@ def main() -> int:
             if got != expected:
                 print(f"{name}: MISMATCH at {alpha}")
                 return 1
+            start = time.perf_counter()
+            element = utilde_lie_element(alpha, tau, taup, MONOID, context=ctx)
+            words_s += time.perf_counter() - start
+            if expand_to_uea(element) != UEAElement(ctx, dict(terms)):
+                print(f"{name}: word sum MISMATCH at {alpha}")
+                return 1
         print(
             f"{name}: {len(classes)} classes equal, {splittings} splittings, "
-            f"splitting sum {oracle_s:.1f} s, vw_wcf {product_s:.2f} s"
+            f"splitting sum {oracle_s:.1f} s, vw_wcf {product_s:.2f} s, "
+            f"utilde_lie_element {words_s:.2f} s"
         )
     return 0
 
