@@ -287,12 +287,9 @@ class StabilityData:
 
     def see_saw_holds(self, monoid: EffectiveMonoid, target) -> bool:
         """Check the weak see-saw property over the two-part splittings
-        β + (target − β): the slope of ``target`` lies between theirs.
-
-        The verdict is memoized per class and per monoid generators, since
-        ``monoid.below`` depends on both; a SlopeUndefined raised on the way
-        is not kept.
-        """
+        β + (target − β): the slope of ``target`` lies between theirs.  The
+        verdict is kept per monoid generators and class (``below`` depends
+        on both); a SlopeUndefined raised on the way is not kept."""
         target = as_class(target)
         key = (monoid.generators, target)
         hit = self._see_saw.get(key)
@@ -614,9 +611,8 @@ def refactor(
     zero when it is falsy.  The result maps each class to X′_γ.
 
     The product is peeled one class at a time in increasing mass (the
-    mass-graded peel): the coefficient of a product at a class is its
-    linear term plus products of coefficients at lighter classes, and the
-    weak see-saw property keeps each exp(X_s) on the classes of slope s.
+    mass-graded peel); the weak see-saw property keeps each exp(X_s) on the
+    classes of slope s.
     """
     members = set(classes)
     splits = {cls: [] for cls in classes}
@@ -697,8 +693,7 @@ def _word_mul(left: dict, right: dict) -> dict:
 
 
 def _word_scale(value: dict, factor) -> dict:
-    # Most scaled coefficients are integers; keeping them as int, not
-    # Fraction, makes the sums several times cheaper.
+    # Most scaled coefficients are integral: int sums cost far less than Fraction.
     out = {w: c * factor for w, c in value.items()}
     return {w: c.numerator if c.denominator == 1 else c for w, c in out.items()}
 

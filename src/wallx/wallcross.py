@@ -258,12 +258,10 @@ def wcf_rhs(
     the table entries, assembled through the canonical Lie element so the
     result cannot depend on any coefficient convention.
 
-    The Lie element comes from ``utilde_lie_element``, the slope-ordered
-    peel in the free associative algebra, so the input contract is that of
-    ``vw_wcf``: both stabilities satisfy the weak see-saw property on every
-    class ≤ α (else SeeSawFailure, before any product), a splitting into
-    more than ``max_parts`` parts raises DecompositionOverflow, and an α
-    outside the cone gives the backend's zero."""
+    The Lie element comes from the slope-ordered peel, under the input
+    contract of ``vw_wcf`` (``ucoeff.peel_classes``: weak see-saw, else
+    SeeSawFailure; ``max_parts``, else DecompositionOverflow; both checked
+    before any product); an α outside the cone gives the backend's zero."""
     alpha = as_class(alpha)
     monoid = _require_monoid(table, monoid)
     element = utilde_lie_element(alpha, tau, tau_prime, monoid, max_parts=max_parts)
