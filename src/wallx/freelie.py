@@ -11,6 +11,7 @@ enveloping algebra.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
@@ -395,8 +396,15 @@ def uea_to_lie(p: UEAElement) -> LieElement:
     ctx.require_free("uea_to_lie")
     rem = dict(p.terms)
     out: dict[Word, object] = {}
-    while rem:
-        word = min(rem, key=lambda w: (len(w), ctx.key(w)))
+    # The leading word is the least in ``rem`` by (length, key): a word is
+    # pushed when it enters ``rem``, and skipped if popped after leaving it.
+    order = lambda w: (len(w), ctx.key(w), w)
+    heap = [order(w) for w in rem]
+    heapq.heapify(heap)
+    while heap:
+        word = heapq.heappop(heap)[2]
+        if word not in rem:
+            continue
         if not _is_lyndon(word, ctx):
             raise NotPrimitive(f"leading word {word!r} is not Lyndon")
         coeff = rem.pop(word)
@@ -406,7 +414,11 @@ def uea_to_lie(p: UEAElement) -> LieElement:
                 continue
             acc = rem.get(w)
             sub = coeff * c
-            acc = -sub if acc is None else acc - sub
+            if acc is None:
+                acc = -sub
+                heapq.heappush(heap, order(w))
+            else:
+                acc = acc - sub
             if acc:
                 rem[w] = acc
             elif w in rem:

@@ -365,9 +365,7 @@ def pair_sums() -> None:
     rng = random.Random(404)
     mon = EffectiveMonoid([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     qt3 = QuantumTorusBackend([[0, 1, -2], [-1, 0, 1], [2, -1, 0]])
-    rank_tau = StabilityData(
-        lambda cls: SlopeValue.of(1), rank=lambda cls: sum(cls)
-    )
+    flat_tau = StabilityData(lambda cls: SlopeValue.of(1))
     for _ in range(2):
         support = mon.effective_upto(2)
         source = InvariantTable(
@@ -382,12 +380,12 @@ def pair_sums() -> None:
         fr3 = {cls: rng.randint(1, 3) for cls in support}
         pairs = InvariantTable(
             {
-                cls: pair_invariant_rhs(cls, fr3, rank_tau, source, qt3, monoid=mon)
+                cls: pair_invariant_rhs(cls, fr3, flat_tau, source, qt3, monoid=mon)
                 for cls in support
             },
             monoid=mon,
         )
-        recovered = invert_semistable(pairs, fr3, rank_tau, qt3, monoid=mon)
+        recovered = invert_semistable(pairs, fr3, flat_tau, qt3, monoid=mon)
         for cls in support:
             _ensure(
                 recovered.value(cls) == source.value(cls),

@@ -171,39 +171,32 @@ class EffectiveMonoid:
             )
         return longest.get(as_class(target), 0)
 
-    def decompositions(
-        self, target, max_parts: int = 8, min_parts: int = 1
-    ) -> list[tuple[ClassVec, ...]]:
+    def decompositions(self, target, max_parts: int = 8) -> list[tuple[ClassVec, ...]]:
         """Ordered splittings of ``target`` into effective classes.
 
-        Raises DecompositionOverflow if some splitting would need more than
+        Each next part is a class of ``below`` the remainder, in sorted
+        order, so every remainder is effective or zero.  Raises
+        DecompositionOverflow if some splitting would need more than
         ``max_parts`` parts; splittings are never silently truncated.
         """
         target = as_class(target)
         if len(target) != self.dim:
             raise ValueError("class dimension does not match the monoid")
-        if not self.contains(target):
-            return []
-        candidates = self.effective_upto(_mass(target))
         out: list[tuple[ClassVec, ...]] = []
 
         def rec(rem: ClassVec, prefix: tuple) -> None:
             if not any(rem):
-                if len(prefix) >= min_parts:
-                    out.append(prefix)
-                return
-            if not self._reachable(rem):
+                out.append(prefix)
                 return
             if len(prefix) >= max_parts:
                 raise DecompositionOverflow(
                     f"{target} needs more than {max_parts} parts"
                 )
-            for part in candidates:
-                rest = tuple(c - pc for c, pc in zip(rem, part))
-                if _mass(rest) >= 0 and self._reachable(rest):
-                    rec(rest, prefix + (part,))
+            for part in sorted(self.below(rem)):
+                rec(tuple(c - pc for c, pc in zip(rem, part)), prefix + (part,))
 
-        rec(target, ())
+        if self.contains(target):
+            rec(target, ())
         return out
 
 
@@ -224,20 +217,17 @@ class StabilityData:
     source is read at most once per class and must be a pure function of the
     class: a mapping must not change after construction.  The weak see-saw
     verdict of a class is kept in the same way, per monoid.  The optional
-    ``chi`` (an antisymmetric integer matrix or a callable), ``rank`` and
-    ``fr`` (each a class-keyed mapping, read once here, or a callable) feed
-    the downstream wall-crossing operations.
+    ``chi`` (an antisymmetric integer matrix or a callable) and ``fr`` (a
+    class-keyed mapping, read once here, or a callable) feed the downstream
+    wall-crossing operations.
     """
 
-    __slots__ = ("_slope", "_slopes", "_see_saw", "_rank", "_chi", "_fr", "name")
+    __slots__ = ("_slope", "_slopes", "_see_saw", "_chi", "_fr", "name")
 
-    def __init__(self, slope, *, rank=None, chi=None, fr=None, name="tau"):
+    def __init__(self, slope, *, chi=None, fr=None, name="tau"):
         object.__setattr__(self, "_slope", slope)
         object.__setattr__(self, "_slopes", {})
         object.__setattr__(self, "_see_saw", {})
-        if rank is not None:
-            rank = class_lookup(rank, ValueError, "rank")
-        object.__setattr__(self, "_rank", rank)
         if chi is not None:
             chi = pairing_form(chi)
         object.__setattr__(self, "_chi", chi)
@@ -266,11 +256,6 @@ class StabilityData:
             raise SlopeUndefined(f"no slope for class {cls}")
         out = self._slopes[cls] = _to_slope(value)
         return out
-
-    def rank_of(self, cls) -> int:
-        if self._rank is None:
-            raise ValueError(f"{self.name} carries no rank function")
-        return self._rank(cls)
 
     def chi(self, a, b) -> int:
         if self._chi is None:

@@ -6,7 +6,12 @@ quantum torus, whose bracket multiplies values and picks up the quantum
 integer of the pairing of the classes.  The main entry points assemble the
 universal-coefficient Lie element and push it through a backend, evaluate
 the framed pair sum with its distinguished degree-zero slot, and invert
-that sum by rank induction.
+that sum class by class in increasing mass.
+
+The framed pair sum at α is the class-(α, 1) coefficient of exp(ad E)(∂),
+E the table's entries on the classes below α of α's slope, taken by the
+graded recurrence y_k = [E, y_{k−1}]/k over those classes; it reads the
+table at every class of E.
 
 The numerical wall-crossing sum ``vw_wcf`` is read from the factorization
 identity instead of summing over ordered splittings: the product of
@@ -28,6 +33,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import (
+    DecompositionOverflow,
     MissingChi,
     MissingFr,
     UnsupportedClass,
@@ -290,31 +296,18 @@ def _fr_lookup(fr, tau: StabilityData | None):
     return class_lookup(fr, MissingFr, "fr value")
 
 
-def _extended_backend(backend: QuantumTorusBackend, fr) -> QuantumTorusBackend:
-    """Adjoin the distinguished degree-zero slot: one extra coordinate whose
-    pairing against a class β is fr(β)."""
-    base_chi = backend.chi
-
-    def chi(x, y):
-        out = base_chi(x[:-1], y[:-1])
-        if y[-1]:
-            out += y[-1] * fr(x[:-1])
-        if x[-1]:
-            out -= x[-1] * fr(y[:-1])
-        return out
-
-    return QuantumTorusBackend(chi, qint=backend.qint, kappa=backend.kappa)
-
-
-def _equal_slope_decompositions(
-    monoid: EffectiveMonoid, alpha, tau: StabilityData, max_parts: int
-):
-    target_slope = tau.slope_of(alpha)
-    return [
-        parts
-        for parts in monoid.decompositions(alpha, max_parts=max_parts)
-        if all(tau.slope_of(p) == target_slope for p in parts)
-    ]
+def _laurent_entries(table: InvariantTable, classes) -> dict:
+    """The table's entries at ``classes`` as Laurent elements, read at every
+    class (UnsupportedClass unless ``zero_missing``); missing ones are left out."""
+    entries = {}
+    for cls in classes:
+        value = table.value(cls)
+        if value is None:
+            continue
+        if not isinstance(value, LaurentElement):
+            value = LaurentElement.const(value)
+        entries[cls] = value
+    return entries
 
 
 def pair_invariant_rhs(
@@ -326,34 +319,51 @@ def pair_invariant_rhs(
     *,
     monoid: EffectiveMonoid | None = None,
     max_parts: int = 8,
-    min_parts: int = 1,
 ) -> LaurentElement:
-    """Framed pair sum: Σ over equal-slope splittings, weighted 1/n!, of the
-    nested brackets [z_{α_n},[…,[z_{α_1},∂]…]] against the degree-zero slot.
+    """Framed pair sum: the class-(α, 1) coefficient of exp(ad E)(∂), with
+    E = Σ table(γ)·z_γ over the classes γ ≤ α (``monoid.below(alpha)``) with
+    τ(γ) = τ(α), and ∂ the distinguished degree-zero slot.
 
-    Each bracket against the accumulated right-hand side contributes the
-    quantum integer of fr(α_i) plus the pairing of α_i with the partial sum,
-    so the n = 1 term is [fr(α)]·table(α)."""
+    Expanded, it is the sum over equal-slope ordered splittings, weighted
+    1/n!, of the nested brackets [z_{α_n},[…,[z_{α_1},∂]…]].  The bracket of
+    z_γ with the slot at class β is [χ(γ,β) + fr(γ)]·table(γ), so the n = 1
+    term is [fr(α)]·table(α).  It is computed as Σ_k y_k at α by the graded
+    recurrence y_0 = ∂, y_k = [E, y_{k−1}]/k over the classes ≤ α.
+
+    Input contract: an α outside the cone gives zero; a splitting of α into
+    more than ``max_parts`` parts raises DecompositionOverflow; the table is
+    read at every class of E (UnsupportedClass unless ``zero_missing``), and
+    fr at every class of E with an entry (MissingFr)."""
     alpha = as_class(alpha)
     monoid = _require_monoid(table, monoid)
     fr = _fr_lookup(fr, tau)
-    extended = _extended_backend(backend, fr)
-    dim = len(alpha)
-    slot = extended.lift((0,) * dim + (1,), LaurentElement.const(1))
-
-    def terms():
-        for parts in _equal_slope_decompositions(monoid, alpha, tau, max_parts):
-            if len(parts) < min_parts:
-                continue
-            nested = slot
-            for cls in parts:
-                entry = extended.lift(cls + (0,), table.value(cls))
-                nested = extended.bracket(entry, nested)
-            if nested.cls is None:
-                continue
-            yield Fraction(1, math.factorial(len(parts))) * nested.value
-
-    return laurent_sum(terms())
+    if not monoid.contains(alpha):
+        return LaurentElement.zero()
+    longest = monoid.longest_splitting(alpha)
+    if longest > max_parts:
+        raise DecompositionOverflow(f"{alpha} needs more than {max_parts} parts")
+    classes = monoid.below(alpha)
+    slope = tau.slope_of(alpha)
+    same = [cls for cls in classes if tau.slope_of(cls) == slope]
+    entries = [
+        (cls, fr(cls), value) for cls, value in _laurent_entries(table, same).items()
+    ]
+    members = set(classes)
+    # The layers hold k!·y_k, so no 1/k enters a product.
+    layer = {(0,) * len(alpha): LaurentElement.const(1)}
+    found = []
+    for k in range(1, longest + 1):
+        terms: dict[tuple, list] = {}
+        for beta, y in layer.items():
+            for gamma, fr_gamma, value in entries:
+                cls = tuple(b + g for b, g in zip(beta, gamma))
+                if cls in members:
+                    weight = backend.qint(backend.chi(gamma, beta) + fr_gamma)
+                    terms.setdefault(cls, []).append(weight * value * y)
+        layer = {cls: laurent_sum(items) for cls, items in terms.items()}
+        if alpha in layer:
+            found.append(Fraction(1, math.factorial(k)) * layer[alpha])
+    return laurent_sum(found)
 
 
 def invert_semistable(
@@ -367,13 +377,14 @@ def invert_semistable(
 ) -> InvariantTable:
     """Recover the invariant table from its framed pair sums.
 
-    Works by induction on the rank carried by ``tau``: every proper
-    equal-slope summand has smaller rank, so the n ≥ 2 contributions are
-    already known and the n = 1 term divides out exactly by [fr(α)]."""
+    Works class by class in increasing mass: every proper equal-slope
+    summand of a class is lighter, so the pair sum of the entries recovered
+    so far is the n ≥ 2 part, and the n = 1 term [fr(α)]·table(α) divides
+    out exactly."""
     monoid = _require_monoid(pair_table, monoid)
     fr_of = _fr_lookup(fr, tau)
     recovered: dict[tuple, LaurentElement] = {}
-    for cls in sorted(pair_table.support(), key=tau.rank_of):
+    for cls in sorted(pair_table.support(), key=sum):
         fr_val = fr_of(cls)
         if fr_val == 0:
             raise ZeroQuantumInteger(
@@ -381,14 +392,7 @@ def invert_semistable(
             )
         partial = InvariantTable(recovered, zero_missing=True, monoid=monoid)
         higher = pair_invariant_rhs(
-            cls,
-            fr_of,
-            tau,
-            partial,
-            backend,
-            monoid=monoid,
-            max_parts=max_parts,
-            min_parts=2,
+            cls, fr_of, tau, partial, backend, monoid=monoid, max_parts=max_parts
         )
         value = pair_table.value(cls)
         if not isinstance(value, LaurentElement):
@@ -438,14 +442,7 @@ def vw_wcf(
     classes = peel_classes(alpha, tau_one, tau_two, monoid, max_parts)
     if not classes:
         return LaurentElement.zero()
-    entries = {}
-    for cls in classes:
-        value = table.value(cls)
-        if value is None:
-            continue
-        if not isinstance(value, LaurentElement):
-            value = LaurentElement.const(value)
-        entries[cls] = value
+    entries = _laurent_entries(table, classes)
     if qint is not None:
         kappa = _fresh_name("kappa", entries.values())
     grade = None

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module of the package imports is used, and
-no module reaches into a sibling's private names."""
+"""Source hygiene: every name a module of the package imports is used, no
+module reaches into a sibling's private names, and every private module-level
+name is read by its own module."""
 
 from __future__ import annotations
 
@@ -51,6 +52,33 @@ def _private_imports(tree: ast.Module) -> list[str]:
     ]
 
 
+def _unread_private_names(tree: ast.Module) -> list[str]:
+    """Module-level underscore functions, classes and constants that the
+    module never reads; dunders are exempt.  A read inside the name's own
+    definition (a recursive call) does not count."""
+    defined: dict[str, ast.stmt] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for elt in ast.walk(target):
+                    if isinstance(elt, ast.Name):
+                        defined[elt.id] = node
+    out = []
+    for name, node in defined.items():
+        if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+            continue
+        own = {id(n) for n in ast.walk(node)}
+        if not any(
+            isinstance(n, ast.Name) and n.id == name and id(n) not in own
+            for n in ast.walk(tree)
+        ):
+            out.append(f"{name} (line {node.lineno})")
+    return out
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path: Path) -> None:
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -85,3 +113,26 @@ def test_scan_sees_a_private_import() -> None:
         ".ring._coef (line 2)",
         "wallx.freelie._expand_lyndon (line 3)",
     ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_name_is_read(path: Path) -> None:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unread_private_names(tree) == []
+
+
+def test_scan_sees_an_unread_private_name() -> None:
+    tree = ast.parse(
+        "__version__ = '1'\n"
+        "_LIMIT = 3\n"
+        "_SCALE = 2\n"
+        "class _Box:\n"
+        "    pass\n"
+        "def _walk(n):\n"
+        "    return _walk(n - 1) if n else _Box()\n"
+        "def _half(n):\n"
+        "    return n // _SCALE\n"
+        "def run():\n"
+        "    return _half(4)\n"
+    )
+    assert _unread_private_names(tree) == ["_LIMIT (line 2)", "_walk (line 6)"]

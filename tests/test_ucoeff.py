@@ -141,11 +141,10 @@ class TestEffectiveMonoid:
         mon = EffectiveMonoid([(1, 0), (0, 1)])
         found = mon.decompositions((2, 0))
         assert sorted(found) == [((1, 0), (1, 0)), ((2, 0),)]
-
-    def test_decompositions_min_parts(self):
-        mon = EffectiveMonoid([(1, 0), (0, 1)])
-        found = mon.decompositions((1, 1), min_parts=2)
-        assert sorted(found) == [((0, 1), (1, 0)), ((1, 0), (0, 1))]
+        # Parts are tried in class order, so the splittings come out sorted,
+        # although by mass (1, 0) precedes (0, 2).
+        found = mon.decompositions((1, 2))
+        assert found == sorted(found) and len(found) == 8
 
     def test_decomposition_counts_single_generator(self):
         # splittings of n into ordered positive parts: 2^(n-1)
@@ -259,7 +258,7 @@ class TestStabilityData:
                     or tau.slope_of(a) <= mid <= tau.slope_of(b)
                     for a, b in (
                         parts
-                        for parts in mon.decompositions(target, min_parts=2)
+                        for parts in mon.decompositions(target)
                         if len(parts) == 2
                     )
                 )
@@ -337,14 +336,6 @@ class TestClassLookup:
     def test_callable(self):
         lookup = class_lookup(lambda cls: cls[0] + 2 * cls[1], MissingFr, "fr value")
         assert lookup([1, 1]) == 3
-
-    def test_rank_mapping_missing_class(self):
-        tau = StabilityData({}, rank={(1, 0): 1})
-        assert tau.rank_of((1, 0)) == 1
-        with pytest.raises(ValueError, match=r"no rank for class \(0, 1\)"):
-            tau.rank_of((0, 1))
-        with pytest.raises(ValueError, match="no rank function"):
-            StabilityData({}).rank_of((1, 0))
 
     def test_callable_fr(self):
         tau = StabilityData({}, fr=lambda cls: cls[0] - cls[1])

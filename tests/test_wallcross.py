@@ -16,14 +16,16 @@ from wallx.errors import (
 )
 from wallx.freelie import LieContext, LieElement, UEAElement, expand_to_uea, left_nested
 from wallx.kclasses import quantum_integer
-from wallx.ring import LaurentElement, SlopeValue, specialize_kappa
+from wallx.ring import LaurentElement, SlopeValue, laurent_sum, specialize_kappa
 from wallx.ucoeff import (
     EffectiveMonoid,
     StabilityData,
     U_coeff,
+    as_class,
     class_lookup,
     class_sum,
     linear_stability,
+    pairing_form,
     utilde_lie_element,
     utilde_word_sum,
 )
@@ -311,33 +313,38 @@ class TestReducedFilter:
             reduced_filter(self.DECOMPS, table, 1)
 
 
+def pair_sum_oracle(alpha, tau, table, chi, fr, *, monoid=MONOID, qint=quantum_integer):
+    """Direct expansion of the framed pair sum over the equal-slope ordered
+    splittings of ``alpha``:
+
+        Σ (1/n!)·Π_i [fr(α_i) + χ(α_i, α_1+…+α_{i−1})]·table(α_i)
+
+    with ``chi`` a matrix and ``fr`` a class-keyed mapping or a callable."""
+    chi = pairing_form(chi)
+    fr = class_lookup(fr, MissingFr, "fr value")
+    qint = functools.lru_cache(maxsize=None)(qint)
+    terms = []
+    slope = tau.slope_of(alpha)
+    for parts in splittings(monoid, as_class(alpha)):
+        if any(tau.slope_of(p) != slope for p in parts):
+            continue
+        weight = values = L.const(1)
+        partial = (0,) * len(alpha)
+        for cls in parts:
+            value = table.value(cls)
+            if value is None:
+                break
+            weight = weight * qint(fr(cls) + chi(cls, partial))
+            values = values * value
+            partial = class_sum([partial, cls])
+        else:
+            terms.append(F(1, math.factorial(len(parts))) * (weight * values))
+    return laurent_sum(terms)
+
+
 class TestPairInvariant:
     TAU = linear_stability([1, 1], [1, 1])
     FR = {(1, 0): 1, (0, 1): 3, (1, 1): 2, (2, 0): 4, (0, 2): 5, (2, 1): 1, (1, 2): 2}
-
-    def brute(self, alpha, table, chi_matrix, fr):
-        # direct expansion of the displayed sum:
-        # sum over equal-slope ordered splittings of
-        # (1/n!) prod_i [fr(a_i) + chi(a_i, a_1+...+a_{i-1})] vw_{a_i}
-        def chi(x, y):
-            return sum(
-                x[i] * chi_matrix[i][j] * y[j]
-                for i in range(2)
-                for j in range(2)
-            )
-
-        acc = L.zero()
-        slope = self.TAU.slope_of(alpha)
-        for parts in MONOID.decompositions(alpha):
-            if any(self.TAU.slope_of(p) != slope for p in parts):
-                continue
-            term = L.const(F(1, math.factorial(len(parts))))
-            partial = (0, 0)
-            for cls in parts:
-                term = term * q(fr[cls] + chi(cls, partial)) * table.value(cls)
-                partial = class_sum([partial, cls])
-            acc = acc + term
-        return acc
 
     def test_single_class_term(self):
         qt = QuantumTorusBackend(CHI)
@@ -350,7 +357,7 @@ class TestPairInvariant:
         table = symbol_table(MONOID.effective_upto(3), monoid=MONOID)
         for alpha in ((1, 1), (2, 1), (1, 2)):
             got = pair_invariant_rhs(alpha, self.FR, self.TAU, table, qt)
-            assert got == self.brute(alpha, table, CHI, self.FR)
+            assert got == pair_sum_oracle(alpha, self.TAU, table, CHI, self.FR)
 
     def test_missing_fr(self):
         qt = QuantumTorusBackend(CHI)
@@ -370,14 +377,12 @@ class TestPairInvariant:
 
 
 class TestInvertSemistable:
-    def rank_stability(self):
-        return StabilityData(
-            lambda cls: SlopeValue.of(1), rank=lambda cls: cls[0] + cls[1]
-        )
+    def flat_stability(self):
+        return StabilityData(lambda cls: SlopeValue.of(1))
 
     def test_single_class(self):
         qt = QuantumTorusBackend(CHI)
-        tau = self.rank_stability()
+        tau = self.flat_stability()
         pair = InvariantTable({(1, 0): q(2) * L.gen("p")}, monoid=MONOID)
         out = invert_semistable(pair, {(1, 0): 2}, tau, qt)
         assert out.value((1, 0)) == L.gen("p")
@@ -387,9 +392,7 @@ class TestInvertSemistable:
         mon = EffectiveMonoid([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         chi = [[0, 1, -2], [-1, 0, 1], [2, -1, 0]]
         qt = QuantumTorusBackend(chi)
-        tau = StabilityData(
-            lambda cls: SlopeValue.of(1), rank=lambda cls: sum(cls)
-        )
+        tau = self.flat_stability()
         for _ in range(3):
             support = mon.effective_upto(2)
             table = InvariantTable(
@@ -415,7 +418,7 @@ class TestInvertSemistable:
 
     def test_zero_quantum_integer(self):
         qt = QuantumTorusBackend(CHI)
-        tau = self.rank_stability()
+        tau = self.flat_stability()
         pair = InvariantTable({(1, 0): L.gen("p")}, monoid=MONOID)
         with pytest.raises(ZeroQuantumInteger):
             invert_semistable(pair, {(1, 0): 0}, tau, qt)
@@ -798,6 +801,94 @@ class TestVwWcfContract:
         ]
         assert element.is_zero() and letters.is_zero()
         assert value == QuantumTorusBackend(CHI).zero()
+
+
+# -- framed pair sums against their splitting sum --------------------------------
+
+PAIR_GRID = {
+    "two-generators": ([TWO], CHI, 6),
+    "three-generators": ([THREE, NON_FREE], CHI3, 4),
+}
+
+
+def pair_stability(kind, dim, mass):
+    """Constant, linear, or linear rounded down to halves (ties across
+    directions); with the constant slope every splitting has equal slopes."""
+    if kind == "constant":
+        return StabilityData(lambda cls: SlopeValue.of(1))
+    a, b = [1] + [0] * (dim - 1), [1] * dim
+    if kind == "linear":
+        return linear_stability(a, b)
+    return tied_table(TWO if dim == 2 else THREE, a, b, F(1, 2), mass=mass)
+
+
+def pair_fr(cls):
+    return 1 + cls[0] + 2 * cls[-1]
+
+
+@pytest.mark.parametrize("grid", list(PAIR_GRID))
+@pytest.mark.parametrize("kind", ["constant", "linear", "tied"])
+@pytest.mark.parametrize("qint", [None, unrefined_integer], ids=["refined", "unrefined"])
+def test_pair_sum_equals_splitting_sum_and_inverts(grid, kind, qint):
+    # Both three-generator monoids have the same classes and splittings, so
+    # one oracle sum serves both.
+    monoids, chi, mass = PAIR_GRID[grid]
+    tau = pair_stability(kind, len(chi), mass)
+    expected = {}
+    for monoid in monoids:
+        table = crossing_table(monoid, mass, seed=len(chi))
+        qt = QuantumTorusBackend(chi, qint=qint)
+        pairs = {}
+        for alpha in monoid.effective_upto(mass):
+            if alpha not in expected:
+                expected[alpha] = pair_sum_oracle(
+                    alpha, tau, table, chi, pair_fr,
+                    monoid=monoid, qint=qint or quantum_integer,
+                )
+            got = pairs[alpha] = pair_invariant_rhs(alpha, pair_fr, tau, table, qt)
+            assert got == expected[alpha] and repr(got) == repr(expected[alpha])
+        pair_table = InvariantTable(pairs, monoid=monoid)
+        recovered = invert_semistable(pair_table, pair_fr, tau, qt)
+        assert recovered.entries == table.entries
+
+
+class TestPairInvariantContract:
+    FLAT = StabilityData(lambda cls: SlopeValue.of(1))
+
+    def test_max_parts_overflows_where_the_splittings_do(self):
+        for monoid, chi in ((MONOID, CHI), (NON_FREE, CHI3)):
+            table = symbol_table(monoid.effective_upto(4), monoid=monoid)
+            qt = QuantumTorusBackend(chi)
+            for alpha in monoid.effective_upto(4):
+                for max_parts in range(1, 5):
+                    run = lambda: pair_invariant_rhs(
+                        alpha, pair_fr, self.FLAT, table, qt, max_parts=max_parts
+                    )
+                    try:
+                        monoid.decompositions(alpha, max_parts=max_parts)
+                    except DecompositionOverflow:
+                        with pytest.raises(DecompositionOverflow, match="parts"):
+                            run()
+                    else:
+                        run()
+
+    def test_a_class_outside_the_cone_gives_zero(self):
+        # Neither the empty table nor the empty fr mapping is read.
+        empty = InvariantTable({}, monoid=MONOID)
+        qt = QuantumTorusBackend(CHI)
+        assert pair_invariant_rhs((1, -1), {}, self.FLAT, empty, qt) == L.zero()
+
+    def test_every_equal_slope_class_below_the_target_needs_an_entry(self):
+        qt = QuantumTorusBackend(CHI)
+        table = symbol_table([(2, 1)], monoid=MONOID)
+        with pytest.raises(UnsupportedClass):
+            pair_invariant_rhs((2, 1), pair_fr, self.FLAT, table, qt)
+        sparse = symbol_table([(2, 1)], zero_missing=True, monoid=MONOID)
+        own_term = q(pair_fr((2, 1))) * L.gen("v21")
+        assert pair_invariant_rhs((2, 1), pair_fr, self.FLAT, sparse, qt) == own_term
+        # No other class below (2, 1) has its linear slope, and none is read.
+        linear = linear_stability([1, 0], [1, 1])
+        assert pair_invariant_rhs((2, 1), pair_fr, linear, table, qt) == own_term
 
 
 class TestSimpleTypeExponential:
