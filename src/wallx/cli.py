@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Loads a JSON configuration describing named classes, stability tables,
-an optional pairing matrix, framing/reduction counts, and invariant
-entries; then runs coefficient tables (``ucoeff``), wall-crossing
-evaluations (``wallcross`` and its quantum-torus alias ``vwnum``),
-descendent transformations (``descendent``), or the acceptance checks
+an optional pairing matrix, reduction counts, and invariant entries;
+then runs coefficient tables (``ucoeff``), wall-crossing evaluations
+(``wallcross`` and its quantum-torus alias ``vwnum``), descendent
+transformations (``descendent``), or the acceptance checks
 (``selftest``).  All emitted numbers are exact rationals or Laurent
 expressions — never floating point.
 """
@@ -37,7 +37,7 @@ L = LaurentElement
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 _SYMBOL = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_SECTIONS = ("classes", "stabilities", "chi", "fr", "o", "invariants")
+_SECTIONS = ("classes", "stabilities", "chi", "o", "invariants")
 
 
 # -- configuration ----------------------------------------------------------------
@@ -54,7 +54,6 @@ class Config:
     classes: dict
     stabilities: dict
     chi: tuple | None
-    fr: dict
     o: dict
     invariants: dict
 
@@ -215,7 +214,6 @@ def parse_config(text: str) -> Config:
                         f"chi must be antisymmetric: chi[{i}][{j}] != -chi[{j}][{i}]",
                     )
 
-    fr = _named_nat_map(raw.get("fr", {}), classes, text, "fr")
     o = _named_nat_map(raw.get("o", {}), classes, text, "o")
     if o and len(o) < len(classes):
         missing = ", ".join(name for name in classes if name not in o)
@@ -227,7 +225,7 @@ def parse_config(text: str) -> Config:
             _fail(text, name, f"invariants references unknown class {name!r}")
         invariants[name] = _canon_invariant(value, text, name)
 
-    return Config(classes, stabilities, chi, fr, o, invariants)
+    return Config(classes, stabilities, chi, o, invariants)
 
 
 def serialize_config(config: Config) -> str:
@@ -240,8 +238,6 @@ def serialize_config(config: Config) -> str:
         }
     if config.chi is not None:
         tree["chi"] = [list(row) for row in config.chi]
-    if config.fr:
-        tree["fr"] = dict(config.fr)
     if config.o:
         tree["o"] = dict(config.o)
     if config.invariants:
@@ -274,8 +270,7 @@ def build_stability(config: Config, name: str) -> StabilityData:
             f"unknown stability table {name!r}; available: {available}"
         ) from None
     slope = {config.classes[cls]: entries for cls, entries in table.items()}
-    fr = {config.classes[cls]: n for cls, n in config.fr.items()} or None
-    return StabilityData(slope, chi=config.chi, fr=fr, name=name)
+    return StabilityData(slope, name=name)
 
 
 def _value_of(canonical: str) -> LaurentElement:
@@ -418,20 +413,16 @@ def cmd_wallcross(
     }
 
 
-def cmd_descendent(keys: tuple, order: int) -> dict:
-    """DT-to-PT transformation of the descendent indexed by ``keys``.
-
-    Every emitted object is an exact finite expression, so the series
-    order is validated and echoed but nothing is truncated by it.
+def cmd_descendent(keys: tuple) -> dict:
+    """DT-to-PT transformation of the descendent indexed by ``keys``, and its
+    corner coefficient; both are exact finite expressions, so nothing is
+    truncated.
     """
-    if order < 0:
-        raise ConfigError("order must be nonnegative")
     label = "sigma{" + ",".join(str(k) for k in keys) + "}"
     return {
         "command": "descendent",
         "N": len(keys),
         "keys": list(keys),
-        "order": order,
         "label": label,
         "expansion": str(dt_to_pt(keys)),
         "corner": str(y_recursion(keys)),
@@ -566,7 +557,7 @@ def _handle_vwnum(args) -> int:
 
 
 def _handle_descendent(args) -> int:
-    tree = cmd_descendent(_parse_keys(args.keys), args.order)
+    tree = cmd_descendent(_parse_keys(args.keys))
     _emit(tree, args, _render_descendent)
     return 0
 
@@ -656,9 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--keys",
         default="",
         help="comma-separated insertion keys, e.g. 1,2 (empty for none)",
-    )
-    p.add_argument(
-        "--order", type=int, default=12, help="series truncation order (default 12)"
     )
     _add_format(p)
     p.set_defaults(handler=_handle_descendent)

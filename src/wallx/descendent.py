@@ -263,12 +263,7 @@ def factorized_entry(sigma: SetPartition, order: int) -> LaurentElement:
     assert all(e >= 0 for el in factors for m in el.terms for _, e in m)
     trunc = Trunc(frozenset().union(*(el.variables() for el in factors)), 2 * order)
     stay = (n - 1) * merge_symbol(()) * LaurentElement.const(1, trunc)
-    power = LaurentElement.const(1, trunc)
-    terms = []
-    for m in range(order + 1):
-        terms.append(Fraction(1, math.factorial(m)) * power)
-        power = power * stay
-    acc = laurent_sum(terms, trunc)
+    acc = plethystic_exp(stay)
     for corner in corners:
         acc = acc * corner
     return acc.without_trunc()
@@ -491,11 +486,7 @@ def pair_chern_character(n: int, *, weights=("s1", "s2", "s3")) -> LaurentElemen
         factor = td_series(w, bound).subs_monomial(w, LaurentElement.gen(w) * t)
         td = td * factor.without_trunc()
 
-    expv = LaurentElement.zero(trunc)
-    for j in range(bound + 1):
-        expv = expv + Fraction((-1) ** j, math.factorial(j)) * (
-            LaurentElement.gen("v") * t
-        ) ** j
+    expv = plethystic_exp(-(LaurentElement.gen("v") * t) * one)
 
     points = LaurentElement.zero(trunc)
     units = LaurentElement.zero(trunc)

@@ -21,33 +21,20 @@ Word = tuple
 
 
 class LieContext:
-    """An ordered alphabet, with at most one declared commuting pair.
+    """An ordered alphabet: letters are arbitrary hashables, ordered by
+    declaration, and the algebra is free on them."""
 
-    Letters are arbitrary hashables, ordered by declaration.  If ``commuting``
-    names a pair (a, b), the algebra is the quotient by [a, b] = 0; words are
-    then normalized by the confluent rewrite  b·a → a·b  and the Lyndon-basis
-    operations are unavailable.
-    """
+    __slots__ = ("letters", "index", "_expansions")
 
-    __slots__ = ("letters", "index", "commuting", "_expansions")
-
-    def __init__(self, letters: Sequence[Hashable], commuting=None):
+    def __init__(self, letters: Sequence[Hashable]):
         letters = tuple(letters)
         index = {}
         for i, letter in enumerate(letters):
             if letter in index:
                 raise ValueError(f"duplicate letter {letter!r}")
             index[letter] = i
-        if commuting is not None:
-            a, b = commuting
-            if a not in index or b not in index or a == b:
-                raise ValueError("commuting pair must be two distinct letters")
-            if index[a] > index[b]:
-                a, b = b, a
-            commuting = (a, b)
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "commuting", commuting)
         object.__setattr__(self, "_expansions", {})
 
     def __setattr__(self, name, value):
@@ -55,25 +42,6 @@ class LieContext:
 
     def key(self, word: Word) -> tuple[int, ...]:
         return tuple(self.index[letter] for letter in word)
-
-    def normalize(self, word: Word) -> Word:
-        """Canonical form of a word under the single commuting-pair rewrite."""
-        if self.commuting is None:
-            return tuple(word)
-        a, b = self.commuting
-        out = list(word)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(out) - 1):
-                if out[i] == b and out[i + 1] == a:
-                    out[i], out[i + 1] = a, b
-                    changed = True
-        return tuple(out)
-
-    def require_free(self, what: str) -> None:
-        if self.commuting is not None:
-            raise ValueError(f"{what} needs a free context (no commuting pair)")
 
 
 # -- Lyndon words ----------------------------------------------------------------
@@ -138,7 +106,7 @@ class UEAElement:
             for word, coeff in terms.items():
                 if not coeff:
                     continue
-                word = context.normalize(word)
+                word = tuple(word)
                 acc = clean.get(word)
                 acc = coeff if acc is None else acc + coeff
                 if acc:
@@ -212,7 +180,7 @@ class UEAElement:
             for w2, c2 in other.terms.items():
                 if maxlen is not None and len(w1) + len(w2) > maxlen:
                     continue
-                word = ctx.normalize(w1 + w2)
+                word = w1 + w2
                 coeff = c1 * c2
                 acc = out.get(word)
                 acc = coeff if acc is None else acc + coeff
@@ -260,7 +228,6 @@ class LieElement:
     __slots__ = ("context", "terms")
 
     def __init__(self, context: LieContext, terms: Mapping[Word, object] | None = None):
-        context.require_free("LieElement")
         clean: dict[Word, object] = {}
         if terms:
             for word, coeff in terms.items():
@@ -393,7 +360,6 @@ def uea_to_lie(p: UEAElement) -> LieElement:
     length.  Raises NotPrimitive if the input is not in the Lie subspace.
     """
     ctx = p.context
-    ctx.require_free("uea_to_lie")
     rem = dict(p.terms)
     out: dict[Word, object] = {}
     # The leading word is the least in ``rem`` by (length, key): a word is
@@ -442,7 +408,6 @@ def dynkin_project(p: UEAElement, n: int) -> LieElement:
     ``uea_to_lie``; NotPrimitive is raised when ``p`` is not a Lie element.
     """
     ctx = p.context
-    ctx.require_free("dynkin_project")
     if p.is_zero():
         return LieElement.zero(ctx)
     if p.word_lengths() != {n}:

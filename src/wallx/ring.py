@@ -282,11 +282,6 @@ class LaurentElement:
             return None
         return min(dict(m).get(var, 0) for m in self.terms)
 
-    def max2(self, var: str) -> int | None:
-        if not self.terms:
-            return None
-        return max(dict(m).get(var, 0) for m in self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -727,11 +722,6 @@ class RationalElement:
     def is_laurent(self) -> bool:
         return self.den == ONE
 
-    def as_laurent(self) -> LaurentElement:
-        if not self.is_laurent():
-            raise NonRational(f"not a Laurent element: {self}")
-        return self.num
-
     def maybe_laurent(self) -> "LaurentElement | RationalElement":
         return self.num if self.is_laurent() else self
 
@@ -1053,49 +1043,21 @@ def exact_laurent_div(num: Element, den: Element, var: str) -> LaurentElement:
 # -- specialization at kappa = 1 ----------------------------------------------
 
 
-def _divide_y_minus_one(el: LaurentElement, var: str) -> LaurentElement:
-    """Exact division of el by (var**(1/2) - 1); el must vanish at var = 1."""
-    coeffs = el.coeffs_in(var)
-    if not coeffs:
-        return ZERO
-    lo, hi = min(coeffs), max(coeffs)
-    if lo < 0:
-        raise ValueError("clear negative powers before dividing")
-    quot: dict[int, LaurentElement] = {}
-    carry = ZERO
-    for j in range(hi, 0, -1):
-        carry = carry + coeffs.get(j, ZERO)
-        quot[j - 1] = carry
-    if carry + coeffs.get(0, ZERO) != ZERO:
-        raise ValueError("element does not vanish at 1")
-    return laurent_sum(
-        c * LaurentElement({((var, j),): 1} if j else {(): 1})
-        for j, c in quot.items()
-    )
-
-
-def _clear_negative(el: LaurentElement, var: str) -> tuple[LaurentElement, int]:
-    v = el.val2(var)
-    if v is None or v >= 0:
-        return el, 0
-    return el * LaurentElement({((var, -v),): 1}), -v
-
-
 def specialize_kappa(f: Element, *, var: str = "k"):
     """Value at ``var = 1`` when the limit exists; PoleAtOne otherwise."""
     if isinstance(f, LaurentElement):
         if f.trunc is not None and var in f.trunc.names:
             raise NonRational(f"cannot specialize a truncated series in {var!r}")
         return f.subs_one(var)
-    num, _ = _clear_negative(f.num, var)
-    den, _ = _clear_negative(f.den, var)
+    num, den = f.num, f.den
+    root_minus_one = LaurentElement({((var, 1),): 1, (): -1})
     while den.subs_one(var) == ZERO:
         if num.subs_one(var) != ZERO:
             raise PoleAtOne(f"genuine pole at {var} = 1")
         if not num.terms:
             break
-        num = _divide_y_minus_one(num, var)
-        den = _divide_y_minus_one(den, var)
+        num = exact_laurent_div(num, root_minus_one, var)
+        den = exact_laurent_div(den, root_minus_one, var)
     d1 = den.subs_one(var)
     if not num.terms:
         return LaurentElement.zero()
@@ -1107,14 +1069,14 @@ def specialize_kappa(f: Element, *, var: str = "k"):
 
 def kappa_one_vanishing_order(f: Element, *, var: str = "k") -> int | None:
     """Order of vanishing at ``var = 1`` (negative for poles, None for 0)."""
+    root_minus_one = LaurentElement({((var, 1),): 1, (): -1})
 
     def _order(el: LaurentElement) -> int | None:
         if not el.terms:
             return None
-        el, _ = _clear_negative(el, var)
         n = 0
         while el.subs_one(var) == ZERO:
-            el = _divide_y_minus_one(el, var)
+            el = exact_laurent_div(el, root_minus_one, var)
             n += 1
         return n
 

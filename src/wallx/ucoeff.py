@@ -24,8 +24,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DecompositionOverflow,
-    MissingChi,
-    MissingFr,
     SeeSawFailure,
     SlopeUndefined,
 )
@@ -209,31 +207,24 @@ def _to_slope(value) -> SlopeValue:
 
 
 class StabilityData:
-    """Weak stability data: a slope assignment plus optional numerical data.
+    """Weak stability data: a slope assignment on classes.
 
     ``slope`` is either a mapping from class vectors to slope values or a
     callable computing them; lookups that fail raise SlopeUndefined, on every
     call.  A successful lookup is memoized per class on this object, so the
     source is read at most once per class and must be a pure function of the
     class: a mapping must not change after construction.  The weak see-saw
-    verdict of a class is kept in the same way, per monoid.  The optional
-    ``chi`` (an antisymmetric integer matrix or a callable) and ``fr`` (a
-    class-keyed mapping, read once here, or a callable) feed the downstream
-    wall-crossing operations.
+    verdict of a class is kept in the same way, per monoid.  The pairing χ
+    and the framing fr are not stability data: χ belongs to the bracket
+    backend and fr to the framed pair sum, which take them as arguments.
     """
 
-    __slots__ = ("_slope", "_slopes", "_see_saw", "_chi", "_fr", "name")
+    __slots__ = ("_slope", "_slopes", "_see_saw", "name")
 
-    def __init__(self, slope, *, chi=None, fr=None, name="tau"):
+    def __init__(self, slope, *, name="tau"):
         object.__setattr__(self, "_slope", slope)
         object.__setattr__(self, "_slopes", {})
         object.__setattr__(self, "_see_saw", {})
-        if chi is not None:
-            chi = pairing_form(chi)
-        object.__setattr__(self, "_chi", chi)
-        if fr is not None:
-            fr = class_lookup(fr, MissingFr, "fr value")
-        object.__setattr__(self, "_fr", fr)
         object.__setattr__(self, "name", name)
 
     def __setattr__(self, name, value):
@@ -256,19 +247,6 @@ class StabilityData:
             raise SlopeUndefined(f"no slope for class {cls}")
         out = self._slopes[cls] = _to_slope(value)
         return out
-
-    def chi(self, a, b) -> int:
-        if self._chi is None:
-            raise MissingChi(f"{self.name} carries no pairing form")
-        return int(self._chi(as_class(a), as_class(b)))
-
-    def fr(self, cls) -> int:
-        if self._fr is None:
-            raise MissingFr(f"{self.name} carries no fr values")
-        return self._fr(cls)
-
-    def has_chi(self) -> bool:
-        return self._chi is not None
 
     def see_saw_holds(self, monoid: EffectiveMonoid, target) -> bool:
         """Check the weak see-saw property over the two-part splittings

@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 
-def unrefined_integer(n: int, *, kappa: str = KAPPA) -> LaurentElement:
+def unrefined_integer(n: int) -> LaurentElement:
     """The length-one specialization of the quantum integer: (-1)^(n-1)·n."""
     return LaurentElement.const(n if n % 2 == 1 else -n)
 
@@ -288,11 +288,9 @@ def _o_lookup(o_table):
     return class_lookup(o_table, ValueError, "o count")
 
 
-def _fr_lookup(fr, tau: StabilityData | None):
+def _fr_lookup(fr):
     if fr is None:
-        if tau is None:
-            raise MissingFr("no fr values supplied")
-        return tau.fr
+        raise MissingFr("no fr values supplied")
     return class_lookup(fr, MissingFr, "fr value")
 
 
@@ -330,13 +328,17 @@ def pair_invariant_rhs(
     term is [fr(α)]·table(α).  It is computed as Σ_k y_k at α by the graded
     recurrence y_0 = ∂, y_k = [E, y_{k−1}]/k over the classes ≤ α.
 
+    ``fr`` gives the framing count of a class: a class-keyed mapping (read
+    once) or a callable; it is the only source of fr, and None raises
+    MissingFr.  ``tau`` supplies the slopes alone.
+
     Input contract: an α outside the cone gives zero; a splitting of α into
     more than ``max_parts`` parts raises DecompositionOverflow; the table is
     read at every class of E (UnsupportedClass unless ``zero_missing``), and
     fr at every class of E with an entry (MissingFr)."""
     alpha = as_class(alpha)
     monoid = _require_monoid(table, monoid)
-    fr = _fr_lookup(fr, tau)
+    fr = _fr_lookup(fr)
     if not monoid.contains(alpha):
         return LaurentElement.zero()
     longest = monoid.longest_splitting(alpha)
@@ -382,7 +384,7 @@ def invert_semistable(
     so far is the n ≥ 2 part, and the n = 1 term [fr(α)]·table(α) divides
     out exactly."""
     monoid = _require_monoid(pair_table, monoid)
-    fr_of = _fr_lookup(fr, tau)
+    fr_of = _fr_lookup(fr)
     recovered: dict[tuple, LaurentElement] = {}
     for cls in sorted(pair_table.support(), key=sum):
         fr_val = fr_of(cls)

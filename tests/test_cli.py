@@ -36,7 +36,6 @@ DEMO = """{
     "after": {"A": ["0"], "B": ["1"], "T": ["0"]}
   },
   "chi": [[0, 3], [-3, 0]],
-  "fr": {"A": 1, "B": 2, "T": 3},
   "invariants": {"A": "a", "B": "b", "T": "t"}
 }
 """
@@ -95,6 +94,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config('{"classes": {"A": [1]}, "extra": 1}')
 
+    def test_fr_section_refused_with_line(self, tmp_path, capsys):
+        text = DEMO.replace('"invariants"', '"fr": {"A": 1},\n  "invariants"')
+        line = text.splitlines().index('  "fr": {"A": 1},') + 1
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text)
+        assert str(caught.value).startswith(f"line {line}: unknown section 'fr'")
+        argv = ["wallcross", demo_file(tmp_path, text), "--tau", "before",
+                "--tau-prime", "after"]
+        assert main(argv) == 2
+        assert "unknown section 'fr'" in capsys.readouterr().err
+
     def test_classes_required(self):
         with pytest.raises(ConfigError, match="classes"):
             parse_config('{"stabilities": {}}')
@@ -141,7 +151,7 @@ class TestConfigParsing:
                 '{"classes": {"A": [1]}, "stabilities": {"t": {"C": ["0"]}}}'
             )
         with pytest.raises(ConfigError, match="unknown class 'C'"):
-            parse_config('{"classes": {"A": [1]}, "fr": {"C": 1}}')
+            parse_config('{"classes": {"A": [1]}, "o": {"C": 1}}')
         with pytest.raises(ConfigError, match="unknown class 'C'"):
             parse_config('{"classes": {"A": [1]}, "invariants": {"C": "c"}}')
 
@@ -177,8 +187,7 @@ class TestConfigParsing:
         assert monoid.contains((1, 1))
         tau = build_stability(cfg, "before")
         assert tau.slope_of((0, 1)) < tau.slope_of((1, 0))
-        assert tau.fr((0, 1)) == 2
-        assert tau.chi((1, 0), (0, 1)) == 3
+        assert cfg.chi == ((0, 3), (-3, 0))
         with pytest.raises(ConfigError, match="available"):
             build_stability(cfg, "missing")
 
@@ -467,6 +476,7 @@ class TestDescendentCommand:
         assert code == 0
         assert tree["N"] == 2
         assert tree["keys"] == [1, 2]
+        assert set(tree) == {"command", "N", "keys", "label", "expansion", "corner"}
         assert tree["expansion"] == str(dt_to_pt((1, 2)))
         assert tree["corner"] == str(y_recursion((1, 2)))
 
@@ -479,7 +489,10 @@ class TestDescendentCommand:
     def test_bad_keys_and_order(self, capsys):
         assert main(["descendent", "--keys", "1,x"]) == 2
         capsys.readouterr()
-        assert main(["descendent", "--keys", "1", "--order", "-1"]) == 2
+        # ``--order`` is not an option: argparse refuses it with exit 2.
+        with pytest.raises(SystemExit) as caught:
+            main(["descendent", "--keys", "1", "--order", "4"])
+        assert caught.value.code == 2
 
 
 class TestSelftestCommand:

@@ -1,15 +1,20 @@
 """Source hygiene: every name a module of the package imports is used, no
-module reaches into a sibling's private names, and every private module-level
-name is read by its own module."""
+module reaches into a sibling's private names, every private module-level
+name is read by its own module, and every public function, class and method
+is named somewhere outside its own definition."""
 
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wallx"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wallx"
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -136,3 +141,75 @@ def test_scan_sees_an_unread_private_name() -> None:
         "    return _half(4)\n"
     )
     assert _unread_private_names(tree) == ["_LIMIT (line 2)", "_walk (line 6)"]
+
+
+def _public_definitions(tree: ast.Module) -> list[ast.stmt]:
+    """Module-level public functions and classes, and the public methods of
+    module-level classes; dunders are not public here."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            out.append(node)
+        if isinstance(node, ast.ClassDef):
+            out += [
+                item
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_")
+            ]
+    return out
+
+
+def _unreferenced_public_names(package: dict, others: dict) -> list[str]:
+    """Public definitions of the ``package`` sources (file name -> text)
+    whose name occurs, as an identifier anywhere in the text of ``package``
+    and ``others``, only inside its own definition."""
+    counts = Counter()
+    for text in (*package.values(), *others.values()):
+        counts.update(_IDENTIFIER.findall(text))
+    out = []
+    for name, text in sorted(package.items()):
+        lines = text.splitlines()
+        for node in _public_definitions(ast.parse(text, filename=name)):
+            own = "\n".join(lines[node.lineno - 1 : node.end_lineno])
+            if counts[node.name] == _IDENTIFIER.findall(own).count(node.name):
+                out.append(f"{name}: {node.name} (line {node.lineno})")
+    return out
+
+
+def test_every_public_name_is_referenced() -> None:
+    package = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    others = {
+        str(path.relative_to(ROOT)): path.read_text()
+        for folder in ("tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    assert _unreferenced_public_names(package, others) == []
+
+
+def test_scan_sees_an_unreferenced_public_name() -> None:
+    package = {
+        "shapes.py": (
+            "class Box:\n"
+            "    def width(self):\n"
+            "        return self.width()\n"
+            "    def height(self):\n"
+            "        return 1\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "def area(box):\n"
+            '    """The area of a box."""\n'
+            "    return box.height()\n"
+            "def _hidden():\n"
+            "    return 0\n"
+            "def volume(box):\n"
+            "    return volume(box)\n"
+        ),
+    }
+    others = {"test_shapes.py": "from shapes import Box, area\n"}
+    assert _unreferenced_public_names(package, others) == [
+        "shapes.py: width (line 2)",
+        "shapes.py: volume (line 13)",
+    ]

@@ -7,7 +7,6 @@ import pytest
 
 from wallx.errors import (
     DecompositionOverflow,
-    MissingChi,
     MissingFr,
     NotPrimitive,
     SlopeUndefined,
@@ -38,7 +37,7 @@ from wallx.ucoeff import (
     utilde_lie_element,
     utilde_word_sum,
 )
-from wallx.wallcross import InvariantTable, vw_wcf
+from wallx.wallcross import InvariantTable, QuantumTorusBackend, vw_wcf
 
 F = Fraction
 
@@ -211,26 +210,6 @@ class TestStabilityData:
         tau = StabilityData({(1, 0): ("inf", 0), (0, 1): (1, "1/2")})
         assert tau.slope_of((1, 0)) > tau.slope_of((0, 1))
 
-    def test_chi_matrix(self):
-        tau = StabilityData({}, chi=[[0, 2], [-2, 0]])
-        assert tau.chi((1, 0), (0, 1)) == 2
-        assert tau.chi((0, 1), (1, 0)) == -2
-        assert tau.chi((1, 1), (1, 1)) == 0
-
-    def test_chi_validation_and_missing(self):
-        with pytest.raises(ValueError):
-            StabilityData({}, chi=[[0, 1], [1, 0]])
-        with pytest.raises(MissingChi):
-            StabilityData({}).chi((1, 0), (0, 1))
-
-    def test_fr(self):
-        tau = StabilityData({}, fr={(1, 0): 3})
-        assert tau.fr((1, 0)) == 3
-        with pytest.raises(MissingFr):
-            tau.fr((0, 1))
-        with pytest.raises(MissingFr):
-            StabilityData({}).fr((1, 0))
-
     def test_see_saw(self):
         mon = EffectiveMonoid([(1, 0), (0, 1)])
         assert linear_stability([1, 1], [1, 2]).see_saw_holds(mon, (1, 1))
@@ -323,7 +302,7 @@ class TestPairingForm:
             return a[0] * b[1] - a[1] * b[0]
 
         assert pairing_form(chi) is chi
-        assert StabilityData({}, chi=chi).chi((1, 0), (0, 1)) == 1
+        assert QuantumTorusBackend(chi).chi is chi
 
 
 class TestClassLookup:
@@ -337,14 +316,11 @@ class TestClassLookup:
         lookup = class_lookup(lambda cls: cls[0] + 2 * cls[1], MissingFr, "fr value")
         assert lookup([1, 1]) == 3
 
-    def test_callable_fr(self):
-        tau = StabilityData({}, fr=lambda cls: cls[0] - cls[1])
-        assert tau.fr((3, 1)) == 2
-
     def test_mapping_fr_missing_class(self):
-        tau = StabilityData({}, fr={(1, 0): 3})
+        lookup = class_lookup({(1, 0): 3}, MissingFr, "fr value")
+        assert lookup((1, 0)) == 3
         with pytest.raises(MissingFr, match=r"no fr value for class \(0, 1\)"):
-            tau.fr((0, 1))
+            lookup((0, 1))
 
 
 def counting_linear(a, b, calls):

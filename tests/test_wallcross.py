@@ -365,15 +365,17 @@ class TestPairInvariant:
         with pytest.raises(MissingFr):
             pair_invariant_rhs((1, 1), {(1, 1): 1}, self.TAU, table, qt)
 
-    def test_fr_from_stability(self):
+    def test_fr_only_from_argument(self):
         qt = QuantumTorusBackend(CHI)
-        tau = StabilityData(
-            lambda cls: SlopeValue.of(1),
-            fr=lambda cls: cls[0] + cls[1],
-        )
+        tau = StabilityData(lambda cls: SlopeValue.of(1))
         table = symbol_table([(1, 0)], zero_missing=True, monoid=MONOID)
-        out = pair_invariant_rhs((1, 0), None, tau, table, qt)
+        out = pair_invariant_rhs((1, 0), lambda cls: cls[0] + cls[1], tau, table, qt)
         assert out == q(1) * L.gen("v10")
+        with pytest.raises(MissingFr, match="no fr values supplied"):
+            pair_invariant_rhs((1, 0), None, tau, table, qt)
+        pair = InvariantTable({(1, 0): L.gen("p")}, monoid=MONOID)
+        with pytest.raises(MissingFr, match="no fr values supplied"):
+            invert_semistable(pair, None, tau, qt)
 
 
 class TestInvertSemistable:
