@@ -58,29 +58,33 @@ class Config:
     invariants: dict
 
 
-def _line_of(text: str, key: str) -> int | None:
-    needle = f'"{key}"'
-    for i, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return i
-    return None
+def _line_of(text: str, path: tuple) -> int | None:
+    """Line of the last key of ``path`` (section, then table, then class),
+    each key searched for from the end of the previous key's match."""
+    at = 0
+    for key in path:
+        at = text.find(f'"{key}"', at)
+        if at < 0:
+            return None
+        at += len(key) + 2
+    return text.count("\n", 0, at) + 1
 
 
-def _fail(text: str, key: str, message: str):
-    line = _line_of(text, key)
+def _fail(text: str, path: tuple, message: str):
+    line = _line_of(text, path)
     where = f"line {line}: " if line is not None else ""
     raise ConfigError(f"{where}{message}")
 
 
-def _require_int(value, text: str, key: str, what: str) -> int:
+def _require_int(value, text: str, path: tuple, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        _fail(text, key, f"{what} must be an integer, got {value!r}")
+        _fail(text, path, f"{what} must be an integer, got {value!r}")
     return value
 
 
-def _canon_slope(entry, text: str, key: str) -> str:
+def _canon_slope(entry, text: str, path: tuple) -> str:
     if isinstance(entry, bool) or isinstance(entry, float):
-        _fail(text, key, f"slope entries must be integers or strings, got {entry!r}")
+        _fail(text, path, f"slope entries must be integers or strings, got {entry!r}")
     if isinstance(entry, int):
         return str(entry)
     if isinstance(entry, str):
@@ -93,14 +97,15 @@ def _canon_slope(entry, text: str, key: str) -> str:
             try:
                 return str(Fraction(s))
             except ZeroDivisionError:
-                _fail(text, key, f"slope entry {entry!r} has a zero denominator")
-        _fail(text, key, f"cannot parse slope entry {entry!r}")
-    _fail(text, key, f"slope entries must be integers or strings, got {entry!r}")
+                _fail(text, path, f"slope entry {entry!r} has a zero denominator")
+        _fail(text, path, f"cannot parse slope entry {entry!r}")
+    _fail(text, path, f"slope entries must be integers or strings, got {entry!r}")
 
 
-def _canon_invariant(value, text: str, key: str) -> str:
+def _canon_invariant(value, text: str, path: tuple) -> str:
+    key = path[-1]
     if isinstance(value, bool) or isinstance(value, float):
-        _fail(text, key, f"invariant for {key!r} must be an integer or a string")
+        _fail(text, path, f"invariant for {key!r} must be an integer or a string")
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
@@ -109,23 +114,24 @@ def _canon_invariant(value, text: str, key: str) -> str:
             try:
                 return str(Fraction(s))
             except ZeroDivisionError:
-                _fail(text, key, f"invariant {value!r} has a zero denominator")
+                _fail(text, path, f"invariant {value!r} has a zero denominator")
         if _SYMBOL.match(s):
             return s
-        _fail(text, key, f"invariant {value!r} is neither a rational nor a symbol name")
-    _fail(text, key, f"invariant for {key!r} must be an integer or a string")
+        _fail(text, path, f"invariant {value!r} is neither a rational nor a symbol name")
+    _fail(text, path, f"invariant for {key!r} must be an integer or a string")
 
 
 def _named_nat_map(raw, classes: dict, text: str, section: str) -> dict:
     if not isinstance(raw, dict):
-        _fail(text, section, f"{section} must map class names to counts")
+        _fail(text, (section,), f"{section} must map class names to counts")
     out = {}
     for name, value in raw.items():
+        path = (section, name)
         if name not in classes:
-            _fail(text, name, f"{section} references unknown class {name!r}")
-        count = _require_int(value, text, name, f"{section}[{name!r}]")
+            _fail(text, path, f"{section} references unknown class {name!r}")
+        count = _require_int(value, text, path, f"{section}[{name!r}]")
         if count < 0:
-            _fail(text, name, f"{section}[{name!r}] must be nonnegative")
+            _fail(text, path, f"{section}[{name!r}] must be nonnegative")
         out[name] = count
     return out
 
@@ -140,54 +146,58 @@ def parse_config(text: str) -> Config:
         raise ConfigError("the configuration must be a JSON object")
     for key in raw:
         if key not in _SECTIONS:
-            _fail(text, key, f"unknown section {key!r}; expected one of {_SECTIONS}")
+            _fail(text, (key,), f"unknown section {key!r}; expected one of {_SECTIONS}")
 
     if "classes" not in raw or not isinstance(raw["classes"], dict) or not raw["classes"]:
         raise ConfigError("a non-empty 'classes' section is required")
     classes: dict = {}
     dim = None
     for name, vector in raw["classes"].items():
+        path = ("classes", name)
         if not isinstance(name, str) or not name:
-            _fail(text, str(name), "class names must be non-empty strings")
+            _fail(text, path, "class names must be non-empty strings")
         if not isinstance(vector, list) or not vector:
-            _fail(text, name, f"class {name!r} must be a non-empty integer array")
-        vec = tuple(
-            _require_int(x, text, name, f"class {name!r} entry") for x in vector
-        )
+            _fail(text, path, f"class {name!r} must be a non-empty integer array")
+        vec = tuple(_require_int(x, text, path, f"class {name!r} entry") for x in vector)
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:
-            _fail(text, name, f"class {name!r} has dimension {len(vec)}, expected {dim}")
+            _fail(text, path, f"class {name!r} has dimension {len(vec)}, expected {dim}")
         if sum(vec) <= 0:
-            _fail(text, name, f"class {name!r} must have positive total mass")
+            _fail(text, path, f"class {name!r} must have positive total mass")
         if vec in classes.values():
-            _fail(text, name, f"class {name!r} duplicates another class vector")
+            _fail(text, path, f"class {name!r} duplicates another class vector")
         classes[name] = vec
 
     stabilities: dict = {}
     for table_name, table in raw.get("stabilities", {}).items():
         if not isinstance(table, dict) or not table:
-            _fail(text, table_name, f"stability table {table_name!r} must be a non-empty map")
+            _fail(
+                text,
+                ("stabilities", table_name),
+                f"stability table {table_name!r} must be a non-empty map",
+            )
         parsed: dict = {}
         width = None
         for cls_name, entries in table.items():
+            path = ("stabilities", table_name, cls_name)
             if cls_name not in classes:
                 _fail(
                     text,
-                    cls_name,
+                    path,
                     f"stability table {table_name!r} references unknown class {cls_name!r}",
                 )
             if not isinstance(entries, list):
                 entries = [entries]
             if not entries:
-                _fail(text, cls_name, f"slope for {cls_name!r} must not be empty")
-            tup = tuple(_canon_slope(e, text, cls_name) for e in entries)
+                _fail(text, path, f"slope for {cls_name!r} must not be empty")
+            tup = tuple(_canon_slope(e, text, path) for e in entries)
             if width is None:
                 width = len(tup)
             elif len(tup) != width:
                 _fail(
                     text,
-                    cls_name,
+                    path,
                     f"slope for {cls_name!r} has {len(tup)} entries; "
                     f"table {table_name!r} uses {width}",
                 )
@@ -198,11 +208,11 @@ def parse_config(text: str) -> Config:
     if "chi" in raw:
         rows = raw["chi"]
         if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
-            _fail(text, "chi", "chi must be an array of integer arrays")
+            _fail(text, ("chi",), "chi must be an array of integer arrays")
         if len(rows) != dim or any(len(r) != dim for r in rows):
-            _fail(text, "chi", f"chi must be a {dim}x{dim} matrix")
+            _fail(text, ("chi",), f"chi must be a {dim}x{dim} matrix")
         chi = tuple(
-            tuple(_require_int(x, text, "chi", "chi entry") for x in row)
+            tuple(_require_int(x, text, ("chi",), "chi entry") for x in row)
             for row in rows
         )
         for i in range(dim):
@@ -210,20 +220,21 @@ def parse_config(text: str) -> Config:
                 if chi[i][j] != -chi[j][i]:
                     _fail(
                         text,
-                        "chi",
+                        ("chi",),
                         f"chi must be antisymmetric: chi[{i}][{j}] != -chi[{j}][{i}]",
                     )
 
     o = _named_nat_map(raw.get("o", {}), classes, text, "o")
     if o and len(o) < len(classes):
         missing = ", ".join(name for name in classes if name not in o)
-        _fail(text, "o", f"o must give a count for every class; missing: {missing}")
+        _fail(text, ("o",), f"o must give a count for every class; missing: {missing}")
 
     invariants: dict = {}
     for name, value in raw.get("invariants", {}).items():
+        path = ("invariants", name)
         if name not in classes:
-            _fail(text, name, f"invariants references unknown class {name!r}")
-        invariants[name] = _canon_invariant(value, text, name)
+            _fail(text, path, f"invariants references unknown class {name!r}")
+        invariants[name] = _canon_invariant(value, text, path)
 
     return Config(classes, stabilities, chi, o, invariants)
 
@@ -542,18 +553,13 @@ def _handle_ucoeff(args) -> int:
     return 0
 
 
-def _handle_wallcross(args, forced_backend: str | None = None) -> int:
+def _handle_wallcross(args) -> int:
     config = _read_config(args)
-    backend = forced_backend or args.backend
     tree = cmd_wallcross(
-        config, args.tau, args.tau_prime, backend, args.max_parts, args.target
+        config, args.tau, args.tau_prime, args.backend, args.max_parts, args.target
     )
     _emit(tree, args, _render_wallcross)
     return 0
-
-
-def _handle_vwnum(args) -> int:
-    return _handle_wallcross(args, forced_backend="qtorus")
 
 
 def _handle_descendent(args) -> int:
@@ -640,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=None, help="restrict to one class name")
     _add_max_parts(p)
     _add_format(p)
-    p.set_defaults(handler=_handle_vwnum)
+    p.set_defaults(handler=_handle_wallcross, backend="qtorus")
 
     p = sub.add_parser("descendent", help="DT-to-PT descendent transformation")
     p.add_argument(

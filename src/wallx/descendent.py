@@ -26,6 +26,7 @@ Three layers:
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -395,7 +396,7 @@ def adams(k: int, element: LaurentElement, grading) -> LaurentElement:
     callable); every monomial must have integer total degree.  k = 0 kills
     the positive-degree part and is rejected on negative degrees.
     """
-    grade = grading.__getitem__ if isinstance(grading, dict) else grading
+    grade = grading.__getitem__ if isinstance(grading, Mapping) else grading
     out: dict = {}
     for mono, coeff in element.terms.items():
         deg2 = sum(grade(v) * e for v, e in mono)

@@ -1,12 +1,15 @@
 """Free graded Lie algebra on class symbols.
 
-Words are tuples of letters from a declared alphabet; Lyndon words (ordered by
-length, then lexicographically in declaration order) index the Lie basis, and
-their standard bracketings expand into the tensor algebra.  The module
-provides the expansion homomorphism, its one-sided inverse on primitive
-elements (a triangular rewrite in the Lyndon basis that rejects anything
-outside the Lie subspace), and exp(ad) conjugation checks in the truncated
-enveloping algebra.
+Words are tuples of letters from a declared alphabet.  Elements of the
+tensor algebra (``UEAElement``, any words) and of the free Lie algebra
+(``LieElement``, Lyndon words) are immutable word-to-coefficient maps that
+share one linear core: sums, scalar products, equality and ``repr``.  Lyndon
+words, ordered by length, then lexicographically in declaration order, index
+the Chen–Fox–Lyndon basis, and their standard bracketings expand into the
+tensor algebra.  The module provides the expansion homomorphism, its
+one-sided inverse on primitive elements (a triangular rewrite in the Lyndon
+basis that rejects anything outside the Lie subspace), and exp(ad)
+conjugation checks in the truncated enveloping algebra.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ def standard_split(word: Word, ctx: LieContext) -> tuple[Word, Word]:
     return word[:cut], word[cut:]
 
 
-# -- enveloping-algebra elements ---------------------------------------------------
+# -- word-combination elements -----------------------------------------------------
 
 
 def _same_context(a, b) -> None:
@@ -95,40 +98,39 @@ def _same_context(a, b) -> None:
         raise ValueError("elements live in different contexts")
 
 
-class UEAElement:
-    """Finitely supported word-to-coefficient map in the tensor algebra."""
+def _add_into(out: dict, pairs) -> dict:
+    """Add (word, coeff) pairs into ``out``, dropping words that cancel."""
+    for word, coeff in pairs:
+        acc = out.get(word)
+        acc = coeff if acc is None else acc + coeff
+        if acc:
+            out[word] = acc
+        elif word in out:
+            del out[word]
+    return out
+
+
+class _WordCombination:
+    """Immutable finitely supported word-to-coefficient map over a context;
+    subclasses fix which words may appear and how a word is shown."""
 
     __slots__ = ("context", "terms")
 
-    def __init__(self, context: LieContext, terms: Mapping[Word, object] | None = None):
-        clean: dict[Word, object] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if not coeff:
-                    continue
-                word = tuple(word)
-                acc = clean.get(word)
-                acc = coeff if acc is None else acc + coeff
-                if acc:
-                    clean[word] = acc
-                elif word in clean:
-                    del clean[word]
+    _word_format = "{}"
+
+    def __init__(self, context: LieContext, terms: dict):
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):
-        raise AttributeError("UEAElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls, context: LieContext) -> "UEAElement":
+    def zero(cls, context: LieContext):
         return cls(context)
 
     @classmethod
-    def unit(cls, context: LieContext, coeff=Fraction(1)) -> "UEAElement":
-        return cls(context, {(): coeff})
-
-    @classmethod
-    def letter(cls, context: LieContext, letter, coeff=Fraction(1)) -> "UEAElement":
+    def letter(cls, context: LieContext, letter, coeff=Fraction(1)):
         if letter not in context.index:
             raise ValueError(f"unknown letter {letter!r}")
         return cls(context, {(letter,): coeff})
@@ -136,59 +138,73 @@ class UEAElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "UEAElement") -> "UEAElement":
-        if not isinstance(other, UEAElement):
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
             return NotImplemented
         _same_context(self, other)
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = out.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[word] = acc
-            elif word in out:
-                del out[word]
-        return UEAElement(self.context, out)
+        return type(self)(self.context, _add_into(dict(self.terms), other.terms.items()))
 
-    def __neg__(self) -> "UEAElement":
-        return UEAElement(self.context, {w: -c for w, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)(self.context, {w: -c for w, c in self.terms.items()})
 
-    def __sub__(self, other: "UEAElement") -> "UEAElement":
+    def __sub__(self, other):
         return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, _WordCombination):
+            return NotImplemented
+        return type(self)(self.context, {w: c * other for w, c in self.terms.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, _WordCombination):
+            return NotImplemented
+        return type(self)(self.context, {w: other * c for w, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.context is other.context and self.terms == other.terms
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        ctx = self.context
+        bits = [
+            f"{coeff}*" + self._word_format.format(".".join(map(str, word)) or "1")
+            for word, coeff in sorted(
+                self.terms.items(), key=lambda item: (len(item[0]), ctx.key(item[0]))
+            )
+        ]
+        return f"{type(self).__name__}({' + '.join(bits) or 0})"
+
+
+class UEAElement(_WordCombination):
+    """Finitely supported word-to-coefficient map in the tensor algebra."""
+
+    __slots__ = ()
+
+    def __init__(self, context: LieContext, terms: Mapping[Word, object] | None = None):
+        clean = _add_into({}, ((tuple(w), c) for w, c in terms.items())) if terms else {}
+        super().__init__(context, clean)
+
+    @classmethod
+    def unit(cls, context: LieContext, coeff=Fraction(1)) -> "UEAElement":
+        return cls(context, {(): coeff})
 
     def __mul__(self, other):
         if isinstance(other, UEAElement):
             _same_context(self, other)
             return self._product(other, None)
-        if isinstance(other, LieElement):
-            return NotImplemented
-        return UEAElement(
-            self.context, {w: c * other for w, c in self.terms.items()}
-        )
-
-    def __rmul__(self, other):
-        if isinstance(other, (UEAElement, LieElement)):
-            return NotImplemented
-        return UEAElement(
-            self.context, {w: other * c for w, c in self.terms.items()}
-        )
+        return super().__mul__(other)
 
     def _product(self, other: "UEAElement", maxlen: int | None) -> "UEAElement":
-        out: dict[Word, object] = {}
-        ctx = self.context
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                if maxlen is not None and len(w1) + len(w2) > maxlen:
-                    continue
-                word = w1 + w2
-                coeff = c1 * c2
-                acc = out.get(word)
-                acc = coeff if acc is None else acc + coeff
-                if acc:
-                    out[word] = acc
-                elif word in out:
-                    del out[word]
-        return UEAElement(ctx, out)
+        pairs = (
+            (w1 + w2, c1 * c2)
+            for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items()
+            if maxlen is None or len(w1) + len(w2) <= maxlen
+        )
+        return UEAElement(self.context, _add_into({}, pairs))
 
     def bracket(self, other: "UEAElement") -> "UEAElement":
         return self * other - other * self
@@ -202,30 +218,13 @@ class UEAElement:
     def word_lengths(self) -> set[int]:
         return {len(w) for w in self.terms}
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UEAElement):
-            return NotImplemented
-        return self.context is other.context and self.terms == other.terms
 
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "UEAElement(0)"
-        ctx = self.context
-        bits = [
-            f"{coeff}*{'.'.join(map(str, word)) or '1'}"
-            for word, coeff in sorted(
-                self.terms.items(), key=lambda item: (len(item[0]), ctx.key(item[0]))
-            )
-        ]
-        return "UEAElement(" + " + ".join(bits) + ")"
-
-
-class LieElement:
+class LieElement(_WordCombination):
     """Finitely supported Lyndon-word-to-coefficient map."""
 
-    __slots__ = ("context", "terms")
+    __slots__ = ()
+
+    _word_format = "b({})"
 
     def __init__(self, context: LieContext, terms: Mapping[Word, object] | None = None):
         clean: dict[Word, object] = {}
@@ -236,77 +235,11 @@ class LieElement:
                     raise ValueError(f"{word!r} is not a Lyndon word")
                 if coeff:
                     clean[word] = coeff
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieElement is immutable")
-
-    @classmethod
-    def zero(cls, context: LieContext) -> "LieElement":
-        return cls(context)
-
-    @classmethod
-    def letter(cls, context: LieContext, letter, coeff=Fraction(1)) -> "LieElement":
-        if letter not in context.index:
-            raise ValueError(f"unknown letter {letter!r}")
-        return cls(context, {(letter,): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        _same_context(self, other)
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = out.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[word] = acc
-            elif word in out:
-                del out[word]
-        return LieElement(self.context, out)
-
-    def __neg__(self) -> "LieElement":
-        return LieElement(self.context, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (LieElement, UEAElement)):
-            return NotImplemented
-        return LieElement(self.context, {w: c * other for w, c in self.terms.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, (LieElement, UEAElement)):
-            return NotImplemented
-        return LieElement(self.context, {w: other * c for w, c in self.terms.items()})
+        super().__init__(context, clean)
 
     def bracket(self, other: "LieElement") -> "LieElement":
         _same_context(self, other)
         return uea_to_lie(expand_to_uea(self).bracket(expand_to_uea(other)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        return self.context is other.context and self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "LieElement(0)"
-        ctx = self.context
-        bits = [
-            f"{coeff}*b({'.'.join(map(str, word))})"
-            for word, coeff in sorted(
-                self.terms.items(), key=lambda item: (len(item[0]), ctx.key(item[0]))
-            )
-        ]
-        return "LieElement(" + " + ".join(bits) + ")"
 
 
 # -- expansion and projection ------------------------------------------------------
@@ -323,15 +256,15 @@ def _expand_lyndon(word: Word, ctx: LieContext) -> dict[Word, Fraction]:
         left, right = standard_split(word, ctx)
         a = _expand_lyndon(left, ctx)
         b = _expand_lyndon(right, ctx)
-        out = {}
-        for w1, c1 in a.items():
-            for w2, c2 in b.items():
-                for w, c in ((w1 + w2, c1 * c2), (w2 + w1, -c1 * c2)):
-                    acc = out.get(w, Fraction(0)) + c
-                    if acc:
-                        out[w] = acc
-                    elif w in out:
-                        del out[w]
+        out = _add_into(
+            {},
+            (
+                pair
+                for w1, c1 in a.items()
+                for w2, c2 in b.items()
+                for pair in ((w1 + w2, c1 * c2), (w2 + w1, -c1 * c2))
+            ),
+        )
     ctx._expansions[word] = out
     return out
 
@@ -339,17 +272,12 @@ def _expand_lyndon(word: Word, ctx: LieContext) -> dict[Word, Fraction]:
 def expand_to_uea(x: LieElement) -> UEAElement:
     """Expand every basis bracketing via [f, g] = fg - gf."""
     ctx = x.context
-    out: dict[Word, object] = {}
-    for word, coeff in x.terms.items():
-        for w, c in _expand_lyndon(word, ctx).items():
-            acc = out.get(w)
-            add = coeff * c
-            acc = add if acc is None else acc + add
-            if acc:
-                out[w] = acc
-            elif w in out:
-                del out[w]
-    return UEAElement(ctx, out)
+    pairs = (
+        (w, coeff * c)
+        for word, coeff in x.terms.items()
+        for w, c in _expand_lyndon(word, ctx).items()
+    )
+    return UEAElement(ctx, _add_into({}, pairs))
 
 
 def uea_to_lie(p: UEAElement) -> LieElement:

@@ -173,6 +173,14 @@ def _product(factors) -> LaurentElement:
     return term
 
 
+def _signed_product(pairs: list):
+    """∏ factor**sign over (factor, sign) pairs: a Laurent element when no
+    sign is -1, else an exact rational."""
+    num = _product(f for f, s in pairs if s == 1)
+    den = _product(f for f, s in pairs if s != 1)
+    return num if den == ONE else as_rational(num) / den
+
+
 def chern_character(E: VirtualClass, p: int) -> LaurentElement:
     """p-th Chern character of an additive-mode class, Σ sign·w**p/p!."""
     if E.mode != "coh":
@@ -300,17 +308,7 @@ def symmetrized_wedge(E: VirtualClass, z="z"):
     if E.mode != "K":
         raise ModeMismatch("symmetrized_wedge needs a multiplicative-mode class")
     zel = _as_z(z)
-    num = ONE
-    den = ONE
-    for w, s in E.roots:
-        f = _ehat_factor(zel, w)
-        if s == 1:
-            num = num * f
-        else:
-            den = den * f
-    if den == ONE:
-        return num
-    return as_rational(num) / den
+    return _signed_product([(_ehat_factor(zel, w), s) for w, s in E.roots])
 
 
 def euler(E: VirtualClass, z="z", *, symmetrized: bool = False):
@@ -333,20 +331,13 @@ def euler(E: VirtualClass, z="z", *, symmetrized: bool = False):
         zel = ONE
     else:
         zel = _as_z(z)
-    num = ONE
-    den = ONE
-    for w, s in E.roots:
+
+    def factor(w):
         if symmetrized:
-            f = -_ehat_factor(zel, w)
-        else:
-            f = ONE - (zel * w).monomial_inverse()
-        if s == 1:
-            num = num * f
-        else:
-            den = den * f
-    if den == ONE:
-        return num
-    return as_rational(num) / den
+            return -_ehat_factor(zel, w)
+        return ONE - (zel * w).monomial_inverse()
+
+    return _signed_product([(factor(w), s) for w, s in E.roots])
 
 
 # -- quantum integers -----------------------------------------------------------
@@ -379,18 +370,14 @@ class ThetaKernel:
         if e_ab.mode != "K" or e_ba.mode != "K":
             raise ModeMismatch("the vertex kernel needs multiplicative-mode classes")
         zel = LaurentElement.gen(zvar)
-        num = ONE
-        den = ONE
-        for w, s in e_ab.roots:
-            f = _ehat_factor(zel.monomial_inverse(), w)
-            num, den = (num * f, den) if s == 1 else (num, den * f)
-        for w, s in e_ba.roots:
-            f = _ehat_factor(zel, w)
-            num, den = (num * f, den) if s == 1 else (num, den * f)
+        value = _signed_product(
+            [(_ehat_factor(zel.monomial_inverse(), w), s) for w, s in e_ab.roots]
+            + [(_ehat_factor(zel, w), s) for w, s in e_ba.roots]
+        )
         object.__setattr__(self, "e_ab", e_ab)
         object.__setattr__(self, "e_ba", e_ba)
         object.__setattr__(self, "zvar", zvar)
-        object.__setattr__(self, "value", as_rational(num) / as_rational(den))
+        object.__setattr__(self, "value", as_rational(value))
 
     def __setattr__(self, name, value):
         raise AttributeError("ThetaKernel is immutable")
@@ -421,10 +408,7 @@ def theta(e_ab: VirtualClass, e_ba: VirtualClass, zvar: str = "z") -> ThetaKerne
 
 def rigidity_residue(V: VirtualClass, *, zvar: str = "z", kappa: str = KAPPA):
     """z-residue of ê_{z^{-1}}(kappa^{-1}V^∨)/ê_z(V) for an honest V."""
-    if V.mode != "K":
-        raise ModeMismatch("rigidity_residue needs a multiplicative-mode class")
-    if not V.honest:
-        raise ValueError("rigidity_residue needs an honest class")
+    _require_honest(V, "K", "rigidity_residue")
     kinv = LaurentElement.gen(kappa).monomial_inverse()
     kernel = theta(V.dual().twist(kinv), -V, zvar)
     return kernel.residue()
@@ -438,26 +422,24 @@ def rigidity_residue_coh(
     The twisted dual has additive roots -hbar-w, so the ratio is
     (-1)**r·∏(u+hbar+w)/∏(u+w) and the residue is (-1)**r·r·hbar.
     """
-    if V.mode != "coh":
-        raise ModeMismatch("rigidity_residue_coh needs an additive-mode class")
-    if not V.honest:
-        raise ValueError("rigidity_residue_coh needs an honest class")
+    _require_honest(V, "coh", "rigidity_residue_coh")
     u = LaurentElement.gen(uvar)
     h = LaurentElement.gen(hbar)
-    num = ONE
-    den = ONE
-    for w in V.weights():
-        num = num * (-(u + h + w))
-        den = den * (u + w)
+    ws = V.weights()
+    num = _product(-(u + h + w) for w in ws)
+    den = _product(u + w for w in ws)
     return residue_coh(as_rational(num) / den, var=uvar)
 
 
 # -- projective-bundle pushforwards ----------------------------------------------
 
 
-def _require_honest_K(V: VirtualClass, what: str) -> None:
-    if V.mode != "K":
-        raise ModeMismatch(f"{what} needs a multiplicative-mode class")
+_MODE_CLASS = {"K": "a multiplicative-mode class", "coh": "an additive-mode class"}
+
+
+def _require_honest(V: VirtualClass, mode: str, what: str) -> None:
+    if V.mode != mode:
+        raise ModeMismatch(f"{what} needs {_MODE_CLASS[mode]}")
     if not V.honest:
         raise ValueError(f"{what} needs an honest class")
 
@@ -468,12 +450,10 @@ def projective_pushforward_K(f, V: VirtualClass, *, svar: str = "s", zvar: str =
     Computed as the z-residue of f(z)/∏(1 - (z·t_i)**(-1)) over the Chern
     roots t_i of V.
     """
-    _require_honest_K(V, "projective_pushforward_K")
+    _require_honest(V, "K", "projective_pushforward_K")
     zel = LaurentElement.gen(zvar)
     fz = as_element(f).subs_monomial(svar, zel)
-    den = ONE
-    for w in V.weights():
-        den = den * (ONE - (zel * w).monomial_inverse())
+    den = _product(ONE - (zel * w).monomial_inverse() for w in V.weights())
     return residue_K(as_rational(fz) / den, var=zvar)
 
 
@@ -483,7 +463,7 @@ def pushforward_closed_K(k: int, V: VirtualClass) -> LaurentElement:
     Sym^k V^∨ for k ≥ 0, zero for -r < k < 0, and
     (-1)**(r+1)·det(V)·Sym^(-k-r) V for k ≤ -r.
     """
-    _require_honest_K(V, "pushforward_closed_K")
+    _require_honest(V, "K", "pushforward_closed_K")
     r = V.rank
     ws = V.weights()
     if k >= 0:
@@ -500,7 +480,7 @@ def projective_pushforward_symmetrized(
     divided exactly by kappa**(-1/2) - kappa**(1/2).  With f = 1 this is the
     quantum integer [rank V].
     """
-    _require_honest_K(V, "projective_pushforward_symmetrized")
+    _require_honest(V, "K", "projective_pushforward_symmetrized")
     zel = LaurentElement.gen(zvar)
     fz = as_element(f).subs_monomial(svar, zel)
     kinv = LaurentElement.gen(kappa).monomial_inverse()
@@ -514,15 +494,10 @@ def projective_pushforward_coh(
     f, V: VirtualClass, *, hvar: str = "h", uvar: str = "u"
 ):
     """Cohomological pushforward: the u-residue of f(u)/∏(u + w_i)."""
-    if V.mode != "coh":
-        raise ModeMismatch("projective_pushforward_coh needs an additive-mode class")
-    if not V.honest:
-        raise ValueError("projective_pushforward_coh needs an honest class")
+    _require_honest(V, "coh", "projective_pushforward_coh")
     u = LaurentElement.gen(uvar)
     fu = as_element(f).subs_monomial(hvar, u)
-    den = ONE
-    for w in V.weights():
-        den = den * (u + w)
+    den = _product(u + w for w in V.weights())
     return residue_coh(as_rational(fu) / den, var=uvar)
 
 

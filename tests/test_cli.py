@@ -170,6 +170,31 @@ class TestConfigParsing:
         full = text.replace('"o": {"A": 1}', '"o": {"A": 1, "B": 0, "T": 1}')
         assert parse_config(full).o == {"A": 1, "B": 0, "T": 1}
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (
+                '"after": {"A": ["0"]',
+                '"after": {"A": ["zero"]',
+                "line 5: cannot parse slope entry 'zero'",
+            ),
+            (
+                '"A": "a"',
+                '"A": "a b"',
+                "line 8: invariant 'a b' is neither a rational nor a symbol name",
+            ),
+        ],
+        ids=["slope", "invariant"],
+    )
+    def test_line_hint_follows_the_key_path(self, old, new, message):
+        # "A" first appears on line 2, in classes; the hint names the line of
+        # the entry inside its own section and table.
+        text = DEMO.replace(old, new)
+        assert text != DEMO
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text)
+        assert str(caught.value) == message
+
     def test_bad_invariant_symbol(self):
         with pytest.raises(ConfigError, match="symbol"):
             parse_config('{"classes": {"A": [1]}, "invariants": {"A": "2x&"}}')

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -315,6 +316,12 @@ class TestAdams:
             assert adams(k, substitute(e), self.GRADING) == substitute(
                 adams(k, e, self.GRADING)
             )
+
+    def test_any_mapping_or_callable_grading(self):
+        e = L.gen("a") * L.gen("b")
+        expected = 4 * e
+        assert adams(2, e, MappingProxyType({"a": 1, "b": 1})) == expected
+        assert adams(2, e, lambda var: 1) == expected
 
     def test_half_integer_degree_rejected(self):
         e = L.monomial(1, {"a": F(1, 2)})

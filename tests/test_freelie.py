@@ -105,6 +105,33 @@ class TestLyndonWords:
             lyndon_words(["a", "a"], 2)
 
 
+@pytest.mark.parametrize(
+    "cls, shown",
+    [
+        (UEAElement, "UEAElement(2*x + -1/3*x.y)"),
+        (LieElement, "LieElement(2*b(x) + -1/3*b(x.y))"),
+    ],
+    ids=["UEAElement", "LieElement"],
+)
+def test_shared_element_contract(cls, shown):
+    ctx = LieContext(["x", "y"])
+    el = cls(ctx, {("x", "y"): F(-1, 3), ("x",): F(2)})
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        el.terms = {}
+    with pytest.raises(ValueError, match="unknown letter 'z'"):
+        cls.letter(ctx, "z")
+    with pytest.raises(ValueError, match="different contexts"):
+        el + cls.letter(LieContext(["x", "y"]), "x")
+    with pytest.raises(TypeError):
+        UEAElement.letter(ctx, "x") + LieElement.letter(ctx, "x")
+    with pytest.raises(TypeError):
+        LieElement.letter(ctx, "x") + UEAElement.letter(ctx, "x")
+    assert F(2) * el == el * F(2) == el + el
+    assert (el - el).is_zero()
+    assert repr(el - el) == f"{cls.__name__}(0)"
+    assert repr(el) == shown
+
+
 class TestExpand:
     def test_single_bracket(self):
         ctx = LieContext(["e1", "e2"])
