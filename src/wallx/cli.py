@@ -28,7 +28,6 @@ from .ucoeff import (
     S_coeff,
     StabilityData,
     U_coeff,
-    Utilde,
     utilde_lie_element,
 )
 from .wallcross import InvariantTable, vw_wcf
@@ -323,13 +322,14 @@ def cmd_ucoeff(
     names = _name_map(config)
     rows = []
     for parts in monoid.decompositions(vec, max_parts=max_parts):
+        u = U_coeff(parts, t1, t2)
         rows.append(
             {
                 "parts": [list(p) for p in parts],
                 "names": [_part_label(p, names) for p in parts],
                 "S": str(S_coeff(parts, t1, t2)),
-                "U": str(U_coeff(parts, t1, t2)),
-                "Utilde": str(Utilde(parts, t1, t2)),
+                "U": str(u),
+                "Utilde": str(u / len(parts)),
             }
         )
     return {

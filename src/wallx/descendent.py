@@ -21,6 +21,10 @@ Three layers:
    series built from the theta coefficients, with optional substitution of
    explicit Chern data such as the pair-element Chern character in
    point-insertion symbols.
+
+Symbol names are fixed, as in ``kclasses``: the equivariant parameter is
+``hbar``, the formal Chern characters are ``ch1, ch2, …`` and the tangent
+weights are ``s1, s2, s3``.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ __all__ = [
 ]
 
 ONE = LaurentElement.const(1)
+
+_WEIGHTS = ("s1", "s2", "s3")
 
 
 # -- set partitions --------------------------------------------------------
@@ -414,15 +420,7 @@ def adams(k: int, element: LaurentElement, grading) -> LaurentElement:
     return LaurentElement(out, element.trunc)
 
 
-def build_xi(
-    k: int,
-    source,
-    order: int,
-    *,
-    hbar: str = "hbar",
-    ch_prefix: str = "ch",
-    ch_values=None,
-):
+def build_xi(k: int, source, order: int, *, ch_values=None):
     """Degree-rescaled kernel-coefficient series Σ k**n·θ_{n+1}/(hbar·n!).
 
     ``source`` is an integer rank (formal ch symbols) or an additive-mode
@@ -430,27 +428,23 @@ def build_xi(
     explicit element, e.g. the pair-element Chern character in
     point-insertion symbols.
     """
-    h = LaurentElement.gen(hbar)
+    h = LaurentElement.gen("hbar")
     acc = LaurentElement.zero()
     for n in range(order + 1):
-        term = exact_laurent_div(
-            theta_closed(source, n + 1, hbar=hbar, ch_prefix=ch_prefix), h, hbar
-        )
+        term = exact_laurent_div(theta_closed(source, n + 1), h, "hbar")
         if ch_values is not None:
             for a in range(1, n + 2):
                 if a in ch_values:
-                    term = term.subs_poly(f"{ch_prefix}{a}", ch_values[a])
+                    term = term.subs_poly(f"ch{a}", ch_values[a])
         acc = acc + Fraction(k) ** n * Fraction(1, math.factorial(n)) * term
     return acc
 
 
-def cy_limit_xi(
-    k: int, source, order: int, *, hbar: str = "hbar", ch_prefix: str = "ch"
-):
+def cy_limit_xi(k: int, source, order: int):
     """The hbar = 0 reduction: -(-1)**rank Σ k**n ch_n, via the limit table."""
     acc = LaurentElement.zero()
     for n in range(order + 1):
-        limit = cy_limit_theta(source, n, hbar=hbar, ch_prefix=ch_prefix)
+        limit = cy_limit_theta(source, n)
         acc = acc + Fraction(k) ** n * Fraction(1, math.factorial(n)) * limit
     return acc
 
@@ -467,7 +461,7 @@ def td_series(var: str, order: int) -> LaurentElement:
     return g.invert_series().truncate({var}, order)
 
 
-def pair_chern_character(n: int, *, weights=("s1", "s2", "s3")) -> LaurentElement:
+def pair_chern_character(n: int) -> LaurentElement:
     """Degree-n Chern character of the pair element, in formal symbols.
 
     The total character is -td·(exp(-v) - P)·T where td is the product of
@@ -483,7 +477,7 @@ def pair_chern_character(n: int, *, weights=("s1", "s2", "s3")) -> LaurentElemen
     one = LaurentElement.const(1, trunc)
 
     td = one
-    for w in weights:
+    for w in _WEIGHTS:
         factor = td_series(w, bound).subs_monomial(w, LaurentElement.gen(w) * t)
         td = td * factor.without_trunc()
 
@@ -498,9 +492,9 @@ def pair_chern_character(n: int, *, weights=("s1", "s2", "s3")) -> LaurentElemen
     return total.coeff_of("t", n).without_trunc()
 
 
-def hbar_to_weights(element, *, hbar: str = "hbar", weights=("s1", "s2", "s3")):
+def hbar_to_weights(element):
     """Substitute the sum of the tangent weights for the symbol ``hbar``."""
     total = LaurentElement.zero()
-    for w in weights:
+    for w in _WEIGHTS:
         total = total + LaurentElement.gen(w)
-    return element.subs_poly(hbar, total)
+    return element.subs_poly("hbar", total)

@@ -122,18 +122,26 @@ class _WordCombination:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", terms)
 
+    @classmethod
+    def _trusted(cls, context: LieContext, terms: dict):
+        """Wrap ``terms`` without the subclass's checks: its words must be
+        tuples the subclass admits, with no zero coefficient."""
+        out = object.__new__(cls)
+        _WordCombination.__init__(out, context, terms)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls, context: LieContext):
-        return cls(context)
+        return cls._trusted(context, {})
 
     @classmethod
-    def letter(cls, context: LieContext, letter, coeff=Fraction(1)):
+    def letter(cls, context: LieContext, letter):
         if letter not in context.index:
             raise ValueError(f"unknown letter {letter!r}")
-        return cls(context, {(letter,): coeff})
+        return cls._trusted(context, {(letter,): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -142,23 +150,27 @@ class _WordCombination:
         if not isinstance(other, type(self)):
             return NotImplemented
         _same_context(self, other)
-        return type(self)(self.context, _add_into(dict(self.terms), other.terms.items()))
+        terms = _add_into(dict(self.terms), other.terms.items())
+        return self._trusted(self.context, terms)
 
     def __neg__(self):
-        return type(self)(self.context, {w: -c for w, c in self.terms.items()})
+        return self._trusted(self.context, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
+    def _scaled(self, products):
+        return self._trusted(self.context, {w: c for w, c in products if c})
+
     def __mul__(self, other):
         if isinstance(other, _WordCombination):
             return NotImplemented
-        return type(self)(self.context, {w: c * other for w, c in self.terms.items()})
+        return self._scaled((w, c * other) for w, c in self.terms.items())
 
     def __rmul__(self, other):
         if isinstance(other, _WordCombination):
             return NotImplemented
-        return type(self)(self.context, {w: other * c for w, c in self.terms.items()})
+        return self._scaled((w, other * c) for w, c in self.terms.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
@@ -188,8 +200,8 @@ class UEAElement(_WordCombination):
         super().__init__(context, clean)
 
     @classmethod
-    def unit(cls, context: LieContext, coeff=Fraction(1)) -> "UEAElement":
-        return cls(context, {(): coeff})
+    def unit(cls, context: LieContext) -> "UEAElement":
+        return cls._trusted(context, {(): Fraction(1)})
 
     def __mul__(self, other):
         if isinstance(other, UEAElement):
@@ -204,13 +216,13 @@ class UEAElement(_WordCombination):
             for w2, c2 in other.terms.items()
             if maxlen is None or len(w1) + len(w2) <= maxlen
         )
-        return UEAElement(self.context, _add_into({}, pairs))
+        return UEAElement._trusted(self.context, _add_into({}, pairs))
 
     def bracket(self, other: "UEAElement") -> "UEAElement":
         return self * other - other * self
 
     def truncated(self, maxlen: int) -> "UEAElement":
-        return UEAElement(
+        return UEAElement._trusted(
             self.context,
             {w: c for w, c in self.terms.items() if len(w) <= maxlen},
         )
@@ -277,7 +289,7 @@ def expand_to_uea(x: LieElement) -> UEAElement:
         for word, coeff in x.terms.items()
         for w, c in _expand_lyndon(word, ctx).items()
     )
-    return UEAElement(ctx, _add_into({}, pairs))
+    return UEAElement._trusted(ctx, _add_into({}, pairs))
 
 
 def uea_to_lie(p: UEAElement) -> LieElement:
@@ -317,7 +329,7 @@ def uea_to_lie(p: UEAElement) -> LieElement:
                 rem[w] = acc
             elif w in rem:
                 del rem[w]
-    return LieElement(ctx, out)
+    return LieElement._trusted(ctx, out)
 
 
 def left_nested(word: Word, ctx: LieContext) -> LieElement:

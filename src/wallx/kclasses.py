@@ -7,6 +7,15 @@ inverses for negative summands), quantum integers, the symmetrized vertex
 kernel and its z-residue, the projective-bundle pushforward formulas in all
 three flavours, and the hbar-coefficient expansion of the vertex kernel with
 formal Chern-character symbols.
+
+Symbol names are fixed: κ is ``k`` (``ring.KAPPA``, so κ**(1/2) is
+``k^(1/2)``), the equivariant parameter is ``hbar``, the series variable of
+``theta_series`` is ``y`` and the formal Chern characters are ``ch1, ch2, …``.
+A pushforward reads its argument f as a function of ``s`` (K-theory) or
+``h`` (cohomology).  The variable a residue is taken in is ``z`` (K-theory)
+or ``u`` (cohomology), primed until no input element names it, so an input
+root may be called ``z`` or ``u``.  It reaches no output except
+``ThetaKernel.value``, whose ``var`` names it.
 """
 
 from __future__ import annotations
@@ -17,11 +26,13 @@ from fractions import Fraction
 
 from .errors import ModeMismatch, TrivialWeightAtOne
 from .ring import (
+    KAPPA,
     LaurentElement,
     Trunc,
     as_element,
     as_rational,
     exact_laurent_div,
+    fresh_name,
     laurent_sum,
     plethystic_exp,
     residue_K,
@@ -29,9 +40,6 @@ from .ring import (
 )
 
 ONE = LaurentElement.const(1)
-
-#: Default name of the quantum parameter; kappa**(1/2) is its half power.
-KAPPA = "k"
 
 #: Series inverses of wedge factors live in augmented coordinates: ``xi``
 #: stands for (1 - z)**(-1) and ``lam_<v>`` stands for 1 - <v>.
@@ -82,8 +90,8 @@ class VirtualClass:
         raise AttributeError("VirtualClass is immutable")
 
     @classmethod
-    def line(cls, weight, mode: str = "K") -> "VirtualClass":
-        return cls([(weight, 1)], mode)
+    def line(cls, weight) -> "VirtualClass":
+        return cls([(weight, 1)])
 
     @property
     def rank(self) -> int:
@@ -311,14 +319,13 @@ def symmetrized_wedge(E: VirtualClass, z="z"):
     return _signed_product([(_ehat_factor(zel, w), s) for w, s in E.roots])
 
 
-def euler(E: VirtualClass, z="z", *, symmetrized: bool = False):
+def euler(E: VirtualClass, z="z"):
     """K-theoretic Euler class ∏ (1 - (z·w)**(-1))**sign.
 
     Pass ``z=None`` to evaluate at z=1, which is only allowed when no root
-    has the trivial weight.  With ``symmetrized=True`` each factor is replaced
-    by its symmetrization (z·w)**(1/2) - (z·w)**(-1/2).  The inverse of a
-    negative summand is kept exact, so the result is rational in general and
-    euler(-E) is the exact inverse of euler(E).
+    has the trivial weight.  The inverse of a negative summand is kept exact,
+    so the result is rational in general and euler(-E) is the exact inverse
+    of euler(E).
     """
     if E.mode != "K":
         raise ModeMismatch("euler needs a multiplicative-mode class")
@@ -331,104 +338,99 @@ def euler(E: VirtualClass, z="z", *, symmetrized: bool = False):
         zel = ONE
     else:
         zel = _as_z(z)
-
-    def factor(w):
-        if symmetrized:
-            return -_ehat_factor(zel, w)
-        return ONE - (zel * w).monomial_inverse()
-
-    return _signed_product([(factor(w), s) for w, s in E.roots])
+    return _signed_product([(ONE - (zel * w).monomial_inverse(), s) for w, s in E.roots])
 
 
 # -- quantum integers -----------------------------------------------------------
 
 
-def quantum_integer(n: int, *, kappa: str = KAPPA) -> LaurentElement:
-    """The symmetric quantum integer, an exact Laurent polynomial in kappa**(1/2).
+def quantum_integer(n: int) -> LaurentElement:
+    """The symmetric quantum integer, an exact Laurent polynomial in κ**(1/2).
 
-    Satisfies [n]·(kappa**(1/2) - kappa**(-1/2)) = (-1)**(n-1)·(kappa**(n/2) -
-    kappa**(-n/2)), so [0] = 0, [1] = 1, [-n] = -[n], and the kappa → 1
-    specialization is (-1)**(n-1)·n.
+    Satisfies [n]·(κ**(1/2) - κ**(-1/2)) = (-1)**(n-1)·(κ**(n/2) - κ**(-n/2)),
+    so [0] = 0, [1] = 1, [-n] = -[n], and the κ → 1 specialization is
+    (-1)**(n-1)·n.
     """
     if n == 0:
         return LaurentElement.zero()
     if n < 0:
-        return -quantum_integer(-n, kappa=kappa)
+        return -quantum_integer(-n)
     sign = 1 if n % 2 == 1 else -1
-    return LaurentElement({((kappa, n - 1 - 2 * j),): sign for j in range(n)})
+    return LaurentElement({((KAPPA, n - 1 - 2 * j),): sign for j in range(n)})
 
 
 # -- the vertex kernel ----------------------------------------------------------
 
 
+def _kernel(e_ab: VirtualClass, e_ba: VirtualClass, zel: LaurentElement):
+    """ê_{z^{-1}}(E_ab)·ê_z(E_ba) at z = ``zel``, exact."""
+    return _signed_product(
+        [(_ehat_factor(zel.monomial_inverse(), w), s) for w, s in e_ab.roots]
+        + [(_ehat_factor(zel, w), s) for w, s in e_ba.roots]
+    )
+
+
 class ThetaKernel:
-    """The kernel ê_{z^{-1}}(E_ab)·ê_z(E_ba), stored as an exact rational."""
+    """The kernel ê_{z^{-1}}(E_ab)·ê_z(E_ba), stored as an exact rational.
 
-    __slots__ = ("e_ab", "e_ba", "zvar", "value")
+    Its variable ``var`` is ``z``, primed until no root of E_ab or E_ba
+    names it.
+    """
 
-    def __init__(self, e_ab: VirtualClass, e_ba: VirtualClass, zvar: str = "z"):
+    __slots__ = ("e_ab", "e_ba", "var", "value")
+
+    def __init__(self, e_ab: VirtualClass, e_ba: VirtualClass):
         if e_ab.mode != "K" or e_ba.mode != "K":
             raise ModeMismatch("the vertex kernel needs multiplicative-mode classes")
-        zel = LaurentElement.gen(zvar)
-        value = _signed_product(
-            [(_ehat_factor(zel.monomial_inverse(), w), s) for w, s in e_ab.roots]
-            + [(_ehat_factor(zel, w), s) for w, s in e_ba.roots]
-        )
+        var = fresh_name("z", [w for E in (e_ab, e_ba) for w, _ in E.roots])
+        value = _kernel(e_ab, e_ba, LaurentElement.gen(var))
         object.__setattr__(self, "e_ab", e_ab)
         object.__setattr__(self, "e_ba", e_ba)
-        object.__setattr__(self, "zvar", zvar)
+        object.__setattr__(self, "var", var)
         object.__setattr__(self, "value", as_rational(value))
 
     def __setattr__(self, name, value):
         raise AttributeError("ThetaKernel is immutable")
 
     def residue(self):
-        return residue_K(self.value, var=self.zvar)
+        return residue_K(self.value, var=self.var)
 
     def shift(self, w) -> "ThetaKernel":
         """Kernel with both sides twisted so that z is shifted to w·z."""
         w = as_element(w)
-        return ThetaKernel(
-            self.e_ab.twist(w.monomial_inverse()), self.e_ba.twist(w), self.zvar
-        )
+        return ThetaKernel(self.e_ab.twist(w.monomial_inverse()), self.e_ba.twist(w))
 
     def substituted(self, w):
         """The stored value with z replaced by w·z."""
         w = as_element(w)
-        zel = LaurentElement.gen(self.zvar)
-        return self.value.subs_monomial(self.zvar, w * zel)
+        zel = LaurentElement.gen(self.var)
+        return self.value.subs_monomial(self.var, w * zel)
 
     def __repr__(self) -> str:
         return f"ThetaKernel({self.value})"
 
 
-def theta(e_ab: VirtualClass, e_ba: VirtualClass, zvar: str = "z") -> ThetaKernel:
-    return ThetaKernel(e_ab, e_ba, zvar)
-
-
-def rigidity_residue(V: VirtualClass, *, zvar: str = "z", kappa: str = KAPPA):
-    """z-residue of ê_{z^{-1}}(kappa^{-1}V^∨)/ê_z(V) for an honest V."""
+def rigidity_residue(V: VirtualClass):
+    """z-residue of ê_{z^{-1}}(κ^{-1}V^∨)/ê_z(V) for an honest V."""
     _require_honest(V, "K", "rigidity_residue")
-    kinv = LaurentElement.gen(kappa).monomial_inverse()
-    kernel = theta(V.dual().twist(kinv), -V, zvar)
-    return kernel.residue()
+    kinv = LaurentElement.gen(KAPPA).monomial_inverse()
+    return ThetaKernel(V.dual().twist(kinv), -V).residue()
 
 
-def rigidity_residue_coh(
-    V: VirtualClass, *, uvar: str = "u", hbar: str = "hbar"
-) -> LaurentElement:
-    """u-residue of e_{-u}(kappa^{-1}V^∨)/e_u(V) in cohomology.
+def rigidity_residue_coh(V: VirtualClass) -> LaurentElement:
+    """u-residue of e_{-u}(κ^{-1}V^∨)/e_u(V) in cohomology.
 
     The twisted dual has additive roots -hbar-w, so the ratio is
     (-1)**r·∏(u+hbar+w)/∏(u+w) and the residue is (-1)**r·r·hbar.
     """
     _require_honest(V, "coh", "rigidity_residue_coh")
-    u = LaurentElement.gen(uvar)
-    h = LaurentElement.gen(hbar)
     ws = V.weights()
+    var = fresh_name("u", ws)
+    u = LaurentElement.gen(var)
+    h = LaurentElement.gen("hbar")
     num = _product(-(u + h + w) for w in ws)
     den = _product(u + w for w in ws)
-    return residue_coh(as_rational(num) / den, var=uvar)
+    return residue_coh(as_rational(num) / den, var=var)
 
 
 # -- projective-bundle pushforwards ----------------------------------------------
@@ -444,17 +446,25 @@ def _require_honest(V: VirtualClass, mode: str, what: str) -> None:
         raise ValueError(f"{what} needs an honest class")
 
 
-def projective_pushforward_K(f, V: VirtualClass, *, svar: str = "s", zvar: str = "z"):
+def _substituted(f, V: VirtualClass, name: str, base: str):
+    """f with the variable ``name`` replaced by a residue variable: ``base``
+    primed until neither f nor a root of V names it.  Returns both."""
+    f = as_element(f)
+    var = fresh_name(base, [f, *V.weights()])
+    return f.subs_monomial(name, LaurentElement.gen(var)), var
+
+
+def projective_pushforward_K(f, V: VirtualClass):
     """Pushforward of f(s) along the projectivization of rank-r V.
 
     Computed as the z-residue of f(z)/∏(1 - (z·t_i)**(-1)) over the Chern
     roots t_i of V.
     """
     _require_honest(V, "K", "projective_pushforward_K")
-    zel = LaurentElement.gen(zvar)
-    fz = as_element(f).subs_monomial(svar, zel)
+    fz, var = _substituted(f, V, "s", "z")
+    zel = LaurentElement.gen(var)
     den = _product(ONE - (zel * w).monomial_inverse() for w in V.weights())
-    return residue_K(as_rational(fz) / den, var=zvar)
+    return residue_K(as_rational(fz) / den, var=var)
 
 
 def pushforward_closed_K(k: int, V: VirtualClass) -> LaurentElement:
@@ -473,32 +483,27 @@ def pushforward_closed_K(k: int, V: VirtualClass) -> LaurentElement:
     return (-1) ** (r + 1) * V.det() * complete_homogeneous(-k - r, ws)
 
 
-def projective_pushforward_symmetrized(
-    f, V: VirtualClass, *, svar: str = "s", zvar: str = "z", kappa: str = KAPPA
-) -> LaurentElement:
-    """Symmetrized pushforward: the z-residue of f(z)·ê_{z^{-1}}(kappa^{-1}V^∨)/ê_z(V)
-    divided exactly by kappa**(-1/2) - kappa**(1/2).  With f = 1 this is the
+def projective_pushforward_symmetrized(f, V: VirtualClass) -> LaurentElement:
+    """Symmetrized pushforward: the z-residue of f(z)·ê_{z^{-1}}(κ^{-1}V^∨)/ê_z(V)
+    divided exactly by κ**(-1/2) - κ**(1/2).  With f = 1 this is the
     quantum integer [rank V].
     """
     _require_honest(V, "K", "projective_pushforward_symmetrized")
-    zel = LaurentElement.gen(zvar)
-    fz = as_element(f).subs_monomial(svar, zel)
-    kinv = LaurentElement.gen(kappa).monomial_inverse()
-    kernel = theta(V.dual().twist(kinv), -V, zvar)
-    res = residue_K(as_rational(fz) * kernel.value, var=zvar)
-    half = LaurentElement.monomial(1, {kappa: Fraction(1, 2)})
-    return exact_laurent_div(res, half.monomial_inverse() - half, kappa)
+    fz, var = _substituted(f, V, "s", "z")
+    kinv = LaurentElement.gen(KAPPA).monomial_inverse()
+    kernel = _kernel(V.dual().twist(kinv), -V, LaurentElement.gen(var))
+    res = residue_K(as_rational(fz) * kernel, var=var)
+    half = LaurentElement.monomial(1, {KAPPA: Fraction(1, 2)})
+    return exact_laurent_div(res, half.monomial_inverse() - half, KAPPA)
 
 
-def projective_pushforward_coh(
-    f, V: VirtualClass, *, hvar: str = "h", uvar: str = "u"
-):
+def projective_pushforward_coh(f, V: VirtualClass):
     """Cohomological pushforward: the u-residue of f(u)/∏(u + w_i)."""
     _require_honest(V, "coh", "projective_pushforward_coh")
-    u = LaurentElement.gen(uvar)
-    fu = as_element(f).subs_monomial(hvar, u)
+    fu, var = _substituted(f, V, "h", "u")
+    u = LaurentElement.gen(var)
     den = _product(u + w for w in V.weights())
-    return residue_coh(as_rational(fu) / den, var=uvar)
+    return residue_coh(as_rational(fu) / den, var=var)
 
 
 def segre_class(V: VirtualClass, j: int) -> LaurentElement:
@@ -518,19 +523,17 @@ def pushforward_closed_coh(k: int, V: VirtualClass) -> LaurentElement:
 # -- hbar-coefficient expansion of the vertex kernel ------------------------------
 
 
-def _chern_data(E, hbar: str, ch_prefix: str):
+def _chern_data(E):
     """Rank and Chern-character accessor for a class or a bare integer rank."""
     if isinstance(E, VirtualClass):
         if E.mode != "coh":
             raise ModeMismatch("theta coefficients need an additive-mode class")
         return E.rank, lambda p: chern_character(E, p)
     rank = int(E)
-    return rank, lambda p: LaurentElement.gen(f"{ch_prefix}{p}")
+    return rank, lambda p: LaurentElement.gen(f"ch{p}")
 
 
-def theta_series(
-    E, order: int, *, yvar: str = "y", hbar: str = "hbar", ch_prefix: str = "ch"
-) -> LaurentElement:
+def theta_series(E, order: int) -> LaurentElement:
     """The vertex-kernel coefficient series Σ θ_n·y**n, truncated at y**order.
 
     Computed by generic series machinery: the series is
@@ -538,10 +541,10 @@ def theta_series(
     with the binomial factor taken as a geometric-series inverse when the rank
     is negative.
     """
-    rank, ch = _chern_data(E, hbar, ch_prefix)
-    trunc = Trunc(frozenset({yvar}), 2 * order, 1)
-    y = LaurentElement.gen(yvar) * LaurentElement.const(1, trunc)
-    h = LaurentElement.gen(hbar)
+    rank, ch = _chern_data(E)
+    trunc = Trunc(frozenset({"y"}), 2 * order, 1)
+    y = LaurentElement.gen("y") * LaurentElement.const(1, trunc)
+    h = LaurentElement.gen("hbar")
     g = LaurentElement.const(1, trunc) - h * y
     ginv = g.invert_series()
     arg = LaurentElement.zero(trunc)
@@ -560,12 +563,10 @@ def theta_series(
     return sign * binom * series
 
 
-def theta_coefficients(
-    E, order: int, *, yvar: str = "y", hbar: str = "hbar", ch_prefix: str = "ch"
-) -> list[LaurentElement]:
+def theta_coefficients(E, order: int) -> list[LaurentElement]:
     """[θ_0, …, θ_order] extracted from the coefficient series."""
-    series = theta_series(E, order, yvar=yvar, hbar=hbar, ch_prefix=ch_prefix)
-    return [series.coeff_of(yvar, n).without_trunc() for n in range(order + 1)]
+    series = theta_series(E, order)
+    return [series.coeff_of("y", n).without_trunc() for n in range(order + 1)]
 
 
 def _gbinom(a: int, m: int) -> Fraction:
@@ -586,17 +587,15 @@ def _compositions_min2(total: int):
             yield (first,) + rest
 
 
-def theta_closed(
-    E, n: int, *, hbar: str = "hbar", ch_prefix: str = "ch"
-) -> LaurentElement:
+def theta_closed(E, n: int) -> LaurentElement:
     """θ_n by direct enumeration of the closed binomial-sum formula.
 
     θ_n = (-1)**rank Σ ((-1)**k/k!)·(-hbar)**m·C(rank, m)·∏_i B_{n_i} over
     k ≥ 0, ordered parts n_i ≥ 2 and m ≥ 0 with n = Σ n_i + m, where
     B_p = Σ_{a=1}^{p-1} ((p-1)!/(p-a)!)·hbar**(p-a)·ch_a.
     """
-    rank, ch = _chern_data(E, hbar, ch_prefix)
-    h = LaurentElement.gen(hbar)
+    rank, ch = _chern_data(E)
+    h = LaurentElement.gen("hbar")
 
     def bracket(p: int) -> LaurentElement:
         return laurent_sum(
@@ -619,12 +618,8 @@ def theta_closed(
     return (1 if rank % 2 == 0 else -1) * laurent_sum(terms())
 
 
-def cy_limit_theta(
-    E, n: int, *, hbar: str = "hbar", ch_prefix: str = "ch"
-) -> LaurentElement:
+def cy_limit_theta(E, n: int) -> LaurentElement:
     """θ_{n+1}/hbar at hbar = 0, the point-insertion coefficient -(-1)**rank·n!·ch_n."""
-    h = LaurentElement.gen(hbar)
-    quotient = exact_laurent_div(
-        theta_closed(E, n + 1, hbar=hbar, ch_prefix=ch_prefix), h, hbar
-    )
-    return quotient.subs_zero(hbar)
+    h = LaurentElement.gen("hbar")
+    quotient = exact_laurent_div(theta_closed(E, n + 1), h, "hbar")
+    return quotient.subs_zero("hbar")

@@ -5,7 +5,7 @@ half-integer exponents (stored internally as doubled integers so that
 symmetrized weights such as ``k^(1/2)`` stay exact), optional series
 truncation, rational elements (quotients of Laurent polynomials), series
 expansion at 0/infinity, residue extraction, series exponential/logarithm,
-and specialization at ``k = 1``.
+and specialization at κ = 1, with κ always the variable ``KAPPA``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from .errors import (
 )
 
 Scalar = Union[int, Fraction]
+
+#: The name of the quantum parameter κ; its half power κ**(1/2) is ``k^(1/2)``.
+KAPPA = "k"
 
 #: A monomial: sorted tuple of (variable name, doubled integer exponent).
 Mono = tuple[tuple[str, int], ...]
@@ -819,6 +822,14 @@ def as_rational(x) -> RationalElement:
     return RationalElement(as_element(x))
 
 
+def fresh_name(base: str, values) -> str:
+    """``base`` primed until it names no variable of the elements ``values``."""
+    taken = {v for value in values for v in value.variables()}
+    while base in taken:
+        base += "'"
+    return base
+
+
 # -- expansion and residues ---------------------------------------------------
 
 Element = Union[LaurentElement, RationalElement]
@@ -1043,40 +1054,41 @@ def exact_laurent_div(num: Element, den: Element, var: str) -> LaurentElement:
 # -- specialization at kappa = 1 ----------------------------------------------
 
 
-def specialize_kappa(f: Element, *, var: str = "k"):
-    """Value at ``var = 1`` when the limit exists; PoleAtOne otherwise."""
+_ROOT_MINUS_ONE = LaurentElement({((KAPPA, 1),): 1, (): -1})
+
+
+def specialize_kappa(f: Element):
+    """Value at κ = 1 when the limit exists; PoleAtOne otherwise."""
     if isinstance(f, LaurentElement):
-        if f.trunc is not None and var in f.trunc.names:
-            raise NonRational(f"cannot specialize a truncated series in {var!r}")
-        return f.subs_one(var)
+        if f.trunc is not None and KAPPA in f.trunc.names:
+            raise NonRational(f"cannot specialize a truncated series in {KAPPA!r}")
+        return f.subs_one(KAPPA)
     num, den = f.num, f.den
-    root_minus_one = LaurentElement({((var, 1),): 1, (): -1})
-    while den.subs_one(var) == ZERO:
-        if num.subs_one(var) != ZERO:
-            raise PoleAtOne(f"genuine pole at {var} = 1")
+    while den.subs_one(KAPPA) == ZERO:
+        if num.subs_one(KAPPA) != ZERO:
+            raise PoleAtOne(f"genuine pole at {KAPPA} = 1")
         if not num.terms:
             break
-        num = exact_laurent_div(num, root_minus_one, var)
-        den = exact_laurent_div(den, root_minus_one, var)
-    d1 = den.subs_one(var)
+        num = exact_laurent_div(num, _ROOT_MINUS_ONE, KAPPA)
+        den = exact_laurent_div(den, _ROOT_MINUS_ONE, KAPPA)
+    d1 = den.subs_one(KAPPA)
     if not num.terms:
         return LaurentElement.zero()
-    result = num.subs_one(var) / d1
+    result = num.subs_one(KAPPA) / d1
     if isinstance(result, RationalElement):
         return result.maybe_laurent()
     return result
 
 
-def kappa_one_vanishing_order(f: Element, *, var: str = "k") -> int | None:
-    """Order of vanishing at ``var = 1`` (negative for poles, None for 0)."""
-    root_minus_one = LaurentElement({((var, 1),): 1, (): -1})
+def kappa_one_vanishing_order(f: Element) -> int | None:
+    """Order of vanishing at κ = 1 (negative for poles, None for 0)."""
 
     def _order(el: LaurentElement) -> int | None:
         if not el.terms:
             return None
         n = 0
-        while el.subs_one(var) == ZERO:
-            el = exact_laurent_div(el, root_minus_one, var)
+        while el.subs_one(KAPPA) == ZERO:
+            el = exact_laurent_div(el, _ROOT_MINUS_ONE, KAPPA)
             n += 1
         return n
 

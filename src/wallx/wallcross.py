@@ -40,8 +40,8 @@ from .errors import (
     ZeroQuantumInteger,
 )
 from .freelie import LieContext, LieElement, evaluate_lie
-from .kclasses import KAPPA, quantum_integer
-from .ring import LaurentElement, exact_laurent_div, laurent_sum
+from .kclasses import quantum_integer
+from .ring import KAPPA, LaurentElement, exact_laurent_div, fresh_name, laurent_sum
 from .ucoeff import (
     EffectiveMonoid,
     StabilityData,
@@ -117,17 +117,13 @@ class QuantumTorusBackend:
     quantum-integer map is pluggable so the same sums can be run unrefined.
     """
 
-    __slots__ = ("chi", "qint", "kappa")
+    __slots__ = ("chi", "qint")
 
-    def __init__(self, chi, *, qint=None, kappa: str = KAPPA):
+    def __init__(self, chi, *, qint=None):
         if chi is None:
             raise MissingChi("the quantum torus needs a pairing form")
-        chi = pairing_form(chi)
-        if qint is None:
-            qint = lambda n: quantum_integer(n, kappa=kappa)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "qint", qint)
-        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "chi", pairing_form(chi))
+        object.__setattr__(self, "qint", quantum_integer if qint is None else qint)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuantumTorusBackend is immutable")
@@ -399,9 +395,7 @@ def invert_semistable(
         value = pair_table.value(cls)
         if not isinstance(value, LaurentElement):
             value = LaurentElement.const(value)
-        recovered[cls] = exact_laurent_div(
-            value - higher, backend.qint(fr_val), backend.kappa
-        )
+        recovered[cls] = exact_laurent_div(value - higher, backend.qint(fr_val), KAPPA)
     return InvariantTable(recovered, monoid=monoid)
 
 
@@ -413,7 +407,6 @@ def vw_wcf(
     chi,
     *,
     qint=None,
-    kappa: str = KAPPA,
     monoid: EffectiveMonoid | None = None,
     max_parts: int = 8,
     o_table=None,
@@ -432,27 +425,26 @@ def vw_wcf(
     an entry for every class ≤ α unless it sets ``zero_missing`` (else
     UnsupportedClass); a splitting of α into more than ``max_parts`` parts
     raises DecompositionOverflow; ``qint`` is None (quantum integers in
-    ``kappa``) or ``unrefined_integer``.  With ``o_table`` only the
+    κ, ``ring.KAPPA``) or ``unrefined_integer``.  With ``o_table`` only the
     splittings whose o counts add up to ``o_alpha`` (default: the count of
     α) contribute.
     """
     alpha = as_class(alpha)
     monoid = _require_monoid(table, monoid)
-    chi = QuantumTorusBackend(chi, kappa=kappa).chi
+    chi = QuantumTorusBackend(chi).chi
     if qint is not None and qint is not unrefined_integer:
         raise ValueError("vw_wcf takes qint=None (refined) or unrefined_integer")
     classes = peel_classes(alpha, tau_one, tau_two, monoid, max_parts)
     if not classes:
         return LaurentElement.zero()
     entries = _laurent_entries(table, classes)
-    if qint is not None:
-        kappa = _fresh_name("kappa", entries.values())
+    kappa = KAPPA if qint is None else fresh_name("kappa", entries.values())
     grade = None
     if o_table is not None:
         lookup = _o_lookup(o_table)
         if o_alpha is None:
             o_alpha = lookup(alpha)
-        grade = _fresh_name("o", entries.values())
+        grade = fresh_name("o", entries.values())
 
     # With x^a·x^b = t^(-χ(a,b))·x^(a+b), t = −κ^(1/2), the commutator of
     # x^a and x^b is [χ(a,b)]·D·x^(a+b), D = κ^(1/2) − κ^(-1/2), so the
@@ -491,11 +483,3 @@ def vw_wcf(
     if qint is not None:
         out = out.subs_one(kappa)
     return out
-
-
-def _fresh_name(base: str, values) -> str:
-    """``base`` primed until it names no variable of the elements ``values``."""
-    taken = {v for value in values for v in value.variables()}
-    while base in taken:
-        base += "'"
-    return base

@@ -29,7 +29,6 @@ from wallx.kclasses import (
     rigidity_residue_coh,
     segre_class,
     symmetrized_wedge,
-    theta,
     theta_closed,
     theta_coefficients,
     wedge,
@@ -260,7 +259,7 @@ def test_euler_at_one_rejects_trivial_weight() -> None:
 
 
 def test_theta_of_zero_classes_is_one() -> None:
-    th = theta(VirtualClass(), VirtualClass())
+    th = ThetaKernel(VirtualClass(), VirtualClass())
     assert th.value == as_rational(one)
     assert th.residue() == L.zero()
 
@@ -272,7 +271,7 @@ def test_theta_kappa_symmetric_pair_display() -> None:
     e_ab = VirtualClass.line(kap.monomial_inverse() * Lw.monomial_inverse())
     e_ba = -VirtualClass.line(Lw)
     assert e_ba == -e_ab.dual().twist(kap.monomial_inverse())
-    th = theta(e_ab, e_ba)
+    th = ThetaKernel(e_ab, e_ba)
     num = _half(z * kap * Lw, -1) - _half(z * kap * Lw, 1)
     den = _half(z * Lw, 1) - _half(z * Lw, -1)
     assert th.value == as_rational(num) / den
@@ -284,7 +283,7 @@ def test_theta_shift_identity() -> None:
     t1, t2 = L.gen("t1"), L.gen("t2")
     e_ab = VirtualClass([t1, kap * t2])
     e_ba = VirtualClass([(t1.monomial_inverse(), -1), (t2, 1)])
-    th = theta(e_ab, e_ba)
+    th = ThetaKernel(e_ab, e_ba)
     w = L.gen("w")
     assert th.shift(w).value == th.substituted(w)
 
@@ -374,6 +373,49 @@ def test_segre_class_inverts_total_chern_class() -> None:
     for j in range(5):
         total_s = total_s + segre_class(V, j) * u**j
     assert total_c * total_s == L.const(1, tr)
+
+
+# -- residue variables never capture an input name ------------------------------
+
+
+def _rename(x, old: str, new: str):
+    """An element or a class with the variable ``old`` renamed ``new``."""
+    if isinstance(x, VirtualClass):
+        return VirtualClass([(_rename(w, old, new), s) for w, s in x.roots], x.mode)
+    return x.subs_monomial(old, L.gen(new))
+
+
+def _theta_residue(e_ab: VirtualClass, e_ba: VirtualClass):
+    return ThetaKernel(e_ab, e_ba).residue()
+
+
+_s, _h, _u, _t1 = L.gen("s"), L.gen("h"), L.gen("u"), L.gen("t1")
+
+
+@pytest.mark.parametrize(
+    ("call", "args", "name"),
+    [
+        (projective_pushforward_K, (_s**2, VirtualClass([z, _t1])), "z"),
+        (projective_pushforward_K, (z * _s, VirtualClass([L.gen("t0")])), "z"),
+        (projective_pushforward_symmetrized, (_s, VirtualClass([z, _t1])), "z"),
+        (_theta_residue, (VirtualClass([z]), VirtualClass([(_t1, -1)])), "z"),
+        (projective_pushforward_coh, (_h**2, VirtualClass([_u, _t1], mode="coh")), "u"),
+        (rigidity_residue_coh, (VirtualClass([_u, _t1], mode="coh"),), "u"),
+    ],
+    ids=[
+        "pushforward_K-root",
+        "pushforward_K-f",
+        "pushforward_symmetrized-root",
+        "theta_residue-root",
+        "pushforward_coh-root",
+        "rigidity_residue_coh-root",
+    ],
+)
+def test_input_named_like_the_residue_variable(call, args, name) -> None:
+    # An input variable called z or u is an ordinary variable: the result is
+    # the result for the same input with that variable renamed t9, renamed back.
+    renamed = [_rename(a, name, "t9") for a in args]
+    assert call(*args) == _rename(call(*renamed), "t9", name)
 
 
 # -- theta coefficients ----------------------------------------------------------

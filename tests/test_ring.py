@@ -18,6 +18,7 @@ from wallx.ring import (
     expand,
     expand_around_one,
     expand_general,
+    fresh_name,
     kappa_one_vanishing_order,
     laurent_sum,
     plethystic_exp,
@@ -623,6 +624,12 @@ def _quantum_integer_by_hand(n: int) -> L:
     for j in range(n):
         acc = acc + L.monomial(1, {"k": Fraction(n - 1 - 2 * j, 2)})
     return Fraction((-1) ** (n - 1)) * acc
+
+
+def test_fresh_name_primes_until_unused() -> None:
+    z = L.gen("z")
+    assert fresh_name("z", [L.gen("t1")]) == "z"
+    assert fresh_name("z", [z * L.gen("z'"), L.gen("u")]) == "z''"
 
 
 def test_specialize_kappa_symmetric_pair() -> None:
