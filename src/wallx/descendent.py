@@ -11,11 +11,17 @@ Three layers:
    tests check order-by-order).
 
 2. A formal "vertex ring" of series symbols ``DT0[...]``/``PT[...]``
-   indexed by key multisets, with the inverse of ``DT0[]`` adjoined.  The
-   corner coefficients are solved both by recursion and in closed form
-   over set partitions, and the resulting transformation table is emitted
-   either with the corner coefficients left nested (``route="y"``) or
-   fully expanded over two-level partitions (``route="theorem"``).
+   indexed by key multisets, with the inverse of ``DT0[]`` adjoined.  A sum
+   over set partitions of the keys of a product over blocks depends only
+   on each block's key multiset, so it is an exponential over
+   sub-multisets of the keys.  The corner coefficients are its logarithm,
+   solved by a recursion on sub-multisets and, independently, in closed
+   form over set partitions.  The transformation table is the exponential
+   of the corner coefficients, each block marked by its key sum, built on
+   sub-multisets with the corners left nested (``route="y"``), or fully
+   expanded over two-level partitions (``route="theorem"``).  Both
+   recursions split off the block that holds the first key, so repeated
+   keys cost no more than their multiplicities.
 
 3. The degree-rescaling (Adams) operation and the kernel-coefficient
    series built from the theta coefficients, with optional substitution of
@@ -166,6 +172,15 @@ def merge_symbol(subset) -> LaurentElement:
     return LaurentElement.gen("x" + "".join(str(i) for i in subset))
 
 
+def _merge_ground(ground) -> tuple[int, ...]:
+    """The ground set as sorted labels, checked before any set partition is
+    built: ``SetPartition`` refuses labels that are not distinct integers,
+    and ``merge_symbol`` labels that cannot name a symbol."""
+    ground = SetPartition.finest(ground).ground
+    merge_symbol(ground)
+    return ground
+
+
 def delta_apply(sigma: SetPartition) -> dict[SetPartition, LaurentElement]:
     """One application of the block-merge operator to a basis element.
 
@@ -193,7 +208,7 @@ def delta_apply(sigma: SetPartition) -> dict[SetPartition, LaurentElement]:
 def delta_matrix(ground) -> dict[tuple[SetPartition, SetPartition], LaurentElement]:
     """The block-merge operator on the full basis, keyed (target, source)."""
     out = {}
-    for source in partitions_of(ground):
+    for source in partitions_of(_merge_ground(ground)):
         for target, entry in delta_apply(source).items():
             out[target, source] = entry
     return out
@@ -208,7 +223,7 @@ def exp_minus_delta(
     summand carries exactly the degree-m terms: truncating at total symbol
     degree <= order is the same as stopping the sum at m = order.
     """
-    basis = partitions_of(ground)
+    basis = partitions_of(_merge_ground(ground))
     step = {p: delta_apply(p) for p in basis}
     return {
         (target, source): val
@@ -244,7 +259,7 @@ def _exp_column(source: SetPartition, step, order: int) -> dict:
 
 def corner_entry(ground, order: int) -> LaurentElement:
     """The coarsest-from-finest entry of the truncated matrix exponential."""
-    return _corner(_as_ground(ground), order)
+    return _corner(_merge_ground(ground), order)
 
 
 @lru_cache(maxsize=None)
@@ -306,27 +321,64 @@ def pt_symbol(keys=()) -> LaurentElement:
 
 
 @lru_cache(maxsize=None)
+def _unit_power(k: int) -> LaurentElement:
+    """``DT0[]**k``, shared: elements are immutable."""
+    return dt0_symbol(()) ** k
+
+
+def _multiplicities(keys: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The distinct values of ``keys`` in increasing order, and how often
+    each occurs: the multiplicity vector of the keys."""
+    values = tuple(sorted(set(keys)))
+    return values, tuple(keys.count(v) for v in values)
+
+
+def _keys_of(values: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted key multiset with multiplicity vector ``b``."""
+    return tuple(v for v, n in zip(values, b) for _ in range(n))
+
+
+def _first_blocks(c: tuple[int, ...]):
+    """Every multiplicity vector b <= c with b_i0 > 0, where i0 is the first
+    nonzero entry of c, and how many blocks of the labels of c that hold
+    the first label have key multiset b: C(c_i0 - 1, b_i0 - 1) times
+    C(c_i, b_i) over the other values i."""
+    i0 = next(i for i, n in enumerate(c) if n)
+    ranges = [range(1, n + 1) if i == i0 else range(n + 1) for i, n in enumerate(c)]
+    for b in product(*ranges):
+        # C(c_i0 - 1, b_i0 - 1) = C(c_i0, b_i0)·b_i0/c_i0, exactly.
+        yield b, math.prod(map(math.comb, c, b)) * b[i0] // c[i0]
+
+
+@lru_cache(maxsize=None)
 def _y_recursive(keys: tuple[int, ...]) -> LaurentElement:
     if len(keys) <= 1:
         return dt0_symbol(keys)
-    inv = dt0_symbol(()).monomial_inverse()
+    values, m = _multiplicities(keys)
 
     def terms():
         yield dt0_symbol(keys)
-        for part in set_partitions(range(len(keys))):
-            n = len(part)
-            if n <= 1:
+        for b, count in _first_blocks(m):
+            if b == m:
                 continue
-            term = inv ** (n - 1)
-            for block in part:
-                term = term * _y_recursive(tuple(sorted(keys[i] for i in block)))
-            yield -term
+            rest = _keys_of(values, tuple(n - k for n, k in zip(m, b)))
+            scale = dt0_symbol(rest) * _unit_power(-1) * -count
+            yield _y_recursive(_keys_of(values, b)) * scale
 
     return laurent_sum(terms())
 
 
 def y_recursion(keys) -> LaurentElement:
-    """Corner coefficient for the given keys, by the subtraction recursion."""
+    """Corner coefficient for the given keys, by the subtraction recursion.
+
+    The box-counting series is the exponential of the corner coefficients:
+    DT0[m]/DT0[] is the sum over set partitions of the keys of the product
+    of Y(block)/DT0[].  Splitting off the block that holds the first key
+    solves for Y(m) with one term per smaller sub-multiset b of the keys
+    that holds it: Y(m) = DT0[m] - Σ c(m, b)·Y(b)·DT0[m - b]/DT0[], where
+    c(m, b) counts the label sets with key multiset b that hold the first
+    label.
+    """
     return _y_recursive(tuple(sorted(int(k) for k in keys)))
 
 
@@ -353,26 +405,59 @@ def dt_to_pt(keys, route: str = "y") -> LaurentElement:
     """Transformation table: the boxed series for the given keys, expanded
     over stable-pairs symbols and no-boundary symbols.
 
-    ``route="y"`` sums over set partitions with one corner coefficient per
-    block; ``route="theorem"`` expands every corner coefficient too,
-    summing over two-level partitions with signs (-1)**(n + sum of m_i) and
-    factors (m_i - 1)!.  The two routes agree identically.
+    ``route="y"`` keeps one corner coefficient per block: the table is
+    DT0[] times the exponential of Σ u_{sum b}·Y(b)/DT0[] over key
+    sub-multisets b, where each block carries a mark for its key sum and a
+    product of marks becomes one ``PT`` symbol.  The exponential is built
+    by splitting off the block that holds the first key, on sub-multisets
+    of the keys, so repeated keys cost no more than their multiplicities.
+    ``route="theorem"`` expands every corner coefficient too, summing over
+    two-level set partitions with signs (-1)**(n + sum of m_i) and factors
+    (m_i - 1)!.  The two routes agree identically.
     """
     keys = tuple(int(k) for k in keys)
-    idx = range(len(keys))
-    inv = dt0_symbol(()).monomial_inverse()
+    if route == "y":
+        values, m = _multiplicities(keys)
+        blocks = {}
+        tables = {tuple(0 for _ in m): {(): ONE}}
 
-    def y_terms():
-        for part in set_partitions(idx):
-            n = len(part)
-            term = pt_symbol(sum(keys[i] for i in b) for b in part)
-            term = term * dt0_symbol(()) ** (1 - n)
-            for block in part:
-                term = term * y_recursion(keys[i] for i in block)
-            yield term
+        def block(b):
+            # The key sum of a block and its corner coefficient.
+            if b not in blocks:
+                sub = _keys_of(values, b)
+                blocks[b] = sum(sub), y_recursion(sub)
+            return blocks[b]
+
+        def table(c):
+            # Sorted block key sums -> the sum of the products of the block
+            # corners, over set partitions of the labels of c.
+            if c in tables:
+                return tables[c]
+            pieces: dict[tuple[int, ...], list[LaurentElement]] = {}
+            for b, count in _first_blocks(c):
+                total, weight = block(b)
+                if count != 1:
+                    weight = weight * count
+                if b == c:
+                    pieces.setdefault((total,), []).append(weight)
+                    continue
+                for sums, coeff in table(tuple(n - k for n, k in zip(c, b))).items():
+                    key = tuple(sorted((*sums, total)))
+                    pieces.setdefault(key, []).append(coeff * weight)
+            tables[c] = {
+                key: items[0] if len(items) == 1 else laurent_sum(items)
+                for key, items in pieces.items()
+            }
+            return tables[c]
+
+        return laurent_sum(
+            pt_symbol(sums) * _unit_power(1 - len(sums)) * coeff
+            for sums, coeff in table(m).items()
+        )
 
     def theorem_terms():
-        for part in set_partitions(idx):
+        inv = _unit_power(-1)
+        for part in set_partitions(range(len(keys))):
             n = len(part)
             pt = pt_symbol(sum(keys[i] for i in b) for b in part)
             for combo in product(*[list(set_partitions(b)) for b in part]):
@@ -385,8 +470,6 @@ def dt_to_pt(keys, route: str = "y") -> LaurentElement:
                         term = term * dt0_symbol(keys[i] for i in piece)
                 yield coeff * term
 
-    if route == "y":
-        return laurent_sum(y_terms())
     if route == "theorem":
         return laurent_sum(theorem_terms())
     raise ValueError(f"unknown route {route!r}")

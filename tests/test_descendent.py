@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 
 import pytest
@@ -27,8 +28,9 @@ from wallx.descendent import (
     y_recursion,
 )
 from wallx.kclasses import VirtualClass, chern_character, theta_closed, theta_coefficients
-from wallx.ring import LaurentElement, exact_laurent_div
-from wallx.ucoeff import mu_n
+from wallx import descendent
+from wallx.ring import LaurentElement, exact_laurent_div, laurent_sum
+from wallx.ucoeff import mu_n, set_partitions
 
 F = Fraction
 L = LaurentElement
@@ -56,6 +58,45 @@ def pure_coeff(element, **exps):
         element = element.coeff_of(var, 0)
     value = element.as_fraction()
     return F(0) if value is None else value
+
+
+@lru_cache(maxsize=None)
+def y_by_set_partitions(keys: tuple) -> L:
+    """Corner coefficient by subtracting, from DT0[keys], the product of the
+    corners of every set partition of the keys into two or more blocks."""
+    if len(keys) <= 1:
+        return dt0_symbol(keys)
+    inv = dt0_symbol(()).monomial_inverse()
+
+    def terms():
+        yield dt0_symbol(keys)
+        for part in set_partitions(range(len(keys))):
+            n = len(part)
+            if n <= 1:
+                continue
+            term = inv ** (n - 1)
+            for block in part:
+                term = term * y_by_set_partitions(tuple(sorted(keys[i] for i in block)))
+            yield -term
+
+    return laurent_sum(terms())
+
+
+def dt_to_pt_by_set_partitions(keys) -> L:
+    """The transformation table summed over every set partition of the keys,
+    one corner coefficient per block."""
+    keys = tuple(int(k) for k in keys)
+
+    def terms():
+        for part in set_partitions(range(len(keys))):
+            n = len(part)
+            term = pt_symbol(sum(keys[i] for i in b) for b in part)
+            term = term * dt0_symbol(()) ** (1 - n)
+            for block in part:
+                term = term * y_by_set_partitions(tuple(sorted(keys[i] for i in block)))
+            yield term
+
+    return laurent_sum(terms())
 
 
 def truncated_exp(arg, order):
@@ -212,6 +253,21 @@ class TestMatrixExponential:
             )
 
 
+    @pytest.mark.parametrize(
+        "call", [exp_minus_delta, corner_entry, delta_matrix], ids=lambda f: f.__name__
+    )
+    @pytest.mark.parametrize("ground", [range(11), 10, (3, 12)])
+    def test_labels_refused_before_enumerating(self, monkeypatch, call, ground):
+        # Eleven labels are 678,570 set partitions: the check must come first.
+        def refuse(ground):
+            raise AssertionError("set partitions enumerated before the label check")
+
+        monkeypatch.setattr(descendent, "partitions_of", refuse)
+        args = (ground,) if call is delta_matrix else (ground, 1)
+        with pytest.raises(ValueError, match="single-digit labels"):
+            call(*args)
+
+
 class TestCornerCoefficients:
     def test_base_cases(self):
         assert y_recursion(()) == dt0_symbol()
@@ -270,6 +326,42 @@ class TestTransformationTable:
     def test_unknown_route(self):
         with pytest.raises(ValueError):
             dt_to_pt((1,), "other")
+
+
+    @pytest.mark.parametrize(
+        "keys",
+        [(), (4,), (1, 1), (1, 2), (2, 2, 4), (1, 1, 2, 3), (3, 1, 2, 1, 3), (1, 1, 1, 2, 2, 4)],
+    )
+    def test_equals_set_partition_sum(self, keys):
+        assert dt_to_pt(keys) == dt_to_pt_by_set_partitions(keys)
+        assert y_recursion(keys) == y_by_set_partitions(tuple(sorted(keys)))
+
+    def test_equals_set_partition_sum_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        # Keys from 1..4: repeated keys and coinciding block sums both occur.
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(st.lists(st.integers(1, 4), max_size=6))
+        def check(keys):
+            assert dt_to_pt(keys) == dt_to_pt_by_set_partitions(keys)
+            assert y_recursion(keys) == y_explicit(keys)
+
+        check()
+
+    @pytest.mark.parametrize(
+        "keys, size",
+        [
+            ((1,) * 8, 192),
+            ((1,) * 9, 340),
+            ((1,) * 10, 619),
+            ((1, 1, 1, 1, 2, 2, 2, 2, 2), 3459),
+            ((1, 2, 3, 4, 5, 6, 7), 14699),
+        ],
+    )
+    def test_term_counts_of_the_set_partition_sum(self, keys, size):
+        # Sizes measured by summing over every set partition of the keys.
+        assert len(dt_to_pt(keys).terms) == size
 
 
 class TestAdams:
