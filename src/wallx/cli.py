@@ -296,8 +296,7 @@ def build_invariant_table(config: Config, monoid: EffectiveMonoid) -> InvariantT
         config.classes[name]: _value_of(value)
         for name, value in config.invariants.items()
     }
-    o = {config.classes[name]: n for name, n in config.o.items()} or None
-    return InvariantTable(entries, o=o, monoid=monoid)
+    return InvariantTable(entries, monoid=monoid)
 
 
 def _name_map(config: Config) -> dict:
@@ -393,7 +392,7 @@ def cmd_wallcross(
         if config.chi is None:
             raise ConfigError("the qtorus backend needs a 'chi' section")
         table = build_invariant_table(config, monoid)
-        o_table = table if config.o else None
+        o_table = {config.classes[name]: n for name, n in config.o.items()} or None
         for name in targets:
             vec = class_vector(config, name)
             value = vw_wcf(

@@ -48,6 +48,8 @@ def _coef(x) -> Scalar:
 
 def _exp2(e: Scalar) -> int:
     """Convert a natural exponent (integer or half-integer) to doubled form."""
+    if type(e) is int:
+        return 2 * e
     d = _frac(e) * 2
     if d.denominator != 1:
         raise ValueError(f"exponent {e} is not a half-integer")
@@ -911,12 +913,14 @@ def expand_general(
 
 
 def expand_around_one(
-    f: Element, order: int, *, var: str = "z", aug: str = "zeta"
+    f: Element, order: int, *, var: str = "z"
 ) -> dict[Fraction, RationalElement]:
-    """Expansion around ``var = 1`` in powers of ``aug := 1 - var``."""
-    shifted = as_rational(f).subs_poly(
-        var, LaurentElement.const(1) - LaurentElement.gen(aug)
-    )
+    """Expansion around ``var = 1`` in powers of ζ := 1 - var.  ζ is the
+    variable ``zeta``, primed until the input names no such variable; it
+    never reaches the output, whose keys are the powers of ζ."""
+    f = as_rational(f)
+    aug = fresh_name("zeta", (f.num, f.den))
+    shifted = f.subs_poly(var, LaurentElement.const(1) - LaurentElement.gen(aug))
     return expand_general(shifted, "zero", order, var=aug)
 
 

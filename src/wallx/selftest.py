@@ -380,12 +380,12 @@ def pair_sums() -> None:
         fr3 = {cls: rng.randint(1, 3) for cls in support}
         pairs = InvariantTable(
             {
-                cls: pair_invariant_rhs(cls, fr3, flat_tau, source, qt3, monoid=mon)
+                cls: pair_invariant_rhs(cls, fr3, flat_tau, source, qt3)
                 for cls in support
             },
             monoid=mon,
         )
-        recovered = invert_semistable(pairs, fr3, flat_tau, qt3, monoid=mon)
+        recovered = invert_semistable(pairs, fr3, flat_tau, qt3)
         for cls in support:
             _ensure(
                 recovered.value(cls) == source.value(cls),

@@ -319,7 +319,7 @@ def class_lookup(source, missing: type[Exception], what: str):
     return lookup
 
 
-def linear_stability(a: Sequence[int], b: Sequence[int], **extra) -> StabilityData:
+def linear_stability(a: Sequence[int], b: Sequence[int]) -> StabilityData:
     """Slope (a·γ)/(b·γ), with the usual ±infinity convention when b·γ = 0."""
     a = tuple(Fraction(x) for x in a)
     b = tuple(Fraction(x) for x in b)
@@ -337,7 +337,7 @@ def linear_stability(a: Sequence[int], b: Sequence[int], **extra) -> StabilityDa
             raise SlopeUndefined(f"0/0 slope for class {cls}")
         return SlopeValue.of(num / den)
 
-    return StabilityData(slope, **extra)
+    return StabilityData(slope)
 
 
 # -- universal coefficients ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Wall-crossing sums over pluggable graded Lie backends.
 
-Invariant tables map effective classes to coefficient-ring values; the
+Invariant tables map the effective classes of one monoid to
+coefficient-ring values, and every sum runs over the cone of its table; the
 bracket side is either the formal free Lie algebra on class symbols or the
 quantum torus, whose bracket multiplies values and picks up the quantum
 integer of the pairing of the classes.  The main entry points assemble the
@@ -22,7 +23,8 @@ that product one class at a time in increasing mass, by ``ucoeff.refactor``,
 the peel that also gives ``wcf_rhs`` its Lie element.  Its input contract:
 both stabilities satisfy the weak see-saw property on every class below the
 target, and the table has an entry for each of those classes unless it
-counts missing entries as zero.
+counts missing entries as zero.  The cosection counts o enter the reduced
+sum alone, as an argument of ``vw_wcf``.
 """
 
 from __future__ import annotations
@@ -184,37 +186,24 @@ class FreeLieBackend:
 class InvariantTable:
     """Finitely supported map from effective classes to coefficient values.
 
-    Missing classes raise UnsupportedClass unless ``zero_missing`` is set, in
-    which case they count as zero.  The optional ``o`` map carries the
-    cosection counts used by the reduced sums, and an optional monoid
-    validates that the support lies in the effective cone.
+    The effective ``monoid`` is the cone the table's classes index: every
+    class of the support must lie in it, and the wall-crossing sums run over
+    it.  Missing classes raise UnsupportedClass unless ``zero_missing`` is
+    set, in which case they count as zero.
     """
 
-    __slots__ = ("entries", "o", "zero_missing", "monoid")
+    __slots__ = ("entries", "zero_missing", "monoid")
 
     def __init__(
-        self,
-        entries: Mapping,
-        *,
-        o: Mapping | None = None,
-        zero_missing: bool = False,
-        monoid: EffectiveMonoid | None = None,
+        self, entries: Mapping, *, monoid: EffectiveMonoid, zero_missing: bool = False
     ):
+        if not isinstance(monoid, EffectiveMonoid):
+            raise TypeError("an invariant table needs its EffectiveMonoid")
         clean = {as_class(cls): value for cls, value in entries.items()}
-        if monoid is not None:
-            for cls in clean:
-                if not monoid.contains(cls):
-                    raise ValueError(f"class {cls} is not effective")
-        counts = None
-        if o is not None:
-            counts = {}
-            for cls, count in o.items():
-                count = int(count)
-                if count < 0:
-                    raise ValueError("o counts must be nonnegative")
-                counts[as_class(cls)] = count
+        for cls in clean:
+            if not monoid.contains(cls):
+                raise ValueError(f"class {cls} is not effective")
         object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "o", counts)
         object.__setattr__(self, "zero_missing", bool(zero_missing))
         object.__setattr__(self, "monoid", monoid)
 
@@ -232,19 +221,6 @@ class InvariantTable:
             return None
         raise UnsupportedClass(f"no invariant for class {cls}")
 
-    def o_of(self, cls) -> int:
-        cls = as_class(cls)
-        if self.o is None or cls not in self.o:
-            raise ValueError(f"no o count for class {cls}")
-        return self.o[cls]
-
-
-def _require_monoid(table: InvariantTable, monoid) -> EffectiveMonoid:
-    monoid = monoid if monoid is not None else table.monoid
-    if monoid is None:
-        raise ValueError("an effective monoid is required (table or keyword)")
-    return monoid
-
 
 def wcf_rhs(
     alpha,
@@ -253,7 +229,6 @@ def wcf_rhs(
     table: InvariantTable,
     backend,
     *,
-    monoid: EffectiveMonoid | None = None,
     max_parts: int = 8,
 ):
     """Σ over splittings of Ũ(α₁,…,α_n; τ, τ′) times the nested bracket of
@@ -265,8 +240,9 @@ def wcf_rhs(
     SeeSawFailure; ``max_parts``, else DecompositionOverflow; both checked
     before any product); an α outside the cone gives the backend's zero."""
     alpha = as_class(alpha)
-    monoid = _require_monoid(table, monoid)
-    element = utilde_lie_element(alpha, tau, tau_prime, monoid, max_parts=max_parts)
+    element = utilde_lie_element(
+        alpha, tau, tau_prime, table.monoid, max_parts=max_parts
+    )
     if element.is_zero():
         return backend.zero()
     return evaluate_lie(
@@ -278,10 +254,11 @@ def wcf_rhs(
     )
 
 
-def _o_lookup(o_table):
-    if isinstance(o_table, InvariantTable):
-        return o_table.o_of
-    return class_lookup(o_table, ValueError, "o count")
+def _longest_splitting(monoid: EffectiveMonoid, alpha, max_parts: int) -> int:
+    longest = monoid.longest_splitting(alpha)
+    if longest > max_parts:
+        raise DecompositionOverflow(f"{alpha} needs more than {max_parts} parts")
+    return longest
 
 
 def _fr_lookup(fr):
@@ -311,11 +288,10 @@ def pair_invariant_rhs(
     table: InvariantTable,
     backend: QuantumTorusBackend,
     *,
-    monoid: EffectiveMonoid | None = None,
     max_parts: int = 8,
 ) -> LaurentElement:
     """Framed pair sum: the class-(α, 1) coefficient of exp(ad E)(∂), with
-    E = Σ table(γ)·z_γ over the classes γ ≤ α (``monoid.below(alpha)``) with
+    E = Σ table(γ)·z_γ over the classes γ ≤ α in the table's monoid with
     τ(γ) = τ(α), and ∂ the distinguished degree-zero slot.
 
     Expanded, it is the sum over equal-slope ordered splittings, weighted
@@ -333,13 +309,11 @@ def pair_invariant_rhs(
     read at every class of E (UnsupportedClass unless ``zero_missing``), and
     fr at every class of E with an entry (MissingFr)."""
     alpha = as_class(alpha)
-    monoid = _require_monoid(table, monoid)
+    monoid = table.monoid
     fr = _fr_lookup(fr)
     if not monoid.contains(alpha):
         return LaurentElement.zero()
-    longest = monoid.longest_splitting(alpha)
-    if longest > max_parts:
-        raise DecompositionOverflow(f"{alpha} needs more than {max_parts} parts")
+    longest = _longest_splitting(monoid, alpha, max_parts)
     classes = monoid.below(alpha)
     slope = tau.slope_of(alpha)
     same = [cls for cls in classes if tau.slope_of(cls) == slope]
@@ -370,7 +344,6 @@ def invert_semistable(
     tau: StabilityData,
     backend: QuantumTorusBackend,
     *,
-    monoid: EffectiveMonoid | None = None,
     max_parts: int = 8,
 ) -> InvariantTable:
     """Recover the invariant table from its framed pair sums.
@@ -378,24 +351,30 @@ def invert_semistable(
     Works class by class in increasing mass: every proper equal-slope
     summand of a class is lighter, so the pair sum of the entries recovered
     so far is the n ≥ 2 part, and the n = 1 term [fr(α)]·table(α) divides
-    out exactly."""
-    monoid = _require_monoid(pair_table, monoid)
+    out exactly.  Before any pair sum is formed, each class of the support,
+    in that order, is refused for a missing fr value (MissingFr), fr = 0
+    (ZeroQuantumInteger) or a splitting into more than ``max_parts`` parts
+    (DecompositionOverflow)."""
+    monoid = pair_table.monoid
     fr_of = _fr_lookup(fr)
-    recovered: dict[tuple, LaurentElement] = {}
-    for cls in sorted(pair_table.support(), key=sum):
-        fr_val = fr_of(cls)
+    order = sorted(pair_table.support(), key=sum)
+    fr_values = {}
+    for cls in order:
+        fr_val = fr_values[cls] = fr_of(cls)
         if fr_val == 0:
             raise ZeroQuantumInteger(
                 f"fr({cls}) = 0 gives a vanishing quantum integer"
             )
+        _longest_splitting(monoid, cls, max_parts)
+    values = _laurent_entries(pair_table, order)
+    recovered: dict[tuple, LaurentElement] = {}
+    for cls in order:
         partial = InvariantTable(recovered, zero_missing=True, monoid=monoid)
         higher = pair_invariant_rhs(
-            cls, fr_of, tau, partial, backend, monoid=monoid, max_parts=max_parts
+            cls, fr_of, tau, partial, backend, max_parts=max_parts
         )
-        value = pair_table.value(cls)
-        if not isinstance(value, LaurentElement):
-            value = LaurentElement.const(value)
-        recovered[cls] = exact_laurent_div(value - higher, backend.qint(fr_val), KAPPA)
+        divisor = backend.qint(fr_values[cls])
+        recovered[cls] = exact_laurent_div(values[cls] - higher, divisor, KAPPA)
     return InvariantTable(recovered, monoid=monoid)
 
 
@@ -407,7 +386,6 @@ def vw_wcf(
     chi,
     *,
     qint=None,
-    monoid: EffectiveMonoid | None = None,
     max_parts: int = 8,
     o_table=None,
     o_alpha: int | None = None,
@@ -425,23 +403,35 @@ def vw_wcf(
     an entry for every class ≤ α unless it sets ``zero_missing`` (else
     UnsupportedClass); a splitting of α into more than ``max_parts`` parts
     raises DecompositionOverflow; ``qint`` is None (quantum integers in
-    κ, ``ring.KAPPA``) or ``unrefined_integer``.  With ``o_table`` only the
-    splittings whose o counts add up to ``o_alpha`` (default: the count of
-    α) contribute.
+    κ, ``ring.KAPPA``) or ``unrefined_integer``.  The classes range over
+    the table's monoid.
+
+    The reduced sum: ``o_table`` gives the cosection count of a class, as a
+    class-keyed mapping (read once) or a callable.  Only the splittings
+    whose o counts add up to ``o_alpha`` (default: the count of α)
+    contribute.  The counts are read at α (unless ``o_alpha`` is given) and
+    at every class with a table entry; a missing one raises ValueError, and
+    so does a negative one.
     """
     alpha = as_class(alpha)
-    monoid = _require_monoid(table, monoid)
     chi = QuantumTorusBackend(chi).chi
     if qint is not None and qint is not unrefined_integer:
         raise ValueError("vw_wcf takes qint=None (refined) or unrefined_integer")
-    classes = peel_classes(alpha, tau_one, tau_two, monoid, max_parts)
+    classes = peel_classes(alpha, tau_one, tau_two, table.monoid, max_parts)
     if not classes:
         return LaurentElement.zero()
     entries = _laurent_entries(table, classes)
     kappa = KAPPA if qint is None else fresh_name("kappa", entries.values())
     grade = None
     if o_table is not None:
-        lookup = _o_lookup(o_table)
+        read = class_lookup(o_table, ValueError, "o count")
+
+        def lookup(cls) -> int:
+            count = read(cls)
+            if count < 0:
+                raise ValueError("o counts must be nonnegative")
+            return count
+
         if o_alpha is None:
             o_alpha = lookup(alpha)
         grade = fresh_name("o", entries.values())

@@ -414,6 +414,48 @@ class TestWallcrossCommand:
         assert err.startswith("config error: ")
         assert "missing: B, T" in err
 
+    # With o(T) = o(A) + o(B) both splittings of T survive the reduction and
+    # the crossing is the unreduced one; with o(B) = 1 only T itself does.
+    @pytest.mark.parametrize(
+        "o, crossed",
+        [
+            ({"A": 1, "B": 0, "T": 1}, "a*b + a*b*k^-1 + a*b*k + t"),
+            ({"A": 1, "B": 1, "T": 1}, "t"),
+        ],
+        ids=["additive", "superadditive"],
+    )
+    def test_vwnum_reduced_sum_bytes(self, tmp_path, capsys, o, crossed):
+        args = ["--tau", "before", "--tau-prime", "after"]
+        with_o = DEMO.replace('"invariants"', f'"o": {json.dumps(o)},\n  "invariants"')
+        outputs = {}
+        for name, text in (("reduced", with_o), ("plain", DEMO)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            for fmt in ("human", "machine"):
+                assert main(["vwnum", str(path)] + args + ["--format", fmt]) == 0
+                outputs[name, fmt] = capsys.readouterr().out
+        rows = [("A", [1, 0], "a"), ("B", [0, 1], "b"), ("T", [1, 1], crossed)]
+        assert outputs["reduced", "human"] == (
+            "crossing from before to after (backend qtorus, max parts 8)\n"
+            + "".join(f"{name} = {value}\n" for name, _, value in rows)
+        )
+        tree = {
+            "command": "wallcross",
+            "backend": "qtorus",
+            "tau": "before",
+            "tau_prime": "after",
+            "max_parts": 8,
+            "rows": [
+                {"class": name, "vector": vec, "value": value}
+                for name, vec, value in rows
+            ],
+        }
+        assert outputs["reduced", "machine"] == json.dumps(tree, indent=2) + "\n"
+        unreduced = crossed == "a*b + a*b*k^-1 + a*b*k + t"
+        for fmt in ("human", "machine"):
+            same = outputs["reduced", fmt] == outputs["plain", fmt]
+            assert same == unreduced
+
     def test_vwnum_is_qtorus_alias(self, tmp_path, capsys):
         path = demo_file(tmp_path)
         args = ["--tau", "before", "--tau-prime", "after"]

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from wallx import ring
 from wallx.errors import NonExpandable, NonRational, NonzeroConstantTerm, PoleAtOne
 from wallx.ring import (
     LaurentElement,
@@ -351,6 +352,19 @@ def test_expand_around_one_of_geometric_kernel() -> None:
         assert got[Fraction(j)] == expected
 
 
+def test_expand_around_one_when_the_input_names_zeta() -> None:
+    # The variable of the shifted series is picked fresh, so an input root
+    # called zeta gives the same coefficients as one called w.
+    for root in (L.gen("zeta"), w):
+        got = expand_around_one(as_rational(root) / (one - z * root), 2)
+        assert set(got) == {Fraction(j) for j in range(3)}
+        for j in range(3):
+            expected = as_rational(root * (-root) ** j) / as_rational(
+                (one - root) ** (j + 1)
+            )
+            assert got[Fraction(j)] == expected
+
+
 def test_expand_rejects_truncated_series() -> None:
     s = (one + z).truncate(["z"], 3)
     with pytest.raises(NonRational):
@@ -573,6 +587,62 @@ def test_residue_coh_examples() -> None:
     assert residue_coh(L.monomial(1, {"u": -1}), var="u") == one
     assert residue_coh(1 / (u + zeta), var="u") == one
     assert residue_coh(as_rational(one) / ((u + zeta) * (u + zeta)), var="u") == L.zero()
+
+
+# Denominators whose leading or constant coefficient is 1 + a, not a
+# monomial, so ``expand`` refuses them and the residues fall back to
+# ``expand_general``.  The values are taken by hand from the two expansions.
+one_plus_a = one + L.gen("a")
+GENERAL_RESIDUES = [
+    (residue_K, as_rational(one) / (one_plus_a * z - one), "z", one),
+    (
+        residue_K,
+        as_rational(one) / (z * (z + one_plus_a)),
+        "z",
+        as_rational(one) / (one_plus_a * one_plus_a),
+    ),
+    (residue_coh, as_rational(one) / (one_plus_a * u * u + u), "u", L.zero()),
+]
+
+
+@pytest.mark.parametrize(
+    "residue, f, var, expected",
+    GENERAL_RESIDUES,
+    ids=["K-simple-pole", "K-pole-at-zero", "coh-double-zero"],
+)
+def test_residues_through_expand_general(
+    monkeypatch, residue, f, var, expected
+) -> None:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return expand_general(*args, **kwargs)
+
+    monkeypatch.setattr(ring, "expand_general", counted)
+    got = residue(f, var=var)
+    assert calls
+    assert type(got) is type(expected) and got == expected
+
+
+def test_residues_through_expand_general_match_sympy() -> None:
+    sympy = pytest.importorskip("sympy")
+    s_a, s_var, s_w = sympy.symbols("a var w")
+
+    def series_coeff(expr, power):
+        series = sympy.series(expr, s_w, 0, power + 1).removeO()
+        return sympy.expand(series).coeff(s_w, power)
+
+    for residue, f, var, _ in GENERAL_RESIDUES:
+        text = f"({f.num}) / ({f.den})".replace("^", "**")
+        expr = sympy.sympify(text, locals={"a": s_a, var: s_var})
+        at_inf = expr.subs(s_var, 1 / s_w)
+        if residue is residue_K:
+            expected = series_coeff(at_inf, 0) - series_coeff(expr.subs(s_var, s_w), 0)
+        else:
+            expected = series_coeff(at_inf, 1)
+        value = sympy.sympify(str(residue(f, var=var)).replace("^", "**"), {"a": s_a})
+        assert sympy.simplify(value - expected) == 0
 
 
 # -- series exponential / logarithm --------------------------------------------

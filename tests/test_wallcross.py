@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from wallx import wallcross
 from wallx.errors import (
     DecompositionOverflow,
     MissingChi,
@@ -51,9 +52,10 @@ def q(n):
     return quantum_integer(n)
 
 
-def symbol_table(classes, prefix="v", **kwargs):
+def symbol_table(classes, prefix="v", monoid=MONOID, **kwargs):
     return InvariantTable(
         {cls: L.gen(f"{prefix}{''.join(map(str, cls))}") for cls in classes},
+        monoid=monoid,
         **kwargs,
     )
 
@@ -130,16 +132,12 @@ class TestInvariantTable:
         with pytest.raises(ValueError):
             InvariantTable({(-1, 0): L.gen("a")}, monoid=MONOID)
 
-    def test_o_counts(self):
-        table = InvariantTable(
-            {(1, 0): L.gen("a")}, o={(1, 0): 2, (0, 1): 0}
-        )
-        assert table.o_of((1, 0)) == 2
-        assert table.o_of((0, 1)) == 0
-        with pytest.raises(ValueError):
-            table.o_of((1, 1))
-        with pytest.raises(ValueError):
-            InvariantTable({}, o={(1, 0): -1})
+    def test_the_monoid_is_required(self):
+        with pytest.raises(TypeError):
+            InvariantTable({(1, 0): L.gen("a")})
+        with pytest.raises(TypeError, match="EffectiveMonoid"):
+            InvariantTable({}, monoid=None)
+        assert InvariantTable({}, monoid=MONOID).monoid is MONOID
 
 
 class TestWcfRhs:
@@ -230,10 +228,7 @@ class TestWcfRhs:
 
 def reduced_filter(decompositions, o_table, o_alpha: int):
     """Keep the splittings whose o counts add up to the target count."""
-    if isinstance(o_table, InvariantTable):
-        lookup = o_table.o_of
-    else:
-        lookup = class_lookup(o_table, ValueError, "o count")
+    lookup = class_lookup(o_table, ValueError, "o count")
     return [
         parts
         for parts in decompositions
@@ -306,11 +301,11 @@ class TestReducedFilter:
         o = {(1, 1): 1, (1, 0): 1, (0, 1): 1}
         assert reduced_filter(self.DECOMPS, o, 1) == [((1, 1),)]
 
-    def test_table_and_missing(self):
-        table = InvariantTable({}, o={(1, 1): 1})
-        assert reduced_filter([((1, 1),)], table, 1) == [((1, 1),)]
+    def test_missing_count(self):
+        o = {(1, 1): 1}
+        assert reduced_filter([((1, 1),)], o, 1) == [((1, 1),)]
         with pytest.raises(ValueError):
-            reduced_filter(self.DECOMPS, table, 1)
+            reduced_filter(self.DECOMPS, o, 1)
 
 
 def pair_sum_oracle(alpha, tau, table, chi, fr, *, monoid=MONOID, qint=quantum_integer):
@@ -409,12 +404,12 @@ class TestInvertSemistable:
             fr = {cls: rng.randint(1, 3) for cls in support}
             pairs = InvariantTable(
                 {
-                    cls: pair_invariant_rhs(cls, fr, tau, table, qt, monoid=mon)
+                    cls: pair_invariant_rhs(cls, fr, tau, table, qt)
                     for cls in support
                 },
                 monoid=mon,
             )
-            recovered = invert_semistable(pairs, fr, tau, qt, monoid=mon)
+            recovered = invert_semistable(pairs, fr, tau, qt)
             for cls in support:
                 assert recovered.value(cls) == table.value(cls)
 
@@ -424,6 +419,31 @@ class TestInvertSemistable:
         pair = InvariantTable({(1, 0): L.gen("p")}, monoid=MONOID)
         with pytest.raises(ZeroQuantumInteger):
             invert_semistable(pair, {(1, 0): 0}, tau, qt)
+
+    def test_bad_input_is_refused_before_any_pair_sum(self, monkeypatch):
+        def no_pair_sum(*args, **kwargs):
+            raise AssertionError("a pair sum was formed")
+
+        monkeypatch.setattr(wallcross, "pair_invariant_rhs", no_pair_sum)
+        qt = QuantumTorusBackend(CHI)
+        tau = self.flat_stability()
+        support = MONOID.effective_upto(3)
+        pair = symbol_table(support)
+        fr = {cls: 1 for cls in support}
+        without_21 = {cls: n for cls, n in fr.items() if cls != (2, 1)}
+        # The classes are checked in increasing mass, each for its fr value,
+        # a nonzero fr and max_parts in turn; the first refusal wins.
+        cases = [
+            (without_21, 8, MissingFr, r"no fr value for class \(2, 1\)"),
+            ({**fr, (2, 1): 0}, 8, ZeroQuantumInteger, r"fr\(\(2, 1\)\) = 0"),
+            (fr, 2, DecompositionOverflow, r"\(0, 3\) needs more than 2 parts"),
+            ({**without_21, (1, 1): 0}, 8, ZeroQuantumInteger, r"\(1, 1\)"),
+            ({**fr, (2, 1): 0}, 2, DecompositionOverflow, r"\(0, 3\)"),
+            ({**fr, (0, 3): 0}, 2, ZeroQuantumInteger, r"\(0, 3\)"),
+        ]
+        for fr_case, max_parts, error, message in cases:
+            with pytest.raises(error, match=message):
+                invert_semistable(pair, fr_case, tau, qt, max_parts=max_parts)
 
 
 class TestVwWcf:
@@ -451,6 +471,20 @@ class TestVwWcf:
         assert vw_wcf(
             (1, 1), tau, taup, table, CHI, o_table=lambda cls: 1
         ) == table.value((1, 1))
+
+    def test_negative_o_counts_are_refused(self):
+        tau = linear_stability([1, 0], [1, 1])
+        taup = linear_stability([0, 1], [1, 1])
+        table = symbol_table(MONOID.effective_upto(2), monoid=MONOID)
+        counts = {(1, 0): 1, (0, 1): 0, (1, 1): 1}
+        for cls in ((1, 1), (0, 1)):
+            bad = dict(counts)
+            bad[cls] = -1
+            for o_table in (bad, bad.__getitem__):
+                with pytest.raises(ValueError, match="o counts must be nonnegative"):
+                    vw_wcf((1, 1), tau, taup, table, CHI, o_table=o_table)
+        got = vw_wcf((1, 1), tau, taup, table, CHI, o_table=counts)
+        assert got == vw_wcf((1, 1), tau, taup, table, CHI)
 
     def test_matches_bracket_route(self):
         rng = random.Random(13)
@@ -498,11 +532,10 @@ class TestVwWcf:
         o = {cls: 1 for cls in support}
         table = InvariantTable(
             {cls: L.gen(f"v{cls[0]}{cls[1]}") for cls in support},
-            o=o,
             monoid=MONOID,
         )
         for alpha in ((1, 1), (2, 1)):
-            out = vw_wcf(alpha, tau, taup, table, CHI, o_table=table)
+            out = vw_wcf(alpha, tau, taup, table, CHI, o_table=o)
             assert out == table.value(alpha)
 
     def test_kappa_one_equals_unrefined(self):
@@ -542,18 +575,21 @@ def tied_table(monoid, a, b, step, mass=ORACLE_MASS):
     return StabilityData(out)
 
 
-def crossing_table(monoid, mass, seed):
-    """Symbol entries on every class up to ``mass`` with seeded o counts.
-    Two entries use the names ``kappa`` and ``o``, the first names the
-    unrefined and reduced routes try for their private variables."""
-    rng = random.Random(seed)
+def crossing_table(monoid, mass):
+    """Symbol entries on every class up to ``mass``.  Two entries use the
+    names ``kappa`` and ``o``, the first names the unrefined and reduced
+    routes try for their private variables."""
     classes = monoid.effective_upto(mass)
     entries = {cls: L.gen("v" + "_".join(map(str, cls))) for cls in classes}
     entries[classes[0]] = L.gen("kappa") * L.gen("o")
     entries[classes[1]] = L.gen("k") + 2
-    return InvariantTable(
-        entries, o={cls: rng.randint(0, 2) for cls in classes}, monoid=monoid
-    )
+    return InvariantTable(entries, monoid=monoid)
+
+
+def crossing_counts(monoid, mass, seed):
+    """Seeded o counts in 0..2 on every class up to ``mass``."""
+    rng = random.Random(seed)
+    return {cls: rng.randint(0, 2) for cls in monoid.effective_upto(mass)}
 
 
 ORACLE_CASES = {
@@ -621,7 +657,8 @@ def test_vw_wcf_equals_splitting_sum_up_to_mass_six(name, pair):
     # The same U terms also check the Lie element of the free backend.
     monoids, chi, pairs = ORACLE_CASES[name]
     tau, taup = pairs[pair]
-    tables = [crossing_table(monoid, ORACLE_MASS, seed=pair) for monoid in monoids]
+    tables = [crossing_table(monoid, ORACLE_MASS) for monoid in monoids]
+    o = crossing_counts(monoids[0], ORACLE_MASS, seed=pair)
     ctx = LieContext(monoids[0].effective_upto(ORACLE_MASS))
     for alpha in monoids[0].effective_upto(ORACLE_MASS):
         terms = u_terms(alpha, tau, taup, monoids[0])
@@ -629,7 +666,7 @@ def test_vw_wcf_equals_splitting_sum_up_to_mass_six(name, pair):
         for monoid in monoids:
             element = utilde_lie_element(alpha, tau, taup, monoid, context=ctx)
             assert expand_to_uea(element) == words
-        keep = reduced_splittings(terms, tables[0], tables[0].o_of(alpha))
+        keep = reduced_splittings(terms, o, o[alpha])
         expected = [
             splitting_sum(terms, tables[0], chi),
             splitting_sum(terms, tables[0], chi, keep=keep),
@@ -638,7 +675,7 @@ def test_vw_wcf_equals_splitting_sum_up_to_mass_six(name, pair):
         for table in tables:
             assert [
                 vw_wcf(alpha, tau, taup, table, chi),
-                vw_wcf(alpha, tau, taup, table, chi, o_table=table),
+                vw_wcf(alpha, tau, taup, table, chi, o_table=o),
                 vw_wcf(alpha, tau, taup, table, chi, qint=unrefined_integer),
             ] == expected
 
@@ -676,13 +713,14 @@ def test_vw_wcf_equals_splitting_sum_hypothesis():
     @hypothesis.given(cases())
     def check(case):
         monoid, (tau, taup), chi, alpha, seed = case
-        table = crossing_table(monoid, 4, seed)
+        table = crossing_table(monoid, 4)
+        o = crossing_counts(monoid, 4, seed)
         terms = u_terms(alpha, tau, taup, monoid)
         o_alpha = random.Random(seed).randint(0, 3)
-        keep = reduced_splittings(terms, table, o_alpha)
+        keep = reduced_splittings(terms, o, o_alpha)
         assert vw_wcf(alpha, tau, taup, table, chi) == splitting_sum(terms, table, chi)
         assert vw_wcf(
-            alpha, tau, taup, table, chi, o_table=table, o_alpha=o_alpha
+            alpha, tau, taup, table, chi, o_table=o, o_alpha=o_alpha
         ) == splitting_sum(terms, table, chi, keep=keep)
         assert vw_wcf(
             alpha, tau, taup, table, chi, qint=unrefined_integer
@@ -721,7 +759,7 @@ class TestVwWcfContract:
                 alpha, tau, taup, letters, FreeLieBackend(ctx), **kw
             ),
             lambda alpha, tau, taup, **kw: wcf_rhs(
-                alpha, tau, taup, table, QuantumTorusBackend(CHI), monoid=monoid, **kw
+                alpha, tau, taup, table, QuantumTorusBackend(CHI), **kw
             ),
         ]
 
@@ -838,7 +876,7 @@ def test_pair_sum_equals_splitting_sum_and_inverts(grid, kind, qint):
     tau = pair_stability(kind, len(chi), mass)
     expected = {}
     for monoid in monoids:
-        table = crossing_table(monoid, mass, seed=len(chi))
+        table = crossing_table(monoid, mass)
         qt = QuantumTorusBackend(chi, qint=qint)
         pairs = {}
         for alpha in monoid.effective_upto(mass):
