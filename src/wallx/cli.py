@@ -21,7 +21,7 @@ from fractions import Fraction
 from .descendent import dt_to_pt, y_recursion
 from .errors import ConfigError, WallxError
 from .freelie import LieElement, standard_split
-from .ring import LaurentElement
+from .ring import LaurentElement, slope_entry
 from .selftest import run_all
 from .ucoeff import (
     EffectiveMonoid,
@@ -82,23 +82,11 @@ def _require_int(value, text: str, path: tuple, what: str) -> int:
 
 
 def _canon_slope(entry, text: str, path: tuple) -> str:
-    if isinstance(entry, bool) or isinstance(entry, float):
-        _fail(text, path, f"slope entries must be integers or strings, got {entry!r}")
-    if isinstance(entry, int):
-        return str(entry)
-    if isinstance(entry, str):
-        s = entry.strip()
-        if s in ("inf", "+inf"):
-            return "inf"
-        if s == "-inf":
-            return "-inf"
-        if _RATIONAL.match(s):
-            try:
-                return str(Fraction(s))
-            except ZeroDivisionError:
-                _fail(text, path, f"slope entry {entry!r} has a zero denominator")
-        _fail(text, path, f"cannot parse slope entry {entry!r}")
-    _fail(text, path, f"slope entries must be integers or strings, got {entry!r}")
+    try:
+        tier, value = slope_entry(entry)
+    except ValueError as exc:
+        _fail(text, path, str(exc))
+    return {-1: "-inf", 1: "inf"}.get(tier, str(value))
 
 
 def _canon_invariant(value, text: str, path: tuple) -> str:
@@ -120,9 +108,15 @@ def _canon_invariant(value, text: str, path: tuple) -> str:
     _fail(text, path, f"invariant for {key!r} must be an integer or a string")
 
 
+def _section_map(raw: dict, section: str, text: str) -> dict:
+    """The optional ``section`` of the document, which must be an object."""
+    value = raw.get(section, {})
+    if not isinstance(value, dict):
+        _fail(text, (section,), f"{section} must be a JSON object")
+    return value
+
+
 def _named_nat_map(raw, classes: dict, text: str, section: str) -> dict:
-    if not isinstance(raw, dict):
-        _fail(text, (section,), f"{section} must map class names to counts")
     out = {}
     for name, value in raw.items():
         path = (section, name)
@@ -169,7 +163,7 @@ def parse_config(text: str) -> Config:
         classes[name] = vec
 
     stabilities: dict = {}
-    for table_name, table in raw.get("stabilities", {}).items():
+    for table_name, table in _section_map(raw, "stabilities", text).items():
         if not isinstance(table, dict) or not table:
             _fail(
                 text,
@@ -223,13 +217,13 @@ def parse_config(text: str) -> Config:
                         f"chi must be antisymmetric: chi[{i}][{j}] != -chi[{j}][{i}]",
                     )
 
-    o = _named_nat_map(raw.get("o", {}), classes, text, "o")
+    o = _named_nat_map(_section_map(raw, "o", text), classes, text, "o")
     if o and len(o) < len(classes):
         missing = ", ".join(name for name in classes if name not in o)
         _fail(text, ("o",), f"o must give a count for every class; missing: {missing}")
 
     invariants: dict = {}
-    for name, value in raw.get("invariants", {}).items():
+    for name, value in _section_map(raw, "invariants", text).items():
         path = ("invariants", name)
         if name not in classes:
             _fail(text, path, f"invariants references unknown class {name!r}")
@@ -606,7 +600,7 @@ def _add_stability_pair(parser) -> None:
 
 def _add_max_parts(parser) -> None:
     parser.add_argument(
-        "--max-parts", type=int, default=8, help="decomposition cap (default 8)"
+        "--max-parts", type=int, default=8, help="decomposition cap, at least 1 (default 8)"
     )
 
 
@@ -664,7 +658,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "max_parts", 1) < 1:
+        parser.error(f"argument --max-parts: must be at least 1, got {args.max_parts}")
     try:
         return args.handler(args)
     except ConfigError as exc:

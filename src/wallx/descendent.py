@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .kclasses import cy_limit_theta, theta_closed
-from .ring import LaurentElement, Trunc, exact_laurent_div, laurent_sum, plethystic_exp
+from .ring import LaurentElement, exact_laurent_div, laurent_sum, plethystic_exp
 from .ucoeff import set_partitions
 
 __all__ = [
@@ -282,10 +282,9 @@ def factorized_entry(sigma: SetPartition, order: int) -> LaurentElement:
     # Every merge symbol enters with a nonnegative exponent, so total degree
     # never falls under a product: truncating as the product grows loses
     # nothing that the final truncation at ``order`` would keep.
-    assert all(e >= 0 for el in factors for m in el.terms for _, e in m)
-    trunc = Trunc(frozenset().union(*(el.variables() for el in factors)), 2 * order)
-    stay = (n - 1) * merge_symbol(()) * LaurentElement.const(1, trunc)
-    acc = plethystic_exp(stay)
+    assert all(e >= 0 for el in factors for m, _ in el.monomials() for e in m.values())
+    names = frozenset().union(*(el.variables() for el in factors))
+    acc = plethystic_exp((n - 1) * merge_symbol(()).truncate(names, order))
     for corner in corners:
         acc = acc * corner
     return acc.without_trunc()
@@ -293,13 +292,7 @@ def factorized_entry(sigma: SetPartition, order: int) -> LaurentElement:
 
 def total_truncate(element: LaurentElement, order: int) -> LaurentElement:
     """Drop terms of total degree > order, counting every variable."""
-    return LaurentElement(
-        {
-            m: c
-            for m, c in element.terms.items()
-            if sum(e for _, e in m) <= 2 * order
-        }
-    )
+    return element.truncate(element.variables(), order).without_trunc()
 
 
 # -- the vertex ring and the transformation table ---------------------------
@@ -486,21 +479,20 @@ def adams(k: int, element: LaurentElement, grading) -> LaurentElement:
     the positive-degree part and is rejected on negative degrees.
     """
     grade = grading.__getitem__ if isinstance(grading, Mapping) else grading
-    out: dict = {}
-    for mono, coeff in element.terms.items():
-        deg2 = sum(grade(v) * e for v, e in mono)
-        if deg2 % 2:
-            raise ValueError("monomial has half-integer degree")
-        n = deg2 // 2
-        if k == 0:
-            if n < 0:
-                raise ValueError("degree-rescaling by 0 needs degrees >= 0")
-            if n > 0:
-                continue
-        else:
-            coeff = coeff * Fraction(k) ** n
-        out[mono] = coeff
-    return LaurentElement(out, element.trunc)
+
+    def terms():
+        for exps, coeff in element.monomials():
+            n = Fraction(sum(grade(v) * e for v, e in exps.items()))
+            if n.denominator != 1:
+                raise ValueError("monomial has half-integer degree")
+            if k == 0:
+                if n < 0:
+                    raise ValueError("degree-rescaling by 0 needs degrees >= 0")
+                if n > 0:
+                    continue
+            yield LaurentElement.monomial(coeff * Fraction(k) ** int(n), exps)
+
+    return laurent_sum(terms(), element.trunc)
 
 
 def build_xi(k: int, source, order: int, *, ch_values=None):
@@ -537,10 +529,9 @@ def cy_limit_xi(k: int, source, order: int):
 
 def td_series(var: str, order: int) -> LaurentElement:
     """The series var/(1 - exp(-var)) truncated at the given order."""
-    trunc = Trunc(frozenset({var}), 2 * (order + 1), 1)
-    s = LaurentElement.gen(var) * LaurentElement.const(1, trunc)
+    s = LaurentElement.gen(var).truncate({var}, order + 1)
     expm = plethystic_exp(-s)
-    g = (LaurentElement.const(1, trunc) - expm) * s.monomial_inverse()
+    g = (1 - expm) * s.monomial_inverse()
     return g.invert_series().truncate({var}, order)
 
 
@@ -555,9 +546,8 @@ def pair_chern_character(n: int) -> LaurentElement:
     on an auxiliary variable and the degree-n coefficient is returned.
     """
     bound = n + 3
-    trunc = Trunc(frozenset({"t"}), 2 * bound, 1)
     t = LaurentElement.gen("t")
-    one = LaurentElement.const(1, trunc)
+    one = LaurentElement.const(1).truncate({"t"}, bound)
 
     td = one
     for w in _WEIGHTS:
@@ -566,8 +556,7 @@ def pair_chern_character(n: int) -> LaurentElement:
 
     expv = plethystic_exp(-(LaurentElement.gen("v") * t) * one)
 
-    points = LaurentElement.zero(trunc)
-    units = LaurentElement.zero(trunc)
+    points = units = 0 * one
     for m in range(bound + 4):
         points = points + (-1) ** m * LaurentElement.gen(f"taup{m}") * t**m
         units = units + LaurentElement.gen(f"tau1{m}") * t ** (m - 3) * one

@@ -28,7 +28,6 @@ from .errors import ModeMismatch, TrivialWeightAtOne
 from .ring import (
     KAPPA,
     LaurentElement,
-    Trunc,
     as_element,
     as_rational,
     exact_laurent_div,
@@ -54,7 +53,7 @@ def aug_name(var: str) -> str:
 def _monomial_weight(w: LaurentElement) -> LaurentElement:
     if not w.is_monomial():
         raise ValueError(f"multiplicative weight must be a single monomial: {w}")
-    ((_, coeff),) = w.terms.items()
+    ((_, coeff),) = w.monomials()
     if coeff != 1:
         raise ValueError(f"multiplicative weight must have coefficient 1: {w}")
     return w
@@ -209,11 +208,8 @@ def _as_z(z) -> LaurentElement:
 
 def _half_power(mono: LaurentElement, numer: int) -> LaurentElement:
     """mono**(numer/2) for a coefficient-1 monomial."""
-    mono = _monomial_weight(mono)
-    ((m, _),) = mono.terms.items()
-    return LaurentElement.monomial(
-        1, {var: Fraction(e2 * numer, 4) for var, e2 in m}
-    )
+    ((exps, _),) = _monomial_weight(mono).monomials()
+    return LaurentElement.monomial(1, {v: e * Fraction(numer, 2) for v, e in exps.items()})
 
 
 def _ehat_factor(zel: LaurentElement, w: LaurentElement) -> LaurentElement:
@@ -222,11 +218,11 @@ def _ehat_factor(zel: LaurentElement, w: LaurentElement) -> LaurentElement:
     return _half_power(mono, -1) - _half_power(mono, 1)
 
 
-def _binomial_series(a: Fraction, x: LaurentElement, trunc: Trunc) -> LaurentElement:
-    """(1 - x)**a as a truncated series, for any rational exponent a."""
+def _binomial_series(a: Fraction, x: LaurentElement, one: LaurentElement) -> LaurentElement:
+    """(1 - x)**a for any rational a, as a series truncated as the unit ``one``."""
 
     def terms():
-        power = LaurentElement.const(1, trunc)
+        power = one
         yield power
         coeff = Fraction(1)
         j = 0
@@ -242,24 +238,25 @@ def _binomial_series(a: Fraction, x: LaurentElement, trunc: Trunc) -> LaurentEle
     return laurent_sum(terms())
 
 
-def _aug_weight(w: LaurentElement, trunc: Trunc) -> LaurentElement:
-    """A weight monomial rewritten in augmented coordinates, ∏(1-lam_v)**a_v."""
-    ((m, _),) = w.terms.items()
-    acc = LaurentElement.const(1, trunc)
-    for var, e2 in m:
+def _aug_weight(w: LaurentElement, one: LaurentElement) -> LaurentElement:
+    """A weight monomial rewritten in augmented coordinates, ∏(1-lam_v)**a_v,
+    as a series truncated as the unit ``one``."""
+    ((exps, _),) = w.monomials()
+    acc = one
+    for var, e in exps.items():
         lam = LaurentElement.gen(aug_name(var))
-        acc = acc * _binomial_series(Fraction(e2, 2), lam, trunc)
+        acc = acc * _binomial_series(Fraction(e), lam, one)
     return acc
 
 
-def _inverse_wedge_factor(wt: LaurentElement, trunc: Trunc) -> LaurentElement:
+def _inverse_wedge_factor(wt: LaurentElement) -> LaurentElement:
     """Series inverse of the substituted wedge factor (1 - wt) + xi**(-1)·wt.
 
     With A := 1 - wt this is Σ_k (-1)**k A**k wt**(-k-1) xi**(k+1); every term
     has total augmented degree ≥ 2k+1 so the sum terminates under truncation.
     """
     xi = LaurentElement.gen(AUG_Z)
-    a = LaurentElement.const(1, trunc) - wt
+    a = 1 - wt
     step = wt.invert_series() * xi
 
     def terms():
@@ -268,7 +265,7 @@ def _inverse_wedge_factor(wt: LaurentElement, trunc: Trunc) -> LaurentElement:
             yield cur
             cur = cur * (-a) * step
 
-    return laurent_sum(terms(), trunc)
+    return laurent_sum(terms())
 
 
 def wedge(E: VirtualClass, z="z", order: int | None = None) -> LaurentElement:
@@ -295,15 +292,15 @@ def wedge(E: VirtualClass, z="z", order: int | None = None) -> LaurentElement:
     names = {AUG_Z}
     for w, _ in E.roots:
         names.update(aug_name(v) for v in w.variables())
-    trunc = Trunc(frozenset(names), 2 * order, 1)
+    one = ONE.truncate(names, order)
     xi_inv = LaurentElement.gen(AUG_Z).monomial_inverse()
-    acc = LaurentElement.const(1, trunc)
+    acc = one
     for w, s in E.roots:
-        wt = _aug_weight(w, trunc)
+        wt = _aug_weight(w, one)
         if s == 1:
-            acc = acc * ((LaurentElement.const(1, trunc) - wt) + xi_inv * wt)
+            acc = acc * ((one - wt) + xi_inv * wt)
         else:
-            acc = acc * _inverse_wedge_factor(wt, trunc)
+            acc = acc * _inverse_wedge_factor(wt)
     return acc
 
 
@@ -356,7 +353,9 @@ def quantum_integer(n: int) -> LaurentElement:
     if n < 0:
         return -quantum_integer(-n)
     sign = 1 if n % 2 == 1 else -1
-    return LaurentElement({((KAPPA, n - 1 - 2 * j),): sign for j in range(n)})
+    return laurent_sum(
+        LaurentElement.monomial(sign, {KAPPA: Fraction(n - 1 - 2 * j, 2)}) for j in range(n)
+    )
 
 
 # -- the vertex kernel ----------------------------------------------------------
@@ -542,21 +541,19 @@ def theta_series(E, order: int) -> LaurentElement:
     is negative.
     """
     rank, ch = _chern_data(E)
-    trunc = Trunc(frozenset({"y"}), 2 * order, 1)
-    y = LaurentElement.gen("y") * LaurentElement.const(1, trunc)
+    one = ONE.truncate({"y"}, order)
+    y = LaurentElement.gen("y") * one
     h = LaurentElement.gen("hbar")
-    g = LaurentElement.const(1, trunc) - h * y
+    g = one - h * y
     ginv = g.invert_series()
-    arg = LaurentElement.zero(trunc)
+    arg = 0 * one
     power = ginv
     for j in range(1, order + 1):
         # power holds (1 - hbar·y)**(-j)
-        arg = arg - math.factorial(j - 1) * ch(j) * y**j * (
-            power - LaurentElement.const(1, trunc)
-        )
+        arg = arg - math.factorial(j - 1) * ch(j) * y**j * (power - one)
         power = power * ginv
     series = plethystic_exp(arg)
-    binom = ONE * LaurentElement.const(1, trunc)
+    binom = one
     for _ in range(abs(rank)):
         binom = binom * (g if rank >= 0 else ginv)
     sign = 1 if rank % 2 == 0 else -1

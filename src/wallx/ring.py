@@ -1,18 +1,24 @@
 """Exact arithmetic backbone.
 
 Sparse multivariate Laurent polynomials over the rationals, with optional
-half-integer exponents (stored internally as doubled integers so that
-symmetrized weights such as ``k^(1/2)`` stay exact), optional series
-truncation, rational elements (quotients of Laurent polynomials), series
-expansion at 0/infinity, residue extraction, series exponential/logarithm,
-and specialization at κ = 1, with κ always the variable ``KAPPA``.
+half-integer exponents so that symmetrized weights such as ``k^(1/2)`` stay
+exact, optional series truncation, rational elements (quotients of Laurent
+polynomials), series expansion at 0/infinity, residue extraction, series
+exponential/logarithm, and specialization at κ = 1, with κ always the
+variable ``KAPPA``.
+
+How a monomial and a truncation are stored is private to this module.
+Other code builds elements with ``gen``, ``const``, ``monomial``,
+``truncate``, the arithmetic and ``laurent_sum``, and reads their terms
+through ``LaurentElement.monomials()``, in natural exponents.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
     NonExpandable,
@@ -32,10 +38,6 @@ Mono = tuple[tuple[str, int], ...]
 _ZERO = Fraction(0)
 
 
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _coef(x) -> Scalar:
     """The canonical form of a coefficient: an ``int`` when it is integral,
     otherwise a ``Fraction`` with denominator > 1.  Never a float or a bool."""
@@ -50,18 +52,14 @@ def _exp2(e: Scalar) -> int:
     """Convert a natural exponent (integer or half-integer) to doubled form."""
     if type(e) is int:
         return 2 * e
-    d = _frac(e) * 2
+    d = Fraction(e) * 2
     if d.denominator != 1:
         raise ValueError(f"exponent {e} is not a half-integer")
     return int(d)
 
 
-def _mono(entries: Mapping[str, int] | Iterable[tuple[str, int]]) -> Mono:
-    if isinstance(entries, tuple):
-        items = entries
-    else:
-        items = entries.items() if isinstance(entries, Mapping) else entries
-    return tuple(sorted((v, int(e)) for v, e in items if e))
+def _mono(entries: Iterable[tuple[str, int]]) -> Mono:
+    return tuple(sorted((v, int(e)) for v, e in entries if e))
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
@@ -197,6 +195,10 @@ class LaurentElement:
     normalizes arbitrary input into this form; the arithmetic builds results
     that are canonical by construction and wraps them with ``_trusted``
     instead.
+
+    ``terms`` holds one entry per term, but the form of its keys (and so the
+    constructor's input) is private to this module: read the terms through
+    ``monomials()``.
     """
 
     __slots__ = ("terms", "trunc")
@@ -242,7 +244,7 @@ class LaurentElement:
 
     @staticmethod
     def monomial(coeff: Scalar, exps: Mapping[str, Scalar]) -> "LaurentElement":
-        m = _mono({v: _exp2(e) for v, e in exps.items()})
+        m = _mono((v, _exp2(e)) for v, e in exps.items())
         return LaurentElement({m: coeff})
 
     # -- basic queries -----------------------------------------------------
@@ -263,6 +265,17 @@ class LaurentElement:
 
     def variables(self) -> set[str]:
         return {v for m in self.terms for v, _ in m}
+
+    def monomials(self) -> Iterator[tuple[dict[str, Scalar], Scalar]]:
+        """The terms as (exponents, coefficient) pairs.
+
+        ``exponents`` maps each variable of the term, in name order, to its
+        natural exponent: an ``int``, or a ``Fraction`` for a half-integer.
+        ``laurent_sum(monomial(c, e) for e, c in el.monomials())`` rebuilds
+        ``el`` without its truncation.
+        """
+        for m, c in self.terms.items():
+            yield {v: e2 // 2 if e2 % 2 == 0 else Fraction(e2, 2) for v, e2 in m}, c
 
     def coeff_of(self, var: str, exponent: Scalar) -> "LaurentElement":
         """Coefficient of ``var**exponent`` as an element without ``var``."""
@@ -403,10 +416,6 @@ class LaurentElement:
         except TypeError:
             return NotImplemented
         return self.terms == other.terms
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -778,10 +787,6 @@ class RationalElement:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None  # type: ignore[assignment]
 
     # -- substitution ------------------------------------------------------
@@ -1109,47 +1114,40 @@ def kappa_one_vanishing_order(f: Element) -> int | None:
 # -- slopes and weight symbols -------------------------------------------------
 
 
-def _parse_slope_entry(x) -> tuple[int, Fraction]:
-    if isinstance(x, (int, Fraction)):
-        return (0, _frac(x))
-    if isinstance(x, str):
-        s = x.strip()
-        if s in ("inf", "+inf"):
-            return (1, _ZERO)
-        if s == "-inf":
-            return (-1, _ZERO)
+_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+
+def slope_entry(x) -> tuple[int, Fraction]:
+    """A slope entry as (tier, value), tier -1, 0, +1 for -infinity, a rational,
+    +infinity.  An entry is an ``int`` (not a ``bool``), a ``Fraction``, or a
+    string: ``"inf"``, ``"+inf"``, ``"-inf"`` or a signed integer or ratio of
+    integers such as ``" -3/4"``; anything else raises ValueError."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return (0, Fraction(x))
+    if not isinstance(x, str):
+        raise ValueError(f"slope entries must be integers or strings, got {x!r}")
+    s = x.strip()
+    if s in ("inf", "+inf"):
+        return (1, _ZERO)
+    if s == "-inf":
+        return (-1, _ZERO)
+    if not _RATIONAL.match(s):
+        raise ValueError(f"cannot parse slope entry {x!r}")
+    try:
         return (0, Fraction(s))
-    raise ValueError(f"cannot parse slope entry {x!r}")
+    except ZeroDivisionError:
+        raise ValueError(f"slope entry {x!r} has a zero denominator") from None
 
 
-@dataclass(frozen=True)
-class SlopeValue:
-    """A lexicographically ordered tuple of rationals extended by +-infinity.
+class SlopeValue(tuple):
+    """A lexicographically ordered tuple of rationals extended by ±infinity:
+    a tuple of ``slope_entry`` pairs, so tuple order is the slope order."""
 
-    Each entry is stored as (tier, value) with tier -1/0/+1 for -infinity,
-    finite, +infinity; tuple comparison then realizes the total order.
-    """
-
-    entries: tuple[tuple[int, Fraction], ...]
+    __slots__ = ()
 
     @staticmethod
     def of(*values) -> "SlopeValue":
-        return SlopeValue(tuple(_parse_slope_entry(v) for v in values))
-
-    def __lt__(self, other: "SlopeValue") -> bool:
-        return self.entries < other.entries
-
-    def __le__(self, other: "SlopeValue") -> bool:
-        return self.entries <= other.entries
-
-    def __gt__(self, other: "SlopeValue") -> bool:
-        return self.entries > other.entries
-
-    def __ge__(self, other: "SlopeValue") -> bool:
-        return self.entries >= other.entries
+        return SlopeValue(map(slope_entry, values))
 
     def __str__(self) -> str:
-        def fmt(e: tuple[int, Fraction]) -> str:
-            return {-1: "-inf", 1: "inf"}.get(e[0], str(e[1]))
-
-        return "(" + ", ".join(fmt(e) for e in self.entries) + ")"
+        return "(" + ", ".join({-1: "-inf", 1: "inf"}.get(t, str(v)) for t, v in self) + ")"

@@ -323,6 +323,8 @@ def linear_stability(a: Sequence[int], b: Sequence[int]) -> StabilityData:
     """Slope (a·γ)/(b·γ), with the usual ±infinity convention when b·γ = 0."""
     a = tuple(Fraction(x) for x in a)
     b = tuple(Fraction(x) for x in b)
+    if len(a) != len(b):
+        raise ValueError("linear_stability needs a and b of the same length")
 
     def slope(cls: ClassVec) -> SlopeValue:
         if len(cls) != len(a):

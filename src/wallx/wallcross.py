@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import (
@@ -378,6 +379,12 @@ def invert_semistable(
     return InvariantTable(recovered, monoid=monoid)
 
 
+@lru_cache(maxsize=None)
+def _half_power(name: str, n: int) -> LaurentElement:
+    """``name**(n/2)``, shared: elements are immutable."""
+    return LaurentElement.monomial(1, {name: Fraction(n, 2)})
+
+
 def vw_wcf(
     alpha,
     tau_one: StabilityData,
@@ -445,7 +452,7 @@ def vw_wcf(
     # γ is ε(γ)·scale[mass(γ)], scale[m] = m!·D^(m-1), and the answer at α
     # is divided by scale[mass(α)] once.
     mass = sum(alpha)
-    d = LaurentElement({((kappa, 1),): 1, ((kappa, -1),): -1})
+    d = _half_power(kappa, 1) - _half_power(kappa, -1)
     scale = [None, LaurentElement.const(1)]
     for m in range(2, mass + 1):
         scale.append(scale[-1] * d * m)
@@ -457,10 +464,8 @@ def vw_wcf(
 
     def weight(beta, delta):
         c = chi(beta, delta)
-        sign = -1 if c % 2 else 1
-        return LaurentElement(
-            {((kappa, -c),): math.comb(sum(beta) + sum(delta), sum(beta)) * sign}
-        )
+        binom = math.comb(sum(beta) + sum(delta), sum(beta))
+        return _half_power(kappa, -c) * (-binom if c % 2 else binom)
 
     out = refactor(
         classes, tau_one, tau_two, entries.get, weight,

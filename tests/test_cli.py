@@ -195,6 +195,18 @@ class TestConfigParsing:
             parse_config(text)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("section", ["stabilities", "o", "invariants"])
+    def test_section_that_is_not_an_object(self, tmp_path, capsys, section):
+        text = '{\n  "classes": {"A": [1]},\n  "%s": [1]\n}' % section
+        message = f"line 3: {section} must be a JSON object"
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text)
+        assert str(caught.value) == message
+        argv = ["ucoeff", demo_file(tmp_path, text), "--target", "A",
+                "--tau", "t", "--tau-prime", "t"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_bad_invariant_symbol(self):
         with pytest.raises(ConfigError, match="symbol"):
             parse_config('{"classes": {"A": [1]}, "invariants": {"A": "2x&"}}')
@@ -296,6 +308,17 @@ class TestUcoeffCommand:
         assert code == 0
         assert tree["max_parts"] == 2
         assert {len(r["parts"]) for r in tree["rows"]} == {1, 2}
+
+    @pytest.mark.parametrize("command", ["ucoeff", "wallcross", "vwnum"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_parts_below_one_refused(self, tmp_path, capsys, command, value):
+        argv = [command, demo_file(tmp_path), "--target", "T",
+                "--tau", "before", "--tau-prime", "after", "--max-parts", value]
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --max-parts: must be at least 1, got {value}" in err
 
     def test_config_from_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(DEMO))

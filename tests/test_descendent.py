@@ -241,6 +241,28 @@ class TestMatrixExponential:
         for key, entry in large.items():
             assert total_truncate(entry, 3) == small.get(key, L.zero())
 
+    def test_total_truncate_filters_by_total_degree_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        exps = st.dictionaries(
+            st.sampled_from("abc"), st.integers(-4, 4).map(lambda n: F(n, 2)), max_size=3
+        )
+        terms = st.lists(st.tuples(exps, st.integers(-5, 5)), max_size=6)
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(terms, st.integers(-3, 3))
+        def check(terms, order):
+            element = laurent_sum(L.monomial(c, e) for e, c in terms)
+            want = laurent_sum(
+                L.monomial(c, e)
+                for e, c in element.monomials()
+                if sum(e.values()) <= order
+            )
+            got = total_truncate(element, order)
+            assert got == want and got.trunc is None
+
+        check()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_factorization(self, n):
         order = 4
@@ -478,8 +500,8 @@ class TestPairChernData:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_homogeneous(self, n):
         ch = pair_chern_character(n)
-        for mono, _ in ch.terms.items():
-            assert sum(self.GRADING[v] * e for v, e in mono) == 2 * n
+        for exps, _ in ch.monomials():
+            assert sum(self.GRADING[v] * e for v, e in exps.items()) == n
 
     def test_hand_coefficients(self):
         ch0 = pair_chern_character(0)

@@ -1,12 +1,15 @@
 """Source hygiene: every name a module of the package imports is used, no
 module reaches into a sibling's private names, every private module-level
-name is read by its own module, and every public function, class and method
-is named somewhere outside its own definition."""
+name is read by its own module, every public function, class and method
+is named somewhere outside its own definition, only ``ring`` knows how a
+Laurent element stores its terms, and nothing outside the standard library
+is imported."""
 
 from __future__ import annotations
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -212,4 +215,113 @@ def test_scan_sees_an_unreferenced_public_name() -> None:
     assert _unreferenced_public_names(package, others) == [
         "shapes.py: width (line 2)",
         "shapes.py: volume (line 13)",
+    ]
+
+
+# Modules that work with Laurent elements; ``freelie``, ``selftest`` and
+# ``cli`` read ``.terms`` of free Lie elements, which are not ring elements.
+_LAURENT_USERS = ("kclasses.py", "descendent.py", "wallcross.py", "ucoeff.py")
+
+
+def _ring_format_uses(tree: ast.Module, *, terms: bool) -> list[str]:
+    """Places that depend on how ``wallx.ring`` stores an element: a use of
+    ``Trunc``, a read of ``order2``, a call of the ``LaurentElement``
+    constructor under any name bound to it, and, with ``terms``, a read of
+    ``.terms``."""
+    constructors = {"LaurentElement"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            constructors |= {a.asname or a.name for a in node.names if a.name == "LaurentElement"}
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+            if node.value.id in constructors:
+                constructors |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "Trunc" for a in node.names):
+            found.append((node.lineno, "imports Trunc"))
+        elif isinstance(node, ast.Attribute) and (
+            node.attr in ("Trunc", "order2") or (terms and node.attr == "terms")
+        ):
+            found.append((node.lineno, f"uses .{node.attr}"))
+        elif isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id in constructors)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "LaurentElement")
+        ):
+            found.append((node.lineno, "calls the LaurentElement constructor"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in sorted(SRC.glob("*.py")) if path.name != "ring.py"],
+    ids=lambda p: p.name,
+)
+def test_only_ring_knows_the_monomial_format(path: Path) -> None:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _ring_format_uses(tree, terms=path.name in _LAURENT_USERS) == []
+
+
+def test_scan_sees_the_monomial_format() -> None:
+    tree = ast.parse(
+        "from .ring import LaurentElement as L, Trunc\n"
+        "from wallx import ring\n"
+        "E = L\n"
+        "def f(el):\n"
+        "    t = ring.Trunc(frozenset(), 2)\n"
+        "    n = el.trunc.order2\n"
+        "    a = E({(): 1})\n"
+        "    b = ring.LaurentElement({}, t)\n"
+        "    return el.terms, L.gen('x'), list(el.monomials()), n, a, b\n"
+    )
+    found = [
+        "imports Trunc (line 1)",
+        "uses .Trunc (line 5)",
+        "uses .order2 (line 6)",
+        "calls the LaurentElement constructor (line 7)",
+        "calls the LaurentElement constructor (line 8)",
+    ]
+    assert _ring_format_uses(tree, terms=False) == found
+    assert _ring_format_uses(tree, terms=True) == found + ["uses .terms (line 9)"]
+
+
+def _outside_imports(tree: ast.Module) -> list[str]:
+    """Imported modules that are neither in the standard library nor this
+    package; a relative import is this package."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top != "wallx" and top not in sys.stdlib_module_names:
+                found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_standard_library_is_imported(path: Path) -> None:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _outside_imports(tree) == []
+
+
+def test_scan_sees_an_import_outside_the_standard_library() -> None:
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from sympy.core import Symbol\n"
+        "from . import ring\n"
+        "from .ring import KAPPA\n"
+        "from wallx.ring import LaurentElement\n"
+        "from fractions import Fraction\n"
+        "def f():\n"
+        "    import hypothesis\n"
+    )
+    assert _outside_imports(tree) == [
+        "numpy (line 2)",
+        "sympy.core (line 3)",
+        "hypothesis (line 9)",
     ]

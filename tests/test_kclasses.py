@@ -35,7 +35,6 @@ from wallx.kclasses import (
 )
 from wallx.ring import (
     LaurentElement,
-    Trunc,
     as_rational,
     exact_laurent_div,
     expand,
@@ -52,9 +51,9 @@ hbar = L.gen("hbar")
 
 def _half(m: L, sign: int) -> L:
     """Half power of a coefficient-1 monomial, built by hand for oracles."""
-    ((mono, coeff),) = m.terms.items()
+    ((exps, coeff),) = m.monomials()
     assert coeff == 1
-    return L.monomial(1, {v: Fraction(e * sign, 4) for v, e in mono})
+    return L.monomial(1, {v: e * Fraction(sign, 2) for v, e in exps.items()})
 
 
 def _random_honest(rng: random.Random, nroots: int, mode: str = "K") -> VirtualClass:
@@ -180,15 +179,15 @@ def test_wedge_inverse_root_matches_displayed_series() -> None:
     # own primitives (series inversion), not from the wedge machinery.
     E = VirtualClass([(L.gen("t1"), -1)])
     got = wedge(E)
-    order2 = got.trunc.order2
-    tr = Trunc(frozenset({AUG_Z, aug_name("t1")}), order2, 1)
-    lam = L.gen(aug_name("t1")) * L.const(1, tr)
+    order = 2 * len(E.roots) + 2  # the documented default
+    unit = L.const(1).truncate({AUG_Z, aug_name("t1")}, order)
+    lam = L.gen(aug_name("t1")) * unit
     xi = L.gen(AUG_Z)
-    ldual = (L.const(1, tr) - lam).invert_series()
-    want = L.zero(tr)
+    ldual = (unit - lam).invert_series()
+    want = 0 * unit
     k = 0
-    while 2 * (2 * k + 1) <= order2:
-        want = want + ldual * (L.const(1, tr) - ldual) ** k * xi ** (k + 1)
+    while 2 * k + 1 <= order:
+        want = want + ldual * (unit - ldual) ** k * xi ** (k + 1)
         k += 1
     assert got == want
 
@@ -365,14 +364,14 @@ def test_segre_class_inverts_total_chern_class() -> None:
     roots = [L.gen("w1"), L.gen("w2")]
     V = VirtualClass(roots, mode="coh")
     u = L.gen("u")
-    tr = Trunc(frozenset({"u"}), 8, 1)
-    total_c = L.const(1, tr)
+    unit = L.const(1).truncate({"u"}, 4)
+    total_c = unit
     for w in roots:
-        total_c = total_c * (L.const(1, tr) + u * w)
-    total_s = L.zero(tr)
+        total_c = total_c * (unit + u * w)
+    total_s = 0 * unit
     for j in range(5):
         total_s = total_s + segre_class(V, j) * u**j
-    assert total_c * total_s == L.const(1, tr)
+    assert total_c * total_s == unit
 
 
 # -- residue variables never capture an input name ------------------------------

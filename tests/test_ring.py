@@ -26,6 +26,7 @@ from wallx.ring import (
     plethystic_log,
     residue_K,
     residue_coh,
+    slope_entry,
     specialize_kappa,
 )
 
@@ -56,6 +57,23 @@ def _random_regular(
         exps[var] = Fraction(rng.randint(0, 3))
         acc = acc + L.monomial(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), exps)
     return acc
+
+
+def _term_set(el: L) -> set:
+    """The terms of ``el`` read through the public view, as a set."""
+    return {(tuple(exps.items()), c) for exps, c in el.monomials()}
+
+
+def _hypothesis_elements(hypothesis):
+    """Random elements with half-integer exponents in k, t and z."""
+    st = hypothesis.strategies
+    exps = st.dictionaries(
+        st.sampled_from("ktz"), st.integers(-4, 4).map(lambda n: Fraction(n, 2)), max_size=3
+    )
+    coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    return st.lists(st.tuples(exps, coeffs), max_size=6).map(
+        lambda terms: laurent_sum(L.monomial(c, e) for e, c in terms)
+    )
 
 
 # -- basic ring behaviour ------------------------------------------------------
@@ -102,6 +120,59 @@ def test_truncation_combines_as_minimum() -> None:
     a = (one + x).truncate(["x"], 5)
     b = (one + x).truncate(["x"], 3)
     assert (a * b).trunc.order2 == 6
+
+
+# -- the public view of the terms ------------------------------------------------
+
+
+def test_monomials_give_natural_exponents() -> None:
+    el = 3 * L.monomial(1, {"z": -2, "k": Fraction(1, 2)}) + Fraction(1, 2) * x - 4
+    assert _term_set(el) == {
+        ((("k", Fraction(1, 2)), ("z", -2)), 3),
+        ((("x", 1),), Fraction(1, 2)),
+        ((), -4),
+    }
+    for exps, _ in el.monomials():
+        assert all(type(e) is (int if e.denominator == 1 else Fraction) for e in exps.values())
+    assert list(L.zero().monomials()) == []
+
+
+def test_rebuilding_from_monomials_is_the_identity_hypothesis() -> None:
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(_hypothesis_elements(hypothesis))
+    def check(el):
+        rebuilt = laurent_sum(L.monomial(c, exps) for exps, c in el.monomials())
+        assert rebuilt == el and str(rebuilt) == str(el)
+        for exps, c in el.monomials():
+            assert list(exps) == sorted(exps) and c != 0
+            for e in exps.values():
+                assert e != 0 and type(e) is (int if e.denominator == 1 else Fraction)
+
+    check()
+
+
+def test_truncate_keeps_the_terms_within_the_order_hypothesis() -> None:
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(
+        _hypothesis_elements(hypothesis),
+        st.sets(st.sampled_from("ktz"), min_size=1),
+        st.integers(-3, 3),
+        st.sampled_from([1, -1]),
+    )
+    def check(el, names, n, sign):
+        def kept(exps) -> bool:
+            degree = sum(e for v, e in exps.items() if v in names)
+            return degree <= n if sign > 0 else degree >= -n
+
+        want = {(tuple(e.items()), c) for e, c in el.monomials() if kept(e)}
+        assert _term_set(el.truncate(names, n, sign)) == want
+
+    check()
 
 
 # -- canonical form and truncated products -------------------------------------
@@ -862,3 +933,28 @@ def test_slope_value_total_order() -> None:
 def test_slope_value_lexicographic_tuples() -> None:
     assert SlopeValue.of(0, "inf") < SlopeValue.of("1/2", "-inf")
     assert SlopeValue.of(1, 2) < SlopeValue.of(1, 3)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (True, "slope entries must be integers or strings, got True"),
+        (1.5, "slope entries must be integers or strings, got 1.5"),
+        ("1.5", "cannot parse slope entry '1.5'"),
+        ("1e2", "cannot parse slope entry '1e2'"),
+        ("1_0", "cannot parse slope entry '1_0'"),
+        ("", "cannot parse slope entry ''"),
+        ("1/0", "slope entry '1/0' has a zero denominator"),
+    ],
+)
+def test_slope_entries_outside_the_grammar_are_refused(entry, message) -> None:
+    with pytest.raises(ValueError) as err:
+        SlopeValue.of(1, entry)
+    assert str(err.value) == message
+
+
+def test_slope_entry_grammar() -> None:
+    assert slope_entry(" +inf ") == (1, 0) and slope_entry("-inf") == (-1, 0)
+    assert slope_entry(" -6/4 ") == (0, Fraction(-3, 2)) == slope_entry(Fraction(-3, 2))
+    assert slope_entry(7) == slope_entry("+7") == (0, 7)
+    assert str(SlopeValue.of("-inf", "2/4", 3, "inf")) == "(-inf, 1/2, 3, inf)"

@@ -361,6 +361,18 @@ class TestSlopeMemo:
                 mapping.slope_of((0, 1))
         assert zero_over_zero.slope_of((1, 0)) == SlopeValue.of(1)
 
+    @pytest.mark.parametrize("a, b", [([1, 0], [1]), ([1], [1, 1]), ([], [0])])
+    def test_linear_stability_refuses_vectors_of_unequal_length(self, a, b):
+        with pytest.raises(ValueError, match="same length"):
+            linear_stability(a, b)
+
+    def test_library_slopes_follow_the_config_grammar(self):
+        for bad in (True, "1.5", "1/0"):
+            tau = StabilityData({(1, 0): bad})
+            with pytest.raises(ValueError):
+                tau.slope_of((1, 0))
+        assert StabilityData({(1, 0): " -2/4 "}).slope_of((1, 0)) == SlopeValue.of(F(-1, 2))
+
     def test_failed_lookups_are_not_memoized(self):
         calls = collections.Counter()
 
