@@ -21,7 +21,7 @@ from fractions import Fraction
 from .descendent import dt_to_pt, y_recursion
 from .errors import ConfigError, WallxError
 from .freelie import LieElement, standard_split
-from .ring import LaurentElement, slope_entry
+from .ring import LaurentElement, integer_entry, slope_entry
 from .selftest import run_all
 from .ucoeff import (
     EffectiveMonoid,
@@ -76,9 +76,10 @@ def _fail(text: str, path: tuple, message: str):
 
 
 def _require_int(value, text: str, path: tuple, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    try:
+        return integer_entry(value)
+    except ValueError:
         _fail(text, path, f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _canon_slope(entry, text: str, path: tuple) -> str:

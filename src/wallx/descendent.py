@@ -42,7 +42,13 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .kclasses import cy_limit_theta, theta_closed
-from .ring import LaurentElement, exact_laurent_div, laurent_sum, plethystic_exp
+from .ring import (
+    LaurentElement,
+    exact_laurent_div,
+    integer_entry,
+    laurent_sum,
+    plethystic_exp,
+)
 from .ucoeff import set_partitions
 
 __all__ = [
@@ -372,12 +378,12 @@ def y_recursion(keys) -> LaurentElement:
     c(m, b) counts the label sets with key multiset b that hold the first
     label.
     """
-    return _y_recursive(tuple(sorted(int(k) for k in keys)))
+    return _y_recursive(tuple(sorted(map(integer_entry, keys))))
 
 
 def y_explicit(keys) -> LaurentElement:
     """Corner coefficient in closed form: a signed sum over set partitions."""
-    keys = tuple(sorted(int(k) for k in keys))
+    keys = tuple(sorted(map(integer_entry, keys)))
     if not keys:
         return dt0_symbol(())
     inv = dt0_symbol(()).monomial_inverse()
@@ -408,7 +414,7 @@ def dt_to_pt(keys, route: str = "y") -> LaurentElement:
     two-level set partitions with signs (-1)**(n + sum of m_i) and factors
     (m_i - 1)!.  The two routes agree identically.
     """
-    keys = tuple(int(k) for k in keys)
+    keys = tuple(map(integer_entry, keys))
     if route == "y":
         values, m = _multiplicities(keys)
         blocks = {}

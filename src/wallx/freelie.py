@@ -6,10 +6,11 @@ tensor algebra (``UEAElement``, any words) and of the free Lie algebra
 share one linear core: sums, scalar products, equality and ``repr``.  Lyndon
 words, ordered by length, then lexicographically in declaration order, index
 the Chen–Fox–Lyndon basis, and their standard bracketings expand into the
-tensor algebra.  The module provides the expansion homomorphism, its
-one-sided inverse on primitive elements (a triangular rewrite in the Lyndon
-basis that rejects anything outside the Lie subspace), and exp(ad)
-conjugation checks in the truncated enveloping algebra.
+tensor algebra.  The module provides the expansion homomorphism
+``expand_to_uea``, its one-sided inverse ``dynkin_project`` (one triangular
+rewrite in the Lyndon basis over all word lengths at once, which rejects
+anything outside the Lie subspace), and exp(ad) conjugation checks in the
+truncated enveloping algebra.
 """
 
 from __future__ import annotations
@@ -227,9 +228,6 @@ class UEAElement(_WordCombination):
             {w: c for w, c in self.terms.items() if len(w) <= maxlen},
         )
 
-    def word_lengths(self) -> set[int]:
-        return {len(w) for w in self.terms}
-
 
 class LieElement(_WordCombination):
     """Finitely supported Lyndon-word-to-coefficient map."""
@@ -251,7 +249,7 @@ class LieElement(_WordCombination):
 
     def bracket(self, other: "LieElement") -> "LieElement":
         _same_context(self, other)
-        return uea_to_lie(expand_to_uea(self).bracket(expand_to_uea(other)))
+        return dynkin_project(expand_to_uea(self).bracket(expand_to_uea(other)))
 
 
 # -- expansion and projection ------------------------------------------------------
@@ -292,12 +290,14 @@ def expand_to_uea(x: LieElement) -> UEAElement:
     return UEAElement._trusted(ctx, _add_into({}, pairs))
 
 
-def uea_to_lie(p: UEAElement) -> LieElement:
-    """Rewrite a Lie-subspace element in the Lyndon basis.
+def dynkin_project(p: UEAElement) -> LieElement:
+    """The Lie element whose expansion is ``p``, in the Lyndon basis.
 
-    Uses the triangularity of the expansion: the expansion of a Lyndon word's
-    bracketing is that word plus lexicographically larger words of the same
-    length.  Raises NotPrimitive if the input is not in the Lie subspace.
+    ``p`` may mix word lengths.  The rewrite is triangular: the expansion of
+    a Lyndon word's bracketing is that word plus lexicographically larger
+    words of the same length, so the least remaining word by (length, key)
+    is the next basis word.  Raises NotPrimitive if ``p`` is not in the Lie
+    subspace.
     """
     ctx = p.context
     rem = dict(p.terms)
@@ -338,21 +338,6 @@ def left_nested(word: Word, ctx: LieContext) -> LieElement:
     for letter in word[1:]:
         acc = acc.bracket(LieElement.letter(ctx, letter))
     return acc
-
-
-def dynkin_project(p: UEAElement, n: int) -> LieElement:
-    """Recover the Lie element with expansion ``p`` (homogeneous of length n).
-
-    The result equals the Dynkin–Specht–Wever sum (1/n)·Σ_w p[w]·[w] over
-    left-nested bracketings, but is computed by the triangular rewrite of
-    ``uea_to_lie``; NotPrimitive is raised when ``p`` is not a Lie element.
-    """
-    ctx = p.context
-    if p.is_zero():
-        return LieElement.zero(ctx)
-    if p.word_lengths() != {n}:
-        raise ValueError(f"input is not homogeneous of word length {n}")
-    return uea_to_lie(p)
 
 
 def evaluate_lie(x: LieElement, leaf, bracket, zero, scale=None):

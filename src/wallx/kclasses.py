@@ -32,6 +32,7 @@ from .ring import (
     as_rational,
     exact_laurent_div,
     fresh_name,
+    integer_entry,
     laurent_sum,
     plethystic_exp,
     residue_K,
@@ -528,7 +529,7 @@ def _chern_data(E):
         if E.mode != "coh":
             raise ModeMismatch("theta coefficients need an additive-mode class")
         return E.rank, lambda p: chern_character(E, p)
-    rank = int(E)
+    rank = integer_entry(E)
     return rank, lambda p: LaurentElement.gen(f"ch{p}")
 
 

@@ -286,7 +286,7 @@ class LaurentElement:
                 out[_mono_drop(m, var)] = c
         return _trusted(out)
 
-    def coeffs_in(self, var: str) -> dict[int, "LaurentElement"]:
+    def _coeffs_in(self, var: str) -> dict[int, "LaurentElement"]:
         """Split into {doubled exponent of var: coefficient element}."""
         grouped: dict[int, dict[Mono, Scalar]] = {}
         for m, c in self.terms.items():
@@ -294,7 +294,7 @@ class LaurentElement:
             grouped.setdefault(e2, {})[_mono_drop(m, var)] = c
         return {e2: _trusted(t) for e2, t in grouped.items()}
 
-    def val2(self, var: str) -> int | None:
+    def _val2(self, var: str) -> int | None:
         """Minimal doubled exponent of ``var`` over all terms (None if zero)."""
         if not self.terms:
             return None
@@ -498,7 +498,7 @@ class LaurentElement:
     def subs_poly(self, var: str, value: "LaurentElement") -> "LaurentElement":
         """Substitute a general value for ``var``; needs nonneg integer powers."""
         value = as_element(value)
-        pieces = self.coeffs_in(var)
+        pieces = self._coeffs_in(var)
         trunc = _combine_trunc(self.trunc, value.trunc)
         powers: dict[int, LaurentElement] = {0: LaurentElement.const(1, trunc)}
 
@@ -520,7 +520,7 @@ class LaurentElement:
 
     def subs_zero(self, var: str) -> "LaurentElement":
         """Substitute 0 for ``var`` (drops terms with positive powers)."""
-        v2 = self.val2(var)
+        v2 = self._val2(var)
         if v2 is not None and v2 < 0:
             raise ZeroDivisionError(f"negative power of {var!r} at 0")
         return _trusted(self.coeff_of(var, 0).terms, self.trunc)
@@ -798,7 +798,7 @@ class RationalElement:
 
     def subs_poly(self, var: str, value: LaurentElement) -> "RationalElement":
         num, den = self.num, self.den
-        vmin = min(num.val2(var) or 0, den.val2(var) or 0)
+        vmin = min(num._val2(var) or 0, den._val2(var) or 0)
         shift2 = max(0, -vmin)
         if shift2 % 2:
             shift2 += 1
@@ -807,12 +807,6 @@ class RationalElement:
             num = num * scale
             den = den * scale
         return RationalElement(num.subs_poly(var, value), den.subs_poly(var, value))
-
-    def subs_one(self, var: str) -> "RationalElement":
-        return RationalElement(self.num.subs_one(var), self.den.subs_one(var))
-
-    def negate_var(self, var: str) -> "RationalElement":
-        return RationalElement(self.num.negate_var(var), self.den.negate_var(var))
 
     def __repr__(self) -> str:
         return str(self)
@@ -896,10 +890,10 @@ def expand_general(
         num, den = num.negate_var(var), den.negate_var(var)
     if not num.terms:
         return {}
-    vn, vd = num.val2(var), den.val2(var)
+    vn, vd = num._val2(var), den._val2(var)
     assert vn is not None and vd is not None
-    ncoeffs = {e2 - vn: el for e2, el in num.coeffs_in(var).items()}
-    dcoeffs = {e2 - vd: el for e2, el in den.coeffs_in(var).items()}
+    ncoeffs = {e2 - vn: el for e2, el in num._coeffs_in(var).items()}
+    dcoeffs = {e2 - vd: el for e2, el in den._coeffs_in(var).items()}
     d0 = as_rational(dcoeffs[0])
     lead = vn - vd
     needed = 2 * order - lead
@@ -1026,8 +1020,8 @@ def exact_laurent_div(num: Element, den: Element, var: str) -> LaurentElement:
         raise ZeroDivisionError("exact division by zero")
     if not num.terms:
         return LaurentElement.zero()
-    cn = num.coeffs_in(var)
-    cd = den.coeffs_in(var)
+    cn = num._coeffs_in(var)
+    cd = den._coeffs_in(var)
     top = max(cd)
     lead = cd[top]
     if not lead.is_monomial():
@@ -1115,6 +1109,17 @@ def kappa_one_vanishing_order(f: Element) -> int | None:
 
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+
+def integer_entry(x) -> int:
+    """An integer input as an ``int``: an ``int`` (not a ``bool``) or a
+    ``Fraction`` with denominator 1; anything else, a float or a string
+    included, raises ValueError."""
+    if type(x) is int:
+        return x
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x.denominator == 1:
+        return int(x)
+    raise ValueError(f"expected an integer, got {x!r}")
 
 
 def slope_entry(x) -> tuple[int, Fraction]:

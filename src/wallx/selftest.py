@@ -211,11 +211,7 @@ def dynkin_inversion() -> None:
     ctx = words.context
     corrupted = words + UEAElement(ctx, {((0, 1), (1, 0)): F(1, 7)})
     try:
-        for n in sorted(corrupted.word_lengths()):
-            piece = UEAElement(
-                ctx, {w: c for w, c in corrupted.terms.items() if len(w) == n}
-            )
-            dynkin_project(piece, n)
+        dynkin_project(corrupted)
     except NotPrimitive:
         pass
     else:

@@ -1,9 +1,10 @@
 """Effective-class monoids, weak stability data, and the universal
 coefficients S, U, and their bracket-canonical companion.
 
-Classes are integer vectors; the effective cone consists of the nonzero
-natural-number combinations of a declared generator list, each generator
-carrying positive total mass so that every enumeration below terminates.
+Classes are integer vectors, read by ``ring.integer_entry``; the effective
+cone consists of the nonzero natural-number combinations of a declared
+generator list, each generator carrying positive total mass so that every
+enumeration below terminates.
 The S and U coefficients are computed directly from their defining sums over
 index conditions and permissible double groupings.
 
@@ -28,13 +29,13 @@ from .errors import (
     SlopeUndefined,
 )
 from .freelie import LieContext, LieElement, UEAElement, dynkin_project
-from .ring import SlopeValue
+from .ring import SlopeValue, integer_entry
 
 ClassVec = tuple
 
 
 def as_class(cls) -> ClassVec:
-    out = tuple(int(c) for c in cls)
+    out = tuple(map(integer_entry, cls))
     if not out:
         raise ValueError("class vectors must have at least one coordinate")
     return out
@@ -278,11 +279,12 @@ def pairing_form(chi):
     """The pairing ``(a, b) -> int`` given by a callable or an integer matrix.
 
     A callable is returned unchanged; a matrix must be square and
-    antisymmetric, and its form refuses classes of another dimension.
+    antisymmetric, with entries read by ``integer_entry``, and its form
+    refuses classes of another dimension.
     """
     if callable(chi):
         return chi
-    rows = tuple(tuple(int(x) for x in row) for row in chi)
+    rows = tuple(tuple(map(integer_entry, row)) for row in chi)
     size = len(rows)
     for i, row in enumerate(rows):
         if len(row) != size:
@@ -300,14 +302,15 @@ def pairing_form(chi):
 
 
 def class_lookup(source, missing: type[Exception], what: str):
-    """``cls -> int`` read from a class-keyed mapping or a callable.
+    """``cls -> int`` read from a class-keyed mapping or a callable, each
+    value read by ``integer_entry``.
 
     A mapping is copied once; a class it lacks raises ``missing`` with the
     message "no <what> for class <cls>".
     """
     if callable(source):
-        return lambda cls: int(source(as_class(cls)))
-    mapping = {as_class(cls): int(v) for cls, v in source.items()}
+        return lambda cls: integer_entry(source(as_class(cls)))
+    mapping = {as_class(cls): integer_entry(v) for cls, v in source.items()}
 
     def lookup(cls) -> int:
         cls = as_class(cls)
@@ -504,7 +507,7 @@ def utilde_lie_element(
     on the letters z_γ, γ ≤ α, with X_γ = z_γ: coefficients are stored
     times mass(γ)!, so concatenation carries the weight C(mass(β+δ),
     mass(β)), and X′_α is divided by mass(α)! once.  It is then rewritten
-    into the Lyndon basis length by length by the Dynkin projection.  The
+    into the Lyndon basis by ``dynkin_project``, all word lengths at once.  The
     input contract is that of ``peel_classes``; a target that is not
     effective gives zero.  With ``context`` None the letters are the sorted
     classes of the nonzero words.
@@ -522,11 +525,7 @@ def utilde_lie_element(
         words = {w: Fraction(c) / math.factorial(_mass(alpha)) for w, c in after.items()}
     if context is None:
         context = LieContext(sorted({cls for word in words for cls in word}))
-    result = LieElement.zero(context)
-    for n in sorted({len(word) for word in words}):
-        piece = UEAElement(context, {w: c for w, c in words.items() if len(w) == n})
-        result = result + dynkin_project(piece, n)
-    return result
+    return dynkin_project(UEAElement(context, words))
 
 
 # -- the slope-ordered peel ---------------------------------------------------------

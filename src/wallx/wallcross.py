@@ -44,7 +44,14 @@ from .errors import (
 )
 from .freelie import LieContext, LieElement, evaluate_lie
 from .kclasses import quantum_integer
-from .ring import KAPPA, LaurentElement, exact_laurent_div, fresh_name, laurent_sum
+from .ring import (
+    KAPPA,
+    LaurentElement,
+    exact_laurent_div,
+    fresh_name,
+    integer_entry,
+    laurent_sum,
+)
 from .ucoeff import (
     EffectiveMonoid,
     StabilityData,
@@ -439,8 +446,7 @@ def vw_wcf(
                 raise ValueError("o counts must be nonnegative")
             return count
 
-        if o_alpha is None:
-            o_alpha = lookup(alpha)
+        o_alpha = lookup(alpha) if o_alpha is None else integer_entry(o_alpha)
         grade = fresh_name("o", entries.values())
 
     # With x^a·x^b = t^(-χ(a,b))·x^(a+b), t = −κ^(1/2), the commutator of
@@ -472,7 +478,7 @@ def vw_wcf(
         mul=operator.mul, scale=operator.mul, total=laurent_sum,
     )[alpha]
     if grade is not None:
-        out = out.coeff_of(grade, int(o_alpha))
+        out = out.coeff_of(grade, o_alpha)
     if mass > 1:
         out = exact_laurent_div(out, scale[mass], kappa)
     if qint is not None:

@@ -131,6 +131,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="invariant"):
             parse_config('{"classes": {"A": [1]}, "invariants": {"A": 0.5}}')
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (
+                '"A": [1, 0]',
+                '"A": [true, 0]',
+                "line 2: class 'A' entry must be an integer, got True",
+            ),
+            ("[[0, 3]", "[[0, 3.0]", "line 7: chi entry must be an integer, got 3.0"),
+            (
+                '"chi"',
+                '"o": {"A": 1, "B": 0.5, "T": 1},\n  "chi"',
+                "line 7: o['B'] must be an integer, got 0.5",
+            ),
+        ],
+        ids=["class", "chi", "o"],
+    )
+    def test_integer_fields_follow_the_integer_rule(self, old, new, message):
+        text = DEMO.replace(old, new)
+        assert text != DEMO
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text)
+        assert str(caught.value) == message
+
     def test_non_antisymmetric_chi_reports_line(self):
         text = DEMO.replace("[-3, 0]", "[3, 0]")
         expected_line = next(

@@ -311,6 +311,13 @@ class TestCornerCoefficients:
     def test_recursion_equals_explicit(self, keys):
         assert y_recursion(keys) == y_explicit(keys)
 
+    def test_keys_follow_the_integer_rule(self):
+        for corner in (y_recursion, y_explicit):
+            for keys in ((1.9,), (1, True), ("2",)):
+                with pytest.raises(ValueError, match="expected an integer"):
+                    corner(keys)
+        assert y_recursion((Fraction(3), 1)) == y_recursion((1, 3))
+
     def test_explicit_term_count(self):
         # fifteen partitions of a four-element set
         assert len(y_explicit((1, 2, 3, 4)).terms) == 15
@@ -337,6 +344,13 @@ class TestTransformationTable:
             + pt_symbol((1, 2)) * split
         )
         assert dt_to_pt((1, 2)) == expected
+
+    def test_keys_follow_the_integer_rule(self):
+        for route in ("y", "theorem"):
+            for keys in ((1.9,), (2, True)):
+                with pytest.raises(ValueError, match="expected an integer"):
+                    dt_to_pt(keys, route)
+        assert dt_to_pt((Fraction(2), 1)) == dt_to_pt((1, 2))
 
     @pytest.mark.parametrize("keys", [(), (5,), (1, 2), (1, 1), (1, 2, 3), (2, 2, 4)])
     def test_routes_agree(self, keys):

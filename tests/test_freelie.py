@@ -16,7 +16,6 @@ from wallx.freelie import (
     expand_to_uea,
     left_nested,
     lyndon_words,
-    uea_to_lie,
 )
 
 F = Fraction
@@ -69,9 +68,9 @@ def _check_against_oracles(p, n):
         expected = _dynkin_specht_wever(p, n)
     except NotPrimitive:
         with pytest.raises(NotPrimitive):
-            dynkin_project(p, n)
+            dynkin_project(p)
         return
-    got = dynkin_project(p, n)
+    got = dynkin_project(p)
     assert got == expected
     # Dynkin–Specht–Wever read in the tensor algebra: no Lyndon rewrite.
     dsw = UEAElement.zero(p.context)
@@ -178,24 +177,18 @@ class TestExpand:
 
 
 class TestRoundTrips:
-    def test_uea_to_lie_inverts_expand(self):
+    def test_dynkin_inverts_expand_all_lengths(self):
         rng = random.Random(7)
         ctx = LieContext(["a", "b", "c"])
         words = lyndon_words(ctx.letters, 5)
         for _ in range(12):
             x = _random_lie(rng, ctx, words, 5)
-            assert uea_to_lie(expand_to_uea(x)) == x
-
-    def test_uea_to_lie_rejects_non_lie(self):
-        ctx = LieContext(["e1", "e2"])
-        p = UEAElement(ctx, {("e1", "e2"): F(1)})
-        with pytest.raises(NotPrimitive):
-            uea_to_lie(p)
+            assert dynkin_project(expand_to_uea(x)) == x
 
     def test_dynkin_inverts_expand_small(self):
         ctx = LieContext(["e1", "e2"])
         x = LieElement.letter(ctx, "e1").bracket(LieElement.letter(ctx, "e2"))
-        assert dynkin_project(expand_to_uea(x), 2) == x
+        assert dynkin_project(expand_to_uea(x)) == x
 
     def test_dynkin_inverts_expand_randomized(self):
         rng = random.Random(13)
@@ -204,21 +197,21 @@ class TestRoundTrips:
             words = [w for w in lyndon_words(ctx.letters, n) if len(w) == n]
             for _ in range(4):
                 x = _random_lie(rng, ctx, words, 3)
-                assert dynkin_project(expand_to_uea(x), n) == x
+                assert dynkin_project(expand_to_uea(x)) == x
 
     def test_dynkin_length_six(self):
         rng = random.Random(15)
         ctx = LieContext(["a", "b", "c", "d"])
         words = [w for w in lyndon_words(ctx.letters, 6) if len(w) == 6]
         x = _random_lie(rng, ctx, words, 2)
-        assert dynkin_project(expand_to_uea(x), 6) == x
+        assert dynkin_project(expand_to_uea(x)) == x
 
     def test_dynkin_rejects_single_word(self):
         ctx = LieContext(["e1", "e2"])
         p = UEAElement(ctx, {("e1", "e2"): F(1)})
         # removing e1.e2 - e2.e1 leaves e2.e1, whose leading word is not Lyndon
         with pytest.raises(NotPrimitive):
-            dynkin_project(p, 2)
+            dynkin_project(p)
 
     def test_dynkin_equals_specht_wever_oracle(self):
         rng = random.Random(41)
@@ -257,15 +250,21 @@ class TestRoundTrips:
 
         check()
 
-    def test_dynkin_rejects_mixed_lengths(self):
+    def test_dynkin_inverts_expand_mixed_lengths(self):
         ctx = LieContext(["e1", "e2"])
+        x = LieElement(ctx, {("e1",): F(2), ("e2",): F(-1, 3), ("e1", "e2"): F(5)})
+        assert dynkin_project(expand_to_uea(x)) == x
+
+    def test_dynkin_refuses_mixed_lengths_outside_lie(self):
+        ctx = LieContext(["e1", "e2"])
+        # e1 + e1.e2: the length-2 part alone is not a Lie element
         p = UEAElement(ctx, {("e1",): F(1), ("e1", "e2"): F(1)})
-        with pytest.raises(ValueError):
-            dynkin_project(p, 2)
+        with pytest.raises(NotPrimitive):
+            dynkin_project(p)
 
     def test_dynkin_zero(self):
         ctx = LieContext(["e1"])
-        assert dynkin_project(UEAElement.zero(ctx), 3).is_zero()
+        assert dynkin_project(UEAElement.zero(ctx)).is_zero()
 
 
 class TestBracket:

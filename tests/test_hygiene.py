@@ -1,9 +1,9 @@
 """Source hygiene: every name a module of the package imports is used, no
 module reaches into a sibling's private names, every private module-level
 name is read by its own module, every public function, class and method
-is named somewhere outside its own definition, only ``ring`` knows how a
-Laurent element stores its terms, and nothing outside the standard library
-is imported."""
+is named somewhere outside its own definition, only ``ring`` and its own
+tests know how a Laurent element stores its terms, and nothing outside the
+standard library is imported."""
 
 from __future__ import annotations
 
@@ -253,7 +253,12 @@ def _ring_format_uses(tree: ast.Module, *, terms: bool) -> list[str]:
 
 @pytest.mark.parametrize(
     "path",
-    [path for path in sorted(SRC.glob("*.py")) if path.name != "ring.py"],
+    [
+        path
+        for folder in (SRC, ROOT / "tests")
+        for path in sorted(folder.glob("*.py"))
+        if path.name not in ("ring.py", "test_ring.py")
+    ],
     ids=lambda p: p.name,
 )
 def test_only_ring_knows_the_monomial_format(path: Path) -> None:

@@ -199,12 +199,12 @@ def test_wedge_inverse_times_exact_factor_is_one() -> None:
     t1 = L.gen("t1")
     E = VirtualClass([(t1, -1)])
     inv = wedge(E, order=6)
-    tr = inv.trunc
-    lam = L.gen(aug_name("t1")) * L.const(1, tr)
-    wt = L.const(1, tr) - lam
-    xi_inv = L.gen(AUG_Z).monomial_inverse()
-    factor = (L.const(1, tr) - wt) + xi_inv * wt
     names = {AUG_Z, aug_name("t1")}
+    unit = L.const(1).truncate(names, 6)
+    lam = L.gen(aug_name("t1")) * unit
+    wt = unit - lam
+    xi_inv = L.gen(AUG_Z).monomial_inverse()
+    factor = (unit - wt) + xi_inv * wt
     assert (inv * factor).truncate(names, 5) == L.const(1).truncate(names, 5)
 
 
@@ -233,7 +233,7 @@ def test_euler_virtual_expansion_alternating_sym() -> None:
     got = expand(f, "infinity", 4)
     tinv = [t1.monomial_inverse(), t2.monomial_inverse()]
     sinv = [s1.monomial_inverse(), s2.monomial_inverse()]
-    want = L.zero(got.trunc)
+    want = 0 * got
     for i in range(3):
         for j in range(5 - i):
             want = want + (
@@ -436,6 +436,15 @@ def test_theta_series_matches_closed_form() -> None:
 
 def test_theta_series_matches_closed_form_negative_rank() -> None:
     assert theta_coefficients(-1, 4) == [theta_closed(-1, n) for n in range(5)]
+
+
+def test_theta_rank_follows_the_integer_rule() -> None:
+    for rank in (2.7, True, "2"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            theta_coefficients(rank, 3)
+        with pytest.raises(ValueError, match="expected an integer"):
+            theta_closed(rank, 2)
+    assert theta_coefficients(Fraction(2), 3) == theta_coefficients(2, 3)
 
 
 def test_theta_low_coefficients() -> None:

@@ -20,6 +20,7 @@ from wallx.ring import (
     expand_around_one,
     expand_general,
     fresh_name,
+    integer_entry,
     kappa_one_vanishing_order,
     laurent_sum,
     plethystic_exp,
@@ -454,6 +455,11 @@ def _powers(first: L, step: L):
         yield term
 
 
+def _valuation(el: L, var: str):
+    """Least natural exponent of ``var`` over the terms of a nonzero element."""
+    return min(exps.get(var, 0) for exps, _ in el.monomials())
+
+
 def _expand_by_powers(f: RationalElement, point: str, order: int, var: str) -> L:
     """``expand`` by summing geometric powers of the denominator's tail, then
     multiplying by the untruncated prefactor: the route that power-series
@@ -464,13 +470,13 @@ def _expand_by_powers(f: RationalElement, point: str, order: int, var: str) -> L
     trunc = Trunc(frozenset({var}), 2 * order, 1)
     if not num.terms:
         return L.zero(trunc)
-    shift = L.monomial(1, {var: Fraction(-den.val2(var), 2)})
+    shift = L.monomial(1, {var: -_valuation(den, var)})
     dshift = den * shift
     d0 = dshift.coeff_of(var, 0)
     assert d0.is_monomial()
     h = (dshift - d0) * d0.monomial_inverse()
     pref = num * d0.monomial_inverse() * shift
-    inner2 = 2 * order - pref.val2(var)
+    inner2 = 2 * order - int(2 * _valuation(pref, var))
     if inner2 < 0:
         out = L.zero(trunc)
     else:
@@ -958,3 +964,11 @@ def test_slope_entry_grammar() -> None:
     assert slope_entry(" -6/4 ") == (0, Fraction(-3, 2)) == slope_entry(Fraction(-3, 2))
     assert slope_entry(7) == slope_entry("+7") == (0, 7)
     assert str(SlopeValue.of("-inf", "2/4", 3, "inf")) == "(-inf, 1/2, 3, inf)"
+
+
+def test_integer_entry_rule() -> None:
+    assert integer_entry(-3) == -3 and type(integer_entry(-3)) is int
+    assert integer_entry(Fraction(6, 3)) == 2 and type(integer_entry(Fraction(6, 3))) is int
+    for bad in (True, False, 2.0, 0.9, Fraction(1, 2), "2", None):
+        with pytest.raises(ValueError, match="expected an integer"):
+            integer_entry(bad)

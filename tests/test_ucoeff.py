@@ -112,6 +112,15 @@ class TestEffectiveMonoid:
         assert not mon.contains((0, 0))
         assert not mon.contains((-1, 2))
 
+    def test_class_coordinates_follow_the_integer_rule(self):
+        mon = EffectiveMonoid([(1, 0), (0, 1)])
+        for bad in ((0.9, 1), (True, 1), ("1", 1)):
+            with pytest.raises(ValueError, match="expected an integer"):
+                mon.contains(bad)
+        with pytest.raises(ValueError, match="expected an integer"):
+            EffectiveMonoid([(1.5, 0), (0, 1)])
+        assert mon.contains((F(1), 1))
+
     def test_contains_with_negative_coordinates(self):
         mon = EffectiveMonoid([(2, -1), (-1, 2)])
         assert mon.contains((1, 1))
@@ -297,6 +306,14 @@ class TestPairingForm:
         with pytest.raises(ValueError, match="antisymmetric"):
             pairing_form([[1, 0], [0, -1]])
 
+    def test_entries_follow_the_integer_rule(self):
+        with pytest.raises(ValueError, match="expected an integer"):
+            pairing_form([[0, 2.5], [-2.5, 0]])
+        with pytest.raises(ValueError, match="expected an integer"):
+            pairing_form([[False, True], [-1, 0]])
+        form = pairing_form([[0, F(2)], [-2, 0]])
+        assert form((1, 0), (0, 1)) == 2
+
     def test_callable_returned_unchanged(self):
         def chi(a, b):
             return a[0] * b[1] - a[1] * b[0]
@@ -307,7 +324,7 @@ class TestPairingForm:
 
 class TestClassLookup:
     def test_mapping_and_missing(self):
-        lookup = class_lookup({(1, 0): 3, (0, 1): "2"}, ValueError, "count")
+        lookup = class_lookup({(1, 0): 3, (0, 1): F(2)}, ValueError, "count")
         assert lookup([1, 0]) == 3 and lookup((0, 1)) == 2
         with pytest.raises(ValueError, match=r"no count for class \(1, 1\)"):
             lookup((1, 1))
@@ -315,6 +332,14 @@ class TestClassLookup:
     def test_callable(self):
         lookup = class_lookup(lambda cls: cls[0] + 2 * cls[1], MissingFr, "fr value")
         assert lookup([1, 1]) == 3
+
+    def test_values_follow_the_integer_rule(self):
+        for bad in (0.6, 1.2, True, "2"):
+            with pytest.raises(ValueError, match="expected an integer"):
+                class_lookup({(1, 0): bad}, MissingFr, "fr value")
+            lookup = class_lookup(lambda cls: bad, MissingFr, "fr value")
+            with pytest.raises(ValueError, match="expected an integer"):
+                lookup((1, 0))
 
     def test_mapping_fr_missing_class(self):
         lookup = class_lookup({(1, 0): 3}, MissingFr, "fr value")
@@ -653,12 +678,7 @@ class TestUtilde:
         bad_word = ((0, 1), (1, 0))
         corrupted = words + UEAElement(ctx, {bad_word: F(1)})
         with pytest.raises(NotPrimitive):
-            for n in sorted(corrupted.word_lengths()):
-                piece = UEAElement(
-                    ctx,
-                    {w: c for w, c in corrupted.terms.items() if len(w) == n},
-                )
-                dynkin_project(piece, n)
+            dynkin_project(corrupted)
 
     def test_utilde_coordinate_is_u_over_n(self):
         tup = [B1, B1, A]

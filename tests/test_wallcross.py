@@ -360,6 +360,13 @@ class TestPairInvariant:
         with pytest.raises(MissingFr):
             pair_invariant_rhs((1, 1), {(1, 1): 1}, self.TAU, table, qt)
 
+    def test_fr_values_follow_the_integer_rule(self):
+        qt = QuantumTorusBackend(CHI)
+        table = symbol_table([(1, 0)], zero_missing=True, monoid=MONOID)
+        for fr in ({(1, 0): 1.5}, lambda cls: 1.5):
+            with pytest.raises(ValueError, match="expected an integer"):
+                pair_invariant_rhs((1, 0), fr, self.TAU, table, qt)
+
     def test_fr_only_from_argument(self):
         qt = QuantumTorusBackend(CHI)
         tau = StabilityData(lambda cls: SlopeValue.of(1))
@@ -485,6 +492,22 @@ class TestVwWcf:
                     vw_wcf((1, 1), tau, taup, table, CHI, o_table=o_table)
         got = vw_wcf((1, 1), tau, taup, table, CHI, o_table=counts)
         assert got == vw_wcf((1, 1), tau, taup, table, CHI)
+
+    def test_o_counts_follow_the_integer_rule(self):
+        tau = linear_stability([1, 0], [1, 1])
+        taup = linear_stability([0, 1], [1, 1])
+        table = symbol_table(MONOID.effective_upto(2), monoid=MONOID)
+        fractional = {(1, 0): 0.6, (0, 1): 0.6, (1, 1): 1.2}
+        for o_table in (fractional, fractional.__getitem__):
+            with pytest.raises(ValueError, match="expected an integer"):
+                vw_wcf((1, 1), tau, taup, table, CHI, o_table=o_table)
+        counts = {(1, 0): 1, (0, 1): 0, (1, 1): 1}
+        for o_alpha in (1.5, True):
+            with pytest.raises(ValueError, match="expected an integer"):
+                vw_wcf((1, 1), tau, taup, table, CHI, o_table=counts, o_alpha=o_alpha)
+        assert vw_wcf(
+            (1, 1), tau, taup, table, CHI, o_table=counts, o_alpha=F(1)
+        ) == vw_wcf((1, 1), tau, taup, table, CHI, o_table=counts)
 
     def test_matches_bracket_route(self):
         rng = random.Random(13)
