@@ -185,6 +185,14 @@ class TestRoundTrips:
             x = _random_lie(rng, ctx, words, 5)
             assert dynkin_project(expand_to_uea(x)) == x
 
+    def test_uea_to_lie_rejects_non_lie(self):
+        ctx = LieContext(["e1", "e2"])
+        # e1 + (e1.e2 + e2.e1): the length-1 part is Lie, the symmetric
+        # product is not; its rewrite leaves 2 e2.e1, not a Lyndon word
+        p = UEAElement(ctx, {("e1",): F(1), ("e1", "e2"): F(1), ("e2", "e1"): F(1)})
+        with pytest.raises(NotPrimitive):
+            dynkin_project(p)
+
     def test_dynkin_inverts_expand_small(self):
         ctx = LieContext(["e1", "e2"])
         x = LieElement.letter(ctx, "e1").bracket(LieElement.letter(ctx, "e2"))
