@@ -182,7 +182,8 @@ class LaurentElement:
     """A finite sum of rational multiples of monomials, optionally truncated.
 
     Immutable by convention: no method mutates ``terms`` after construction,
-    so elements may share one ``terms`` dict.  Equality compares the stored
+    so elements may share one ``terms`` dict; a product may share an
+    operand's, as a product by the unit does.  Equality compares the stored
     terms only (truncation metadata is carried along but is not part of the
     mathematical value).
 
@@ -338,12 +339,35 @@ class LaurentElement:
             )
         other = as_element(other)
         trunc = _combine_trunc(self.trunc, other.trunc)
+        left, right = self.terms, other.terms
+        if len(right) == 1 or len(left) == 1:
+            # A monomial shift keeps distinct monomials distinct and nonzero
+            # coefficients nonzero, so the product is one dict build in the
+            # order of the longer operand, with no collision or zero checks.
+            if len(right) == 1:
+                many, many_trunc, ((shift, c2),) = left, self.trunc, right.items()
+            else:
+                many, many_trunc, ((shift, c2),) = right, other.trunc, left.items()
+            if not shift and c2 == 1:
+                return _trusted(_kept(many, trunc, many_trunc), trunc)
+            if trunc is None:
+                out = {_mono_mul(m, shift): c * c2 for m, c in many.items()}
+            else:
+                names = trunc.names
+                keeps = trunc.keeps_deg2
+                d2 = _mono_deg2(shift, names)
+                out = {
+                    _mono_mul(m, shift): c * c2
+                    for m, c in many.items()
+                    if keeps(_mono_deg2(m, names) + d2)
+                }
+            return _trusted(_canonical(out), trunc)
         out: dict[Mono, Scalar] = {}
         get = out.get
         if trunc is None:
-            right = list(other.terms.items())
-            for m1, c1 in self.terms.items():
-                for m2, c2 in right:
+            pairs = list(right.items())
+            for m1, c1 in left.items():
+                for m2, c2 in pairs:
                     m = _mono_mul(m1, m2)
                     prev = get(m)
                     if prev is None:
@@ -357,8 +381,8 @@ class LaurentElement:
             return _trusted(_canonical(out))
         names = trunc.names
         keeps = trunc.keeps_deg2
-        graded = [(m2, c2, _mono_deg2(m2, names)) for m2, c2 in other.terms.items()]
-        for m1, c1 in self.terms.items():
+        graded = [(m2, c2, _mono_deg2(m2, names)) for m2, c2 in right.items()]
+        for m1, c1 in left.items():
             d1 = _mono_deg2(m1, names)
             for m2, c2, d2 in graded:
                 # Degrees add under multiplication, so a pair out of range is
@@ -685,16 +709,21 @@ ZERO = LaurentElement.zero()
 
 
 def _mono_content(el: LaurentElement) -> Mono:
-    """Largest monomial dividing every term of ``el`` (exponent-wise min)."""
-    if not el.terms:
-        return ()
-    names = el.variables()
-    out = []
-    for v in names:
-        e = min(dict(m).get(v, 0) for m in el.terms)
-        if e:
-            out.append((v, e))
-    return tuple(sorted(out))
+    """Largest monomial dividing every term of ``el`` (exponent-wise min).
+
+    One pass over the terms: a variable missing from some term has exponent
+    0 there, so its minimum is capped at 0.
+    """
+    low: dict[str, int] = {}
+    seen: dict[str, int] = {}
+    for m in el.terms:
+        for v, e in m:
+            prev = low.get(v)
+            if prev is None or e < prev:
+                low[v] = e
+            seen[v] = seen.get(v, 0) + 1
+    n = len(el.terms)
+    return _mono((v, e if seen[v] == n else min(e, 0)) for v, e in low.items())
 
 
 class RationalElement:
@@ -712,16 +741,17 @@ class RationalElement:
         den = ONE if den is None else as_element(den)
         if num.trunc is not None or den.trunc is not None:
             raise NonRational("truncated series cannot form a rational element")
-        if not den.terms:
-            raise ZeroDivisionError("zero denominator")
-        content = _mono_content(den)
-        if content:
-            shrink = LaurentElement({_mono_pow(content, -1): 1})
-            num = num * shrink
-            den = den * shrink
-        if den.is_monomial():
-            num = num * den.monomial_inverse()
-            den = ONE
+        if den.terms != ONE.terms:
+            if not den.terms:
+                raise ZeroDivisionError("zero denominator")
+            content = _mono_content(den)
+            if content:
+                shrink = _trusted({_mono_pow(content, -1): 1})
+                num = num * shrink
+                den = den * shrink
+            if den.is_monomial():
+                num = num * den.monomial_inverse()
+                den = ONE
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -836,15 +866,17 @@ def fresh_name(base: str, values) -> str:
 Element = Union[LaurentElement, RationalElement]
 
 
-def _expand_zero(
-    num: LaurentElement, den: LaurentElement, var: str, order2: int
+def _expand_at(
+    num: LaurentElement, den: LaurentElement, var: str, order2: int, sign: int
 ) -> LaurentElement:
-    """Series of num/den around ``var = 0`` up to doubled degree order2."""
-    trunc = Trunc(frozenset({var}), order2, 1)
+    """Series of num/den around ``var = 0`` (``sign`` 1) or infinity (``sign``
+    -1), graded by ``sign`` times the doubled degree in ``var``, up to
+    graded degree order2."""
+    trunc = Trunc(frozenset({var}), order2, sign)
     if not num.terms:
         return LaurentElement.zero(trunc)
     lead_name = f"denominator constant term in {var!r}"
-    return _trusted(_series_div(num, den, trunc.names, 1, order2, lead_name), trunc)
+    return _trusted(_series_div(num, den, trunc.names, sign, order2, lead_name), trunc)
 
 
 def expand(f: Element, point: str, order: int, *, var: str = "z") -> LaurentElement:
@@ -857,18 +889,12 @@ def expand(f: Element, point: str, order: int, *, var: str = "z") -> LaurentElem
     """
     if point not in ("zero", "infinity"):
         raise ValueError("point must be 'zero' or 'infinity'")
+    sign = 1 if point == "zero" else -1
     if isinstance(f, LaurentElement):
         if f.trunc is not None and var in f.trunc.names:
             raise NonRational(f"already a truncated series in {var!r}")
-        sign = 1 if point == "zero" else -1
         return f.truncate({var}, order, sign)
-    num, den = f.num, f.den
-    if point == "infinity":
-        num, den = num.negate_var(var), den.negate_var(var)
-    res = _expand_zero(num, den, var, 2 * order)
-    if point == "infinity":
-        res = res.negate_var(var)
-    return res
+    return _expand_at(f.num, f.den, var, 2 * order, sign)
 
 
 def expand_general(

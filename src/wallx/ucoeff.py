@@ -278,12 +278,13 @@ class StabilityData:
 def pairing_form(chi):
     """The pairing ``(a, b) -> int`` given by a callable or an integer matrix.
 
-    A callable is returned unchanged; a matrix must be square and
-    antisymmetric, with entries read by ``integer_entry``, and its form
-    refuses classes of another dimension.
+    A callable is wrapped so that each value it returns is read by
+    ``integer_entry``; a matrix must be square and antisymmetric, with
+    entries read by ``integer_entry``, and its form refuses classes of
+    another dimension.
     """
     if callable(chi):
-        return chi
+        return lambda a, b: integer_entry(chi(a, b))
     rows = tuple(tuple(map(integer_entry, row)) for row in chi)
     size = len(rows)
     for i, row in enumerate(rows):

@@ -425,8 +425,11 @@ def vw_wcf(
     whose o counts add up to ``o_alpha`` (default: the count of α)
     contribute.  The counts are read at α (unless ``o_alpha`` is given) and
     at every class with a table entry; a missing one raises ValueError, and
-    so does a negative one.
+    so does a negative one.  ``o_alpha`` without ``o_table`` raises
+    ValueError.
     """
+    if o_alpha is not None and o_table is None:
+        raise ValueError("o_alpha needs o_table")
     alpha = as_class(alpha)
     chi = QuantumTorusBackend(chi).chi
     if qint is not None and qint is not unrefined_integer:

@@ -110,6 +110,36 @@ def test_general_division_gives_rational_element() -> None:
     assert q * (one + t) == one + z
 
 
+def _content(el: L) -> dict:
+    """The exponent-wise minimum over the terms of ``el``, a variable missing
+    from a term counting as exponent 0 there."""
+    names = {v for exps, _ in el.monomials() for v in exps}
+    return {v: min(exps.get(v, 0) for exps, _ in el.monomials()) for v in names}
+
+
+def test_rational_normalization_property() -> None:
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    elements = _hypothesis_elements(hypothesis)
+    exps = st.dictionaries(
+        st.sampled_from("ktz"), st.integers(-4, 4).map(lambda n: Fraction(n, 2)), max_size=3
+    )
+    coeffs = st.builds(Fraction, st.integers(1, 5), st.integers(1, 3))
+    monomials = st.builds(L.monomial, coeffs, exps)
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(elements, elements.filter(bool), monomials)
+    def check(num, den, m):
+        f = RationalElement(num, den)
+        assert all(e == 0 for e in _content(f.den).values())
+        assert f.num * den == num * f.den
+        if den.is_monomial():
+            assert f.den == 1 and f.num == num / den
+        assert f == RationalElement(num * m, den * m)
+
+    check()
+
+
 def test_truncation_drops_high_order_terms() -> None:
     s = (one + x).truncate(["x"], 2)
     cube = s * s * s
@@ -295,10 +325,22 @@ def test_monomial_merge_matches_dict_and_sort(left_names, right_names) -> None:
     for _ in range(10):
         a = _random_element(rng, left_names, nterms=5)
         b = _random_element(rng, right_names, nterms=5)
-        for left, right in ((a, b), (b, a), (a, a)):
+        pairs = [(a, b), (b, a), (a, a)]
+        for single in _single_terms(left_names[0], right_names[-1]):
+            pairs += [(a, single), (single, b), (single, single)]
+        for left, right in pairs:
+            before = (dict(left.terms), dict(right.terms))
             product = left * right
             _assert_canonical(product)
             assert product == _merged_product_oracle(left, right)
+            assert (left.terms, right.terms) == before
+
+
+def _single_terms(first: str, second: str) -> list[L]:
+    """One-term operands: the unit, a scalar constant and a monomial with
+    half-integer exponents in ``first`` and ``second``."""
+    exps = {first: Fraction(1, 2), second: Fraction(-3, 2)}
+    return [one, L.const(Fraction(-3, 2)), L.monomial(Fraction(2, 3), exps)]
 
 
 def test_monomial_merge_cancels_exponents() -> None:
@@ -312,21 +354,28 @@ def test_monomial_merge_cancels_exponents() -> None:
     assert mixed == _merged_product_oracle(L.monomial(1, {"a": -1, "c": 1}), abk)
 
 
-def _truncated_product_oracle(a: L, b: L) -> L:
-    """The untruncated product, filtered by the joint truncation: the union
-    of the variable sets at the smaller order."""
+def _joint_trunc(a: L, b: L):
+    """The truncation of a product: the union of the variable sets at the
+    smaller order, or None when neither operand is truncated."""
     truncs = [t for t in (a.trunc, b.trunc) if t is not None]
-    trunc = Trunc(
-        frozenset().union(*(t.names for t in truncs)),
-        min(t.order2 for t in truncs),
-        truncs[0].sign,
-    )
-    full = a.without_trunc() * b.without_trunc()
+    if not truncs:
+        return None
+    names = frozenset().union(*(t.names for t in truncs))
+    return Trunc(names, min(t.order2 for t in truncs), truncs[0].sign)
+
+
+def _truncated_product_oracle(a: L, b: L) -> L:
+    """The merged untruncated product, filtered by the joint truncation."""
+    full = _merged_product_oracle(a.without_trunc(), b.without_trunc())
+    trunc = _joint_trunc(a, b)
+    if trunc is None:
+        return full
     return L({m: c for m, c in full.terms.items() if trunc.keeps(m)})
 
 
 def test_truncated_product_matches_filtered_full_product() -> None:
     rng = random.Random(17)
+    orders = random.Random(18)
     for sign in (1, -1):
         for _ in range(10):
             a = _random_element(rng, ["z", "t", "k"], nterms=6).truncate(
@@ -336,8 +385,18 @@ def test_truncated_product_matches_filtered_full_product() -> None:
                 ["t", "k"], rng.randint(-1, 3), sign
             )
             c = _random_element(rng, ["z", "t"], nterms=6)
-            for left, right in ((a, b), (b, a), (a, a), (a, c), (c, b)):
-                assert left * right == _truncated_product_oracle(left, right)
+            pairs = [(a, b), (b, a), (a, a), (a, c), (c, b)]
+            for single in _single_terms("z", "k"):
+                cut = single.truncate(["z"], orders.randint(1, 3), sign)
+                for s in (single, cut):
+                    pairs += [(s, a), (b, s), (s, c), (c, s), (s, cut)]
+            for left, right in pairs:
+                before = (dict(left.terms), dict(right.terms))
+                product = left * right
+                _assert_canonical(product)
+                assert product == _truncated_product_oracle(left, right)
+                assert product.trunc == _joint_trunc(left, right)
+                assert (left.terms, right.terms) == before
 
 
 @pytest.mark.parametrize("sign", [1, -1])

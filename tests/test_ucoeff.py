@@ -314,12 +314,33 @@ class TestPairingForm:
         form = pairing_form([[0, F(2)], [-2, 0]])
         assert form((1, 0), (0, 1)) == 2
 
-    def test_callable_returned_unchanged(self):
+    def test_callable_values_follow_the_integer_rule(self):
         def chi(a, b):
-            return a[0] * b[1] - a[1] * b[0]
+            return F(a[0] * b[1] - a[1] * b[0])
 
-        assert pairing_form(chi) is chi
-        assert QuantumTorusBackend(chi).chi is chi
+        for form in (pairing_form(chi), QuantumTorusBackend(chi).chi):
+            assert form((1, 0), (0, 1)) == 1 and type(form((1, 0), (0, 1))) is int
+            assert form((2, 1), (1, 3)) == 5
+        monoid = EffectiveMonoid([(1, 0), (0, 1)])
+        table = InvariantTable(
+            {c: LaurentElement.gen(f"v{c[0]}{c[1]}") for c in monoid.effective_upto(2)},
+            monoid=monoid,
+        )
+        tau = linear_stability([1, 0], [1, 1])
+        taup = linear_stability([0, 1], [1, 1])
+        for bad in (1.5, True):
+            calls = []
+
+            def chi_bad(a, b, bad=bad):
+                calls.append((a, b))
+                return bad
+
+            with pytest.raises(ValueError, match="expected an integer"):
+                pairing_form(chi_bad)((1, 0), (0, 1))
+            calls.clear()
+            with pytest.raises(ValueError, match="expected an integer"):
+                vw_wcf((1, 1), tau, taup, table, chi_bad)
+            assert len(calls) == 1
 
 
 class TestClassLookup:

@@ -493,6 +493,15 @@ class TestVwWcf:
         got = vw_wcf((1, 1), tau, taup, table, CHI, o_table=counts)
         assert got == vw_wcf((1, 1), tau, taup, table, CHI)
 
+    def test_o_alpha_needs_o_table(self):
+        tau = linear_stability([1, 0], [1, 1])
+        taup = linear_stability([0, 1], [1, 1])
+        table = symbol_table(MONOID.effective_upto(2), monoid=MONOID)
+        chi = [[0, 1], [-1, 0]]
+        with pytest.raises(ValueError, match="o_alpha needs o_table"):
+            vw_wcf((1, 1), tau, taup, table, chi, o_alpha=5)
+        assert str(vw_wcf((1, 1), tau, taup, table, chi)) == "v01*v10 + v11"
+
     def test_o_counts_follow_the_integer_rule(self):
         tau = linear_stability([1, 0], [1, 1])
         taup = linear_stability([0, 1], [1, 1])
