@@ -11,6 +11,13 @@ How a monomial and a truncation are stored is private to this module.
 Other code builds elements with ``gen``, ``const``, ``monomial``,
 ``truncate``, the arithmetic and ``laurent_sum``, and reads their terms
 through ``LaurentElement.monomials()``, in natural exponents.
+
+``packed_algebra`` serves one computation over a fixed set of variables,
+the peel of ``wallcross.vw_wcf``: it packs each monomial into one int with
+a slot per variable, sized from a bound on the exponents the computation
+can reach, and unpacks the result.  Its slots live as long as the caller
+keeps the algebra, and other code handles its elements only through its
+methods.
 """
 
 from __future__ import annotations
@@ -417,7 +424,8 @@ class LaurentElement:
         if len(self.terms) != 1:
             raise ValueError("only single-term elements have a monomial inverse")
         (m, c), = self.terms.items()
-        return _trusted({_mono_pow(m, -1): _coef(Fraction(1, c))})
+        # A unit coefficient is its own inverse.
+        return _trusted({_mono_pow(m, -1): c if c == 1 or c == -1 else _coef(Fraction(1, c))})
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -658,6 +666,17 @@ def _graded(
 ) -> dict[int, dict[Mono, Scalar]]:
     """``terms`` split by ``sign`` times the total doubled degree in ``names``."""
     pieces: dict[int, dict[Mono, Scalar]] = {}
+    if len(names) == 1:
+        # One variable: its exponent is the degree, found without a sum.
+        (var,) = names
+        for m, c in terms.items():
+            d = 0
+            for v, e in m:
+                if v == var:
+                    d = e
+                    break
+            pieces.setdefault(sign * d, {})[m] = c
+        return pieces
     for m, c in terms.items():
         pieces.setdefault(sign * _mono_deg2(m, names), {})[m] = c
     return pieces
@@ -729,9 +748,13 @@ def _mono_content(el: LaurentElement) -> Mono:
 class RationalElement:
     """Quotient of two untruncated Laurent elements.
 
-    The denominator is normalized to have trivial monomial content; a
-    single-term denominator is folded into the numerator, so elements that
-    are secretly Laurent have ``den == 1``.
+    The denominator is normalized to have trivial monomial content, and a
+    single-term denominator is folded into the numerator, so ``den == 1``
+    exactly when the denominator was a single term.  No common factor is
+    cancelled: ``RationalElement(1 - t, t - 1)`` equals -1 but prints as
+    ``(1 - t) / (-1 + t)``, and its ``is_laurent()`` is False.  A rational
+    element is meant to carry one quotient on its way to a residue or an
+    expansion, not to chain field operations.
     """
 
     __slots__ = ("num", "den")
@@ -1078,6 +1101,229 @@ def exact_laurent_div(num: Element, den: Element, var: str) -> LaurentElement:
                 if not left:
                     del rem[ne]
     return _trusted(out)
+
+
+# -- packed exponents for one computation --------------------------------------
+
+
+class _PackedAlgebra:
+    """Laurent polynomials over a fixed set of variables, each monomial
+    packed into one ``int`` (Monagan–Pearce, CASC 2007).
+
+    Every variable owns a slot of ``width`` bits, in name order, and a
+    monomial is Σ e₂(v)·2^(width·slot(v)) with signed (balanced) digits, so
+    multiplying monomials is adding ints.  An element is an ``{int:
+    coefficient}`` dict, falsy when zero; dicts are never changed after they
+    are built, so results may share them.  The width is fixed by the bound
+    given to ``packed_algebra``, and no digit of a product within that
+    bound can spill into its neighbour.  Packed keys mean nothing outside
+    the algebra that made them: read results with ``unpack``.
+    """
+
+    __slots__ = ("_slot", "_names", "_width", "_reach", "_step")
+
+    def __init__(self, names: list[str], width: int, reach: int, step: int) -> None:
+        self._names = names
+        self._slot = {v: width * i for i, v in enumerate(names)}
+        self._width = width
+        self._reach = reach
+        self._step = step
+
+    def _key(self, m: Mono, limit: int) -> int:
+        key = 0
+        for v, e in m:
+            shift = self._slot.get(v)
+            if shift is None or abs(e) > limit:
+                raise ValueError(f"{v}^({e}/2) lies outside the packed algebra's bound")
+            key += e << shift
+        return key
+
+    def _offset(self, top: int) -> int:
+        """Half a slot added to every slot below bit ``top``: the lower
+        digits of a key plus it are nonnegative, so none borrows from the
+        digits above."""
+        half = 1 << (self._width - 1)
+        return sum(half << shift for shift in self._slot.values() if shift < top)
+
+    def _digit(self, var: str) -> tuple[int, int, int, int]:
+        """``var``'s bit shift and the offset, mask and half slot that read
+        its digit of a key as ``((key + offset) >> shift & mask) - half``."""
+        shift = self._slot.get(var)
+        if shift is None:
+            raise ValueError(f"{var!r} is not a variable of the packed algebra")
+        width = self._width
+        return shift, self._offset(shift + width), (1 << width) - 1, 1 << (width - 1)
+
+    def pack(self, el: LaurentElement) -> dict[int, Scalar]:
+        """``el`` (untruncated, within the bound) as a packed element."""
+        if el.trunc is not None:
+            raise NonRational("a truncated series cannot be packed")
+        return {self._key(m, self._reach): c for m, c in el.terms.items()}
+
+    def term(self, coeff: Scalar, exps: Mapping[str, Scalar]) -> tuple[int, Scalar]:
+        """One monomial factor, ``coeff`` times Π v^e over ``exps``, as a
+        ``scale`` factor; its exponents must be within the step bound."""
+        m = _mono((v, _exp2(e)) for v, e in exps.items())
+        return self._key(m, self._step), _coef(coeff)
+
+    def unpack(self, x: dict[int, Scalar]) -> LaurentElement:
+        """The Laurent element of a packed element."""
+        width = self._width
+        mask = (1 << width) - 1
+        half = 1 << (width - 1)
+        offset = self._offset(width * len(self._names))
+        names = self._names
+        out: dict[Mono, Scalar] = {}
+        for key, c in x.items():
+            key += offset
+            # The slots of key ^ offset are nonzero exactly where the digit
+            # is, and run in name order, so the monomial comes out sorted.
+            rest = key ^ offset
+            m = []
+            while rest:
+                i = ((rest & -rest).bit_length() - 1) // width
+                shift = i * width
+                m.append((names[i], (key >> shift & mask) - half))
+                rest = rest >> (shift + width) << (shift + width)
+            out[tuple(m)] = c
+        return _trusted(_canonical(out))
+
+    def mul(self, a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
+        """The product of two packed elements."""
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            ((shift, k),) = b.items()
+            return {m + shift: c * k for m, c in a.items()}
+        out: dict[int, Scalar] = {}
+        get = out.get
+        pairs = list(b.items())
+        for m1, c1 in a.items():
+            for m2, c2 in pairs:
+                m = m1 + m2
+                prev = get(m)
+                if prev is None:
+                    out[m] = c1 * c2
+                else:
+                    total = prev + c1 * c2
+                    if total:
+                        out[m] = total
+                    else:
+                        del out[m]
+        return out
+
+    def scale(self, x: dict[int, Scalar], factor) -> dict[int, Scalar]:
+        """``x`` times a scalar or a ``term``."""
+        if type(factor) is tuple:
+            shift, k = factor
+            return {m + shift: c * k for m, c in x.items()}
+        factor = _coef(factor)
+        if factor == 1:
+            return x
+        if not factor:
+            return {}
+        if type(factor) is int:
+            return {m: c * factor for m, c in x.items()}
+        # Most products by 1/k! are integral: an exact int quotient costs a
+        # fraction of a Fraction product.
+        num, den = factor.numerator, factor.denominator
+        out = {}
+        for m, c in x.items():
+            if type(c) is int:
+                q, r = divmod(c * num, den)
+                out[m] = Fraction(c * num, den) if r else q
+            else:
+                out[m] = _coef(c * factor)
+        return out
+
+    def total(self, items: Iterable[dict[int, Scalar]]) -> dict[int, Scalar]:
+        """The sum of packed elements (empty: zero)."""
+        items = [x for x in items if x]
+        if len(items) < 2:
+            return items[0] if items else {}
+        out = dict(items[0])
+        for x in items[1:]:
+            _add_terms(out, x.items())
+        return out
+
+    def coeff_of(self, x: dict[int, Scalar], var: str, exponent: Scalar) -> dict[int, Scalar]:
+        """Coefficient of ``var**exponent``, with ``var``'s digit cleared."""
+        shift, offset, mask, half = self._digit(var)
+        e2 = _exp2(exponent)
+        drop = e2 << shift
+        return {m - drop: c for m, c in x.items() if ((m + offset) >> shift & mask) - half == e2}
+
+    def div_d(self, x: dict[int, Scalar], var: str, power: int) -> dict[int, Scalar]:
+        """Exact quotient of ``x`` by D^power, D = var^(1/2) − var^(−1/2).
+
+        Along each chain of monomials that differ by whole powers of ``var``,
+        f = q·D reads f_e = q_{e−1} − q_{e+1} in doubled exponents, so
+        q_{e−1} = Σ_{i≥0} f_{e+2i}, a running sum from the top of the chain.
+        The quotient stays within the chain's range; a chain whose full sum
+        is not zero leaves a remainder and raises NonExpandable.
+        """
+        if not power:
+            return x
+        shift, offset, mask, half = self._digit(var)
+        chains: dict[int, list[tuple[int, Scalar]]] = {}
+        for m, c in x.items():
+            e = ((m + offset) >> shift & mask) - half
+            # The key keeps the parity of e: odd and even chains differ.
+            chains.setdefault(m - ((e >> 1) << (shift + 1)), []).append((e, c))
+        out: dict[int, Scalar] = {}
+        for key, chain in chains.items():
+            base = key - ((chain[0][0] & 1) << shift)
+            chain.sort(reverse=True)
+            for _ in range(power):
+                chain = _d_quotient(chain)
+            for e, c in chain:
+                out[base + (e << shift)] = c
+        return _canonical(out)
+
+
+def _d_quotient(chain: list[tuple[int, Scalar]]) -> list[tuple[int, Scalar]]:
+    """The quotient by D of one chain of (doubled exponent, coefficient)
+    pairs in decreasing exponent, as such a chain.  Between two terms of
+    the chain the running sum is constant, so a gap costs nothing unless
+    the quotient has terms there."""
+    out: list[tuple[int, Scalar]] = []
+    run = 0
+    prev = 0
+    for e, c in chain:
+        if run:
+            out.extend((gap - 1, run) for gap in range(prev - 2, e, -2))
+        run += c
+        if run:
+            out.append((e - 1, run))
+        prev = e
+    if run:
+        raise NonExpandable("division by D is not exact")
+    # The last running sum is zero, so the last pair is not in out.
+    return out
+
+
+def packed_algebra(
+    elements: Iterable[LaurentElement], names: Iterable[str] = (), *, depth: int, step: int = 0
+) -> _PackedAlgebra:
+    """The packed algebra over the variables of ``elements`` and ``names``
+    for products of at most ``depth`` of the elements and ``depth - 1``
+    ``term`` factors whose doubled exponents are at most ``step`` in size.
+
+    No digit of such a product, of a sum of them, or of a quotient by a
+    power of D exceeds depth·r + (depth − 1)·step, r the largest doubled
+    exponent of the elements, so one more bit than that bound needs sets
+    the width.  The algebra lives as long as its caller keeps it.
+    """
+    variables = set(names)
+    reach = 0
+    for el in elements:
+        for m in el.terms:
+            for v, e in m:
+                variables.add(v)
+                if abs(e) > reach:
+                    reach = abs(e)
+    bound = depth * reach + max(depth - 1, 0) * step
+    return _PackedAlgebra(sorted(variables), bound.bit_length() + 1, reach, step)
 
 
 # -- specialization at kappa = 1 ----------------------------------------------

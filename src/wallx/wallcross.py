@@ -20,11 +20,12 @@ exponentials over the slopes of one stability, in decreasing order, equals
 the same product over the slopes of the other, in the quantum torus
 truncated to the classes below the target.  The new invariants come out of
 that product one class at a time in increasing mass, by ``ucoeff.refactor``,
-the peel that also gives ``wcf_rhs`` its Lie element.  Its input contract:
-both stabilities satisfy the weak see-saw property on every class below the
-target, and the table has an entry for each of those classes unless it
-counts missing entries as zero.  The cosection counts o enter the reduced
-sum alone, as an argument of ``vw_wcf``.
+the peel that also gives ``wcf_rhs`` its Lie element, here run on packed
+monomials (``ring.packed_algebra``) that live for one call.  Its input
+contract: both stabilities satisfy the weak see-saw property on every class
+below the target, and the table has an entry for each of those classes
+unless it counts missing entries as zero.  The cosection counts o enter the
+reduced sum alone, as an argument of ``vw_wcf``.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .ring import (
     fresh_name,
     integer_entry,
     laurent_sum,
+    packed_algebra,
 )
 from .ucoeff import (
     EffectiveMonoid,
@@ -458,8 +460,7 @@ def vw_wcf(
     # by D^mass(γ) clears every denominator, and storing the coefficient at
     # γ times mass(γ)! turns the structure constants into binomial integers,
     # so the 1/k! of the exponentials do not spread fractions.  The entry at
-    # γ is ε(γ)·scale[mass(γ)], scale[m] = m!·D^(m-1), and the answer at α
-    # is divided by scale[mass(α)] once.
+    # γ is ε(γ)·scale[mass(γ)], scale[m] = m!·D^(m-1).
     mass = sum(alpha)
     d = _half_power(kappa, 1) - _half_power(kappa, -1)
     scale = [None, LaurentElement.const(1)]
@@ -471,19 +472,46 @@ def vw_wcf(
             value = value * LaurentElement.monomial(1, {grade: lookup(cls)})
         entries[cls] = value
 
+    # The peel runs on packed monomials, in an algebra that lives for this
+    # call.  The weight of a splitting β + δ is ±C(m, mass(β))·κ^(−χ(β,δ)/2),
+    # m = mass(β + δ), the sign (−1)^χ(β,δ) from t = −κ^(1/2).  A product at a
+    # class ≤ α has at most mass(α) entries and mass(α) − 1 weights, so the
+    # entries' exponents and the largest |χ| over the splittings bound every
+    # exponent the peel can reach, and so the slot width.
+    members = set(classes)
+    pairing = {
+        (beta, delta): chi(beta, delta)
+        for beta in classes
+        for delta in classes
+        if tuple(map(operator.add, beta, delta)) in members
+    }
+    algebra = packed_algebra(
+        entries.values(),
+        (kappa,) if grade is None else (kappa, grade),
+        depth=mass,
+        step=max(map(abs, pairing.values()), default=0),
+    )
+    packed = {cls: algebra.pack(value) for cls, value in entries.items()}
+
+    @lru_cache(maxsize=None)
+    def term(c: int, n: int, k: int):
+        binom = math.comb(n, k)
+        return algebra.term(-binom if c % 2 else binom, {kappa: Fraction(-c, 2)})
+
     def weight(beta, delta):
-        c = chi(beta, delta)
-        binom = math.comb(sum(beta) + sum(delta), sum(beta))
-        return _half_power(kappa, -c) * (-binom if c % 2 else binom)
+        k = sum(beta)
+        return term(pairing[beta, delta], k + sum(delta), k)
 
     out = refactor(
-        classes, tau_one, tau_two, entries.get, weight,
-        mul=operator.mul, scale=operator.mul, total=laurent_sum,
+        classes, tau_one, tau_two, packed.get, weight,
+        mul=algebra.mul, scale=algebra.scale, total=algebra.total,
     )[alpha]
     if grade is not None:
-        out = out.coeff_of(grade, o_alpha)
-    if mass > 1:
-        out = exact_laurent_div(out, scale[mass], kappa)
+        out = algebra.coeff_of(out, grade, o_alpha)
+    # The answer at α is divided by scale[mass(α)]: exactly by D^(mass − 1),
+    # a running sum down each chain of κ powers, then by mass! as a scalar.
+    out = algebra.div_d(out, kappa, mass - 1)
+    out = algebra.unpack(algebra.scale(out, Fraction(1, math.factorial(mass))))
     if qint is not None:
         out = out.subs_one(kappa)
     return out

@@ -23,6 +23,7 @@ from wallx.ring import (
     integer_entry,
     kappa_one_vanishing_order,
     laurent_sum,
+    packed_algebra,
     plethystic_exp,
     plethystic_log,
     residue_K,
@@ -108,6 +109,21 @@ def test_general_division_gives_rational_element() -> None:
     q = (one + z) / (one + t)
     assert isinstance(q, RationalElement)
     assert q * (one + t) == one + z
+
+
+def test_rational_element_cancels_no_common_factor() -> None:
+    f = RationalElement(one - t, t - one)
+    assert f == -1
+    assert not f.is_laurent()
+    assert str(f) == "(1 - t) / (-1 + t)"
+
+
+def test_unit_monomial_inverse_keeps_an_int_coefficient() -> None:
+    for c in (1, -1):
+        inv = (c * z * L.monomial(1, {"t": Fraction(-1, 2)})).monomial_inverse()
+        assert _term_set(inv) == {((("t", Fraction(1, 2)), ("z", -1)), c)}
+        assert all(type(coeff) is int for _, coeff in inv.monomials())
+    assert (3 * z).monomial_inverse() * (3 * z) == one
 
 
 def _content(el: L) -> dict:
@@ -938,6 +954,142 @@ def test_exact_laurent_div_by_powers_of_a_symmetric_difference() -> None:
 def test_exact_laurent_div_rejects_inexact() -> None:
     with pytest.raises(NonExpandable):
         exact_laurent_div(z * z + one, z + one, "z")
+
+
+# -- packed exponents ------------------------------------------------------------
+
+# Names on both sides of "k" in name order, so the slot of κ sits inside.
+_PACKED_NAMES = ["a", "b_1", "k", "n0_2", "o", "z"]
+
+
+def _packed_element(rng: random.Random, names: list[str], nterms: int, size: int = 3) -> L:
+    """A sum of ``nterms`` monomials with half-integer exponents of either
+    sign up to ``size`` and Fraction or int coefficients."""
+    return laurent_sum(
+        L.monomial(
+            Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 1, 2])),
+            {v: Fraction(rng.randint(-2 * size, 2 * size), 2) for v in rng.sample(names, 2)},
+        )
+        for _ in range(nterms)
+    )
+
+
+def _symmetric_difference(var: str) -> L:
+    half = L.monomial(1, {var: Fraction(1, 2)})
+    return half - half.monomial_inverse()
+
+
+def test_packed_round_trip_keeps_name_order() -> None:
+    rng = random.Random(31)
+    for _ in range(20):
+        el = _packed_element(rng, _PACKED_NAMES, 5)
+        algebra = packed_algebra([el], depth=1)
+        back = algebra.unpack(algebra.pack(el))
+        assert back == el
+        assert str(back) == str(el)
+        assert _term_set(back) == _term_set(el)
+        assert [list(e) for e, _ in back.monomials()] == [sorted(e) for e, _ in back.monomials()]
+
+
+def test_packed_arithmetic_matches_laurent_arithmetic() -> None:
+    rng = random.Random(32)
+    for _ in range(20):
+        a, b, c = (_packed_element(rng, _PACKED_NAMES, rng.randint(1, 5)) for _ in range(3))
+        shift = rng.randint(-7, 7)
+        coeff = rng.choice([-3, 1, 2])
+        algebra = packed_algebra([a, b, c], ["k"], depth=3, step=abs(shift))
+        pa, pb, pc = map(algebra.pack, (a, b, c))
+        weight = L.monomial(coeff, {"k": Fraction(shift, 2)})
+        factor = algebra.term(coeff, {"k": Fraction(shift, 2)})
+        product = algebra.mul(algebra.mul(pa, algebra.scale(pb, factor)), pc)
+        assert algebra.unpack(product) == a * b * weight * c
+        assert algebra.unpack(algebra.total((pa, pb, algebra.scale(pc, -1)))) == a + b - c
+        assert algebra.unpack(algebra.total((pa, algebra.scale(pa, -1)))) == L.zero()
+        assert algebra.unpack(algebra.scale(pa, Fraction(1, 6))) == a * Fraction(1, 6)
+        assert algebra.unpack(algebra.total(())) == L.zero()
+        for e in (-1, Fraction(1, 2), 0, 2):
+            assert algebra.unpack(algebra.coeff_of(pa, "o", e)) == a.coeff_of("o", e)
+
+
+def test_packed_digits_hold_at_the_bound() -> None:
+    # Two factors at the extreme exponents and a weight at the step bound
+    # reach the largest digit the bound allows, on every slot at once.
+    big = 10**6
+    el = L.monomial(1, {"a": big, "k": -big, "z": big}) + L.monomial(-1, {"k": big})
+    algebra = packed_algebra([el], ["o"], depth=2, step=2 * big)
+    packed = algebra.pack(el)
+    weight = algebra.term(1, {"k": -big, "o": big})
+    product = algebra.mul(packed, algebra.scale(packed, weight))
+    expected = el * el * L.monomial(1, {"k": -big, "o": big})
+    assert algebra.unpack(product) == expected
+    with pytest.raises(ValueError):
+        algebra.term(1, {"k": big + 1})
+    with pytest.raises(ValueError):
+        algebra.pack(L.monomial(1, {"a": big + 1}))
+    with pytest.raises(ValueError):
+        algebra.pack(L.gen("c"))
+    with pytest.raises(ValueError):
+        algebra.div_d(packed, "c", 1)
+
+
+def test_packed_division_by_powers_of_d_matches_exact_division() -> None:
+    rng = random.Random(33)
+    d = _symmetric_difference("k")
+    power = one
+    for j in range(6):
+        for _ in range(4):
+            q = _packed_element(rng, _PACKED_NAMES, rng.randint(1, 6))
+            num = q * power
+            algebra = packed_algebra([num], ["k"], depth=1)
+            quotient = algebra.div_d(algebra.pack(num), "k", j)
+            assert algebra.unpack(quotient) == exact_laurent_div(num, power, "k") == q
+        power = power * d
+    # Chains with gaps of 10^6 between their terms: the running sum is zero
+    # across each gap, so the quotient is as sparse as q.
+    q = L.monomial(2, {"k": 10**6, "a": 1}) - L.monomial(1, {"k": -(10**6)}) + one
+    num = q * power
+    algebra = packed_algebra([num], depth=1)
+    assert algebra.unpack(algebra.div_d(algebra.pack(num), "k", 6)) == q
+
+
+def test_packed_division_refuses_a_remainder() -> None:
+    d = _symmetric_difference("k")
+    kk = L.gen("k")
+    for num, j in [
+        (d * d + one, 2),
+        (kk, 1),
+        (d * L.gen("a") + kk, 1),
+        (d * d * d * (one + kk), 4),
+    ]:
+        algebra = packed_algebra([num], ["k"], depth=1)
+        with pytest.raises(NonExpandable):
+            algebra.div_d(algebra.pack(num), "k", j)
+        with pytest.raises(NonExpandable):
+            exact_laurent_div(num, d**j, "k")
+
+
+def test_packed_division_property() -> None:
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    elements = _hypothesis_elements(hypothesis).filter(bool)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(elements, elements, st.integers(0, 4))
+    def check(q, extra, j):
+        power = _symmetric_difference("k") ** j
+        num = q * power
+        algebra = packed_algebra([num, num + extra], ["k"], depth=1)
+        assert algebra.unpack(algebra.div_d(algebra.pack(num), "k", j)) == q
+        try:
+            expected = exact_laurent_div(num + extra, power, "k")
+        except NonExpandable:
+            with pytest.raises(NonExpandable):
+                algebra.div_d(algebra.pack(num + extra), "k", j)
+        else:
+            got = algebra.div_d(algebra.pack(num + extra), "k", j)
+            assert algebra.unpack(got) == expected
+
+    check()
 
 
 # -- coefficient representation --------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -17,7 +18,14 @@ from wallx.errors import (
 )
 from wallx.freelie import LieContext, LieElement, UEAElement, expand_to_uea, left_nested
 from wallx.kclasses import quantum_integer
-from wallx.ring import LaurentElement, SlopeValue, laurent_sum, specialize_kappa
+from wallx.ring import (
+    LaurentElement,
+    SlopeValue,
+    exact_laurent_div,
+    fresh_name,
+    laurent_sum,
+    specialize_kappa,
+)
 from wallx.ucoeff import (
     EffectiveMonoid,
     StabilityData,
@@ -27,6 +35,8 @@ from wallx.ucoeff import (
     class_sum,
     linear_stability,
     pairing_form,
+    peel_classes,
+    refactor,
     utilde_lie_element,
     utilde_word_sum,
 )
@@ -760,6 +770,189 @@ def test_vw_wcf_equals_splitting_sum_hypothesis():
         ctx = LieContext(monoid.effective_upto(4))
         element = utilde_lie_element(alpha, tau, taup, monoid, context=ctx)
         assert expand_to_uea(element) == UEAElement(ctx, dict(terms))
+
+    check()
+
+
+# -- the Laurent-element peel oracle of vw_wcf ------------------------------------
+
+
+def laurent_peel(alpha, tau, taup, table, chi, *, qint=None, o_table=None, o_alpha=None):
+    """ε′(α) by the peel over Laurent elements: ``refactor`` with
+    ``operator.mul`` and ``laurent_sum`` on the entries ε(γ)·m!·D^(m−1)
+    (times o^count(γ) for the reduced sum), then ``exact_laurent_div`` by
+    mass(α)!·D^(mass(α)−1), D = κ^(1/2) − κ^(−1/2)."""
+    alpha = as_class(alpha)
+    chi = pairing_form(chi)
+    classes = peel_classes(alpha, tau, taup, table.monoid, 8)
+    if not classes:
+        return L.zero()
+    entries = {}
+    for cls in classes:
+        value = table.value(cls)
+        if value is not None:
+            entries[cls] = value if isinstance(value, L) else L.const(value)
+    kappa = "k" if qint is None else fresh_name("kappa", entries.values())
+    grade = None
+    if o_table is not None:
+        count = class_lookup(o_table, ValueError, "o count")
+        o_alpha = count(alpha) if o_alpha is None else o_alpha
+        grade = fresh_name("o", entries.values())
+    mass = sum(alpha)
+    half = L.monomial(1, {kappa: F(1, 2)})
+    d = half - half.monomial_inverse()
+    scale = [None, L.const(1)]
+    for m in range(2, mass + 1):
+        scale.append(scale[-1] * d * m)
+    for cls, value in entries.items():
+        value = value * scale[sum(cls)]
+        if grade is not None:
+            value = value * L.monomial(1, {grade: count(cls)})
+        entries[cls] = value
+
+    def weight(beta, delta):
+        c = chi(beta, delta)
+        binom = math.comb(sum(beta) + sum(delta), sum(beta))
+        return L.monomial(-binom if c % 2 else binom, {kappa: F(-c, 2)})
+
+    out = refactor(
+        classes, tau, taup, entries.get, weight,
+        mul=operator.mul, scale=operator.mul, total=laurent_sum,
+    )[alpha]
+    if grade is not None:
+        out = out.coeff_of(grade, o_alpha)
+    if mass > 1:
+        out = exact_laurent_div(out, scale[mass], kappa)
+    if qint is not None:
+        out = out.subs_one(kappa)
+    return out
+
+
+# Symbols on both sides of "k" in name order; "kappa" and "o" are the
+# names the unrefined and reduced routes try first for their variables.
+PEEL_SYMBOLS = ["a", "b_1", "k", "kappa", "n0_2", "o", "z"]
+BIG = 10**6
+BIG_CHI = [[0, BIG + 1], [-BIG - 1, 0]]
+
+
+def peel_table(monoid, mass, seed, *, zero_missing=False, big=False):
+    """Seeded entries on the classes up to ``mass``: sums of one to three
+    monomials in ``PEEL_SYMBOLS`` with half-integer exponents of either
+    sign and int or Fraction coefficients.  With ``zero_missing`` about a
+    third of the classes have no entry; with ``big`` every entry has a
+    factor v^(±10^6) for a seeded symbol v."""
+    rng = random.Random(seed)
+    entries = {}
+    for cls in monoid.effective_upto(mass):
+        if zero_missing and rng.random() < 0.35:
+            continue
+        value = laurent_sum(
+            L.monomial(
+                F(rng.choice([-2, -1, 1, 3]), rng.choice([1, 1, 2])),
+                {v: F(rng.randint(-3, 3), 2) for v in rng.sample(PEEL_SYMBOLS, 2)},
+            )
+            for _ in range(rng.randint(1, 3))
+        ) or L.gen("z")
+        if big:
+            value = value * L.monomial(1, {rng.choice(PEEL_SYMBOLS): rng.choice([-BIG, BIG])})
+        entries[cls] = value
+    return InvariantTable(entries, monoid=monoid, zero_missing=zero_missing)
+
+
+def same_order_pair(a, b):
+    """Two different stabilities with the same slope order on every class:
+    the second slope is twice the first plus one, so no wall is crossed."""
+    return linear_stability(a, b), linear_stability([2 * x + y for x, y in zip(a, b)], b)
+
+
+def assert_packed_peel_matches(alpha, tau, taup, table, chi, o, o_alpha):
+    for kwargs in (
+        {},
+        {"o_table": o},
+        {"o_table": o, "o_alpha": o_alpha},
+        {"qint": unrefined_integer},
+        {"qint": unrefined_integer, "o_table": o},
+    ):
+        got = vw_wcf(alpha, tau, taup, table, chi, **kwargs)
+        expected = laurent_peel(alpha, tau, taup, table, chi, **kwargs)
+        assert got == expected
+        assert str(got) == str(expected)
+
+
+PEEL_CASES = {
+    "two": (TWO, CHI, 4, ORACLE_CASES["two-generators"][2][:2]),
+    "three": (THREE, CHI3, 3, ORACLE_CASES["three-generators-and-non-free"][2][:2]),
+    # χ past 10^6 gives quantum integers of 10^6 terms wherever a wall is
+    # crossed; with none crossed every product still carries the large
+    # weights, and the answer is the entry.
+    "big-chi": (
+        TWO, BIG_CHI, 4, [same_order_pair([1, 0], [1, 1]), same_order_pair([2, -1], [1, 3])]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PEEL_CASES)
+@pytest.mark.parametrize("zero_missing", [False, True])
+def test_packed_peel_equals_laurent_peel(name, zero_missing):
+    monoid, chi, mass, pairs = PEEL_CASES[name]
+    for seed, (tau, taup) in enumerate(pairs):
+        table = peel_table(monoid, mass, seed, zero_missing=zero_missing, big=seed == 1)
+        o = crossing_counts(monoid, mass, seed)
+        for alpha in monoid.effective_upto(mass):
+            assert_packed_peel_matches(alpha, tau, taup, table, chi, o, (seed + sum(alpha)) % 3)
+            if name == "big-chi":
+                value = table.value(alpha)
+                expected = L.zero() if value is None else value
+                assert vw_wcf(alpha, tau, taup, table, chi) == expected
+
+
+def test_packed_peel_on_the_mass_one_classes():
+    # No splitting and no division: the entry comes back, as in the oracle.
+    tau, taup = ORACLE_CASES["two-generators"][2][0]
+    table = peel_table(TWO, 1, seed=5)
+    o = {(1, 0): 2, (0, 1): 0}
+    for alpha in [(1, 0), (0, 1)]:
+        assert vw_wcf(alpha, tau, taup, table, CHI) == table.value(alpha)
+        assert_packed_peel_matches(alpha, tau, taup, table, CHI, o, 1)
+
+
+def test_packed_peel_equals_laurent_peel_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        dim = draw(st.sampled_from([2, 3]))
+        monoid = TWO if dim == 2 else THREE
+        big_chi = draw(st.booleans())
+        a = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+        b = draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim))
+        if big_chi:
+            stabs = same_order_pair(a, b)
+            entry = st.sampled_from([BIG, -BIG - 7, BIG + 2])
+        else:
+            a2 = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+            b2 = draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim))
+            stabs = linear_stability(a, b), linear_stability(a2, b2)
+            entry = st.integers(-3, 3)
+        upper = draw(st.lists(entry, min_size=dim, max_size=dim))
+        chi = [[0] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                chi[i][j], chi[j][i] = upper[i + j - 1], -upper[i + j - 1]
+        mass = 4 if dim == 2 else 3
+        alpha = draw(st.sampled_from(monoid.effective_upto(mass)))
+        seed = draw(st.integers(0, 1000))
+        flags = draw(st.tuples(st.booleans(), st.booleans()))
+        return monoid, stabs, chi, alpha, mass, seed, flags
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        monoid, (tau, taup), chi, alpha, mass, seed, (zero_missing, big) = case
+        table = peel_table(monoid, mass, seed, zero_missing=zero_missing, big=big)
+        o = crossing_counts(monoid, mass, seed)
+        assert_packed_peel_matches(alpha, tau, taup, table, chi, o, seed % 4)
 
     check()
 
