@@ -6,9 +6,12 @@ Three layers:
    label set, together with the block-merge operator on it.  The operator
    is valued in commuting bookkeeping symbols, one per label subset, and
    every entry is homogeneous of symbol-degree one, so its truncated
-   matrix exponential is a plain sum of matrix powers.  Corner entries of
-   sub-problems multiply out to the full entries (the factorization the
-   tests check order-by-order).
+   matrix exponential is a plain sum of matrix powers.  Above a source
+   with k blocks the operator is the one on k atoms with renamed symbols,
+   so the powers are taken once per block count, on the finest partition
+   of k atoms in packed arithmetic (``ring.packed_algebra``), and renamed
+   onto every source.  Corner entries of sub-problems multiply out to the
+   full entries (the factorization the tests check order-by-order).
 
 2. A formal "vertex ring" of series symbols ``DT0[...]``/``PT[...]``
    indexed by key multisets, with the inverse of ``DT0[]`` adjoined.  A sum
@@ -47,6 +50,7 @@ from .ring import (
     exact_laurent_div,
     integer_entry,
     laurent_sum,
+    packed_algebra,
     plethystic_exp,
 )
 from .ucoeff import set_partitions
@@ -175,7 +179,12 @@ def merge_symbol(subset) -> LaurentElement:
     for i in subset:
         if not 0 <= i <= 9:
             raise ValueError("merge symbols need single-digit labels")
-    return LaurentElement.gen("x" + "".join(str(i) for i in subset))
+    return LaurentElement.gen(_symbol_name(subset))
+
+
+def _symbol_name(subset: tuple[int, ...]) -> str:
+    """The name of the merge symbol of a sorted subset of digit labels."""
+    return "x" + "".join(map(str, subset))
 
 
 def _merge_ground(ground) -> tuple[int, ...]:
@@ -187,6 +196,18 @@ def _merge_ground(ground) -> tuple[int, ...]:
     return ground
 
 
+def _merges(blocks: tuple[tuple[int, ...], ...]):
+    """The strict merges of a sorted tuple of sorted blocks: for every set J
+    of two or more blocks, (-1)**|J|, the union of J, and the blocks with J
+    merged, sorted again."""
+    for m in range(2, len(blocks) + 1):
+        sign = 1 if m % 2 == 0 else -1
+        for chosen in combinations(range(len(blocks)), m):
+            union = tuple(sorted(i for pos in chosen for i in blocks[pos]))
+            kept = [b for pos, b in enumerate(blocks) if pos not in chosen]
+            yield sign, union, tuple(sorted([*kept, union]))
+
+
 def delta_apply(sigma: SetPartition) -> dict[SetPartition, LaurentElement]:
     """One application of the block-merge operator to a basis element.
 
@@ -194,20 +215,14 @@ def delta_apply(sigma: SetPartition) -> dict[SetPartition, LaurentElement]:
     of blocks contributes (-1)**|J| times the symbol of the union of J,
     mapping to the element with J merged.  The empty and singleton J land
     on the diagonal, giving the stay-put symbol minus one symbol per
-    block; |J| >= 2 strictly merges.
+    block; |J| >= 2 strictly merges, each J onto its own target.
     """
-    out: dict[SetPartition, LaurentElement] = {}
     diag = merge_symbol(())
     for block in sigma.blocks:
         diag = diag - merge_symbol(block)
-    out[sigma] = diag
-    for m in range(2, len(sigma.blocks) + 1):
-        sign = 1 if m % 2 == 0 else -1
-        for chosen in combinations(range(len(sigma.blocks)), m):
-            union = [i for pos in chosen for i in sigma.blocks[pos]]
-            target = sigma.merge(chosen)
-            entry = out.get(target, LaurentElement.zero())
-            out[target] = entry + sign * merge_symbol(union)
+    out = {sigma: diag}
+    for sign, union, merged in _merges(sigma.blocks):
+        out[SetPartition(merged)] = sign * merge_symbol(union)
     return out
 
 
@@ -228,39 +243,80 @@ def exp_minus_delta(
     Every operator entry is homogeneous of symbol-degree one, so the m-th
     summand carries exactly the degree-m terms: truncating at total symbol
     degree <= order is the same as stopping the sum at m = order.
+
+    On the partitions coarser than a source with k blocks, the operator is
+    the one on partitions of k atoms with each atom standing for a block:
+    the symbol of an atom set S becomes the symbol of the union of the
+    blocks in S, an injective renaming.  So one column per block count,
+    the finest source's column over k atoms, gives every column.
     """
     basis = partitions_of(_merge_ground(ground))
-    step = {p: delta_apply(p) for p in basis}
-    return {
-        (target, source): val
-        for source in basis
-        for target, val in _exp_column(source, step, order).items()
-        if val
-    }
+    index = {p.blocks: p for p in basis}
+    templates = {}
+    out = {}
+    for source in basis:
+        k = len(source.blocks)
+        if k not in templates:
+            templates[k] = _exp_template(k, order)
+        algebra, names, column = templates[k]
+        unions, rename = _renaming(names, source.blocks)
+        for blocks, entry in column.items():
+            target = index[tuple(sorted(unions[b] for b in blocks))]
+            out[target, source] = algebra.unpack(entry, rename)
+    return out
 
 
-def _exp_column(source: SetPartition, step, order: int) -> dict:
-    """Column ``source`` of the truncated exponential: target -> entry.
+def _exp_template(k: int, order: int):
+    """The finest column of the truncated exponential over the atoms
+    ``range(k)``, in packed arithmetic that lives for one call.
 
-    ``step`` maps every partition reachable from ``source`` to its
-    ``delta_apply`` column.
+    Returns the algebra, the symbol name of every atom subset, and the
+    nonzero entries keyed by the target's blocks of atoms.  Partitions are
+    reached from the finest by merges, one power at a time.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    column = {source: ONE}
-    out = {source: ONE}
+    names = {s: _symbol_name(s) for n in range(k + 1) for s in combinations(range(k), n)}
+    symbols = {s: LaurentElement.gen(name) for s, name in names.items()}
+    algebra = packed_algebra(symbols.values(), depth=order)
+    packed = {s: algebra.pack(symbol) for s, symbol in symbols.items()}
+    steps = {}
+
+    def step(blocks):
+        # The operator's column at a partition of the atoms, packed.
+        if blocks not in steps:
+            diag = algebra.total([packed[()], *(algebra.scale(packed[b], -1) for b in blocks)])
+            steps[blocks] = [(blocks, diag)] + [
+                (merged, algebra.scale(packed[union], sign))
+                for sign, union, merged in _merges(blocks)
+            ]
+        return steps[blocks]
+
+    finest = tuple((i,) for i in range(k))
+    column = {finest: algebra.pack(ONE)}
+    pieces = {finest: [column[finest]]}
     for m in range(1, order + 1):
         factor = Fraction(-1, m)
-        pieces: dict[SetPartition, list[LaurentElement]] = {}
+        terms: dict[tuple, list] = {}
         for mid, coeff in column.items():
-            scaled = factor * coeff
-            for target, entry in step[mid].items():
-                pieces.setdefault(target, []).append(scaled * entry)
-        column = {target: laurent_sum(items) for target, items in pieces.items()}
-        for target, coeff in column.items():
-            prev = out.get(target, LaurentElement.zero())
-            out[target] = prev + coeff
-    return out
+            scaled = algebra.scale(coeff, factor)
+            for target, entry in step(mid):
+                terms.setdefault(target, []).append(algebra.mul(scaled, entry))
+        column = {}
+        for t, items in terms.items():
+            c = algebra.total(items)
+            if c:
+                column[t] = c
+                pieces.setdefault(t, []).append(c)
+    entries = {t: algebra.total(items) for t, items in pieces.items()}
+    return algebra, names, {t: c for t, c in entries.items() if c}
+
+
+def _renaming(names, blocks):
+    """For atoms standing for ``blocks``: the labels of each atom subset's
+    union, and the renaming of the atom subsets' symbols to their unions'."""
+    unions = {s: tuple(sorted(i for a in s for i in blocks[a])) for s in names}
+    return unions, {names[s]: _symbol_name(u) for s, u in unions.items()}
 
 
 def corner_entry(ground, order: int) -> LaurentElement:
@@ -270,9 +326,11 @@ def corner_entry(ground, order: int) -> LaurentElement:
 
 @lru_cache(maxsize=None)
 def _corner(ground: tuple[int, ...], order: int) -> LaurentElement:
-    step = {p: delta_apply(p) for p in partitions_of(ground)}
-    column = _exp_column(SetPartition.finest(ground), step, order)
-    return column.get(SetPartition.coarsest(ground), LaurentElement.zero())
+    k = len(ground)
+    algebra, names, column = _exp_template(k, order)
+    coarsest = (tuple(range(k)),) if k else ()
+    _, rename = _renaming(names, SetPartition.finest(ground).blocks)
+    return algebra.unpack(column.get(coarsest, {}), rename)
 
 
 def factorized_entry(sigma: SetPartition, order: int) -> LaurentElement:

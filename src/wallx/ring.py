@@ -13,9 +13,10 @@ Other code builds elements with ``gen``, ``const``, ``monomial``,
 through ``LaurentElement.monomials()``, in natural exponents.
 
 ``packed_algebra`` serves one computation over a fixed set of variables,
-the peel of ``wallcross.vw_wcf``: it packs each monomial into one int with
-a slot per variable, sized from a bound on the exponents the computation
-can reach, and unpacks the result.  Its slots live as long as the caller
+the peel of ``wallcross.vw_wcf`` or a column of ``descendent.exp_minus_delta``:
+it packs each monomial into one int with a slot per variable, sized from a
+bound on the exponents the computation can reach, and unpacks the result,
+renaming its variables if asked.  Its slots live as long as the caller
 keeps the algebra, and other code handles its elements only through its
 methods.
 """
@@ -1120,7 +1121,7 @@ class _PackedAlgebra:
     the algebra that made them: read results with ``unpack``.
     """
 
-    __slots__ = ("_slot", "_names", "_width", "_reach", "_step")
+    __slots__ = ("_slot", "_names", "_width", "_reach", "_step", "_full_offset")
 
     def __init__(self, names: list[str], width: int, reach: int, step: int) -> None:
         self._names = names
@@ -1128,6 +1129,7 @@ class _PackedAlgebra:
         self._width = width
         self._reach = reach
         self._step = step
+        self._full_offset = self._offset(width * len(names))
 
     def _key(self, m: Mono, limit: int) -> int:
         key = 0
@@ -1166,18 +1168,22 @@ class _PackedAlgebra:
         m = _mono((v, _exp2(e)) for v, e in exps.items())
         return self._key(m, self._step), _coef(coeff)
 
-    def unpack(self, x: dict[int, Scalar]) -> LaurentElement:
-        """The Laurent element of a packed element."""
+    def unpack(
+        self, x: dict[int, Scalar], rename: Mapping[str, str] | None = None
+    ) -> LaurentElement:
+        """The Laurent element of a packed element, each variable ``v``
+        named ``rename[v]`` if given: a one-to-one map of every variable."""
         width = self._width
         mask = (1 << width) - 1
         half = 1 << (width - 1)
-        offset = self._offset(width * len(self._names))
-        names = self._names
+        offset = self._full_offset
+        names = self._names if rename is None else [rename[v] for v in self._names]
         out: dict[Mono, Scalar] = {}
         for key, c in x.items():
             key += offset
             # The slots of key ^ offset are nonzero exactly where the digit
-            # is, and run in name order, so the monomial comes out sorted.
+            # is, and run in name order, so the monomial comes out sorted
+            # unless its names were changed.
             rest = key ^ offset
             m = []
             while rest:
@@ -1185,6 +1191,8 @@ class _PackedAlgebra:
                 shift = i * width
                 m.append((names[i], (key >> shift & mask) - half))
                 rest = rest >> (shift + width) << (shift + width)
+            if rename is not None:
+                m.sort()
             out[tuple(m)] = c
         return _trusted(_canonical(out))
 
@@ -1312,7 +1320,8 @@ def packed_algebra(
     No digit of such a product, of a sum of them, or of a quotient by a
     power of D exceeds depth·r + (depth − 1)·step, r the largest doubled
     exponent of the elements, so one more bit than that bound needs sets
-    the width.  The algebra lives as long as its caller keeps it.
+    the width; it holds one element even at depth 0.  The algebra lives as
+    long as its caller keeps it.
     """
     variables = set(names)
     reach = 0
@@ -1322,7 +1331,7 @@ def packed_algebra(
                 variables.add(v)
                 if abs(e) > reach:
                     reach = abs(e)
-    bound = depth * reach + max(depth - 1, 0) * step
+    bound = max(depth, 1) * reach + max(depth - 1, 0) * step
     return _PackedAlgebra(sorted(variables), bound.bit_length() + 1, reach, step)
 
 

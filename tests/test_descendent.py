@@ -106,6 +106,51 @@ def truncated_exp(arg, order):
     return acc
 
 
+def _exp_column(source, step, order: int) -> dict:
+    """Column ``source`` of the truncated exponential in Laurent arithmetic,
+    target -> entry; ``step`` maps every partition reachable from
+    ``source`` to its ``delta_apply`` column."""
+    column = {source: L.const(1)}
+    out = {source: L.const(1)}
+    for m in range(1, order + 1):
+        factor = F(-1, m)
+        pieces = {}
+        for mid, coeff in column.items():
+            scaled = factor * coeff
+            for target, entry in step[mid].items():
+                pieces.setdefault(target, []).append(scaled * entry)
+        column = {target: laurent_sum(items) for target, items in pieces.items()}
+        for target, coeff in column.items():
+            out[target] = out.get(target, L.zero()) + coeff
+    return out
+
+
+def laurent_exp_minus_delta(ground, order: int) -> dict:
+    """The truncated exponential over ``delta_matrix``, every column by its
+    own Laurent matrix powers: no column is renamed from another."""
+    step = {}
+    for (target, source), entry in delta_matrix(ground).items():
+        step.setdefault(source, {})[target] = entry
+    return {
+        (target, source): val
+        for source in step
+        for target, val in _exp_column(source, step, order).items()
+        if val
+    }
+
+
+def assert_matches_laurent_oracle(ground, order: int) -> None:
+    got = exp_minus_delta(ground, order)
+    want = laurent_exp_minus_delta(ground, order)
+    assert got.keys() == want.keys()
+    for key, entry in want.items():
+        assert got[key] == entry
+        assert str(got[key]) == str(entry)
+        assert all(type(c) is int or c.denominator > 1 for _, c in got[key].monomials())
+    corner = (SetPartition.coarsest(ground), SetPartition.finest(ground))
+    assert corner_entry(ground, order) == want.get(corner, L.zero())
+
+
 class TestSetPartition:
     def test_canonical_form(self):
         p = SetPartition([[3, 1], (2,)])
@@ -274,6 +319,29 @@ class TestMatrixExponential:
                 sigma, order
             )
 
+
+    @pytest.mark.parametrize("order", range(5))
+    @pytest.mark.parametrize("n", range(5))
+    def test_every_entry_matches_the_laurent_oracle(self, n, order):
+        assert_matches_laurent_oracle(n, order)
+
+    @pytest.mark.parametrize(
+        "ground, order",
+        [((0, 2, 3, 5, 7), 2), ((0, 2, 3, 5, 7), 3), ((9,), 3), ((), 3), ((9,), 0), ((), 0)],
+    )
+    def test_every_entry_matches_the_laurent_oracle_on_labels(self, ground, order):
+        assert_matches_laurent_oracle(ground, order)
+
+    def test_every_entry_matches_the_laurent_oracle_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=25, deadline=None)
+        @hypothesis.given(st.sets(st.integers(0, 9), max_size=4), st.integers(0, 3))
+        def check(labels, order):
+            assert_matches_laurent_oracle(labels, order)
+
+        check()
 
     @pytest.mark.parametrize(
         "call", [exp_minus_delta, corner_entry, delta_matrix], ids=lambda f: f.__name__

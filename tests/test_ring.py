@@ -1032,6 +1032,40 @@ def test_packed_digits_hold_at_the_bound() -> None:
         algebra.div_d(packed, "c", 1)
 
 
+def test_packed_algebra_of_depth_zero_holds_its_elements() -> None:
+    x, y = L.gen("x"), L.gen("y")
+    algebra = packed_algebra([x * y], depth=0)
+    assert algebra.unpack(algebra.pack(x * y)) == x * y
+    rng = random.Random(35)
+    for _ in range(10):
+        el = _packed_element(rng, _PACKED_NAMES, 4)
+        algebra = packed_algebra([el], depth=0)
+        assert algebra.unpack(algebra.pack(el)) == el
+
+
+def test_unpack_renames_and_sorts_each_monomial() -> None:
+    # The renaming reverses name order, so every monomial of two or more
+    # variables comes out of its slots in the wrong order.
+    rename = {v: f"r{9 - i}" for i, v in enumerate(_PACKED_NAMES)}
+    rng = random.Random(36)
+    for _ in range(20):
+        a, b = (_packed_element(rng, _PACKED_NAMES, rng.randint(1, 4)) for _ in range(2))
+        a, b = a * Fraction(1, 2), 2 * b
+        algebra = packed_algebra([a, b], depth=2)
+        product = algebra.mul(algebra.pack(a), algebra.pack(b))
+        got = algebra.unpack(product, rename)
+        want = laurent_sum(
+            L.monomial(c, {rename[v]: e for v, e in exps.items()})
+            for exps, c in (a * b).monomials()
+        )
+        assert got == want
+        assert str(got) == str(want)
+        _assert_canonical(got)
+    # The halves and doubles above leave integral Fractions for unpack to
+    # make canonical.
+    assert any(type(c) is Fraction and c.denominator == 1 for c in product.values())
+
+
 def test_packed_division_by_powers_of_d_matches_exact_division() -> None:
     rng = random.Random(33)
     d = _symmetric_difference("k")
