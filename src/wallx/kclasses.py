@@ -2,11 +2,11 @@
 
 A :class:`VirtualClass` is a signed multiset of line symbols: multiplicative
 weight monomials in K-mode, additive weight forms in cohomological mode.  On
-top of it the module provides wedge and Euler classes (with truncated series
-inverses for negative summands), quantum integers, the symmetrized vertex
-kernel and its z-residue, the projective-bundle pushforward formulas in all
-three flavours, and the hbar-coefficient expansion of the vertex kernel with
-formal Chern-character symbols.
+top of it the module provides wedge and Euler classes (exact quotients when a
+summand is negative), quantum integers, the symmetrized vertex kernel and its
+z-residue, the projective-bundle pushforward formulas in all three flavours,
+and the hbar-coefficient expansion of the vertex kernel with formal
+Chern-character symbols.
 
 Symbol names are fixed: κ is ``k`` (``ring.KAPPA``, so κ**(1/2) is
 ``k^(1/2)``), the equivariant parameter is ``hbar``, the series variable of
@@ -41,16 +41,6 @@ from .ring import (
 
 ONE = LaurentElement.const(1)
 
-#: Series inverses of wedge factors live in augmented coordinates: ``xi``
-#: stands for (1 - z)**(-1) and ``lam_<v>`` stands for 1 - <v>.
-AUG_Z = "xi"
-
-
-def aug_name(var: str) -> str:
-    """Augmented-coordinate name for a weight variable."""
-    return "lam_" + var
-
-
 def _monomial_weight(w: LaurentElement) -> LaurentElement:
     if not w.is_monomial():
         raise ValueError(f"multiplicative weight must be a single monomial: {w}")
@@ -63,9 +53,11 @@ def _monomial_weight(w: LaurentElement) -> LaurentElement:
 class VirtualClass:
     """Signed formal sum of line symbols with explicit weights.
 
-    ``roots`` is an iterable of weights or of (weight, sign) pairs with sign
-    in {+1, -1}.  In mode ``"K"`` a weight is a multiplicative monomial with
-    coefficient 1; in mode ``"coh"`` it is an additive form.
+    ``roots`` is an iterable of weights or of (weight, sign) pairs; every
+    2-tuple is such a pair (a weight is never a tuple), and its sign is an
+    integer +1 or -1 (``ring.integer_entry``), else ValueError.  In mode
+    ``"K"`` a weight is a multiplicative monomial with coefficient 1; in
+    mode ``"coh"`` it is an additive form.
     """
 
     __slots__ = ("roots", "mode")
@@ -75,8 +67,10 @@ class VirtualClass:
             raise ValueError(f"mode must be 'K' or 'coh', got {mode!r}")
         entries = []
         for item in roots:
-            if isinstance(item, tuple) and len(item) == 2 and item[1] in (1, -1):
-                weight, sign = item
+            if isinstance(item, tuple) and len(item) == 2:
+                weight, sign = item[0], integer_entry(item[1])
+                if sign not in (1, -1):
+                    raise ValueError(f"a root's sign must be +1 or -1, got {item[1]!r}")
             else:
                 weight, sign = item, 1
             weight = as_element(weight)
@@ -219,90 +213,17 @@ def _ehat_factor(zel: LaurentElement, w: LaurentElement) -> LaurentElement:
     return _half_power(mono, -1) - _half_power(mono, 1)
 
 
-def _binomial_series(a: Fraction, x: LaurentElement, one: LaurentElement) -> LaurentElement:
-    """(1 - x)**a for any rational a, as a series truncated as the unit ``one``."""
+def wedge(E: VirtualClass, z="z"):
+    """The wedge class ∏ over roots of (1 - z·w)**sign.
 
-    def terms():
-        power = one
-        yield power
-        coeff = Fraction(1)
-        j = 0
-        while True:
-            j += 1
-            coeff = coeff * (a - (j - 1)) / j
-            power = power * (-x)
-            term = coeff * power
-            if not term:
-                return
-            yield term
-
-    return laurent_sum(terms())
-
-
-def _aug_weight(w: LaurentElement, one: LaurentElement) -> LaurentElement:
-    """A weight monomial rewritten in augmented coordinates, ∏(1-lam_v)**a_v,
-    as a series truncated as the unit ``one``."""
-    ((exps, _),) = w.monomials()
-    acc = one
-    for var, e in exps.items():
-        lam = LaurentElement.gen(aug_name(var))
-        acc = acc * _binomial_series(Fraction(e), lam, one)
-    return acc
-
-
-def _inverse_wedge_factor(wt: LaurentElement) -> LaurentElement:
-    """Series inverse of the substituted wedge factor (1 - wt) + xi**(-1)·wt.
-
-    With A := 1 - wt this is Σ_k (-1)**k A**k wt**(-k-1) xi**(k+1); every term
-    has total augmented degree ≥ 2k+1 so the sum terminates under truncation.
-    """
-    xi = LaurentElement.gen(AUG_Z)
-    a = 1 - wt
-    step = wt.invert_series() * xi
-
-    def terms():
-        cur = step
-        while cur:
-            yield cur
-            cur = cur * (-a) * step
-
-    return laurent_sum(terms())
-
-
-def wedge(E: VirtualClass, z="z", order: int | None = None) -> LaurentElement:
-    """The wedge series ∏ over roots of (1 - z·w)**sign.
-
-    Honest classes give an exact Laurent polynomial and ``z`` may be any
-    element.  A negative summand forces the augmented-coordinate series route
-    (``z`` must then be a plain variable name): the result is a truncated
-    series in ``xi`` = (1-z)**(-1) and ``lam_v`` = 1-v, to total degree
-    ``order`` (default 2·#roots+2).
+    Returns an exact Laurent element for honest classes and an exact rational
+    element when negative summands are present, so wedge(-E) is the exact
+    inverse of wedge(E).  ``z`` may be a variable name or any element.
     """
     if E.mode != "K":
         raise ModeMismatch("wedge needs a multiplicative-mode class")
-    if E.honest:
-        zel = _as_z(z)
-        acc = ONE
-        for w, _ in E.roots:
-            acc = acc * (ONE - zel * w)
-        return acc
-    if not isinstance(z, str):
-        raise ValueError("the series inverse route needs a plain variable name")
-    if order is None:
-        order = 2 * len(E.roots) + 2
-    names = {AUG_Z}
-    for w, _ in E.roots:
-        names.update(aug_name(v) for v in w.variables())
-    one = ONE.truncate(names, order)
-    xi_inv = LaurentElement.gen(AUG_Z).monomial_inverse()
-    acc = one
-    for w, s in E.roots:
-        wt = _aug_weight(w, one)
-        if s == 1:
-            acc = acc * ((one - wt) + xi_inv * wt)
-        else:
-            acc = acc * _inverse_wedge_factor(wt)
-    return acc
+    zel = _as_z(z)
+    return _signed_product([(ONE - zel * w, s) for w, s in E.roots])
 
 
 def symmetrized_wedge(E: VirtualClass, z="z"):

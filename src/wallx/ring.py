@@ -961,18 +961,6 @@ def expand_general(
     return out
 
 
-def expand_around_one(
-    f: Element, order: int, *, var: str = "z"
-) -> dict[Fraction, RationalElement]:
-    """Expansion around ``var = 1`` in powers of ζ := 1 - var.  ζ is the
-    variable ``zeta``, primed until the input names no such variable; it
-    never reaches the output, whose keys are the powers of ζ."""
-    f = as_rational(f)
-    aug = fresh_name("zeta", (f.num, f.den))
-    shifted = f.subs_poly(var, LaurentElement.const(1) - LaurentElement.gen(aug))
-    return expand_general(shifted, "zero", order, var=aug)
-
-
 def residue_K(f: Element, *, var: str = "z"):
     """The degree-0 coefficient of (expansion at infinity - expansion at 0)."""
     if isinstance(f, LaurentElement):
@@ -1362,28 +1350,6 @@ def specialize_kappa(f: Element):
     if isinstance(result, RationalElement):
         return result.maybe_laurent()
     return result
-
-
-def kappa_one_vanishing_order(f: Element) -> int | None:
-    """Order of vanishing at κ = 1 (negative for poles, None for 0)."""
-
-    def _order(el: LaurentElement) -> int | None:
-        if not el.terms:
-            return None
-        n = 0
-        while el.subs_one(KAPPA) == ZERO:
-            el = exact_laurent_div(el, _ROOT_MINUS_ONE, KAPPA)
-            n += 1
-        return n
-
-    if isinstance(f, LaurentElement):
-        return _order(f)
-    on = _order(f.num)
-    if on is None:
-        return None
-    od = _order(f.den)
-    assert od is not None
-    return on - od
 
 
 # -- slopes and weight symbols -------------------------------------------------

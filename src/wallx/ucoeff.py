@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -515,12 +516,12 @@ def utilde_lie_element(
     """
     alpha = as_class(alpha)
     words: dict = {}
-    classes = peel_classes(alpha, tau, tau_prime, monoid, max_parts)
-    if classes:
+    splits = peel_classes(alpha, tau, tau_prime, monoid, max_parts)
+    if splits:
         entry = lambda cls: {(cls,): math.factorial(_mass(cls))}
         weight = lambda beta, delta: math.comb(_mass(beta) + _mass(delta), _mass(beta))
         after = refactor(
-            classes, tau, tau_prime, entry, weight,
+            splits, tau, tau_prime, entry, weight,
             mul=_word_mul, scale=_word_scale, total=_word_total,
         )[alpha]
         words = {w: Fraction(c) / math.factorial(_mass(alpha)) for w, c in after.items()}
@@ -534,9 +535,10 @@ def utilde_lie_element(
 
 def peel_classes(
     alpha, tau: StabilityData, tau_prime: StabilityData, monoid: EffectiveMonoid, max_parts: int
-) -> tuple[ClassVec, ...]:
-    """The classes ≤ α (``monoid.below(alpha)``) that ``refactor`` runs
-    over, once its input contract is checked.
+) -> dict[ClassVec, list[tuple[ClassVec, ClassVec]]]:
+    """The classes ≤ α (``monoid.below(alpha)``, in that order) that
+    ``refactor`` runs over, once its input contract is checked, each mapped
+    to its two-part splittings (β, δ) into such classes, β in that order.
 
     Empty when α is not effective.  A splitting of α into more than
     ``max_parts`` parts raises DecompositionOverflow, and either stability
@@ -545,7 +547,7 @@ def peel_classes(
     """
     alpha = as_class(alpha)
     if not monoid.contains(alpha):
-        return ()
+        return {}
     if monoid.longest_splitting(alpha) > max_parts:
         raise DecompositionOverflow(f"{alpha} needs more than {max_parts} parts")
     classes = monoid.below(alpha)
@@ -555,18 +557,25 @@ def peel_classes(
                 raise SeeSawFailure(
                     f"{stability.name} breaks the weak see-saw property at class {cls}"
                 )
-    return classes
+    splits = {cls: [] for cls in classes}
+    for beta in classes:
+        for delta in classes:
+            cls = tuple(map(operator.add, beta, delta))
+            if cls in splits:
+                splits[cls].append((beta, delta))
+    return splits
 
 
 def refactor(
-    classes, tau: StabilityData, tau_prime: StabilityData, entry, weight, *, mul, scale, total
+    splits, tau: StabilityData, tau_prime: StabilityData, entry, weight, *, mul, scale, total
 ) -> dict:
     """The τ′-factors of a slope-ordered product: the X′ with
 
         Π_{s ↓} exp(Σ_{τ(γ)=s} X_γ) = Π_{s ↓} exp(Σ_{τ′(γ)=s} X′_γ),
 
     each product over slopes in decreasing order, in an algebra graded by
-    the classes and truncated to ``classes`` (from ``peel_classes``).
+    the classes and truncated to the classes of ``splits``, the mapping
+    from ``peel_classes``.
 
     Each class carries one coefficient, ``entry(γ)`` being X_γ (None for
     zero).  The coefficients at β and δ multiply to the coefficient at
@@ -579,35 +588,32 @@ def refactor(
     mass-graded peel); the weak see-saw property keeps each exp(X_s) on the
     classes of slope s.
     """
-    members = set(classes)
-    splits = {cls: [] for cls in classes}
-    for beta in classes:
-        for delta in classes:
-            cls = tuple(a + b for a, b in zip(beta, delta))
-            if cls in members:
-                splits[cls].append((beta, delta, weight(beta, delta)))
+    weighted = {
+        cls: [(beta, delta, weight(beta, delta)) for beta, delta in pairs]
+        for cls, pairs in splits.items()
+    }
     algebra = (mul, scale, total)
-    before = _factor(classes, tau.slope_of, splits, lambda cls, rest: entry(cls), algebra)
+    before = _factor(tau.slope_of, weighted, lambda cls, rest: entry(cls), algebra)
     differ = lambda cls, rest: total((before[cls][1], scale(rest, -1)))
-    after = _factor(classes, tau_prime.slope_of, splits, differ, algebra)
+    after = _factor(tau_prime.slope_of, weighted, differ, algebra)
     return {cls: x for cls, (x, _) in after.items()}
 
 
-def _factor(classes, slope_of, splits, linear, algebra) -> dict:
+def _factor(slope_of, splits, linear, algebra) -> dict:
     """Factor a truncated product as Π_{s ↓} exp(X_s), X_s supported on the
     classes of slope s.  The product's coefficient at a class is its X
     coefficient plus ``rest``, the products of coefficients at lighter
     classes; ``linear(cls, rest)`` returns the X coefficient (falsy for
     zero).  Maps each class to its X and its product coefficient."""
     mul, scale, total = algebra
-    slopes = sorted({slope_of(cls) for cls in classes}, reverse=True)
+    slopes = sorted({slope_of(cls) for cls in splits}, reverse=True)
     rank = {s: j for j, s in enumerate(slopes)}
-    group = {cls: rank[slope_of(cls)] for cls in classes}
+    group = {cls: rank[slope_of(cls)] for cls in splits}
     powers = {}  # cls -> {k: coefficient of X_s^k}, s the slope of cls
     expo = {}  # cls -> coefficient of exp(X_s), or None
     partial = {}  # cls -> [coefficient of exp(X_0)⋯exp(X_j), or None, for each j]
     out = {}
-    for cls in classes:
+    for cls in splits:
         home = group[cls]
         cross_terms: dict[int, list] = {}  # j -> products ending in exp(X_j)
         power_terms: dict[int, list] = {}  # k -> products of k X coefficients

@@ -31,7 +31,6 @@ reduced sum alone, as an argument of ``vw_wcf``.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
@@ -436,10 +435,10 @@ def vw_wcf(
     chi = QuantumTorusBackend(chi).chi
     if qint is not None and qint is not unrefined_integer:
         raise ValueError("vw_wcf takes qint=None (refined) or unrefined_integer")
-    classes = peel_classes(alpha, tau_one, tau_two, table.monoid, max_parts)
-    if not classes:
+    splits = peel_classes(alpha, tau_one, tau_two, table.monoid, max_parts)
+    if not splits:
         return LaurentElement.zero()
-    entries = _laurent_entries(table, classes)
+    entries = _laurent_entries(table, splits)
     kappa = KAPPA if qint is None else fresh_name("kappa", entries.values())
     grade = None
     if o_table is not None:
@@ -478,13 +477,7 @@ def vw_wcf(
     # class ≤ α has at most mass(α) entries and mass(α) − 1 weights, so the
     # entries' exponents and the largest |χ| over the splittings bound every
     # exponent the peel can reach, and so the slot width.
-    members = set(classes)
-    pairing = {
-        (beta, delta): chi(beta, delta)
-        for beta in classes
-        for delta in classes
-        if tuple(map(operator.add, beta, delta)) in members
-    }
+    pairing = {pair: chi(*pair) for pairs in splits.values() for pair in pairs}
     algebra = packed_algebra(
         entries.values(),
         (kappa,) if grade is None else (kappa, grade),
@@ -503,7 +496,7 @@ def vw_wcf(
         return term(pairing[beta, delta], k + sum(delta), k)
 
     out = refactor(
-        classes, tau_one, tau_two, packed.get, weight,
+        splits, tau_one, tau_two, packed.get, weight,
         mul=algebra.mul, scale=algebra.scale, total=algebra.total,
     )[alpha]
     if grade is not None:

@@ -3,15 +3,20 @@ module reaches into a sibling's private names, every private module-level
 name is read by its own module, every public function, class and method
 is named somewhere outside its own definition, only ``ring`` and its own
 tests know how a Laurent element stores its terms, and nothing outside the
-standard library is imported."""
+standard library is imported, and every dotted reference the README and
+the docstrings make into a module of the package names something that
+exists."""
 
 from __future__ import annotations
 
 import ast
+import functools
+import importlib
 import re
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -329,4 +334,67 @@ def test_scan_sees_an_import_outside_the_standard_library() -> None:
         "numpy (line 2)",
         "sympy.core (line 3)",
         "hypothesis (line 9)",
+    ]
+
+
+# A code span holding a dotted name, with an optional call suffix:
+# ``ring.KAPPA`` in a docstring, `wallx.ring.slope_entry` in the README.
+_DOTTED_SPAN = re.compile(r"`{1,2}([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`{1,2}")
+
+
+def _docstrings(tree: ast.Module) -> str:
+    """The module, class and function docstrings of a module, joined."""
+    return "\n".join(
+        ast.get_docstring(node, clean=False) or ""
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    )
+
+
+def _stale_references(texts: dict, modules: dict) -> list[str]:
+    """Dotted code spans in ``texts`` (place -> text) whose first part is a
+    name of ``modules`` (name -> module) but whose attribute chain does not
+    resolve from it by ``getattr``; spans into other modules are skipped."""
+    out = []
+    for where, text in texts.items():
+        for match in _DOTTED_SPAN.finditer(text):
+            head, *chain = match.group(1).split(".")
+            if head not in modules:
+                continue
+            try:
+                functools.reduce(getattr, chain, modules[head])
+            except AttributeError:
+                out.append(f"{where}: {match.group(1)}")
+    return out
+
+
+def test_docs_name_only_existing_symbols() -> None:
+    modules = {"wallx": importlib.import_module("wallx")}
+    texts = {"README.md": (ROOT / "README.md").read_text()}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "__init__":
+            modules[path.stem] = importlib.import_module(f"wallx.{path.stem}")
+        texts[path.name] = _docstrings(ast.parse(path.read_text(), filename=str(path)))
+    assert _stale_references(texts, modules) == []
+
+
+def test_scan_sees_a_stale_doc_reference() -> None:
+    ring = SimpleNamespace(KAPPA="k", LaurentElement=SimpleNamespace(gen=None))
+    modules = {"wallx": SimpleNamespace(ring=ring), "ring": ring}
+    readme = (
+        "| `wallx.ring` | `wallx.ring.KAPPA`, `wallx.ring.expand_around_one` |\n"
+        "```python\nfrom wallx.ring import KAPPA\n```\n"
+        "`wallx.oracles` and `fractions.Fraction`\n"
+    )
+    tree = ast.parse(
+        '"""Uses ``ring.LaurentElement.gen()`` and ``kclasses.AUG_Z``."""\n'
+        "def f():\n"
+        '    """Reads ``ring.LaurentElement.shift``."""\n'
+        "    return '``ring.missing``'\n"
+    )
+    texts = {"README.md": readme, "mod.py": _docstrings(tree)}
+    assert _stale_references(texts, modules) == [
+        "README.md: wallx.ring.expand_around_one",
+        "README.md: wallx.oracles",
+        "mod.py: ring.LaurentElement.shift",
     ]

@@ -10,10 +10,8 @@ import pytest
 
 from wallx.errors import ModeMismatch, NonExpandable, TrivialWeightAtOne
 from wallx.kclasses import (
-    AUG_Z,
     ThetaKernel,
     VirtualClass,
-    aug_name,
     chern_character,
     complete_homogeneous,
     cy_limit_theta,
@@ -35,6 +33,7 @@ from wallx.kclasses import (
 )
 from wallx.ring import (
     LaurentElement,
+    RationalElement,
     as_rational,
     exact_laurent_div,
     expand,
@@ -119,6 +118,20 @@ def test_virtual_class_rejects_non_monomial_weight() -> None:
         VirtualClass([3 * L.gen("t1")])
 
 
+def test_virtual_class_reads_signs_by_the_integer_rule() -> None:
+    t1, t2 = L.gen("t1"), L.gen("t2")
+    for sign in (1.0, True, 2, Fraction(1, 2), "1"):
+        with pytest.raises(ValueError):
+            VirtualClass([(t1, sign), t2])
+    with pytest.raises(ValueError):
+        VirtualClass([(L.gen("w1"), 1.0)], mode="coh")
+    E = VirtualClass([(t1, Fraction(1)), t2])
+    assert E == VirtualClass([t1, t2])
+    assert type(E.rank) is int and E.rank == 2
+    assert pushforward_closed_K(-3, E) == pushforward_closed_K(-3, VirtualClass([t1, t2]))
+    assert VirtualClass([(t1, Fraction(-1))]) == VirtualClass([(t1, -1)])
+
+
 def test_coh_mode_allows_additive_weights() -> None:
     E = VirtualClass([L.gen("w1") + hbar], mode="coh")
     assert E.dual().roots[0][0] == -L.gen("w1") - hbar
@@ -173,39 +186,44 @@ def test_symmetrized_wedge_symmetry_identity() -> None:
         assert lhs == rhs
 
 
-def test_wedge_inverse_root_matches_displayed_series() -> None:
-    # 1/(1 - zL) = L_dual sum_k (1 - L_dual)**k / (1-z)**(k+1) in coordinates
-    # xi = (1-z)**(-1), lam = 1 - L.  The expected side is assembled from its
-    # own primitives (series inversion), not from the wedge machinery.
-    E = VirtualClass([(L.gen("t1"), -1)])
-    got = wedge(E)
-    order = 2 * len(E.roots) + 2  # the documented default
-    unit = L.const(1).truncate({AUG_Z, aug_name("t1")}, order)
-    lam = L.gen(aug_name("t1")) * unit
-    xi = L.gen(AUG_Z)
-    ldual = (unit - lam).invert_series()
-    want = 0 * unit
-    k = 0
-    while 2 * k + 1 <= order:
-        want = want + ldual * (unit - ldual) ** k * xi ** (k + 1)
-        k += 1
-    assert got == want
+def _hypothesis_classes(hypothesis):
+    """Random K-mode virtual classes: up to four roots of either sign whose
+    weights are monomials in t1, t2, t3 with half-integer exponents."""
+    st = hypothesis.strategies
+    exps = st.dictionaries(
+        st.sampled_from(["t1", "t2", "t3"]),
+        st.integers(-3, 3).map(lambda n: Fraction(n, 2)),
+        max_size=2,
+    )
+    roots = st.tuples(exps.map(lambda e: L.monomial(1, e)), st.sampled_from([1, -1]))
+    return st.lists(roots, max_size=4).map(VirtualClass)
 
 
-def test_wedge_inverse_times_exact_factor_is_one() -> None:
-    # The product of the inverse series with the substituted exact factor is 1
-    # strictly inside the truncation window.  (Terms at the outermost kept
-    # degree are polluted: the factor's xi**(-1) part pulls dropped terms in.)
-    t1 = L.gen("t1")
-    E = VirtualClass([(t1, -1)])
-    inv = wedge(E, order=6)
-    names = {AUG_Z, aug_name("t1")}
-    unit = L.const(1).truncate(names, 6)
-    lam = L.gen(aug_name("t1")) * unit
-    wt = unit - lam
-    xi_inv = L.gen(AUG_Z).monomial_inverse()
-    factor = (unit - wt) + xi_inv * wt
-    assert (inv * factor).truncate(names, 5) == L.const(1).truncate(names, 5)
+def test_wedge_is_one_signed_product_hypothesis() -> None:
+    # wedge is additive-to-multiplicative and exact on negative summands;
+    # euler is separate code, read here through the dual at 1/z.
+    hypothesis = pytest.importorskip("hypothesis")
+    classes = _hypothesis_classes(hypothesis)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(classes, classes)
+    def check(E, F):
+        assert wedge(E + F) == wedge(E) * wedge(F)
+        assert wedge(E) * wedge(-E) == 1
+        assert euler(E, z) == wedge(E.dual(), z.monomial_inverse())
+        assert isinstance(wedge(E), L if E.honest else RationalElement)
+
+    check()
+
+
+def test_wedge_of_a_virtual_class_at_an_element() -> None:
+    t1, t2, s1, q = (L.gen(v) for v in ("t1", "t2", "s1", "q"))
+    E = VirtualClass([t1, t2, (s1, -1)])
+    qz = q * z
+    got = wedge(E, qz)
+    assert isinstance(got, RationalElement)
+    assert got == as_rational((one - qz * t1) * (one - qz * t2)) / (one - qz * s1)
+    assert got == wedge(E).subs_monomial("z", qz)
 
 
 # -- Euler classes ---------------------------------------------------------------

@@ -17,11 +17,9 @@ from wallx.ring import (
     as_rational,
     exact_laurent_div,
     expand,
-    expand_around_one,
     expand_general,
     fresh_name,
     integer_entry,
-    kappa_one_vanishing_order,
     laurent_sum,
     packed_algebra,
     plethystic_exp,
@@ -76,6 +74,16 @@ def _hypothesis_elements(hypothesis):
     return st.lists(st.tuples(exps, coeffs), max_size=6).map(
         lambda terms: laurent_sum(L.monomial(c, e) for e, c in terms)
     )
+
+
+def _hypothesis_monomials(hypothesis):
+    """Random nonzero monomials with half-integer exponents in k, t and z."""
+    st = hypothesis.strategies
+    exps = st.dictionaries(
+        st.sampled_from("ktz"), st.integers(-4, 4).map(lambda n: Fraction(n, 2)), max_size=3
+    )
+    coeffs = st.builds(Fraction, st.integers(1, 5), st.integers(1, 3))
+    return st.builds(L.monomial, coeffs, exps)
 
 
 # -- basic ring behaviour ------------------------------------------------------
@@ -135,13 +143,8 @@ def _content(el: L) -> dict:
 
 def test_rational_normalization_property() -> None:
     hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
     elements = _hypothesis_elements(hypothesis)
-    exps = st.dictionaries(
-        st.sampled_from("ktz"), st.integers(-4, 4).map(lambda n: Fraction(n, 2)), max_size=3
-    )
-    coeffs = st.builds(Fraction, st.integers(1, 5), st.integers(1, 3))
-    monomials = st.builds(L.monomial, coeffs, exps)
+    monomials = _hypothesis_monomials(hypothesis)
 
     @hypothesis.settings(max_examples=80, deadline=None)
     @hypothesis.given(elements, elements.filter(bool), monomials)
@@ -152,6 +155,26 @@ def test_rational_normalization_property() -> None:
         if den.is_monomial():
             assert f.den == 1 and f.num == num / den
         assert f == RationalElement(num * m, den * m)
+
+    check()
+
+
+def test_rational_equality_beyond_a_common_factor_hypothesis() -> None:
+    # A common factor c of several terms cancels in the comparison, and a
+    # quotient moved by a nonzero monomial m stays unequal to the original.
+    hypothesis = pytest.importorskip("hypothesis")
+    elements = _hypothesis_elements(hypothesis)
+    nonzero = elements.filter(bool)
+    monomials = _hypothesis_monomials(hypothesis)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(elements, nonzero, nonzero.filter(lambda c: not c.is_monomial()), monomials)
+    def check(a, b, c, m):
+        f = RationalElement(a, b)
+        assert RationalElement(a * c, b * c) == f
+        moved = RationalElement(a * c + m * b * c, b * c)
+        assert moved != f
+        assert moved == f + m
 
     check()
 
@@ -487,29 +510,6 @@ def test_expand_general_matches_strict_expand() -> None:
     strict = expand(f, "zero", 3)
     for e, coeff in got.items():
         assert coeff == as_rational(strict.coeff_of("z", e))
-
-
-def test_expand_around_one_of_geometric_kernel() -> None:
-    # 1/(1-zw) expanded in powers of zeta := 1-z has coefficients
-    # (-w)^j / (1-w)^(j+1).
-    f = as_rational(one) / (one - z * w)
-    got = expand_around_one(f, 2)
-    for j in range(3):
-        expected = as_rational((-w) ** j) / as_rational((one - w) ** (j + 1))
-        assert got[Fraction(j)] == expected
-
-
-def test_expand_around_one_when_the_input_names_zeta() -> None:
-    # The variable of the shifted series is picked fresh, so an input root
-    # called zeta gives the same coefficients as one called w.
-    for root in (L.gen("zeta"), w):
-        got = expand_around_one(as_rational(root) / (one - z * root), 2)
-        assert set(got) == {Fraction(j) for j in range(3)}
-        for j in range(3):
-            expected = as_rational(root * (-root) ** j) / as_rational(
-                (one - root) ** (j + 1)
-            )
-            assert got[Fraction(j)] == expected
 
 
 def test_expand_rejects_truncated_series() -> None:
@@ -879,14 +879,6 @@ def test_specialize_kappa_removable_singularities() -> None:
     q3 = _quantum_integer_by_hand(3)
     q2 = _quantum_integer_by_hand(2)
     assert specialize_kappa(as_rational(q3) / q2) == L.const(Fraction(-3, 2))
-
-
-def test_kappa_one_vanishing_order() -> None:
-    k = L.gen("k")
-    assert kappa_one_vanishing_order(one - k) == 1
-    assert kappa_one_vanishing_order((one - k) * (one - k)) == 2
-    assert kappa_one_vanishing_order(as_rational(one) / (one - k)) == -1
-    assert kappa_one_vanishing_order(L.zero()) is None
 
 
 # -- substitution --------------------------------------------------------------

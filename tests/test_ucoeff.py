@@ -33,6 +33,7 @@ from wallx.ucoeff import (
     linear_stability,
     mu_n,
     pairing_form,
+    peel_classes,
     set_partitions,
     utilde_lie_element,
     utilde_word_sum,
@@ -625,6 +626,28 @@ class TestUCoefficient:
             assert S_coeff(tup, tau, taup) == 0
             assert U_coeff(tup, tau, taup) == 0
             assert Utilde(tup, tau, taup) == 0
+
+
+class TestPeelClasses:
+    def test_each_class_below_maps_to_its_two_part_splittings(self):
+        cases = [
+            (EffectiveMonoid([(1, 0), (0, 1)]), (2, 3)),
+            (EffectiveMonoid([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]), (2, 1, 1)),
+            (EffectiveMonoid([(1, 1), (2, -1)]), (4, 1)),
+        ]
+        for mon, target in cases:
+            tau = linear_stability([1] * len(target), [1] * len(target))
+            splits = peel_classes(target, tau, tau, mon, 8)
+            assert list(splits) == list(mon.below(target))
+            position = {cls: j for j, cls in enumerate(splits)}
+            for cls, pairs in splits.items():
+                twos = [p for p in mon.decompositions(cls) if len(p) == 2]
+                assert pairs == sorted(twos, key=lambda p: position[p[0]])
+
+    def test_a_target_that_is_not_effective_has_no_classes(self):
+        mon = EffectiveMonoid([(1, 1), (2, -1)])
+        tau = linear_stability([1, 1], [1, 1])
+        assert peel_classes((1, 0), tau, tau, mon, 8) == {}
 
 
 class TestUtilde:

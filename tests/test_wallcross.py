@@ -784,11 +784,11 @@ def laurent_peel(alpha, tau, taup, table, chi, *, qint=None, o_table=None, o_alp
     mass(α)!·D^(mass(α)−1), D = κ^(1/2) − κ^(−1/2)."""
     alpha = as_class(alpha)
     chi = pairing_form(chi)
-    classes = peel_classes(alpha, tau, taup, table.monoid, 8)
-    if not classes:
+    splits = peel_classes(alpha, tau, taup, table.monoid, 8)
+    if not splits:
         return L.zero()
     entries = {}
-    for cls in classes:
+    for cls in splits:
         value = table.value(cls)
         if value is not None:
             entries[cls] = value if isinstance(value, L) else L.const(value)
@@ -816,7 +816,7 @@ def laurent_peel(alpha, tau, taup, table, chi, *, qint=None, o_table=None, o_alp
         return L.monomial(-binom if c % 2 else binom, {kappa: F(-c, 2)})
 
     out = refactor(
-        classes, tau, taup, entries.get, weight,
+        splits, tau, taup, entries.get, weight,
         mul=operator.mul, scale=operator.mul, total=laurent_sum,
     )[alpha]
     if grade is not None:
