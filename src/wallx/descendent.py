@@ -9,9 +9,11 @@ Three layers:
    matrix exponential is a plain sum of matrix powers.  Above a source
    with k blocks the operator is the one on k atoms with renamed symbols,
    so the powers are taken once per block count, on the finest partition
-   of k atoms in packed arithmetic (``ring.packed_algebra``), and renamed
-   onto every source.  Corner entries of sub-problems multiply out to the
-   full entries (the factorization the tests check order-by-order).
+   of k atoms in packed arithmetic (``ring.packed_algebra``).  That column
+   is kept in integers, scaled by order! until its entries are summed,
+   and each entry is unpacked once and renamed onto every source.  Corner
+   entries of sub-problems multiply out to the full entries (the
+   factorization the tests check order-by-order).
 
 2. A formal "vertex ring" of series symbols ``DT0[...]``/``PT[...]``
    indexed by key multisets, with the inverse of ``DT0[]`` adjoined.  A sum
@@ -258,21 +260,25 @@ def exp_minus_delta(
         k = len(source.blocks)
         if k not in templates:
             templates[k] = _exp_template(k, order)
-        algebra, names, column = templates[k]
+        names, column = templates[k]
         unions, rename = _renaming(names, source.blocks)
         for blocks, entry in column.items():
             target = index[tuple(sorted(unions[b] for b in blocks))]
-            out[target, source] = algebra.unpack(entry, rename)
+            out[target, source] = entry.rename(rename)
     return out
 
 
 def _exp_template(k: int, order: int):
     """The finest column of the truncated exponential over the atoms
-    ``range(k)``, in packed arithmetic that lives for one call.
+    ``range(k)``, worked out in packed arithmetic that lives for one call.
 
-    Returns the algebra, the symbol name of every atom subset, and the
-    nonzero entries keyed by the target's blocks of atoms.  Partitions are
-    reached from the finest by merges, one power at a time.
+    Returns the symbol name of every atom subset and the nonzero entries,
+    keyed by the target's blocks of atoms and unpacked once, so a source
+    with k blocks only renames them.  Partitions are reached from the
+    finest by merges, one power at a time.  The column starts at order!
+    instead of 1: the m-th power then carries order!/m! times integers, so
+    its scale by -1/m stays an exact int and every product multiplies ints.
+    Each summed entry is divided by order! once, at the end.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -292,8 +298,9 @@ def _exp_template(k: int, order: int):
             ]
         return steps[blocks]
 
+    scale = math.factorial(order)
     finest = tuple((i,) for i in range(k))
-    column = {finest: algebra.pack(ONE)}
+    column = {finest: algebra.scale(algebra.pack(ONE), scale)}
     pieces = {finest: [column[finest]]}
     for m in range(1, order + 1):
         factor = Fraction(-1, m)
@@ -308,8 +315,9 @@ def _exp_template(k: int, order: int):
             if c:
                 column[t] = c
                 pieces.setdefault(t, []).append(c)
+    unit = Fraction(1, scale)
     entries = {t: algebra.total(items) for t, items in pieces.items()}
-    return algebra, names, {t: c for t, c in entries.items() if c}
+    return names, {t: algebra.unpack(algebra.scale(c, unit)) for t, c in entries.items() if c}
 
 
 def _renaming(names, blocks):
@@ -327,10 +335,10 @@ def corner_entry(ground, order: int) -> LaurentElement:
 @lru_cache(maxsize=None)
 def _corner(ground: tuple[int, ...], order: int) -> LaurentElement:
     k = len(ground)
-    algebra, names, column = _exp_template(k, order)
+    names, column = _exp_template(k, order)
     coarsest = (tuple(range(k)),) if k else ()
     _, rename = _renaming(names, SetPartition.finest(ground).blocks)
-    return algebra.unpack(column.get(coarsest, {}), rename)
+    return column.get(coarsest, LaurentElement.zero()).rename(rename)
 
 
 def factorized_entry(sigma: SetPartition, order: int) -> LaurentElement:

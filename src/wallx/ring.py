@@ -15,10 +15,9 @@ through ``LaurentElement.monomials()``, in natural exponents.
 ``packed_algebra`` serves one computation over a fixed set of variables,
 the peel of ``wallcross.vw_wcf`` or a column of ``descendent.exp_minus_delta``:
 it packs each monomial into one int with a slot per variable, sized from a
-bound on the exponents the computation can reach, and unpacks the result,
-renaming its variables if asked.  Its slots live as long as the caller
-keeps the algebra, and other code handles its elements only through its
-methods.
+bound on the exponents the computation can reach, and unpacks the result.
+Its slots live as long as the caller keeps the algebra, and other code
+handles its elements only through its methods.
 """
 
 from __future__ import annotations
@@ -497,6 +496,15 @@ class LaurentElement:
         }
         return _trusted(out, trunc)
 
+    def rename(self, names: Mapping[str, str]) -> "LaurentElement":
+        """The element with each variable ``v`` named ``names[v]``: a
+        one-to-one map of every variable, so no two terms merge."""
+        if self.trunc is not None:
+            raise ValueError("a truncated series cannot be renamed")
+        return _trusted(
+            {tuple(sorted([(names[v], e) for v, e in m])): c for m, c in self.terms.items()}
+        )
+
     # -- substitution ------------------------------------------------------
 
     def subs_monomial(self, var: str, value: "LaurentElement") -> "LaurentElement":
@@ -572,29 +580,30 @@ class LaurentElement:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts: list[str] = []
+        # One pass over the terms.  str(c) gives a coefficient's sign and
+        # digits at once, and the text "1" marks a unit coefficient, which
+        # a monomial leaves out.
+        out: list[str] = []
         for m, c in sorted(self.terms.items()):
-            factors = []
+            text = str(c)
+            if text[0] == "-":
+                out.append(" - " if out else "-")
+                text = text[1:]
+            elif out:
+                out.append(" + ")
+            if not m:
+                out.append(text)
+                continue
+            factors = [] if text == "1" else [text]
             for v, e2 in m:
                 if e2 == 2:
                     factors.append(v)
-                elif e2 % 2 == 0:
-                    factors.append(f"{v}^{e2 // 2}")
-                else:
+                elif e2 % 2:
                     factors.append(f"{v}^({e2}/2)")
-            body = "*".join(factors)
-            ac = abs(c)
-            if body and ac == 1:
-                text = body
-            elif body:
-                text = f"{ac}*{body}"
-            else:
-                text = str(ac)
-            if not parts:
-                parts.append(text if c > 0 else f"-{text}")
-            else:
-                parts.append(f"+ {text}" if c > 0 else f"- {text}")
-        return " ".join(parts)
+                else:
+                    factors.append(f"{v}^{e2 // 2}")
+            out.append("*".join(factors))
+        return "".join(out)
 
 
 _set_terms = LaurentElement.terms.__set__
@@ -849,18 +858,6 @@ class RationalElement:
         return RationalElement(
             self.num.subs_monomial(var, value), self.den.subs_monomial(var, value)
         )
-
-    def subs_poly(self, var: str, value: LaurentElement) -> "RationalElement":
-        num, den = self.num, self.den
-        vmin = min(num._val2(var) or 0, den._val2(var) or 0)
-        shift2 = max(0, -vmin)
-        if shift2 % 2:
-            shift2 += 1
-        if shift2:
-            scale = LaurentElement({((var, shift2),): 1})
-            num = num * scale
-            den = den * scale
-        return RationalElement(num.subs_poly(var, value), den.subs_poly(var, value))
 
     def __repr__(self) -> str:
         return str(self)
@@ -1156,22 +1153,21 @@ class _PackedAlgebra:
         m = _mono((v, _exp2(e)) for v, e in exps.items())
         return self._key(m, self._step), _coef(coeff)
 
-    def unpack(
-        self, x: dict[int, Scalar], rename: Mapping[str, str] | None = None
-    ) -> LaurentElement:
-        """The Laurent element of a packed element, each variable ``v``
-        named ``rename[v]`` if given: a one-to-one map of every variable."""
+    def unpack(self, x: dict[int, Scalar]) -> LaurentElement:
+        """The Laurent element of a packed element.  The bit scan and the
+        canonical coefficients are its whole cost, so an element read
+        under several renamings is unpacked once and each renaming applied
+        to the result with ``LaurentElement.rename``."""
         width = self._width
         mask = (1 << width) - 1
         half = 1 << (width - 1)
         offset = self._full_offset
-        names = self._names if rename is None else [rename[v] for v in self._names]
+        names = self._names
         out: dict[Mono, Scalar] = {}
         for key, c in x.items():
             key += offset
             # The slots of key ^ offset are nonzero exactly where the digit
-            # is, and run in name order, so the monomial comes out sorted
-            # unless its names were changed.
+            # is, and run in name order, so the monomial comes out sorted.
             rest = key ^ offset
             m = []
             while rest:
@@ -1179,8 +1175,6 @@ class _PackedAlgebra:
                 shift = i * width
                 m.append((names[i], (key >> shift & mask) - half))
                 rest = rest >> (shift + width) << (shift + width)
-            if rename is not None:
-                m.sort()
             out[tuple(m)] = c
         return _trusted(_canonical(out))
 

@@ -606,9 +606,10 @@ def _factor(slope_of, splits, linear, algebra) -> dict:
     classes; ``linear(cls, rest)`` returns the X coefficient (falsy for
     zero).  Maps each class to its X and its product coefficient."""
     mul, scale, total = algebra
-    slopes = sorted({slope_of(cls) for cls in splits}, reverse=True)
+    slope = {cls: slope_of(cls) for cls in splits}
+    slopes = sorted(set(slope.values()), reverse=True)
     rank = {s: j for j, s in enumerate(slopes)}
-    group = {cls: rank[slope_of(cls)] for cls in splits}
+    group = {cls: rank[s] for cls, s in slope.items()}
     powers = {}  # cls -> {k: coefficient of X_s^k}, s the slope of cls
     expo = {}  # cls -> coefficient of exp(X_s), or None
     partial = {}  # cls -> [coefficient of exp(X_0)⋯exp(X_j), or None, for each j]

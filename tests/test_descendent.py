@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from types import MappingProxyType
 
 import pytest
@@ -143,6 +144,8 @@ def assert_matches_laurent_oracle(ground, order: int) -> None:
     got = exp_minus_delta(ground, order)
     want = laurent_exp_minus_delta(ground, order)
     assert got.keys() == want.keys()
+    # Columns come out whole, their sources in basis order.
+    assert [s for s, _ in groupby(source for _, source in got)] == partitions_of(ground)
     for key, entry in want.items():
         assert got[key] == entry
         assert str(got[key]) == str(entry)
@@ -327,7 +330,11 @@ class TestMatrixExponential:
 
     @pytest.mark.parametrize(
         "ground, order",
-        [((0, 2, 3, 5, 7), 2), ((0, 2, 3, 5, 7), 3), ((9,), 3), ((), 3), ((9,), 0), ((), 0)],
+        [
+            ((0, 2, 3, 5, 7), 2), ((0, 2, 3, 5, 7), 3), ((9,), 3), ((), 3), ((9,), 0), ((), 0),
+            # High orders, where the column is built scaled by order! (720 at 6).
+            ((), 6), ((4,), 6), ((3, 8), 6), ((0, 4, 7), 6), ((1, 2, 5, 9), 5),
+        ],
     )
     def test_every_entry_matches_the_laurent_oracle_on_labels(self, ground, order):
         assert_matches_laurent_oracle(ground, order)

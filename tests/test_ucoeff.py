@@ -1,5 +1,6 @@
 import collections
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from wallx.ucoeff import (
     mu_n,
     pairing_form,
     peel_classes,
+    refactor,
     set_partitions,
     utilde_lie_element,
     utilde_word_sum,
@@ -439,6 +441,29 @@ class TestSlopeMemo:
         assert tau.slope_of([1, 0]) == tau.slope_of((1, 0)) == SlopeValue.of(2)
         assert tau.slope_of([F(1), 0]) == SlopeValue.of(2)
         assert calls == {(1, 0): 1}
+
+    def test_float_class_refused(self):
+        tau = StabilityData({(1, 0): 1})
+        with pytest.raises(ValueError, match="integer"):
+            tau.slope_of((1.0, 0))
+
+    def test_refactor_reads_each_slope_once_per_stability(self, monkeypatch):
+        mon = EffectiveMonoid([(1, 0), (0, 1)])
+        tau, taup = linear_stability([1, 0], [1, 1]), linear_stability([0, 1], [1, 1])
+        splits = peel_classes((2, 2), tau, taup, mon, 8)
+        calls = collections.Counter()
+        lookup = StabilityData.slope_of
+
+        def counting(self, cls):
+            calls[id(self)] += 1
+            return lookup(self, cls)
+
+        monkeypatch.setattr(StabilityData, "slope_of", counting)
+        refactor(
+            splits, tau, taup, lambda cls: F(1), lambda beta, delta: 1,
+            mul=operator.mul, scale=operator.mul, total=lambda items: sum(items, F(0)),
+        )
+        assert calls == {id(tau): len(splits), id(taup): len(splits)}
 
     def test_objects_do_not_share_a_memo(self):
         calls = collections.Counter()
