@@ -12,6 +12,13 @@ Other code builds elements with ``gen``, ``const``, ``monomial``,
 ``truncate``, the arithmetic and ``laurent_sum``, and reads their terms
 through ``LaurentElement.monomials()``, in natural exponents.
 
+``expand``, ``residue_K``, ``residue_coh`` and ``invert_series`` rest on one
+power-series division on raw term dicts.  It returns the quotient's pieces
+keyed by graded degree, and with one grading variable it drops that
+variable from every monomial, since the key holds its degree.  A residue
+reads one piece: degree 0 at both points, or ``var**-1`` at infinity.
+Only ``expand`` and ``invert_series`` put the variable back.
+
 ``packed_algebra`` serves one computation over a fixed set of variables,
 the peel of ``wallcross.vw_wcf`` or a column of ``descendent.exp_minus_delta``:
 it packs each monomial into one int with a slot per variable, sized from a
@@ -290,23 +297,24 @@ class LaurentElement:
         e2 = _exp2(exponent)
         out: dict[Mono, Scalar] = {}
         for m, c in self.terms.items():
-            if dict(m).get(var, 0) == e2:
-                out[_mono_drop(m, var)] = c
+            e, rest = _split_var(m, var)
+            if e == e2:
+                out[rest] = c
         return _trusted(out)
 
     def _coeffs_in(self, var: str) -> dict[int, "LaurentElement"]:
         """Split into {doubled exponent of var: coefficient element}."""
         grouped: dict[int, dict[Mono, Scalar]] = {}
         for m, c in self.terms.items():
-            e2 = dict(m).get(var, 0)
-            grouped.setdefault(e2, {})[_mono_drop(m, var)] = c
+            e2, rest = _split_var(m, var)
+            grouped.setdefault(e2, {})[rest] = c
         return {e2: _trusted(t) for e2, t in grouped.items()}
 
     def _val2(self, var: str) -> int | None:
         """Minimal doubled exponent of ``var`` over all terms (None if zero)."""
         if not self.terms:
             return None
-        return min(dict(m).get(var, 0) for m in self.terms)
+        return min(_split_var(m, var)[0] for m in self.terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -480,8 +488,9 @@ class LaurentElement:
         if not self.trunc_zero_part().is_monomial():
             raise NonExpandable("series constant term is not an invertible monomial")
         t = self.trunc
-        terms = _series_div(ONE, self, t.names, t.sign, t.order2, "series constant term")
-        return _trusted(terms, t)
+        lead_name = "series constant term"
+        pieces = _series_div(ONE.terms, self.terms, t.names, t.sign, t.order2, lead_name)
+        return _trusted(_ungraded(pieces, t.names, t.sign), t)
 
     def negate_var(self, var: str) -> "LaurentElement":
         """Substitute ``var -> var**-1`` by negating its exponents."""
@@ -515,8 +524,7 @@ class LaurentElement:
         (vm, vc), = value.terms.items()
         out: dict[Mono, Scalar] = {}
         for m, c in self.terms.items():
-            e2 = dict(m).get(var, 0)
-            rest = _mono_drop(m, var)
+            e2, rest = _split_var(m, var)
             if e2:
                 if e2 % 2 == 0:
                     c = _coef(c * Fraction(vc) ** (e2 // 2))
@@ -569,7 +577,7 @@ class LaurentElement:
     def subs_one(self, var: str) -> "LaurentElement":
         """Substitute 1 for ``var`` (drops it from every monomial)."""
         out: dict[Mono, Scalar] = {}
-        _add_terms(out, ((_mono_drop(m, var), c) for m, c in self.terms.items()))
+        _add_terms(out, ((_split_var(m, var)[1], c) for m, c in self.terms.items()))
         return _trusted(_kept(out, self.trunc), self.trunc)
 
     # -- display -----------------------------------------------------------
@@ -638,9 +646,13 @@ def _canonical(terms: dict[Mono, Scalar]) -> dict[Mono, Scalar]:
     return terms
 
 
-def _mono_drop(m: Mono, var: str) -> Mono:
-    """``m`` without ``var``; dropping an entry keeps a monomial sorted."""
-    return tuple(entry for entry in m if entry[0] != var)
+def _split_var(m: Mono, var: str) -> tuple[int, Mono]:
+    """The doubled exponent of ``var`` in ``m`` (0 if absent) and ``m``
+    without it; dropping an entry keeps a monomial sorted."""
+    for i, (v, e) in enumerate(m):
+        if v == var:
+            return e, m[:i] + m[i + 1 :]
+    return 0, m
 
 
 def as_element(x) -> LaurentElement:
@@ -674,63 +686,91 @@ def laurent_sum(items: Iterable, trunc: Trunc | None = None) -> LaurentElement:
 def _graded(
     terms: dict[Mono, Scalar], names: frozenset[str], sign: int
 ) -> dict[int, dict[Mono, Scalar]]:
-    """``terms`` split by ``sign`` times the total doubled degree in ``names``."""
+    """``terms`` split by ``sign`` times the total doubled degree in ``names``.
+    With one name, a piece's key holds that name's exponent, so its
+    monomials drop the name; ``_ungraded`` puts it back."""
     pieces: dict[int, dict[Mono, Scalar]] = {}
     if len(names) == 1:
-        # One variable: its exponent is the degree, found without a sum.
         (var,) = names
         for m, c in terms.items():
-            d = 0
-            for v, e in m:
-                if v == var:
-                    d = e
-                    break
-            pieces.setdefault(sign * d, {})[m] = c
+            e, rest = _split_var(m, var)
+            pieces.setdefault(sign * e, {})[rest] = c
         return pieces
     for m, c in terms.items():
         pieces.setdefault(sign * _mono_deg2(m, names), {})[m] = c
     return pieces
 
 
+def _ungraded(
+    pieces: dict[int, dict[Mono, Scalar]], names: frozenset[str], sign: int
+) -> dict[Mono, Scalar]:
+    """The terms of ``_graded`` pieces in one dict, each monomial whole again."""
+    out: dict[Mono, Scalar] = {}
+    for n, piece in pieces.items():
+        if len(names) == 1 and n:
+            shift = ((*names, sign * n),)
+            piece = {_mono_mul(m, shift): c for m, c in piece.items()}
+        out.update(piece)
+    return out
+
+
 def _series_div(
-    num: LaurentElement,
-    den: LaurentElement,
+    num: dict[Mono, Scalar],
+    den: dict[Mono, Scalar],
     names: frozenset[str],
     sign: int,
     top: int,
     lead_name: str,
-) -> dict[Mono, Scalar]:
-    """The terms of graded degree <= ``top`` of the series num/den.
+) -> dict[int, dict[Mono, Scalar]]:
+    """The pieces of graded degree <= ``top`` of the series num/den, keyed
+    by degree and stored as ``_graded`` stores them.
 
-    The grading is ``sign`` times the total doubled degree in ``names``, and
-    ``num`` must be nonzero.  The lowest graded piece d of ``den`` must be a
-    single monomial (NonExpandable otherwise, naming it ``lead_name``).  With
-    h_e the degree-e piece of den/d - 1, the quotient's degree-n piece is
-    q_n = p_n - Σ_e h_e·q_{n-e}, where p_n is the degree-n piece of num/d:
-    each piece is computed once (power-series division, Knuth TAOCP vol. 2,
-    §4.7), and every term returned is exact.
+    ``num`` (nonzero) and ``den`` are canonical terms, and the grading is
+    ``sign`` times the total doubled degree in ``names``.  The lowest graded
+    piece d of ``den`` must be a single monomial (NonExpandable otherwise,
+    naming it ``lead_name``).  With h_e the degree-e piece of den/d - 1, the
+    quotient's degree-n piece is q_n = p_n - Σ_e h_e·q_{n-e}, where p_n is
+    the degree-n piece of num/d: each piece is computed once (power-series
+    division, Knuth TAOCP vol. 2, §4.7) as a plain dict product, and every
+    term is exact.  A residue reads one piece; ``expand`` and
+    ``invert_series`` put the variable back through ``_ungraded``.
     """
-    den_pieces = _graded(den.terms, names, sign)
+    den_pieces = _graded(den, names, sign)
     low = min(den_pieces)
     lead = den_pieces.pop(low)
     if len(lead) != 1:
         raise NonExpandable(f"{lead_name} is not a single monomial")
-    lead_inv = _trusted(lead).monomial_inverse()
-    steps = [(e - low, -(_trusted(p) * lead_inv)) for e, p in sorted(den_pieces.items())]
-    pref = _graded((num * lead_inv).terms, names, sign)
-    out: dict[Mono, Scalar] = {}
-    quot: dict[int, LaurentElement] = {}
-    for n in range(min(pref), top + 1):
-        items = [_trusted(pref[n])] if n in pref else []
+    ((lead_m, lead_c),) = lead.items()
+    inv = _mono_pow(lead_m, -1)
+    # A unit coefficient is its own inverse and keeps every product an int.
+    cinv = lead_c if lead_c in (1, -1) else Fraction(1, lead_c)
+    steps = [
+        (e - low, [(_mono_mul(m, inv), _coef(-c * cinv)) for m, c in piece.items()])
+        for e, piece in sorted(den_pieces.items())
+    ]
+    quot = {
+        e - low: {_mono_mul(m, inv): _coef(c * cinv) for m, c in piece.items()}
+        for e, piece in _graded(num, names, sign).items()
+    }
+    # quot starts as the pieces p_n and takes each q_n in place, in rising n.
+    for n in range(min(quot), top + 1):
+        piece = quot.pop(n, {})
+        get = piece.get
         for e, step in steps:
             prev = quot.get(n - e)
-            if prev is not None:
-                items.append(step * prev)
-        piece = laurent_sum(items)
+            if prev is None:
+                continue
+            for m1, c1 in step:
+                for m2, c2 in prev.items():
+                    m = _mono_mul(m1, m2)
+                    total = get(m, 0) + c1 * c2
+                    if total:
+                        piece[m] = total
+                    else:
+                        del piece[m]
         if piece:
-            quot[n] = piece
-            out.update(piece.terms)
-    return out
+            quot[n] = _canonical(piece)
+    return {n: piece for n, piece in quot.items() if n <= top}
 
 
 ONE = LaurentElement.const(1)
@@ -887,17 +927,14 @@ def fresh_name(base: str, values) -> str:
 Element = Union[LaurentElement, RationalElement]
 
 
-def _expand_at(
-    num: LaurentElement, den: LaurentElement, var: str, order2: int, sign: int
-) -> LaurentElement:
-    """Series of num/den around ``var = 0`` (``sign`` 1) or infinity (``sign``
-    -1), graded by ``sign`` times the doubled degree in ``var``, up to
-    graded degree order2."""
-    trunc = Trunc(frozenset({var}), order2, sign)
-    if not num.terms:
-        return LaurentElement.zero(trunc)
+def _expansion(f: RationalElement, var: str, order2: int, sign: int) -> dict:
+    """The ``_series_div`` pieces of ``f`` around ``var = 0`` (``sign`` 1) or
+    infinity (``sign`` -1), up to graded degree order2: keyed by ``sign``
+    times the doubled degree in ``var``, with ``var`` dropped."""
+    if not f.num.terms:
+        return {}
     lead_name = f"denominator constant term in {var!r}"
-    return _trusted(_series_div(num, den, trunc.names, sign, order2, lead_name), trunc)
+    return _series_div(f.num.terms, f.den.terms, frozenset({var}), sign, order2, lead_name)
 
 
 def expand(f: Element, point: str, order: int, *, var: str = "z") -> LaurentElement:
@@ -915,7 +952,9 @@ def expand(f: Element, point: str, order: int, *, var: str = "z") -> LaurentElem
         if f.trunc is not None and var in f.trunc.names:
             raise NonRational(f"already a truncated series in {var!r}")
         return f.truncate({var}, order, sign)
-    return _expand_at(f.num, f.den, var, 2 * order, sign)
+    trunc = Trunc(frozenset({var}), 2 * order, sign)
+    pieces = _expansion(f, var, 2 * order, sign)
+    return _trusted(_ungraded(pieces, trunc.names, sign), trunc)
 
 
 def expand_general(
@@ -965,14 +1004,15 @@ def residue_K(f: Element, *, var: str = "z"):
             raise NonRational(f"residue of a truncated series in {var!r}")
         return LaurentElement.zero()
     try:
-        fp = expand(f, "zero", 0, var=var).coeff_of(var, 0)
-        fm = expand(f, "infinity", 0, var=var).coeff_of(var, 0)
-        return (fm - fp).without_trunc()
+        fp = _expansion(f, var, 0, 1).get(0, {})
+        fm = _expansion(f, var, 0, -1).get(0, {})
     except NonExpandable:
         zero = Fraction(0)
         fp2 = expand_general(f, "zero", 0, var=var).get(zero, as_rational(0))
         fm2 = expand_general(f, "infinity", 0, var=var).get(zero, as_rational(0))
         return (fm2 - fp2).maybe_laurent()
+    _add_terms(fm, ((m, -c) for m, c in fp.items()))
+    return _trusted(fm)
 
 
 def residue_coh(f: Element, *, var: str = "u"):
@@ -982,7 +1022,7 @@ def residue_coh(f: Element, *, var: str = "u"):
             raise NonRational(f"residue of a truncated series in {var!r}")
         return f.coeff_of(var, -1)
     try:
-        return expand(f, "infinity", 1, var=var).coeff_of(var, -1).without_trunc()
+        return _trusted(_expansion(f, var, 2, -1).get(2, {}))
     except NonExpandable:
         got = expand_general(f, "infinity", 1, var=var).get(Fraction(-1))
         return got.maybe_laurent() if got is not None else LaurentElement.zero()

@@ -732,6 +732,134 @@ def test_series_division_property() -> None:
     check()
 
 
+# -- the LaurentElement series division, kept as an oracle ----------------------
+
+
+def _graded_oracle(el: L, names: set, sign: int) -> dict[int, L]:
+    """``el`` split by ``sign`` times its total doubled degree in ``names``."""
+    pieces: dict[int, list] = {}
+    for exps, c in el.monomials():
+        d = sign * int(2 * sum(e for v, e in exps.items() if v in names))
+        pieces.setdefault(d, []).append(L.monomial(c, exps))
+    return {d: laurent_sum(p) for d, p in pieces.items()}
+
+
+def _series_div_oracle(num: L, den: L, names: set, sign: int, top: int) -> L:
+    """num/den up to graded degree ``top`` by the recurrence
+    q_n = p_n - Σ_e h_e·q_{n-e} with every piece, step product and partial
+    sum a ``LaurentElement``: the route ``ring`` took before its series
+    division ran on raw dicts."""
+    den_pieces = _graded_oracle(den, names, sign)
+    low = min(den_pieces)
+    lead = den_pieces.pop(low)
+    if not lead.is_monomial():
+        raise NonExpandable("lowest piece is not a single monomial")
+    lead_inv = lead.monomial_inverse()
+    steps = [(e - low, -(p * lead_inv)) for e, p in sorted(den_pieces.items())]
+    pref = _graded_oracle(num * lead_inv, names, sign)
+    quot: dict[int, L] = {}
+    for n in range(min(pref), top + 1):
+        items = [pref[n]] if n in pref else []
+        for e, step in steps:
+            prev = quot.get(n - e)
+            if prev is not None:
+                items.append(step * prev)
+        piece = laurent_sum(items)
+        if piece:
+            quot[n] = piece
+    return laurent_sum(quot.values())
+
+
+def _expand_oracle(f: RationalElement, point: str, order: int, var: str) -> L:
+    if not f.num:
+        return L.zero()
+    sign = 1 if point == "zero" else -1
+    return _series_div_oracle(f.num, f.den, {var}, sign, 2 * order)
+
+
+def _residue_K_oracle(f: RationalElement, var: str) -> L:
+    at_zero = _expand_oracle(f, "zero", 0, var).coeff_of(var, 0)
+    return _expand_oracle(f, "infinity", 0, var).coeff_of(var, 0) - at_zero
+
+
+def _residue_coh_oracle(f: RationalElement, var: str) -> L:
+    return _expand_oracle(f, "infinity", 1, var).coeff_of(var, -1)
+
+
+def _hypothesis_binomial_quotients(hypothesis):
+    """z**k / (a product of 1-4 binomials in z), k in -6..6, with
+    half-integer exponents and monomial coefficients in k, t and x; each
+    binomial has two distinct degrees in z, so the product's lowest
+    and highest pieces are single monomials and both points expand."""
+    st = hypothesis.strategies
+    half = st.integers(-3, 3).map(lambda n: Fraction(n, 2))
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    others = st.dictionaries(st.sampled_from("ktx"), half, max_size=3)
+
+    @st.composite
+    def binomial(draw):
+        lo = draw(half)
+        hi = lo + draw(st.integers(1, 4).map(lambda n: Fraction(n, 2)))
+        low = L.monomial(draw(coeffs), {**draw(others), "z": lo})
+        return low + L.monomial(draw(coeffs), {**draw(others), "z": hi})
+
+    @st.composite
+    def quotient(draw):
+        den = one
+        for factor in draw(st.lists(binomial(), min_size=1, max_size=4)):
+            den = den * factor
+        return RationalElement(L.monomial(1, {"z": draw(st.integers(-6, 6))}), den)
+
+    return quotient()
+
+
+def test_series_division_matches_the_element_oracle_hypothesis() -> None:
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(_hypothesis_binomial_quotients(hypothesis), st.integers(0, 3))
+    def check(f, order):
+        for point in ("zero", "infinity"):
+            got = expand(f, point, order)
+            _assert_canonical(got)
+            assert got == _expand_oracle(f, point, order, "z")
+        for got, want in (
+            (residue_K(f), _residue_K_oracle(f, "z")),
+            (residue_coh(f, var="z"), _residue_coh_oracle(f, "z")),
+        ):
+            _assert_canonical(got)
+            assert got.trunc is None and got == want
+
+    check()
+
+
+def test_invert_series_matches_the_element_oracle_hypothesis() -> None:
+    """Truncations in one and in two names: with two, the series division
+    keeps every variable in its monomials."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def series(draw):
+        names = draw(st.sampled_from([["z"], ["z", "t"]]))
+        sign = draw(st.sampled_from([1, -1]))
+        order = draw(st.integers(0, 4))
+        return _random_series(random.Random(draw(st.integers(0, 10**6))), names, sign, order)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(series())
+    def check(s):
+        t = s.trunc
+        got = s.invert_series()
+        _assert_canonical(got)
+        assert got.trunc == t
+        want = _series_div_oracle(one, s.without_trunc(), t.names, t.sign, t.order2)
+        assert got == want
+
+    check()
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -859,6 +987,168 @@ def test_residues_through_expand_general_match_sympy() -> None:
             expected = series_coeff(at_inf, 1)
         value = sympy.sympify(str(residue(f, var=var)).replace("^", "**"), {"a": s_a})
         assert sympy.simplify(value - expected) == 0
+
+
+# -- a sympy oracle for expansions and residues --------------------------------
+#
+# Every variable but the residue variable takes a seeded exact value that is a
+# rational square, p**2, so that its half powers are the rationals p**n; the
+# residue variable is w**2, so that its half powers are powers of w.  Both
+# sides are read at that point: wallx's answer after it is computed, sympy's
+# function before it expands it.
+
+
+def _sympy_point(sympy, rng: random.Random, names) -> dict:
+    return {v: sympy.Rational(rng.choice([1, 2, 3, 5]), rng.choice([1, 2, 7])) for v in names}
+
+
+def _sympy_value(sympy, el, point: dict, w=None, var=None):
+    """``el`` (a Laurent or rational element) as a sympy expression: ``var``
+    = w**2 and every other variable v = point[v]**2."""
+    if isinstance(el, RationalElement):
+        num = _sympy_value(sympy, el.num, point, w, var)
+        return num / _sympy_value(sympy, el.den, point, w, var)
+    total = sympy.Integer(0)
+    for exps, c in el.monomials():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for v, e in exps.items():
+            term *= (w if v == var else point[v]) ** int(2 * e)
+        total += term
+    return total
+
+
+def _sympy_terms(sympy, expr, w) -> dict:
+    """{degree: coefficient} of a Laurent polynomial in ``w``, nonzero only."""
+    poly = sympy.Poly(sympy.expand(expr * w**64), w)
+    return {e - 64: c for (e,), c in poly.terms() if c}
+
+
+def _sympy_series(sympy, expr, w, top: int) -> dict:
+    """{degree: coefficient} of the Laurent series of ``expr``, a quotient
+    of Laurent polynomials in ``w``, around w = 0 up to w**top: numerator
+    times the inverse of the denominator modulo a power of w, which sympy
+    takes by the extended Euclidean algorithm."""
+
+    def shifted(part):
+        terms = _sympy_terms(sympy, part, w)
+        low = min(terms)
+        return low, sympy.Poly(sum(c * w ** (e - low) for e, c in terms.items()), w)
+
+    num, den = sympy.fraction(sympy.together(expr))
+    (vn, pn), (vd, pd) = shifted(num), shifted(den)
+    n = top - (vn - vd) + 1
+    if n <= 0:
+        return {}
+    mod = sympy.Poly(w**n, w)
+    series = (pn * pd.invert(mod)).rem(mod)
+    return {e + vn - vd: c for (e,), c in series.terms() if c}
+
+
+def _sympy_expansions(sympy, expr, w, order2: int) -> tuple:
+    """``expr`` in ``w`` expanded around 0 and around infinity, up to degree
+    ``order2`` in w and in 1/w, each as {degree in w: coefficient}."""
+    at_inf = _sympy_series(sympy, expr.subs(w, 1 / w), w, order2)
+    return _sympy_series(sympy, expr, w, order2), {-e: c for e, c in at_inf.items()}
+
+
+def _sympy_residues(sympy, expr, w) -> tuple:
+    """(residue_K, residue_coh) of ``expr`` with its variable at w**2: the
+    w**0 coefficients at infinity minus at 0, and the w**-2 coefficient at
+    infinity."""
+    at_zero, at_inf = _sympy_expansions(sympy, expr, w, 2)
+    return at_inf.get(0, 0) - at_zero.get(0, 0), at_inf.get(-2, 0)
+
+
+def _random_rational(rng: random.Random, others: list[str]) -> RationalElement:
+    """num/den in z with half-integer exponents; one time in four the lowest
+    piece of the denominator has two terms, so the residues go through
+    ``expand_general``."""
+    f = _random_quotient(rng, others)
+    if rng.random() < 0.25:
+        lowest = min(e for exps, _ in f.den.monomials() for v, e in exps.items() if v == "z")
+        extra = _random_term(rng, others, "z", int(2 * lowest))
+        f = RationalElement(f.num, f.den + extra)
+    return f
+
+
+def test_expand_and_residues_match_sympy() -> None:
+    sympy = pytest.importorskip("sympy")
+    w = sympy.Symbol("w")
+    rng = random.Random(29)
+    others = ["k", "t"]
+    for _ in range(40):
+        f = _random_rational(rng, others)
+        point = _sympy_point(sympy, rng, others)
+        expr = _sympy_value(sympy, f, point, w, "z")
+        want_K, want_coh = _sympy_residues(sympy, expr, w)
+        assert _sympy_value(sympy, residue_K(f), point) == want_K
+        assert _sympy_value(sympy, residue_coh(f, var="z"), point) == want_coh
+        order = rng.randint(0, 2)
+        try:
+            got = [expand(f, p, order) for p in ("zero", "infinity")]
+        except NonExpandable:
+            continue
+        want = _sympy_expansions(sympy, expr, w, 2 * order)
+        for g, e in zip(got, want):
+            assert _sympy_terms(sympy, _sympy_value(sympy, g, point, w, "z"), w) == e
+
+
+def test_specialize_kappa_matches_sympy() -> None:
+    """P·(k^(1/2) - 1)^a / (Q·(k^(1/2) - 1)^b) with a >= b: the value at
+    κ = 1 is the limit at w = 1 of the same function with κ = w**2."""
+    sympy = pytest.importorskip("sympy")
+    w = sympy.Symbol("w")
+    rng = random.Random(31)
+    root = L.monomial(1, {"k": Fraction(1, 2)}) - one
+    checked = 0
+    while checked < 20:
+        p = _random_element(rng, ["k", "t"], 3)
+        q = _random_element(rng, ["k", "t"], 3)
+        b = rng.randint(0, 2)
+        a = b + rng.randint(0, 1)
+        if not p or not q:
+            continue
+        point = _sympy_point(sympy, rng, ["t"])
+        num, den = _sympy_value(sympy, p, point, w, "k"), _sympy_value(sympy, q, point, w, "k")
+        if num.subs(w, 1) == 0 or den.subs(w, 1) == 0:
+            continue
+        f = RationalElement(p * root**a, q * root**b)
+        want = sympy.cancel(_sympy_value(sympy, f, point, w, "k")).subs(w, 1)
+        assert _sympy_value(sympy, specialize_kappa(f), point) == want
+        checked += 1
+
+
+def test_pushforwards_with_roots_named_z_or_u_match_sympy() -> None:
+    """Roots that name the default residue variables: the pushforwards pick
+    a fresh one, and sympy takes the residue with its own symbol."""
+    sympy = pytest.importorskip("sympy")
+    from wallx.kclasses import (
+        VirtualClass,
+        projective_pushforward_coh,
+        projective_pushforward_K,
+    )
+
+    w = sympy.Symbol("w")
+    rng = random.Random(37)
+    point = _sympy_point(sympy, rng, ["z", "u", "t", "q"])
+    roots_K = [z, z * t, L.gen("q").monomial_inverse()]
+    V = VirtualClass(roots_K)
+    den = 1
+    for root in roots_K:
+        den *= 1 - 1 / (w * w * _sympy_value(sympy, root, point))
+    for k in range(-4, 5):
+        got = projective_pushforward_K(L.monomial(1, {"s": k}), V)
+        want, _ = _sympy_residues(sympy, w ** (2 * k) / den, w)
+        assert _sympy_value(sympy, got, point) == want
+    roots_coh = [u, 2 * u - t, t + L.gen("q")]
+    V = VirtualClass(roots_coh, mode="coh")
+    den = 1
+    for root in roots_coh:
+        den *= w * w + _sympy_value(sympy, root, point)
+    for k in range(0, 6):
+        got = projective_pushforward_coh(L.monomial(1, {"h": k}), V)
+        _, want = _sympy_residues(sympy, w ** (2 * k) / den, w)
+        assert _sympy_value(sympy, got, point) == want
 
 
 # -- series exponential / logarithm --------------------------------------------
