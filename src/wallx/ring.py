@@ -12,12 +12,18 @@ Other code builds elements with ``gen``, ``const``, ``monomial``,
 ``truncate``, the arithmetic and ``laurent_sum``, and reads their terms
 through ``LaurentElement.monomials()``, in natural exponents.
 
-``expand``, ``residue_K``, ``residue_coh`` and ``invert_series`` rest on one
-power-series division on raw term dicts.  It returns the quotient's pieces
-keyed by graded degree, and with one grading variable it drops that
-variable from every monomial, since the key holds its degree.  A residue
-reads one piece: degree 0 at both points, or ``var**-1`` at infinity.
-Only ``expand`` and ``invert_series`` put the variable back.
+Every Laurent quotient in this module rests on one power-series division
+on raw term dicts: ``expand``, ``residue_K``, ``residue_coh``,
+``invert_series``, ``exact_laurent_div`` (the series at infinity, run one
+divisor span below an exact quotient's floor) and ``expand_general`` (with
+a fresh variable standing for a lowest piece that is not a monomial).  It
+returns the quotient's pieces keyed by graded degree, and with one grading
+variable it drops that variable from every monomial, since the key holds
+its degree.  A residue reads one piece: degree 0 at both points, or
+``var**-1`` at infinity.  The only other quotient is the packed ``div_d``,
+the exact division by a power of D at the end of the ``vw_wcf`` peel: a
+running sum on packed keys, where unpacking for the series division was
+measured slower.
 
 ``packed_algebra`` serves one computation over a fixed set of variables,
 the peel of ``wallcross.vw_wcf`` or a column of ``descendent.exp_minus_delta``:
@@ -964,36 +970,38 @@ def expand_general(
 
     Returns a map {exponent of var: coefficient}, where coefficients are
     rational elements in the remaining variables.  Handles denominators
-    whose constant term is not a monomial (where ``expand`` raises).
+    whose lowest piece d at the point is not a monomial (where ``expand``
+    raises): the series division runs with a fresh variable λ standing for
+    d, so each coefficient comes back as a polynomial Σ c_k·λ^-k, and is
+    returned over a power of d as (Σ c_k·d^(K-k)) / d^K.
     """
     if point not in ("zero", "infinity"):
         raise ValueError("point must be 'zero' or 'infinity'")
     f = as_rational(f) if isinstance(f, LaurentElement) else f
     num, den = f.num, f.den
-    if num.trunc is not None or den.trunc is not None:
-        raise NonRational("cannot expand a truncated series")
-    if point == "infinity":
-        num, den = num.negate_var(var), den.negate_var(var)
     if not num.terms:
         return {}
-    vn, vd = num._val2(var), den._val2(var)
-    assert vn is not None and vd is not None
-    ncoeffs = {e2 - vn: el for e2, el in num._coeffs_in(var).items()}
-    dcoeffs = {e2 - vd: el for e2, el in den._coeffs_in(var).items()}
-    d0 = as_rational(dcoeffs[0])
-    lead = vn - vd
-    needed = 2 * order - lead
+    sign = 1 if point == "zero" else -1
+    names = frozenset({var})
+    den_pieces = _graded(den.terms, names, sign)
+    low = min(den_pieces)
+    powers = [ONE, _trusted(den_pieces[low])]
+    lam = fresh_name("lambda", (num, den, LaurentElement.gen(var)))
+    den_pieces[low] = {((lam, 2),): 1}
+    stand_in = _ungraded(den_pieces, names, sign)
+    pieces = _series_div(num.terms, stand_in, names, sign, 2 * order, lam)
     out: dict[Fraction, RationalElement] = {}
-    series: dict[int, RationalElement] = {}
-    for j in range(0, max(needed, -1) + 1):
-        s = as_rational(ncoeffs.get(j, ZERO))
-        for i in range(1, j + 1):
-            if i in dcoeffs and (j - i) in series:
-                s = s - as_rational(dcoeffs[i]) * series[j - i]
-        series[j] = s / d0
-        if series[j]:
-            e = Fraction(lead + j, 2)
-            out[-e if point == "infinity" else e] = series[j]
+    for n, piece in pieces.items():
+        by_power: dict[int, dict[Mono, Scalar]] = {}
+        for m, c in piece.items():
+            e, rest = _split_var(m, lam)
+            by_power.setdefault(-e // 2, {})[rest] = c
+        top = max(by_power)
+        while len(powers) <= top:
+            powers.append(powers[-1] * powers[1])
+        value = laurent_sum(_trusted(t) * powers[top - k] for k, t in by_power.items())
+        if value.terms:
+            out[Fraction(sign * n, 2)] = RationalElement(value, powers[top])
     return out
 
 
@@ -1079,13 +1087,21 @@ def plethystic_log(f: LaurentElement) -> LaurentElement:
     return laurent_sum(terms(), f.trunc)
 
 
-def exact_laurent_div(num: Element, den: Element, var: str) -> LaurentElement:
+def exact_laurent_div(
+    num: LaurentElement | Scalar, den: LaurentElement | Scalar, var: str
+) -> LaurentElement:
     """Exact division of Laurent polynomials along ``var``.
 
     Both inputs are read as Laurent polynomials in ``var`` with coefficients
     in the remaining variables.  The divisor's leading coefficient must be a
     single monomial and the division must leave no remainder; anything else
     raises NonExpandable.
+
+    The quotient is the series num/den at ``var`` = infinity, whose terms
+    below the floor val(num) - val(den) vanish exactly when the division is
+    exact.  Past one divisor span below the floor, num minus the quotient
+    times den would have no term at or above val(num), so it is zero: the
+    series is run to that depth and no further.
     """
     num = as_element(num)
     den = as_element(den)
@@ -1095,38 +1111,16 @@ def exact_laurent_div(num: Element, den: Element, var: str) -> LaurentElement:
         raise ZeroDivisionError("exact division by zero")
     if not num.terms:
         return LaurentElement.zero()
-    cn = num._coeffs_in(var)
-    cd = den._coeffs_in(var)
-    top = max(cd)
-    lead = cd[top]
-    if not lead.is_monomial():
-        raise NonExpandable("divisor leading coefficient is not a single monomial")
-    lead_inv = lead.monomial_inverse()
-    # For an exact division the quotient's lowest var-degree is forced.
-    floor = min(cn) - min(cd)
-    # Each lower divisor coefficient, negated, with its degree below the top.
-    lower = [(eb - top, -cb) for eb, cb in cd.items() if eb != top]
-    rem = {e: dict(c.terms) for e, c in cn.items()}
-    out: dict[Mono, Scalar] = {}
-    while rem:
-        e = max(rem)
-        qe = e - top
-        if qe < floor:
-            raise NonExpandable("division is not exact")
-        qc = _trusted(rem.pop(e)) * lead_inv
-        shift = ((var, qe),) if qe else ()
-        _add_terms(out, ((_mono_mul(m, shift), c) for m, c in qc.terms.items()))
-        for offset, cb in lower:
-            product = qc * cb
-            ne = e + offset
-            left = rem.get(ne)
-            if left is None:
-                rem[ne] = dict(product.terms)
-            else:
-                _add_terms(left, product.terms.items())
-                if not left:
-                    del rem[ne]
-    return _trusted(out)
+    names = frozenset({var})
+    low = den._val2(var)
+    span = max(_split_var(m, var)[0] for m in den.terms) - low
+    floor = num._val2(var) - low
+    # At infinity a piece's graded degree is minus its doubled exponent.
+    lead_name = "divisor leading coefficient"
+    pieces = _series_div(num.terms, den.terms, names, -1, span - floor, lead_name)
+    if max(pieces) > -floor:
+        raise NonExpandable("division is not exact")
+    return _trusted(_ungraded(pieces, names, -1))
 
 
 # -- packed exponents for one computation --------------------------------------

@@ -946,13 +946,19 @@ GENERAL_RESIDUES = [
         as_rational(one) / (one_plus_a * one_plus_a),
     ),
     (residue_coh, as_rational(one) / (one_plus_a * u * u + u), "u", L.zero()),
+    (
+        residue_K,
+        as_rational(z * z) / ((one_plus_a * z - one) * (one_plus_a * z - one)),
+        "z",
+        as_rational(one) / (one_plus_a * one_plus_a),
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "residue, f, var, expected",
     GENERAL_RESIDUES,
-    ids=["K-simple-pole", "K-pole-at-zero", "coh-double-zero"],
+    ids=["K-simple-pole", "K-pole-at-zero", "coh-double-zero", "K-double-pole"],
 )
 def test_residues_through_expand_general(
     monkeypatch, residue, f, var, expected
@@ -967,6 +973,72 @@ def test_residues_through_expand_general(
     got = residue(f, var=var)
     assert calls
     assert type(got) is type(expected) and got == expected
+
+
+def _recurrence_oracle(f: RationalElement, point: str, order: int, var: str) -> dict:
+    """``expand_general`` by the recurrence s_j = (n_j - Σ_i d_i·s_{j-i}) / d_0
+    on ``RationalElement`` coefficients, which never takes a gcd: the route
+    ``expand_general`` took before it ran the series division."""
+    num, den = f.num, f.den
+    if point == "infinity":
+        num, den = num.negate_var(var), den.negate_var(var)
+    if not num:
+        return {}
+    cn, cd = _coeffs_by(num, var), _coeffs_by(den, var)
+    vn, vd = min(cn), min(cd)
+    ncoeffs = {int(2 * (e - vn)): c for e, c in cn.items()}
+    dcoeffs = {int(2 * (e - vd)): as_rational(c) for e, c in cd.items()}
+    lead = int(2 * (vn - vd))
+    out: dict = {}
+    series: dict = {}
+    for j in range(max(2 * order - lead, -1) + 1):
+        s = as_rational(ncoeffs.get(j, L.zero()))
+        for i in range(1, j + 1):
+            if i in dcoeffs and j - i in series:
+                s = s - dcoeffs[i] * series[j - i]
+        series[j] = s / dcoeffs[0]
+        if series[j]:
+            e = Fraction(lead + j, 2)
+            out[-e if point == "infinity" else e] = series[j]
+    return out
+
+
+def test_expand_general_matches_the_recurrence_hypothesis() -> None:
+    """num/den in z whose lowest and highest pieces in z both have two
+    terms, so neither point has a monomial lead; half-integer exponents
+    and coefficients in a and t included."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    half = st.integers(-2, 2).map(lambda n: Fraction(n, 2))
+    coeffs = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 2))
+    others = st.dictionaries(st.sampled_from("at"), half, min_size=1, max_size=2)
+
+    def term(e):
+        return st.builds(lambda c, exps: L.monomial(c, {**exps, "z": e}), coeffs, others)
+
+    @st.composite
+    def quotient(draw):
+        lo = draw(half)
+        hi = lo + Fraction(draw(st.integers(1, 3)), 2)
+        num = laurent_sum(draw(st.lists(term(draw(half)), min_size=1, max_size=3)))
+        den = laurent_sum(draw(term(e)) for e in (lo, lo, hi, hi))
+        if hi - lo > Fraction(1, 2):
+            den = den + draw(term(lo + Fraction(1, 2)))
+        pieces = _coeffs_by(den, "z")
+        leads = (pieces[min(pieces)], pieces[max(pieces)])
+        hypothesis.assume(num and len(pieces) > 1 and not any(p.is_monomial() for p in leads))
+        return RationalElement(num, den)
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(quotient(), st.sampled_from(["zero", "infinity"]), st.integers(0, 3))
+    def check(f, point, order):
+        got = expand_general(f, point, order)
+        want = _recurrence_oracle(f, point, order, "z")
+        assert got.keys() == want.keys()
+        for e, value in got.items():
+            assert value == want[e]
+
+    check()
 
 
 def test_residues_through_expand_general_match_sympy() -> None:
@@ -1293,6 +1365,114 @@ def test_exact_laurent_div_by_powers_of_a_symmetric_difference() -> None:
 def test_exact_laurent_div_rejects_inexact() -> None:
     with pytest.raises(NonExpandable):
         exact_laurent_div(z * z + one, z + one, "z")
+
+
+def _coeffs_by(el: L, var: str) -> dict:
+    """{natural exponent of ``var``: coefficient element without ``var``}."""
+    pieces: dict = {}
+    for exps, c in el.monomials():
+        e = exps.pop(var, 0)
+        pieces.setdefault(e, []).append(L.monomial(c, exps))
+    return {e: laurent_sum(p) for e, p in pieces.items()}
+
+
+def _long_division_oracle(num: L, den: L, var: str) -> L:
+    """num/den by top-down long division in ``var`` on ``LaurentElement``
+    coefficients, refusing a remainder: the route ``exact_laurent_div``
+    took before it read the series division."""
+    if not num:
+        return L.zero()
+    cn, cd = _coeffs_by(num, var), _coeffs_by(den, var)
+    top = max(cd)
+    if not cd[top].is_monomial():
+        raise NonExpandable("divisor leading coefficient is not a single monomial")
+    lead_inv = cd[top].monomial_inverse()
+    floor = min(cn) - min(cd)
+    rem = dict(cn)
+    out = []
+    while rem:
+        e = max(rem)
+        if e - top < floor:
+            raise NonExpandable("division is not exact")
+        qc = rem.pop(e) * lead_inv
+        out.append(qc * L.monomial(1, {var: e - top}))
+        for eb, cb in cd.items():
+            if eb != top:
+                left = rem.get(e + eb - top, L.zero()) - qc * cb
+                if left:
+                    rem[e + eb - top] = left
+                else:
+                    rem.pop(e + eb - top, None)
+    return laurent_sum(out)
+
+
+def _hypothesis_divisors(hypothesis):
+    """Divisors in z with half-integer exponents and coefficients in k and
+    t: a monomial leading coefficient, one term one to four half steps
+    below the top, and up to two terms strictly between them."""
+    st = hypothesis.strategies
+    half = st.integers(-3, 3).map(lambda n: Fraction(n, 2))
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    others = st.dictionaries(st.sampled_from("kt"), half, max_size=2)
+
+    @st.composite
+    def divisor(draw):
+        top = draw(half)
+        steps = draw(st.integers(1, 4))
+        exps = [top, top - Fraction(steps, 2)]
+        if steps > 1:
+            inside = st.lists(st.integers(1, steps - 1), max_size=2)
+            exps += [top - Fraction(i, 2) for i in draw(inside)]
+        return laurent_sum(L.monomial(draw(coeffs), {**draw(others), "z": e}) for e in exps)
+
+    return divisor()
+
+
+def test_exact_laurent_div_matches_long_division_hypothesis() -> None:
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        _hypothesis_elements(hypothesis).filter(bool), _hypothesis_divisors(hypothesis)
+    )
+    def check(q, d):
+        got = exact_laurent_div(q * d, d, "z")
+        _assert_canonical(got)
+        assert got == q == _long_division_oracle(q * d, d, "z")
+
+    check()
+
+
+def test_exact_laurent_div_refuses_a_remainder_in_the_last_span_hypothesis() -> None:
+    """q·d + r with r nonzero and every exponent of z in r within
+    [val(q·d), val(q) + top(d)): r/d starts within one divisor span below
+    the quotient's floor val(q), and r, narrower than d, is no multiple of d."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    half = st.integers(-3, 3).map(lambda n: Fraction(n, 2))
+    others = st.dictionaries(st.sampled_from("kt"), half, max_size=2)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        _hypothesis_elements(hypothesis).filter(bool),
+        _hypothesis_divisors(hypothesis),
+        st.lists(st.tuples(coeffs, others, st.integers(0, 7)), min_size=1, max_size=3),
+    )
+    def check(q, d, picks):
+        val_q = min(_coeffs_by(q, "z"))
+        dz = _coeffs_by(d, "z")
+        width = int(2 * (max(dz) - min(dz)))
+        base = val_q + min(dz)
+        r = laurent_sum(
+            L.monomial(c, {**exps, "z": base + Fraction(j % width, 2)}) for c, exps, j in picks
+        )
+        hypothesis.assume(r)
+        for divide in (exact_laurent_div, _long_division_oracle):
+            with pytest.raises(NonExpandable, match="division is not exact"):
+                divide(q * d + r, d, "z")
+
+    check()
 
 
 # -- packed exponents ------------------------------------------------------------

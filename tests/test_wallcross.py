@@ -528,6 +528,58 @@ class TestVwWcf:
             (1, 1), tau, taup, table, CHI, o_table=counts, o_alpha=F(1)
         ) == vw_wcf((1, 1), tau, taup, table, CHI, o_table=counts)
 
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            (1, {(1, 0): 1, (0, 1): 1, (1, 1): 1}),
+            (
+                2,
+                {(1, 0): 1, (0, 1): 1, (1, 1): -2, (1, 2): 1, (2, 1): 1, (2, 3): 1, (3, 2): 1},
+            ),
+            (
+                3,
+                {
+                    (1, 0): 1, (0, 1): 1, (1, 1): 3, (2, 2): -6, (3, 3): 18,
+                    (1, 2): 3, (2, 1): 3, (1, 3): 1, (3, 1): 1,
+                    (2, 3): 13, (3, 2): 13, (2, 4): -6, (4, 2): -6,
+                },
+            ),
+        ],
+        ids=["pentagon", "kronecker", "m3"],
+    )
+    def test_two_generator_quivers_match_the_known_invariants(self, m, expected):
+        """An outside check: two generators with ε(k,0) = ε(0,k) = 1/k² (one
+        stable object each, as rational invariants) and χ = [[0,m],[-m,0]],
+        crossed from slope x/(x+y) to y/(x+y), give the m-Kronecker quiver's
+        numerical DT invariants Ω′ on every class of mass ≤ 6, read from
+        ε′(γ) = Σ_{k|γ} Ω′(γ/k)/k²: the pentagon identity at m = 1, the
+        Kronecker values at m = 2, and the known m = 3 values."""
+        before = StabilityData(lambda c: (F(c[0], c[0] + c[1]),), name="before")
+        after = StabilityData(lambda c: (F(c[1], c[0] + c[1]),), name="after")
+        table = InvariantTable(
+            {
+                cls: L.const(F(1, k * k))
+                for k in range(1, 7)
+                for cls in ((k, 0), (0, k))
+            },
+            monoid=MONOID,
+            zero_missing=True,
+        )
+        chi = [[0, m], [-m, 0]]
+        omega = {}
+        classes = sorted(
+            ((a, b) for a in range(7) for b in range(7) if 0 < a + b <= 6), key=sum
+        )
+        for cls in classes:
+            eps = vw_wcf(cls, before, after, table, chi, qint=unrefined_integer)
+            g = math.gcd(*cls)
+            multiples = sum(
+                (omega[cls[0] // k, cls[1] // k] / (k * k) for k in range(2, g + 1) if g % k == 0),
+                F(0),
+            )
+            omega[cls] = eps.as_fraction() - multiples
+        assert {cls: v for cls, v in omega.items() if v} == expected
+
     def test_matches_bracket_route(self):
         rng = random.Random(13)
         qt = QuantumTorusBackend(CHI)
