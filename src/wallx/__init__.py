@@ -2,7 +2,8 @@
 
 Layers, bottom to top:
 
-- ``ring``: Laurent/rational arithmetic, expansions, residues, series exp/log.
+- ``ring``: Laurent/rational arithmetic, expansions, residues, the series
+  exponential.
 - ``kclasses``: wedge and Euler classes of formal root data, vertex kernels,
   quantum integers, projective-bundle pushforwards, theta coefficients.
 - ``freelie``: free Lie algebras in the Lyndon basis, tensor-algebra

@@ -47,7 +47,8 @@ class Config:
     """Parsed and validated configuration document.
 
     Slope entries and invariant values are stored in canonical string
-    form so that parse → serialize → parse is the identity.
+    form, so two documents that say the same thing (``"2/4"`` and
+    ``["1/2"]``, ``"3"`` and ``3``) parse to equal configs.
     """
 
     classes: dict
@@ -231,23 +232,6 @@ def parse_config(text: str) -> Config:
         invariants[name] = _canon_invariant(value, text, path)
 
     return Config(classes, stabilities, chi, o, invariants)
-
-
-def serialize_config(config: Config) -> str:
-    """Canonical JSON form; parse(serialize(parse(text))) == parse(text)."""
-    tree: dict = {"classes": {n: list(v) for n, v in config.classes.items()}}
-    if config.stabilities:
-        tree["stabilities"] = {
-            t: {c: list(e) for c, e in table.items()}
-            for t, table in config.stabilities.items()
-        }
-    if config.chi is not None:
-        tree["chi"] = [list(row) for row in config.chi]
-    if config.o:
-        tree["o"] = dict(config.o)
-    if config.invariants:
-        tree["invariants"] = dict(config.invariants)
-    return json.dumps(tree, indent=2) + "\n"
 
 
 # -- config -> algebra objects ------------------------------------------------------

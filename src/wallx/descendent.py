@@ -57,28 +57,6 @@ from .ring import (
 )
 from .ucoeff import set_partitions
 
-__all__ = [
-    "SetPartition",
-    "partitions_of",
-    "merge_symbol",
-    "delta_apply",
-    "delta_matrix",
-    "exp_minus_delta",
-    "corner_entry",
-    "factorized_entry",
-    "total_truncate",
-    "dt0_symbol",
-    "pt_symbol",
-    "y_recursion",
-    "y_explicit",
-    "dt_to_pt",
-    "adams",
-    "build_xi",
-    "td_series",
-    "pair_chern_character",
-    "hbar_to_weights",
-]
-
 ONE = LaurentElement.const(1)
 
 _WEIGHTS = ("s1", "s2", "s3")
@@ -126,19 +104,6 @@ class SetPartition:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    def merge(self, which) -> "SetPartition":
-        """Merge the blocks at the given positions into a single block."""
-        which = set(which)
-        merged = tuple(i for pos in which for i in self.blocks[pos])
-        kept = [b for pos, b in enumerate(self.blocks) if pos not in which]
-        return SetPartition(kept + [merged])
-
-    def refines(self, other: "SetPartition") -> bool:
-        if self.ground != other.ground:
-            return False
-        lookup = {i: b for b in other.blocks for i in b}
-        return all(set(b) <= set(lookup[b[0]]) for b in self.blocks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SetPartition):

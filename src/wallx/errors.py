@@ -16,7 +16,7 @@ class NonRational(WallxError):
 
 
 class NonzeroConstantTerm(WallxError):
-    """Series exponential/logarithm applied to input with the wrong constant term."""
+    """The series exponential applied to input with a nonzero constant term."""
 
 
 class PoleAtOne(WallxError):

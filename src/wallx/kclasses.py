@@ -152,13 +152,6 @@ class VirtualClass:
 # -- symmetric function helpers -------------------------------------------------
 
 
-def elementary_symmetric(k: int, xs) -> LaurentElement:
-    """k-th elementary symmetric polynomial of the given elements."""
-    if k < 0:
-        return LaurentElement.zero()
-    return laurent_sum(_product(combo) for combo in itertools.combinations(list(xs), k))
-
-
 def complete_homogeneous(k: int, xs) -> LaurentElement:
     """k-th complete homogeneous symmetric polynomial of the given elements."""
     if k < 0:
@@ -298,15 +291,13 @@ class ThetaKernel:
     names it.
     """
 
-    __slots__ = ("e_ab", "e_ba", "var", "value")
+    __slots__ = ("var", "value")
 
     def __init__(self, e_ab: VirtualClass, e_ba: VirtualClass):
         if e_ab.mode != "K" or e_ba.mode != "K":
             raise ModeMismatch("the vertex kernel needs multiplicative-mode classes")
         var = fresh_name("z", [w for E in (e_ab, e_ba) for w, _ in E.roots])
         value = _kernel(e_ab, e_ba, LaurentElement.gen(var))
-        object.__setattr__(self, "e_ab", e_ab)
-        object.__setattr__(self, "e_ba", e_ba)
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "value", as_rational(value))
 
@@ -315,17 +306,6 @@ class ThetaKernel:
 
     def residue(self):
         return residue_K(self.value, var=self.var)
-
-    def shift(self, w) -> "ThetaKernel":
-        """Kernel with both sides twisted so that z is shifted to w·z."""
-        w = as_element(w)
-        return ThetaKernel(self.e_ab.twist(w.monomial_inverse()), self.e_ba.twist(w))
-
-    def substituted(self, w):
-        """The stored value with z replaced by w·z."""
-        w = as_element(w)
-        zel = LaurentElement.gen(self.var)
-        return self.value.subs_monomial(self.var, w * zel)
 
     def __repr__(self) -> str:
         return f"ThetaKernel({self.value})"

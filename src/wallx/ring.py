@@ -3,9 +3,9 @@
 Sparse multivariate Laurent polynomials over the rationals, with optional
 half-integer exponents so that symmetrized weights such as ``k^(1/2)`` stay
 exact, optional series truncation, rational elements (quotients of Laurent
-polynomials), series expansion at 0/infinity, residue extraction, series
-exponential/logarithm, and specialization at κ = 1, with κ always the
-variable ``KAPPA``.
+polynomials), series expansion at 0/infinity, residue extraction, the series
+exponential, and specialization at κ = 1, with κ always the variable
+``KAPPA``.
 
 How a monomial and a truncation are stored is private to this module.
 Other code builds elements with ``gen``, ``const``, ``monomial``,
@@ -497,19 +497,6 @@ class LaurentElement:
         lead_name = "series constant term"
         pieces = _series_div(ONE.terms, self.terms, t.names, t.sign, t.order2, lead_name)
         return _trusted(_ungraded(pieces, t.names, t.sign), t)
-
-    def negate_var(self, var: str) -> "LaurentElement":
-        """Substitute ``var -> var**-1`` by negating its exponents."""
-        trunc = self.trunc
-        if trunc is not None and var in trunc.names:
-            if trunc.names != frozenset({var}):
-                raise ValueError("cannot negate one variable of a joint truncation")
-            trunc = Trunc(trunc.names, trunc.order2, -trunc.sign)
-        out = {
-            tuple((v, -e) if v == var else (v, e) for v, e in m): c
-            for m, c in self.terms.items()
-        }
-        return _trusted(out, trunc)
 
     def rename(self, names: Mapping[str, str]) -> "LaurentElement":
         """The element with each variable ``v`` named ``names[v]``: a
@@ -1036,7 +1023,7 @@ def residue_coh(f: Element, *, var: str = "u"):
         return got.maybe_laurent() if got is not None else LaurentElement.zero()
 
 
-# -- series exponential / logarithm -------------------------------------------
+# -- series exponential -------------------------------------------------------
 
 
 def plethystic_exp(g: LaurentElement) -> LaurentElement:
@@ -1061,30 +1048,6 @@ def plethystic_exp(g: LaurentElement) -> LaurentElement:
             yield term
 
     return laurent_sum(terms())
-
-
-def plethystic_log(f: LaurentElement) -> LaurentElement:
-    """log of a truncated series with constant term 1."""
-    f = as_element(f)
-    if f.trunc is None:
-        raise ValueError("series logarithm needs a truncated input")
-    if f.trunc_zero_part() != ONE:
-        raise NonzeroConstantTerm("series logarithm needs constant term 1")
-    if _below_zero(f):
-        raise NonExpandable("series logarithm of a term below degree 0")
-    h = f - LaurentElement.const(1)
-
-    def terms():
-        power = LaurentElement.const(1, f.trunc)
-        m = 0
-        while True:
-            m += 1
-            power = power * h
-            if not power:
-                return
-            yield Fraction((-1) ** (m + 1), m) * power
-
-    return laurent_sum(terms(), f.trunc)
 
 
 def exact_laurent_div(

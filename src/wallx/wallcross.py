@@ -49,7 +49,6 @@ from .ring import (
     LaurentElement,
     exact_laurent_div,
     fresh_name,
-    integer_entry,
     laurent_sum,
     packed_algebra,
 )
@@ -403,7 +402,6 @@ def vw_wcf(
     qint=None,
     max_parts: int = 8,
     o_table=None,
-    o_alpha: int | None = None,
 ) -> LaurentElement:
     """Numerical wall-crossing sum ε′(α), read from the factorization identity
 
@@ -423,14 +421,10 @@ def vw_wcf(
 
     The reduced sum: ``o_table`` gives the cosection count of a class, as a
     class-keyed mapping (read once) or a callable.  Only the splittings
-    whose o counts add up to ``o_alpha`` (default: the count of α)
-    contribute.  The counts are read at α (unless ``o_alpha`` is given) and
-    at every class with a table entry; a missing one raises ValueError, and
-    so does a negative one.  ``o_alpha`` without ``o_table`` raises
-    ValueError.
+    whose o counts add up to the count of α contribute.  The counts are
+    read at α and at every class with a table entry; a missing one raises
+    ValueError, and so does a negative one.
     """
-    if o_alpha is not None and o_table is None:
-        raise ValueError("o_alpha needs o_table")
     alpha = as_class(alpha)
     chi = QuantumTorusBackend(chi).chi
     if qint is not None and qint is not unrefined_integer:
@@ -450,7 +444,7 @@ def vw_wcf(
                 raise ValueError("o counts must be nonnegative")
             return count
 
-        o_alpha = lookup(alpha) if o_alpha is None else integer_entry(o_alpha)
+        o_at_alpha = lookup(alpha)
         grade = fresh_name("o", entries.values())
 
     # With x^a·x^b = t^(-χ(a,b))·x^(a+b), t = −κ^(1/2), the commutator of
@@ -500,7 +494,7 @@ def vw_wcf(
         mul=algebra.mul, scale=algebra.scale, total=algebra.total,
     )[alpha]
     if grade is not None:
-        out = algebra.coeff_of(out, grade, o_alpha)
+        out = algebra.coeff_of(out, grade, o_at_alpha)
     # The answer at α is divided by scale[mass(α)]: exactly by D^(mass − 1),
     # a running sum down each chain of κ powers, then by mass! as a scalar.
     out = algebra.div_d(out, kappa, mass - 1)

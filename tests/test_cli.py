@@ -17,7 +17,6 @@ from wallx.cli import (
     class_vector,
     main,
     parse_config,
-    serialize_config,
 )
 from wallx.errors import ConfigError
 from wallx.freelie import LieElement
@@ -54,12 +53,6 @@ def run_machine(capsys, argv):
 
 
 class TestConfigParsing:
-    def test_roundtrip_is_idempotent(self):
-        once = parse_config(DEMO)
-        twice = parse_config(serialize_config(once))
-        assert once == twice
-        assert serialize_config(once) == serialize_config(twice)
-
     def test_scalar_and_array_slopes_agree(self):
         arrays = parse_config(
             '{"classes": {"A": [1]}, "stabilities": {"t": {"A": ["1/2"]}}}'

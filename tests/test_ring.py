@@ -23,7 +23,6 @@ from wallx.ring import (
     laurent_sum,
     packed_algebra,
     plethystic_exp,
-    plethystic_log,
     residue_K,
     residue_coh,
     slope_entry,
@@ -599,13 +598,26 @@ def _valuation(el: L, var: str):
     return min(exps.get(var, 0) for exps, _ in el.monomials())
 
 
+def _negate(el: L, var: str) -> L:
+    """``el`` with ``var -> var**-1``: its exponents of ``var`` negated, and
+    a truncation in ``var`` alone flipped to the other sign."""
+    trunc = el.trunc
+    if trunc is not None and var in trunc.names:
+        assert trunc.names == frozenset({var})
+        trunc = Trunc(trunc.names, trunc.order2, -trunc.sign)
+    terms = {
+        tuple((v, -e) if v == var else (v, e) for v, e in m): c for m, c in el.terms.items()
+    }
+    return L(terms, trunc)
+
+
 def _expand_by_powers(f: RationalElement, point: str, order: int, var: str) -> L:
     """``expand`` by summing geometric powers of the denominator's tail, then
     multiplying by the untruncated prefactor: the route that power-series
     division replaced."""
     num, den = f.num, f.den
     if point == "infinity":
-        num, den = num.negate_var(var), den.negate_var(var)
+        num, den = _negate(num, var), _negate(den, var)
     trunc = Trunc(frozenset({var}), 2 * order, 1)
     if not num.terms:
         return L.zero(trunc)
@@ -622,7 +634,7 @@ def _expand_by_powers(f: RationalElement, point: str, order: int, var: str) -> L
         start = L.const(1, Trunc(frozenset({var}), inner2, 1))
         product = pref * laurent_sum(_powers(start, -h)).without_trunc()
         out = L(product.terms, trunc)
-    return out.negate_var(var) if point == "infinity" else out
+    return _negate(out, var) if point == "infinity" else out
 
 
 def _invert_by_powers(series: L) -> L:
@@ -981,7 +993,7 @@ def _recurrence_oracle(f: RationalElement, point: str, order: int, var: str) -> 
     ``expand_general`` took before it ran the series division."""
     num, den = f.num, f.den
     if point == "infinity":
-        num, den = num.negate_var(var), den.negate_var(var)
+        num, den = _negate(num, var), _negate(den, var)
     if not num:
         return {}
     cn, cd = _coeffs_by(num, var), _coeffs_by(den, var)
@@ -1223,7 +1235,7 @@ def test_pushforwards_with_roots_named_z_or_u_match_sympy() -> None:
         assert _sympy_value(sympy, got, point) == want
 
 
-# -- series exponential / logarithm --------------------------------------------
+# -- series exponential --------------------------------------------------------
 
 
 def test_plethystic_exp_of_zero() -> None:
@@ -1235,19 +1247,29 @@ def test_plethystic_exp_of_minus_log_series() -> None:
     assert plethystic_exp(g) == one - x
 
 
+def _log_oracle(f: L) -> L:
+    """log f = Σ_{m≥1} (-1)^(m+1)·(f - 1)^m / m for a truncated series with
+    constant term 1, summed until a power of f - 1 is truncated away."""
+    h = f - L.const(1)
+    power, out, m = L.const(1, f.trunc), L.zero(f.trunc), 0
+    while True:
+        m += 1
+        power = power * h
+        if not power:
+            return out
+        out = out + Fraction((-1) ** (m + 1), m) * power
+
+
 def test_plethystic_log_roundtrip() -> None:
     g = (x + 5 * x * x).truncate(["x"], 2)
-    assert plethystic_log(plethystic_exp(g)) == g
+    assert _log_oracle(plethystic_exp(g)) == g
+    g = (x - 3 * x * t + Fraction(1, 2) * t * t).truncate(["x", "t"], 3)
+    assert _log_oracle(plethystic_exp(g)) == g
 
 
 def test_plethystic_exp_rejects_constant_term() -> None:
     with pytest.raises(NonzeroConstantTerm):
         plethystic_exp((one + x).truncate(["x"], 3))
-
-
-def test_plethystic_log_needs_constant_one() -> None:
-    with pytest.raises(NonzeroConstantTerm):
-        plethystic_log((x + 2 * one).truncate(["x"], 3))
 
 
 def test_plethystic_exp_refuses_a_term_below_degree_zero() -> None:
@@ -1256,11 +1278,6 @@ def test_plethystic_exp_refuses_a_term_below_degree_zero() -> None:
         plethystic_exp(x.monomial_inverse().truncate(["x"], 3))
     with pytest.raises(NonExpandable):
         plethystic_exp((x * x).truncate(["x"], 3, -1))
-
-
-def test_plethystic_log_refuses_a_term_below_degree_zero() -> None:
-    with pytest.raises(NonExpandable):
-        plethystic_log((one + x.monomial_inverse()).truncate(["x"], 3))
 
 
 # -- specialization at kappa = 1 -----------------------------------------------
@@ -1314,11 +1331,6 @@ def test_subs_monomial_scales_half_powers() -> None:
     zhalf = L.monomial(1, {"z": Fraction(1, 2), "t": 1})
     shifted = zhalf.subs_monomial("z", w * z)
     assert shifted == L.monomial(1, {"z": Fraction(1, 2), "w": Fraction(1, 2), "t": 1})
-
-
-def test_negate_var_roundtrip() -> None:
-    f = z**2 + 3 * L.monomial(1, {"z": -1, "t": 2})
-    assert f.negate_var("z").negate_var("z") == f
 
 
 # -- exact division --------------------------------------------------------------

@@ -463,6 +463,35 @@ class TestInvertSemistable:
                 invert_semistable(pair, fr_case, tau, qt, max_parts=max_parts)
 
 
+# Two generators, crossed from slope x/(x+y) to y/(x+y).
+BEFORE = StabilityData(lambda c: (F(c[0], c[0] + c[1]),), name="before")
+AFTER = StabilityData(lambda c: (F(c[1], c[0] + c[1]),), name="after")
+
+
+def one_object_each(top):
+    """ε(k,0) = ε(0,k) = 1/k² for k ≤ ``top``: one stable object on each
+    generator, as rational invariants, and no other entry."""
+    return InvariantTable(
+        {cls: L.const(F(1, k * k)) for k in range(1, top + 1) for cls in ((k, 0), (0, k))},
+        monoid=MONOID,
+        zero_missing=True,
+    )
+
+
+def omega_from_epsilon(classes, epsilon):
+    """Ω′ on ``classes``, read from ε′(γ) = Σ_{k|γ} Ω′(γ/k)/k² with ε′ the
+    constant ``epsilon(γ)``; every divisor of a class must be among them."""
+    omega = {}
+    for cls in sorted(classes, key=sum):
+        g = math.gcd(*cls)
+        multiples = sum(
+            (omega[cls[0] // k, cls[1] // k] / (k * k) for k in range(2, g + 1) if g % k == 0),
+            F(0),
+        )
+        omega[cls] = epsilon(cls).as_fraction() - multiples
+    return omega
+
+
 class TestVwWcf:
     def test_no_wall_means_no_change(self):
         tau = linear_stability([1, 2], [1, 1])
@@ -488,6 +517,9 @@ class TestVwWcf:
         assert vw_wcf(
             (1, 1), tau, taup, table, CHI, o_table=lambda cls: 1
         ) == table.value((1, 1))
+        # Without the counts the splitting (1,0) + (0,1) is summed too.
+        chi = [[0, 1], [-1, 0]]
+        assert str(vw_wcf((1, 1), tau, taup, table, chi)) == "v01*v10 + v11"
 
     def test_negative_o_counts_are_refused(self):
         tau = linear_stability([1, 0], [1, 1])
@@ -503,15 +535,6 @@ class TestVwWcf:
         got = vw_wcf((1, 1), tau, taup, table, CHI, o_table=counts)
         assert got == vw_wcf((1, 1), tau, taup, table, CHI)
 
-    def test_o_alpha_needs_o_table(self):
-        tau = linear_stability([1, 0], [1, 1])
-        taup = linear_stability([0, 1], [1, 1])
-        table = symbol_table(MONOID.effective_upto(2), monoid=MONOID)
-        chi = [[0, 1], [-1, 0]]
-        with pytest.raises(ValueError, match="o_alpha needs o_table"):
-            vw_wcf((1, 1), tau, taup, table, chi, o_alpha=5)
-        assert str(vw_wcf((1, 1), tau, taup, table, chi)) == "v01*v10 + v11"
-
     def test_o_counts_follow_the_integer_rule(self):
         tau = linear_stability([1, 0], [1, 1])
         taup = linear_stability([0, 1], [1, 1])
@@ -521,11 +544,11 @@ class TestVwWcf:
             with pytest.raises(ValueError, match="expected an integer"):
                 vw_wcf((1, 1), tau, taup, table, CHI, o_table=o_table)
         counts = {(1, 0): 1, (0, 1): 0, (1, 1): 1}
-        for o_alpha in (1.5, True):
+        for bad in (1.5, True):
             with pytest.raises(ValueError, match="expected an integer"):
-                vw_wcf((1, 1), tau, taup, table, CHI, o_table=counts, o_alpha=o_alpha)
+                vw_wcf((1, 1), tau, taup, table, CHI, o_table={**counts, (1, 1): bad})
         assert vw_wcf(
-            (1, 1), tau, taup, table, CHI, o_table=counts, o_alpha=F(1)
+            (1, 1), tau, taup, table, CHI, o_table={**counts, (1, 1): F(1)}
         ) == vw_wcf((1, 1), tau, taup, table, CHI, o_table=counts)
 
     @pytest.mark.parametrize(
@@ -554,31 +577,56 @@ class TestVwWcf:
         numerical DT invariants Ω′ on every class of mass ≤ 6, read from
         ε′(γ) = Σ_{k|γ} Ω′(γ/k)/k²: the pentagon identity at m = 1, the
         Kronecker values at m = 2, and the known m = 3 values."""
-        before = StabilityData(lambda c: (F(c[0], c[0] + c[1]),), name="before")
-        after = StabilityData(lambda c: (F(c[1], c[0] + c[1]),), name="after")
-        table = InvariantTable(
-            {
-                cls: L.const(F(1, k * k))
-                for k in range(1, 7)
-                for cls in ((k, 0), (0, k))
-            },
-            monoid=MONOID,
-            zero_missing=True,
-        )
+        table = one_object_each(6)
         chi = [[0, m], [-m, 0]]
-        omega = {}
-        classes = sorted(
-            ((a, b) for a in range(7) for b in range(7) if 0 < a + b <= 6), key=sum
+        classes = [(a, b) for a in range(7) for b in range(7) if 0 < a + b <= 6]
+        backend = QuantumTorusBackend(chi, qint=unrefined_integer)
+        routes = {
+            "vw_wcf": lambda cls: vw_wcf(
+                cls, BEFORE, AFTER, table, chi, qint=unrefined_integer
+            ),
+            "wcf_rhs": lambda cls: wcf_rhs(cls, BEFORE, AFTER, table, backend).value,
+        }
+        for name, route in routes.items():
+            omega = omega_from_epsilon(classes, route)
+            assert {cls: v for cls, v in omega.items() if v} == expected, name
+
+    def test_three_kronecker_diagonal_is_the_ray_function(self):
+        """The m = 3 diagonal: Ω′(k,k) for k ≤ 5 is 3, −6, 18, −84, 465, and
+        Π_k (1 − (−z)^k)^(3k·Ω′(k,k)) equals (Σ_k C(4k,k)/(3k+1)·z^k)⁹ through
+        z⁵, Gross–Pandharipande's ray function for ℓ₁ = ℓ₂ = 3 (arXiv
+        0909.5153)."""
+        top = 5
+        table = one_object_each(2 * top)
+        chi = [[0, 3], [-3, 0]]
+        omega = omega_from_epsilon(
+            [(k, k) for k in range(1, top + 1)],
+            lambda cls: vw_wcf(
+                cls, BEFORE, AFTER, table, chi, qint=unrefined_integer, max_parts=2 * top
+            ),
         )
-        for cls in classes:
-            eps = vw_wcf(cls, before, after, table, chi, qint=unrefined_integer)
-            g = math.gcd(*cls)
-            multiples = sum(
-                (omega[cls[0] // k, cls[1] // k] / (k * k) for k in range(2, g + 1) if g % k == 0),
-                F(0),
-            )
-            omega[cls] = eps.as_fraction() - multiples
-        assert {cls: v for cls, v in omega.items() if v} == expected
+        assert [omega[k, k] for k in range(1, top + 1)] == [3, -6, 18, -84, 465]
+
+        def times(f, g):
+            out = [F(0)] * (top + 1)
+            for i, x in enumerate(f):
+                for j, y in enumerate(g[: top + 1 - i]):
+                    out[i + j] += x * y
+            return out
+
+        product = [F(1)] + [F(0)] * top
+        for k in range(1, top + 1):
+            # (1 − (−z)^k)^e = Σ_j C(e, j)·(−(−1)^k)^j·z^(kj), e of either sign.
+            e, factor, c = 3 * k * omega[k, k], [F(0)] * (top + 1), F(1)
+            for j in range(top // k + 1):
+                factor[k * j] = c * (-((-1) ** k)) ** j
+                c = c * (e - j) / (j + 1)
+            product = times(product, factor)
+        ray = [F(math.comb(4 * k, k), 3 * k + 1) for k in range(top + 1)]
+        power = [F(1)] + [F(0)] * top
+        for _ in range(9):
+            power = times(power, ray)
+        assert product == power
 
     def test_matches_bracket_route(self):
         rng = random.Random(13)
@@ -808,13 +856,13 @@ def test_vw_wcf_equals_splitting_sum_hypothesis():
     def check(case):
         monoid, (tau, taup), chi, alpha, seed = case
         table = crossing_table(monoid, 4)
-        o = crossing_counts(monoid, 4, seed)
+        # α's own count is drawn in 0..3 apart from the other classes'.
+        o = {**crossing_counts(monoid, 4, seed), alpha: random.Random(seed).randint(0, 3)}
         terms = u_terms(alpha, tau, taup, monoid)
-        o_alpha = random.Random(seed).randint(0, 3)
-        keep = reduced_splittings(terms, o, o_alpha)
+        keep = reduced_splittings(terms, o, o[alpha])
         assert vw_wcf(alpha, tau, taup, table, chi) == splitting_sum(terms, table, chi)
         assert vw_wcf(
-            alpha, tau, taup, table, chi, o_table=o, o_alpha=o_alpha
+            alpha, tau, taup, table, chi, o_table=o
         ) == splitting_sum(terms, table, chi, keep=keep)
         assert vw_wcf(
             alpha, tau, taup, table, chi, qint=unrefined_integer
@@ -829,7 +877,7 @@ def test_vw_wcf_equals_splitting_sum_hypothesis():
 # -- the Laurent-element peel oracle of vw_wcf ------------------------------------
 
 
-def laurent_peel(alpha, tau, taup, table, chi, *, qint=None, o_table=None, o_alpha=None):
+def laurent_peel(alpha, tau, taup, table, chi, *, qint=None, o_table=None):
     """ε′(α) by the peel over Laurent elements: ``refactor`` with
     ``operator.mul`` and ``laurent_sum`` on the entries ε(γ)·m!·D^(m−1)
     (times o^count(γ) for the reduced sum), then ``exact_laurent_div`` by
@@ -848,7 +896,6 @@ def laurent_peel(alpha, tau, taup, table, chi, *, qint=None, o_table=None, o_alp
     grade = None
     if o_table is not None:
         count = class_lookup(o_table, ValueError, "o count")
-        o_alpha = count(alpha) if o_alpha is None else o_alpha
         grade = fresh_name("o", entries.values())
     mass = sum(alpha)
     half = L.monomial(1, {kappa: F(1, 2)})
@@ -872,7 +919,7 @@ def laurent_peel(alpha, tau, taup, table, chi, *, qint=None, o_table=None, o_alp
         mul=operator.mul, scale=operator.mul, total=laurent_sum,
     )[alpha]
     if grade is not None:
-        out = out.coeff_of(grade, o_alpha)
+        out = out.coeff_of(grade, count(alpha))
     if mass > 1:
         out = exact_laurent_div(out, scale[mass], kappa)
     if qint is not None:
@@ -917,11 +964,13 @@ def same_order_pair(a, b):
     return linear_stability(a, b), linear_stability([2 * x + y for x, y in zip(a, b)], b)
 
 
-def assert_packed_peel_matches(alpha, tau, taup, table, chi, o, o_alpha):
+def assert_packed_peel_matches(alpha, tau, taup, table, chi, o, own_count):
+    """The packed peel equals ``laurent_peel`` plain, with the o counts
+    ``o``, with α's own count set to ``own_count`` in them, and unrefined."""
     for kwargs in (
         {},
         {"o_table": o},
-        {"o_table": o, "o_alpha": o_alpha},
+        {"o_table": {**o, alpha: own_count}},
         {"qint": unrefined_integer},
         {"qint": unrefined_integer, "o_table": o},
     ):
