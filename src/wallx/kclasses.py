@@ -20,6 +20,7 @@ root may be called ``z`` or ``u``.  It reaches no output except
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -82,10 +83,6 @@ class VirtualClass:
 
     def __setattr__(self, name, value):
         raise AttributeError("VirtualClass is immutable")
-
-    @classmethod
-    def line(cls, weight) -> "VirtualClass":
-        return cls([(weight, 1)])
 
     @property
     def rank(self) -> int:
@@ -169,11 +166,14 @@ def _product(factors) -> LaurentElement:
 
 
 def _signed_product(pairs: list):
-    """∏ factor**sign over (factor, sign) pairs: a Laurent element when no
-    sign is -1, else an exact rational."""
+    """∏ factor**sign over (factor, sign) pairs: a Laurent element when the
+    factors of sign -1 multiply to 1, else an exact rational keeping them
+    as its denominator factors; every quotient of this module forms here."""
     num = _product(f for f, s in pairs if s == 1)
-    den = _product(f for f, s in pairs if s != 1)
-    return num if den == ONE else as_rational(num) / den
+    den = [f for f, s in pairs if s != 1]
+    if all(f.is_monomial() for f in den) and _product(den) == ONE:
+        return num
+    return functools.reduce(lambda quotient, f: quotient / f, den, as_rational(num))
 
 
 def chern_character(E: VirtualClass, p: int) -> LaurentElement:
@@ -202,8 +202,8 @@ def _half_power(mono: LaurentElement, numer: int) -> LaurentElement:
 
 def _ehat_factor(zel: LaurentElement, w: LaurentElement) -> LaurentElement:
     """Symmetrized wedge factor (z·w)**(-1/2) - (z·w)**(1/2)."""
-    mono = zel * w
-    return _half_power(mono, -1) - _half_power(mono, 1)
+    root_inverse = _half_power(zel * w, -1)
+    return root_inverse - root_inverse.monomial_inverse()
 
 
 def wedge(E: VirtualClass, z="z"):
@@ -329,9 +329,8 @@ def rigidity_residue_coh(V: VirtualClass) -> LaurentElement:
     var = fresh_name("u", ws)
     u = LaurentElement.gen(var)
     h = LaurentElement.gen("hbar")
-    num = _product(-(u + h + w) for w in ws)
-    den = _product(u + w for w in ws)
-    return residue_coh(as_rational(num) / den, var=var)
+    ratio = _signed_product([(-(u + h + w), 1) for w in ws] + [(u + w, -1) for w in ws])
+    return residue_coh(ratio, var=var)
 
 
 # -- projective-bundle pushforwards ----------------------------------------------
@@ -364,8 +363,8 @@ def projective_pushforward_K(f, V: VirtualClass):
     _require_honest(V, "K", "projective_pushforward_K")
     fz, var = _substituted(f, V, "s", "z")
     zel = LaurentElement.gen(var)
-    den = _product(ONE - (zel * w).monomial_inverse() for w in V.weights())
-    return residue_K(as_rational(fz) / den, var=var)
+    den = [(ONE - (zel * w).monomial_inverse(), -1) for w in V.weights()]
+    return residue_K(_signed_product([(fz, 1), *den]), var=var)
 
 
 def pushforward_closed_K(k: int, V: VirtualClass) -> LaurentElement:
@@ -403,8 +402,8 @@ def projective_pushforward_coh(f, V: VirtualClass):
     _require_honest(V, "coh", "projective_pushforward_coh")
     fu, var = _substituted(f, V, "h", "u")
     u = LaurentElement.gen(var)
-    den = _product(u + w for w in V.weights())
-    return residue_coh(as_rational(fu) / den, var=var)
+    den = [(u + w, -1) for w in V.weights()]
+    return residue_coh(_signed_product([(fu, 1), *den]), var=var)
 
 
 def segre_class(V: VirtualClass, j: int) -> LaurentElement:

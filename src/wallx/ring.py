@@ -495,7 +495,7 @@ class LaurentElement:
             raise NonExpandable("series constant term is not an invertible monomial")
         t = self.trunc
         lead_name = "series constant term"
-        pieces = _series_div(ONE.terms, self.terms, t.names, t.sign, t.order2, lead_name)
+        pieces = _series_div(ONE.terms, [self.terms], t.names, t.sign, t.order2, lead_name)
         return _trusted(_ungraded(pieces, t.names, t.sign), t)
 
     def rename(self, names: Mapping[str, str]) -> "LaurentElement":
@@ -709,61 +709,76 @@ def _ungraded(
 
 def _series_div(
     num: dict[Mono, Scalar],
-    den: dict[Mono, Scalar],
+    dens: list[dict[Mono, Scalar]],
     names: frozenset[str],
     sign: int,
     top: int,
     lead_name: str,
 ) -> dict[int, dict[Mono, Scalar]]:
-    """The pieces of graded degree <= ``top`` of the series num/den, keyed
-    by degree and stored as ``_graded`` stores them.
+    """The pieces of graded degree <= ``top`` of the series num/∏dens,
+    keyed by degree and stored as ``_graded`` stores them.
 
-    ``num`` (nonzero) and ``den`` are canonical terms, and the grading is
-    ``sign`` times the total doubled degree in ``names``.  The lowest graded
-    piece d of ``den`` must be a single monomial (NonExpandable otherwise,
-    naming it ``lead_name``).  With h_e the degree-e piece of den/d - 1, the
-    quotient's degree-n piece is q_n = p_n - Σ_e h_e·q_{n-e}, where p_n is
-    the degree-n piece of num/d: each piece is computed once (power-series
-    division, Knuth TAOCP vol. 2, §4.7) as a plain dict product, and every
-    term is exact.  A residue reads one piece; ``expand`` and
-    ``invert_series`` put the variable back through ``_ungraded``.
+    ``num`` (nonzero) and each den are canonical terms, graded by ``sign``
+    times the total doubled degree in ``names``.  Every den's lowest piece d
+    must be a single monomial (NonExpandable otherwise, naming it
+    ``lead_name``); all are checked first.  num is multiplied by every 1/d,
+    then divided by one den/d at a time, each quotient's pieces feeding the
+    next division, which reads them up to ``top`` plus the lows of the dens
+    after it.  With h_e the degree-e piece of 1 - den/d, q_n = p_n +
+    Σ_e h_e·q_{n-e}: each piece once (power-series division, Knuth TAOCP
+    vol. 2, §4.7), as a plain dict product, every term exact.  A residue
+    reads one piece; ``expand`` and ``invert_series`` put the variable back
+    through ``_ungraded``.
     """
-    den_pieces = _graded(den, names, sign)
-    low = min(den_pieces)
-    lead = den_pieces.pop(low)
-    if len(lead) != 1:
-        raise NonExpandable(f"{lead_name} is not a single monomial")
-    ((lead_m, lead_c),) = lead.items()
-    inv = _mono_pow(lead_m, -1)
-    # A unit coefficient is its own inverse and keeps every product an int.
-    cinv = lead_c if lead_c in (1, -1) else Fraction(1, lead_c)
-    steps = [
-        (e - low, [(_mono_mul(m, inv), _coef(-c * cinv)) for m, c in piece.items()])
-        for e, piece in sorted(den_pieces.items())
-    ]
-    quot = {
-        e - low: {_mono_mul(m, inv): _coef(c * cinv) for m, c in piece.items()}
+    divisors = []
+    shift: Mono = ()
+    scale: Scalar = 1
+    for den in dens:
+        den_pieces = _graded(den, names, sign)
+        low = min(den_pieces)
+        lead = den_pieces.pop(low)
+        if len(lead) != 1:
+            raise NonExpandable(f"{lead_name} is not a single monomial")
+        ((lead_m, lead_c),) = lead.items()
+        inv = _mono_pow(lead_m, -1)
+        # A unit coefficient is its own inverse and keeps every product an int.
+        cinv = lead_c if lead_c in (1, -1) else Fraction(1, lead_c)
+        shift, scale = _mono_mul(shift, inv), scale * cinv
+        steps = [
+            (e - low, [(_mono_mul(m, inv), _coef(-c * cinv)) for m, c in piece.items()])
+            for e, piece in sorted(den_pieces.items())
+        ]
+        divisors.append((low, steps))
+    pieces = {
+        e: {_mono_mul(m, shift): _coef(c * scale) for m, c in piece.items()}
         for e, piece in _graded(num, names, sign).items()
     }
-    # quot starts as the pieces p_n and takes each q_n in place, in rising n.
-    for n in range(min(quot), top + 1):
-        piece = quot.pop(n, {})
-        get = piece.get
-        for e, step in steps:
-            prev = quot.get(n - e)
-            if prev is None:
-                continue
-            for m1, c1 in step:
-                for m2, c2 in prev.items():
-                    m = _mono_mul(m1, m2)
-                    total = get(m, 0) + c1 * c2
-                    if total:
-                        piece[m] = total
-                    else:
-                        del piece[m]
-        if piece:
-            quot[n] = _canonical(piece)
-    return {n: piece for n, piece in quot.items() if n <= top}
+    cap = top + sum(low for low, _ in divisors)
+    for low, steps in divisors:
+        cap -= low
+        quot = {e - low: piece for e, piece in pieces.items() if e - low <= cap}
+        if not quot:
+            return quot
+        # quot starts as the pieces p_n and takes each q_n in place, in rising n.
+        for n in range(min(quot), cap + 1):
+            piece = quot.pop(n, {})
+            get = piece.get
+            for e, step in steps:
+                prev = quot.get(n - e)
+                if prev is None:
+                    continue
+                for m1, c1 in step:
+                    for m2, c2 in prev.items():
+                        m = _mono_mul(m1, m2)
+                        total = get(m, 0) + c1 * c2
+                        if total:
+                            piece[m] = total
+                        else:
+                            del piece[m]
+            if piece:
+                quot[n] = _canonical(piece)
+        pieces = quot
+    return {n: piece for n, piece in pieces.items() if n <= top}
 
 
 ONE = LaurentElement.const(1)
@@ -788,49 +803,73 @@ def _mono_content(el: LaurentElement) -> Mono:
     return _mono((v, e if seen[v] == n else min(e, 0)) for v, e in low.items())
 
 
-class RationalElement:
-    """Quotient of two untruncated Laurent elements.
+def _quotient(num: LaurentElement, factors, q=None) -> "RationalElement":
+    """num/∏factors, built in ``q`` if given; a single-term factor folds into num."""
+    q = object.__new__(RationalElement) if q is None else q
+    kept = []
+    for den in factors:
+        if len(den.terms) > 1:
+            kept.append(den)
+        elif den.terms:
+            num = num * den.monomial_inverse()
+        else:
+            raise ZeroDivisionError("zero denominator")
+    object.__setattr__(q, "_num", num)
+    object.__setattr__(q, "_factors", tuple(kept))
+    object.__setattr__(q, "_normal", None if kept else (num, ONE))
+    return q
 
-    The denominator is normalized to have trivial monomial content, and a
-    single-term denominator is folded into the numerator, so ``den == 1``
-    exactly when the denominator was a single term.  No common factor is
-    cancelled: ``RationalElement(1 - t, t - 1)`` equals -1 but prints as
-    ``(1 - t) / (-1 + t)``, and its ``is_laurent()`` is False.  A rational
-    element is meant to carry one quotient on its way to a residue or an
-    expansion, not to chain field operations.
+
+class RationalElement:
+    """Quotient of an untruncated Laurent numerator by untruncated factors.
+
+    The denominator is kept as the factors it was built from (one for
+    ``RationalElement(num, den)``; ``*``, ``/`` and ``**`` concatenate or
+    repeat them), a single-term factor folds into the numerator, and
+    ``expand`` and the residues divide by one factor at a time.  ``num`` and
+    ``den`` are built when first read: ``den`` is the product of the
+    factors, its monomial content (the product of theirs) moved into
+    ``num``, so ``den == 1`` exactly when every factor was a single term.
+    No common factor is cancelled: ``RationalElement(1 - t, t - 1)`` equals
+    -1 but prints as ``(1 - t) / (-1 + t)``, and its ``is_laurent()`` is
+    False.  A rational element is meant to carry one quotient on its way to
+    a residue or an expansion, not to chain field operations.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_num", "_factors", "_normal")
 
     def __init__(self, num, den=None) -> None:
         num = as_element(num)
         den = ONE if den is None else as_element(den)
         if num.trunc is not None or den.trunc is not None:
             raise NonRational("truncated series cannot form a rational element")
-        if den.terms != ONE.terms:
-            if not den.terms:
-                raise ZeroDivisionError("zero denominator")
-            content = _mono_content(den)
-            if content:
-                shrink = _trusted({_mono_pow(content, -1): 1})
-                num = num * shrink
-                den = den * shrink
-            if den.is_monomial():
-                num = num * den.monomial_inverse()
-                den = ONE
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _quotient(num, () if den.terms == ONE.terms else (den,), self)
 
     def __setattr__(self, name: str, value) -> None:  # pragma: no cover
         raise AttributeError("RationalElement is immutable")
 
+    def _normalized(self) -> tuple[LaurentElement, LaurentElement]:
+        if self._normal is None:
+            num, den = self._num, ONE
+            for factor in self._factors:
+                den = den * factor
+            content = _mono_content(den)
+            if content:
+                shrink = _trusted({_mono_pow(content, -1): 1})
+                num, den = num * shrink, den * shrink
+            object.__setattr__(self, "_normal", (num, den))
+        return self._normal
+
+    num = property(lambda self: self._normalized()[0])
+    den = property(lambda self: self._normalized()[1])
+
     # -- queries -----------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self._num)
 
     def is_laurent(self) -> bool:
-        return self.den == ONE
+        return not self._factors
 
     def maybe_laurent(self) -> "LaurentElement | RationalElement":
         return self.num if self.is_laurent() else self
@@ -848,7 +887,7 @@ class RationalElement:
     __radd__ = __add__
 
     def __neg__(self) -> "RationalElement":
-        return RationalElement(-self.num, self.den)
+        return _quotient(-self._num, self._factors)
 
     def __sub__(self, other) -> "RationalElement":
         return self + (-as_rational(other))
@@ -858,15 +897,16 @@ class RationalElement:
 
     def __mul__(self, other) -> "RationalElement":
         other = as_rational(other)
-        return RationalElement(self.num * other.num, self.den * other.den)
+        return _quotient(self._num * other._num, self._factors + other._factors)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RationalElement":
         other = as_rational(other)
-        if not other.num.terms:
+        if not other._num.terms:
             raise ZeroDivisionError("division by zero rational element")
-        return RationalElement(self.num * other.den, self.den * other.num)
+        num = self._num if other.is_laurent() else self._num * other.den
+        return _quotient(num, self._factors + (other.num,))
 
     def __rtruediv__(self, other) -> "RationalElement":
         return as_rational(other) / self
@@ -874,7 +914,7 @@ class RationalElement:
     def __pow__(self, k: int) -> "RationalElement":
         if k < 0:
             return (RationalElement(self.den, self.num)) ** (-k)
-        return RationalElement(self.num**k, self.den**k)
+        return _quotient(self._num**k, self._factors * k)
 
     def __eq__(self, other) -> bool:
         try:
@@ -924,10 +964,11 @@ def _expansion(f: RationalElement, var: str, order2: int, sign: int) -> dict:
     """The ``_series_div`` pieces of ``f`` around ``var = 0`` (``sign`` 1) or
     infinity (``sign`` -1), up to graded degree order2: keyed by ``sign``
     times the doubled degree in ``var``, with ``var`` dropped."""
-    if not f.num.terms:
+    if not f._num.terms:
         return {}
     lead_name = f"denominator constant term in {var!r}"
-    return _series_div(f.num.terms, f.den.terms, frozenset({var}), sign, order2, lead_name)
+    dens = [den.terms for den in f._factors]
+    return _series_div(f._num.terms, dens, frozenset({var}), sign, order2, lead_name)
 
 
 def expand(f: Element, point: str, order: int, *, var: str = "z") -> LaurentElement:
@@ -976,7 +1017,7 @@ def expand_general(
     lam = fresh_name("lambda", (num, den, LaurentElement.gen(var)))
     den_pieces[low] = {((lam, 2),): 1}
     stand_in = _ungraded(den_pieces, names, sign)
-    pieces = _series_div(num.terms, stand_in, names, sign, 2 * order, lam)
+    pieces = _series_div(num.terms, [stand_in], names, sign, 2 * order, lam)
     out: dict[Fraction, RationalElement] = {}
     for n, piece in pieces.items():
         by_power: dict[int, dict[Mono, Scalar]] = {}
@@ -1080,7 +1121,7 @@ def exact_laurent_div(
     floor = num._val2(var) - low
     # At infinity a piece's graded degree is minus its doubled exponent.
     lead_name = "divisor leading coefficient"
-    pieces = _series_div(num.terms, den.terms, names, -1, span - floor, lead_name)
+    pieces = _series_div(num.terms, [den.terms], names, -1, span - floor, lead_name)
     if max(pieces) > -floor:
         raise NonExpandable("division is not exact")
     return _trusted(_ungraded(pieces, names, -1))

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is used, no
 module reaches into a sibling's private names, every private module-level
-name is read by its own module, every public function, class and method
-is named somewhere outside its own definition, only ``ring`` and its own
+name is read by its own module, every public function and class is named
+somewhere outside its own definition and every public method is read as an
+attribute there (or named in a README code span), only ``ring`` and its own
 tests know how a Laurent element stores its terms, and nothing outside the
 standard library is imported, and every dotted reference the README and
 the docstrings make into a module of the package names something that
@@ -151,18 +152,19 @@ def test_scan_sees_an_unread_private_name() -> None:
     assert _unread_private_names(tree) == ["_LIMIT (line 2)", "_walk (line 6)"]
 
 
-def _public_definitions(tree: ast.Module) -> list[ast.stmt]:
+def _public_definitions(tree: ast.Module) -> list[tuple[ast.stmt, bool]]:
     """Module-level public functions and classes, and the public methods of
-    module-level classes; dunders are not public here."""
+    module-level classes, each with whether it is a method; dunders are not
+    public here."""
     out = []
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         if not node.name.startswith("_"):
-            out.append(node)
+            out.append((node, False))
         if isinstance(node, ast.ClassDef):
             out += [
-                item
+                (item, True)
                 for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not item.name.startswith("_")
@@ -170,19 +172,40 @@ def _public_definitions(tree: ast.Module) -> list[ast.stmt]:
     return out
 
 
+# A Markdown code span: `as_fraction()`, `LaurentElement.monomials()`.
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+
+
+def _attribute_names(node: ast.AST) -> list[str]:
+    return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)]
+
+
 def _unreferenced_public_names(package: dict, others: dict) -> list[str]:
     """Public definitions of the ``package`` sources (file name -> text)
-    whose name occurs, as an identifier anywhere in the text of ``package``
-    and ``others``, only inside its own definition."""
-    counts = Counter()
-    for text in (*package.values(), *others.values()):
-        counts.update(_IDENTIFIER.findall(text))
+    that nothing references outside their own definition.  A function or a
+    class is referenced where its name occurs as an identifier in the text
+    of ``package`` or ``others``.  A method is referenced only where Python
+    source of either reads it as an attribute (``.name``), or where a code
+    span of a Markdown text (a name ending in ``.md``) names it: a method
+    named with a common word is not kept by that word alone."""
+    identifiers, attributes = Counter(), Counter()
+    for name, text in (*package.items(), *others.items()):
+        identifiers.update(_IDENTIFIER.findall(text))
+        if name.endswith(".md"):
+            for span in _CODE_SPAN.findall(text):
+                attributes.update(_IDENTIFIER.findall(span))
+        else:
+            attributes.update(_attribute_names(ast.parse(text, filename=name)))
     out = []
     for name, text in sorted(package.items()):
         lines = text.splitlines()
-        for node in _public_definitions(ast.parse(text, filename=name)):
-            own = "\n".join(lines[node.lineno - 1 : node.end_lineno])
-            if counts[node.name] == _IDENTIFIER.findall(own).count(node.name):
+        for node, method in _public_definitions(ast.parse(text, filename=name)):
+            if method:
+                reads, own = attributes, _attribute_names(node)
+            else:
+                reads = identifiers
+                own = _IDENTIFIER.findall("\n".join(lines[node.lineno - 1 : node.end_lineno]))
+            if reads[node.name] == own.count(node.name):
                 out.append(f"{name}: {node.name} (line {node.lineno})")
     return out
 
@@ -207,6 +230,10 @@ def test_scan_sees_an_unreferenced_public_name() -> None:
             "        return self.width()\n"
             "    def height(self):\n"
             "        return 1\n"
+            "    def size(self):\n"
+            "        return 2\n"
+            "    def depth(self):\n"
+            "        return 3\n"
             "    def __len__(self):\n"
             "        return 0\n"
             "def area(box):\n"
@@ -218,10 +245,17 @@ def test_scan_sees_an_unreferenced_public_name() -> None:
             "    return volume(box)\n"
         ),
     }
-    others = {"test_shapes.py": "from shapes import Box, area\n"}
+    # ``size`` and ``depth`` occur as plain words, which keep no method;
+    # the README's code span keeps ``depth``.
+    others = {
+        "test_shapes.py": "from shapes import Box, area\n",
+        "tools.py": "def fit(size, depth):\n    return size < depth\n",
+        "README.md": "A box's size is `Box.depth()` deep.\n",
+    }
     assert _unreferenced_public_names(package, others) == [
         "shapes.py: width (line 2)",
-        "shapes.py: volume (line 13)",
+        "shapes.py: size (line 6)",
+        "shapes.py: volume (line 17)",
     ]
 
 

@@ -150,7 +150,7 @@ def test_chern_character_from_roots() -> None:
 
 
 def test_wedge_single_trivial_root() -> None:
-    assert wedge(VirtualClass.line(1)) == one - z
+    assert wedge(VirtualClass([1])) == one - z
 
 
 def test_wedge_rejects_additive_mode() -> None:
@@ -171,7 +171,7 @@ def test_wedge_symmetry_identity() -> None:
 
 def test_symmetrized_wedge_single_root() -> None:
     t1 = L.gen("t1")
-    assert symmetrized_wedge(VirtualClass.line(t1)) == _half(z * t1, -1) - _half(
+    assert symmetrized_wedge(VirtualClass([t1])) == _half(z * t1, -1) - _half(
         z * t1, 1
     )
 
@@ -231,7 +231,7 @@ def test_wedge_of_a_virtual_class_at_an_element() -> None:
 
 def test_euler_single_root_expansion() -> None:
     t1 = L.gen("t1")
-    got = euler(VirtualClass.line(t1))
+    got = euler(VirtualClass([t1]))
     assert got == one - (z * t1).monomial_inverse()
 
 
@@ -267,7 +267,7 @@ def test_euler_at_one_rejects_trivial_weight() -> None:
     E = VirtualClass([L.gen("t1"), one])
     with pytest.raises(TrivialWeightAtOne):
         euler(E, z=None)
-    assert euler(VirtualClass.line(L.gen("t1")), z=None) == one - L.gen(
+    assert euler(VirtualClass([L.gen("t1")]), z=None) == one - L.gen(
         "t1"
     ).monomial_inverse()
 
@@ -285,14 +285,33 @@ def test_theta_kappa_symmetric_pair_display() -> None:
     # For E_ab = [1/(kappa L)] and E_ba = -kappa^{-1} E_ab dual = -[L], the
     # kernel is ((z kappa L)^{-1/2} - (z kappa L)^{1/2}) / ((zL)^{1/2} - (zL)^{-1/2}).
     Lw = L.gen("Lw")
-    e_ab = VirtualClass.line(kap.monomial_inverse() * Lw.monomial_inverse())
-    e_ba = -VirtualClass.line(Lw)
+    e_ab = VirtualClass([kap.monomial_inverse() * Lw.monomial_inverse()])
+    e_ba = -VirtualClass([Lw])
     assert e_ba == -e_ab.dual().twist(kap.monomial_inverse())
     th = ThetaKernel(e_ab, e_ba)
     num = _half(z * kap * Lw, -1) - _half(z * kap * Lw, 1)
     den = _half(z * Lw, 1) - _half(z * Lw, -1)
     assert th.value == as_rational(num) / den
     assert th.residue() == khalf.monomial_inverse() - khalf
+
+
+def test_quotients_print_as_one_division_did() -> None:
+    """Quotients keep their denominator factors, yet print as they did
+    when they were divided out: these strings come from that version."""
+    t1, t2, t3, q = (L.gen(n) for n in ("t1", "t2", "t3", "q"))
+    E = VirtualClass([t1, (t2, -1), (t3 * q, -1)])
+    den = "(1 + q*t2*t3*z^2 - q*t3*z - t2*z)"
+    assert str(symmetrized_wedge(E)) == (
+        "(q^(1/2)*t1^(-1/2)*t2^(1/2)*t3^(1/2)*z^(1/2)"
+        " - q^(1/2)*t1^(1/2)*t2^(1/2)*t3^(1/2)*z^(3/2)) / " + den
+    )
+    assert str(euler(E)) == "(-q*t1^-1*t2*t3*z + q*t2*t3*z^2) / " + den
+    theta = ThetaKernel(VirtualClass([t1 * kap.monomial_inverse()]), -VirtualClass([t2, t3]))
+    assert str(theta.value) == (
+        "(-k^(-1/2)*t1^(1/2)*t2^(1/2)*t3^(1/2)*z^(1/2)"
+        " + k^(1/2)*t1^(-1/2)*t2^(1/2)*t3^(1/2)*z^(3/2))"
+        " / (1 + t2*t3*z^2 - t2*z - t3*z)"
+    )
 
 
 def test_theta_rejects_additive_mode() -> None:

@@ -886,6 +886,139 @@ def test_invert_series_refuses_a_term_below_its_constant_part(make) -> None:
         make()
 
 
+# -- factored quotients against one division by the expanded denominator -------
+
+
+def _single_division_oracle(f: RationalElement, point: str, order: int, var: str) -> L:
+    """``expand`` by one division by the expanded denominator ``f.den``, the
+    route ``ring`` took before a quotient kept its factors; it raises what
+    ``expand`` raises when the lowest piece of ``f.den`` is not a monomial."""
+    pieces = _graded_oracle(f.den, {var}, 1 if point == "zero" else -1)
+    if not pieces[min(pieces)].is_monomial():
+        raise NonExpandable(f"denominator constant term in {var!r} is not a single monomial")
+    return _expand_oracle(f, point, order, var)
+
+
+def _hypothesis_factored_quotients(hypothesis):
+    """num / (1-4 factors) in z, built with ``/`` one factor at a time: the
+    factors are binomials 1 - m with m of nonzero degree in z, linear forms
+    z + w and ê-factors M^-1 - M, with half-integer exponents and monomial
+    coefficients in k, t and x, so both points expand."""
+    st = hypothesis.strategies
+    half = st.integers(-3, 3).map(lambda n: Fraction(n, 2))
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    others = st.dictionaries(st.sampled_from("ktx"), half, max_size=3)
+    in_z = half.filter(bool)
+    factor = st.one_of(
+        st.builds(lambda c, e, z2: one - L.monomial(c, {**e, "z": z2}), coeffs, others, in_z),
+        st.builds(lambda c, e: z + L.monomial(c, e), coeffs, others),
+        st.builds(
+            lambda e, z2: L.monomial(1, {**e, "z": -z2}) - L.monomial(1, {**e, "z": z2}),
+            others,
+            in_z,
+        ),
+    )
+    term = st.builds(lambda c, e, z2: L.monomial(c, {**e, "z": z2}), coeffs, others, half)
+
+    @st.composite
+    def quotient(draw):
+        f = as_rational(laurent_sum(draw(st.lists(term, min_size=1, max_size=3))))
+        for den in draw(st.lists(factor, min_size=1, max_size=4)):
+            f = f / den
+        return f
+
+    return quotient()
+
+
+def test_factored_quotients_match_one_division_hypothesis() -> None:
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(_hypothesis_factored_quotients(hypothesis), st.integers(0, 3))
+    def check(f, order):
+        for point in ("zero", "infinity"):
+            got = expand(f, point, order)
+            _assert_canonical(got)
+            assert got == _single_division_oracle(f, point, order, "z")
+        for got, want in (
+            (residue_K(f), _residue_K_oracle(f, "z")),
+            (residue_coh(f, var="z"), _residue_coh_oracle(f, "z")),
+        ):
+            _assert_canonical(got)
+            assert got.trunc is None and got == want
+
+    check()
+
+
+def test_factored_quotient_refuses_as_one_division_does(monkeypatch) -> None:
+    """The last factor's lowest piece at zero is 1 + a: ``expand`` at zero
+    raises what one division raises, also where the numerator lies above
+    the order, and ``residue_K`` takes the ``expand_general`` fallback."""
+    a = L.gen("a")
+    f = as_rational(z**3) / (one - t * z) / (one + a + z)
+    for order in (0, 2, 4):
+        with pytest.raises(NonExpandable) as got:
+            expand(f, "zero", order)
+        with pytest.raises(NonExpandable) as want:
+            _single_division_oracle(f, "zero", order, "z")
+        assert str(got.value) == str(want.value)
+    assert expand(f, "infinity", 2) == _expand_oracle(f, "infinity", 2, "z")
+    assert residue_coh(f, var="z") == _residue_coh_oracle(f, "z")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return expand_general(*args, **kwargs)
+
+    monkeypatch.setattr(ring, "expand_general", counted)
+    t_inv = t.monomial_inverse()
+    assert residue_K(f) == a * t_inv + t_inv - t_inv * t_inv
+    assert calls
+
+
+def test_factored_quotient_with_the_numerator_above_the_order() -> None:
+    """z^4 over factors whose lowest degrees at zero are 0, 0 and -1/2: the
+    expansion at zero starts at z^(9/2)."""
+    ehat = L.monomial(1, {"z": Fraction(-1, 2), "t": Fraction(1, 2)}) - L.monomial(
+        1, {"z": Fraction(1, 2), "t": Fraction(-1, 2)}
+    )
+    f = as_rational(z**4) / (one - t * z) / (z + x) / ehat
+    for order in range(7):
+        got = expand(f, "zero", order)
+        assert got == _single_division_oracle(f, "zero", order, "z")
+        assert bool(got) == (order >= 5)
+    assert residue_K(f) == _residue_K_oracle(f, "z")
+    assert residue_coh(f, var="z") == _residue_coh_oracle(f, "z")
+
+
+def test_factored_quotient_with_a_zero_numerator() -> None:
+    f = as_rational(0) / (one - t * z) / (z + x)
+    assert not f and not f.is_laurent()
+    for point in ("zero", "infinity"):
+        assert expand(f, point, 2) == L.zero()
+    assert residue_K(f) == L.zero() and residue_coh(f, var="z") == L.zero()
+
+
+def test_rational_element_keeps_its_printed_form() -> None:
+    """``den`` is the expanded product of the factors, each with its
+    monomial content moved into ``num``; strings from the single-division
+    implementation."""
+    f = as_rational(one) / (z * t - z * z) / (one - x * z.monomial_inverse())
+    assert f.num == one and f.den == (t - z) * (z - x)
+    assert all(e == 0 for e in _content(f.den).values())
+    assert str(f) == "(1) / (-t*x + t*z + x*z - z^2)"
+    assert str(RationalElement(one - t, t - one)) == "(1 - t) / (-1 + t)"
+    a = RationalElement(one + z, one - t * z)
+    b = RationalElement(x, z + t)
+    c = RationalElement(one - x * z, one + x)
+    assert (a / b) / c == a / (b * c)
+    assert str((a / b) / c) == str(a / (b * c)) == (
+        "(t + t*x^-1 + t*x^-1*z + t*z + x^-1*z + x^-1*z^2 + z + z^2)"
+        " / (1 + t*x*z^2 - t*z - x*z)"
+    )
+
+
 # -- residues ------------------------------------------------------------------
 
 
