@@ -196,8 +196,7 @@ def _as_z(z) -> LaurentElement:
 
 def _half_power(mono: LaurentElement, numer: int) -> LaurentElement:
     """mono**(numer/2) for a coefficient-1 monomial."""
-    ((exps, _),) = _monomial_weight(mono).monomials()
-    return LaurentElement.monomial(1, {v: e * Fraction(numer, 2) for v, e in exps.items()})
+    return _monomial_weight(mono) ** Fraction(numer, 2)
 
 
 def _ehat_factor(zel: LaurentElement, w: LaurentElement) -> LaurentElement:
@@ -393,7 +392,7 @@ def projective_pushforward_symmetrized(f, V: VirtualClass) -> LaurentElement:
     kinv = LaurentElement.gen(KAPPA).monomial_inverse()
     kernel = _kernel(V.dual().twist(kinv), -V, LaurentElement.gen(var))
     res = residue_K(as_rational(fz) * kernel, var=var)
-    half = LaurentElement.monomial(1, {KAPPA: Fraction(1, 2)})
+    half = LaurentElement.gen(KAPPA) ** Fraction(1, 2)
     return exact_laurent_div(res, half.monomial_inverse() - half, KAPPA)
 
 
@@ -436,27 +435,28 @@ def _chern_data(E):
 def theta_series(E, order: int) -> LaurentElement:
     """The vertex-kernel coefficient series Σ θ_n·y**n, truncated at y**order.
 
-    Computed by generic series machinery: the series is
-    (-1)**rank·(1-hbar·y)**rank·exp(-Σ_j y**j·((1-hbar·y)**(-j) - 1)·(j-1)!·ch_j),
+    Computed by generic series machinery: with u = y/(1-hbar·y), the series is
+    (-1)**rank·(1-hbar·y)**rank·exp(-Σ_j (j-1)!·ch_j·(u**j - y**j)),
     with the binomial factor taken as a geometric-series inverse when the rank
-    is negative.
+    is negative.  ``order`` must be >= 0 (ValueError otherwise).
     """
+    if order < 0:
+        raise ValueError(f"theta series order must be >= 0, got {order}")
     rank, ch = _chern_data(E)
     one = ONE.truncate({"y"}, order)
     y = LaurentElement.gen("y") * one
-    h = LaurentElement.gen("hbar")
-    g = one - h * y
+    g = one - LaurentElement.gen("hbar") * y
     ginv = g.invert_series()
-    arg = 0 * one
-    power = ginv
-    for j in range(1, order + 1):
-        # power holds (1 - hbar·y)**(-j)
-        arg = arg - math.factorial(j - 1) * ch(j) * y**j * (power - one)
-        power = power * ginv
-    series = plethystic_exp(arg)
-    binom = one
-    for _ in range(abs(rank)):
-        binom = binom * (g if rank >= 0 else ginv)
+    u = y * ginv
+
+    def terms():
+        u_pow, y_pow = one, one
+        for j in range(1, order + 1):
+            u_pow, y_pow = u_pow * u, y_pow * y
+            yield -math.factorial(j - 1) * ch(j) * (u_pow - y_pow)
+
+    series = plethystic_exp(laurent_sum(terms(), one.trunc))
+    binom = g**rank if rank >= 0 else ginv ** (-rank)
     sign = 1 if rank % 2 == 0 else -1
     return sign * binom * series
 

@@ -23,7 +23,8 @@ its degree.  A residue reads one piece: degree 0 at both points, or
 ``var**-1`` at infinity.  The only other quotient is the packed ``div_d``,
 the exact division by a power of D at the end of the ``vw_wcf`` peel: a
 running sum on packed keys, where unpacking for the series division was
-measured slower.
+measured slower.  The series exponential ``plethystic_exp`` runs the same
+kind of graded recurrence, on the pieces of its input graded once.
 
 ``packed_algebra`` serves one computation over a fixed set of variables,
 the peel of ``wallcross.vw_wcf`` or a column of ``descendent.exp_minus_delta``:
@@ -424,7 +425,27 @@ class LaurentElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "LaurentElement":
+    def __pow__(self, k: int | Fraction) -> "LaurentElement":
+        """``self**k`` for an integer ``k`` (an ``int`` or an integral
+        ``Fraction``), or for any other ``Fraction`` when ``self`` is a
+        coefficient-1 monomial, computed on the doubled exponents
+        (ValueError for any other element, and when an exponent of the
+        result is not a half-integer)."""
+        if type(k) is Fraction and k.denominator != 1:
+            if len(self.terms) != 1:
+                raise ValueError("only a single-term element has a fractional power")
+            ((m, c),) = self.terms.items()
+            if c != 1:
+                raise ValueError("only a coefficient-1 monomial has a fractional power")
+            out = []
+            for v, e2 in m:
+                e = e2 * k
+                if e.denominator != 1:
+                    raise ValueError(f"exponent {Fraction(e, 2)} of {v} is not a half-integer")
+                out.append((v, e.numerator))
+            return _trusted(_kept({tuple(out): 1}, self.trunc), self.trunc)
+        if type(k) is Fraction:
+            k = k.numerator
         if not isinstance(k, int):
             raise TypeError("exponent must be an integer")
         if k < 0:
@@ -707,6 +728,23 @@ def _ungraded(
     return out
 
 
+def _add_products(
+    piece: dict[Mono, Scalar], step: list[tuple[Mono, Scalar]], prev: dict[Mono, Scalar]
+) -> None:
+    """Add every product of a term of ``step`` and a term of ``prev`` into
+    ``piece`` in place, dropping zero sums; the coefficients are left for
+    ``_canonical``."""
+    get = piece.get
+    for m1, c1 in step:
+        for m2, c2 in prev.items():
+            m = _mono_mul(m1, m2)
+            total = get(m, 0) + c1 * c2
+            if total:
+                piece[m] = total
+            else:
+                del piece[m]
+
+
 def _series_div(
     num: dict[Mono, Scalar],
     dens: list[dict[Mono, Scalar]],
@@ -762,19 +800,10 @@ def _series_div(
         # quot starts as the pieces p_n and takes each q_n in place, in rising n.
         for n in range(min(quot), cap + 1):
             piece = quot.pop(n, {})
-            get = piece.get
             for e, step in steps:
                 prev = quot.get(n - e)
-                if prev is None:
-                    continue
-                for m1, c1 in step:
-                    for m2, c2 in prev.items():
-                        m = _mono_mul(m1, m2)
-                        total = get(m, 0) + c1 * c2
-                        if total:
-                            piece[m] = total
-                        else:
-                            del piece[m]
+                if prev is not None:
+                    _add_products(piece, step, prev)
             if piece:
                 quot[n] = _canonical(piece)
         pieces = quot
@@ -1068,27 +1097,42 @@ def residue_coh(f: Element, *, var: str = "u"):
 
 
 def plethystic_exp(g: LaurentElement) -> LaurentElement:
-    """exp of a truncated series with zero constant term."""
+    """exp of a truncated series with zero constant term.
+
+    With g_k and E_n the pieces of g and of E = exp(g) graded as in
+    ``_series_div``, the Euler operator (each piece times its degree) turns
+    E' = g'·E into n·E_n = Σ_k k·g_k·E_{n-k} (Knuth TAOCP vol. 2, §4.7):
+    each piece once, as a plain dict product on ``_graded`` pieces.
+    """
     g = as_element(g)
+    t = g.trunc
     if not g.terms:
-        return LaurentElement.const(1, g.trunc)
-    if g.trunc is None:
+        return LaurentElement.const(1, t)
+    if t is None:
         raise ValueError("series exponential needs a truncated input")
     if g.trunc_zero_part():
         raise NonzeroConstantTerm("series exponential needs zero constant term")
     if _below_zero(g):
         raise NonExpandable("series exponential of a term below degree 0")
-
-    def terms():
-        term = LaurentElement.const(1, g.trunc)
-        yield term
-        m = 0
-        while term:
-            m += 1
-            term = term * g / m
-            yield term
-
-    return laurent_sum(terms())
+    steps = [
+        (k, [(m, k * c) for m, c in piece.items()])
+        for k, piece in sorted(_graded(g.terms, t.names, t.sign).items())
+    ]
+    pieces: dict[int, dict[Mono, Scalar]] = {0: {(): 1}}
+    for n in range(steps[0][0], t.order2 + 1):
+        piece: dict[Mono, Scalar] = {}
+        for k, step in steps:
+            if k > n:
+                break
+            prev = pieces.get(n - k)
+            if prev is not None:
+                _add_products(piece, step, prev)
+        if piece:
+            pieces[n] = {
+                m: c // n if type(c) is int and not c % n else _coef(Fraction(c, n))
+                for m, c in piece.items()
+            }
+    return _trusted(_ungraded(pieces, t.names, t.sign), t)
 
 
 def exact_laurent_div(

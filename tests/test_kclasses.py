@@ -29,6 +29,7 @@ from wallx.kclasses import (
     symmetrized_wedge,
     theta_closed,
     theta_coefficients,
+    theta_series,
     wedge,
 )
 from wallx.ring import (
@@ -37,6 +38,7 @@ from wallx.ring import (
     as_rational,
     exact_laurent_div,
     expand,
+    laurent_sum,
     specialize_kappa,
 )
 
@@ -455,14 +457,31 @@ def _gbinom(a: int, m: int) -> Fraction:
 
 
 def test_theta_series_matches_closed_form() -> None:
-    for rk in (1, 2, 3):
-        series = theta_coefficients(rk, 6)
+    y = L.gen("y")
+    for rk in range(-3, 5):
         closed = [theta_closed(rk, n) for n in range(7)]
-        assert series == closed
+        for order in range(7):
+            series = theta_series(rk, order)
+            assert series.trunc == one.truncate(["y"], order).trunc
+            assert series == laurent_sum(c * y**n for n, c in enumerate(closed[: order + 1]))
+            assert theta_coefficients(rk, order) == closed[: order + 1]
 
 
 def test_theta_series_matches_closed_form_negative_rank() -> None:
     assert theta_coefficients(-1, 4) == [theta_closed(-1, n) for n in range(5)]
+
+
+def test_theta_series_of_a_class_with_a_root_that_is_no_monomial() -> None:
+    b = L.gen("b")
+    V = VirtualClass([2 * b + 1, (L.gen("w"), -1), b], mode="coh")
+    for order in range(7):
+        assert theta_coefficients(V, order) == [theta_closed(V, n) for n in range(order + 1)]
+
+
+def test_theta_refuses_a_negative_order() -> None:
+    for call in (theta_series, theta_coefficients):
+        with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+            call(1, -1)
 
 
 def test_theta_rank_follows_the_integer_rule() -> None:

@@ -107,6 +107,50 @@ def test_half_integer_exponents_are_exact() -> None:
     assert str(k) == "k^(1/2)"
 
 
+def test_half_integer_power_matches_the_monomial_route_hypothesis() -> None:
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exps = st.dictionaries(
+        st.sampled_from("ktz"), st.integers(-4, 4).filter(bool).map(lambda n: Fraction(n, 2)),
+        max_size=3,
+    )
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(exps, st.integers(-5, 5).map(lambda n: Fraction(n, 2)))
+    def check(e, p):
+        if any((x * p).denominator > 2 for x in e.values()):
+            with pytest.raises(ValueError, match="is not a half-integer"):
+                L.monomial(1, e) ** p
+            return
+        assert L.monomial(1, e) ** p == L.monomial(1, {v: x * p for v, x in e.items()})
+
+    check()
+
+
+def test_half_integer_power_refuses_other_elements() -> None:
+    with pytest.raises(ValueError, match="single-term"):
+        (z + t) ** Fraction(1, 2)
+    with pytest.raises(ValueError, match="single-term"):
+        L.zero() ** Fraction(1, 2)
+    with pytest.raises(ValueError, match="coefficient-1"):
+        (2 * z) ** Fraction(1, 2)
+    with pytest.raises(ValueError, match="coefficient-1"):
+        (-z) ** Fraction(-1, 2)
+    with pytest.raises(ValueError, match="exponent 1/4 of z is not a half-integer"):
+        L.monomial(1, {"z": Fraction(1, 2)}) ** Fraction(1, 2)
+    with pytest.raises(TypeError):
+        z**0.5
+    assert (z * z) ** Fraction(1, 2) == z
+    assert z ** Fraction(3) == z**3
+
+
+def test_half_integer_power_keeps_the_truncation() -> None:
+    half = (z**3).truncate(["z"], 2, -1) ** Fraction(-1, 2)
+    assert half == L.monomial(1, {"z": Fraction(-3, 2)})
+    assert half.trunc == z.truncate(["z"], 2, -1).trunc
+    assert not (z**3).truncate(["z"], 3) ** Fraction(3, 2)
+
+
 def test_monomial_division_is_exact() -> None:
     assert (z * t + z) / z == t + one
     assert (z / (2 * z)) == L.const(Fraction(1, 2))
@@ -1369,6 +1413,69 @@ def test_pushforwards_with_roots_named_z_or_u_match_sympy() -> None:
 
 
 # -- series exponential --------------------------------------------------------
+
+
+def _exp_oracle(g: L) -> L:
+    """exp g = Σ_m g^m/m! for a truncated series with zero constant term,
+    summed until a power of g is truncated away."""
+    term, out, m = L.const(1, g.trunc), L.const(1, g.trunc), 0
+    while True:
+        m += 1
+        term = term * g / m
+        if not term:
+            return out
+        out = out + term
+
+
+def _hypothesis_exp_inputs(hypothesis):
+    """Pairs of series truncated alike, as ``plethystic_exp`` takes them: 1-3
+    truncation names, half-integer exponents of one sign in them and of any
+    sign in a passenger ``c``, int and Fraction coefficients."""
+    st = hypothesis.strategies
+
+    @st.composite
+    def inputs(draw):
+        names = draw(st.lists(st.sampled_from("abx"), min_size=1, max_size=3, unique=True))
+        sign = draw(st.sampled_from((1, -1)))
+        order = draw(st.integers(0, 4))
+        exps = st.fixed_dictionaries(
+            {v: st.integers(0, 4).map(lambda n: Fraction(sign * n, 2)) for v in names},
+            optional={"c": st.integers(-3, 3).map(lambda n: Fraction(n, 2))},
+        ).filter(lambda e: any(e[v] for v in names))
+        coeffs = st.one_of(
+            st.integers(-4, 4).filter(bool),
+            st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)),
+        )
+        series = st.lists(st.tuples(exps, coeffs), max_size=5).map(
+            lambda terms: laurent_sum(L.monomial(c, e) for e, c in terms).truncate(
+                names, order, sign
+            )
+        )
+        return draw(series), draw(series)
+
+    return inputs()
+
+
+def test_plethystic_exp_matches_the_power_sum_oracle_hypothesis() -> None:
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(_hypothesis_exp_inputs(hypothesis))
+    def check(pair):
+        a, b = pair
+        got = plethystic_exp(a)
+        want = _exp_oracle(a)
+        assert got == want and str(got) == str(want)
+        assert got.trunc == want.trunc == a.trunc
+        assert plethystic_exp(a + b) == plethystic_exp(a) * plethystic_exp(b)
+
+    check()
+
+
+def test_plethystic_exp_of_half_integer_degrees() -> None:
+    g = (L.monomial(1, {"x": Fraction(1, 2)}) + 2 * x).truncate(["x"], 2)
+    assert plethystic_exp(g) == _exp_oracle(g)
+    assert plethystic_exp(g).coeff_of("x", Fraction(3, 2)) == L.const(Fraction(13, 6))
 
 
 def test_plethystic_exp_of_zero() -> None:
