@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
 from .errors import NotPrimitive
+from .ring import canonical_coefficient
 
 Word = tuple
 
@@ -100,20 +101,27 @@ def _same_context(a, b) -> None:
 
 
 def _add_into(out: dict, pairs) -> dict:
-    """Add (word, coeff) pairs into ``out``, dropping words that cancel."""
+    """Add (word, coeff) pairs into ``out``, dropping words that cancel and
+    keeping every sum canonical (``ring.canonical_coefficient``)."""
+    get = out.get
     for word, coeff in pairs:
-        acc = out.get(word)
-        acc = coeff if acc is None else acc + coeff
-        if acc:
-            out[word] = acc
-        elif word in out:
+        acc = get(word)
+        if acc is not None:
+            coeff = acc + coeff
+        if type(coeff) is not int:
+            coeff = canonical_coefficient(coeff)
+        if coeff:
+            out[word] = coeff
+        elif acc is not None:
             del out[word]
     return out
 
 
 class _WordCombination:
     """Immutable finitely supported word-to-coefficient map over a context;
-    subclasses fix which words may appear and how a word is shown."""
+    subclasses fix which words may appear and how a word is shown.  Every
+    coefficient is canonical, as in ``ring``: an ``int`` when it is
+    integral, else a ``Fraction`` with denominator > 1."""
 
     __slots__ = ("context", "terms")
 
@@ -126,7 +134,7 @@ class _WordCombination:
     @classmethod
     def _trusted(cls, context: LieContext, terms: dict):
         """Wrap ``terms`` without the subclass's checks: its words must be
-        tuples the subclass admits, with no zero coefficient."""
+        tuples the subclass admits, with canonical nonzero coefficients."""
         out = object.__new__(cls)
         _WordCombination.__init__(out, context, terms)
         return out
@@ -142,7 +150,7 @@ class _WordCombination:
     def letter(cls, context: LieContext, letter):
         if letter not in context.index:
             raise ValueError(f"unknown letter {letter!r}")
-        return cls._trusted(context, {(letter,): Fraction(1)})
+        return cls._trusted(context, {(letter,): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -161,7 +169,7 @@ class _WordCombination:
         return self + (-other)
 
     def _scaled(self, products):
-        return self._trusted(self.context, {w: c for w, c in products if c})
+        return self._trusted(self.context, _add_into({}, products))
 
     def __mul__(self, other):
         if isinstance(other, _WordCombination):
@@ -202,7 +210,7 @@ class UEAElement(_WordCombination):
 
     @classmethod
     def unit(cls, context: LieContext) -> "UEAElement":
-        return cls._trusted(context, {(): Fraction(1)})
+        return cls._trusted(context, {(): 1})
 
     def __mul__(self, other):
         if isinstance(other, UEAElement):
@@ -243,6 +251,7 @@ class LieElement(_WordCombination):
                 word = tuple(word)
                 if not _is_lyndon(word, context):
                     raise ValueError(f"{word!r} is not a Lyndon word")
+                coeff = canonical_coefficient(coeff)
                 if coeff:
                     clean[word] = coeff
         super().__init__(context, clean)
@@ -255,13 +264,14 @@ class LieElement(_WordCombination):
 # -- expansion and projection ------------------------------------------------------
 
 
-def _expand_lyndon(word: Word, ctx: LieContext) -> dict[Word, Fraction]:
-    """Tensor-algebra expansion of the standard bracketing of a Lyndon word."""
+def _expand_lyndon(word: Word, ctx: LieContext) -> dict[Word, int]:
+    """Tensor-algebra expansion of the standard bracketing of a Lyndon word:
+    integer coefficients."""
     hit = ctx._expansions.get(word)
     if hit is not None:
         return hit
     if len(word) == 1:
-        out = {word: Fraction(1)}
+        out = {word: 1}
     else:
         left, right = standard_split(word, ctx)
         a = _expand_lyndon(left, ctx)
@@ -319,12 +329,13 @@ def dynkin_project(p: UEAElement) -> LieElement:
             if w == word:
                 continue
             acc = rem.get(w)
-            sub = coeff * c
             if acc is None:
-                acc = -sub
+                acc = -coeff * c
                 heapq.heappush(heap, order(w))
             else:
-                acc = acc - sub
+                acc = acc - coeff * c
+            if type(acc) is not int:
+                acc = canonical_coefficient(acc)
             if acc:
                 rem[w] = acc
             elif w in rem:

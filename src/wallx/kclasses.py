@@ -260,8 +260,9 @@ def quantum_integer(n: int) -> LaurentElement:
 
     Satisfies [n]·(κ**(1/2) - κ**(-1/2)) = (-1)**(n-1)·(κ**(n/2) - κ**(-n/2)),
     so [0] = 0, [1] = 1, [-n] = -[n], and the κ → 1 specialization is
-    (-1)**(n-1)·n.
+    (-1)**(n-1)·n.  ``n`` is read by ``ring.integer_entry``.
     """
+    n = integer_entry(n)
     if n == 0:
         return LaurentElement.zero()
     if n < 0:
@@ -438,8 +439,10 @@ def theta_series(E, order: int) -> LaurentElement:
     Computed by generic series machinery: with u = y/(1-hbar·y), the series is
     (-1)**rank·(1-hbar·y)**rank·exp(-Σ_j (j-1)!·ch_j·(u**j - y**j)),
     with the binomial factor taken as a geometric-series inverse when the rank
-    is negative.  ``order`` must be >= 0 (ValueError otherwise).
+    is negative.  ``order``, read by ``ring.integer_entry``, must be >= 0
+    (ValueError otherwise).
     """
+    order = integer_entry(order)
     if order < 0:
         raise ValueError(f"theta series order must be >= 0, got {order}")
     rank, ch = _chern_data(E)
@@ -462,7 +465,9 @@ def theta_series(E, order: int) -> LaurentElement:
 
 
 def theta_coefficients(E, order: int) -> list[LaurentElement]:
-    """[θ_0, …, θ_order] extracted from the coefficient series."""
+    """[θ_0, …, θ_order] extracted from the coefficient series; ``order`` is
+    read as in ``theta_series``."""
+    order = integer_entry(order)
     series = theta_series(E, order)
     return [series.coeff_of("y", n).without_trunc() for n in range(order + 1)]
 
@@ -490,8 +495,10 @@ def theta_closed(E, n: int) -> LaurentElement:
 
     θ_n = (-1)**rank Σ ((-1)**k/k!)·(-hbar)**m·C(rank, m)·∏_i B_{n_i} over
     k ≥ 0, ordered parts n_i ≥ 2 and m ≥ 0 with n = Σ n_i + m, where
-    B_p = Σ_{a=1}^{p-1} ((p-1)!/(p-a)!)·hbar**(p-a)·ch_a.
+    B_p = Σ_{a=1}^{p-1} ((p-1)!/(p-a)!)·hbar**(p-a)·ch_a; ``n`` is read by
+    ``ring.integer_entry``.
     """
+    n = integer_entry(n)
     rank, ch = _chern_data(E)
     h = LaurentElement.gen("hbar")
 

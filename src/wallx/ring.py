@@ -59,14 +59,44 @@ Mono = tuple[tuple[str, int], ...]
 _ZERO = Fraction(0)
 
 
-def _coef(x) -> Scalar:
+def canonical_coefficient(x) -> Scalar:
     """The canonical form of a coefficient: an ``int`` when it is integral,
-    otherwise a ``Fraction`` with denominator > 1.  Never a float or a bool."""
+    otherwise a ``Fraction`` with denominator > 1.  Never a float or a bool.
+    The free Lie layer and the word peel of ``ucoeff`` keep the same rule."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def scaled_terms(terms: Mapping, factor) -> dict:
+    """``terms``, a map to canonical coefficients, times the scalar
+    ``factor``, with every coefficient canonical; ``terms`` itself when
+    ``factor`` is 1.
+
+    Most products by 1/k! are integral: an ``int`` coefficient is scaled by
+    one exact ``divmod``, which costs a fraction of a ``Fraction`` product.
+    """
+    factor = canonical_coefficient(factor)
+    if type(factor) is int:
+        if factor == 1:
+            return terms
+        if not factor:
+            return {}
+        return {
+            m: c * factor if type(c) is int else canonical_coefficient(c * factor)
+            for m, c in terms.items()
+        }
+    num, den = factor.numerator, factor.denominator
+    out = {}
+    for m, c in terms.items():
+        if type(c) is int:
+            q, r = divmod(c * num, den)
+            out[m] = Fraction(c * num, den) if r else q
+        else:
+            out[m] = canonical_coefficient(c * factor)
+    return out
 
 
 def _exp2(e: Scalar) -> int:
@@ -196,7 +226,7 @@ def _add_terms(out: dict[Mono, Scalar], pairs: Iterable[tuple[Mono, Scalar]]) ->
             elif type(total) is int:
                 out[m] = total
             else:
-                out[m] = _coef(total)
+                out[m] = canonical_coefficient(total)
 
 
 class LaurentElement:
@@ -233,7 +263,7 @@ class LaurentElement:
         clean: dict[Mono, Scalar] = {}
         if terms:
             for m, c in terms.items():
-                c = _coef(c)
+                c = canonical_coefficient(c)
                 if not c:
                     continue
                 m = _mono(m)
@@ -241,7 +271,7 @@ class LaurentElement:
                     continue
                 acc = clean.get(m, 0) + c
                 if acc:
-                    clean[m] = _coef(acc)
+                    clean[m] = canonical_coefficient(acc)
                 elif m in clean:
                     del clean[m]
         object.__setattr__(self, "terms", clean)
@@ -353,7 +383,7 @@ class LaurentElement:
         if isinstance(other, RationalElement):
             return NotImplemented
         if isinstance(other, (int, Fraction)):
-            c = _coef(other)
+            c = canonical_coefficient(other)
             if not c:
                 return LaurentElement.zero(self.trunc)
             return _trusted(
@@ -460,7 +490,8 @@ class LaurentElement:
             raise ValueError("only single-term elements have a monomial inverse")
         (m, c), = self.terms.items()
         # A unit coefficient is its own inverse.
-        return _trusted({_mono_pow(m, -1): c if c == 1 or c == -1 else _coef(Fraction(1, c))})
+        inverse = c if c == 1 or c == -1 else canonical_coefficient(Fraction(1, c))
+        return _trusted({_mono_pow(m, -1): inverse})
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -541,7 +572,7 @@ class LaurentElement:
             e2, rest = _split_var(m, var)
             if e2:
                 if e2 % 2 == 0:
-                    c = _coef(c * Fraction(vc) ** (e2 // 2))
+                    c = canonical_coefficient(c * Fraction(vc) ** (e2 // 2))
                 elif vc != 1:
                     raise ValueError(
                         "half-integer power of a value with coefficient != 1"
@@ -652,11 +683,11 @@ def _trusted(terms: dict[Mono, Scalar], trunc: Trunc | None = None) -> LaurentEl
 
 
 def _canonical(terms: dict[Mono, Scalar]) -> dict[Mono, Scalar]:
-    """``terms`` with every coefficient in canonical form (see ``_coef``),
+    """``terms`` with every coefficient in canonical form (see ``canonical_coefficient``),
     changed in place: products and sums of Fractions may be integral."""
     for m, c in terms.items():
         if type(c) is not int:
-            terms[m] = _coef(c)
+            terms[m] = canonical_coefficient(c)
     return terms
 
 
@@ -783,12 +814,15 @@ def _series_div(
         cinv = lead_c if lead_c in (1, -1) else Fraction(1, lead_c)
         shift, scale = _mono_mul(shift, inv), scale * cinv
         steps = [
-            (e - low, [(_mono_mul(m, inv), _coef(-c * cinv)) for m, c in piece.items()])
+            (
+                e - low,
+                [(_mono_mul(m, inv), canonical_coefficient(-c * cinv)) for m, c in piece.items()],
+            )
             for e, piece in sorted(den_pieces.items())
         ]
         divisors.append((low, steps))
     pieces = {
-        e: {_mono_mul(m, shift): _coef(c * scale) for m, c in piece.items()}
+        e: {_mono_mul(m, shift): canonical_coefficient(c * scale) for m, c in piece.items()}
         for e, piece in _graded(num, names, sign).items()
     }
     cap = top + sum(low for low, _ in divisors)
@@ -1128,10 +1162,7 @@ def plethystic_exp(g: LaurentElement) -> LaurentElement:
             if prev is not None:
                 _add_products(piece, step, prev)
         if piece:
-            pieces[n] = {
-                m: c // n if type(c) is int and not c % n else _coef(Fraction(c, n))
-                for m, c in piece.items()
-            }
+            pieces[n] = scaled_terms(piece, Fraction(1, n))
     return _trusted(_ungraded(pieces, t.names, t.sign), t)
 
 
@@ -1233,7 +1264,7 @@ class _PackedAlgebra:
         """One monomial factor, ``coeff`` times Π v^e over ``exps``, as a
         ``scale`` factor; its exponents must be within the step bound."""
         m = _mono((v, _exp2(e)) for v, e in exps.items())
-        return self._key(m, self._step), _coef(coeff)
+        return self._key(m, self._step), canonical_coefficient(coeff)
 
     def unpack(self, x: dict[int, Scalar]) -> LaurentElement:
         """The Laurent element of a packed element.  The bit scan and the
@@ -1289,24 +1320,7 @@ class _PackedAlgebra:
         if type(factor) is tuple:
             shift, k = factor
             return {m + shift: c * k for m, c in x.items()}
-        factor = _coef(factor)
-        if factor == 1:
-            return x
-        if not factor:
-            return {}
-        if type(factor) is int:
-            return {m: c * factor for m, c in x.items()}
-        # Most products by 1/k! are integral: an exact int quotient costs a
-        # fraction of a Fraction product.
-        num, den = factor.numerator, factor.denominator
-        out = {}
-        for m, c in x.items():
-            if type(c) is int:
-                q, r = divmod(c * num, den)
-                out[m] = Fraction(c * num, den) if r else q
-            else:
-                out[m] = _coef(c * factor)
-        return out
+        return scaled_terms(x, factor)
 
     def total(self, items: Iterable[dict[int, Scalar]]) -> dict[int, Scalar]:
         """The sum of packed elements (empty: zero)."""

@@ -30,7 +30,7 @@ from .errors import (
     SlopeUndefined,
 )
 from .freelie import LieContext, LieElement, UEAElement, dynkin_project
-from .ring import SlopeValue, integer_entry
+from .ring import SlopeValue, canonical_coefficient, integer_entry, scaled_terms
 
 ClassVec = tuple
 
@@ -522,9 +522,9 @@ def utilde_lie_element(
         weight = lambda beta, delta: math.comb(_mass(beta) + _mass(delta), _mass(beta))
         after = refactor(
             splits, tau, tau_prime, entry, weight,
-            mul=_word_mul, scale=_word_scale, total=_word_total,
+            mul=_word_mul, scale=scaled_terms, total=_word_total,
         )[alpha]
-        words = {w: Fraction(c) / math.factorial(_mass(alpha)) for w, c in after.items()}
+        words = scaled_terms(after, Fraction(1, math.factorial(_mass(alpha))))
     if context is None:
         context = LieContext(sorted({cls for word in words for cls in word}))
     return dynkin_project(UEAElement(context, words))
@@ -557,13 +557,16 @@ def peel_classes(
                 raise SeeSawFailure(
                     f"{stability.name} breaks the weak see-saw property at class {cls}"
                 )
-    splits = {cls: [] for cls in classes}
-    for beta in classes:
-        for delta in classes:
-            cls = tuple(map(operator.add, beta, delta))
-            if cls in splits:
-                splits[cls].append((beta, delta))
-    return splits
+    # β ≠ cls in below(cls) is exactly a β with β and cls − β both ≤ α, in
+    # the order of ``classes``; every below(cls) is memoized by the check.
+    return {
+        cls: [
+            (beta, tuple(map(operator.sub, cls, beta)))
+            for beta in monoid.below(cls)
+            if beta != cls
+        ]
+        for cls in classes
+    }
 
 
 def refactor(
@@ -655,7 +658,9 @@ def _factor(slope_of, splits, linear, algebra) -> dict:
 
 
 # Word polynomials, the homogeneous coefficients of the free associative
-# algebra, as word -> coefficient dicts.
+# algebra, as word -> coefficient dicts.  Their sums keep every coefficient
+# canonical (``ring.canonical_coefficient``), and ``ring.scaled_terms``
+# scales them.
 
 
 def _word_mul(left: dict, right: dict) -> dict:
@@ -664,18 +669,12 @@ def _word_mul(left: dict, right: dict) -> dict:
     return {a + b: x * y for a, x in left.items() for b, y in right.items()}
 
 
-def _word_scale(value: dict, factor) -> dict:
-    # Most scaled coefficients are integral: int sums cost far less than Fraction.
-    out = {w: c * factor for w, c in value.items()}
-    return {w: c.numerator if c.denominator == 1 else c for w, c in out.items()}
-
-
 def _word_total(items) -> dict:
     out: dict = {}
     for item in items:
         for w, c in item.items():
             out[w] = out.get(w, 0) + c
-    return {w: c for w, c in out.items() if c}
+    return {w: c if type(c) is int else canonical_coefficient(c) for w, c in out.items() if c}
 
 
 # -- composition sums ---------------------------------------------------------------

@@ -16,6 +16,13 @@ from wallx.freelie import (
     expand_to_uea,
     left_nested,
     lyndon_words,
+    standard_split,
+)
+from wallx.ucoeff import (
+    EffectiveMonoid,
+    linear_stability,
+    utilde_lie_element,
+    utilde_word_sum,
 )
 
 F = Fraction
@@ -273,6 +280,143 @@ class TestRoundTrips:
     def test_dynkin_zero(self):
         ctx = LieContext(["e1"])
         assert dynkin_project(UEAElement.zero(ctx)).is_zero()
+
+
+# The Fraction route: each computation again on plain dicts, with every
+# coefficient forced to a Fraction and nothing made canonical.
+
+
+def _forced(terms):
+    return {w: F(c) for w, c in terms.items()}
+
+
+def _forced_sum(pairs):
+    out = {}
+    for w, c in pairs:
+        out[w] = out.get(w, F(0)) + c
+    return {w: c for w, c in out.items() if c}
+
+
+def _forced_bracketing(word, ctx):
+    if len(word) == 1:
+        return {word: F(1)}
+    left, right = standard_split(word, ctx)
+    a, b = _forced_bracketing(left, ctx), _forced_bracketing(right, ctx)
+    return _forced_sum(
+        pair
+        for w1, c1 in a.items()
+        for w2, c2 in b.items()
+        for pair in ((w1 + w2, c1 * c2), (w2 + w1, -c1 * c2))
+    )
+
+
+def _forced_expand(terms, ctx):
+    return _forced_sum(
+        (w, c * e)
+        for word, c in terms.items()
+        for w, e in _forced_bracketing(word, ctx).items()
+    )
+
+
+def _forced_product(p, q):
+    return _forced_sum((w1 + w2, c1 * c2) for w1, c1 in p.items() for w2, c2 in q.items())
+
+
+def _forced_project(p, ctx):
+    """Subtract the bracketing of the least remaining word by (length, key)
+    until nothing remains; None if that word is not Lyndon."""
+    rem, out = dict(p), {}
+    while rem:
+        word = min(rem, key=lambda w: (len(w), ctx.key(w)))
+        key = ctx.key(word)
+        if not word or not all(key < key[i:] for i in range(1, len(word))):
+            return None
+        c = out[word] = rem[word]
+        bracketing = _forced_bracketing(word, ctx)
+        rem = _forced_sum([*rem.items(), *((w, -c * e) for w, e in bracketing.items())])
+    return out
+
+
+def _assert_canonical(x):
+    for c in x.terms.values():
+        assert type(c) is (int if F(c).denominator == 1 else F), repr(c)
+
+
+def _assert_matches(got, forced, kind):
+    """``got`` is canonical and equals the Fraction route, repr included."""
+    _assert_canonical(got)
+    assert got.terms == forced
+    assert repr(got) == repr(kind(got.context, forced))
+
+
+class TestCanonicalCoefficients:
+    """An integral coefficient is an int, every other one a Fraction with
+    denominator > 1, and every result equals the Fraction route."""
+
+    def test_word_combinations_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ctx = LieContext(["a", "b", "c"])
+        lyndon = lyndon_words(ctx.letters, 4)
+        words = [w for n in range(4) for w in itertools.product(ctx.letters, repeat=n)]
+        coeff = st.one_of(
+            st.integers(-6, 6),
+            st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        )
+        lie = st.dictionaries(st.sampled_from(lyndon), coeff, max_size=4)
+        uea = st.dictionaries(st.sampled_from(words), coeff, max_size=4)
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(lie, lie, uea, uea, coeff)
+        def check(tx, ty, tp, tq, k):
+            x, y = LieElement(ctx, tx), LieElement(ctx, ty)
+            p, q = UEAElement(ctx, tp), UEAElement(ctx, tq)
+            fx, fy, fp, fq = (_forced_sum(_forced(t).items()) for t in (tx, ty, tp, tq))
+            _assert_matches(x, fx, LieElement)
+            _assert_matches(p, fp, UEAElement)
+            _assert_matches(x * k, _forced_sum((w, c * k) for w, c in fx.items()), LieElement)
+            ex, ey = _forced_expand(fx, ctx), _forced_expand(fy, ctx)
+            _assert_matches(expand_to_uea(x), ex, UEAElement)
+            _assert_matches(p * q, _forced_product(fp, fq), UEAElement)
+            _assert_matches(dynkin_project(expand_to_uea(x)), fx, LieElement)
+            xy, yx = _forced_product(ex, ey), _forced_product(ey, ex)
+            commutator = _forced_sum([*xy.items(), *((w, -c) for w, c in yx.items())])
+            _assert_matches(x.bracket(y), _forced_project(commutator, ctx), LieElement)
+            # A tensor-algebra element: its Lie part, or NotPrimitive from both.
+            projected = _forced_project(fp, ctx)
+            if projected is None:
+                with pytest.raises(NotPrimitive):
+                    dynkin_project(p)
+            else:
+                _assert_matches(dynkin_project(p), projected, LieElement)
+
+        check()
+
+    def test_utilde_lie_element_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        monoids = [
+            EffectiveMonoid([(1, 0), (0, 1)]),
+            EffectiveMonoid([(1, 0), (1, 1), (0, 2)]),
+            EffectiveMonoid([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        ]
+        cases = [(mon, cls) for mon in monoids for cls in mon.effective_upto(4)]
+        entries = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+        scales = st.lists(st.integers(1, 3), min_size=3, max_size=3)
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(st.sampled_from(cases), entries, scales, entries, scales)
+        def check(case, a, b, a2, b2):
+            mon, alpha = case
+            dim = len(alpha)
+            tau = linear_stability(a[:dim], b[:dim])
+            tau_prime = linear_stability(a2[:dim], b2[:dim])
+            ctx = LieContext(mon.below(alpha))
+            got = utilde_lie_element(alpha, tau, tau_prime, mon, context=ctx)
+            words = utilde_word_sum(alpha, tau, tau_prime, mon, context=ctx)
+            _assert_matches(got, _forced_project(_forced(words.terms), ctx), LieElement)
+
+        check()
 
 
 class TestBracket:

@@ -99,6 +99,13 @@ def test_quantum_integer_kappa_one_limit() -> None:
         assert specialize_kappa(quantum_integer(n)) == L.const((-1) ** (n - 1) * n)
 
 
+def test_quantum_integer_follows_the_integer_rule() -> None:
+    for n in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            quantum_integer(n)
+    assert quantum_integer(Fraction(-3)) == quantum_integer(-3)
+
+
 # -- virtual classes -------------------------------------------------------------
 
 
@@ -491,6 +498,26 @@ def test_theta_rank_follows_the_integer_rule() -> None:
         with pytest.raises(ValueError, match="expected an integer"):
             theta_closed(rank, 2)
     assert theta_coefficients(Fraction(2), 3) == theta_coefficients(2, 3)
+
+
+def test_theta_series_order_follows_the_integer_rule() -> None:
+    # The order is read first: a coh-mode check on E never runs.
+    k_class = VirtualClass([L.gen("a")])
+    for order in (True, 2.0, "2"):
+        for E in (2, k_class):
+            with pytest.raises(ValueError, match="expected an integer"):
+                theta_series(E, order)
+    assert str(theta_series(2, Fraction(2))) == str(theta_series(2, 2))
+
+
+def test_theta_coefficients_order_follows_the_integer_rule() -> None:
+    for order in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            theta_coefficients(2, order)
+        with pytest.raises(ValueError, match="expected an integer"):
+            theta_closed(2, order)
+    assert theta_coefficients(2, Fraction(2)) == theta_coefficients(2, 2)
+    assert theta_closed(2, Fraction(2)) == theta_closed(2, 2)
 
 
 def test_theta_low_coefficients() -> None:

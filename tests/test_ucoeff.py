@@ -10,6 +10,7 @@ from wallx.errors import (
     DecompositionOverflow,
     MissingFr,
     NotPrimitive,
+    SeeSawFailure,
     SlopeUndefined,
 )
 from wallx.freelie import (
@@ -653,6 +654,30 @@ class TestUCoefficient:
             assert Utilde(tup, tau, taup) == 0
 
 
+def _double_loop_splittings(classes):
+    """The two-part splittings of each class into classes of ``classes``,
+    by a loop over all pairs, first part in the order of ``classes``."""
+    splits = {cls: [] for cls in classes}
+    for beta in classes:
+        for delta in classes:
+            cls = tuple(map(operator.add, beta, delta))
+            if cls in splits:
+                splits[cls].append((beta, delta))
+    return splits
+
+
+class _RecordingMonoid(EffectiveMonoid):
+    """An effective monoid that records every class ``below`` is asked for."""
+
+    def __init__(self, generators):
+        super().__init__(generators)
+        object.__setattr__(self, "asked", [])
+
+    def below(self, target):
+        self.asked.append(tuple(target))
+        return super().below(target)
+
+
 class TestPeelClasses:
     def test_each_class_below_maps_to_its_two_part_splittings(self):
         cases = [
@@ -673,6 +698,47 @@ class TestPeelClasses:
         mon = EffectiveMonoid([(1, 1), (2, -1)])
         tau = linear_stability([1, 1], [1, 1])
         assert peel_classes((1, 0), tau, tau, mon, 8) == {}
+
+    def test_splittings_equal_the_double_loop_over_classes(self):
+        rng = random.Random(25)
+        generator_sets = [
+            [(1, 0), (0, 1)],
+            [(1, 0), (1, 1), (0, 2)],
+            [(2, 1), (1, 3)],
+            [(1, 1), (2, -1)],
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)],
+        ]
+        for gens in generator_sets:
+            mon = EffectiveMonoid(gens)
+            dim = len(gens[0])
+            targets = [cls for cls in mon.effective_upto(7) if sum(cls) >= 3]
+            for target in rng.sample(targets, min(4, len(targets))):
+                a = [rng.randint(-3, 3) for _ in range(dim)]
+                b = [rng.randint(1, 3) for _ in range(dim)]
+                tau = linear_stability(a, b)
+                splits = peel_classes(target, tau, tau, mon, 12)
+                assert list(splits) == list(mon.below(target))
+                want = _double_loop_splittings(list(splits))
+                assert list(splits.items()) == list(want.items())
+
+    def test_overflow_comes_before_any_splitting(self):
+        mon = _RecordingMonoid([(1, 0), (1, 1), (0, 2)])
+        tau = linear_stability([1, 0], [1, 1])
+        with pytest.raises(DecompositionOverflow):
+            peel_classes((4, 4), tau, tau, mon, 3)
+        assert set(mon.asked) == {(4, 4)}
+
+    def test_see_saw_failure_comes_before_any_splitting(self):
+        mon = _RecordingMonoid([(1, 0), (0, 1)])
+        # (1, 1) sits above both of its parts, so the check fails there.
+        bad = StabilityData(lambda cls: 5 if cls == (1, 1) else 0, name="bad")
+        tau = linear_stability([1, 0], [1, 1])
+        with pytest.raises(SeeSawFailure, match=r"bad .* \(1, 1\)"):
+            peel_classes((2, 2), tau, bad, mon, 8)
+        # No class after (1, 1) in peel order was asked for its splittings.
+        order = list(mon.below((2, 2)))
+        assert order.index((1, 1)) < len(order) - 1
+        assert set(mon.asked) <= {(2, 2), *order[: order.index((1, 1)) + 1]}
 
 
 class TestUtilde:
