@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
 from .errors import NotPrimitive
-from .ring import canonical_coefficient
+from .ring import add_terms, canonical_coefficient, scaled_terms
 
 Word = tuple
 
@@ -100,23 +100,6 @@ def _same_context(a, b) -> None:
         raise ValueError("elements live in different contexts")
 
 
-def _add_into(out: dict, pairs) -> dict:
-    """Add (word, coeff) pairs into ``out``, dropping words that cancel and
-    keeping every sum canonical (``ring.canonical_coefficient``)."""
-    get = out.get
-    for word, coeff in pairs:
-        acc = get(word)
-        if acc is not None:
-            coeff = acc + coeff
-        if type(coeff) is not int:
-            coeff = canonical_coefficient(coeff)
-        if coeff:
-            out[word] = coeff
-        elif acc is not None:
-            del out[word]
-    return out
-
-
 class _WordCombination:
     """Immutable finitely supported word-to-coefficient map over a context;
     subclasses fix which words may appear and how a word is shown.  Every
@@ -159,27 +142,22 @@ class _WordCombination:
         if not isinstance(other, type(self)):
             return NotImplemented
         _same_context(self, other)
-        terms = _add_into(dict(self.terms), other.terms.items())
+        terms = add_terms(dict(self.terms), other.terms.items())
         return self._trusted(self.context, terms)
 
     def __neg__(self):
-        return self._trusted(self.context, {w: -c for w, c in self.terms.items()})
+        return self._trusted(self.context, scaled_terms(self.terms, -1))
 
     def __sub__(self, other):
         return self + (-other)
 
-    def _scaled(self, products):
-        return self._trusted(self.context, _add_into({}, products))
-
     def __mul__(self, other):
+        """The product by a scalar, an ``int`` or a ``Fraction``."""
         if isinstance(other, _WordCombination):
             return NotImplemented
-        return self._scaled((w, c * other) for w, c in self.terms.items())
+        return self._trusted(self.context, scaled_terms(self.terms, other))
 
-    def __rmul__(self, other):
-        if isinstance(other, _WordCombination):
-            return NotImplemented
-        return self._scaled((w, other * c) for w, c in self.terms.items())
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
@@ -205,8 +183,11 @@ class UEAElement(_WordCombination):
     __slots__ = ()
 
     def __init__(self, context: LieContext, terms: Mapping[Word, object] | None = None):
-        clean = _add_into({}, ((tuple(w), c) for w, c in terms.items())) if terms else {}
-        super().__init__(context, clean)
+        # ``add_terms`` takes nonzero coefficients; ``canonical_coefficient``
+        # checks each input's type before a zero one is dropped.
+        items = terms.items() if terms else ()
+        pairs = ((tuple(w), c) for w, c in items if canonical_coefficient(c))
+        super().__init__(context, add_terms({}, pairs))
 
     @classmethod
     def unit(cls, context: LieContext) -> "UEAElement":
@@ -225,7 +206,7 @@ class UEAElement(_WordCombination):
             for w2, c2 in other.terms.items()
             if maxlen is None or len(w1) + len(w2) <= maxlen
         )
-        return UEAElement._trusted(self.context, _add_into({}, pairs))
+        return UEAElement._trusted(self.context, add_terms({}, pairs))
 
     def bracket(self, other: "UEAElement") -> "UEAElement":
         return self * other - other * self
@@ -276,7 +257,7 @@ def _expand_lyndon(word: Word, ctx: LieContext) -> dict[Word, int]:
         left, right = standard_split(word, ctx)
         a = _expand_lyndon(left, ctx)
         b = _expand_lyndon(right, ctx)
-        out = _add_into(
+        out = add_terms(
             {},
             (
                 pair
@@ -297,7 +278,7 @@ def expand_to_uea(x: LieElement) -> UEAElement:
         for word, coeff in x.terms.items()
         for w, c in _expand_lyndon(word, ctx).items()
     )
-    return UEAElement._trusted(ctx, _add_into({}, pairs))
+    return UEAElement._trusted(ctx, add_terms({}, pairs))
 
 
 def dynkin_project(p: UEAElement) -> LieElement:
@@ -351,16 +332,14 @@ def left_nested(word: Word, ctx: LieContext) -> LieElement:
     return acc
 
 
-def evaluate_lie(x: LieElement, leaf, bracket, zero, scale=None):
+def evaluate_lie(x: LieElement, leaf, bracket, zero, scale):
     """Fold a Lie element into any Lie algebra.
 
     ``leaf`` maps letters to target values, ``bracket`` is the target bracket,
-    and ``zero`` is the target zero.  Coefficients act through ``scale``
-    (default: left multiplication).
+    ``zero`` is the target zero, and ``scale(coeff, value)`` is the product
+    of a target value by a coefficient.
     """
     ctx = x.context
-    if scale is None:
-        scale = lambda coeff, value: coeff * value
 
     def build(word: Word):
         if len(word) == 1:

@@ -154,24 +154,18 @@ def complete_homogeneous(k: int, xs) -> LaurentElement:
     if k < 0:
         return LaurentElement.zero()
     return laurent_sum(
-        _product(combo) for combo in itertools.combinations_with_replacement(list(xs), k)
+        math.prod(combo, start=ONE)
+        for combo in itertools.combinations_with_replacement(list(xs), k)
     )
-
-
-def _product(factors) -> LaurentElement:
-    term = ONE
-    for x in factors:
-        term = term * x
-    return term
 
 
 def _signed_product(pairs: list):
     """∏ factor**sign over (factor, sign) pairs: a Laurent element when the
     factors of sign -1 multiply to 1, else an exact rational keeping them
     as its denominator factors; every quotient of this module forms here."""
-    num = _product(f for f, s in pairs if s == 1)
+    num = math.prod((f for f, s in pairs if s == 1), start=ONE)
     den = [f for f, s in pairs if s != 1]
-    if all(f.is_monomial() for f in den) and _product(den) == ONE:
+    if all(f.is_monomial() for f in den) and math.prod(den, start=ONE) == ONE:
         return num
     return functools.reduce(lambda quotient, f: quotient / f, den, as_rational(num))
 

@@ -61,13 +61,45 @@ _ZERO = Fraction(0)
 
 def canonical_coefficient(x) -> Scalar:
     """The canonical form of a coefficient: an ``int`` when it is integral,
-    otherwise a ``Fraction`` with denominator > 1.  Never a float or a bool.
-    The free Lie layer and the word peel of ``ucoeff`` keep the same rule."""
+    otherwise a ``Fraction`` with denominator > 1.  Never a float or a bool:
+    a bool reads as its ``int``, and anything that is not an ``int`` or a
+    ``Fraction`` raises TypeError, since a float's binary fraction is not
+    the number it was written as.  The free Lie layer and the word peel of
+    ``ucoeff`` keep the same rule."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"a coefficient is an int or a Fraction, not {type(x).__name__}")
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def add_terms(out: dict, pairs: Iterable[tuple]) -> dict:
+    """Add (key, coefficient) pairs into ``out`` in place and return it:
+    the one add-into loop of the package, for monomials, packed keys and
+    words alike.
+
+    ``out`` holds canonical coefficients, and each pair's coefficient is a
+    nonzero ``int`` or ``Fraction``.  An ``int`` inserted under a new key is
+    stored as it is, which keeps the common case to one dict write; any
+    other insert, and every sum that is not an ``int``, goes through
+    ``canonical_coefficient``.  A key whose sum is zero is dropped.
+    """
+    get = out.get
+    for m, c in pairs:
+        prev = get(m)
+        if prev is None:
+            out[m] = c if type(c) is int else canonical_coefficient(c)
+        else:
+            total = prev + c
+            if not total:
+                del out[m]
+            elif type(total) is int:
+                out[m] = total
+            else:
+                out[m] = canonical_coefficient(total)
+    return out
 
 
 def scaled_terms(terms: Mapping, factor) -> dict:
@@ -84,6 +116,10 @@ def scaled_terms(terms: Mapping, factor) -> dict:
             return terms
         if not factor:
             return {}
+        if factor == -1:
+            # A negated coefficient is canonical, and ``-c`` costs a
+            # fraction of a ``Fraction`` product.
+            return {m: -c for m, c in terms.items()}
         return {
             m: c * factor if type(c) is int else canonical_coefficient(c * factor)
             for m, c in terms.items()
@@ -209,24 +245,6 @@ def _kept(
     if trunc is None or trunc == within:
         return terms
     return {m: c for m, c in terms.items() if trunc.keeps(m)}
-
-
-def _add_terms(out: dict[Mono, Scalar], pairs: Iterable[tuple[Mono, Scalar]]) -> None:
-    """Add canonical (monomial, coefficient) pairs into ``out`` in place,
-    dropping zero sums."""
-    get = out.get
-    for m, c in pairs:
-        prev = get(m)
-        if prev is None:
-            out[m] = c
-        else:
-            total = prev + c
-            if not total:
-                del out[m]
-            elif type(total) is int:
-                out[m] = total
-            else:
-                out[m] = canonical_coefficient(total)
 
 
 class LaurentElement:
@@ -361,13 +379,13 @@ class LaurentElement:
         other = as_element(other)
         trunc = _combine_trunc(self.trunc, other.trunc)
         out = dict(_kept(self.terms, trunc, self.trunc))
-        _add_terms(out, _kept(other.terms, trunc, other.trunc).items())
+        add_terms(out, _kept(other.terms, trunc, other.trunc).items())
         return _trusted(out, trunc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentElement":
-        return _trusted({m: -c for m, c in self.terms.items()}, self.trunc)
+        return _trusted(scaled_terms(self.terms, -1), self.trunc)
 
     def __sub__(self, other):
         if isinstance(other, RationalElement):
@@ -383,12 +401,7 @@ class LaurentElement:
         if isinstance(other, RationalElement):
             return NotImplemented
         if isinstance(other, (int, Fraction)):
-            c = canonical_coefficient(other)
-            if not c:
-                return LaurentElement.zero(self.trunc)
-            return _trusted(
-                _canonical({m: k * c for m, k in self.terms.items()}), self.trunc
-            )
+            return _trusted(scaled_terms(self.terms, other), self.trunc)
         other = as_element(other)
         trunc = _combine_trunc(self.trunc, other.trunc)
         left, right = self.terms, other.terms
@@ -415,22 +428,10 @@ class LaurentElement:
                 }
             return _trusted(_canonical(out), trunc)
         out: dict[Mono, Scalar] = {}
-        get = out.get
         if trunc is None:
-            pairs = list(right.items())
-            for m1, c1 in left.items():
-                for m2, c2 in pairs:
-                    m = _mono_mul(m1, m2)
-                    prev = get(m)
-                    if prev is None:
-                        out[m] = c1 * c2
-                    else:
-                        total = prev + c1 * c2
-                        if total:
-                            out[m] = total
-                        else:
-                            del out[m]
+            _add_products(out, left.items(), right)
             return _trusted(_canonical(out))
+        get = out.get
         names = trunc.names
         keeps = trunc.keeps_deg2
         graded = [(m2, c2, _mono_deg2(m2, names)) for m2, c2 in right.items()]
@@ -586,7 +587,7 @@ class LaurentElement:
                 newm = _mono_mul(rest, _mono(scaled))
             else:
                 newm = rest
-            _add_terms(out, ((newm, c),))
+            add_terms(out, ((newm, c),))
         return _trusted(_kept(out, self.trunc), self.trunc)
 
     def subs_poly(self, var: str, value: "LaurentElement") -> "LaurentElement":
@@ -622,7 +623,7 @@ class LaurentElement:
     def subs_one(self, var: str) -> "LaurentElement":
         """Substitute 1 for ``var`` (drops it from every monomial)."""
         out: dict[Mono, Scalar] = {}
-        _add_terms(out, ((_split_var(m, var)[1], c) for m, c in self.terms.items()))
+        add_terms(out, ((_split_var(m, var)[1], c) for m, c in self.terms.items()))
         return _trusted(_kept(out, self.trunc), self.trunc)
 
     # -- display -----------------------------------------------------------
@@ -724,7 +725,7 @@ def laurent_sum(items: Iterable, trunc: Trunc | None = None) -> LaurentElement:
                 for m in [m for m in out if not combined.keeps(m)]:
                     del out[m]
                 trunc = combined
-        _add_terms(out, _kept(x.terms, trunc, x.trunc).items())
+        add_terms(out, _kept(x.terms, trunc, x.trunc).items())
     return _trusted(out, trunc)
 
 
@@ -760,7 +761,7 @@ def _ungraded(
 
 
 def _add_products(
-    piece: dict[Mono, Scalar], step: list[tuple[Mono, Scalar]], prev: dict[Mono, Scalar]
+    piece: dict[Mono, Scalar], step: Iterable[tuple[Mono, Scalar]], prev: dict[Mono, Scalar]
 ) -> None:
     """Add every product of a term of ``step`` and a term of ``prev`` into
     ``piece`` in place, dropping zero sums; the coefficients are left for
@@ -1110,7 +1111,7 @@ def residue_K(f: Element, *, var: str = "z"):
         fp2 = expand_general(f, "zero", 0, var=var).get(zero, as_rational(0))
         fm2 = expand_general(f, "infinity", 0, var=var).get(zero, as_rational(0))
         return (fm2 - fp2).maybe_laurent()
-    _add_terms(fm, ((m, -c) for m, c in fp.items()))
+    add_terms(fm, ((m, -c) for m, c in fp.items()))
     return _trusted(fm)
 
 
@@ -1329,7 +1330,7 @@ class _PackedAlgebra:
             return items[0] if items else {}
         out = dict(items[0])
         for x in items[1:]:
-            _add_terms(out, x.items())
+            add_terms(out, x.items())
         return out
 
     def coeff_of(self, x: dict[int, Scalar], var: str, exponent: Scalar) -> dict[int, Scalar]:

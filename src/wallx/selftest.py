@@ -523,12 +523,10 @@ CRITERIA = (
 )
 
 
-def run_all(report=None, only=None) -> list[CheckResult]:
-    """Run every criterion (or the subset in ``only``), one line each."""
+def run_all(report=None) -> list[CheckResult]:
+    """Run every criterion, one line each."""
     results = []
     for crit in CRITERIA:
-        if only is not None and crit.number not in only:
-            continue
         start = time.perf_counter()
         detail = None
         try:

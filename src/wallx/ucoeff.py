@@ -30,7 +30,7 @@ from .errors import (
     SlopeUndefined,
 )
 from .freelie import LieContext, LieElement, UEAElement, dynkin_project
-from .ring import SlopeValue, canonical_coefficient, integer_entry, scaled_terms
+from .ring import SlopeValue, add_terms, integer_entry, scaled_terms
 
 ClassVec = tuple
 
@@ -658,9 +658,9 @@ def _factor(slope_of, splits, linear, algebra) -> dict:
 
 
 # Word polynomials, the homogeneous coefficients of the free associative
-# algebra, as word -> coefficient dicts.  Their sums keep every coefficient
-# canonical (``ring.canonical_coefficient``), and ``ring.scaled_terms``
-# scales them.
+# algebra, as word -> coefficient dicts.  ``ring.add_terms`` sums them and
+# ``ring.scaled_terms`` scales them, each keeping every coefficient
+# canonical (``ring.canonical_coefficient``).
 
 
 def _word_mul(left: dict, right: dict) -> dict:
@@ -672,9 +672,8 @@ def _word_mul(left: dict, right: dict) -> dict:
 def _word_total(items) -> dict:
     out: dict = {}
     for item in items:
-        for w, c in item.items():
-            out[w] = out.get(w, 0) + c
-    return {w: c if type(c) is int else canonical_coefficient(c) for w, c in out.items() if c}
+        add_terms(out, item.items())
+    return out
 
 
 # -- composition sums ---------------------------------------------------------------

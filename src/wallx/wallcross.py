@@ -47,6 +47,7 @@ from .kclasses import quantum_integer
 from .ring import (
     KAPPA,
     LaurentElement,
+    as_element,
     exact_laurent_div,
     fresh_name,
     laurent_sum,
@@ -144,9 +145,7 @@ class QuantumTorusBackend:
     def lift(self, cls, value) -> GradedValue:
         if value is None:
             return self.zero()
-        if not isinstance(value, LaurentElement):
-            value = LaurentElement.const(value)
-        return GradedValue(cls, value)
+        return GradedValue(cls, as_element(value))
 
     def bracket(self, x: GradedValue, y: GradedValue) -> GradedValue:
         if x.cls is None or y.cls is None:
@@ -281,11 +280,8 @@ def _laurent_entries(table: InvariantTable, classes) -> dict:
     entries = {}
     for cls in classes:
         value = table.value(cls)
-        if value is None:
-            continue
-        if not isinstance(value, LaurentElement):
-            value = LaurentElement.const(value)
-        entries[cls] = value
+        if value is not None:
+            entries[cls] = as_element(value)
     return entries
 
 

@@ -138,6 +138,17 @@ def test_shared_element_contract(cls, shown):
     assert repr(el) == shown
 
 
+@pytest.mark.parametrize("cls", [UEAElement, LieElement])
+@pytest.mark.parametrize("bad", [0.5, 0.0, "2"])
+def test_a_coefficient_that_is_not_an_int_or_a_fraction_is_refused(cls, bad):
+    ctx = LieContext(["x", "y"])
+    el = cls.letter(ctx, "x")
+    for entry in (lambda c: cls(ctx, {("x",): c}), lambda c: el * c, lambda c: c * el):
+        with pytest.raises(TypeError):
+            entry(bad)
+    assert cls(ctx, {("x",): True, ("y",): F(0)}) == el
+
+
 class TestExpand:
     def test_single_bracket(self):
         ctx = LieContext(["e1", "e2"])
@@ -484,6 +495,7 @@ class TestEvaluate:
                 matrices.__getitem__,
                 lambda u, v: u @ v + F(-1) * (v @ u),
                 _Mat2(0, 0, 0, 0),
+                lambda c, v: c * v,
             )
 
         e = LieElement.letter(ctx, "e")
@@ -505,6 +517,7 @@ class TestEvaluate:
                 lambda letter: UEAElement.letter(ctx, letter),
                 lambda u, v: u.bracket(v),
                 UEAElement.zero(ctx),
+                lambda c, v: c * v,
             )
             assert value == expand_to_uea(x)
 

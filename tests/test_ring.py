@@ -9,6 +9,7 @@ import pytest
 
 from wallx import ring
 from wallx.errors import NonExpandable, NonRational, NonzeroConstantTerm, PoleAtOne
+from wallx.freelie import LieContext, LieElement, UEAElement, lyndon_words
 from wallx.ring import (
     LaurentElement,
     RationalElement,
@@ -1943,6 +1944,112 @@ def test_coefficients_are_ints_or_proper_fractions() -> None:
         assert got.terms and all(_canonical_coeff(c) for c in got.terms.values())
     assert type(L.const(2).as_fraction()) is Fraction
     assert type(L.zero().as_fraction()) is Fraction
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, 2.0, "2", None])
+def test_a_coefficient_that_is_not_an_int_or_a_fraction_is_refused(bad) -> None:
+    """A float would silently become its binary fraction, and a string its
+    parse: both raise TypeError at every entry point a coefficient has."""
+    entries = [
+        ring.canonical_coefficient,
+        L.const,
+        lambda c: L.monomial(c, {"z": 1}),
+        lambda c: z * c,
+        lambda c: c * z,
+        lambda c: ring.add_terms({}, [((), c)]),
+        lambda c: ring.add_terms({(): 1}, [((), c)]),
+        lambda c: ring.scaled_terms({(): 1}, c),
+    ]
+    for entry in entries:
+        with pytest.raises(TypeError):
+            entry(bad)
+
+
+def _canonical_fold(out: dict, pairs) -> dict:
+    """The add-into loop as a fold, kept as the oracle of ``ring.add_terms``:
+    each sum is put in canonical form on its own, and a zero is dropped."""
+    for key, coeff in pairs:
+        acc = out.get(key)
+        if acc is not None:
+            coeff = acc + coeff
+        coeff = Fraction(coeff)
+        coeff = coeff.numerator if coeff.denominator == 1 else coeff
+        if coeff:
+            out[key] = coeff
+        elif acc is not None:
+            del out[key]
+    return out
+
+
+def test_add_terms_equals_the_fold_hypothesis() -> None:
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # Few keys and small coefficients, so sums collide and cancel often.
+    keys = st.one_of(
+        st.integers(0, 3),
+        st.tuples(st.sampled_from("kz"), st.integers(-1, 1)).map(lambda p: (p,)),
+        st.lists(st.sampled_from("ab"), max_size=2).map(tuple),
+    )
+    nonzero = st.integers(-3, 3).filter(bool)
+    coeffs = st.one_of(nonzero, st.builds(Fraction, nonzero, st.sampled_from([1, 2, 3])))
+    pairs = st.lists(st.tuples(keys, coeffs), max_size=12)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(pairs, pairs)
+    def check(start, added):
+        out = _canonical_fold({}, start)
+        want = _canonical_fold(dict(out), added)
+        got = ring.add_terms(out, added)
+        assert got is out
+        assert list(got.items()) == list(want.items())
+        for c in got.values():
+            assert _canonical_coeff(c) and c != 0
+
+    check()
+
+
+def test_scalar_products_equal_the_per_term_route_hypothesis() -> None:
+    """A product by a scalar, each coefficient times the scalar read back
+    through the constructor, for the Laurent ring and the word combinations
+    alike: equal, canonical, and shown the same."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ctx = LieContext("abc")
+    lyndon = st.sampled_from(lyndon_words(ctx.letters, 3))
+    words = st.lists(st.sampled_from(ctx.letters), max_size=3).map(tuple)
+    coeffs = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 3))
+    factors = st.one_of(
+        st.sampled_from([0, 1, -1, Fraction(-6, 3), Fraction(4, 1), True]),
+        st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(2, 4)),
+    )
+
+    def same(got, want) -> None:
+        assert got == want and str(got) == str(want) and repr(got) == repr(want)
+        for c in got.terms.values():
+            assert _canonical_coeff(c) and c != 0
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(
+        _hypothesis_elements(hypothesis),
+        st.dictionaries(lyndon, coeffs, max_size=4),
+        st.dictionaries(words, coeffs, max_size=4),
+        factors,
+    )
+    def check(el, lie_terms, uea_terms, k):
+        for a in (el, el.truncate(["z"], 1)):
+            want = laurent_sum((L.monomial(c * k, e) for e, c in a.monomials()), a.trunc)
+            same(a * k, want)
+            same(k * a, want)
+            assert (a * k).trunc == a.trunc
+            same(-a, laurent_sum((L.monomial(-c, e) for e, c in a.monomials()), a.trunc))
+        for kind, terms in ((LieElement, lie_terms), (UEAElement, uea_terms)):
+            x = kind(ctx, terms)
+            want = kind(ctx, {w: c * k for w, c in x.terms.items()})
+            same(x * k, want)
+            same(k * x, want)
+            same(-x, kind(ctx, {w: -c for w, c in x.terms.items()}))
+
+    check()
 
 
 # -- slope values and symbols ----------------------------------------------------

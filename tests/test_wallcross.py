@@ -551,6 +551,30 @@ class TestVwWcf:
             (1, 1), tau, taup, table, CHI, o_table={**counts, (1, 1): F(1)}
         ) == vw_wcf((1, 1), tau, taup, table, CHI, o_table=counts)
 
+    @pytest.mark.parametrize("bad", [0.1, "2"])
+    def test_a_table_entry_that_is_not_an_int_or_a_fraction_is_refused(self, bad):
+        # A float entry would be read as its binary fraction and a string
+        # entry as its parse; every sum that reads the table refuses both.
+        tau = linear_stability([1, 0], [1, 1])
+        taup = linear_stability([0, 1], [1, 1])
+        table = InvariantTable(
+            {(1, 0): 1, (0, 1): F(1, 2), (1, 1): bad}, monoid=MONOID
+        )
+        qt = QuantumTorusBackend(CHI)
+        fr = {(1, 0): 1, (0, 1): 3, (1, 1): 2}
+        sums = (
+            lambda: vw_wcf((1, 1), tau, taup, table, CHI),
+            lambda: wcf_rhs((1, 1), tau, taup, table, qt),
+            lambda: pair_invariant_rhs((1, 1), fr, tau, table, qt),
+        )
+        for run in sums:
+            with pytest.raises(TypeError):
+                run()
+        good = InvariantTable({(1, 0): 1, (0, 1): F(1, 2), (1, 1): 2}, monoid=MONOID)
+        assert vw_wcf((1, 1), tau, taup, good, CHI) == wcf_rhs(
+            (1, 1), tau, taup, good, qt
+        ).value
+
     @pytest.mark.parametrize(
         "m, expected",
         [
