@@ -565,11 +565,11 @@ def cy_limit_xi(k: int, source, order: int):
 
 
 def td_series(var: str, order: int) -> LaurentElement:
-    """The series var/(1 - exp(-var)) truncated at the given order."""
+    """The series var/(1 - exp(-var)) truncated at the given order: the
+    inverse of (1 - exp(-var))/var, which is exact through var**order."""
     s = LaurentElement.gen(var).truncate({var}, order + 1)
-    expm = plethystic_exp(-s)
-    g = (1 - expm) * s.monomial_inverse()
-    return g.invert_series().truncate({var}, order)
+    g = (1 - plethystic_exp(-s)) * s.monomial_inverse()
+    return g.truncate({var}, order).invert_series()
 
 
 def pair_chern_character(n: int) -> LaurentElement:

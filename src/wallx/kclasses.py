@@ -32,10 +32,10 @@ from .ring import (
     as_element,
     as_rational,
     exact_laurent_div,
+    exp_times,
     fresh_name,
     integer_entry,
     laurent_sum,
-    plethystic_exp,
     residue_K,
     residue_coh,
 )
@@ -430,32 +430,40 @@ def _chern_data(E):
 def theta_series(E, order: int) -> LaurentElement:
     """The vertex-kernel coefficient series Σ θ_n·y**n, truncated at y**order.
 
-    Computed by generic series machinery: with u = y/(1-hbar·y), the series is
-    (-1)**rank·(1-hbar·y)**rank·exp(-Σ_j (j-1)!·ch_j·(u**j - y**j)),
-    with the binomial factor taken as a geometric-series inverse when the rank
-    is negative.  ``order``, read by ``ring.integer_entry``, must be >= 0
-    (ValueError otherwise).
+    θ = (-1)**rank·(1 - hbar·y)**rank·exp(A), A = -Σ_j (j-1)!·ch_j·(u**j - y**j)
+    with u = y/(1 - hbar·y), both factors read off in closed form: since
+    u**j - y**j = Σ_{n>j} C(n-1, j-1)·hbar**(n-j)·y**n, A has y**n
+    coefficient -Σ_{j<n} (j-1)!·C(n-1, j-1)·ch_j·hbar**(n-j), and
+    (1 - hbar·y)**rank has y**m coefficient C(rank, m)·(-hbar)**m, the
+    generalized binomial for a negative rank.  ``ring.exp_times`` runs the
+    Euler recurrence of ``plethystic_exp`` for exp(A) on graded pieces and
+    multiplies in the binomial's pieces.  ``order``, read by
+    ``ring.integer_entry``, must be >= 0 (ValueError otherwise); a class
+    must be additive-mode (ModeMismatch), and one with a root that names
+    ``y``, the series variable, is refused (ValueError).
     """
     order = integer_entry(order)
     if order < 0:
         raise ValueError(f"theta series order must be >= 0, got {order}")
     rank, ch = _chern_data(E)
-    one = ONE.truncate({"y"}, order)
-    y = LaurentElement.gen("y") * one
-    g = one - LaurentElement.gen("hbar") * y
-    ginv = g.invert_series()
-    u = y * ginv
+    if isinstance(E, VirtualClass) and any("y" in w.variables() for w, _ in E.roots):
+        raise ValueError("a root of the class names y, the theta series variable")
+    y, hy = LaurentElement.gen("y"), LaurentElement.monomial(1, {"hbar": 1, "y": 1})
+    y_pow, hy_pow = [ONE], [ONE]
+    for _ in range(order):
+        y_pow.append(y_pow[-1] * y)
+        hy_pow.append(hy_pow[-1] * hy)
 
-    def terms():
-        u_pow, y_pow = one, one
-        for j in range(1, order + 1):
-            u_pow, y_pow = u_pow * u, y_pow * y
-            yield -math.factorial(j - 1) * ch(j) * (u_pow - y_pow)
+    def argument():
+        # ch_j·y**j times (hbar·y)**(n-j) with (j-1)!·C(n-1, j-1) = (n-1)!/(n-j)!.
+        for j in range(1, order):
+            tail = (-math.perm(j + e - 1, j - 1) * hy_pow[e] for e in range(1, order - j + 1))
+            yield ch(j) * y_pow[j] * laurent_sum(tail)
 
-    series = plethystic_exp(laurent_sum(terms(), one.trunc))
-    binom = g**rank if rank >= 0 else ginv ** (-rank)
-    sign = 1 if rank % 2 == 0 else -1
-    return sign * binom * series
+    factor = laurent_sum(  # (-1)**rank·(1 - hbar·y)**rank
+        (-1) ** ((rank + m) % 2) * _gbinom(rank, m) * hy_pow[m] for m in range(order + 1)
+    )
+    return exp_times(laurent_sum(argument()).truncate({"y"}, order), factor)
 
 
 def theta_coefficients(E, order: int) -> list[LaurentElement]:
@@ -466,12 +474,9 @@ def theta_coefficients(E, order: int) -> list[LaurentElement]:
     return [series.coeff_of("y", n).without_trunc() for n in range(order + 1)]
 
 
-def _gbinom(a: int, m: int) -> Fraction:
+def _gbinom(a: int, m: int) -> int:
     """Generalized binomial coefficient C(a, m) for integer a of any sign."""
-    acc = Fraction(1)
-    for i in range(m):
-        acc = acc * (a - i)
-    return acc / math.factorial(m)
+    return math.comb(a, m) if a >= 0 else (-1) ** m * math.comb(m - a - 1, m)
 
 
 def _compositions_min2(total: int):

@@ -23,8 +23,9 @@ its degree.  A residue reads one piece: degree 0 at both points, or
 ``var**-1`` at infinity.  The only other quotient is the packed ``div_d``,
 the exact division by a power of D at the end of the ``vw_wcf`` peel: a
 running sum on packed keys, where unpacking for the series division was
-measured slower.  The series exponential ``plethystic_exp`` runs the same
-kind of graded recurrence, on the pieces of its input graded once.
+measured slower.  The series exponential ``exp_times``, factor·exp(g),
+runs the same kind of graded recurrence on the pieces of g graded once; it
+serves ``plethystic_exp`` (a unit factor) and ``kclasses.theta_series``.
 
 ``packed_algebra`` serves one computation over a fixed set of variables,
 the peel of ``wallcross.vw_wcf`` or a column of ``descendent.exp_minus_delta``:
@@ -1132,29 +1133,39 @@ def residue_coh(f: Element, *, var: str = "u"):
 
 
 def plethystic_exp(g: LaurentElement) -> LaurentElement:
-    """exp of a truncated series with zero constant term.
+    """exp of a truncated series with zero constant term: ``exp_times(g, 1)``."""
+    return exp_times(g, ONE)
+
+
+def exp_times(g: LaurentElement, factor: LaurentElement | Scalar) -> LaurentElement:
+    """``factor``·exp(g), truncated as g, for a truncated series g with zero
+    constant term and a ``factor`` untruncated or truncated as g, with no
+    term below degree 0 (ValueError otherwise).
 
     With g_k and E_n the pieces of g and of E = exp(g) graded as in
     ``_series_div``, the Euler operator (each piece times its degree) turns
     E' = g'·E into n·E_n = Σ_k k·g_k·E_{n-k} (Knuth TAOCP vol. 2, §4.7):
-    each piece once, as a plain dict product on ``_graded`` pieces.
+    each piece once, as a plain dict product on ``_graded`` pieces.  The
+    pieces of ``factor`` then multiply those of E once each, and the result
+    is ungraded once.
     """
-    g = as_element(g)
+    g, factor = as_element(g), as_element(factor)
     t = g.trunc
-    if not g.terms:
-        return LaurentElement.const(1, t)
     if t is None:
-        raise ValueError("series exponential needs a truncated input")
-    if g.trunc_zero_part():
+        if g.terms:
+            raise ValueError("series exponential needs a truncated input")
+        return factor
+    graded = _graded(g.terms, t.names, t.sign)
+    if 0 in graded:
         raise NonzeroConstantTerm("series exponential needs zero constant term")
-    if _below_zero(g):
+    if min(graded, default=0) < 0:
         raise NonExpandable("series exponential of a term below degree 0")
-    steps = [
-        (k, [(m, k * c) for m, c in piece.items()])
-        for k, piece in sorted(_graded(g.terms, t.names, t.sign).items())
-    ]
-    pieces: dict[int, dict[Mono, Scalar]] = {0: {(): 1}}
-    for n in range(steps[0][0], t.order2 + 1):
+    factor_pieces = _graded(factor.terms, t.names, t.sign)
+    if factor.trunc not in (None, t) or min(factor_pieces, default=0) < 0:
+        raise ValueError("the factor is truncated otherwise or has a term below degree 0")
+    steps = [(k, [(m, k * c) for m, c in piece.items()]) for k, piece in sorted(graded.items())]
+    pieces: dict[int, dict[Mono, Scalar]] = {0: {(): 1}} if t.order2 >= 0 else {}
+    for n in range(1, t.order2 + 1):
         piece: dict[Mono, Scalar] = {}
         for k, step in steps:
             if k > n:
@@ -1164,6 +1175,13 @@ def plethystic_exp(g: LaurentElement) -> LaurentElement:
                 _add_products(piece, step, prev)
         if piece:
             pieces[n] = scaled_terms(piece, Fraction(1, n))
+    if factor.terms != ONE.terms:
+        product: dict[int, dict[Mono, Scalar]] = {}
+        for m, factor_piece in factor_pieces.items():
+            for k, piece in pieces.items():
+                if m + k <= t.order2:
+                    _add_products(product.setdefault(m + k, {}), factor_piece.items(), piece)
+        pieces = {n: _canonical(piece) for n, piece in product.items()}
     return _trusted(_ungraded(pieces, t.names, t.sign), t)
 
 

@@ -590,6 +590,20 @@ class TestPairChernData:
         assert pure_coeff(td, s=3) == 0
         assert pure_coeff(td, s=4) == F(-1, 720)
 
+    def test_td_series_is_the_bernoulli_series(self):
+        # var/(1 - exp(-var)) = Σ B_n⁺·var**n/n!, with Σ_{k<=n} C(n+1, k)·B_k = 0
+        # for n >= 1 and B_1⁺ = -B_1 = +1/2.
+        bernoulli = [F(1)]
+        for n in range(1, 9):
+            bernoulli.append(-sum(math.comb(n + 1, k) * b for k, b in enumerate(bernoulli)) / (n + 1))
+        bernoulli[1] = -bernoulli[1]
+        s = L.gen("s")
+        for order in range(9):
+            td = td_series("s", order)
+            terms = (b / math.factorial(n) * s**n for n, b in enumerate(bernoulli[: order + 1]))
+            assert td == laurent_sum(terms)
+            assert td.trunc == L.const(1).truncate({"s"}, order).trunc
+
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_homogeneous(self, n):
         ch = pair_chern_character(n)

@@ -39,6 +39,7 @@ from wallx.ring import (
     exact_laurent_div,
     expand,
     laurent_sum,
+    plethystic_exp,
     specialize_kappa,
 )
 
@@ -553,3 +554,75 @@ def test_theta_coefficients_from_root_class() -> None:
 def test_theta_coefficients_reject_K_mode() -> None:
     with pytest.raises(ModeMismatch):
         theta_coefficients(VirtualClass([L.gen("t1")]), 2)
+
+
+def _theta_by_products(E, order: int) -> L:
+    """theta_series by the generic series route: with u = y/(1 - hbar·y),
+    (-1)**rank·(1 - hbar·y)**rank·exp(-Σ_j (j-1)!·ch_j·(u**j - y**j)), from
+    truncated products, a series inverse and powers, the binomial a power
+    of the geometric-series inverse when the rank is negative."""
+    if isinstance(E, VirtualClass):
+        rank, ch = E.rank, lambda p: chern_character(E, p)
+    else:
+        rank, ch = E, lambda p: L.gen(f"ch{p}")
+    unit = one.truncate({"y"}, order)
+    y = L.gen("y") * unit
+    g = unit - hbar * y
+    ginv = g.invert_series()
+    u = y * ginv
+    terms, u_pow, y_pow = [], unit, unit
+    for j in range(1, order + 1):
+        u_pow, y_pow = u_pow * u, y_pow * y
+        terms.append(-math.factorial(j - 1) * ch(j) * (u_pow - y_pow))
+    series = plethystic_exp(laurent_sum(terms, unit.trunc))
+    binom = g**rank if rank >= 0 else ginv ** (-rank)
+    return (1 if rank % 2 == 0 else -1) * binom * series
+
+
+def _hypothesis_theta_inputs(hypothesis):
+    """Integer ranks -5…6 at orders 0–8, and coh classes of up to three
+    signed roots, linear forms in a, b and hbar with Fraction coefficients,
+    at orders 0–6."""
+    st = hypothesis.strategies
+    coefficient = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    form = st.dictionaries(st.sampled_from(["a", "b", "hbar"]), coefficient, max_size=3)
+    root = st.tuples(
+        form.map(lambda f: laurent_sum(c * L.gen(v) for v, c in f.items())),
+        st.sampled_from([1, -1]),
+    )
+    classes = st.lists(root, max_size=3).map(lambda roots: VirtualClass(roots, mode="coh"))
+    return st.one_of(
+        st.tuples(st.integers(-5, 6), st.integers(0, 8)),
+        st.tuples(classes, st.integers(0, 6)),
+    )
+
+
+def test_theta_series_matches_the_product_route_hypothesis() -> None:
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(_hypothesis_theta_inputs(hypothesis))
+    def check(pair):
+        E, order = pair
+        got, want = theta_series(E, order), _theta_by_products(E, order)
+        assert str(got) == str(want)
+        assert got.trunc == want.trunc
+
+    check()
+
+
+def test_theta_series_refuses_a_root_named_like_its_variable() -> None:
+    # The product route reads such a root as part of the series variable,
+    # so its coefficients are not θ_n; theta_closed has them.
+    y, a = L.gen("y"), L.gen("a")
+    V = VirtualClass([y, a], mode="coh")
+    assert theta_closed(V, 2) == -a * hbar - hbar * y + hbar**2
+    assert _theta_by_products(V, 2).coeff_of("y", 2) == -a * hbar + hbar**2
+    for call in (theta_series, theta_coefficients):
+        with pytest.raises(ValueError, match="names y"):
+            call(V, 2)
+    # The order is read first, then the mode.
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        theta_series(V, -1)
+    with pytest.raises(ModeMismatch):
+        theta_series(VirtualClass([y]), 2)

@@ -19,6 +19,7 @@ from wallx.ring import (
     exact_laurent_div,
     expand,
     expand_general,
+    exp_times,
     fresh_name,
     integer_entry,
     laurent_sum,
@@ -1471,6 +1472,30 @@ def test_plethystic_exp_matches_the_power_sum_oracle_hypothesis() -> None:
         assert plethystic_exp(a + b) == plethystic_exp(a) * plethystic_exp(b)
 
     check()
+
+
+def test_exp_times_is_the_factor_times_the_exponential_hypothesis() -> None:
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(_hypothesis_exp_inputs(hypothesis))
+    def check(pair):
+        a, b = pair
+        factor = b + 2
+        want = factor * plethystic_exp(a)
+        for f in (factor, factor.without_trunc()):
+            got = exp_times(a, f)
+            assert str(got) == str(want) and got.trunc == want.trunc == a.trunc
+
+    check()
+
+
+def test_exp_times_refuses_a_factor_it_cannot_truncate() -> None:
+    g = x.truncate(["x"], 3)
+    for factor in (1 + x.monomial_inverse(), (1 + x).truncate(["x"], 2)):
+        with pytest.raises(ValueError, match="factor"):
+            exp_times(g, factor)
+    assert exp_times(L.zero(), 1 + x) == 1 + x
 
 
 def test_plethystic_exp_of_half_integer_degrees() -> None:
