@@ -46,14 +46,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from .kclasses import cy_limit_theta, theta_closed
+from .kclasses import cy_limit_theta, theta_coefficients
 from .ring import (
     LaurentElement,
     exact_laurent_div,
+    exp_times,
     integer_entry,
     laurent_sum,
     packed_algebra,
-    plethystic_exp,
 )
 from .ucoeff import set_partitions
 
@@ -321,7 +321,7 @@ def factorized_entry(sigma: SetPartition, order: int) -> LaurentElement:
     # nothing that the final truncation at ``order`` would keep.
     assert all(e >= 0 for el in factors for m, _ in el.monomials() for e in m.values())
     names = frozenset().union(*(el.variables() for el in factors))
-    acc = plethystic_exp((n - 1) * merge_symbol(()).truncate(names, order))
+    acc = exp_times((n - 1) * merge_symbol(()).truncate(names, order), ONE)
     for corner in corners:
         acc = acc * corner
     return acc.without_trunc()
@@ -538,12 +538,18 @@ def build_xi(k: int, source, order: int, *, ch_values=None):
     ``source`` is an integer rank (formal ch symbols) or an additive-mode
     class; ``ch_values`` optionally substitutes each formal ch symbol by an
     explicit element, e.g. the pair-element Chern character in
-    point-insertion symbols.
+    point-insertion symbols.  θ_1, …, θ_{order+1} come from one
+    ``theta_coefficients`` call; ``order`` is read by
+    ``ring.integer_entry``, and below 0 the sum is empty.
     """
+    order = integer_entry(order)
+    if order < 0:
+        return LaurentElement.zero()
     h = LaurentElement.gen("hbar")
+    thetas = theta_coefficients(source, order + 1)
     acc = LaurentElement.zero()
     for n in range(order + 1):
-        term = exact_laurent_div(theta_closed(source, n + 1), h, "hbar")
+        term = exact_laurent_div(thetas[n + 1], h, "hbar")
         if ch_values is not None:
             for a in range(1, n + 2):
                 if a in ch_values:
@@ -553,23 +559,16 @@ def build_xi(k: int, source, order: int, *, ch_values=None):
 
 
 def cy_limit_xi(k: int, source, order: int):
-    """The hbar = 0 reduction: -(-1)**rank Σ k**n ch_n, via the limit table."""
+    """The hbar = 0 reduction of ``build_xi``: -(-1)**rank Σ k**n ch_n from
+    ``kclasses.cy_limit_theta``; ``order`` is read as in ``build_xi``."""
     acc = LaurentElement.zero()
-    for n in range(order + 1):
+    for n in range(integer_entry(order) + 1):
         limit = cy_limit_theta(source, n)
         acc = acc + Fraction(k) ** n * Fraction(1, math.factorial(n)) * limit
     return acc
 
 
 # -- Chern data of the pair element in point-insertion symbols --------------
-
-
-def td_series(var: str, order: int) -> LaurentElement:
-    """The series var/(1 - exp(-var)) truncated at the given order: the
-    inverse of (1 - exp(-var))/var, which is exact through var**order."""
-    s = LaurentElement.gen(var).truncate({var}, order + 1)
-    g = (1 - plethystic_exp(-s)) * s.monomial_inverse()
-    return g.truncate({var}, order).invert_series()
 
 
 def pair_chern_character(n: int) -> LaurentElement:
@@ -579,26 +578,37 @@ def pair_chern_character(n: int) -> LaurentElement:
     one Todd series per tangent weight, v is the gerbe symbol, P is the
     point-insertion series with alternating signs (``taup0, taup1, ...``,
     the m-th rescaled by (-1)**m), and T is the unit-insertion series
-    (``tau10, tau11, ...``, the j-th of degree j-3).  Degrees are tracked
-    on an auxiliary variable and the degree-n coefficient is returned.
+    (``tau10, tau11, ...``, the j-th of degree j-3).  Its degree-n part is
+    the one sum -Σ_{a+b+c=n} td_a·(E_b - P_b)·T_c, with td_a the degree-a
+    part of ∏_w Σ_k b_k·w**k, where Σ_k b_k·w**k = w/(1 - exp(-w)) and
+    b_k = B_k⁺/k! (the Bernoulli recurrence), E_b = (-v)**b/b!,
+    P_b = (-1)**b·taup_b and T_c = tau1_{c+3}.  ``n`` is read by
+    ``ring.integer_entry``; below degree -3 the character is 0.
     """
-    bound = n + 3
-    t = LaurentElement.gen("t")
-    one = LaurentElement.const(1).truncate({"t"}, bound)
-
-    td = one
-    for w in _WEIGHTS:
-        factor = td_series(w, bound).subs_monomial(w, LaurentElement.gen(w) * t)
-        td = td * factor.without_trunc()
-
-    expv = plethystic_exp(-(LaurentElement.gen("v") * t) * one)
-
-    points = units = 0 * one
-    for m in range(bound + 4):
-        points = points + (-1) ** m * LaurentElement.gen(f"taup{m}") * t**m
-        units = units + LaurentElement.gen(f"tau1{m}") * t ** (m - 3) * one
-    total = -td * (expv - points) * units
-    return total.coeff_of("t", n).without_trunc()
+    top = integer_entry(n) + 3  # the largest a + b
+    bernoulli: list[Fraction] = []  # B_k⁺ = B_k but B_1⁺ = +1/2
+    for k in range(top + 1):
+        total = sum(math.comb(k + 1, j) * b for j, b in enumerate(bernoulli))
+        bernoulli.append(1 - Fraction(total, k + 1))  # Σ_{j<=k} C(k+1, j)·B_j⁺ = k + 1
+    b = [bk / math.factorial(k) for k, bk in enumerate(bernoulli)]
+    todd = [
+        laurent_sum(
+            LaurentElement.monomial(b[i] * b[j] * b[a - i - j], {"s1": i, "s2": j, "s3": a - i - j})
+            for i in range(a + 1)
+            for j in range(a - i + 1)
+        )
+        for a in range(top + 1)
+    ]
+    v = LaurentElement.gen("v")
+    points = [  # E_e - P_e
+        (-1) ** e * (v**e / math.factorial(e) - LaurentElement.gen(f"taup{e}"))
+        for e in range(top + 1)
+    ]
+    return -laurent_sum(
+        todd[a] * points[e] * LaurentElement.gen(f"tau1{top - a - e}")
+        for a in range(top + 1)
+        for e in range(top + 1 - a)
+    )
 
 
 def hbar_to_weights(element):

@@ -418,13 +418,22 @@ def pushforward_closed_coh(k: int, V: VirtualClass) -> LaurentElement:
 
 
 def _chern_data(E):
-    """Rank and Chern-character accessor for a class or a bare integer rank."""
+    """Rank and Chern-character accessor, ch_0 the rank, for a class or a
+    bare integer rank."""
     if isinstance(E, VirtualClass):
         if E.mode != "coh":
             raise ModeMismatch("theta coefficients need an additive-mode class")
         return E.rank, lambda p: chern_character(E, p)
     rank = integer_entry(E)
-    return rank, lambda p: LaurentElement.gen(f"ch{p}")
+    return rank, lambda p: LaurentElement.gen(f"ch{p}") if p else LaurentElement.const(rank)
+
+
+def _nonnegative(n, what: str) -> int:
+    """``n`` read by ``ring.integer_entry``; ValueError if it is negative."""
+    n = integer_entry(n)
+    if n < 0:
+        raise ValueError(f"{what} must be >= 0, got {n}")
+    return n
 
 
 def theta_series(E, order: int) -> LaurentElement:
@@ -436,19 +445,33 @@ def theta_series(E, order: int) -> LaurentElement:
     coefficient -Σ_{j<n} (j-1)!·C(n-1, j-1)·ch_j·hbar**(n-j), and
     (1 - hbar·y)**rank has y**m coefficient C(rank, m)·(-hbar)**m, the
     generalized binomial for a negative rank.  ``ring.exp_times`` runs the
-    Euler recurrence of ``plethystic_exp`` for exp(A) on graded pieces and
-    multiplies in the binomial's pieces.  ``order``, read by
-    ``ring.integer_entry``, must be >= 0 (ValueError otherwise); a class
-    must be additive-mode (ModeMismatch), and one with a root that names
-    ``y``, the series variable, is refused (ValueError).
+    Euler recurrence for exp(A) on graded pieces and multiplies in the
+    binomial's pieces.  ``order``, read by ``ring.integer_entry``, must be
+    >= 0 (ValueError otherwise); a class must be additive-mode
+    (ModeMismatch), and one with a root that names ``y``, the series
+    variable, is refused (ValueError).
     """
-    order = integer_entry(order)
-    if order < 0:
-        raise ValueError(f"theta series order must be >= 0, got {order}")
+    order = _nonnegative(order, "theta series order")
     rank, ch = _chern_data(E)
     if isinstance(E, VirtualClass) and any("y" in w.variables() for w, _ in E.roots):
         raise ValueError("a root of the class names y, the theta series variable")
-    y, hy = LaurentElement.gen("y"), LaurentElement.monomial(1, {"hbar": 1, "y": 1})
+    return _theta(rank, ch, order, "y")
+
+
+def theta_coefficients(E, order: int) -> list[LaurentElement]:
+    """[θ_0, …, θ_order] from the series of ``theta_series``, run in ``y``
+    primed until no root of the class names it, so such a class is
+    answered too; ``order`` is read as in ``theta_series``."""
+    order = _nonnegative(order, "theta series order")
+    rank, ch = _chern_data(E)
+    y = fresh_name("y", [w for w, _ in E.roots] if isinstance(E, VirtualClass) else ())
+    series = _theta(rank, ch, order, y)
+    return [series.coeff_of(y, n).without_trunc() for n in range(order + 1)]
+
+
+def _theta(rank: int, ch, order: int, var: str) -> LaurentElement:
+    """The series of ``theta_series`` in the variable ``var``."""
+    y, hy = LaurentElement.gen(var), LaurentElement.monomial(1, {"hbar": 1, var: 1})
     y_pow, hy_pow = [ONE], [ONE]
     for _ in range(order):
         y_pow.append(y_pow[-1] * y)
@@ -463,15 +486,7 @@ def theta_series(E, order: int) -> LaurentElement:
     factor = laurent_sum(  # (-1)**rank·(1 - hbar·y)**rank
         (-1) ** ((rank + m) % 2) * _gbinom(rank, m) * hy_pow[m] for m in range(order + 1)
     )
-    return exp_times(laurent_sum(argument()).truncate({"y"}, order), factor)
-
-
-def theta_coefficients(E, order: int) -> list[LaurentElement]:
-    """[θ_0, …, θ_order] extracted from the coefficient series; ``order`` is
-    read as in ``theta_series``."""
-    order = integer_entry(order)
-    series = theta_series(E, order)
-    return [series.coeff_of("y", n).without_trunc() for n in range(order + 1)]
+    return exp_times(laurent_sum(argument()).truncate({var}, order), factor)
 
 
 def _gbinom(a: int, m: int) -> int:
@@ -523,7 +538,10 @@ def theta_closed(E, n: int) -> LaurentElement:
 
 
 def cy_limit_theta(E, n: int) -> LaurentElement:
-    """θ_{n+1}/hbar at hbar = 0, the point-insertion coefficient -(-1)**rank·n!·ch_n."""
-    h = LaurentElement.gen("hbar")
-    quotient = exact_laurent_div(theta_closed(E, n + 1), h, "hbar")
-    return quotient.subs_zero("hbar")
+    """θ_{n+1}/hbar at hbar = 0, in closed form: -(-1)**rank·n!·ch_n at
+    hbar = 0, with ch_0 = rank; a root may name hbar, and its hbar is set
+    to 0 too.  ``n``, read by ``ring.integer_entry``, must be >= 0
+    (ValueError otherwise)."""
+    n = _nonnegative(n, "limit index")
+    rank, ch = _chern_data(E)
+    return ((-1) ** ((rank + 1) % 2) * math.factorial(n) * ch(n)).subs_zero("hbar")

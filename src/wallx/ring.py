@@ -14,18 +14,19 @@ through ``LaurentElement.monomials()``, in natural exponents.
 
 Every Laurent quotient in this module rests on one power-series division
 on raw term dicts: ``expand``, ``residue_K``, ``residue_coh``,
-``invert_series``, ``exact_laurent_div`` (the series at infinity, run one
-divisor span below an exact quotient's floor) and ``expand_general`` (with
-a fresh variable standing for a lowest piece that is not a monomial).  It
+``exact_laurent_div`` (the series at infinity, run one divisor span below
+an exact quotient's floor) and ``expand_general`` (with a fresh variable
+standing for a lowest piece that is not a monomial).  It
 returns the quotient's pieces keyed by graded degree, and with one grading
 variable it drops that variable from every monomial, since the key holds
 its degree.  A residue reads one piece: degree 0 at both points, or
 ``var**-1`` at infinity.  The only other quotient is the packed ``div_d``,
 the exact division by a power of D at the end of the ``vw_wcf`` peel: a
 running sum on packed keys, where unpacking for the series division was
-measured slower.  The series exponential ``exp_times``, factor·exp(g),
+measured slower.  The one series exponential, ``exp_times``, factor·exp(g),
 runs the same kind of graded recurrence on the pieces of g graded once; it
-serves ``plethystic_exp`` (a unit factor) and ``kclasses.theta_series``.
+serves ``kclasses.theta_series`` (a binomial factor) and
+``descendent.factorized_entry`` (a unit factor).
 
 ``packed_algebra`` serves one computation over a fixed set of variables,
 the peel of ``wallcross.vw_wcf`` or a column of ``descendent.exp_minus_delta``:
@@ -528,30 +529,6 @@ class LaurentElement:
     def without_trunc(self) -> "LaurentElement":
         return _trusted(self.terms)
 
-    def trunc_zero_part(self) -> "LaurentElement":
-        """Terms of total degree 0 in the truncation variables."""
-        if self.trunc is None:
-            raise ValueError("element is not a truncated series")
-        names = self.trunc.names
-        return _trusted(
-            {m: c for m, c in self.terms.items() if _mono_deg2(m, names) == 0}
-        )
-
-    def invert_series(self) -> "LaurentElement":
-        """Inverse of a truncated series whose constant part is a monomial."""
-        if self.trunc is None:
-            if self.is_monomial():
-                return self.monomial_inverse()
-            raise ValueError("inversion of a multi-term element needs truncation")
-        if _below_zero(self):
-            raise NonExpandable("series has a term below its constant part")
-        if not self.trunc_zero_part().is_monomial():
-            raise NonExpandable("series constant term is not an invertible monomial")
-        t = self.trunc
-        lead_name = "series constant term"
-        pieces = _series_div(ONE.terms, [self.terms], t.names, t.sign, t.order2, lead_name)
-        return _trusted(_ungraded(pieces, t.names, t.sign), t)
-
     def rename(self, names: Mapping[str, str]) -> "LaurentElement":
         """The element with each variable ``v`` named ``names[v]``: a
         one-to-one map of every variable, so no two terms merge."""
@@ -663,13 +640,6 @@ class LaurentElement:
 
 _set_terms = LaurentElement.terms.__set__
 _set_trunc = LaurentElement.trunc.__set__
-
-
-def _below_zero(series: LaurentElement) -> bool:
-    """Whether a truncated series has a term of negative degree in its
-    expansion direction; no power of such a series ever truncates to zero."""
-    t = series.trunc
-    return any(t.sign * _mono_deg2(m, t.names) < 0 for m in series.terms)
 
 
 def _trusted(terms: dict[Mono, Scalar], trunc: Trunc | None = None) -> LaurentElement:
@@ -798,8 +768,8 @@ def _series_div(
     after it.  With h_e the degree-e piece of 1 - den/d, q_n = p_n +
     Σ_e h_e·q_{n-e}: each piece once (power-series division, Knuth TAOCP
     vol. 2, §4.7), as a plain dict product, every term exact.  A residue
-    reads one piece; ``expand`` and ``invert_series`` put the variable back
-    through ``_ungraded``.
+    reads one piece; ``expand`` and ``exact_laurent_div`` put the variable
+    back through ``_ungraded``.
     """
     divisors = []
     shift: Mono = ()
@@ -1132,11 +1102,6 @@ def residue_coh(f: Element, *, var: str = "u"):
 # -- series exponential -------------------------------------------------------
 
 
-def plethystic_exp(g: LaurentElement) -> LaurentElement:
-    """exp of a truncated series with zero constant term: ``exp_times(g, 1)``."""
-    return exp_times(g, ONE)
-
-
 def exp_times(g: LaurentElement, factor: LaurentElement | Scalar) -> LaurentElement:
     """``factor``·exp(g), truncated as g, for a truncated series g with zero
     constant term and a ``factor`` untruncated or truncated as g, with no
@@ -1147,7 +1112,8 @@ def exp_times(g: LaurentElement, factor: LaurentElement | Scalar) -> LaurentElem
     E' = g'·E into n·E_n = Σ_k k·g_k·E_{n-k} (Knuth TAOCP vol. 2, §4.7):
     each piece once, as a plain dict product on ``_graded`` pieces.  The
     pieces of ``factor`` then multiply those of E once each, and the result
-    is ungraded once.
+    is ungraded once.  This is the package's one series exponential:
+    exp(g) alone is ``exp_times(g, 1)``.
     """
     g, factor = as_element(g), as_element(factor)
     t = g.trunc

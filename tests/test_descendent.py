@@ -23,14 +23,13 @@ from wallx.descendent import (
     pair_chern_character,
     partitions_of,
     pt_symbol,
-    td_series,
     total_truncate,
     y_explicit,
     y_recursion,
 )
 from wallx.kclasses import VirtualClass, chern_character, theta_closed, theta_coefficients
 from wallx import descendent
-from wallx.ring import LaurentElement, exact_laurent_div, laurent_sum
+from wallx.ring import LaurentElement, exact_laurent_div, exp_times, laurent_sum
 from wallx.ucoeff import mu_n, set_partitions
 
 F = Fraction
@@ -41,14 +40,52 @@ X2 = merge_symbol((2,))
 X12 = merge_symbol((1, 2))
 
 
-def xi_series(source, order: int):
-    """Σ_{n <= order} θ_{n+1}/(hbar·n!), the undeformed kernel series."""
+def xi_series(source, order: int, k=1):
+    """Σ_{n <= order} k**n·θ_{n+1}/(hbar·n!) from the enumeration
+    ``theta_closed``; k = 1 is the undeformed kernel series."""
     h = L.gen("hbar")
     acc = L.zero()
     for n in range(order + 1):
         term = exact_laurent_div(theta_closed(source, n + 1), h, "hbar")
-        acc = acc + F(1, math.factorial(n)) * term
+        acc = acc + F(k) ** n * F(1, math.factorial(n)) * term
     return acc
+
+
+def _pair_chern_by_series(n: int) -> L:
+    """``pair_chern_character`` by truncated series in an auxiliary degree
+    variable t: each Todd factor w/(1 - exp(-w)) the geometric-sum inverse
+    of (1 - exp(-w))/w = 1 + g, Σ_m (-g)**m, then -td·(exp(-v) - P)·T
+    multiplied out and its t**n coefficient read."""
+    bound = n + 3
+    t = L.gen("t")
+    one = L.const(1).truncate({"t"}, bound)
+    td = one
+    for w in ("s1", "s2", "s3"):
+        s = L.gen(w) * t * one
+        terms = (F((-1) ** j, math.factorial(j + 1)) * s**j for j in range(1, bound + 1))
+        g = laurent_sum(terms, one.trunc)
+        power, inverse = one, one
+        for _ in range(bound):
+            power = -power * g
+            inverse = inverse + power
+        td = td * inverse
+    expv = exp_times(-(L.gen("v") * t) * one, 1)
+    points = units = 0 * one
+    for m in range(bound + 4):
+        points = points + (-1) ** m * L.gen(f"taup{m}") * t**m
+        units = units + L.gen(f"tau1{m}") * t ** (m - 3) * one
+    total = -td * (expv - points) * units
+    return total.coeff_of("t", n).without_trunc()
+
+
+def _bernoulli_plus(top: int) -> list:
+    """B_0⁺, …, B_top⁺ from Σ_{k<=n} C(n+1, k)·B_k = 0 for n >= 1, with
+    B_1⁺ = -B_1 = +1/2."""
+    bernoulli = [F(1)]
+    for n in range(1, top + 1):
+        bernoulli.append(-sum(math.comb(n + 1, k) * b for k, b in enumerate(bernoulli)) / (n + 1))
+    bernoulli[1] = -bernoulli[1]
+    return bernoulli
 
 
 def pure_coeff(element, **exps):
@@ -564,6 +601,39 @@ class TestXiSeries:
             oracle = oracle + F(k) ** n * F(1, math.factorial(n)) * q
         assert xi.coeff_of("hbar", 1) == oracle.coeff_of("hbar", 1)
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            *range(-3, 4),
+            VirtualClass([L.gen("a") + L.gen("hbar"), (L.gen("b"), -1)], mode="coh"),
+            VirtualClass([2 * L.gen("b") + 1, (L.gen("w"), -1), L.gen("b")], mode="coh"),
+            VirtualClass([L.gen("y"), (L.gen("y") + L.gen("hbar"), -1)], mode="coh"),
+        ],
+        ids=[*map(str, range(-3, 4)), "hbar-root", "signed-root", "y-root"],
+    )
+    def test_matches_the_enumeration(self, source):
+        for k in (-1, 0, 1, 2):
+            for order in range(-1, 7):
+                want = xi_series(source, order, k)
+                assert str(build_xi(k, source, order)) == str(want)
+                assert str(cy_limit_xi(k, source, order)) == str(want.subs_zero("hbar"))
+
+    def test_order_follows_the_integer_rule(self):
+        for order in (True, 2.0, "2"):
+            for call in (build_xi, cy_limit_xi):
+                with pytest.raises(ValueError, match="expected an integer"):
+                    call(2, 1, order)
+        for call in (build_xi, cy_limit_xi):
+            assert str(call(2, 1, F(2))) == str(call(2, 1, 2))
+
+    def test_negative_order_is_the_empty_sum(self):
+        # The order is read first, so even a K-mode class gives the empty sum.
+        k_class = VirtualClass([L.gen("a")])
+        for order in (-1, -3):
+            for source in (2, k_class):
+                assert build_xi(2, source, order) == L.zero()
+                assert cy_limit_xi(2, source, order) == L.zero()
+
     def test_empty_class_vanishes(self):
         zero_class = VirtualClass((), mode="coh")
         assert build_xi(3, zero_class, 4) == L.zero()
@@ -583,26 +653,36 @@ class TestPairChernData:
         GRADING[f"tau1{m}"] = m - 3
 
     def test_td_series(self):
-        td = td_series("s", 4)
-        assert pure_coeff(td) == 1
-        assert pure_coeff(td, s=1) == F(1, 2)
-        assert pure_coeff(td, s=2) == F(1, 12)
-        assert pure_coeff(td, s=3) == 0
-        assert pure_coeff(td, s=4) == F(-1, 720)
+        # The s1**k·tau13 coefficient of the degree-k character is -b_k,
+        # b_k the s**k coefficient of s/(1 - exp(-s)).
+        todd = {0: 1, 1: F(1, 2), 2: F(1, 12), 3: 0, 4: F(-1, 720)}
+        for k, b in todd.items():
+            assert pure_coeff(pair_chern_character(k), s1=k, tau13=1) == -b
 
     def test_td_series_is_the_bernoulli_series(self):
-        # var/(1 - exp(-var)) = Σ B_n⁺·var**n/n!, with Σ_{k<=n} C(n+1, k)·B_k = 0
-        # for n >= 1 and B_1⁺ = -B_1 = +1/2.
-        bernoulli = [F(1)]
-        for n in range(1, 9):
-            bernoulli.append(-sum(math.comb(n + 1, k) * b for k, b in enumerate(bernoulli)) / (n + 1))
-        bernoulli[1] = -bernoulli[1]
-        s = L.gen("s")
-        for order in range(9):
-            td = td_series("s", order)
-            terms = (b / math.factorial(n) * s**n for n, b in enumerate(bernoulli[: order + 1]))
-            assert td == laurent_sum(terms)
-            assert td.trunc == L.const(1).truncate({"s"}, order).trunc
+        # s/(1 - exp(-s)) = Σ B_n⁺·s**n/n!, one factor per tangent weight.
+        b = [bn / math.factorial(n) for n, bn in enumerate(_bernoulli_plus(8))]
+        for k in range(9):
+            ch = pair_chern_character(k)
+            assert pure_coeff(ch, s1=k, tau13=1) == -b[k]
+            for i in range(k + 1):
+                for j in range(k - i + 1):
+                    got = pure_coeff(ch, s1=i, s2=j, s3=k - i - j, tau13=1)
+                    assert got == -b[i] * b[j] * b[k - i - j]
+
+    def test_matches_the_series_route(self):
+        for n in range(-3, 9):
+            assert str(pair_chern_character(n)) == str(_pair_chern_by_series(n))
+
+    def test_below_the_lowest_degree_is_zero(self):
+        for n in (-4, -5, -10):
+            assert pair_chern_character(n) == L.zero()
+
+    def test_degree_follows_the_integer_rule(self):
+        for n in (True, 2.0, "2"):
+            with pytest.raises(ValueError, match="expected an integer"):
+                pair_chern_character(n)
+        assert str(pair_chern_character(F(2))) == str(pair_chern_character(2))
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_homogeneous(self, n):

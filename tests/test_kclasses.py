@@ -38,8 +38,8 @@ from wallx.ring import (
     as_rational,
     exact_laurent_div,
     expand,
+    exp_times,
     laurent_sum,
-    plethystic_exp,
     specialize_kappa,
 )
 
@@ -536,12 +536,35 @@ def test_theta_hbar_divisibility() -> None:
             assert theta_closed(rk, n).subs_zero("hbar") == L.zero()
 
 
+def _cy_limit_oracle(E, n: int) -> L:
+    """θ_{n+1}/hbar at hbar = 0, from the enumeration ``theta_closed``."""
+    return exact_laurent_div(theta_closed(E, n + 1), hbar, "hbar").subs_zero("hbar")
+
+
+_LIMIT_CLASSES = [
+    VirtualClass((), mode="coh"),
+    VirtualClass([L.gen("a") + hbar, (L.gen("b"), -1)], mode="coh"),
+    VirtualClass([2 * L.gen("b") + 1, (L.gen("w"), -1), L.gen("b")], mode="coh"),
+    VirtualClass([L.gen("y") + hbar, (Fraction(1, 2) * L.gen("a"), -1), hbar], mode="coh"),
+]
+
+
 def test_theta_cy_limit() -> None:
-    for rk in (1, 2, 3):
-        sign = 1 if rk % 2 == 0 else -1
-        for n in range(1, 6):
-            want = -sign * math.factorial(n) * L.gen(f"ch{n}")
-            assert cy_limit_theta(rk, n) == want
+    for E in [*range(-3, 4), *_LIMIT_CLASSES]:
+        for n in range(6):
+            assert str(cy_limit_theta(E, n)) == str(_cy_limit_oracle(E, n))
+
+
+def test_theta_cy_limit_reads_its_index_by_the_integer_rule() -> None:
+    for n in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            cy_limit_theta(2, n)
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match=f"must be >= 0, got {n}"):
+            cy_limit_theta(2, n)
+    assert str(cy_limit_theta(2, Fraction(2))) == str(cy_limit_theta(2, 2))
+    with pytest.raises(ModeMismatch):
+        cy_limit_theta(VirtualClass([L.gen("a")]), 1)
 
 
 def test_theta_coefficients_from_root_class() -> None:
@@ -559,8 +582,8 @@ def test_theta_coefficients_reject_K_mode() -> None:
 def _theta_by_products(E, order: int) -> L:
     """theta_series by the generic series route: with u = y/(1 - hbar·y),
     (-1)**rank·(1 - hbar·y)**rank·exp(-Σ_j (j-1)!·ch_j·(u**j - y**j)), from
-    truncated products, a series inverse and powers, the binomial a power
-    of the geometric-series inverse when the rank is negative."""
+    truncated products and powers, 1/(1 - hbar·y) the geometric sum
+    Σ_m (hbar·y)**m, the binomial a power of it when the rank is negative."""
     if isinstance(E, VirtualClass):
         rank, ch = E.rank, lambda p: chern_character(E, p)
     else:
@@ -568,13 +591,16 @@ def _theta_by_products(E, order: int) -> L:
     unit = one.truncate({"y"}, order)
     y = L.gen("y") * unit
     g = unit - hbar * y
-    ginv = g.invert_series()
+    geometric = [unit]
+    for _ in range(order):
+        geometric.append(geometric[-1] * hbar * y)
+    ginv = laurent_sum(geometric, unit.trunc)
     u = y * ginv
     terms, u_pow, y_pow = [], unit, unit
     for j in range(1, order + 1):
         u_pow, y_pow = u_pow * u, y_pow * y
         terms.append(-math.factorial(j - 1) * ch(j) * (u_pow - y_pow))
-    series = plethystic_exp(laurent_sum(terms, unit.trunc))
+    series = exp_times(laurent_sum(terms, unit.trunc), 1)
     binom = g**rank if rank >= 0 else ginv ** (-rank)
     return (1 if rank % 2 == 0 else -1) * binom * series
 
@@ -613,14 +639,19 @@ def test_theta_series_matches_the_product_route_hypothesis() -> None:
 
 def test_theta_series_refuses_a_root_named_like_its_variable() -> None:
     # The product route reads such a root as part of the series variable,
-    # so its coefficients are not θ_n; theta_closed has them.
+    # so its coefficients are not θ_n; theta_closed has them, and so has
+    # theta_coefficients, which runs the series in a primed variable.
     y, a = L.gen("y"), L.gen("a")
     V = VirtualClass([y, a], mode="coh")
     assert theta_closed(V, 2) == -a * hbar - hbar * y + hbar**2
     assert _theta_by_products(V, 2).coeff_of("y", 2) == -a * hbar + hbar**2
-    for call in (theta_series, theta_coefficients):
-        with pytest.raises(ValueError, match="names y"):
-            call(V, 2)
+    with pytest.raises(ValueError, match="names y"):
+        theta_series(V, 2)
+    W = VirtualClass([(y + hbar, -1), L.monomial(1, {"y'": 1}), 2 * a], mode="coh")
+    for E in (V, W):
+        for order in range(6):
+            got = theta_coefficients(E, order)
+            assert list(map(str, got)) == [str(theta_closed(E, n)) for n in range(order + 1)]
     # The order is read first, then the mode.
     with pytest.raises(ValueError, match="order must be >= 0"):
         theta_series(V, -1)
