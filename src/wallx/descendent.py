@@ -313,23 +313,15 @@ def factorized_entry(sigma: SetPartition, order: int) -> LaurentElement:
     corner entry, truncated at total symbol degree <= order; the tests
     compare this with the direct entry of the matrix exponential.
     """
-    n = len(sigma.blocks)
+    x = merge_symbol(())
     corners = [corner_entry(block, order) for block in sigma.blocks]
-    factors = [merge_symbol(()), *corners]
-    # Every merge symbol enters with a nonnegative exponent, so total degree
-    # never falls under a product: truncating as the product grows loses
-    # nothing that the final truncation at ``order`` would keep.
-    assert all(e >= 0 for el in factors for m, _ in el.monomials() for e in m.values())
-    names = frozenset().union(*(el.variables() for el in factors))
-    acc = exp_times((n - 1) * merge_symbol(()).truncate(names, order), ONE)
-    for corner in corners:
-        acc = acc * corner
-    return acc.without_trunc()
+    names = x.variables().union(*(corner.variables() for corner in corners))
+    return exp_times((len(sigma.blocks) - 1) * x, corners, names, order)
 
 
 def total_truncate(element: LaurentElement, order: int) -> LaurentElement:
     """Drop terms of total degree > order, counting every variable."""
-    return element.truncate(element.variables(), order).without_trunc()
+    return element.truncate(element.variables(), order)
 
 
 # -- the vertex ring and the transformation table ---------------------------
@@ -512,9 +504,11 @@ def adams(k: int, element: LaurentElement, grading) -> LaurentElement:
     """Rescale each homogeneous component of degree n by k**n.
 
     ``grading`` maps a variable name to its integer degree (a mapping or a
-    callable); every monomial must have integer total degree.  k = 0 kills
-    the positive-degree part and is rejected on negative degrees.
+    callable); every monomial must have integer total degree.  ``k`` is
+    read by ``ring.integer_entry``; k = 0 kills the positive-degree part and
+    is rejected on negative degrees.
     """
+    k = Fraction(integer_entry(k))
     grade = grading.__getitem__ if isinstance(grading, Mapping) else grading
 
     def terms():
@@ -527,9 +521,9 @@ def adams(k: int, element: LaurentElement, grading) -> LaurentElement:
                     raise ValueError("degree-rescaling by 0 needs degrees >= 0")
                 if n > 0:
                     continue
-            yield LaurentElement.monomial(coeff * Fraction(k) ** int(n), exps)
+            yield LaurentElement.monomial(coeff * k ** int(n), exps)
 
-    return laurent_sum(terms(), element.trunc)
+    return laurent_sum(terms())
 
 
 def build_xi(k: int, source, order: int, *, ch_values=None):
@@ -539,9 +533,10 @@ def build_xi(k: int, source, order: int, *, ch_values=None):
     class; ``ch_values`` optionally substitutes each formal ch symbol by an
     explicit element, e.g. the pair-element Chern character in
     point-insertion symbols.  θ_1, …, θ_{order+1} come from one
-    ``theta_coefficients`` call; ``order`` is read by
-    ``ring.integer_entry``, and below 0 the sum is empty.
+    ``theta_coefficients`` call; ``k`` and ``order`` are read by
+    ``ring.integer_entry``, and below order 0 the sum is empty.
     """
+    k = integer_entry(k)
     order = integer_entry(order)
     if order < 0:
         return LaurentElement.zero()
@@ -554,17 +549,19 @@ def build_xi(k: int, source, order: int, *, ch_values=None):
             for a in range(1, n + 2):
                 if a in ch_values:
                     term = term.subs_poly(f"ch{a}", ch_values[a])
-        acc = acc + Fraction(k) ** n * Fraction(1, math.factorial(n)) * term
+        acc = acc + k**n * Fraction(1, math.factorial(n)) * term
     return acc
 
 
 def cy_limit_xi(k: int, source, order: int):
     """The hbar = 0 reduction of ``build_xi``: -(-1)**rank Σ k**n ch_n from
-    ``kclasses.cy_limit_theta``; ``order`` is read as in ``build_xi``."""
+    ``kclasses.cy_limit_theta``; ``k`` and ``order`` are read as in
+    ``build_xi``."""
+    k = integer_entry(k)
     acc = LaurentElement.zero()
     for n in range(integer_entry(order) + 1):
         limit = cy_limit_theta(source, n)
-        acc = acc + Fraction(k) ** n * Fraction(1, math.factorial(n)) * limit
+        acc = acc + k**n * Fraction(1, math.factorial(n)) * limit
     return acc
 
 

@@ -11,10 +11,6 @@ class NonExpandable(WallxError):
     """A rational element cannot be expanded at the requested point."""
 
 
-class NonRational(WallxError):
-    """A genuinely truncated series was used where a rational element is required."""
-
-
 class NonzeroConstantTerm(WallxError):
     """The series exponential applied to input with a nonzero constant term."""
 

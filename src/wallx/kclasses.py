@@ -466,7 +466,7 @@ def theta_coefficients(E, order: int) -> list[LaurentElement]:
     rank, ch = _chern_data(E)
     y = fresh_name("y", [w for w, _ in E.roots] if isinstance(E, VirtualClass) else ())
     series = _theta(rank, ch, order, y)
-    return [series.coeff_of(y, n).without_trunc() for n in range(order + 1)]
+    return [series.coeff_of(y, n) for n in range(order + 1)]
 
 
 def _theta(rank: int, ch, order: int, var: str) -> LaurentElement:
@@ -486,7 +486,7 @@ def _theta(rank: int, ch, order: int, var: str) -> LaurentElement:
     factor = laurent_sum(  # (-1)**rank·(1 - hbar·y)**rank
         (-1) ** ((rank + m) % 2) * _gbinom(rank, m) * hy_pow[m] for m in range(order + 1)
     )
-    return exp_times(laurent_sum(argument()).truncate({var}, order), factor)
+    return exp_times(laurent_sum(argument()), [factor], {var}, order)
 
 
 def _gbinom(a: int, m: int) -> int:

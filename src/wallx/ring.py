@@ -2,15 +2,19 @@
 
 Sparse multivariate Laurent polynomials over the rationals, with optional
 half-integer exponents so that symmetrized weights such as ``k^(1/2)`` stay
-exact, optional series truncation, rational elements (quotients of Laurent
-polynomials), series expansion at 0/infinity, residue extraction, the series
-exponential, and specialization at κ = 1, with κ always the variable
-``KAPPA``.
+exact, rational elements (quotients of Laurent polynomials), series
+expansion at 0/infinity, residue extraction, the series exponential, and
+specialization at κ = 1, with κ always the variable ``KAPPA``.
 
-How a monomial and a truncation are stored is private to this module.
-Other code builds elements with ``gen``, ``const``, ``monomial``,
-``truncate``, the arithmetic and ``laurent_sum``, and reads their terms
-through ``LaurentElement.monomials()``, in natural exponents.
+An element is a plain Laurent polynomial.  A series is read to a fixed
+order by an argument of the operation that needs it, never by state of the
+element: ``truncate(names, order, sign)`` keeps the terms within that
+window, and ``expand`` and ``exp_times`` compute only the terms within it.
+
+How a monomial is stored is private to this module.  Other code builds
+elements with ``gen``, ``const``, ``monomial``, ``truncate``, the arithmetic
+and ``laurent_sum``, and reads their terms through
+``LaurentElement.monomials()``, in natural exponents.
 
 Every Laurent quotient in this module rests on one power-series division
 on raw term dicts: ``expand``, ``residue_K``, ``residue_coh``,
@@ -23,10 +27,11 @@ its degree.  A residue reads one piece: degree 0 at both points, or
 ``var**-1`` at infinity.  The only other quotient is the packed ``div_d``,
 the exact division by a power of D at the end of the ``vw_wcf`` peel: a
 running sum on packed keys, where unpacking for the series division was
-measured slower.  The one series exponential, ``exp_times``, factor·exp(g),
-runs the same kind of graded recurrence on the pieces of g graded once; it
-serves ``kclasses.theta_series`` (a binomial factor) and
-``descendent.factorized_entry`` (a unit factor).
+measured slower.  The one series exponential, ``exp_times``, Π factors·exp(g),
+runs the same kind of graded recurrence on the pieces of g graded once and
+multiplies each factor's pieces in under the same degree cap; it serves
+``kclasses.theta_series`` (a binomial factor) and
+``descendent.factorized_entry`` (one corner entry per block).
 
 ``packed_algebra`` serves one computation over a fixed set of variables,
 the peel of ``wallcross.vw_wcf`` or a column of ``descendent.exp_minus_delta``:
@@ -39,16 +44,10 @@ handles its elements only through its methods.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import (
-    NonExpandable,
-    NonRational,
-    NonzeroConstantTerm,
-    PoleAtOne,
-)
+from .errors import NonExpandable, NonzeroConstantTerm, PoleAtOne
 
 Scalar = Union[int, Fraction]
 
@@ -206,80 +205,30 @@ def _mono_deg2(m: Mono, names: frozenset[str]) -> int:
     return sum(e for v, e in m if v in names)
 
 
-@dataclass(frozen=True)
-class Trunc:
-    """Series truncation: a bound on total doubled degree in ``names``.
-
-    ``sign=+1`` keeps terms with degree <= order2 (series around 0);
-    ``sign=-1`` keeps terms with degree >= -order2 (series around infinity).
-    """
-
-    names: frozenset[str]
-    order2: int
-    sign: int = 1
-
-    def keeps(self, m: Mono) -> bool:
-        return self.keeps_deg2(_mono_deg2(m, self.names))
-
-    def keeps_deg2(self, d: int) -> bool:
-        """Whether a monomial of doubled degree ``d`` in ``names`` is kept."""
-        return d <= self.order2 if self.sign > 0 else d >= -self.order2
-
-
-def _combine_trunc(a: Trunc | None, b: Trunc | None) -> Trunc | None:
-    if a is None or a == b:
-        return b
-    if b is None:
-        return a
-    if a.sign != b.sign:
-        raise ValueError("cannot combine series truncated in opposite directions")
-    return Trunc(a.names | b.names, min(a.order2, b.order2), a.sign)
-
-
-def _kept(
-    terms: dict[Mono, Scalar], trunc: Trunc | None, within: Trunc | None = None
-) -> dict[Mono, Scalar]:
-    """``terms`` restricted to the monomials ``trunc`` keeps, order preserved.
-
-    ``within`` is a truncation the terms are known to satisfy; when it equals
-    ``trunc`` the terms come back unfiltered.
-    """
-    if trunc is None or trunc == within:
-        return terms
-    return {m: c for m, c in terms.items() if trunc.keeps(m)}
-
-
 class LaurentElement:
-    """A finite sum of rational multiples of monomials, optionally truncated.
+    """A finite sum of rational multiples of monomials.
 
     Immutable by convention: no method mutates ``terms`` after construction,
     so elements may share one ``terms`` dict; a product may share an
-    operand's, as a product by the unit does.  Equality compares the stored
-    terms only (truncation metadata is carried along but is not part of the
-    mathematical value).
+    operand's, as a product by the unit does.  Equality compares the terms.
 
     Every element is canonical: each key of ``terms`` is a monomial sorted by
     variable name with no zero exponent, each value is a nonzero exact
     rational stored as an ``int`` when it is integral and as a ``Fraction``
-    with denominator > 1 otherwise (never a float), and every monomial is
-    kept by ``trunc``.  Coefficients are nearly always integers, and ``int``
-    arithmetic costs a fraction of ``Fraction`` arithmetic.  The constructor
-    normalizes arbitrary input into this form; the arithmetic builds results
-    that are canonical by construction and wraps them with ``_trusted``
-    instead.
+    with denominator > 1 otherwise (never a float).  Coefficients are nearly
+    always integers, and ``int`` arithmetic costs a fraction of ``Fraction``
+    arithmetic.  The constructor normalizes arbitrary input into this form;
+    the arithmetic builds results that are canonical by construction and
+    wraps them with ``_trusted`` instead.
 
     ``terms`` holds one entry per term, but the form of its keys (and so the
     constructor's input) is private to this module: read the terms through
     ``monomials()``.
     """
 
-    __slots__ = ("terms", "trunc")
+    __slots__ = ("terms",)
 
-    def __init__(
-        self,
-        terms: Mapping[Mono, Scalar] | None = None,
-        trunc: Trunc | None = None,
-    ) -> None:
+    def __init__(self, terms: Mapping[Mono, Scalar] | None = None) -> None:
         clean: dict[Mono, Scalar] = {}
         if terms:
             for m, c in terms.items():
@@ -287,15 +236,12 @@ class LaurentElement:
                 if not c:
                     continue
                 m = _mono(m)
-                if trunc is not None and not trunc.keeps(m):
-                    continue
                 acc = clean.get(m, 0) + c
                 if acc:
                     clean[m] = canonical_coefficient(acc)
                 elif m in clean:
                     del clean[m]
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "trunc", trunc)
 
     def __setattr__(self, name: str, value) -> None:  # pragma: no cover
         raise AttributeError("LaurentElement is immutable")
@@ -303,12 +249,12 @@ class LaurentElement:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(trunc: Trunc | None = None) -> "LaurentElement":
-        return LaurentElement({}, trunc)
+    def zero() -> "LaurentElement":
+        return LaurentElement({})
 
     @staticmethod
-    def const(c: Scalar, trunc: Trunc | None = None) -> "LaurentElement":
-        return LaurentElement({(): c}, trunc)
+    def const(c: Scalar) -> "LaurentElement":
+        return LaurentElement({(): c})
 
     @staticmethod
     def gen(name: str) -> "LaurentElement":
@@ -344,7 +290,7 @@ class LaurentElement:
         ``exponents`` maps each variable of the term, in name order, to its
         natural exponent: an ``int``, or a ``Fraction`` for a half-integer.
         ``laurent_sum(monomial(c, e) for e, c in el.monomials())`` rebuilds
-        ``el`` without its truncation.
+        ``el``.
         """
         for m, c in self.terms.items():
             yield {v: e2 // 2 if e2 % 2 == 0 else Fraction(e2, 2) for v, e2 in m}, c
@@ -378,16 +324,14 @@ class LaurentElement:
     def __add__(self, other):
         if isinstance(other, RationalElement):
             return NotImplemented
-        other = as_element(other)
-        trunc = _combine_trunc(self.trunc, other.trunc)
-        out = dict(_kept(self.terms, trunc, self.trunc))
-        add_terms(out, _kept(other.terms, trunc, other.trunc).items())
-        return _trusted(out, trunc)
+        out = dict(self.terms)
+        add_terms(out, as_element(other).terms.items())
+        return _trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentElement":
-        return _trusted(scaled_terms(self.terms, -1), self.trunc)
+        return _trusted(scaled_terms(self.terms, -1))
 
     def __sub__(self, other):
         if isinstance(other, RationalElement):
@@ -403,58 +347,22 @@ class LaurentElement:
         if isinstance(other, RationalElement):
             return NotImplemented
         if isinstance(other, (int, Fraction)):
-            return _trusted(scaled_terms(self.terms, other), self.trunc)
-        other = as_element(other)
-        trunc = _combine_trunc(self.trunc, other.trunc)
-        left, right = self.terms, other.terms
+            return _trusted(scaled_terms(self.terms, other))
+        left, right = self.terms, as_element(other).terms
         if len(right) == 1 or len(left) == 1:
             # A monomial shift keeps distinct monomials distinct and nonzero
             # coefficients nonzero, so the product is one dict build in the
             # order of the longer operand, with no collision or zero checks.
             if len(right) == 1:
-                many, many_trunc, ((shift, c2),) = left, self.trunc, right.items()
+                many, ((shift, c2),) = left, right.items()
             else:
-                many, many_trunc, ((shift, c2),) = right, other.trunc, left.items()
+                many, ((shift, c2),) = right, left.items()
             if not shift and c2 == 1:
-                return _trusted(_kept(many, trunc, many_trunc), trunc)
-            if trunc is None:
-                out = {_mono_mul(m, shift): c * c2 for m, c in many.items()}
-            else:
-                names = trunc.names
-                keeps = trunc.keeps_deg2
-                d2 = _mono_deg2(shift, names)
-                out = {
-                    _mono_mul(m, shift): c * c2
-                    for m, c in many.items()
-                    if keeps(_mono_deg2(m, names) + d2)
-                }
-            return _trusted(_canonical(out), trunc)
+                return _trusted(many)
+            return _trusted(_canonical({_mono_mul(m, shift): c * c2 for m, c in many.items()}))
         out: dict[Mono, Scalar] = {}
-        if trunc is None:
-            _add_products(out, left.items(), right)
-            return _trusted(_canonical(out))
-        get = out.get
-        names = trunc.names
-        keeps = trunc.keeps_deg2
-        graded = [(m2, c2, _mono_deg2(m2, names)) for m2, c2 in right.items()]
-        for m1, c1 in left.items():
-            d1 = _mono_deg2(m1, names)
-            for m2, c2, d2 in graded:
-                # Degrees add under multiplication, so a pair out of range is
-                # dropped before its monomial is formed.
-                if not keeps(d1 + d2):
-                    continue
-                m = _mono_mul(m1, m2)
-                prev = get(m)
-                if prev is None:
-                    out[m] = c1 * c2
-                else:
-                    total = prev + c1 * c2
-                    if total:
-                        out[m] = total
-                    else:
-                        del out[m]
-        return _trusted(_canonical(out), trunc)
+        _add_products(out, left.items(), right)
+        return _trusted(_canonical(out))
 
     __rmul__ = __mul__
 
@@ -476,14 +384,14 @@ class LaurentElement:
                 if e.denominator != 1:
                     raise ValueError(f"exponent {Fraction(e, 2)} of {v} is not a half-integer")
                 out.append((v, e.numerator))
-            return _trusted(_kept({tuple(out): 1}, self.trunc), self.trunc)
+            return _trusted({tuple(out): 1})
         if type(k) is Fraction:
             k = k.numerator
         if not isinstance(k, int):
             raise TypeError("exponent must be an integer")
         if k < 0:
             return self.monomial_inverse() ** (-k)
-        acc = LaurentElement.const(1, self.trunc)
+        acc = ONE
         for _ in range(k):
             acc = acc * self
         return acc
@@ -523,17 +431,17 @@ class LaurentElement:
     # -- structure ---------------------------------------------------------
 
     def truncate(self, names: Iterable[str], order: int, sign: int = 1) -> "LaurentElement":
-        t = _combine_trunc(self.trunc, Trunc(frozenset(names), 2 * order, sign))
-        return _trusted(_kept(self.terms, t, self.trunc), t)
-
-    def without_trunc(self) -> "LaurentElement":
-        return _trusted(self.terms)
+        """The terms whose total degree in ``names`` is at most ``order``
+        (``sign`` 1, a series around 0) or at least ``-order`` (``sign``
+        -1, a series around infinity)."""
+        names, sign = frozenset(names), 1 if sign > 0 else -1
+        return _trusted(
+            {m: c for m, c in self.terms.items() if sign * _mono_deg2(m, names) <= 2 * order}
+        )
 
     def rename(self, names: Mapping[str, str]) -> "LaurentElement":
         """The element with each variable ``v`` named ``names[v]``: a
         one-to-one map of every variable, so no two terms merge."""
-        if self.trunc is not None:
-            raise ValueError("a truncated series cannot be renamed")
         return _trusted(
             {tuple(sorted([(names[v], e) for v, e in m])): c for m, c in self.terms.items()}
         )
@@ -566,14 +474,13 @@ class LaurentElement:
             else:
                 newm = rest
             add_terms(out, ((newm, c),))
-        return _trusted(_kept(out, self.trunc), self.trunc)
+        return _trusted(out)
 
     def subs_poly(self, var: str, value: "LaurentElement") -> "LaurentElement":
         """Substitute a general value for ``var``; needs nonneg integer powers."""
         value = as_element(value)
         pieces = self._coeffs_in(var)
-        trunc = _combine_trunc(self.trunc, value.trunc)
-        powers: dict[int, LaurentElement] = {0: LaurentElement.const(1, trunc)}
+        powers: dict[int, LaurentElement] = {0: ONE}
 
         def terms():
             for e2 in sorted(pieces):
@@ -589,20 +496,20 @@ class LaurentElement:
                     powers[k] = p
                 yield pieces[e2] * powers[k]
 
-        return laurent_sum(terms(), trunc)
+        return laurent_sum(terms())
 
     def subs_zero(self, var: str) -> "LaurentElement":
         """Substitute 0 for ``var`` (drops terms with positive powers)."""
         v2 = self._val2(var)
         if v2 is not None and v2 < 0:
             raise ZeroDivisionError(f"negative power of {var!r} at 0")
-        return _trusted(self.coeff_of(var, 0).terms, self.trunc)
+        return self.coeff_of(var, 0)
 
     def subs_one(self, var: str) -> "LaurentElement":
         """Substitute 1 for ``var`` (drops it from every monomial)."""
         out: dict[Mono, Scalar] = {}
         add_terms(out, ((_split_var(m, var)[1], c) for m, c in self.terms.items()))
-        return _trusted(_kept(out, self.trunc), self.trunc)
+        return _trusted(out)
 
     # -- display -----------------------------------------------------------
 
@@ -639,10 +546,9 @@ class LaurentElement:
 
 
 _set_terms = LaurentElement.terms.__set__
-_set_trunc = LaurentElement.trunc.__set__
 
 
-def _trusted(terms: dict[Mono, Scalar], trunc: Trunc | None = None) -> LaurentElement:
+def _trusted(terms: dict[Mono, Scalar]) -> LaurentElement:
     """Wrap ``terms`` as an element without normalizing them.
 
     ``terms`` must already be canonical (see LaurentElement) and must not be
@@ -650,7 +556,6 @@ def _trusted(terms: dict[Mono, Scalar], trunc: Trunc | None = None) -> LaurentEl
     """
     el = object.__new__(LaurentElement)
     _set_terms(el, terms)
-    _set_trunc(el, trunc)
     return el
 
 
@@ -680,24 +585,17 @@ def as_element(x) -> LaurentElement:
     raise TypeError(f"cannot interpret {type(x).__name__} as a Laurent element")
 
 
-def laurent_sum(items: Iterable, trunc: Trunc | None = None) -> LaurentElement:
+def laurent_sum(items: Iterable) -> LaurentElement:
     """The sum of Laurent elements or scalars, built in place in one dict.
 
-    Equal to folding ``+`` over ``items`` from ``LaurentElement.zero(trunc)``,
-    truncation included, at a cost linear in the terms added instead of a
-    copy of the running sum per item.
+    Equal to folding ``+`` over ``items`` from ``LaurentElement.zero()``, at
+    a cost linear in the terms added instead of a copy of the running sum
+    per item.
     """
     out: dict[Mono, Scalar] = {}
     for x in items:
-        x = as_element(x)
-        if x.trunc != trunc:
-            combined = _combine_trunc(trunc, x.trunc)
-            if combined != trunc:
-                for m in [m for m in out if not combined.keeps(m)]:
-                    del out[m]
-                trunc = combined
-        add_terms(out, _kept(x.terms, trunc, x.trunc).items())
-    return _trusted(out, trunc)
+        add_terms(out, as_element(x).terms.items())
+    return _trusted(out)
 
 
 def _graded(
@@ -856,7 +754,7 @@ def _quotient(num: LaurentElement, factors, q=None) -> "RationalElement":
 
 
 class RationalElement:
-    """Quotient of an untruncated Laurent numerator by untruncated factors.
+    """Quotient of a Laurent numerator by Laurent factors.
 
     The denominator is kept as the factors it was built from (one for
     ``RationalElement(num, den)``; ``*``, ``/`` and ``**`` concatenate or
@@ -876,8 +774,6 @@ class RationalElement:
     def __init__(self, num, den=None) -> None:
         num = as_element(num)
         den = ONE if den is None else as_element(den)
-        if num.trunc is not None or den.trunc is not None:
-            raise NonRational("truncated series cannot form a rational element")
         _quotient(num, () if den.terms == ONE.terms else (den,), self)
 
     def __setattr__(self, name: str, value) -> None:  # pragma: no cover
@@ -1009,8 +905,8 @@ def _expansion(f: RationalElement, var: str, order2: int, sign: int) -> dict:
 def expand(f: Element, point: str, order: int, *, var: str = "z") -> LaurentElement:
     """Series expansion of a rational element around ``var = 0`` or infinity.
 
-    Returns a truncated Laurent element: all terms with degree in ``var``
-    up to ``order`` (around 0) or down to ``-order`` (around infinity) are
+    Returns the terms with degree in ``var`` up to ``order`` (around 0) or
+    down to ``-order`` (around infinity), the window of ``truncate``, each
     exact.  Requires the denominator to become a unit monomial at the point
     after factoring out a power of ``var``; raises NonExpandable otherwise.
     """
@@ -1018,12 +914,9 @@ def expand(f: Element, point: str, order: int, *, var: str = "z") -> LaurentElem
         raise ValueError("point must be 'zero' or 'infinity'")
     sign = 1 if point == "zero" else -1
     if isinstance(f, LaurentElement):
-        if f.trunc is not None and var in f.trunc.names:
-            raise NonRational(f"already a truncated series in {var!r}")
         return f.truncate({var}, order, sign)
-    trunc = Trunc(frozenset({var}), 2 * order, sign)
     pieces = _expansion(f, var, 2 * order, sign)
-    return _trusted(_ungraded(pieces, trunc.names, sign), trunc)
+    return _trusted(_ungraded(pieces, frozenset({var}), sign))
 
 
 def expand_general(
@@ -1071,8 +964,6 @@ def expand_general(
 def residue_K(f: Element, *, var: str = "z"):
     """The degree-0 coefficient of (expansion at infinity - expansion at 0)."""
     if isinstance(f, LaurentElement):
-        if f.trunc is not None and var in f.trunc.names:
-            raise NonRational(f"residue of a truncated series in {var!r}")
         return LaurentElement.zero()
     try:
         fp = _expansion(f, var, 0, 1).get(0, {})
@@ -1089,8 +980,6 @@ def residue_K(f: Element, *, var: str = "z"):
 def residue_coh(f: Element, *, var: str = "u"):
     """Coefficient of ``var**-1`` in the expansion around infinity."""
     if isinstance(f, LaurentElement):
-        if f.trunc is not None and var in f.trunc.names:
-            raise NonRational(f"residue of a truncated series in {var!r}")
         return f.coeff_of(var, -1)
     try:
         return _trusted(_expansion(f, var, 2, -1).get(2, {}))
@@ -1102,36 +991,35 @@ def residue_coh(f: Element, *, var: str = "u"):
 # -- series exponential -------------------------------------------------------
 
 
-def exp_times(g: LaurentElement, factor: LaurentElement | Scalar) -> LaurentElement:
-    """``factor``·exp(g), truncated as g, for a truncated series g with zero
-    constant term and a ``factor`` untruncated or truncated as g, with no
-    term below degree 0 (ValueError otherwise).
+def exp_times(
+    g: LaurentElement, factors: Iterable, names: Iterable[str], order: int, sign: int = 1
+) -> LaurentElement:
+    """Π ``factors``·exp(g) in the window of ``truncate(names, order,
+    sign)``, for a g whose terms in that window have degree above 0
+    (NonzeroConstantTerm for a constant term, NonExpandable for a term below
+    degree 0) and factors with no term below degree 0 (ValueError).
 
     With g_k and E_n the pieces of g and of E = exp(g) graded as in
     ``_series_div``, the Euler operator (each piece times its degree) turns
     E' = g'·E into n·E_n = Σ_k k·g_k·E_{n-k} (Knuth TAOCP vol. 2, §4.7):
     each piece once, as a plain dict product on ``_graded`` pieces.  The
-    pieces of ``factor`` then multiply those of E once each, and the result
-    is ungraded once.  This is the package's one series exponential:
-    exp(g) alone is ``exp_times(g, 1)``.
+    pieces of each factor then multiply the running pieces once, skipping
+    every product above the cap, and the result is ungraded once.  This is
+    the package's one series exponential: exp(g) alone is
+    ``exp_times(g, [], names, order, sign)``.
     """
-    g, factor = as_element(g), as_element(factor)
-    t = g.trunc
-    if t is None:
-        if g.terms:
-            raise ValueError("series exponential needs a truncated input")
-        return factor
-    graded = _graded(g.terms, t.names, t.sign)
+    names, sign, top = frozenset(names), 1 if sign > 0 else -1, 2 * order
+    graded = {k: p for k, p in _graded(as_element(g).terms, names, sign).items() if k <= top}
     if 0 in graded:
         raise NonzeroConstantTerm("series exponential needs zero constant term")
     if min(graded, default=0) < 0:
         raise NonExpandable("series exponential of a term below degree 0")
-    factor_pieces = _graded(factor.terms, t.names, t.sign)
-    if factor.trunc not in (None, t) or min(factor_pieces, default=0) < 0:
-        raise ValueError("the factor is truncated otherwise or has a term below degree 0")
+    factor_pieces = [_graded(as_element(f).terms, names, sign) for f in factors]
+    if any(min(f, default=0) < 0 for f in factor_pieces):
+        raise ValueError("a factor has a term below degree 0")
     steps = [(k, [(m, k * c) for m, c in piece.items()]) for k, piece in sorted(graded.items())]
-    pieces: dict[int, dict[Mono, Scalar]] = {0: {(): 1}} if t.order2 >= 0 else {}
-    for n in range(1, t.order2 + 1):
+    pieces: dict[int, dict[Mono, Scalar]] = {0: {(): 1}} if top >= 0 else {}
+    for n in range(1, top + 1):
         piece: dict[Mono, Scalar] = {}
         for k, step in steps:
             if k > n:
@@ -1141,14 +1029,14 @@ def exp_times(g: LaurentElement, factor: LaurentElement | Scalar) -> LaurentElem
                 _add_products(piece, step, prev)
         if piece:
             pieces[n] = scaled_terms(piece, Fraction(1, n))
-    if factor.terms != ONE.terms:
+    for factor in factor_pieces:
         product: dict[int, dict[Mono, Scalar]] = {}
-        for m, factor_piece in factor_pieces.items():
+        for m, factor_piece in factor.items():
             for k, piece in pieces.items():
-                if m + k <= t.order2:
+                if m + k <= top:
                     _add_products(product.setdefault(m + k, {}), factor_piece.items(), piece)
-        pieces = {n: _canonical(piece) for n, piece in product.items()}
-    return _trusted(_ungraded(pieces, t.names, t.sign), t)
+        pieces = {n: _canonical(piece) for n, piece in product.items() if piece}
+    return _trusted(_ungraded(pieces, names, sign))
 
 
 def exact_laurent_div(
@@ -1169,8 +1057,6 @@ def exact_laurent_div(
     """
     num = as_element(num)
     den = as_element(den)
-    if num.trunc is not None or den.trunc is not None:
-        raise NonRational("exact division needs untruncated inputs")
     if not den.terms:
         raise ZeroDivisionError("exact division by zero")
     if not num.terms:
@@ -1240,9 +1126,7 @@ class _PackedAlgebra:
         return shift, self._offset(shift + width), (1 << width) - 1, 1 << (width - 1)
 
     def pack(self, el: LaurentElement) -> dict[int, Scalar]:
-        """``el`` (untruncated, within the bound) as a packed element."""
-        if el.trunc is not None:
-            raise NonRational("a truncated series cannot be packed")
+        """``el`` (within the bound) as a packed element."""
         return {self._key(m, self._reach): c for m, c in el.terms.items()}
 
     def term(self, coeff: Scalar, exps: Mapping[str, Scalar]) -> tuple[int, Scalar]:
@@ -1407,8 +1291,6 @@ _ROOT_MINUS_ONE = LaurentElement({((KAPPA, 1),): 1, (): -1})
 def specialize_kappa(f: Element):
     """Value at κ = 1 when the limit exists; PoleAtOne otherwise."""
     if isinstance(f, LaurentElement):
-        if f.trunc is not None and KAPPA in f.trunc.names:
-            raise NonRational(f"cannot specialize a truncated series in {KAPPA!r}")
         return f.subs_one(KAPPA)
     num, den = f.num, f.den
     while den.subs_one(KAPPA) == ZERO:

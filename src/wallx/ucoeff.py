@@ -156,9 +156,11 @@ class EffectiveMonoid:
         )
         return out
 
-    def longest_splitting(self, target) -> int:
+    def longest_splitting(self, target, max_parts: int) -> int:
         """The most parts of any ordered splitting of ``target`` into
-        effective classes (0 when ``target`` is not effective).
+        effective classes (0 when ``target`` is not effective), checked
+        before any sum over splittings is formed: more than ``max_parts``
+        raises DecompositionOverflow.
 
         A longest splitting is one into generators, so this is a longest
         path over ``below(target)``, found without enumerating splittings.
@@ -169,7 +171,11 @@ class EffectiveMonoid:
                 longest.get(tuple(c - gc for c, gc in zip(cls, g)), -1)
                 for g in self.generators
             )
-        return longest.get(as_class(target), 0)
+        target = as_class(target)
+        found = longest.get(target, 0)
+        if found > max_parts:
+            raise DecompositionOverflow(f"{target} needs more than {max_parts} parts")
+        return found
 
     def decompositions(self, target, max_parts: int = 8) -> list[tuple[ClassVec, ...]]:
         """Ordered splittings of ``target`` into effective classes.
@@ -548,8 +554,7 @@ def peel_classes(
     alpha = as_class(alpha)
     if not monoid.contains(alpha):
         return {}
-    if monoid.longest_splitting(alpha) > max_parts:
-        raise DecompositionOverflow(f"{alpha} needs more than {max_parts} parts")
+    monoid.longest_splitting(alpha, max_parts)
     classes = monoid.below(alpha)
     for cls in classes:
         for stability in (tau, tau_prime):

@@ -36,7 +36,6 @@ from functools import lru_cache
 from typing import Mapping
 
 from .errors import (
-    DecompositionOverflow,
     MissingChi,
     MissingFr,
     UnsupportedClass,
@@ -261,13 +260,6 @@ def wcf_rhs(
     )
 
 
-def _longest_splitting(monoid: EffectiveMonoid, alpha, max_parts: int) -> int:
-    longest = monoid.longest_splitting(alpha)
-    if longest > max_parts:
-        raise DecompositionOverflow(f"{alpha} needs more than {max_parts} parts")
-    return longest
-
-
 def _fr_lookup(fr):
     if fr is None:
         raise MissingFr("no fr values supplied")
@@ -317,7 +309,7 @@ def pair_invariant_rhs(
     fr = _fr_lookup(fr)
     if not monoid.contains(alpha):
         return LaurentElement.zero()
-    longest = _longest_splitting(monoid, alpha, max_parts)
+    longest = monoid.longest_splitting(alpha, max_parts)
     classes = monoid.below(alpha)
     slope = tau.slope_of(alpha)
     same = [cls for cls in classes if tau.slope_of(cls) == slope]
@@ -369,7 +361,7 @@ def invert_semistable(
             raise ZeroQuantumInteger(
                 f"fr({cls}) = 0 gives a vanishing quantum integer"
             )
-        _longest_splitting(monoid, cls, max_parts)
+        monoid.longest_splitting(cls, max_parts)
     values = _laurent_entries(pair_table, order)
     recovered: dict[tuple, LaurentElement] = {}
     for cls in order:

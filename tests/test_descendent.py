@@ -52,30 +52,34 @@ def xi_series(source, order: int, k=1):
 
 
 def _pair_chern_by_series(n: int) -> L:
-    """``pair_chern_character`` by truncated series in an auxiliary degree
-    variable t: each Todd factor w/(1 - exp(-w)) the geometric-sum inverse
-    of (1 - exp(-w))/w = 1 + g, Σ_m (-g)**m, then -td·(exp(-v) - P)·T
-    multiplied out and its t**n coefficient read."""
+    """``pair_chern_character`` by series in an auxiliary degree variable t,
+    each product truncated at t**(n + 3): each Todd factor w/(1 - exp(-w))
+    the geometric-sum inverse of (1 - exp(-w))/w = 1 + g, Σ_m (-g)**m, then
+    -td·(exp(-v) - P)·T multiplied out and its t**n coefficient read.  T
+    starts at t**-3, so the product before it is truncated at t**(n + 3)."""
     bound = n + 3
     t = L.gen("t")
-    one = L.const(1).truncate({"t"}, bound)
-    td = one
+
+    def cut(el: L) -> L:
+        return el.truncate({"t"}, bound)
+
+    td = one = L.const(1)
     for w in ("s1", "s2", "s3"):
-        s = L.gen(w) * t * one
-        terms = (F((-1) ** j, math.factorial(j + 1)) * s**j for j in range(1, bound + 1))
-        g = laurent_sum(terms, one.trunc)
+        s = L.gen(w) * t
+        g = laurent_sum(F((-1) ** j, math.factorial(j + 1)) * s**j for j in range(1, bound + 1))
         power, inverse = one, one
         for _ in range(bound):
-            power = -power * g
+            power = cut(-power * g)
             inverse = inverse + power
-        td = td * inverse
-    expv = exp_times(-(L.gen("v") * t) * one, 1)
-    points = units = 0 * one
-    for m in range(bound + 4):
+        td = cut(td * inverse)
+    expv = exp_times(-(L.gen("v") * t), [], {"t"}, bound)
+    points = units = L.zero()
+    for m in range(bound + 1):
         points = points + (-1) ** m * L.gen(f"taup{m}") * t**m
-        units = units + L.gen(f"tau1{m}") * t ** (m - 3) * one
-    total = -td * (expv - points) * units
-    return total.coeff_of("t", n).without_trunc()
+    for m in range(bound + 4):
+        units = units + L.gen(f"tau1{m}") * t ** (m - 3)
+    total = cut(-td * (expv - points)) * units
+    return total.coeff_of("t", n)
 
 
 def _bernoulli_plus(top: int) -> list:
@@ -348,7 +352,7 @@ class TestMatrixExponential:
                 if sum(e.values()) <= order
             )
             got = total_truncate(element, order)
-            assert got == want and got.trunc is None
+            assert got == want
 
         check()
 
@@ -572,6 +576,13 @@ class TestAdams:
         with pytest.raises(ValueError):
             adams(2, e, {"a": 1})
 
+    def test_k_follows_the_integer_rule(self):
+        e = L.gen("a") * L.gen("b") + L.const(5)
+        for k in (True, 0.5, "2"):
+            with pytest.raises(ValueError, match="expected an integer"):
+                adams(k, e, self.GRADING)
+        assert str(adams(F(2), e, self.GRADING)) == str(adams(2, e, self.GRADING))
+
 
 class TestXiSeries:
     @pytest.mark.parametrize("rank", [-2, 0, 1, 3])
@@ -625,6 +636,13 @@ class TestXiSeries:
                     call(2, 1, order)
         for call in (build_xi, cy_limit_xi):
             assert str(call(2, 1, F(2))) == str(call(2, 1, 2))
+
+    @pytest.mark.parametrize("call", [build_xi, cy_limit_xi])
+    def test_k_follows_the_integer_rule(self, call):
+        for k in (True, 0.5, "2"):
+            with pytest.raises(ValueError, match="expected an integer"):
+                call(k, 1, 3)
+        assert str(call(F(2), 1, 3)) == str(call(2, 1, 3))
 
     def test_negative_order_is_the_empty_sum(self):
         # The order is read first, so even a K-mode class gives the empty sum.

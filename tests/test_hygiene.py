@@ -265,10 +265,9 @@ _LAURENT_USERS = ("kclasses.py", "descendent.py", "wallcross.py", "ucoeff.py")
 
 
 def _ring_format_uses(tree: ast.Module, *, terms: bool) -> list[str]:
-    """Places that depend on how ``wallx.ring`` stores an element: a use of
-    ``Trunc``, a read of ``order2``, a call of the ``LaurentElement``
-    constructor under any name bound to it, and, with ``terms``, a read of
-    ``.terms``."""
+    """Places that depend on how ``wallx.ring`` stores an element: a call of
+    the ``LaurentElement`` constructor under any name bound to it and, with
+    ``terms``, a read of ``.terms``."""
     constructors = {"LaurentElement"}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -278,12 +277,8 @@ def _ring_format_uses(tree: ast.Module, *, terms: bool) -> list[str]:
                 constructors |= {t.id for t in node.targets if isinstance(t, ast.Name)}
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and any(a.name == "Trunc" for a in node.names):
-            found.append((node.lineno, "imports Trunc"))
-        elif isinstance(node, ast.Attribute) and (
-            node.attr in ("Trunc", "order2") or (terms and node.attr == "terms")
-        ):
-            found.append((node.lineno, f"uses .{node.attr}"))
+        if terms and isinstance(node, ast.Attribute) and node.attr == "terms":
+            found.append((node.lineno, "uses .terms"))
         elif isinstance(node, ast.Call) and (
             (isinstance(node.func, ast.Name) and node.func.id in constructors)
             or (isinstance(node.func, ast.Attribute) and node.func.attr == "LaurentElement")
@@ -309,25 +304,20 @@ def test_only_ring_knows_the_monomial_format(path: Path) -> None:
 
 def test_scan_sees_the_monomial_format() -> None:
     tree = ast.parse(
-        "from .ring import LaurentElement as L, Trunc\n"
+        "from .ring import LaurentElement as L\n"
         "from wallx import ring\n"
         "E = L\n"
         "def f(el):\n"
-        "    t = ring.Trunc(frozenset(), 2)\n"
-        "    n = el.trunc.order2\n"
         "    a = E({(): 1})\n"
-        "    b = ring.LaurentElement({}, t)\n"
-        "    return el.terms, L.gen('x'), list(el.monomials()), n, a, b\n"
+        "    b = ring.LaurentElement({})\n"
+        "    return el.terms, L.gen('x'), list(el.monomials()), a, b\n"
     )
     found = [
-        "imports Trunc (line 1)",
-        "uses .Trunc (line 5)",
-        "uses .order2 (line 6)",
-        "calls the LaurentElement constructor (line 7)",
-        "calls the LaurentElement constructor (line 8)",
+        "calls the LaurentElement constructor (line 5)",
+        "calls the LaurentElement constructor (line 6)",
     ]
     assert _ring_format_uses(tree, terms=False) == found
-    assert _ring_format_uses(tree, terms=True) == found + ["uses .terms (line 9)"]
+    assert _ring_format_uses(tree, terms=True) == found + ["uses .terms (line 7)"]
 
 
 def _outside_imports(tree: ast.Module) -> list[str]:

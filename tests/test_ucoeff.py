@@ -194,9 +194,11 @@ class TestEffectiveMonoid:
         for mon in self.MONOIDS:
             for target in mon.effective_upto(5):
                 longest = max(len(p) for p in mon.decompositions(target, max_parts=10))
-                assert mon.longest_splitting(target) == longest
-        assert self.MONOIDS[3].longest_splitting((1,)) == 0
-        assert self.MONOIDS[3].longest_splitting((7,)) == 3
+                assert mon.longest_splitting(target, longest) == longest
+                with pytest.raises(DecompositionOverflow, match="needs more than"):
+                    mon.longest_splitting(target, longest - 1)
+        assert self.MONOIDS[3].longest_splitting((1,), 0) == 0
+        assert self.MONOIDS[3].longest_splitting((7,), 3) == 3
 
     def test_non_effective_target(self):
         mon = EffectiveMonoid([(2, 0)])

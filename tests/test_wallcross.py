@@ -811,7 +811,7 @@ ORACLE_CASES = {
 
 def test_non_free_monoid_has_the_free_cone():
     assert NON_FREE.effective_upto(ORACLE_MASS) == THREE.effective_upto(ORACLE_MASS)
-    assert NON_FREE.longest_splitting((1, 1, 0)) == 2
+    assert NON_FREE.longest_splitting((1, 1, 0), 2) == 2
 
 
 @pytest.mark.parametrize(
