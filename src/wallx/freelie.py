@@ -10,7 +10,10 @@ tensor algebra.  The module provides the expansion homomorphism
 ``expand_to_uea``, its one-sided inverse ``dynkin_project`` (one triangular
 rewrite in the Lyndon basis over all word lengths at once, which rejects
 anything outside the Lie subspace), and exp(ad) conjugation checks in the
-truncated enveloping algebra.
+truncated enveloping algebra.  Brackets stay in the Lyndon basis: a pair of
+basis words whose concatenation has them as its standard factorization
+brackets to that word, and only the other pairs take the round trip through
+the tensor algebra and ``dynkin_project``.
 """
 
 from __future__ import annotations
@@ -238,8 +241,47 @@ class LieElement(_WordCombination):
         super().__init__(context, clean)
 
     def bracket(self, other: "LieElement") -> "LieElement":
+        """The bracket, bilinear over pairs of basis words.
+
+        For Lyndon words u < v whose concatenation has the standard
+        factorization (u, v), [b(u), b(v)] is the basis element b(uv)
+        (Reutenauer, *Free Lie Algebras*, §5.1).  Every other pair is
+        expanded into one tensor-algebra sum, projected back once by
+        ``dynkin_project``.
+        """
         _same_context(self, other)
-        return dynkin_project(expand_to_uea(self).bracket(expand_to_uea(other)))
+        ctx = self.context
+        out: dict[Word, object] = {}
+        rest: dict[Word, object] = {}
+        keys = {v: ctx.key(v) for v in other.terms}
+        for u, a in self.terms.items():
+            ku = ctx.key(u)
+            for v, b in other.terms.items():
+                if u == v:
+                    continue
+                c = a * b
+                if ku < keys[v]:
+                    left, right = u, v
+                else:
+                    left, right, c = v, u, -c
+                word = left + right
+                if standard_split(word, ctx) == (left, right):
+                    add_terms(out, ((word, c),))
+                    continue
+                x = _expand_lyndon(left, ctx)
+                y = _expand_lyndon(right, ctx)
+                add_terms(
+                    rest,
+                    (
+                        pair
+                        for w1, c1 in x.items()
+                        for w2, c2 in y.items()
+                        for pair in ((w1 + w2, c * c1 * c2), (w2 + w1, -c * c1 * c2))
+                    ),
+                )
+        if rest:
+            add_terms(out, dynkin_project(UEAElement._trusted(ctx, rest)).terms.items())
+        return LieElement._trusted(ctx, out)
 
 
 # -- expansion and projection ------------------------------------------------------
@@ -340,12 +382,19 @@ def evaluate_lie(x: LieElement, leaf, bracket, zero, scale):
     of a target value by a coefficient.
     """
     ctx = x.context
+    # Words share standard-factorization subwords: each is built once per call.
+    built: dict = {}
 
     def build(word: Word):
+        if word in built:
+            return built[word]
         if len(word) == 1:
-            return leaf(word[0])
-        left, right = standard_split(word, ctx)
-        return bracket(build(left), build(right))
+            value = leaf(word[0])
+        else:
+            left, right = standard_split(word, ctx)
+            value = bracket(build(left), build(right))
+        built[word] = value
+        return value
 
     acc = zero
     for word in sorted(x.terms, key=lambda w: (len(w), ctx.key(w))):

@@ -137,9 +137,13 @@ def scaled_terms(terms: Mapping, factor) -> dict:
 
 
 def _exp2(e: Scalar) -> int:
-    """Convert a natural exponent (integer or half-integer) to doubled form."""
+    """Convert a natural exponent (integer or half-integer) to doubled form.
+    An exponent is an ``int`` or a ``Fraction``; a float, a bool or any
+    other type raises TypeError, as a coefficient does."""
     if type(e) is int:
         return 2 * e
+    if isinstance(e, bool) or not isinstance(e, (int, Fraction)):
+        raise TypeError(f"an exponent is an int or a Fraction, not {type(e).__name__}")
     d = Fraction(e) * 2
     if d.denominator != 1:
         raise ValueError(f"exponent {e} is not a half-integer")

@@ -30,7 +30,13 @@ from .errors import (
     SlopeUndefined,
 )
 from .freelie import LieContext, LieElement, UEAElement, dynkin_project
-from .ring import SlopeValue, add_terms, integer_entry, scaled_terms
+from .ring import (
+    SlopeValue,
+    add_terms,
+    canonical_coefficient,
+    integer_entry,
+    scaled_terms,
+)
 
 ClassVec = tuple
 
@@ -134,7 +140,10 @@ class EffectiveMonoid:
         some β′ of the same kind, so a walk up from the generators finds
         them all.  The result is memoized per target.
         """
-        target = as_class(target)
+        return self._below(as_class(target))
+
+    def _below(self, target: ClassVec) -> tuple[ClassVec, ...]:
+        """``below`` of a class already read by ``as_class``."""
         hit = self._below_cache.get(target)
         if hit is not None:
             return hit
@@ -165,13 +174,16 @@ class EffectiveMonoid:
         A longest splitting is one into generators, so this is a longest
         path over ``below(target)``, found without enumerating splittings.
         """
+        return self._longest_splitting(as_class(target), max_parts)
+
+    def _longest_splitting(self, target: ClassVec, max_parts: int) -> int:
+        """``longest_splitting`` of a class already read by ``as_class``."""
         longest = {(0,) * self.dim: 0}
-        for cls in self.below(target):
+        for cls in self._below(target):
             longest[cls] = 1 + max(
                 longest.get(tuple(c - gc for c, gc in zip(cls, g)), -1)
                 for g in self.generators
             )
-        target = as_class(target)
         found = longest.get(target, 0)
         if found > max_parts:
             raise DecompositionOverflow(f"{target} needs more than {max_parts} parts")
@@ -239,7 +251,10 @@ class StabilityData:
         raise AttributeError("StabilityData is immutable")
 
     def slope_of(self, cls) -> SlopeValue:
-        cls = as_class(cls)
+        return self._slope_at(as_class(cls))
+
+    def _slope_at(self, cls: ClassVec) -> SlopeValue:
+        """``slope_of`` a class already read by ``as_class``."""
         hit = self._slopes.get(cls)
         if hit is not None:
             return hit
@@ -261,20 +276,23 @@ class StabilityData:
         β + (target − β): the slope of ``target`` lies between theirs.  The
         verdict is kept per monoid generators and class (``below`` depends
         on both); a SlopeUndefined raised on the way is not kept."""
-        target = as_class(target)
+        return self._see_saw_at(monoid, as_class(target))
+
+    def _see_saw_at(self, monoid: EffectiveMonoid, target: ClassVec) -> bool:
+        """``see_saw_holds`` at a class already read by ``as_class``."""
         key = (monoid.generators, target)
         hit = self._see_saw.get(key)
         if hit is not None:
             return hit
-        mid = self.slope_of(target)
+        mid = self._slope_at(target)
         holds = True
-        for beta in monoid.below(target):
+        for beta in monoid._below(target):
             rest = tuple(t - b for t, b in zip(target, beta))
             # The condition is symmetric in the two parts: test each pair once.
             if beta == target or rest < beta:
                 continue
-            left = self.slope_of(beta)
-            right = self.slope_of(rest)
+            left = self._slope_at(beta)
+            right = self._slope_at(rest)
             if not (left >= mid >= right or left <= mid <= right):
                 holds = False
                 break
@@ -332,8 +350,9 @@ def class_lookup(source, missing: type[Exception], what: str):
 
 def linear_stability(a: Sequence[int], b: Sequence[int]) -> StabilityData:
     """Slope (a·γ)/(b·γ), with the usual ±infinity convention when b·γ = 0."""
-    a = tuple(Fraction(x) for x in a)
-    b = tuple(Fraction(x) for x in b)
+    # Integral entries stay ints, so the sums below are int arithmetic.
+    a = tuple(canonical_coefficient(Fraction(x)) for x in a)
+    b = tuple(canonical_coefficient(Fraction(x)) for x in b)
     if len(a) != len(b):
         raise ValueError("linear_stability needs a and b of the same length")
 
@@ -348,7 +367,7 @@ def linear_stability(a: Sequence[int], b: Sequence[int]) -> StabilityData:
             if num < 0:
                 return SlopeValue.of("-inf")
             raise SlopeUndefined(f"0/0 slope for class {cls}")
-        return SlopeValue.of(num / den)
+        return SlopeValue.of(Fraction(num, den))
 
     return StabilityData(slope)
 
@@ -552,13 +571,13 @@ def peel_classes(
     SeeSawFailure.
     """
     alpha = as_class(alpha)
-    if not monoid.contains(alpha):
+    classes = monoid._below(alpha)
+    if not classes:
         return {}
-    monoid.longest_splitting(alpha, max_parts)
-    classes = monoid.below(alpha)
+    monoid._longest_splitting(alpha, max_parts)
     for cls in classes:
         for stability in (tau, tau_prime):
-            if not stability.see_saw_holds(monoid, cls):
+            if not stability._see_saw_at(monoid, cls):
                 raise SeeSawFailure(
                     f"{stability.name} breaks the weak see-saw property at class {cls}"
                 )
@@ -567,7 +586,7 @@ def peel_classes(
     return {
         cls: [
             (beta, tuple(map(operator.sub, cls, beta)))
-            for beta in monoid.below(cls)
+            for beta in monoid._below(cls)
             if beta != cls
         ]
         for cls in classes
@@ -601,9 +620,9 @@ def refactor(
         for cls, pairs in splits.items()
     }
     algebra = (mul, scale, total)
-    before = _factor(tau.slope_of, weighted, lambda cls, rest: entry(cls), algebra)
+    before = _factor(tau._slope_at, weighted, lambda cls, rest: entry(cls), algebra)
     differ = lambda cls, rest: total((before[cls][1], scale(rest, -1)))
-    after = _factor(tau_prime.slope_of, weighted, differ, algebra)
+    after = _factor(tau_prime._slope_at, weighted, differ, algebra)
     return {cls: x for cls, (x, _) in after.items()}
 
 

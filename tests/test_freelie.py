@@ -18,12 +18,14 @@ from wallx.freelie import (
     lyndon_words,
     standard_split,
 )
+from wallx.ring import LaurentElement
 from wallx.ucoeff import (
     EffectiveMonoid,
     linear_stability,
     utilde_lie_element,
     utilde_word_sum,
 )
+from wallx.wallcross import QuantumTorusBackend
 
 F = Fraction
 
@@ -456,6 +458,52 @@ class TestBracket:
             )
             assert total.is_zero()
 
+    def test_bracket_equals_the_tensor_round_trip_hypothesis(self):
+        # The round trip is the bracket's definition: project X·Y − Y·X,
+        # X and Y the expansions of the operands, back to the Lyndon basis.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        contexts = [LieContext("abcd"[:n]) for n in (2, 3, 4)]
+        words = {ctx: lyndon_words(ctx.letters, 5) for ctx in contexts}
+        coeff = st.one_of(
+            st.integers(-6, 6),
+            st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        )
+
+        @st.composite
+        def operands(draw):
+            ctx = draw(st.sampled_from(contexts))
+            terms = st.dictionaries(st.sampled_from(words[ctx]), coeff, max_size=3)
+            return LieElement(ctx, draw(terms)), LieElement(ctx, draw(terms))
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(operands())
+        def check(pair):
+            x, y = pair
+            ex, ey = expand_to_uea(x), expand_to_uea(y)
+            got = x.bracket(y)
+            assert got == dynkin_project(ex * ey - ey * ex)
+            _assert_canonical(got)
+
+        check()
+
+    def test_bracket_of_a_pair_that_is_not_a_standard_factorization(self):
+        # abbc is Lyndon with standard factorization (a, bbc), not (ab, bc),
+        # so [b(ab), b(bc)] takes the round trip: by Jacobi it is
+        # [a, [b, [b, c]]] − [b, [a, [b, c]]] = b(abbc) + b(abcb).
+        ctx = LieContext(["a", "b", "c"])
+        assert standard_split(("a", "b", "b", "c"), ctx) == (("a",), ("b", "b", "c"))
+        assert standard_split(("a", "b", "c", "b"), ctx) == (("a", "b", "c"), ("b",))
+        ab = LieElement(ctx, {("a", "b"): 1})
+        bc = LieElement(ctx, {("b", "c"): 1})
+        want = LieElement(ctx, {("a", "b", "b", "c"): 1, ("a", "b", "c", "b"): 1})
+        ex, ey = expand_to_uea(ab), expand_to_uea(bc)
+        assert ab.bracket(bc) == want == dynkin_project(ex * ey - ey * ex)
+        assert bc.bracket(ab) == -want
+        # Mixed with a pair that factors as it stands: [b(a), b(bc)] = b(abc).
+        mixed = (ab + LieElement.letter(ctx, "a") * F(1, 2)).bracket(bc)
+        assert mixed == want + LieElement(ctx, {("a", "b", "c"): F(1, 2)})
+
     def test_left_nested_matches_iterated_bracket(self):
         ctx = LieContext(["a", "b", "c"])
         a, b, c = (LieElement.letter(ctx, l) for l in ctx.letters)
@@ -505,6 +553,105 @@ class TestEvaluate:
         assert ev(e.bracket(f).bracket(f)) == _Mat2(0, 0, -2, 0)
         combo = e.bracket(f) * F(1, 2) + f.bracket(e.bracket(f)) * F(3)
         assert ev(combo) == _Mat2(F(1, 2), 0, 6, F(-1, 2))
+
+    def test_evaluation_on_its_own_letters_is_the_identity_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ctx = LieContext(["a", "b", "c"])
+        coeff = st.one_of(
+            st.integers(-6, 6),
+            st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        )
+        terms = st.dictionaries(st.sampled_from(lyndon_words(ctx.letters, 5)), coeff, max_size=5)
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(terms)
+        def check(t):
+            x = LieElement(ctx, t)
+            value = evaluate_lie(
+                x,
+                lambda letter: LieElement.letter(ctx, letter),
+                LieElement.bracket,
+                LieElement.zero(ctx),
+                lambda c, v: v * c,
+            )
+            assert value == x
+
+        check()
+
+    def test_each_subword_is_built_once_per_call(self):
+        # Standard factorizations: abb = (ab, b), abc = (a, bc),
+        # abbc = (a, bbc) with bbc = (b, bc), and abcb = (abc, b); so the
+        # four words need seven brackets, one per subword of length ≥ 2.
+        # Nothing is kept from one call to the next.
+        ctx = LieContext(["a", "b", "c"])
+        words = ["abb", "abc", "abbc", "abcb"]
+        x = LieElement(ctx, {tuple(w): 1 for w in words})
+        subwords = {"ab", "bc", "bbc", *words}
+        for _ in range(2):
+            calls = []
+
+            def bracket(u, v):
+                calls.append((u, v))
+                return u.bracket(v)
+
+            value = evaluate_lie(
+                x,
+                lambda letter: LieElement.letter(ctx, letter),
+                bracket,
+                LieElement.zero(ctx),
+                lambda c, v: v * c,
+            )
+            assert value == x
+            assert len(calls) == len(subwords)
+
+    def test_quantum_torus_evaluation_equals_the_unmemoized_fold(self):
+        # The fold ``evaluate_lie`` memoizes within one call, computed again
+        # with every subword rebuilt each time it occurs.
+        def fold(x, leaf, bracket, zero, scale):
+            ctx = x.context
+
+            def build(word):
+                if len(word) == 1:
+                    return leaf(word[0])
+                left, right = standard_split(word, ctx)
+                return bracket(build(left), build(right))
+
+            acc = zero
+            for word in sorted(x.terms, key=lambda w: (len(w), ctx.key(w))):
+                acc = acc + scale(x.terms[word], build(word))
+            return acc
+
+        mon = EffectiveMonoid([(1, 0), (0, 1), (1, 1)])
+        qt = QuantumTorusBackend([[0, 2], [-2, 0]])
+        rng = random.Random(53)
+        values = {}
+        for alpha in [(2, 1), (2, 2), (3, 1), (3, 3)]:
+            ctx = LieContext(mon.below(alpha))
+            for cls in ctx.letters:
+                symbol = LaurentElement.gen(f"v{cls[0]}{cls[1]}")
+                values.setdefault(cls, symbol + rng.randint(-2, 2))
+            # Every Lyndon word of class α up to length 4, with random
+            # coefficients.
+            words = [
+                w for w in lyndon_words(ctx.letters, min(4, sum(alpha)))
+                if tuple(map(sum, zip(*w))) == alpha
+            ]
+            x = LieElement(ctx, {w: F(rng.randint(-4, 4), rng.randint(1, 3)) for w in words})
+            args = (
+                x,
+                lambda cls: qt.lift(cls, values[cls]),
+                qt.bracket,
+                qt.zero(),
+                qt.scale,
+            )
+            got, want = evaluate_lie(*args), fold(*args)
+            assert got == want
+            assert repr(got) == repr(want)
+            tau, taup = linear_stability([1, 0], [1, 1]), linear_stability([0, 1], [1, 1])
+            element = utilde_lie_element(alpha, tau, taup, mon)
+            args = (element,) + args[1:]
+            assert evaluate_lie(*args) == fold(*args)
 
     def test_evaluation_into_enveloping_algebra_matches_expand(self):
         rng = random.Random(41)

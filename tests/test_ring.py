@@ -107,6 +107,22 @@ def test_half_integer_exponents_are_exact() -> None:
     assert str(k) == "k^(1/2)"
 
 
+def test_monomial_refuses_a_float_exponent() -> None:
+    with pytest.raises(TypeError, match="an exponent is an int or a Fraction"):
+        L.monomial(1, {"a": -0.5})
+
+
+def test_monomial_refuses_a_bool_exponent() -> None:
+    with pytest.raises(TypeError, match="an exponent is an int or a Fraction"):
+        L.monomial(1, {"a": True})
+
+
+def test_coeff_of_refuses_a_float_exponent() -> None:
+    with pytest.raises(TypeError, match="an exponent is an int or a Fraction"):
+        L.gen("a").coeff_of("a", 1.0)
+    assert L.gen("a").coeff_of("a", Fraction(1)) == L.gen("a").coeff_of("a", 1) == 1
+
+
 def test_half_integer_power_matches_the_monomial_route_hypothesis() -> None:
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

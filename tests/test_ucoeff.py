@@ -125,6 +125,26 @@ class TestEffectiveMonoid:
             EffectiveMonoid([(1.5, 0), (0, 1)])
         assert mon.contains((F(1), 1))
 
+    @pytest.mark.parametrize("bad, good", [(True, 1), (2.0, 2), ("2", 2)])
+    def test_public_readers_refuse_a_coordinate_that_is_not_an_integer(self, bad, good):
+        # The peel reads classes that ``below`` returned without re-reading
+        # them; every public entry point still reads its input.
+        mon = EffectiveMonoid([(1, 0), (0, 1)])
+        tau = linear_stability([1, 0], [1, 1])
+        for target, warm in (((bad, 1), (good, 1)), ((1, bad), (1, good))):
+            # Fill the memos at the equal integer class first: a memo hit
+            # must not skip the read (True == 1 and 2.0 == 2 as keys).
+            mon.longest_splitting(warm, 8)
+            tau.see_saw_holds(mon, warm)
+            for call in (
+                lambda: mon.below(target),
+                lambda: mon.longest_splitting(target, 8),
+                lambda: tau.slope_of(target),
+                lambda: tau.see_saw_holds(mon, target),
+            ):
+                with pytest.raises(ValueError, match="expected an integer"):
+                    call()
+
     def test_contains_with_negative_coordinates(self):
         mon = EffectiveMonoid([(2, -1), (-1, 2)])
         assert mon.contains((1, 1))
@@ -266,13 +286,14 @@ class TestStabilityData:
         free = EffectiveMonoid([(1, 0), (0, 1)])
         other = EffectiveMonoid([(1, 0), (1, 1)])
         walks = collections.Counter()
-        below = EffectiveMonoid.below
+        below = EffectiveMonoid._below
 
         def counted(monoid, target):
             walks[monoid.generators, target] += 1
             return below(monoid, target)
 
-        monkeypatch.setattr(EffectiveMonoid, "below", counted)
+        # ``_below`` is the path every ``below`` lookup takes, public or not.
+        monkeypatch.setattr(EffectiveMonoid, "_below", counted)
         for _ in range(2):
             assert tau.see_saw_holds(other, (2, 1))
             assert not tau.see_saw_holds(free, (2, 1))
@@ -413,6 +434,32 @@ class TestSlopeMemo:
                 mapping.slope_of((0, 1))
         assert zero_over_zero.slope_of((1, 0)) == SlopeValue.of(1)
 
+    def test_linear_stability_reads_int_fraction_and_mixed_vectors_alike(self):
+        # Integral entries stay ints, so the slope sums are int arithmetic;
+        # the slopes and their printed form must not depend on that.
+        a, b = [3, -2, 1], [1, 2, 4]
+        vectors = [
+            (a, b),
+            ([F(x) for x in a], [F(x) for x in b]),
+            ([a[0], F(a[1]), a[2]], [F(b[0]), b[1], F(b[2])]),
+            ([F(6, 2), -2, F(2, 2)], b),
+        ]
+        stabilities = [linear_stability(x, y) for x, y in vectors]
+        halves = linear_stability([F(3, 2), -1, F(1, 2)], [1, 2, 4])
+        twice = linear_stability([3, -2, 1], [2, 4, 8])
+        classes = [(i, j, k) for i in range(3) for j in range(3) for k in range(3) if i + j + k]
+        for cls in classes:
+            want = stabilities[0].slope_of(cls)
+            assert all(tau.slope_of(cls) == want for tau in stabilities)
+            assert len({str(tau.slope_of(cls)) for tau in stabilities}) == 1
+            assert twice.slope_of(cls) == halves.slope_of(cls)
+            assert twice.slope_of(cls) == SlopeValue.of(
+                F(3 * cls[0] - 2 * cls[1] + cls[2], 2 * (cls[0] + 2 * cls[1] + 4 * cls[2]))
+            )
+        zero_den = linear_stability([1, 0], [1, -1])
+        assert zero_den.slope_of((1, 1)) == SlopeValue.of("inf")
+        assert zero_den.slope_of((-1, -1)) == SlopeValue.of("-inf")
+
     @pytest.mark.parametrize("a, b", [([1, 0], [1]), ([1], [1, 1]), ([], [0])])
     def test_linear_stability_refuses_vectors_of_unequal_length(self, a, b):
         with pytest.raises(ValueError, match="same length"):
@@ -455,13 +502,14 @@ class TestSlopeMemo:
         tau, taup = linear_stability([1, 0], [1, 1]), linear_stability([0, 1], [1, 1])
         splits = peel_classes((2, 2), tau, taup, mon, 8)
         calls = collections.Counter()
-        lookup = StabilityData.slope_of
+        lookup = StabilityData._slope_at
 
         def counting(self, cls):
             calls[id(self)] += 1
             return lookup(self, cls)
 
-        monkeypatch.setattr(StabilityData, "slope_of", counting)
+        # ``_slope_at`` is the path every slope lookup takes, public or not.
+        monkeypatch.setattr(StabilityData, "_slope_at", counting)
         refactor(
             splits, tau, taup, lambda cls: F(1), lambda beta, delta: 1,
             mul=operator.mul, scale=operator.mul, total=lambda items: sum(items, F(0)),
@@ -669,15 +717,16 @@ def _double_loop_splittings(classes):
 
 
 class _RecordingMonoid(EffectiveMonoid):
-    """An effective monoid that records every class ``below`` is asked for."""
+    """An effective monoid that records every class ``below`` is asked for,
+    through the public method or the internal ``_below`` that it calls."""
 
     def __init__(self, generators):
         super().__init__(generators)
         object.__setattr__(self, "asked", [])
 
-    def below(self, target):
+    def _below(self, target):
         self.asked.append(tuple(target))
-        return super().below(target)
+        return super()._below(target)
 
 
 class TestPeelClasses:
