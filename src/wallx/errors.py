@@ -52,7 +52,7 @@ class MissingChi(WallxError):
 
 
 class MissingFr(WallxError):
-    """No framing value was supplied for a class that needs one."""
+    """No framing vector was supplied to a framed pair sum."""
 
 
 class ZeroQuantumInteger(WallxError):

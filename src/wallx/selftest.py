@@ -332,8 +332,7 @@ def pair_sums() -> None:
     summands, invert back to the input table, and the numerical crossing
     composes across two walls."""
     tau = linear_stability([1, 1], [1, 1])
-    fr = {(1, 0): 1, (0, 1): 3, (1, 1): 2, (2, 0): 4, (0, 2): 5, (2, 1): 1, (1, 2): 2}
-    qt = QuantumTorusBackend(CHI)
+    fr = (1, 3)
     table = _symbol_table(TWO_GEN.effective_upto(3), monoid=TWO_GEN)
 
     def chi(x, y):
@@ -351,16 +350,16 @@ def pair_sums() -> None:
             partial = (0, 0)
             for cls in parts:
                 term = term * quantum_integer(
-                    fr[cls] + chi(cls, partial)
+                    fr[0] * cls[0] + fr[1] * cls[1] + chi(cls, partial)
                 ) * table.value(cls)
                 partial = class_sum([partial, cls])
             brute = brute + term
-        got = pair_invariant_rhs(alpha, fr, tau, table, qt)
+        got = pair_invariant_rhs(alpha, fr, tau, table, CHI)
         _ensure(got == brute, f"pair sum differs from brute force at {alpha}")
 
     rng = random.Random(404)
     mon = EffectiveMonoid([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    qt3 = QuantumTorusBackend([[0, 1, -2], [-1, 0, 1], [2, -1, 0]])
+    chi3 = [[0, 1, -2], [-1, 0, 1], [2, -1, 0]]
     flat_tau = StabilityData(lambda cls: SlopeValue.of(1))
     for _ in range(2):
         support = mon.effective_upto(2)
@@ -373,15 +372,15 @@ def pair_sums() -> None:
             },
             monoid=mon,
         )
-        fr3 = {cls: rng.randint(1, 3) for cls in support}
+        fr3 = tuple(rng.randint(1, 3) for _ in range(3))
         pairs = InvariantTable(
             {
-                cls: pair_invariant_rhs(cls, fr3, flat_tau, source, qt3)
+                cls: pair_invariant_rhs(cls, fr3, flat_tau, source, chi3)
                 for cls in support
             },
             monoid=mon,
         )
-        recovered = invert_semistable(pairs, fr3, flat_tau, qt3)
+        recovered = invert_semistable(pairs, fr3, flat_tau, chi3)
         for cls in support:
             _ensure(
                 recovered.value(cls) == source.value(cls),
@@ -411,10 +410,8 @@ def unrefined_specialization() -> None:
     the same computation run with the unrefined integers (-1)**(n-1)·n."""
     rng = random.Random(606)
     table = _symbol_table(TWO_GEN.effective_upto(3), monoid=TWO_GEN)
-    qt = QuantumTorusBackend(CHI)
-    qt_plain = QuantumTorusBackend(CHI, qint=unrefined_integer)
     tau_pair = linear_stability([1, 1], [1, 1])
-    fr = {(1, 0): 1, (0, 1): 3, (1, 1): 2, (2, 0): 4, (0, 2): 5, (2, 1): 1, (1, 2): 2}
+    fr = (1, 3)
     for _ in range(3):
         tau = _random_linear(rng, 2)
         taup = _random_linear(rng, 2)
@@ -426,8 +423,10 @@ def unrefined_specialization() -> None:
                 f"crossing does not specialize at {alpha}",
             )
     for alpha in ((1, 1), (2, 1), (1, 2)):
-        refined = pair_invariant_rhs(alpha, fr, tau_pair, table, qt)
-        plain = pair_invariant_rhs(alpha, fr, tau_pair, table, qt_plain)
+        refined = pair_invariant_rhs(alpha, fr, tau_pair, table, CHI)
+        plain = pair_invariant_rhs(
+            alpha, fr, tau_pair, table, CHI, qint=unrefined_integer
+        )
         _ensure(
             specialize_kappa(refined) == plain,
             f"pair sum does not specialize at {alpha}",

@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DecompositionOverflow,
+    MissingChi,
     SeeSawFailure,
     SlopeUndefined,
 )
@@ -235,8 +236,8 @@ class StabilityData:
     source is read at most once per class and must be a pure function of the
     class: a mapping must not change after construction.  The weak see-saw
     verdict of a class is kept in the same way, per monoid.  The pairing χ
-    and the framing fr are not stability data: χ belongs to the bracket
-    backend and fr to the framed pair sum, which take them as arguments.
+    and the framing vector fr are not stability data: the sums that need
+    them take them as arguments.
     """
 
     __slots__ = ("_slope", "_slopes", "_see_saw", "name")
@@ -306,8 +307,10 @@ def pairing_form(chi):
     A callable is wrapped so that each value it returns is read by
     ``integer_entry``; a matrix must be square and antisymmetric, with
     entries read by ``integer_entry``, and its form refuses classes of
-    another dimension.
+    another dimension.  None raises MissingChi.
     """
+    if chi is None:
+        raise MissingChi("the quantum torus needs a pairing form")
     if callable(chi):
         return lambda a, b: integer_entry(chi(a, b))
     rows = tuple(tuple(map(integer_entry, row)) for row in chi)
@@ -327,23 +330,27 @@ def pairing_form(chi):
     return form
 
 
-def class_lookup(source, missing: type[Exception], what: str):
-    """``cls -> int`` read from a class-keyed mapping or a callable, each
-    value read by ``integer_entry``.
-
-    A mapping is copied once; a class it lacks raises ``missing`` with the
-    message "no <what> for class <cls>".
+def class_lookup(source):
+    """The cosection count ``cls -> int`` of the reduced sum, read from a
+    class-keyed mapping (copied once) or a callable, each value read by
+    ``integer_entry``; a class a mapping lacks and a negative count raise
+    ValueError when they are read.
     """
-    if callable(source):
-        return lambda cls: integer_entry(source(as_class(cls)))
-    mapping = {as_class(cls): integer_entry(v) for cls, v in source.items()}
+    mapping = None
+    if not callable(source):
+        mapping = {as_class(cls): integer_entry(v) for cls, v in source.items()}
 
     def lookup(cls) -> int:
         cls = as_class(cls)
-        try:
-            return mapping[cls]
-        except KeyError:
-            raise missing(f"no {what} for class {cls}") from None
+        if mapping is None:
+            count = integer_entry(source(cls))
+        elif cls in mapping:
+            count = mapping[cls]
+        else:
+            raise ValueError(f"no o count for class {cls}")
+        if count < 0:
+            raise ValueError("o counts must be nonnegative")
+        return count
 
     return lookup
 

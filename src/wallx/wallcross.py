@@ -6,13 +6,9 @@ bracket side is either the formal free Lie algebra on class symbols or the
 quantum torus, whose bracket multiplies values and picks up the quantum
 integer of the pairing of the classes.  The main entry points assemble the
 universal-coefficient Lie element and push it through a backend, evaluate
-the framed pair sum with its distinguished degree-zero slot, and invert
-that sum class by class in increasing mass.
-
-The framed pair sum at α is the class-(α, 1) coefficient of exp(ad E)(∂),
-E the table's entries on the classes below α of α's slope, taken by the
-graded recurrence y_k = [E, y_{k−1}]/k over those classes; it reads the
-table at every class of E.
+the framed pair sum as ``vw_wcf`` on the framed lattice, with one more
+coordinate for the framing class, and invert that sum class by class in
+increasing mass.
 
 The numerical wall-crossing sum ``vw_wcf`` is read from the factorization
 identity instead of summing over ordered splittings: the product of
@@ -35,12 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import (
-    MissingChi,
-    MissingFr,
-    UnsupportedClass,
-    ZeroQuantumInteger,
-)
+from .errors import MissingFr, UnsupportedClass, ZeroQuantumInteger
 from .freelie import LieContext, LieElement, evaluate_lie
 from .kclasses import quantum_integer
 from .ring import (
@@ -49,7 +40,7 @@ from .ring import (
     as_element,
     exact_laurent_div,
     fresh_name,
-    laurent_sum,
+    integer_entry,
     packed_algebra,
 )
 from .ucoeff import (
@@ -58,6 +49,7 @@ from .ucoeff import (
     U_coeff,
     as_class,
     class_lookup,
+    linear_stability,
     pairing_form,
     peel_classes,
     refactor,
@@ -130,8 +122,6 @@ class QuantumTorusBackend:
     __slots__ = ("chi", "qint")
 
     def __init__(self, chi, *, qint=None):
-        if chi is None:
-            raise MissingChi("the quantum torus needs a pairing form")
         object.__setattr__(self, "chi", pairing_form(chi))
         object.__setattr__(self, "qint", quantum_integer if qint is None else qint)
 
@@ -260,12 +250,6 @@ def wcf_rhs(
     )
 
 
-def _fr_lookup(fr):
-    if fr is None:
-        raise MissingFr("no fr values supplied")
-    return class_lookup(fr, MissingFr, "fr value")
-
-
 def _laurent_entries(table: InvariantTable, classes) -> dict:
     """The table's entries at ``classes`` as Laurent elements, read at every
     class (UnsupportedClass unless ``zero_missing``); missing ones are left out."""
@@ -277,87 +261,101 @@ def _laurent_entries(table: InvariantTable, classes) -> dict:
     return entries
 
 
+def _framing(fr, dim: int) -> tuple:
+    """The framing vector: ``dim`` entries read by ``integer_entry``."""
+    if fr is None:
+        raise MissingFr("no fr values supplied")
+    fr = tuple(map(integer_entry, fr))
+    if len(fr) != dim:
+        raise ValueError(f"the framing vector needs {dim} entries, got {len(fr)}")
+    return fr
+
+
+def _dot(fr: tuple, cls: tuple) -> int:
+    return sum(f * c for f, c in zip(fr, cls))
+
+
+@lru_cache(maxsize=16)
+def _framed_lattice(generators: tuple):
+    """The framed monoid and the crossing's two stabilities, kept per
+    generator tuple so that their memos serve every pair sum over it."""
+    zero, ones = (0,) * len(generators[0]), (1,) * (len(generators[0]) + 1)
+    return (
+        EffectiveMonoid([g + (0,) for g in generators] + [zero + (1,)]),
+        linear_stability(zero + (-1,), ones),
+        linear_stability(zero + (1,), ones),
+    )
+
+
 def pair_invariant_rhs(
     alpha,
     fr,
     tau: StabilityData,
     table: InvariantTable,
-    backend: QuantumTorusBackend,
+    chi,
     *,
+    qint=None,
     max_parts: int = 8,
 ) -> LaurentElement:
-    """Framed pair sum: the class-(α, 1) coefficient of exp(ad E)(∂), with
-    E = Σ table(γ)·z_γ over the classes γ ≤ α in the table's monoid with
-    τ(γ) = τ(α), and ∂ the distinguished degree-zero slot.
+    """Framed pair sum: ``vw_wcf`` at (α, 1) on the framed lattice.
 
-    Expanded, it is the sum over equal-slope ordered splittings, weighted
-    1/n!, of the nested brackets [z_{α_n},[…,[z_{α_1},∂]…]].  The bracket of
-    z_γ with the slot at class β is [χ(γ,β) + fr(γ)]·table(γ), so the n = 1
-    term is [fr(α)]·table(α).  It is computed as Σ_k y_k at α by the graded
-    recurrence y_0 = ∂, y_k = [E, y_{k−1}]/k over the classes ≤ α.
+    The framed monoid adds ∞ = (0,…,0,1) to the generators padded with 0;
+    its table holds 1 at ∞ and table(γ) at (γ, 0) for the classes γ ≤ α
+    with τ(γ) = τ(α); χ̂((a, i), (b, j)) = χ(a, b) + j·fr·a − i·fr·b; and
+    the crossing, slope −i/mass to i/mass, moves ∞ from the lowest slope to
+    the highest.  Expanded, it is Σ (1/n!)·Π_i [fr·α_i + χ(α_i, α_1+…+
+    α_{i−1})]·table(α_i) over the equal-slope ordered splittings of α.
 
-    ``fr`` gives the framing count of a class: a class-keyed mapping (read
-    once) or a callable; it is the only source of fr, and None raises
-    MissingFr.  ``tau`` supplies the slopes alone.
-
-    Input contract: an α outside the cone gives zero; a splitting of α into
+    ``fr`` is the framing vector, one integer per coordinate (None raises
+    MissingFr, a wrong length ValueError); ``chi`` and ``qint`` are read as
+    by ``vw_wcf``.  An α outside the cone gives zero; a splitting of α into
     more than ``max_parts`` parts raises DecompositionOverflow; the table is
-    read at every class of E (UnsupportedClass unless ``zero_missing``), and
-    fr at every class of E with an entry (MissingFr)."""
+    read at every equal-slope class ≤ α (UnsupportedClass unless
+    ``zero_missing``)."""
     alpha = as_class(alpha)
     monoid = table.monoid
-    fr = _fr_lookup(fr)
+    fr = _framing(fr, monoid.dim)
+    chi = pairing_form(chi)
     if not monoid.contains(alpha):
         return LaurentElement.zero()
-    longest = monoid.longest_splitting(alpha, max_parts)
-    classes = monoid.below(alpha)
+    monoid.longest_splitting(alpha, max_parts)
     slope = tau.slope_of(alpha)
-    same = [cls for cls in classes if tau.slope_of(cls) == slope]
-    entries = [
-        (cls, fr(cls), value) for cls, value in _laurent_entries(table, same).items()
-    ]
-    members = set(classes)
-    # The layers hold k!·y_k, so no 1/k enters a product.
-    layer = {(0,) * len(alpha): LaurentElement.const(1)}
-    found = []
-    for k in range(1, longest + 1):
-        terms: dict[tuple, list] = {}
-        for beta, y in layer.items():
-            for gamma, fr_gamma, value in entries:
-                cls = tuple(b + g for b, g in zip(beta, gamma))
-                if cls in members:
-                    weight = backend.qint(backend.chi(gamma, beta) + fr_gamma)
-                    terms.setdefault(cls, []).append(weight * value * y)
-        layer = {cls: laurent_sum(items) for cls, items in terms.items()}
-        if alpha in layer:
-            found.append(Fraction(1, math.factorial(k)) * layer[alpha])
-    return laurent_sum(found)
+    same = [cls for cls in monoid.below(alpha) if tau.slope_of(cls) == slope]
+    framed, before, after = _framed_lattice(monoid.generators)
+    entries = {cls + (0,): v for cls, v in _laurent_entries(table, same).items()}
+    entries[framed.generators[-1]] = LaurentElement.const(1)
+    return vw_wcf(
+        alpha + (1,), before, after,
+        InvariantTable(entries, zero_missing=True, monoid=framed),
+        lambda a, b: chi(a[:-1], b[:-1]) + b[-1] * _dot(fr, a) - a[-1] * _dot(fr, b),
+        qint=qint, max_parts=max_parts + 1,
+    )
 
 
 def invert_semistable(
     pair_table: InvariantTable,
     fr,
     tau: StabilityData,
-    backend: QuantumTorusBackend,
+    chi,
     *,
+    qint=None,
     max_parts: int = 8,
 ) -> InvariantTable:
     """Recover the invariant table from its framed pair sums.
 
     Works class by class in increasing mass: every proper equal-slope
     summand of a class is lighter, so the pair sum of the entries recovered
-    so far is the n ≥ 2 part, and the n = 1 term [fr(α)]·table(α) divides
-    out exactly.  Before any pair sum is formed, each class of the support,
-    in that order, is refused for a missing fr value (MissingFr), fr = 0
+    so far is the n ≥ 2 part, and the n = 1 term [fr·α]·table(α) divides
+    out exactly.  ``fr``, ``chi`` and ``qint`` are read as by
+    ``pair_invariant_rhs``.  Before any pair sum is formed, each class of
+    the support, in that order, is refused for fr·α = 0
     (ZeroQuantumInteger) or a splitting into more than ``max_parts`` parts
     (DecompositionOverflow)."""
     monoid = pair_table.monoid
-    fr_of = _fr_lookup(fr)
+    fr = _framing(fr, monoid.dim)
     order = sorted(pair_table.support(), key=sum)
-    fr_values = {}
     for cls in order:
-        fr_val = fr_values[cls] = fr_of(cls)
-        if fr_val == 0:
+        if _dot(fr, cls) == 0:
             raise ZeroQuantumInteger(
                 f"fr({cls}) = 0 gives a vanishing quantum integer"
             )
@@ -367,9 +365,9 @@ def invert_semistable(
     for cls in order:
         partial = InvariantTable(recovered, zero_missing=True, monoid=monoid)
         higher = pair_invariant_rhs(
-            cls, fr_of, tau, partial, backend, max_parts=max_parts
+            cls, fr, tau, partial, chi, qint=qint, max_parts=max_parts
         )
-        divisor = backend.qint(fr_values[cls])
+        divisor = (qint or quantum_integer)(_dot(fr, cls))
         recovered[cls] = exact_laurent_div(values[cls] - higher, divisor, KAPPA)
     return InvariantTable(recovered, monoid=monoid)
 
@@ -414,7 +412,7 @@ def vw_wcf(
     ValueError, and so does a negative one.
     """
     alpha = as_class(alpha)
-    chi = QuantumTorusBackend(chi).chi
+    chi = pairing_form(chi)
     if qint is not None and qint is not unrefined_integer:
         raise ValueError("vw_wcf takes qint=None (refined) or unrefined_integer")
     splits = peel_classes(alpha, tau_one, tau_two, table.monoid, max_parts)
@@ -424,14 +422,7 @@ def vw_wcf(
     kappa = KAPPA if qint is None else fresh_name("kappa", entries.values())
     grade = None
     if o_table is not None:
-        read = class_lookup(o_table, ValueError, "o count")
-
-        def lookup(cls) -> int:
-            count = read(cls)
-            if count < 0:
-                raise ValueError("o counts must be nonnegative")
-            return count
-
+        lookup = class_lookup(o_table)
         o_at_alpha = lookup(alpha)
         grade = fresh_name("o", entries.values())
 

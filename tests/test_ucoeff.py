@@ -8,7 +8,6 @@ import pytest
 
 from wallx.errors import (
     DecompositionOverflow,
-    MissingFr,
     NotPrimitive,
     SeeSawFailure,
     SlopeUndefined,
@@ -372,28 +371,30 @@ class TestPairingForm:
 
 class TestClassLookup:
     def test_mapping_and_missing(self):
-        lookup = class_lookup({(1, 0): 3, (0, 1): F(2)}, ValueError, "count")
+        lookup = class_lookup({(1, 0): 3, (0, 1): F(2)})
         assert lookup([1, 0]) == 3 and lookup((0, 1)) == 2
-        with pytest.raises(ValueError, match=r"no count for class \(1, 1\)"):
+        with pytest.raises(ValueError, match=r"no o count for class \(1, 1\)"):
             lookup((1, 1))
 
     def test_callable(self):
-        lookup = class_lookup(lambda cls: cls[0] + 2 * cls[1], MissingFr, "fr value")
+        lookup = class_lookup(lambda cls: cls[0] + 2 * cls[1])
         assert lookup([1, 1]) == 3
 
     def test_values_follow_the_integer_rule(self):
         for bad in (0.6, 1.2, True, "2"):
             with pytest.raises(ValueError, match="expected an integer"):
-                class_lookup({(1, 0): bad}, MissingFr, "fr value")
-            lookup = class_lookup(lambda cls: bad, MissingFr, "fr value")
+                class_lookup({(1, 0): bad})
+            lookup = class_lookup(lambda cls: bad)
             with pytest.raises(ValueError, match="expected an integer"):
                 lookup((1, 0))
 
-    def test_mapping_fr_missing_class(self):
-        lookup = class_lookup({(1, 0): 3}, MissingFr, "fr value")
-        assert lookup((1, 0)) == 3
-        with pytest.raises(MissingFr, match=r"no fr value for class \(0, 1\)"):
-            lookup((0, 1))
+    def test_a_negative_count_is_refused_when_read(self):
+        sources = (({(1, 0): 3, (0, 1): -1}, 3), (lambda cls: cls[0] - cls[1], 1))
+        for source, count in sources:
+            lookup = class_lookup(source)
+            assert lookup((1, 0)) == count
+            with pytest.raises(ValueError, match="o counts must be nonnegative"):
+                lookup((0, 1))
 
 
 def counting_linear(a, b, calls):

@@ -2,6 +2,7 @@ import functools
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from wallx.kclasses import quantum_integer
 from wallx.ring import (
     LaurentElement,
     SlopeValue,
+    as_element,
     exact_laurent_div,
     fresh_name,
     laurent_sum,
@@ -238,7 +240,7 @@ class TestWcfRhs:
 
 def reduced_filter(decompositions, o_table, o_alpha: int):
     """Keep the splittings whose o counts add up to the target count."""
-    lookup = class_lookup(o_table, ValueError, "o count")
+    lookup = class_lookup(o_table)
     return [
         parts
         for parts in decompositions
@@ -318,15 +320,18 @@ class TestReducedFilter:
             reduced_filter(self.DECOMPS, o, 1)
 
 
+def framing_degree(fr, cls):
+    return sum(f * c for f, c in zip(fr, cls))
+
+
 def pair_sum_oracle(alpha, tau, table, chi, fr, *, monoid=MONOID, qint=quantum_integer):
     """Direct expansion of the framed pair sum over the equal-slope ordered
     splittings of ``alpha``:
 
-        Σ (1/n!)·Π_i [fr(α_i) + χ(α_i, α_1+…+α_{i−1})]·table(α_i)
+        Σ (1/n!)·Π_i [fr·α_i + χ(α_i, α_1+…+α_{i−1})]·table(α_i)
 
-    with ``chi`` a matrix and ``fr`` a class-keyed mapping or a callable."""
+    with ``chi`` a matrix and ``fr`` a framing vector."""
     chi = pairing_form(chi)
-    fr = class_lookup(fr, MissingFr, "fr value")
     qint = functools.lru_cache(maxsize=None)(qint)
     terms = []
     slope = tau.slope_of(alpha)
@@ -339,7 +344,7 @@ def pair_sum_oracle(alpha, tau, table, chi, fr, *, monoid=MONOID, qint=quantum_i
             value = table.value(cls)
             if value is None:
                 break
-            weight = weight * qint(fr(cls) + chi(cls, partial))
+            weight = weight * qint(framing_degree(fr, cls) + chi(cls, partial))
             values = values * value
             partial = class_sum([partial, cls])
         else:
@@ -347,47 +352,104 @@ def pair_sum_oracle(alpha, tau, table, chi, fr, *, monoid=MONOID, qint=quantum_i
     return laurent_sum(terms)
 
 
+def pair_recurrence(alpha, fr, tau, table, chi, *, qint=quantum_integer):
+    """The framed pair sum as the class-(α, 1) coefficient of exp(ad E)(∂),
+    E the table's entries on the classes ≤ α of α's slope and ∂ the
+    distinguished degree-zero slot, by the graded recurrence y_0 = ∂,
+    y_k = [E, y_{k−1}]/k over the classes ≤ α; the bracket of E's class γ
+    with the slot at class β is [χ(γ, β) + fr·γ]·table(γ)."""
+    alpha = as_class(alpha)
+    monoid = table.monoid
+    chi = pairing_form(chi)
+    if not monoid.contains(alpha):
+        return L.zero()
+    classes = monoid.below(alpha)
+    slope = tau.slope_of(alpha)
+    entries = []
+    for cls in classes:
+        value = table.value(cls) if tau.slope_of(cls) == slope else None
+        if value is not None:
+            entries.append((cls, framing_degree(fr, cls), as_element(value)))
+    members = set(classes)
+    # The layers hold k!·y_k, so no 1/k enters a product.
+    layer = {(0,) * len(alpha): L.const(1)}
+    found = []
+    for k in range(1, sum(alpha) + 1):
+        terms = {}
+        for beta, y in layer.items():
+            for gamma, fr_gamma, value in entries:
+                cls = tuple(b + g for b, g in zip(beta, gamma))
+                if cls in members:
+                    weight = qint(chi(gamma, beta) + fr_gamma)
+                    terms.setdefault(cls, []).append(weight * value * y)
+        layer = {cls: laurent_sum(items) for cls, items in terms.items()}
+        if alpha in layer:
+            found.append(F(1, math.factorial(k)) * layer[alpha])
+    return laurent_sum(found)
+
+
 class TestPairInvariant:
     TAU = linear_stability([1, 1], [1, 1])
-    FR = {(1, 0): 1, (0, 1): 3, (1, 1): 2, (2, 0): 4, (0, 2): 5, (2, 1): 1, (1, 2): 2}
+    FR = (1, 3)
 
     def test_single_class_term(self):
-        qt = QuantumTorusBackend(CHI)
         table = symbol_table([(1, 0)], zero_missing=True, monoid=MONOID)
-        out = pair_invariant_rhs((1, 0), self.FR, self.TAU, table, qt)
+        out = pair_invariant_rhs((1, 0), self.FR, self.TAU, table, CHI)
         assert out == q(1) * L.gen("v10")
 
     def test_matches_brute_force_up_to_three_parts(self):
-        qt = QuantumTorusBackend(CHI)
         table = symbol_table(MONOID.effective_upto(3), monoid=MONOID)
         for alpha in ((1, 1), (2, 1), (1, 2)):
-            got = pair_invariant_rhs(alpha, self.FR, self.TAU, table, qt)
+            got = pair_invariant_rhs(alpha, self.FR, self.TAU, table, CHI)
             assert got == pair_sum_oracle(alpha, self.TAU, table, CHI, self.FR)
 
     def test_missing_fr(self):
-        qt = QuantumTorusBackend(CHI)
-        table = symbol_table([(1, 1), (1, 0), (0, 1)], monoid=MONOID)
-        with pytest.raises(MissingFr):
-            pair_invariant_rhs((1, 1), {(1, 1): 1}, self.TAU, table, qt)
+        # Also for a target outside the cone, where nothing else is read.
+        empty = InvariantTable({}, monoid=MONOID)
+        with pytest.raises(MissingFr, match="no fr values supplied"):
+            pair_invariant_rhs((1, -1), None, self.TAU, empty, CHI)
+        with pytest.raises(MissingFr, match="no fr values supplied"):
+            invert_semistable(empty, None, self.TAU, CHI)
 
     def test_fr_values_follow_the_integer_rule(self):
-        qt = QuantumTorusBackend(CHI)
         table = symbol_table([(1, 0)], zero_missing=True, monoid=MONOID)
-        for fr in ({(1, 0): 1.5}, lambda cls: 1.5):
-            with pytest.raises(ValueError, match="expected an integer"):
-                pair_invariant_rhs((1, 0), fr, self.TAU, table, qt)
+        pair = InvariantTable({(1, 0): L.gen("p")}, monoid=MONOID)
+        # A float, a string or a bool entry, a wrong length, and a
+        # class-keyed mapping (whose keys are read as entries) are refused.
+        for fr in ((1.5, 3), (1, "3"), (True, 3), (1,), (1, 3, 0), {(1, 0): 1}):
+            with pytest.raises(ValueError):
+                pair_invariant_rhs((1, 0), fr, self.TAU, table, CHI)
+            with pytest.raises(ValueError):
+                invert_semistable(pair, fr, self.TAU, CHI)
+        with pytest.raises(TypeError):
+            pair_invariant_rhs((1, 0), lambda cls: cls[0], self.TAU, table, CHI)
+        for fr in ([1, 3], (F(1), 3), iter((1, 3))):
+            got = pair_invariant_rhs((1, 0), fr, self.TAU, table, CHI)
+            assert got == q(1) * L.gen("v10")
 
     def test_fr_only_from_argument(self):
-        qt = QuantumTorusBackend(CHI)
         tau = StabilityData(lambda cls: SlopeValue.of(1))
         table = symbol_table([(1, 0)], zero_missing=True, monoid=MONOID)
-        out = pair_invariant_rhs((1, 0), lambda cls: cls[0] + cls[1], tau, table, qt)
+        out = pair_invariant_rhs((1, 0), (1, 1), tau, table, CHI)
         assert out == q(1) * L.gen("v10")
         with pytest.raises(MissingFr, match="no fr values supplied"):
-            pair_invariant_rhs((1, 0), None, tau, table, qt)
+            pair_invariant_rhs((1, 0), None, tau, table, CHI)
         pair = InvariantTable({(1, 0): L.gen("p")}, monoid=MONOID)
         with pytest.raises(MissingFr, match="no fr values supplied"):
-            invert_semistable(pair, None, tau, qt)
+            invert_semistable(pair, None, tau, CHI)
+
+    def test_chi_and_qint_are_read_as_by_vw_wcf(self):
+        table = symbol_table([(1, 0)], zero_missing=True, monoid=MONOID)
+        with pytest.raises(MissingChi):
+            pair_invariant_rhs((1, 0), self.FR, self.TAU, table, None)
+        with pytest.raises(ValueError, match="antisymmetric"):
+            pair_invariant_rhs((1, 0), self.FR, self.TAU, table, [[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="qint"):
+            pair_invariant_rhs((1, 0), self.FR, self.TAU, table, CHI, qint=q)
+        plain = pair_invariant_rhs(
+            (1, 0), (2, 3), self.TAU, table, CHI, qint=unrefined_integer
+        )
+        assert plain == -2 * L.gen("v10")
 
 
 class TestInvertSemistable:
@@ -395,17 +457,15 @@ class TestInvertSemistable:
         return StabilityData(lambda cls: SlopeValue.of(1))
 
     def test_single_class(self):
-        qt = QuantumTorusBackend(CHI)
         tau = self.flat_stability()
         pair = InvariantTable({(1, 0): q(2) * L.gen("p")}, monoid=MONOID)
-        out = invert_semistable(pair, {(1, 0): 2}, tau, qt)
+        out = invert_semistable(pair, (2, 5), tau, CHI)
         assert out.value((1, 0)) == L.gen("p")
 
     def test_round_trip_randomized(self):
         rng = random.Random(9)
         mon = EffectiveMonoid([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         chi = [[0, 1, -2], [-1, 0, 1], [2, -1, 0]]
-        qt = QuantumTorusBackend(chi)
         tau = self.flat_stability()
         for _ in range(3):
             support = mon.effective_upto(2)
@@ -418,49 +478,49 @@ class TestInvertSemistable:
                 },
                 monoid=mon,
             )
-            fr = {cls: rng.randint(1, 3) for cls in support}
+            fr = tuple(rng.randint(1, 3) for _ in range(3))
             pairs = InvariantTable(
                 {
-                    cls: pair_invariant_rhs(cls, fr, tau, table, qt)
+                    cls: pair_invariant_rhs(cls, fr, tau, table, chi)
                     for cls in support
                 },
                 monoid=mon,
             )
-            recovered = invert_semistable(pairs, fr, tau, qt)
+            recovered = invert_semistable(pairs, fr, tau, chi)
             for cls in support:
                 assert recovered.value(cls) == table.value(cls)
 
     def test_zero_quantum_integer(self):
-        qt = QuantumTorusBackend(CHI)
         tau = self.flat_stability()
         pair = InvariantTable({(1, 0): L.gen("p")}, monoid=MONOID)
         with pytest.raises(ZeroQuantumInteger):
-            invert_semistable(pair, {(1, 0): 0}, tau, qt)
+            invert_semistable(pair, (0, 1), tau, CHI)
 
     def test_bad_input_is_refused_before_any_pair_sum(self, monkeypatch):
         def no_pair_sum(*args, **kwargs):
             raise AssertionError("a pair sum was formed")
 
         monkeypatch.setattr(wallcross, "pair_invariant_rhs", no_pair_sum)
-        qt = QuantumTorusBackend(CHI)
         tau = self.flat_stability()
-        support = MONOID.effective_upto(3)
-        pair = symbol_table(support)
-        fr = {cls: 1 for cls in support}
-        without_21 = {cls: n for cls, n in fr.items() if cls != (2, 1)}
-        # The classes are checked in increasing mass, each for its fr value,
-        # a nonzero fr and max_parts in turn; the first refusal wins.
+        pair = symbol_table(MONOID.effective_upto(3))
+        # Without (0, 1) and (0, 2), (0, 3) is the first class with b = 0.
+        sparse = symbol_table(
+            [cls for cls in MONOID.effective_upto(3) if cls not in ((0, 1), (0, 2))]
+        )
+        # The classes are checked in increasing mass, each for a nonzero
+        # fr·α and then max_parts; the first refusal wins.
         cases = [
-            (without_21, 8, MissingFr, r"no fr value for class \(2, 1\)"),
-            ({**fr, (2, 1): 0}, 8, ZeroQuantumInteger, r"fr\(\(2, 1\)\) = 0"),
-            (fr, 2, DecompositionOverflow, r"\(0, 3\) needs more than 2 parts"),
-            ({**without_21, (1, 1): 0}, 8, ZeroQuantumInteger, r"\(1, 1\)"),
-            ({**fr, (2, 1): 0}, 2, DecompositionOverflow, r"\(0, 3\)"),
-            ({**fr, (0, 3): 0}, 2, ZeroQuantumInteger, r"\(0, 3\)"),
+            (pair, (1, -2), 8, ZeroQuantumInteger, r"fr\(\(2, 1\)\) = 0"),
+            (pair, (1, 1), 2, DecompositionOverflow, r"\(0, 3\) needs more than 2 parts"),
+            (pair, (1, -1), 2, ZeroQuantumInteger, r"\(1, 1\)"),
+            (pair, (1, -2), 2, DecompositionOverflow, r"\(0, 3\)"),
+            (sparse, (1, 0), 2, ZeroQuantumInteger, r"\(0, 3\)"),
+            (sparse, (1, 0), 8, ZeroQuantumInteger, r"\(0, 3\)"),
+            (pair, (1, 0), 8, ZeroQuantumInteger, r"\(0, 1\)"),
         ]
-        for fr_case, max_parts, error, message in cases:
+        for table, fr, max_parts, error, message in cases:
             with pytest.raises(error, match=message):
-                invert_semistable(pair, fr_case, tau, qt, max_parts=max_parts)
+                invert_semistable(table, fr, tau, CHI, max_parts=max_parts)
 
 
 # Two generators, crossed from slope x/(x+y) to y/(x+y).
@@ -561,11 +621,10 @@ class TestVwWcf:
             {(1, 0): 1, (0, 1): F(1, 2), (1, 1): bad}, monoid=MONOID
         )
         qt = QuantumTorusBackend(CHI)
-        fr = {(1, 0): 1, (0, 1): 3, (1, 1): 2}
         sums = (
             lambda: vw_wcf((1, 1), tau, taup, table, CHI),
             lambda: wcf_rhs((1, 1), tau, taup, table, qt),
-            lambda: pair_invariant_rhs((1, 1), fr, tau, table, qt),
+            lambda: pair_invariant_rhs((1, 1), (1, 3), tau, table, CHI),
         )
         for run in sums:
             with pytest.raises(TypeError):
@@ -919,7 +978,7 @@ def laurent_peel(alpha, tau, taup, table, chi, *, qint=None, o_table=None):
     kappa = "k" if qint is None else fresh_name("kappa", entries.values())
     grade = None
     if o_table is not None:
-        count = class_lookup(o_table, ValueError, "o count")
+        count = class_lookup(o_table)
         grade = fresh_name("o", entries.values())
     mass = sum(alpha)
     half = L.monomial(1, {kappa: F(1, 2)})
@@ -1212,8 +1271,9 @@ def pair_stability(kind, dim, mass):
     return tied_table(TWO if dim == 2 else THREE, a, b, F(1, 2), mass=mass)
 
 
-def pair_fr(cls):
-    return 1 + cls[0] + 2 * cls[-1]
+def pair_fr(dim):
+    """The framing vector γ ↦ mass(γ) + γ₀ + 2·γ_last, nonzero on the cone."""
+    return (2,) + (1,) * (dim - 2) + (3,)
 
 
 @pytest.mark.parametrize("grid", list(PAIR_GRID))
@@ -1224,22 +1284,140 @@ def test_pair_sum_equals_splitting_sum_and_inverts(grid, kind, qint):
     # one oracle sum serves both.
     monoids, chi, mass = PAIR_GRID[grid]
     tau = pair_stability(kind, len(chi), mass)
+    fr = pair_fr(len(chi))
     expected = {}
     for monoid in monoids:
         table = crossing_table(monoid, mass)
-        qt = QuantumTorusBackend(chi, qint=qint)
         pairs = {}
         for alpha in monoid.effective_upto(mass):
             if alpha not in expected:
                 expected[alpha] = pair_sum_oracle(
-                    alpha, tau, table, chi, pair_fr,
+                    alpha, tau, table, chi, fr,
                     monoid=monoid, qint=qint or quantum_integer,
                 )
-            got = pairs[alpha] = pair_invariant_rhs(alpha, pair_fr, tau, table, qt)
+            got = pairs[alpha] = pair_invariant_rhs(
+                alpha, fr, tau, table, chi, qint=qint
+            )
             assert got == expected[alpha] and repr(got) == repr(expected[alpha])
         pair_table = InvariantTable(pairs, monoid=monoid)
-        recovered = invert_semistable(pair_table, pair_fr, tau, qt)
+        recovered = invert_semistable(pair_table, fr, tau, chi, qint=qint)
         assert recovered.entries == table.entries
+
+
+def test_pair_sum_equals_the_recurrence_hypothesis():
+    """The framed peel equals the exp(ad E) recurrence on random antisymmetric
+    χ, framing vectors, slopes and tables, and inverts wherever fr·γ ≠ 0."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        dim = draw(st.sampled_from([2, 3]))
+        upper = {
+            (i, j): draw(st.integers(-3, 3)) for i in range(dim) for j in range(i + 1, dim)
+        }
+        chi = [
+            [upper.get((i, j), -upper.get((j, i), 0)) for j in range(dim)]
+            for i in range(dim)
+        ]
+        fr = tuple(draw(st.integers(-2, 3)) for _ in range(dim))
+        monoid = TWO if dim == 2 else draw(st.sampled_from([THREE, NON_FREE]))
+        mass = 4 if dim == 2 else 3
+        tau = pair_stability(draw(st.sampled_from(["constant", "linear", "tied"])), dim, mass)
+        kind = draw(st.sampled_from(["symbol", "int", "fraction"]))
+        entries = {}
+        for cls in monoid.effective_upto(mass):
+            if kind == "symbol":
+                entries[cls] = L.gen("v" + "_".join(map(str, cls)))
+            elif kind == "int":
+                entries[cls] = draw(st.integers(-4, 4))
+            else:
+                entries[cls] = F(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        table = InvariantTable(entries, monoid=monoid)
+        qint = draw(st.sampled_from([None, unrefined_integer]))
+        return chi, fr, monoid, mass, tau, table, qint
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        chi, fr, monoid, mass, tau, table, qint = case
+        support = monoid.effective_upto(mass)
+        pairs = {}
+        for alpha in support:
+            pairs[alpha] = got = pair_invariant_rhs(alpha, fr, tau, table, chi, qint=qint)
+            want = pair_recurrence(alpha, fr, tau, table, chi, qint=qint or quantum_integer)
+            assert got == want and repr(got) == repr(want)
+        if all(framing_degree(fr, cls) for cls in support):
+            recovered = invert_semistable(
+                InvariantTable(pairs, monoid=monoid), fr, tau, chi, qint=qint
+            )
+            assert recovered.entries == {
+                cls: as_element(v) for cls, v in table.entries.items()
+            }
+
+    check()
+
+
+def m_loop_omega(m, d):
+    """The m-loop quiver's numerical DT invariant Ω_d = d⁻²·Σ_{e|d}
+    μ(d/e)·(−1)^((m−1)(d−e))·C(me−1, e−1) (Reineke, arXiv 1102.3978)."""
+
+    def mobius(n):
+        out, p = 1, 2
+        while n > 1:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return out
+
+    return F(
+        sum(
+            mobius(d // e) * (-1) ** ((m - 1) * (d - e)) * math.comb(m * e - 1, e - 1)
+            for e in range(1, d + 1)
+            if d % e == 0
+        ),
+        d * d,
+    )
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_m_loop_quiver_pair_sums_are_fuss_catalan(m):
+    """An outside check: on one generator with χ = 0 and fr = (1,), the
+    unrefined framed pair sums of the m-loop quiver's rational invariants
+    ε(d) = (−1)^(d−1)·Σ_{k|d} (−1)^((m−1)(d−d/k))·Ω(d/k)/k² are the
+    Fuss–Catalan numbers C(md, d)/((m−1)d + 1), the Euler characteristics
+    of its noncommutative Hilbert schemes (Reineke, math/0306185)."""
+    top = 8
+    monoid = EffectiveMonoid([(1,)])
+    flat = StabilityData(lambda cls: SlopeValue.of(0))
+    omega = {d: m_loop_omega(m, d) for d in range(1, top + 1)}
+    assert all(value.denominator == 1 for value in omega.values())
+    if m == 3:
+        assert [omega[d] for d in range(1, 6)] == [1, 1, 3, 10, 40]
+    epsilon = {
+        (d,): L.const(
+            (-1) ** (d - 1)
+            * sum(
+                (-1) ** ((m - 1) * (d - d // k)) * omega[d // k] / (k * k)
+                for k in range(1, d + 1)
+                if d % k == 0
+            )
+        )
+        for d in range(1, top + 1)
+    }
+    fuss_catalan = {
+        (d,): L.const(F(math.comb(m * d, d), (m - 1) * d + 1)) for d in range(1, top + 1)
+    }
+    pairs = InvariantTable(fuss_catalan, monoid=monoid)
+    recovered = invert_semistable(pairs, (1,), flat, [[0]], qint=unrefined_integer)
+    assert recovered.entries == epsilon
+    table = InvariantTable(epsilon, monoid=monoid)
+    for cls, value in fuss_catalan.items():
+        got = pair_invariant_rhs(cls, (1,), flat, table, [[0]], qint=unrefined_integer)
+        assert got == value
 
 
 class TestPairInvariantContract:
@@ -1248,37 +1426,36 @@ class TestPairInvariantContract:
     def test_max_parts_overflows_where_the_splittings_do(self):
         for monoid, chi in ((MONOID, CHI), (NON_FREE, CHI3)):
             table = symbol_table(monoid.effective_upto(4), monoid=monoid)
-            qt = QuantumTorusBackend(chi)
+            fr = pair_fr(monoid.dim)
             for alpha in monoid.effective_upto(4):
                 for max_parts in range(1, 5):
                     run = lambda: pair_invariant_rhs(
-                        alpha, pair_fr, self.FLAT, table, qt, max_parts=max_parts
+                        alpha, fr, self.FLAT, table, chi, max_parts=max_parts
                     )
                     try:
                         monoid.decompositions(alpha, max_parts=max_parts)
                     except DecompositionOverflow:
-                        with pytest.raises(DecompositionOverflow, match="parts"):
+                        with pytest.raises(DecompositionOverflow, match=re.escape(f"{alpha} needs")):
                             run()
                     else:
                         run()
 
     def test_a_class_outside_the_cone_gives_zero(self):
-        # Neither the empty table nor the empty fr mapping is read.
+        # The empty table is not read.
         empty = InvariantTable({}, monoid=MONOID)
-        qt = QuantumTorusBackend(CHI)
-        assert pair_invariant_rhs((1, -1), {}, self.FLAT, empty, qt) == L.zero()
+        assert pair_invariant_rhs((1, -1), (1, 3), self.FLAT, empty, CHI) == L.zero()
 
     def test_every_equal_slope_class_below_the_target_needs_an_entry(self):
-        qt = QuantumTorusBackend(CHI)
+        fr = pair_fr(2)
         table = symbol_table([(2, 1)], monoid=MONOID)
         with pytest.raises(UnsupportedClass):
-            pair_invariant_rhs((2, 1), pair_fr, self.FLAT, table, qt)
+            pair_invariant_rhs((2, 1), fr, self.FLAT, table, CHI)
         sparse = symbol_table([(2, 1)], zero_missing=True, monoid=MONOID)
-        own_term = q(pair_fr((2, 1))) * L.gen("v21")
-        assert pair_invariant_rhs((2, 1), pair_fr, self.FLAT, sparse, qt) == own_term
+        own_term = q(framing_degree(fr, (2, 1))) * L.gen("v21")
+        assert pair_invariant_rhs((2, 1), fr, self.FLAT, sparse, CHI) == own_term
         # No other class below (2, 1) has its linear slope, and none is read.
         linear = linear_stability([1, 0], [1, 1])
-        assert pair_invariant_rhs((2, 1), pair_fr, linear, table, qt) == own_term
+        assert pair_invariant_rhs((2, 1), fr, linear, table, CHI) == own_term
 
 
 class TestSimpleTypeExponential:
