@@ -48,16 +48,18 @@ from itertools import combinations, product
 
 from .kclasses import cy_limit_theta, theta_coefficients
 from .ring import (
+    ONE,
     LaurentElement,
     exact_laurent_div,
     exp_times,
     integer_entry,
     laurent_sum,
+    mul_terms,
     packed_algebra,
+    scaled_terms,
+    sum_terms,
 )
 from .ucoeff import set_partitions
-
-ONE = LaurentElement.const(1)
 
 _WEIGHTS = ("s1", "s2", "s3")
 
@@ -256,33 +258,33 @@ def _exp_template(k: int, order: int):
     def step(blocks):
         # The operator's column at a partition of the atoms, packed.
         if blocks not in steps:
-            diag = algebra.total([packed[()], *(algebra.scale(packed[b], -1) for b in blocks)])
+            diag = sum_terms([packed[()], *(scaled_terms(packed[b], -1) for b in blocks)])
             steps[blocks] = [(blocks, diag)] + [
-                (merged, algebra.scale(packed[union], sign))
+                (merged, scaled_terms(packed[union], sign))
                 for sign, union, merged in _merges(blocks)
             ]
         return steps[blocks]
 
     scale = math.factorial(order)
     finest = tuple((i,) for i in range(k))
-    column = {finest: algebra.scale(algebra.pack(ONE), scale)}
+    column = {finest: scaled_terms(algebra.pack(ONE), scale)}
     pieces = {finest: [column[finest]]}
     for m in range(1, order + 1):
         factor = Fraction(-1, m)
         terms: dict[tuple, list] = {}
         for mid, coeff in column.items():
-            scaled = algebra.scale(coeff, factor)
+            scaled = scaled_terms(coeff, factor)
             for target, entry in step(mid):
-                terms.setdefault(target, []).append(algebra.mul(scaled, entry))
+                terms.setdefault(target, []).append(mul_terms(scaled, entry))
         column = {}
         for t, items in terms.items():
-            c = algebra.total(items)
+            c = sum_terms(items)
             if c:
                 column[t] = c
                 pieces.setdefault(t, []).append(c)
     unit = Fraction(1, scale)
-    entries = {t: algebra.total(items) for t, items in pieces.items()}
-    return names, {t: algebra.unpack(algebra.scale(c, unit)) for t, c in entries.items() if c}
+    entries = {t: sum_terms(items) for t, items in pieces.items()}
+    return names, {t: algebra.unpack(scaled_terms(c, unit)) for t, c in entries.items() if c}
 
 
 def _renaming(names, blocks):

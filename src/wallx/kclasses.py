@@ -28,6 +28,7 @@ from fractions import Fraction
 from .errors import ModeMismatch, TrivialWeightAtOne
 from .ring import (
     KAPPA,
+    ONE,
     LaurentElement,
     as_element,
     as_rational,
@@ -40,7 +41,6 @@ from .ring import (
     residue_coh,
 )
 
-ONE = LaurentElement.const(1)
 
 def _monomial_weight(w: LaurentElement) -> LaurentElement:
     if not w.is_monomial():

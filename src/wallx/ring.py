@@ -37,8 +37,9 @@ multiplies each factor's pieces in under the same degree cap; it serves
 the peel of ``wallcross.vw_wcf`` or a column of ``descendent.exp_minus_delta``:
 it packs each monomial into one int with a slot per variable, sized from a
 bound on the exponents the computation can reach, and unpacks the result.
-Its slots live as long as the caller keeps the algebra, and other code
-handles its elements only through its methods.
+Its slots live as long as the caller keeps the algebra.  A packed element
+is a term dict: ``mul_terms`` and ``sum_terms`` serve it and the words of
+the ``ucoeff`` peel alike, since packed keys add as words concatenate.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ def canonical_coefficient(x) -> Scalar:
     otherwise a ``Fraction`` with denominator > 1.  Never a float or a bool:
     a bool reads as its ``int``, and anything that is not an ``int`` or a
     ``Fraction`` raises TypeError, since a float's binary fraction is not
-    the number it was written as.  The free Lie layer and the word peel of
-    ``ucoeff`` keep the same rule."""
+    the number it was written as.  The free Lie layer keeps the same rule."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
@@ -133,6 +133,50 @@ def scaled_terms(terms: Mapping, factor) -> dict:
             out[m] = Fraction(c * num, den) if r else q
         else:
             out[m] = canonical_coefficient(c * factor)
+    return out
+
+
+def mul_terms(left: Mapping, right: Mapping) -> dict:
+    """The product of two term dicts whose keys multiply by ``+``: packed
+    monomials add and words concatenate, so every ``left`` key comes
+    first.  A key whose sum is zero is dropped, and coefficients are left
+    as the products made them (a product of ``Fraction``s may be
+    integral), for the reader to make canonical.  A one-term factor shifts
+    every key of the other, which merges none."""
+    if len(right) == 1:
+        ((shift, k),) = right.items()
+        return {m + shift: c * k for m, c in left.items()}
+    if len(left) == 1:
+        ((shift, k),) = left.items()
+        return {shift + m: k * c for m, c in right.items()}
+    out: dict = {}
+    get = out.get
+    pairs = list(right.items())
+    for m1, c1 in left.items():
+        for m2, c2 in pairs:
+            m = m1 + m2
+            prev = get(m)
+            if prev is None:
+                out[m] = c1 * c2
+            else:
+                total = prev + c1 * c2
+                if total:
+                    out[m] = total
+                else:
+                    del out[m]
+    return out
+
+
+def sum_terms(items: Iterable[Mapping]) -> Mapping:
+    """The sum of term dicts (none: ``{}``), summed by ``add_terms``.  Empty
+    items are skipped, and a lone nonempty item is returned as it is, not
+    copied, so a result may share its dict with an input."""
+    items = [x for x in items if x]
+    if len(items) < 2:
+        return items[0] if items else {}
+    out = dict(items[0])
+    for x in items[1:]:
+        add_terms(out, x.items())
     return out
 
 
@@ -1087,8 +1131,9 @@ class _PackedAlgebra:
     Every variable owns a slot of ``width`` bits, in name order, and a
     monomial is Σ e₂(v)·2^(width·slot(v)) with signed (balanced) digits, so
     multiplying monomials is adding ints.  An element is an ``{int:
-    coefficient}`` dict, falsy when zero; dicts are never changed after they
-    are built, so results may share them.  The width is fixed by the bound
+    coefficient}`` dict, falsy when zero, multiplied and summed by
+    ``mul_terms`` and ``sum_terms``; dicts are never changed after they are
+    built, so results may share them.  The width is fixed by the bound
     given to ``packed_algebra``, and no digit of a product within that
     bound can spill into its neighbour.  Packed keys mean nothing outside
     the algebra that made them: read results with ``unpack``.
@@ -1133,11 +1178,11 @@ class _PackedAlgebra:
         """``el`` (within the bound) as a packed element."""
         return {self._key(m, self._reach): c for m, c in el.terms.items()}
 
-    def term(self, coeff: Scalar, exps: Mapping[str, Scalar]) -> tuple[int, Scalar]:
+    def term(self, coeff: Scalar, exps: Mapping[str, Scalar]) -> dict[int, Scalar]:
         """One monomial factor, ``coeff`` times Π v^e over ``exps``, as a
-        ``scale`` factor; its exponents must be within the step bound."""
+        one-term element; its exponents must be within the step bound."""
         m = _mono((v, _exp2(e)) for v, e in exps.items())
-        return self._key(m, self._step), canonical_coefficient(coeff)
+        return {self._key(m, self._step): canonical_coefficient(coeff)}
 
     def unpack(self, x: dict[int, Scalar]) -> LaurentElement:
         """The Laurent element of a packed element.  The bit scan and the
@@ -1163,47 +1208,6 @@ class _PackedAlgebra:
                 rest = rest >> (shift + width) << (shift + width)
             out[tuple(m)] = c
         return _trusted(_canonical(out))
-
-    def mul(self, a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
-        """The product of two packed elements."""
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:
-            ((shift, k),) = b.items()
-            return {m + shift: c * k for m, c in a.items()}
-        out: dict[int, Scalar] = {}
-        get = out.get
-        pairs = list(b.items())
-        for m1, c1 in a.items():
-            for m2, c2 in pairs:
-                m = m1 + m2
-                prev = get(m)
-                if prev is None:
-                    out[m] = c1 * c2
-                else:
-                    total = prev + c1 * c2
-                    if total:
-                        out[m] = total
-                    else:
-                        del out[m]
-        return out
-
-    def scale(self, x: dict[int, Scalar], factor) -> dict[int, Scalar]:
-        """``x`` times a scalar or a ``term``."""
-        if type(factor) is tuple:
-            shift, k = factor
-            return {m + shift: c * k for m, c in x.items()}
-        return scaled_terms(x, factor)
-
-    def total(self, items: Iterable[dict[int, Scalar]]) -> dict[int, Scalar]:
-        """The sum of packed elements (empty: zero)."""
-        items = [x for x in items if x]
-        if len(items) < 2:
-            return items[0] if items else {}
-        out = dict(items[0])
-        for x in items[1:]:
-            add_terms(out, x.items())
-        return out
 
     def coeff_of(self, x: dict[int, Scalar], var: str, exponent: Scalar) -> dict[int, Scalar]:
         """Coefficient of ``var**exponent``, with ``var``'s digit cleared."""

@@ -33,10 +33,11 @@ from .errors import (
 from .freelie import LieContext, LieElement, UEAElement, dynkin_project
 from .ring import (
     SlopeValue,
-    add_terms,
     canonical_coefficient,
     integer_entry,
+    mul_terms,
     scaled_terms,
+    sum_terms,
 )
 
 ClassVec = tuple
@@ -551,11 +552,8 @@ def utilde_lie_element(
     splits = peel_classes(alpha, tau, tau_prime, monoid, max_parts)
     if splits:
         entry = lambda cls: {(cls,): math.factorial(_mass(cls))}
-        weight = lambda beta, delta: math.comb(_mass(beta) + _mass(delta), _mass(beta))
-        after = refactor(
-            splits, tau, tau_prime, entry, weight,
-            mul=_word_mul, scale=scaled_terms, total=_word_total,
-        )[alpha]
+        weight = lambda beta, delta: {(): math.comb(_mass(beta) + _mass(delta), _mass(beta))}
+        after = refactor(splits, tau, tau_prime, entry, weight)[alpha]
         words = scaled_terms(after, Fraction(1, math.factorial(_mass(alpha))))
     if context is None:
         context = LieContext(sorted({cls for word in words for cls in word}))
@@ -600,9 +598,7 @@ def peel_classes(
     }
 
 
-def refactor(
-    splits, tau: StabilityData, tau_prime: StabilityData, entry, weight, *, mul, scale, total
-) -> dict:
+def refactor(splits, tau: StabilityData, tau_prime: StabilityData, entry, weight) -> dict:
     """The τ′-factors of a slope-ordered product: the X′ with
 
         Π_{s ↓} exp(Σ_{τ(γ)=s} X_γ) = Π_{s ↓} exp(Σ_{τ′(γ)=s} X′_γ),
@@ -612,11 +608,13 @@ def refactor(
     from ``peel_classes``.
 
     Each class carries one coefficient, ``entry(γ)`` being X_γ (None for
-    zero).  The coefficients at β and δ multiply to the coefficient at
-    β + δ as ``mul(x_β, scale(x_δ, weight(β, δ)))``; ``scale`` also applies
-    the 1/k! of the exponentials and the sign of a difference, ``total``
-    sums an iterable of coefficients (empty: zero), and a coefficient is
-    zero when it is falsy.  The result maps each class to X′_γ.
+    zero).  Coefficients and weights are term dicts whose keys multiply by
+    ``+`` (packed monomials or words), falsy when zero.  The coefficients
+    at β and δ multiply to the coefficient at β + δ as
+    ``mul_terms(x_β, mul_terms(x_δ, weight(β, δ)))``, x_β's keys first, and
+    ``scaled_terms`` applies the 1/k! of the exponentials and the sign of a
+    difference.  The result maps each class to X′_γ, with coefficients as
+    the products made them, for the reader to make canonical.
 
     The product is peeled one class at a time in increasing mass (the
     mass-graded peel); the weak see-saw property keeps each exp(X_s) on the
@@ -626,20 +624,18 @@ def refactor(
         cls: [(beta, delta, weight(beta, delta)) for beta, delta in pairs]
         for cls, pairs in splits.items()
     }
-    algebra = (mul, scale, total)
-    before = _factor(tau._slope_at, weighted, lambda cls, rest: entry(cls), algebra)
-    differ = lambda cls, rest: total((before[cls][1], scale(rest, -1)))
-    after = _factor(tau_prime._slope_at, weighted, differ, algebra)
+    before = _factor(tau._slope_at, weighted, lambda cls, rest: entry(cls))
+    differ = lambda cls, rest: sum_terms((before[cls][1], scaled_terms(rest, -1)))
+    after = _factor(tau_prime._slope_at, weighted, differ)
     return {cls: x for cls, (x, _) in after.items()}
 
 
-def _factor(slope_of, splits, linear, algebra) -> dict:
+def _factor(slope_of, splits, linear) -> dict:
     """Factor a truncated product as Π_{s ↓} exp(X_s), X_s supported on the
     classes of slope s.  The product's coefficient at a class is its X
     coefficient plus ``rest``, the products of coefficients at lighter
     classes; ``linear(cls, rest)`` returns the X coefficient (falsy for
     zero).  Maps each class to its X and its product coefficient."""
-    mul, scale, total = algebra
     slope = {cls: slope_of(cls) for cls in splits}
     slopes = sorted(set(slope.values()), reverse=True)
     rank = {s: j for j, s in enumerate(slopes)}
@@ -658,52 +654,35 @@ def _factor(slope_of, splits, linear, algebra) -> dict:
             if j and right is not None:
                 left = partial[beta][j - 1]
                 if left is not None:
-                    cross_terms.setdefault(j, []).append(mul(left, scale(right, weight)))
+                    cross_terms.setdefault(j, []).append(mul_terms(left, mul_terms(right, weight)))
             if j == home and group[beta] == home:
                 x = powers[delta].get(1)
                 if x is not None:
-                    x = scale(x, weight)
+                    x = mul_terms(x, weight)
                     for k, value in powers[beta].items():
-                        power_terms.setdefault(k + 1, []).append(mul(value, x))
-        power = {k: total(terms) for k, terms in power_terms.items()}
-        here = total(scale(value, Fraction(1, math.factorial(k))) for k, value in power.items())
-        cross = {j: total(terms) for j, terms in cross_terms.items()}
-        x = linear(cls, total((here, *cross.values())))
+                        power_terms.setdefault(k + 1, []).append(mul_terms(value, x))
+        power = {k: sum_terms(terms) for k, terms in power_terms.items()}
+        here = sum_terms(
+            scaled_terms(value, Fraction(1, math.factorial(k))) for k, value in power.items()
+        )
+        cross = {j: sum_terms(terms) for j, terms in cross_terms.items()}
+        x = linear(cls, sum_terms((here, *cross.values())))
         if x:
             power[1] = x
-            here = total((here, x))
+            here = sum_terms((here, x))
         powers[cls] = {k: value for k, value in power.items() if value}
         expo[cls] = here if here else None
         if here:
-            cross[home] = total((cross[home], here)) if home in cross else here
+            cross[home] = sum_terms((cross[home], here)) if home in cross else here
         running = None
         cumulative = []
         for j in range(len(slopes)):
             step = cross.get(j)
             if step:
-                running = step if running is None else total((running, step))
+                running = step if running is None else sum_terms((running, step))
             cumulative.append(running)
         partial[cls] = cumulative
-        out[cls] = (x or total(()), running or total(()))
-    return out
-
-
-# Word polynomials, the homogeneous coefficients of the free associative
-# algebra, as word -> coefficient dicts.  ``ring.add_terms`` sums them and
-# ``ring.scaled_terms`` scales them, each keeping every coefficient
-# canonical (``ring.canonical_coefficient``).
-
-
-def _word_mul(left: dict, right: dict) -> dict:
-    # A word of class β + δ splits in one way only into words of classes β
-    # and δ (every letter has positive mass), so no two terms merge.
-    return {a + b: x * y for a, x in left.items() for b, y in right.items()}
-
-
-def _word_total(items) -> dict:
-    out: dict = {}
-    for item in items:
-        add_terms(out, item.items())
+        out[cls] = (x or {}, running or {})
     return out
 
 

@@ -38,10 +38,12 @@ from .ring import (
     KAPPA,
     LaurentElement,
     as_element,
+    canonical_coefficient,
     exact_laurent_div,
     fresh_name,
     integer_entry,
     packed_algebra,
+    scaled_terms,
 )
 from .ucoeff import (
     EffectiveMonoid,
@@ -185,7 +187,9 @@ class InvariantTable:
     The effective ``monoid`` is the cone the table's classes index: every
     class of the support must lie in it, and the wall-crossing sums run over
     it.  Missing classes raise UnsupportedClass unless ``zero_missing`` is
-    set, in which case they count as zero.
+    set, in which case they count as zero.  A value that is not a Laurent
+    or a Lie element is read by ``ring.canonical_coefficient`` here, so a
+    float or a string raises TypeError whether or not a sum reads it.
     """
 
     __slots__ = ("entries", "zero_missing", "monoid")
@@ -195,10 +199,13 @@ class InvariantTable:
     ):
         if not isinstance(monoid, EffectiveMonoid):
             raise TypeError("an invariant table needs its EffectiveMonoid")
-        clean = {as_class(cls): value for cls, value in entries.items()}
-        for cls in clean:
+        clean = {}
+        for cls, value in entries.items():
+            cls = as_class(cls)
             if not monoid.contains(cls):
                 raise ValueError(f"class {cls} is not effective")
+            element = isinstance(value, (LaurentElement, LieElement))
+            clean[cls] = value if element else canonical_coefficient(value)
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "zero_missing", bool(zero_missing))
         object.__setattr__(self, "monoid", monoid)
@@ -468,16 +475,13 @@ def vw_wcf(
         k = sum(beta)
         return term(pairing[beta, delta], k + sum(delta), k)
 
-    out = refactor(
-        splits, tau_one, tau_two, packed.get, weight,
-        mul=algebra.mul, scale=algebra.scale, total=algebra.total,
-    )[alpha]
+    out = refactor(splits, tau_one, tau_two, packed.get, weight)[alpha]
     if grade is not None:
         out = algebra.coeff_of(out, grade, o_at_alpha)
     # The answer at α is divided by scale[mass(α)]: exactly by D^(mass − 1),
     # a running sum down each chain of κ powers, then by mass! as a scalar.
     out = algebra.div_d(out, kappa, mass - 1)
-    out = algebra.unpack(algebra.scale(out, Fraction(1, math.factorial(mass))))
+    out = algebra.unpack(scaled_terms(out, Fraction(1, math.factorial(mass))))
     if qint is not None:
         out = out.subs_one(kappa)
     return out

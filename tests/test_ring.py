@@ -22,11 +22,14 @@ from wallx.ring import (
     fresh_name,
     integer_entry,
     laurent_sum,
+    mul_terms,
     packed_algebra,
     residue_K,
     residue_coh,
+    scaled_terms,
     slope_entry,
     specialize_kappa,
+    sum_terms,
 )
 
 L = LaurentElement
@@ -1696,12 +1699,13 @@ def test_packed_arithmetic_matches_laurent_arithmetic() -> None:
         pa, pb, pc = map(algebra.pack, (a, b, c))
         weight = L.monomial(coeff, {"k": Fraction(shift, 2)})
         factor = algebra.term(coeff, {"k": Fraction(shift, 2)})
-        product = algebra.mul(algebra.mul(pa, algebra.scale(pb, factor)), pc)
+        product = mul_terms(mul_terms(pa, mul_terms(pb, factor)), pc)
         assert algebra.unpack(product) == a * b * weight * c
-        assert algebra.unpack(algebra.total((pa, pb, algebra.scale(pc, -1)))) == a + b - c
-        assert algebra.unpack(algebra.total((pa, algebra.scale(pa, -1)))) == L.zero()
-        assert algebra.unpack(algebra.scale(pa, Fraction(1, 6))) == a * Fraction(1, 6)
-        assert algebra.unpack(algebra.total(())) == L.zero()
+        assert algebra.unpack(mul_terms(factor, pa)) == weight * a
+        assert algebra.unpack(sum_terms((pa, pb, scaled_terms(pc, -1)))) == a + b - c
+        assert algebra.unpack(sum_terms((pa, scaled_terms(pa, -1)))) == L.zero()
+        assert algebra.unpack(scaled_terms(pa, Fraction(1, 6))) == a * Fraction(1, 6)
+        assert algebra.unpack(sum_terms(())) == L.zero()
         for e in (-1, Fraction(1, 2), 0, 2):
             assert algebra.unpack(algebra.coeff_of(pa, "o", e)) == a.coeff_of("o", e)
 
@@ -1714,7 +1718,7 @@ def test_packed_digits_hold_at_the_bound() -> None:
     algebra = packed_algebra([el], ["o"], depth=2, step=2 * big)
     packed = algebra.pack(el)
     weight = algebra.term(1, {"k": -big, "o": big})
-    product = algebra.mul(packed, algebra.scale(packed, weight))
+    product = mul_terms(packed, mul_terms(packed, weight))
     expected = el * el * L.monomial(1, {"k": -big, "o": big})
     assert algebra.unpack(product) == expected
     with pytest.raises(ValueError):
@@ -1747,7 +1751,7 @@ def test_unpack_renames_and_sorts_each_monomial() -> None:
         a, b = (_packed_element(rng, _PACKED_NAMES, rng.randint(1, 4)) for _ in range(2))
         a, b = a * Fraction(1, 2), 2 * b
         algebra = packed_algebra([a, b], depth=2)
-        product = algebra.mul(algebra.pack(a), algebra.pack(b))
+        product = mul_terms(algebra.pack(a), algebra.pack(b))
         got = algebra.unpack(product).rename(rename)
         want = laurent_sum(
             L.monomial(c, {rename[v]: e for v, e in exps.items()})
@@ -1759,6 +1763,43 @@ def test_unpack_renames_and_sorts_each_monomial() -> None:
     # The halves and doubles above leave integral Fractions for unpack to
     # make canonical.
     assert any(type(c) is Fraction and c.denominator == 1 for c in product.values())
+
+
+def test_mul_terms_on_words_is_the_uea_product() -> None:
+    # Two letters and words up to length 3, so distinct pairs of words
+    # often concatenate to the same word and must merge (or cancel).
+    ctx = LieContext(["a", "b"])
+    words = [()] + [(x,) for x in "ab"] + [(x, y) for x in "ab" for y in "ab"]
+    words += [w + (x,) for w in words[3:] for x in "ab"]
+    rng = random.Random(37)
+    coeffs = [-2, -1, Fraction(1, 2), 3]
+    for _ in range(40):
+        left, right = (
+            {w: rng.choice(coeffs) for w in rng.sample(words, rng.randint(1, 4))} for _ in range(2)
+        )
+        got = mul_terms(left, right)
+        assert all(got.values())
+        assert UEAElement(ctx, got) == UEAElement(ctx, left) * UEAElement(ctx, right)
+    # The left word comes first, on both one-term paths and the general one.
+    once = mul_terms({("b",): 2}, {("a",): 1, ("a", "b"): -1})
+    assert once == {("b", "a"): 2, ("b", "a", "b"): -2}
+    assert mul_terms({("a",): 1, ("b",): 3}, {("a",): 2}) == {("a", "a"): 2, ("b", "a"): 6}
+    left = {("a",): 1, ("a", "b"): 1}
+    merged = mul_terms(left, {("b", "a"): 1, ("a",): 2})
+    assert merged == {("a", "b", "a"): 3, ("a", "a"): 2, ("a", "b", "b", "a"): 1}
+    cancelled = mul_terms(left, {("b", "a"): 1, ("a",): -1})
+    assert cancelled == {("a", "a"): -1, ("a", "b", "b", "a"): 1}
+
+
+def test_sum_terms_keeps_a_lone_item_and_skips_empty_ones() -> None:
+    item = {("a", "b"): 2, ("b",): Fraction(1, 2)}
+    assert sum_terms([{}, item, {}]) is item
+    assert sum_terms(x for x in (item,)) is item
+    assert sum_terms([{}, {}]) == {} and sum_terms(()) == {}
+    total = sum_terms([item, {("b",): Fraction(-1, 2)}, {("a",): Fraction(2, 2)}])
+    assert total == {("a", "b"): 2, ("a",): 1}
+    assert type(total[("a",)]) is int
+    assert item == {("a", "b"): 2, ("b",): Fraction(1, 2)}
 
 
 def test_packed_division_by_powers_of_d_matches_exact_division() -> None:

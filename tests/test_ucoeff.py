@@ -511,10 +511,7 @@ class TestSlopeMemo:
 
         # ``_slope_at`` is the path every slope lookup takes, public or not.
         monkeypatch.setattr(StabilityData, "_slope_at", counting)
-        refactor(
-            splits, tau, taup, lambda cls: F(1), lambda beta, delta: 1,
-            mul=operator.mul, scale=operator.mul, total=lambda items: sum(items, F(0)),
-        )
+        refactor(splits, tau, taup, lambda cls: {(cls,): 1}, lambda beta, delta: {(): 1})
         assert calls == {id(tau): len(splits), id(taup): len(splits)}
 
     def test_objects_do_not_share_a_memo(self):

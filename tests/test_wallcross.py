@@ -1,6 +1,5 @@
 import functools
 import math
-import operator
 import random
 import re
 from fractions import Fraction
@@ -23,8 +22,6 @@ from wallx.ring import (
     LaurentElement,
     SlopeValue,
     as_element,
-    exact_laurent_div,
-    fresh_name,
     laurent_sum,
     specialize_kappa,
 )
@@ -37,8 +34,6 @@ from wallx.ucoeff import (
     class_sum,
     linear_stability,
     pairing_form,
-    peel_classes,
-    refactor,
     utilde_lie_element,
     utilde_word_sum,
 )
@@ -614,24 +609,17 @@ class TestVwWcf:
     @pytest.mark.parametrize("bad", [0.1, "2"])
     def test_a_table_entry_that_is_not_an_int_or_a_fraction_is_refused(self, bad):
         # A float entry would be read as its binary fraction and a string
-        # entry as its parse; every sum that reads the table refuses both.
+        # entry as its parse; the table refuses both when it is built, also
+        # at (3, 2), a class that no sum at (1, 1) reads.
+        for cls in [(1, 1), (3, 2)]:
+            with pytest.raises(TypeError):
+                InvariantTable({(1, 0): 1, (0, 1): F(1, 2), cls: bad}, monoid=MONOID)
         tau = linear_stability([1, 0], [1, 1])
         taup = linear_stability([0, 1], [1, 1])
-        table = InvariantTable(
-            {(1, 0): 1, (0, 1): F(1, 2), (1, 1): bad}, monoid=MONOID
-        )
-        qt = QuantumTorusBackend(CHI)
-        sums = (
-            lambda: vw_wcf((1, 1), tau, taup, table, CHI),
-            lambda: wcf_rhs((1, 1), tau, taup, table, qt),
-            lambda: pair_invariant_rhs((1, 1), (1, 3), tau, table, CHI),
-        )
-        for run in sums:
-            with pytest.raises(TypeError):
-                run()
-        good = InvariantTable({(1, 0): 1, (0, 1): F(1, 2), (1, 1): 2}, monoid=MONOID)
+        good = InvariantTable({(1, 0): 1, (0, 1): F(1, 2), (1, 1): F(4, 2)}, monoid=MONOID)
+        assert type(good.value((1, 1))) is int
         assert vw_wcf((1, 1), tau, taup, good, CHI) == wcf_rhs(
-            (1, 1), tau, taup, good, qt
+            (1, 1), tau, taup, good, QuantumTorusBackend(CHI)
         ).value
 
     @pytest.mark.parametrize(
@@ -957,57 +945,7 @@ def test_vw_wcf_equals_splitting_sum_hypothesis():
     check()
 
 
-# -- the Laurent-element peel oracle of vw_wcf ------------------------------------
-
-
-def laurent_peel(alpha, tau, taup, table, chi, *, qint=None, o_table=None):
-    """ε′(α) by the peel over Laurent elements: ``refactor`` with
-    ``operator.mul`` and ``laurent_sum`` on the entries ε(γ)·m!·D^(m−1)
-    (times o^count(γ) for the reduced sum), then ``exact_laurent_div`` by
-    mass(α)!·D^(mass(α)−1), D = κ^(1/2) − κ^(−1/2)."""
-    alpha = as_class(alpha)
-    chi = pairing_form(chi)
-    splits = peel_classes(alpha, tau, taup, table.monoid, 8)
-    if not splits:
-        return L.zero()
-    entries = {}
-    for cls in splits:
-        value = table.value(cls)
-        if value is not None:
-            entries[cls] = value if isinstance(value, L) else L.const(value)
-    kappa = "k" if qint is None else fresh_name("kappa", entries.values())
-    grade = None
-    if o_table is not None:
-        count = class_lookup(o_table)
-        grade = fresh_name("o", entries.values())
-    mass = sum(alpha)
-    half = L.monomial(1, {kappa: F(1, 2)})
-    d = half - half.monomial_inverse()
-    scale = [None, L.const(1)]
-    for m in range(2, mass + 1):
-        scale.append(scale[-1] * d * m)
-    for cls, value in entries.items():
-        value = value * scale[sum(cls)]
-        if grade is not None:
-            value = value * L.monomial(1, {grade: count(cls)})
-        entries[cls] = value
-
-    def weight(beta, delta):
-        c = chi(beta, delta)
-        binom = math.comb(sum(beta) + sum(delta), sum(beta))
-        return L.monomial(-binom if c % 2 else binom, {kappa: F(-c, 2)})
-
-    out = refactor(
-        splits, tau, taup, entries.get, weight,
-        mul=operator.mul, scale=operator.mul, total=laurent_sum,
-    )[alpha]
-    if grade is not None:
-        out = out.coeff_of(grade, count(alpha))
-    if mass > 1:
-        out = exact_laurent_div(out, scale[mass], kappa)
-    if qint is not None:
-        out = out.subs_one(kappa)
-    return out
+# -- the packed peel of vw_wcf on wide entries and large χ ---------------------
 
 
 # Symbols on both sides of "k" in name order; "kappa" and "o" are the
@@ -1048,17 +986,19 @@ def same_order_pair(a, b):
 
 
 def assert_packed_peel_matches(alpha, tau, taup, table, chi, o, own_count):
-    """The packed peel equals ``laurent_peel`` plain, with the o counts
+    """The packed peel equals the splitting sum plain, with the o counts
     ``o``, with α's own count set to ``own_count`` in them, and unrefined."""
-    for kwargs in (
-        {},
-        {"o_table": o},
-        {"o_table": {**o, alpha: own_count}},
-        {"qint": unrefined_integer},
-        {"qint": unrefined_integer, "o_table": o},
+    terms = u_terms(alpha, tau, taup, table.monoid)
+    for qint, o_table in (
+        (None, None),
+        (None, o),
+        (None, {**o, alpha: own_count}),
+        (unrefined_integer, None),
+        (unrefined_integer, o),
     ):
-        got = vw_wcf(alpha, tau, taup, table, chi, **kwargs)
-        expected = laurent_peel(alpha, tau, taup, table, chi, **kwargs)
+        got = vw_wcf(alpha, tau, taup, table, chi, qint=qint, o_table=o_table)
+        keep = None if o_table is None else reduced_splittings(terms, o_table, o_table[alpha])
+        expected = splitting_sum(terms, table, chi, qint=qint, keep=keep)
         assert got == expected
         assert str(got) == str(expected)
 
@@ -1077,7 +1017,7 @@ PEEL_CASES = {
 
 @pytest.mark.parametrize("name", PEEL_CASES)
 @pytest.mark.parametrize("zero_missing", [False, True])
-def test_packed_peel_equals_laurent_peel(name, zero_missing):
+def test_packed_peel_equals_splitting_sum(name, zero_missing):
     monoid, chi, mass, pairs = PEEL_CASES[name]
     for seed, (tau, taup) in enumerate(pairs):
         table = peel_table(monoid, mass, seed, zero_missing=zero_missing, big=seed == 1)
@@ -1100,7 +1040,7 @@ def test_packed_peel_on_the_mass_one_classes():
         assert_packed_peel_matches(alpha, tau, taup, table, CHI, o, 1)
 
 
-def test_packed_peel_equals_laurent_peel_hypothesis():
+def test_packed_peel_equals_splitting_sum_hypothesis():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
