@@ -28,6 +28,7 @@ from .ucoeff import (
     S_coeff,
     StabilityData,
     U_coeff,
+    pairing_form,
     utilde_lie_element,
 )
 from .wallcross import InvariantTable, vw_wcf
@@ -206,18 +207,13 @@ def parse_config(text: str) -> Config:
             _fail(text, ("chi",), "chi must be an array of integer arrays")
         if len(rows) != dim or any(len(r) != dim for r in rows):
             _fail(text, ("chi",), f"chi must be a {dim}x{dim} matrix")
-        chi = tuple(
-            tuple(_require_int(x, text, ("chi",), "chi entry") for x in row)
-            for row in rows
-        )
-        for i in range(dim):
-            for j in range(dim):
-                if chi[i][j] != -chi[j][i]:
-                    _fail(
-                        text,
-                        ("chi",),
-                        f"chi must be antisymmetric: chi[{i}][{j}] != -chi[{j}][{i}]",
-                    )
+        for row in rows:
+            for x in row:
+                _require_int(x, text, ("chi",), "chi entry")
+        try:
+            chi = pairing_form(rows)
+        except ValueError as exc:
+            _fail(text, ("chi",), str(exc))
 
     o = _named_nat_map(_section_map(raw, "o", text), classes, text, "o")
     if o and len(o) < len(classes):

@@ -302,33 +302,25 @@ class StabilityData:
         return holds
 
 
-def pairing_form(chi):
-    """The pairing ``(a, b) -> int`` given by a callable or an integer matrix.
+def pairing_form(chi) -> tuple:
+    """The pairing χ, χ(a, b) = Σ a_i·χ_ij·b_j, as an antisymmetric integer
+    matrix: a tuple of rows, each entry read by ``integer_entry``.
 
-    A callable is wrapped so that each value it returns is read by
-    ``integer_entry``; a matrix must be square and antisymmetric, with
-    entries read by ``integer_entry``, and its form refuses classes of
-    another dimension.  None raises MissingChi.
+    None raises MissingChi and a callable TypeError; a ragged or non-square
+    matrix raises ValueError, and so does one that is not antisymmetric,
+    naming the first entry that breaks it.
     """
     if chi is None:
         raise MissingChi("the quantum torus needs a pairing form")
     if callable(chi):
-        return lambda a, b: integer_entry(chi(a, b))
+        raise TypeError("the pairing χ must be an integer matrix, not a callable")
     rows = tuple(tuple(map(integer_entry, row)) for row in chi)
-    size = len(rows)
-    for i, row in enumerate(rows):
-        if len(row) != size:
-            raise ValueError("pairing matrix must be square")
-        for j in range(size):
-            if rows[i][j] != -rows[j][i]:
-                raise ValueError("pairing matrix must be antisymmetric")
-
-    def form(a: ClassVec, b: ClassVec) -> int:
-        if len(a) != size or len(b) != size:
-            raise ValueError("class dimension does not match the pairing matrix")
-        return sum(a[i] * rows[i][j] * b[j] for i in range(size) for j in range(size))
-
-    return form
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("pairing matrix must be square")
+    for i, j in itertools.combinations_with_replacement(range(len(rows)), 2):
+        if rows[i][j] != -rows[j][i]:
+            raise ValueError(f"chi must be antisymmetric: chi[{i}][{j}] != -chi[{j}][{i}]")
+    return rows
 
 
 def class_lookup(source):
@@ -494,14 +486,6 @@ def U_coeff(classes: Sequence, tau: StabilityData, tau_prime: StabilityData) -> 
                     break
             acc += term
     return acc
-
-
-def Utilde(classes: Sequence, tau: StabilityData, tau_prime: StabilityData) -> Fraction:
-    """Bracket-canonical coordinate of an ordered tuple: U divided by the
-    number of parts (the left-nested coefficient produced by the Dynkin
-    projection of the word sum)."""
-    classes = [as_class(c) for c in classes]
-    return U_coeff(classes, tau, tau_prime) / len(classes)
 
 
 def utilde_word_sum(

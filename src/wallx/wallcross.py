@@ -117,8 +117,8 @@ class GradedValue:
 class QuantumTorusBackend:
     """Bracket (α, v), (β, w) -> (α+β, [χ(α,β)]·v·w) over a κ-Laurent ring.
 
-    ``chi`` is an antisymmetric integer pairing (callable or matrix); the
-    quantum-integer map is pluggable so the same sums can be run unrefined.
+    ``chi`` is an antisymmetric integer matrix (``ucoeff.pairing_form``);
+    the quantum-integer map is pluggable so the same sums can be run unrefined.
     """
 
     __slots__ = ("chi", "qint")
@@ -141,7 +141,7 @@ class QuantumTorusBackend:
     def bracket(self, x: GradedValue, y: GradedValue) -> GradedValue:
         if x.cls is None or y.cls is None:
             return self.zero()
-        weight = self.qint(self.chi(x.cls, y.cls))
+        weight = self.qint(_pairing(self.chi, x.cls, y.cls))
         return GradedValue(
             tuple(a + b for a, b in zip(x.cls, y.cls)),
             weight * x.value * y.value,
@@ -282,6 +282,21 @@ def _dot(fr: tuple, cls: tuple) -> int:
     return sum(f * c for f, c in zip(fr, cls))
 
 
+def _chi_matrix(chi, dim: int) -> tuple:
+    """χ read by ``pairing_form``; ValueError unless it is ``dim`` by ``dim``."""
+    chi = pairing_form(chi)
+    if len(chi) != dim:
+        raise ValueError(f"pairing matrix must be {dim}x{dim}, got {len(chi)} rows")
+    return chi
+
+
+def _pairing(chi: tuple, a: tuple, b: tuple) -> int:
+    """χ(a, b) for the matrix ``chi``; ValueError for a class of another size."""
+    if len(a) != len(chi) or len(b) != len(chi):
+        raise ValueError("class dimension does not match the pairing matrix")
+    return sum(x * entry * y for x, row in zip(a, chi) for entry, y in zip(row, b))
+
+
 @lru_cache(maxsize=16)
 def _framed_lattice(generators: tuple):
     """The framed monoid and the crossing's two stabilities, kept per
@@ -308,7 +323,8 @@ def pair_invariant_rhs(
 
     The framed monoid adds ∞ = (0,…,0,1) to the generators padded with 0;
     its table holds 1 at ∞ and table(γ) at (γ, 0) for the classes γ ≤ α
-    with τ(γ) = τ(α); χ̂((a, i), (b, j)) = χ(a, b) + j·fr·a − i·fr·b; and
+    with τ(γ) = τ(α); its pairing is the bordered matrix χ̂ = [[χ, frᵀ],
+    [−fr, 0]], so χ̂((a, i), (b, j)) = χ(a, b) + j·fr·a − i·fr·b; and
     the crossing, slope −i/mass to i/mass, moves ∞ from the lowest slope to
     the highest.  Expanded, it is Σ (1/n!)·Π_i [fr·α_i + χ(α_i, α_1+…+
     α_{i−1})]·table(α_i) over the equal-slope ordered splittings of α.
@@ -322,7 +338,7 @@ def pair_invariant_rhs(
     alpha = as_class(alpha)
     monoid = table.monoid
     fr = _framing(fr, monoid.dim)
-    chi = pairing_form(chi)
+    chi = _chi_matrix(chi, monoid.dim)
     if not monoid.contains(alpha):
         return LaurentElement.zero()
     monoid.longest_splitting(alpha, max_parts)
@@ -331,11 +347,11 @@ def pair_invariant_rhs(
     framed, before, after = _framed_lattice(monoid.generators)
     entries = {cls + (0,): v for cls, v in _laurent_entries(table, same).items()}
     entries[framed.generators[-1]] = LaurentElement.const(1)
+    bordered = [(*row, f) for row, f in zip(chi, fr)] + [(*(-f for f in fr), 0)]
     return vw_wcf(
         alpha + (1,), before, after,
         InvariantTable(entries, zero_missing=True, monoid=framed),
-        lambda a, b: chi(a[:-1], b[:-1]) + b[-1] * _dot(fr, a) - a[-1] * _dot(fr, b),
-        qint=qint, max_parts=max_parts + 1,
+        bordered, qint=qint, max_parts=max_parts + 1,
     )
 
 
@@ -357,7 +373,7 @@ def invert_semistable(
     ``pair_invariant_rhs``.  Before any pair sum is formed, each class of
     the support, in that order, is refused for fr·α = 0
     (ZeroQuantumInteger) or a splitting into more than ``max_parts`` parts
-    (DecompositionOverflow)."""
+    (DecompositionOverflow), and then ``chi`` is read."""
     monoid = pair_table.monoid
     fr = _framing(fr, monoid.dim)
     order = sorted(pair_table.support(), key=sum)
@@ -367,6 +383,7 @@ def invert_semistable(
                 f"fr({cls}) = 0 gives a vanishing quantum integer"
             )
         monoid.longest_splitting(cls, max_parts)
+    chi = _chi_matrix(chi, monoid.dim)
     values = _laurent_entries(pair_table, order)
     recovered: dict[tuple, LaurentElement] = {}
     for cls in order:
@@ -410,7 +427,8 @@ def vw_wcf(
     UnsupportedClass); a splitting of α into more than ``max_parts`` parts
     raises DecompositionOverflow; ``qint`` is None (quantum integers in
     κ, ``ring.KAPPA``) or ``unrefined_integer``.  The classes range over
-    the table's monoid.
+    the table's monoid; ``chi`` is an antisymmetric integer matrix of their
+    size (``ucoeff.pairing_form``; else ValueError at every target).
 
     The reduced sum: ``o_table`` gives the cosection count of a class, as a
     class-keyed mapping (read once) or a callable.  Only the splittings
@@ -419,7 +437,7 @@ def vw_wcf(
     ValueError, and so does a negative one.
     """
     alpha = as_class(alpha)
-    chi = pairing_form(chi)
+    chi = _chi_matrix(chi, table.monoid.dim)
     if qint is not None and qint is not unrefined_integer:
         raise ValueError("vw_wcf takes qint=None (refined) or unrefined_integer")
     splits = peel_classes(alpha, tau_one, tau_two, table.monoid, max_parts)
@@ -457,7 +475,7 @@ def vw_wcf(
     # class ≤ α has at most mass(α) entries and mass(α) − 1 weights, so the
     # entries' exponents and the largest |χ| over the splittings bound every
     # exponent the peel can reach, and so the slot width.
-    pairing = {pair: chi(*pair) for pairs in splits.values() for pair in pairs}
+    pairing = {p: _pairing(chi, *p) for pairs in splits.values() for p in pairs}
     algebra = packed_algebra(
         entries.values(),
         (kappa,) if grade is None else (kappa, grade),

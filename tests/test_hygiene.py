@@ -1,12 +1,12 @@
 """Source hygiene: every name a module of the package imports is used, no
 module reaches into a sibling's private names, every private module-level
-name is read by its own module, every public function and class is named
-somewhere outside its own definition and every public method is read as an
-attribute there (or named in a README code span), only ``ring`` and its own
-tests know how a Laurent element stores its terms, and nothing outside the
-standard library is imported, and every dotted reference the README and
-the docstrings make into a module of the package names something that
-exists."""
+name is read by its own module, every public function and class is read
+or imported by name outside its own definition and every public method is
+read as an attribute there (or either is named in a README code span; a
+string keeps no name), only ``ring`` and its own tests know how a Laurent
+element stores its terms, and nothing outside the standard library is
+imported, and every dotted reference the README and the docstrings make
+into a module of the package names something that exists."""
 
 from __future__ import annotations
 
@@ -180,31 +180,47 @@ def _attribute_names(node: ast.AST) -> list[str]:
     return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)]
 
 
+def _identifiers(node: ast.AST) -> list[str]:
+    """The identifiers Python code reads or imports: names, attributes and
+    the parts of import aliases; strings and docstrings hold none."""
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.alias):
+            out += n.name.split(".") + ([n.asname] if n.asname else [])
+    return out
+
+
 def _unreferenced_public_names(package: dict, others: dict) -> list[str]:
     """Public definitions of the ``package`` sources (file name -> text)
     that nothing references outside their own definition.  A function or a
-    class is referenced where its name occurs as an identifier in the text
-    of ``package`` or ``others``.  A method is referenced only where Python
-    source of either reads it as an attribute (``.name``), or where a code
-    span of a Markdown text (a name ending in ``.md``) names it: a method
-    named with a common word is not kept by that word alone."""
+    class is referenced where Python source of ``package`` or ``others``
+    reads or imports its name (``_identifiers``), or where a code span of a
+    Markdown text (a name ending in ``.md``) names it; a string or a
+    docstring keeps no name.  A method is referenced only where Python
+    source reads it as an attribute (``.name``), or where such a code span
+    names it: a method named with a common word is not kept by that word
+    alone."""
     identifiers, attributes = Counter(), Counter()
     for name, text in (*package.items(), *others.items()):
-        identifiers.update(_IDENTIFIER.findall(text))
         if name.endswith(".md"):
-            for span in _CODE_SPAN.findall(text):
-                attributes.update(_IDENTIFIER.findall(span))
+            spans = [w for span in _CODE_SPAN.findall(text) for w in _IDENTIFIER.findall(span)]
+            identifiers.update(spans)
+            attributes.update(spans)
         else:
-            attributes.update(_attribute_names(ast.parse(text, filename=name)))
+            tree = ast.parse(text, filename=name)
+            identifiers.update(_identifiers(tree))
+            attributes.update(_attribute_names(tree))
     out = []
     for name, text in sorted(package.items()):
-        lines = text.splitlines()
         for node, method in _public_definitions(ast.parse(text, filename=name)):
             if method:
                 reads, own = attributes, _attribute_names(node)
             else:
-                reads = identifiers
-                own = _IDENTIFIER.findall("\n".join(lines[node.lineno - 1 : node.end_lineno]))
+                reads, own = identifiers, _identifiers(node)
             if reads[node.name] == own.count(node.name):
                 out.append(f"{name}: {node.name} (line {node.lineno})")
     return out
@@ -256,6 +272,37 @@ def test_scan_sees_an_unreferenced_public_name() -> None:
         "shapes.py: width (line 2)",
         "shapes.py: size (line 6)",
         "shapes.py: volume (line 17)",
+    ]
+
+
+def test_scan_keeps_no_name_that_only_a_string_holds() -> None:
+    package = {
+        "shapes.py": (
+            "def area():\n"
+            "    return 1\n"
+            "def volume():\n"
+            '    """Unlike ``area``, this is 3-dimensional."""\n'
+            "    return 2\n"
+            "def perimeter():\n"
+            "    return 3\n"
+            "def diagonal():\n"
+            "    return 4\n"
+            "def girth():\n"
+            "    return 5\n"
+        ),
+    }
+    others = {
+        "cli.py": (
+            "import shapes as s\n"
+            "from shapes import volume as v\n"
+            "HELP = 'area/perimeter table'\n"
+            "ROW = {'girth': s.perimeter()}\n"
+        ),
+        "README.md": "The diagonal is `shapes.diagonal()`; the girth is not.\n",
+    }
+    assert _unreferenced_public_names(package, others) == [
+        "shapes.py: area (line 1)",
+        "shapes.py: girth (line 10)",
     ]
 
 

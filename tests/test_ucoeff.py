@@ -26,7 +26,6 @@ from wallx.ucoeff import (
     S_coeff,
     StabilityData,
     U_coeff,
-    Utilde,
     c_n,
     class_lookup,
     class_sum,
@@ -314,39 +313,45 @@ class TestStabilityData:
 
 class TestPairingForm:
     def test_matrix_form(self):
-        chi = pairing_form([[0, 2, -1], [-2, 0, 4], [1, -4, 0]])
-        assert chi((1, 0, 0), (0, 1, 0)) == 2
-        assert chi((0, 1, 1), (1, 1, 0)) == -2 + 1 - 4
+        chi = pairing_form([[0, 2, -1], [-2, 0, 4], (1, -4, 0)])
+        assert chi == ((0, 2, -1), (-2, 0, 4), (1, -4, 0))
+        qt = QuantumTorusBackend(chi, qint=lambda n: n)
+        value = lambda a, b: qt.bracket(qt.lift(a, 1), qt.lift(b, 1)).value
+        assert value((1, 0, 0), (0, 1, 0)) == 2
+        assert value((0, 1, 1), (1, 1, 0)) == -2 + 1 - 4
         with pytest.raises(ValueError, match="dimension"):
-            chi((1, 0), (0, 1))
+            value((1, 0), (0, 1))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             pairing_form([[0, 1], [-1, 0], [0, 0]])
         with pytest.raises(ValueError, match="square"):
             pairing_form([[0, 1, 0], [-1, 0]])
+        with pytest.raises(ValueError, match="square"):
+            pairing_form([[0, 1], []])
+        with pytest.raises(ValueError, match="square"):
+            pairing_form([[0, 1, 0], [-1, 0, 0], [0]])
 
     def test_non_antisymmetric_rejected(self):
         with pytest.raises(ValueError, match="antisymmetric"):
             pairing_form([[0, 1], [1, 0]])
-        with pytest.raises(ValueError, match="antisymmetric"):
+        with pytest.raises(ValueError, match=r"antisymmetric: chi\[0\]\[0\]"):
             pairing_form([[1, 0], [0, -1]])
+        with pytest.raises(ValueError, match=r"antisymmetric: chi\[1\]\[2\]"):
+            pairing_form([[0, 1, 0], [-1, 0, 2], [0, 2, 0]])
 
     def test_entries_follow_the_integer_rule(self):
         with pytest.raises(ValueError, match="expected an integer"):
             pairing_form([[0, 2.5], [-2.5, 0]])
         with pytest.raises(ValueError, match="expected an integer"):
             pairing_form([[False, True], [-1, 0]])
-        form = pairing_form([[0, F(2)], [-2, 0]])
-        assert form((1, 0), (0, 1)) == 2
+        chi = pairing_form([[0, F(2)], [-2, 0]])
+        assert chi == ((0, 2), (-2, 0)) and type(chi[0][1]) is int
 
-    def test_callable_values_follow_the_integer_rule(self):
+    def test_callable_is_refused(self):
         def chi(a, b):
-            return F(a[0] * b[1] - a[1] * b[0])
+            return a[0] * b[1] - a[1] * b[0]
 
-        for form in (pairing_form(chi), QuantumTorusBackend(chi).chi):
-            assert form((1, 0), (0, 1)) == 1 and type(form((1, 0), (0, 1))) is int
-            assert form((2, 1), (1, 3)) == 5
         monoid = EffectiveMonoid([(1, 0), (0, 1)])
         table = InvariantTable(
             {c: LaurentElement.gen(f"v{c[0]}{c[1]}") for c in monoid.effective_upto(2)},
@@ -354,19 +359,14 @@ class TestPairingForm:
         )
         tau = linear_stability([1, 0], [1, 1])
         taup = linear_stability([0, 1], [1, 1])
-        for bad in (1.5, True):
-            calls = []
-
-            def chi_bad(a, b, bad=bad):
-                calls.append((a, b))
-                return bad
-
-            with pytest.raises(ValueError, match="expected an integer"):
-                pairing_form(chi_bad)((1, 0), (0, 1))
-            calls.clear()
-            with pytest.raises(ValueError, match="expected an integer"):
-                vw_wcf((1, 1), tau, taup, table, chi_bad)
-            assert len(calls) == 1
+        for refuse in (
+            lambda: pairing_form(chi),
+            lambda: QuantumTorusBackend(chi),
+            lambda: vw_wcf((1, 1), tau, taup, table, chi),
+            lambda: vw_wcf((1, 0), tau, taup, table, chi),
+        ):
+            with pytest.raises(TypeError, match="not a callable"):
+                refuse()
 
 
 class TestClassLookup:
@@ -699,7 +699,6 @@ class TestUCoefficient:
         for tup in ([gamma, delta], [delta, gamma], [gamma, delta, gamma]):
             assert S_coeff(tup, tau, taup) == 0
             assert U_coeff(tup, tau, taup) == 0
-            assert Utilde(tup, tau, taup) == 0
 
 
 def _double_loop_splittings(classes):
@@ -863,9 +862,3 @@ class TestUtilde:
         corrupted = words + UEAElement(ctx, {bad_word: F(1)})
         with pytest.raises(NotPrimitive):
             dynkin_project(corrupted)
-
-    def test_utilde_coordinate_is_u_over_n(self):
-        tup = [B1, B1, A]
-        assert Utilde(tup, TAU_MINUS, TAU_PLUS) == U_coeff(
-            tup, TAU_MINUS, TAU_PLUS
-        ) / 3

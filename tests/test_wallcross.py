@@ -259,12 +259,16 @@ def u_terms(alpha, tau, taup, monoid, max_parts=8):
     return out
 
 
+def pairing(chi, a, b):
+    """χ(a, b) = Σ a_i·χ_ij·b_j for the matrix ``chi``."""
+    return sum(a[i] * chi[i][j] * b[j] for i in range(len(a)) for j in range(len(b)))
+
+
 def splitting_sum(terms, table, chi, *, qint=None, keep=None):
     """Σ over the splittings of ``terms`` (from ``u_terms``) of
     Ũ(α⃗; τ, τ′)·Π_{i≥2}[χ(α₁+…+α_{i−1}, α_i)]·Π table(α_i), the sum
     ``vw_wcf`` expands; ``keep`` lists the splittings to sum over."""
-    backend = QuantumTorusBackend(chi, qint=qint)
-    chi, qint = backend.chi, backend.qint
+    chi, qint = pairing_form(chi), qint or quantum_integer
     acc = L.zero()
     for parts, u in terms:
         if keep is not None and parts not in keep:
@@ -273,7 +277,7 @@ def splitting_sum(terms, table, chi, *, qint=None, keep=None):
         partial = (0,) * len(parts[0])
         for i, cls in enumerate(parts):
             if i > 0:
-                term = term * qint(chi(partial, cls))
+                term = term * qint(pairing(chi, partial, cls))
             value = table.value(cls)
             if value is None:
                 term = L.zero()
@@ -339,7 +343,7 @@ def pair_sum_oracle(alpha, tau, table, chi, fr, *, monoid=MONOID, qint=quantum_i
             value = table.value(cls)
             if value is None:
                 break
-            weight = weight * qint(framing_degree(fr, cls) + chi(cls, partial))
+            weight = weight * qint(framing_degree(fr, cls) + pairing(chi, cls, partial))
             values = values * value
             partial = class_sum([partial, cls])
         else:
@@ -375,7 +379,7 @@ def pair_recurrence(alpha, fr, tau, table, chi, *, qint=quantum_integer):
             for gamma, fr_gamma, value in entries:
                 cls = tuple(b + g for b, g in zip(beta, gamma))
                 if cls in members:
-                    weight = qint(chi(gamma, beta) + fr_gamma)
+                    weight = qint(pairing(chi, gamma, beta) + fr_gamma)
                     terms.setdefault(cls, []).append(weight * value * y)
         layer = {cls: laurent_sum(items) for cls, items in terms.items()}
         if alpha in layer:
@@ -766,6 +770,40 @@ class TestVwWcf:
                 (2, 1), tau, taup, table, CHI, qint=unrefined_integer
             )
             assert specialize_kappa(refined) == unrefined
+
+
+def test_integral_invariants_cross_to_integral_invariants_hypothesis():
+    """Integrality across a wall: for χ = [[0, m], [−m, 0]] and integers
+    Ω ∈ −3…3 on up to five classes of mass ≤ 4, the table
+    ε(γ) = Σ_{k|γ} Ω(γ/k)/k² crossed from ``BEFORE`` to ``AFTER``
+    unrefined gives ε′ whose Ω′, read back by Möbius inversion, is an
+    integer on every class of mass ≤ 6."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    classes = MONOID.effective_upto(6)
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(
+        st.integers(1, 4),
+        st.dictionaries(
+            st.sampled_from(MONOID.effective_upto(4)), st.integers(-3, 3), max_size=5
+        ),
+    )
+    def check(m, omega):
+        entries = {}
+        for cls, value in omega.items():
+            for k in range(1, 6 // sum(cls) + 1):
+                multiple = (k * cls[0], k * cls[1])
+                entries[multiple] = entries.get(multiple, 0) + F(value, k * k)
+        table = InvariantTable(entries, zero_missing=True, monoid=MONOID)
+        chi = [[0, m], [-m, 0]]
+        crossed = omega_from_epsilon(
+            classes,
+            lambda cls: vw_wcf(cls, BEFORE, AFTER, table, chi, qint=unrefined_integer),
+        )
+        assert all(value.denominator == 1 for value in crossed.values()), (m, omega)
+
+    check()
 
 
 TWO = EffectiveMonoid([(1, 0), (0, 1)])
@@ -1161,6 +1199,14 @@ class TestVwWcfContract:
             with pytest.raises(ValueError, match="qint"):
                 vw_wcf((1, 1), self.TAU, self.TAUP, table, CHI, qint=qint)
 
+    def test_refuses_a_pairing_matrix_of_another_size_at_every_target(self):
+        # An empty table: the refusal comes before any entry is read.
+        empty = InvariantTable({}, monoid=MONOID)
+        for chi in ([[0]], CHI3):
+            for target in ((1, 0), (1, 1), (1, -1)):
+                with pytest.raises(ValueError, match=r"must be 2x2, got"):
+                    vw_wcf(target, self.TAU, self.TAUP, empty, chi)
+
     def test_every_class_below_the_target_needs_an_entry(self):
         # With one stability on both sides only the target's own entry
         # enters the answer, but every class below it is still read.
@@ -1384,6 +1430,23 @@ class TestPairInvariantContract:
         # The empty table is not read.
         empty = InvariantTable({}, monoid=MONOID)
         assert pair_invariant_rhs((1, -1), (1, 3), self.FLAT, empty, CHI) == L.zero()
+
+    def test_refuses_a_callable_or_a_pairing_matrix_of_another_size(self):
+        empty = InvariantTable({}, monoid=MONOID)
+        pair = InvariantTable({(1, 0): L.gen("p")}, monoid=MONOID)
+        for chi in ([[0]], CHI3):
+            for target in ((1, 0), (1, 1), (1, -1)):
+                with pytest.raises(ValueError, match=r"must be 2x2, got"):
+                    pair_invariant_rhs(target, (1, 3), self.FLAT, empty, chi)
+            for table in (pair, empty):
+                with pytest.raises(ValueError, match=r"must be 2x2, got"):
+                    invert_semistable(table, (1, 3), self.FLAT, chi)
+        chi = lambda a, b: 3 * (a[0] * b[1] - a[1] * b[0])
+        with pytest.raises(TypeError, match="not a callable"):
+            pair_invariant_rhs((1, 0), (1, 3), self.FLAT, empty, chi)
+        for table in (pair, empty):
+            with pytest.raises(TypeError, match="not a callable"):
+                invert_semistable(table, (1, 3), self.FLAT, chi)
 
     def test_every_equal_slope_class_below_the_target_needs_an_entry(self):
         fr = pair_fr(2)
