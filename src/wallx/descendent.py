@@ -550,7 +550,7 @@ def build_xi(k: int, source, order: int, *, ch_values=None):
         if ch_values is not None:
             for a in range(1, n + 2):
                 if a in ch_values:
-                    term = term.subs_poly(f"ch{a}", ch_values[a])
+                    term = term.subs(f"ch{a}", ch_values[a])
         acc = acc + k**n * Fraction(1, math.factorial(n)) * term
     return acc
 
@@ -615,4 +615,4 @@ def hbar_to_weights(element):
     total = LaurentElement.zero()
     for w in _WEIGHTS:
         total = total + LaurentElement.gen(w)
-    return element.subs_poly("hbar", total)
+    return element.subs("hbar", total)

@@ -345,7 +345,7 @@ def _substituted(f, V: VirtualClass, name: str, base: str):
     primed until neither f nor a root of V names it.  Returns both."""
     f = as_element(f)
     var = fresh_name(base, [f, *V.weights()])
-    return f.subs_monomial(name, LaurentElement.gen(var)), var
+    return f.subs(name, LaurentElement.gen(var)), var
 
 
 def projective_pushforward_K(f, V: VirtualClass):
@@ -544,4 +544,4 @@ def cy_limit_theta(E, n: int) -> LaurentElement:
     (ValueError otherwise)."""
     n = _nonnegative(n, "limit index")
     rank, ch = _chern_data(E)
-    return ((-1) ** ((rank + 1) % 2) * math.factorial(n) * ch(n)).subs_zero("hbar")
+    return ((-1) ** ((rank + 1) % 2) * math.factorial(n) * ch(n)).subs("hbar", 0)

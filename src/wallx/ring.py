@@ -12,9 +12,11 @@ element: ``truncate(names, order, sign)`` keeps the terms within that
 window, and ``expand`` and ``exp_times`` compute only the terms within it.
 
 How a monomial is stored is private to this module.  Other code builds
-elements with ``gen``, ``const``, ``monomial``, ``truncate``, the arithmetic
-and ``laurent_sum``, and reads their terms through
-``LaurentElement.monomials()``, in natural exponents.
+elements with ``gen``, ``const``, ``monomial``, ``truncate``, ``subs``, the
+arithmetic and ``laurent_sum``, and reads their terms through
+``LaurentElement.monomials()``, in natural exponents.  ``subs`` takes its
+rule from the value: zero keeps the part free of the variable, a single
+term meets any power, and any other value only nonnegative integer ones.
 
 Every Laurent quotient in this module rests on one power-series division
 on raw term dicts: ``expand``, ``residue_K``, ``residue_coh``,
@@ -353,14 +355,6 @@ class LaurentElement:
                 out[rest] = c
         return _trusted(out)
 
-    def _coeffs_in(self, var: str) -> dict[int, "LaurentElement"]:
-        """Split into {doubled exponent of var: coefficient element}."""
-        grouped: dict[int, dict[Mono, Scalar]] = {}
-        for m, c in self.terms.items():
-            e2, rest = _split_var(m, var)
-            grouped.setdefault(e2, {})[rest] = c
-        return {e2: _trusted(t) for e2, t in grouped.items()}
-
     def _val2(self, var: str) -> int | None:
         """Minimal doubled exponent of ``var`` over all terms (None if zero)."""
         if not self.terms:
@@ -496,67 +490,30 @@ class LaurentElement:
 
     # -- substitution ------------------------------------------------------
 
-    def subs_monomial(self, var: str, value: "LaurentElement") -> "LaurentElement":
-        """Substitute a single-term value for ``var`` (any exponents)."""
+    def subs(self, var: str, value) -> "LaurentElement":
+        """Substitute ``value``, an element or a scalar, for ``var``.  Zero
+        keeps the terms free of ``var`` (ZeroDivisionError at a negative
+        power).  A single term c·m meets any power e as c**e·m**e, where a
+        half-integer e needs c = 1 and m**e half-integer exponents.  Any
+        other value meets only nonnegative integer powers.  Another
+        refused power raises ValueError."""
         value = as_element(value)
-        if len(value.terms) != 1:
-            raise ValueError("subs_monomial needs a single-term value")
-        (vm, vc), = value.terms.items()
+        if len(value.terms) == 1:
+            return _trusted(add_terms({}, _subs_term(self.terms, var, value.terms)))
+        pieces = _graded(self.terms, frozenset((var,)), 1)
+        if not value.terms:
+            if pieces and min(pieces) < 0:
+                raise ZeroDivisionError(f"negative power of {var!r} at 0")
+            return _trusted(pieces.get(0, {}))
+        if any(e2 < 0 or e2 % 2 for e2 in pieces):
+            raise ValueError(f"a sum meets only nonnegative integer powers of {var!r}")
         out: dict[Mono, Scalar] = {}
-        for m, c in self.terms.items():
-            e2, rest = _split_var(m, var)
-            if e2:
-                if e2 % 2 == 0:
-                    c = canonical_coefficient(c * Fraction(vc) ** (e2 // 2))
-                elif vc != 1:
-                    raise ValueError(
-                        "half-integer power of a value with coefficient != 1"
-                    )
-                scaled: list[tuple[str, int]] = []
-                for w, f2 in vm:
-                    prod = f2 * e2
-                    if prod % 2:
-                        raise ValueError("substitution produces a quarter-integer power")
-                    scaled.append((w, prod // 2))
-                newm = _mono_mul(rest, _mono(scaled))
-            else:
-                newm = rest
-            add_terms(out, ((newm, c),))
-        return _trusted(out)
-
-    def subs_poly(self, var: str, value: "LaurentElement") -> "LaurentElement":
-        """Substitute a general value for ``var``; needs nonneg integer powers."""
-        value = as_element(value)
-        pieces = self._coeffs_in(var)
-        powers: dict[int, LaurentElement] = {0: ONE}
-
-        def terms():
-            for e2 in sorted(pieces):
-                if e2 < 0 or e2 % 2:
-                    raise ValueError(
-                        f"subs_poly needs nonnegative integer powers of {var!r}"
-                    )
-                k = e2 // 2
-                if k not in powers:
-                    p = powers[max(powers)]
-                    for _ in range(max(powers), k):
-                        p = p * value
-                    powers[k] = p
-                yield pieces[e2] * powers[k]
-
-        return laurent_sum(terms())
-
-    def subs_zero(self, var: str) -> "LaurentElement":
-        """Substitute 0 for ``var`` (drops terms with positive powers)."""
-        v2 = self._val2(var)
-        if v2 is not None and v2 < 0:
-            raise ZeroDivisionError(f"negative power of {var!r} at 0")
-        return self.coeff_of(var, 0)
-
-    def subs_one(self, var: str) -> "LaurentElement":
-        """Substitute 1 for ``var`` (drops it from every monomial)."""
-        out: dict[Mono, Scalar] = {}
-        add_terms(out, ((_split_var(m, var)[1], c) for m, c in self.terms.items()))
+        power, k = ONE, 0
+        for e2 in sorted(pieces):
+            for _ in range(k, e2 // 2):
+                power = power * value
+            k = e2 // 2
+            add_terms(out, (_trusted(pieces[e2]) * power).terms.items())
         return _trusted(out)
 
     # -- display -----------------------------------------------------------
@@ -623,6 +580,35 @@ def _split_var(m: Mono, var: str) -> tuple[int, Mono]:
         if v == var:
             return e, m[:i] + m[i + 1 :]
     return 0, m
+
+
+def _subs_term(terms: dict[Mono, Scalar], var: str, value: dict[Mono, Scalar]):
+    """The terms of ``LaurentElement.subs`` at a single-term ``value``, not
+    yet summed.  ``var`` is split off inline: a ``_split_var`` call per
+    term was measured slower."""
+    ((vm, vc),) = value.items()
+    for m, c in terms.items():
+        i = 0
+        for v, e2 in m:
+            if v == var:
+                rest = m[:i] + m[i + 1 :]
+                if vc != 1:
+                    if e2 % 2:
+                        raise ValueError("half-integer power of a value with coefficient != 1")
+                    c = canonical_coefficient(c * Fraction(vc) ** (e2 // 2))
+                if vm:
+                    scaled = []
+                    for w, f2 in vm:
+                        prod = f2 * e2
+                        if prod % 2:
+                            raise ValueError("substitution produces a quarter-integer power")
+                        scaled.append((w, prod // 2))
+                    rest = _mono_mul(rest, tuple(scaled))
+                yield rest, c
+                break
+            i += 1
+        else:
+            yield m, c
 
 
 def as_element(x) -> LaurentElement:
@@ -906,10 +892,9 @@ class RationalElement:
 
     # -- substitution ------------------------------------------------------
 
-    def subs_monomial(self, var: str, value: LaurentElement) -> "RationalElement":
-        return RationalElement(
-            self.num.subs_monomial(var, value), self.den.subs_monomial(var, value)
-        )
+    def subs(self, var: str, value) -> "RationalElement":
+        """``LaurentElement.subs`` in numerator and denominator."""
+        return RationalElement(self.num.subs(var, value), self.den.subs(var, value))
 
     def __repr__(self) -> str:
         return str(self)
@@ -1299,19 +1284,19 @@ _ROOT_MINUS_ONE = LaurentElement({((KAPPA, 1),): 1, (): -1})
 def specialize_kappa(f: Element):
     """Value at κ = 1 when the limit exists; PoleAtOne otherwise."""
     if isinstance(f, LaurentElement):
-        return f.subs_one(KAPPA)
+        return f.subs(KAPPA, 1)
     num, den = f.num, f.den
-    while den.subs_one(KAPPA) == ZERO:
-        if num.subs_one(KAPPA) != ZERO:
+    while den.subs(KAPPA, 1) == ZERO:
+        if num.subs(KAPPA, 1) != ZERO:
             raise PoleAtOne(f"genuine pole at {KAPPA} = 1")
         if not num.terms:
             break
         num = exact_laurent_div(num, _ROOT_MINUS_ONE, KAPPA)
         den = exact_laurent_div(den, _ROOT_MINUS_ONE, KAPPA)
-    d1 = den.subs_one(KAPPA)
+    d1 = den.subs(KAPPA, 1)
     if not num.terms:
         return LaurentElement.zero()
-    result = num.subs_one(KAPPA) / d1
+    result = num.subs(KAPPA, 1) / d1
     if isinstance(result, RationalElement):
         return result.maybe_laurent()
     return result

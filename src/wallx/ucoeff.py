@@ -67,7 +67,7 @@ def _mass(cls: ClassVec) -> int:
 class EffectiveMonoid:
     """The cone of nonzero natural-number combinations of the generators."""
 
-    __slots__ = ("generators", "dim", "_member_cache", "_below_cache")
+    __slots__ = ("generators", "dim", "_floored", "_member_cache", "_below_cache")
 
     def __init__(self, generators: Iterable[ClassVec]):
         gens = tuple(as_class(g) for g in generators)
@@ -85,7 +85,10 @@ class EffectiveMonoid:
             raise ValueError("duplicate generators")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_member_cache", {})
+        # No combination of generators is negative where no generator is.
+        floored = tuple(i for i in range(dim) if all(g[i] >= 0 for g in gens))
+        object.__setattr__(self, "_floored", floored)
+        object.__setattr__(self, "_member_cache", {(0,) * dim: True})
         object.__setattr__(self, "_below_cache", {})
 
     def __setattr__(self, name, value):
@@ -101,20 +104,31 @@ class EffectiveMonoid:
         return self._reachable(cls)
 
     def _reachable(self, cls: ClassVec) -> bool:
-        if not any(cls):
-            return True
-        hit = self._member_cache.get(cls)
+        """Whether ``cls`` is zero or a combination of generators, by a walk
+        down one generator at a time on an explicit stack, memoized per
+        class.  A class of mass <= 0, or negative where no generator is,
+        is refused without a walk."""
+        memo = self._member_cache
+        hit = memo.get(cls)
         if hit is not None:
             return hit
-        out = False
-        if _mass(cls) > 0:
-            for g in self.generators:
-                rest = tuple(c - gc for c, gc in zip(cls, g))
-                if self._reachable(rest):
-                    out = True
-                    break
-        self._member_cache[cls] = out
-        return out
+        stack = [cls]
+        while stack:
+            top = stack[-1]
+            out = False
+            if _mass(top) > 0 and all(top[i] >= 0 for i in self._floored):
+                for g in self.generators:
+                    rest = tuple(c - gc for c, gc in zip(top, g))
+                    out = memo.get(rest)
+                    if out is None:  # walk ``rest`` first, then come back
+                        stack.append(rest)
+                        break
+                    if out:
+                        break
+            if out is not None:
+                memo[top] = out
+                stack.pop()
+        return memo[cls]
 
     def effective_upto(self, mass_cap: int) -> list[ClassVec]:
         """All effective classes of total mass at most ``mass_cap``."""

@@ -501,5 +501,5 @@ def vw_wcf(
     out = algebra.div_d(out, kappa, mass - 1)
     out = algebra.unpack(scaled_terms(out, Fraction(1, math.factorial(mass))))
     if qint is not None:
-        out = out.subs_one(kappa)
+        out = out.subs(kappa, 1)
     return out

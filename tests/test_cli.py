@@ -558,6 +558,16 @@ class TestWallcrossCommand:
                 assert code == 1
                 assert error in capsys.readouterr().err
 
+    def test_a_class_far_from_zero_exits_with_overflow(self, tmp_path, capsys):
+        # T = (1200, 0) is 1,200 generator steps from zero.
+        text = DEMO.replace('"T": [1, 1]', '"T": [1200, 0]')
+        code = main(
+            ["vwnum", demo_file(tmp_path, text), "--tau", "before", "--tau-prime", "after"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: DecompositionOverflow: (1200, 0) needs more than 8 parts\n"
+
     def test_unreadable_config_path(self, tmp_path, capsys):
         code = main(
             [

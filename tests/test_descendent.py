@@ -558,7 +558,7 @@ class TestAdams:
         image = L.gen("c") * L.gen("a") + 2 * L.gen("c") ** 2
 
         def substitute(el):
-            return el.subs_poly("b", image)
+            return el.subs("b", image)
 
         for k in (-2, 0, 1, 3):
             assert adams(k, substitute(e), self.GRADING) == substitute(
@@ -589,7 +589,7 @@ class TestXiSeries:
     @pytest.mark.parametrize("k", [-1, 0, 1, 2])
     def test_hbar_zero_reduction(self, rank, k):
         xi = build_xi(k, rank, 4)
-        assert xi.subs_zero("hbar") == cy_limit_xi(k, rank, 4)
+        assert xi.subs("hbar", 0) == cy_limit_xi(k, rank, 4)
 
     def test_equals_degree_rescaled_series(self):
         def grading(var):
@@ -627,7 +627,7 @@ class TestXiSeries:
             for order in range(-1, 7):
                 want = xi_series(source, order, k)
                 assert str(build_xi(k, source, order)) == str(want)
-                assert str(cy_limit_xi(k, source, order)) == str(want.subs_zero("hbar"))
+                assert str(cy_limit_xi(k, source, order)) == str(want.subs("hbar", 0))
 
     def test_order_follows_the_integer_rule(self):
         for order in (True, 2.0, "2"):

@@ -233,7 +233,7 @@ def test_wedge_of_a_virtual_class_at_an_element() -> None:
     got = wedge(E, qz)
     assert isinstance(got, RationalElement)
     assert got == as_rational((one - qz * t1) * (one - qz * t2)) / (one - qz * s1)
-    assert got == wedge(E).subs_monomial("z", qz)
+    assert got == wedge(E).subs("z", qz)
 
 
 # -- Euler classes ---------------------------------------------------------------
@@ -415,7 +415,7 @@ def _rename(x, old: str, new: str):
     """An element or a class with the variable ``old`` renamed ``new``."""
     if isinstance(x, VirtualClass):
         return VirtualClass([(_rename(w, old, new), s) for w, s in x.roots], x.mode)
-    return x.subs_monomial(old, L.gen(new))
+    return x.subs(old, L.gen(new))
 
 
 def _theta_residue(e_ab: VirtualClass, e_ba: VirtualClass):
@@ -529,12 +529,12 @@ def test_theta_low_coefficients() -> None:
 def test_theta_hbar_divisibility() -> None:
     for rk in (1, 2, 3):
         for n in range(1, 7):
-            assert theta_closed(rk, n).subs_zero("hbar") == L.zero()
+            assert theta_closed(rk, n).subs("hbar", 0) == L.zero()
 
 
 def _cy_limit_oracle(E, n: int) -> L:
     """θ_{n+1}/hbar at hbar = 0, from the enumeration ``theta_closed``."""
-    return exact_laurent_div(theta_closed(E, n + 1), hbar, "hbar").subs_zero("hbar")
+    return exact_laurent_div(theta_closed(E, n + 1), hbar, "hbar").subs("hbar", 0)
 
 
 _LIMIT_CLASSES = [

@@ -989,7 +989,7 @@ def test_residue_K_matches_sum_of_finite_pole_residues() -> None:
         total = as_rational(0)
         for i, v in enumerate(names):
             ti = L.gen(v)
-            pz = p.subs_monomial("z", ti.monomial_inverse())
+            pz = p.subs("z", ti.monomial_inverse())
             rest = one
             for j, vj in enumerate(names):
                 if j != i:
@@ -1494,10 +1494,120 @@ def test_specialize_kappa_removable_singularities() -> None:
 # -- substitution --------------------------------------------------------------
 
 
-def test_subs_monomial_scales_half_powers() -> None:
+def test_subs_single_term_scales_half_powers() -> None:
     zhalf = L.monomial(1, {"z": Fraction(1, 2), "t": 1})
-    shifted = zhalf.subs_monomial("z", w * z)
+    shifted = zhalf.subs("z", w * z)
     assert shifted == L.monomial(1, {"z": Fraction(1, 2), "w": Fraction(1, 2), "t": 1})
+
+
+def test_subs_refuses_a_half_power_of_a_coefficient() -> None:
+    zhalf = L.monomial(1, {"z": Fraction(1, 2)})
+    with pytest.raises(ValueError, match="half-integer power of a value with coefficient != 1"):
+        zhalf.subs("z", 2 * w)
+    with pytest.raises(ValueError, match="coefficient != 1"):
+        zhalf.subs("z", -1)
+    assert (z * z).subs("z", 2 * w) == 4 * w * w
+
+
+def test_subs_refuses_a_quarter_integer_power() -> None:
+    whalf = L.monomial(1, {"w": Fraction(1, 2)})
+    with pytest.raises(ValueError, match="substitution produces a quarter-integer power"):
+        L.monomial(1, {"z": Fraction(1, 2)}).subs("z", whalf)
+    assert L.monomial(1, {"z": Fraction(1, 2)}).subs("z", w) == whalf
+
+
+def test_subs_refuses_a_negative_power_at_zero() -> None:
+    with pytest.raises(ZeroDivisionError, match="negative power of 'z' at 0"):
+        (t + z**-1).subs("z", 0)
+    # A half-integer power of z is 0 at z = 0.
+    assert (t + L.monomial(3, {"z": Fraction(1, 2)})).subs("z", L.zero()) == t
+
+
+def test_subs_refuses_a_negative_or_half_power_under_a_sum() -> None:
+    for power in (z**-1, L.monomial(1, {"z": Fraction(1, 2)})):
+        with pytest.raises(ValueError, match="a sum meets only nonnegative integer powers of 'z'"):
+            (t + power).subs("z", w + 1)
+    # A single-term value had to be one term; a sum is now substituted.
+    assert (t * z**2 + z).subs("z", w + 1) == t * (w + 1) ** 2 + w + 1
+
+
+def test_rational_subs_substitutes_numerator_and_denominator() -> None:
+    f = RationalElement(z, one + z)
+    assert f.subs("z", w + 1) == RationalElement(w + 1, w + 2)
+    assert f.subs("z", 2 * t) == RationalElement(2 * t, 1 + 2 * t)
+    assert RationalElement(one + z, t - z).subs("z", 0) == RationalElement(one, t)
+
+
+def _subs_by_monomials(el: L, var: str, value: L) -> L:
+    """``el.subs(var, value)`` by another route: each term rebuilt by
+    ``LaurentElement.monomial`` times the value's power, a monomial read
+    from the value's own terms or an integer ``**`` of a sum.  Raises
+    what ``subs`` raises, at the same term."""
+    value_terms = list(value.monomials())
+    out = L.zero()
+    for exps, c in el.monomials():
+        e = Fraction(exps.pop(var, 0))
+        rest = L.monomial(c, exps)
+        if not e:
+            out = out + rest
+        elif not value_terms:
+            if e < 0:
+                raise ZeroDivisionError
+        elif len(value_terms) == 1:
+            ((vexps, vc),) = value_terms
+            if e.denominator != 1 and vc != 1:
+                raise ValueError
+            powered = {v: f * e for v, f in vexps.items()}
+            if any((2 * f).denominator != 1 for f in powered.values()):
+                raise ValueError
+            scale = Fraction(vc) ** int(e) if e.denominator == 1 else 1
+            out = out + rest * L.monomial(scale, powered)
+        else:
+            if e < 0 or e.denominator != 1:
+                raise ValueError
+            out = out + rest * value ** int(e)
+    return out
+
+
+def test_subs_matches_the_monomial_route_hypothesis() -> None:
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    half = st.integers(-4, 4).map(lambda n: Fraction(n, 2))
+    # Mostly nonnegative integer powers of z, so a sum is often accepted.
+    exps = st.fixed_dictionaries(
+        {"z": st.one_of(st.integers(0, 3), half)},
+        optional={"k": half, "t": half},
+    )
+    coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    elements = st.lists(st.tuples(exps, coeffs), max_size=5).map(
+        lambda terms: laurent_sum(L.monomial(c, e) for e, c in terms)
+    )
+    value_term = st.builds(
+        L.monomial,
+        st.one_of(st.just(1), st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 2))),
+        st.dictionaries(st.sampled_from("tw"), half, max_size=2),
+    )
+    values = st.one_of(
+        st.just(L.zero()),
+        value_term,
+        st.tuples(value_term, value_term).map(lambda pair: pair[0] + pair[1]),
+    )
+
+    def outcome(route):
+        try:
+            return route()
+        except (ValueError, ZeroDivisionError) as error:
+            return type(error)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(elements, values)
+    def check(el, value):
+        got = outcome(lambda: el.subs("z", value))
+        assert got == outcome(lambda: _subs_by_monomials(el, "z", value)), (el, value)
+        if value.is_monomial() and value.as_fraction() is not None:
+            assert got == outcome(lambda: el.subs("z", value.as_fraction()))
+
+    check()
 
 
 # -- exact division --------------------------------------------------------------
@@ -1876,7 +1986,7 @@ def test_coefficients_are_ints_or_proper_fractions() -> None:
     k = L.gen("k")
     cases = [
         (
-            L.monomial(1, {"z": -1}).subs_monomial("z", 2 * t),
+            L.monomial(1, {"z": -1}).subs("z", 2 * t),
             [(Fraction(1, 2), {"t": -1})],
         ),
         ((3 * x).monomial_inverse(), [(Fraction(1, 3), {"x": -1})]),

@@ -148,6 +148,21 @@ class TestEffectiveMonoid:
         assert mon.contains((1, 1))
         assert not mon.contains((1, 0))
         assert mon.contains((4, -2))
+        # 1,000 steps from zero, with no coordinate that refuses early.
+        assert mon.contains((2000, -1000))
+
+    def test_a_class_far_from_zero(self):
+        # The walk down to zero takes one generator per step, 1,500 steps
+        # here, and a class negative where no generator is (such as
+        # (k, -1)) is refused without a walk, so the memo grows with the
+        # depth and not with the triangle under the class.
+        mon = EffectiveMonoid([(1, 0), (0, 1)])
+        assert mon.contains((1500, 0))
+        assert not mon.contains((1500, -1))
+        with pytest.raises(DecompositionOverflow, match=r"\(1200, 0\) needs more than 8 parts"):
+            mon.longest_splitting((1200, 0), 8)
+        assert mon.below((400, 0)) == tuple((k, 0) for k in range(1, 401))
+        assert len(mon._member_cache) < 4 * 1500
 
     def test_generator_validation(self):
         with pytest.raises(ValueError):

@@ -544,11 +544,26 @@ def omega_from_epsilon(classes, epsilon):
     for cls in sorted(classes, key=sum):
         g = math.gcd(*cls)
         multiples = sum(
-            (omega[cls[0] // k, cls[1] // k] / (k * k) for k in range(2, g + 1) if g % k == 0),
+            (
+                omega[tuple(c // k for c in cls)] / (k * k)
+                for k in range(2, g + 1)
+                if g % k == 0
+            ),
             F(0),
         )
         omega[cls] = epsilon(cls).as_fraction() - multiples
     return omega
+
+
+def multicover_table(monoid, omega, mass):
+    """ε(γ) = Σ_{k|γ} Ω(γ/k)/k² on every class of mass ≤ ``mass``, from
+    integers Ω on a few classes; zero elsewhere."""
+    entries = {}
+    for cls, value in omega.items():
+        for k in range(1, mass // sum(cls) + 1):
+            multiple = tuple(k * c for c in cls)
+            entries[multiple] = entries.get(multiple, 0) + F(value, k * k)
+    return InvariantTable(entries, zero_missing=True, monoid=monoid)
 
 
 class TestVwWcf:
@@ -790,12 +805,7 @@ def test_integral_invariants_cross_to_integral_invariants_hypothesis():
         ),
     )
     def check(m, omega):
-        entries = {}
-        for cls, value in omega.items():
-            for k in range(1, 6 // sum(cls) + 1):
-                multiple = (k * cls[0], k * cls[1])
-                entries[multiple] = entries.get(multiple, 0) + F(value, k * k)
-        table = InvariantTable(entries, zero_missing=True, monoid=MONOID)
+        table = multicover_table(MONOID, omega, 6)
         chi = [[0, m], [-m, 0]]
         crossed = omega_from_epsilon(
             classes,
@@ -811,6 +821,51 @@ THREE = EffectiveMonoid([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 NON_FREE = EffectiveMonoid([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)])
 CHI3 = [[0, 1, -2], [-1, 0, 1], [2, -1, 0]]
 ORACLE_MASS = 6
+
+
+def test_integral_invariants_cross_to_integral_invariants_on_three_generators_hypothesis():
+    """Integrality across a wall on three generators: for an antisymmetric
+    χ with entries in −2…2 and Ω ∈ ±1…±3 on up to four classes of mass
+    ≤ 3, crossed unrefined between two generic stabilities, Ω′ is an
+    integer on every class of mass ≤ 5.  A generic stability here is the
+    pair (a·γ/b·γ, a′·γ/b·γ) compared lexicographically, one b ∈ 1…3 for
+    both entries: each entry of β + δ is a weighted mean of those of β and
+    δ, which keeps the weak see-saw property.  A plain linear slope on ℤ³
+    puts classes that are not proportional on one slope, where χ need not
+    vanish, and integrality is not claimed there."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    classes = THREE.effective_upto(5)
+    vector = lambda low: st.tuples(*[st.integers(low, 3)] * 3)
+
+    def lexicographic(a, a_prime, b):
+        dot = lambda x, cls: sum(p * q for p, q in zip(x, cls))
+        return StabilityData(lambda cls: (F(dot(a, cls), dot(b, cls)), F(dot(a_prime, cls), dot(b, cls))))
+
+    stabilities = st.builds(lexicographic, vector(-3), vector(-3), vector(1))
+
+    @hypothesis.settings(max_examples=20, deadline=None)
+    @hypothesis.given(
+        st.tuples(*[st.integers(-2, 2)] * 3),
+        st.dictionaries(
+            st.sampled_from(THREE.effective_upto(3)),
+            st.integers(1, 3).flatmap(lambda n: st.sampled_from((n, -n))),
+            max_size=4,
+        ),
+        stabilities,
+        stabilities,
+    )
+    def check(upper, omega, tau, tau_prime):
+        x, y, w = upper
+        chi = [[0, x, y], [-x, 0, w], [-y, -w, 0]]
+        table = multicover_table(THREE, omega, 5)
+        crossed = omega_from_epsilon(
+            classes,
+            lambda cls: vw_wcf(cls, tau, tau_prime, table, chi, qint=unrefined_integer),
+        )
+        assert all(value.denominator == 1 for value in crossed.values()), (chi, omega)
+
+    check()
 
 
 def tied_table(monoid, a, b, step, mass=ORACLE_MASS):
@@ -1193,6 +1248,15 @@ class TestVwWcfContract:
                         for route in routes:
                             route(alpha, tau, taup, max_parts=max_parts)
 
+    def test_a_class_far_from_zero_overflows(self):
+        # (1200, 0) is 1,200 generator steps from zero; a fresh monoid has
+        # no memo from another test to lean on.
+        monoid = EffectiveMonoid([(1, 0), (0, 1)])
+        table = InvariantTable({(1, 0): L.gen("a"), (0, 1): L.gen("b")}, monoid=monoid)
+        for qint in (None, unrefined_integer):
+            with pytest.raises(DecompositionOverflow, match=r"\(1200, 0\) needs more than 8"):
+                vw_wcf((1200, 0), BEFORE, AFTER, table, CHI, qint=qint)
+
     def test_refuses_other_quantum_integers(self):
         table = symbol_table(MONOID.effective_upto(2), monoid=MONOID)
         for qint in (quantum_integer, lambda n: L.const(n)):
@@ -1425,6 +1489,12 @@ class TestPairInvariantContract:
                             run()
                     else:
                         run()
+
+    def test_a_class_far_from_zero_overflows(self):
+        monoid = EffectiveMonoid([(1, 0), (0, 1)])
+        table = InvariantTable({(1, 0): L.gen("p")}, monoid=monoid, zero_missing=True)
+        with pytest.raises(DecompositionOverflow, match=r"\(1200, 0\) needs more than 8"):
+            pair_invariant_rhs((1200, 0), (1, 3), self.FLAT, table, CHI)
 
     def test_a_class_outside_the_cone_gives_zero(self):
         # The empty table is not read.
