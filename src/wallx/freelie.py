@@ -13,7 +13,10 @@ anything outside the Lie subspace), and exp(ad) conjugation checks in the
 truncated enveloping algebra.  Brackets stay in the Lyndon basis: a pair of
 basis words whose concatenation has them as its standard factorization
 brackets to that word, and only the other pairs take the round trip through
-the tensor algebra and ``dynkin_project``.
+the tensor algebra and ``dynkin_project``.  The module has no word product of
+its own: tensor-algebra products, commutators and Lyndon expansions are
+``ring.mul_terms``, summed by ``ring.sum_terms`` and signed or scaled by
+``ring.scaled_terms``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
 from .errors import NotPrimitive
-from .ring import add_terms, canonical_coefficient, scaled_terms
+from .ring import add_terms, canonical_coefficient, mul_terms, scaled_terms, sum_terms
 
 Word = tuple
 
@@ -199,20 +202,12 @@ class UEAElement(_WordCombination):
     def __mul__(self, other):
         if isinstance(other, UEAElement):
             _same_context(self, other)
-            return self._product(other, None)
+            return UEAElement(self.context, mul_terms(self.terms, other.terms))
         return super().__mul__(other)
 
-    def _product(self, other: "UEAElement", maxlen: int | None) -> "UEAElement":
-        pairs = (
-            (w1 + w2, c1 * c2)
-            for w1, c1 in self.terms.items()
-            for w2, c2 in other.terms.items()
-            if maxlen is None or len(w1) + len(w2) <= maxlen
-        )
-        return UEAElement._trusted(self.context, add_terms({}, pairs))
-
     def bracket(self, other: "UEAElement") -> "UEAElement":
-        return self * other - other * self
+        _same_context(self, other)
+        return UEAElement(self.context, _commutator(self.terms, other.terms))
 
     def truncated(self, maxlen: int) -> "UEAElement":
         return UEAElement._trusted(
@@ -270,21 +265,20 @@ class LieElement(_WordCombination):
                     continue
                 x = _expand_lyndon(left, ctx)
                 y = _expand_lyndon(right, ctx)
-                add_terms(
-                    rest,
-                    (
-                        pair
-                        for w1, c1 in x.items()
-                        for w2, c2 in y.items()
-                        for pair in ((w1 + w2, c * c1 * c2), (w2 + w1, -c * c1 * c2))
-                    ),
-                )
+                add_terms(rest, scaled_terms(_commutator(x, y), c).items())
         if rest:
             add_terms(out, dynkin_project(UEAElement._trusted(ctx, rest)).terms.items())
         return LieElement._trusted(ctx, out)
 
 
 # -- expansion and projection ------------------------------------------------------
+
+
+def _commutator(a: Mapping, b: Mapping) -> Mapping:
+    """ab - ba for word dicts ``a`` and ``b``: canonical when their
+    coefficients are ``int``s, else left, as by ``mul_terms``, for the
+    reader to make canonical."""
+    return sum_terms((mul_terms(a, b), scaled_terms(mul_terms(b, a), -1)))
 
 
 def _expand_lyndon(word: Word, ctx: LieContext) -> dict[Word, int]:
@@ -297,17 +291,7 @@ def _expand_lyndon(word: Word, ctx: LieContext) -> dict[Word, int]:
         out = {word: 1}
     else:
         left, right = standard_split(word, ctx)
-        a = _expand_lyndon(left, ctx)
-        b = _expand_lyndon(right, ctx)
-        out = add_terms(
-            {},
-            (
-                pair
-                for w1, c1 in a.items()
-                for w2, c2 in b.items()
-                for pair in ((w1 + w2, c1 * c2), (w2 + w1, -c1 * c2))
-            ),
-        )
+        out = _commutator(_expand_lyndon(left, ctx), _expand_lyndon(right, ctx))
     ctx._expansions[word] = out
     return out
 
@@ -413,7 +397,7 @@ def _exp_truncated(x: UEAElement, order: int) -> UEAElement:
     k = 0
     while not term.is_zero():
         k += 1
-        term = term._product(x, order) * Fraction(1, k)
+        term = (term * x).truncated(order) * Fraction(1, k)
         acc = acc + term
     return acc
 
@@ -428,8 +412,8 @@ def exp_ad_check(x: LieElement, y: LieElement, order: int) -> bool:
     while not term.is_zero():
         lhs = lhs + term
         k += 1
-        term = (xe._product(term, order) - term._product(xe, order)) * Fraction(1, k)
+        term = xe.bracket(term).truncated(order) * Fraction(1, k)
     ex = _exp_truncated(xe, order)
     exm = _exp_truncated(-xe, order)
-    rhs = ex._product(ye, order)._product(exm, order)
+    rhs = (ex * ye).truncated(order) * exm
     return lhs.truncated(order) == rhs.truncated(order)

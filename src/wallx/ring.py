@@ -140,9 +140,10 @@ def scaled_terms(terms: Mapping, factor) -> dict:
 
 def mul_terms(left: Mapping, right: Mapping) -> dict:
     """The product of two term dicts whose keys multiply by ``+``: packed
-    monomials add and words concatenate, so every ``left`` key comes
-    first.  A key whose sum is zero is dropped, and coefficients are left
-    as the products made them (a product of ``Fraction``s may be
+    monomials add, and words (the peel's, and the free Lie layer's in its
+    products, brackets and expansions) concatenate, so every ``left`` key
+    comes first.  A key whose sum is zero is dropped, and coefficients are
+    left as the products made them (a product of ``Fraction``s may be
     integral), for the reader to make canonical.  A one-term factor shifts
     every key of the other, which merges none."""
     if len(right) == 1:
@@ -981,10 +982,7 @@ def expand_general(
     pieces = _series_div(num.terms, [stand_in], names, sign, 2 * order, lam)
     out: dict[Fraction, RationalElement] = {}
     for n, piece in pieces.items():
-        by_power: dict[int, dict[Mono, Scalar]] = {}
-        for m, c in piece.items():
-            e, rest = _split_var(m, lam)
-            by_power.setdefault(-e // 2, {})[rest] = c
+        by_power = {e // 2: t for e, t in _graded(piece, frozenset({lam}), -1).items()}
         top = max(by_power)
         while len(powers) <= top:
             powers.append(powers[-1] * powers[1])
@@ -1286,17 +1284,18 @@ def specialize_kappa(f: Element):
     if isinstance(f, LaurentElement):
         return f.subs(KAPPA, 1)
     num, den = f.num, f.den
-    while den.subs(KAPPA, 1) == ZERO:
-        if num.subs(KAPPA, 1) != ZERO:
+    n1, d1 = num.subs(KAPPA, 1), den.subs(KAPPA, 1)
+    while d1 == ZERO:
+        if n1 != ZERO:
             raise PoleAtOne(f"genuine pole at {KAPPA} = 1")
         if not num.terms:
             break
         num = exact_laurent_div(num, _ROOT_MINUS_ONE, KAPPA)
         den = exact_laurent_div(den, _ROOT_MINUS_ONE, KAPPA)
-    d1 = den.subs(KAPPA, 1)
+        n1, d1 = num.subs(KAPPA, 1), den.subs(KAPPA, 1)
     if not num.terms:
         return LaurentElement.zero()
-    result = num.subs(KAPPA, 1) / d1
+    result = n1 / d1
     if isinstance(result, RationalElement):
         return result.maybe_laurent()
     return result

@@ -335,6 +335,11 @@ def _forced_product(p, q):
     return _forced_sum((w1 + w2, c1 * c2) for w1, c1 in p.items() for w2, c2 in q.items())
 
 
+def _forced_commutator(p, q):
+    xy, yx = _forced_product(p, q), _forced_product(q, p)
+    return _forced_sum([*xy.items(), *((w, -c) for w, c in yx.items())])
+
+
 def _forced_project(p, ctx):
     """Subtract the bracketing of the least remaining word by (length, key)
     until nothing remains; None if that word is not Lyndon."""
@@ -390,11 +395,15 @@ class TestCanonicalCoefficients:
             _assert_matches(x * k, _forced_sum((w, c * k) for w, c in fx.items()), LieElement)
             ex, ey = _forced_expand(fx, ctx), _forced_expand(fy, ctx)
             _assert_matches(expand_to_uea(x), ex, UEAElement)
-            _assert_matches(p * q, _forced_product(fp, fq), UEAElement)
+            pq = _forced_product(fp, fq)
+            _assert_matches(p * q, pq, UEAElement)
+            short = {w: c for w, c in pq.items() if len(w) <= 2}
+            _assert_matches((p * q).truncated(2), short, UEAElement)
+            _assert_matches(p.bracket(q), _forced_commutator(fp, fq), UEAElement)
             _assert_matches(dynkin_project(expand_to_uea(x)), fx, LieElement)
-            xy, yx = _forced_product(ex, ey), _forced_product(ey, ex)
-            commutator = _forced_sum([*xy.items(), *((w, -c) for w, c in yx.items())])
+            commutator = _forced_commutator(ex, ey)
             _assert_matches(x.bracket(y), _forced_project(commutator, ctx), LieElement)
+            assert exp_ad_check(x, y, 3) is True
             # A tensor-algebra element: its Lie part, or NotPrimitive from both.
             projected = _forced_project(fp, ctx)
             if projected is None:
