@@ -7,7 +7,7 @@ Layers, bottom to top:
 - ``kclasses``: wedge and Euler classes of formal root data, vertex kernels,
   quantum integers, projective-bundle pushforwards, theta coefficients.
 - ``freelie``: free Lie algebras in the Lyndon basis, tensor-algebra
-  expansion, Dynkin projection, exp(ad) checks.
+  expansion, Dynkin projection.
 - ``ucoeff``: effective-class monoids, weak stability data, and the ordered /
   grouped / bracket coefficient families with their closed forms.
 - ``wallcross``: wall-crossing sums over pluggable Lie backends, pair
@@ -15,7 +15,8 @@ Layers, bottom to top:
 - ``descendent``: set-partition coproduct, truncated matrix exponential,
   corner-coefficient recursion and its explicit solution, the descendent
   transformation, Adams rescaling.
-- ``selftest``: the acceptance checks shared by the test suite and the CLI.
+- ``selftest``: the acceptance checks shared by the test suite and the CLI,
+  with the oracles only they call; no library layer imports it.
 - ``cli``: the ``wallx`` command-line front end.
 """
 

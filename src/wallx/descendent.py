@@ -195,15 +195,6 @@ def delta_apply(sigma: SetPartition) -> dict[SetPartition, LaurentElement]:
     return out
 
 
-def delta_matrix(ground) -> dict[tuple[SetPartition, SetPartition], LaurentElement]:
-    """The block-merge operator on the full basis, keyed (target, source)."""
-    out = {}
-    for source in partitions_of(_merge_ground(ground)):
-        for target, entry in delta_apply(source).items():
-            out[target, source] = entry
-    return out
-
-
 def exp_minus_delta(
     ground, order: int
 ) -> dict[tuple[SetPartition, SetPartition], LaurentElement]:

@@ -9,20 +9,21 @@ the Chen–Fox–Lyndon basis, and their standard bracketings expand into the
 tensor algebra.  The module provides the expansion homomorphism
 ``expand_to_uea``, its one-sided inverse ``dynkin_project`` (one triangular
 rewrite in the Lyndon basis over all word lengths at once, which rejects
-anything outside the Lie subspace), and exp(ad) conjugation checks in the
-truncated enveloping algebra.  Brackets stay in the Lyndon basis: a pair of
+anything outside the Lie subspace), and ``evaluate_lie``, which folds a Lie
+element into any Lie algebra.  Brackets stay in the Lyndon basis: a pair of
 basis words whose concatenation has them as its standard factorization
 brackets to that word, and only the other pairs take the round trip through
 the tensor algebra and ``dynkin_project``.  The module has no word product of
 its own: tensor-algebra products, commutators and Lyndon expansions are
 ``ring.mul_terms``, summed by ``ring.sum_terms`` and signed or scaled by
-``ring.scaled_terms``.
+``ring.scaled_terms``.  The exp(ad) conjugation check in the truncated
+enveloping algebra and the left-nested bracketing are oracles of the
+acceptance checks (``selftest.exp_ad_check``, ``selftest.left_nested``).
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
 from .errors import NotPrimitive
@@ -350,14 +351,6 @@ def dynkin_project(p: UEAElement) -> LieElement:
     return LieElement._trusted(ctx, out)
 
 
-def left_nested(word: Word, ctx: LieContext) -> LieElement:
-    """The left-nested bracketing [[..[w1, w2], w3], .., wn] as a Lie element."""
-    acc = LieElement.letter(ctx, word[0])
-    for letter in word[1:]:
-        acc = acc.bracket(LieElement.letter(ctx, letter))
-    return acc
-
-
 def evaluate_lie(x: LieElement, leaf, bracket, zero, scale):
     """Fold a Lie element into any Lie algebra.
 
@@ -385,35 +378,3 @@ def evaluate_lie(x: LieElement, leaf, bracket, zero, scale):
         acc = acc + scale(x.terms[word], build(word))
     return acc
 
-
-# -- exp(ad) conjugation check ------------------------------------------------------
-
-
-def _exp_truncated(x: UEAElement, order: int) -> UEAElement:
-    if () in x.terms:
-        raise ValueError("series exponential needs no constant term")
-    acc = UEAElement.unit(x.context)
-    term = acc
-    k = 0
-    while not term.is_zero():
-        k += 1
-        term = (term * x).truncated(order) * Fraction(1, k)
-        acc = acc + term
-    return acc
-
-
-def exp_ad_check(x: LieElement, y: LieElement, order: int) -> bool:
-    """Verify e^{ad_x} y = e^x y e^{-x} in the length-truncated tensor algebra."""
-    xe = expand_to_uea(x)
-    ye = expand_to_uea(y)
-    lhs = UEAElement.zero(x.context)
-    term = ye
-    k = 0
-    while not term.is_zero():
-        lhs = lhs + term
-        k += 1
-        term = xe.bracket(term).truncated(order) * Fraction(1, k)
-    ex = _exp_truncated(xe, order)
-    exm = _exp_truncated(-xe, order)
-    rhs = (ex * ye).truncated(order) * exm
-    return lhs.truncated(order) == rhs.truncated(order)

@@ -400,18 +400,15 @@ def projective_pushforward_coh(f, V: VirtualClass):
     return residue_coh(_signed_product([(fu, 1), *den]), var=var)
 
 
-def segre_class(V: VirtualClass, j: int) -> LaurentElement:
-    """j-th Segre class of an additive-mode honest class: (-1)**j·h_j(roots)."""
+def pushforward_closed_coh(k: int, V: VirtualClass) -> LaurentElement:
+    """Closed form of the cohomological pushforward of h**k: the Segre class
+    s_j(V) = (-1)**j·h_j(roots), j = k - r + 1, zero for j < 0."""
     if V.mode != "coh":
-        raise ModeMismatch("segre_class needs an additive-mode class")
+        raise ModeMismatch("pushforward_closed_coh needs an additive-mode class")
+    j = k - V.rank + 1
     if j < 0:
         return LaurentElement.zero()
     return (-1) ** j * complete_homogeneous(j, V.weights())
-
-
-def pushforward_closed_coh(k: int, V: VirtualClass) -> LaurentElement:
-    """Closed form of the cohomological pushforward of h**k: s_{k-r+1}(V)."""
-    return segre_class(V, k - V.rank + 1)
 
 
 # -- hbar-coefficient expansion of the vertex kernel ------------------------------

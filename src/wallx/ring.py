@@ -3,8 +3,9 @@
 Sparse multivariate Laurent polynomials over the rationals, with optional
 half-integer exponents so that symmetrized weights such as ``k^(1/2)`` stay
 exact, rational elements (quotients of Laurent polynomials), series
-expansion at 0/infinity, residue extraction, the series exponential, and
-specialization at κ = 1, with κ always the variable ``KAPPA``.
+expansion at 0/infinity, residue extraction and the series exponential, with
+κ always the variable ``KAPPA``.  The specialization at κ = 1 is an oracle
+of the acceptance checks (``selftest.specialize_kappa``).
 
 An element is a plain Laurent polynomial.  A series is read to a fixed
 order by an argument of the operation that needs it, never by state of the
@@ -50,7 +51,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import NonExpandable, NonzeroConstantTerm, PoleAtOne
+from .errors import NonExpandable, NonzeroConstantTerm
 
 Scalar = Union[int, Fraction]
 
@@ -750,7 +751,6 @@ def _series_div(
 
 
 ONE = LaurentElement.const(1)
-ZERO = LaurentElement.zero()
 
 
 def _mono_content(el: LaurentElement) -> Mono:
@@ -1271,34 +1271,6 @@ def packed_algebra(
                     reach = abs(e)
     bound = max(depth, 1) * reach + max(depth - 1, 0) * step
     return _PackedAlgebra(sorted(variables), bound.bit_length() + 1, reach, step)
-
-
-# -- specialization at kappa = 1 ----------------------------------------------
-
-
-_ROOT_MINUS_ONE = LaurentElement({((KAPPA, 1),): 1, (): -1})
-
-
-def specialize_kappa(f: Element):
-    """Value at κ = 1 when the limit exists; PoleAtOne otherwise."""
-    if isinstance(f, LaurentElement):
-        return f.subs(KAPPA, 1)
-    num, den = f.num, f.den
-    n1, d1 = num.subs(KAPPA, 1), den.subs(KAPPA, 1)
-    while d1 == ZERO:
-        if n1 != ZERO:
-            raise PoleAtOne(f"genuine pole at {KAPPA} = 1")
-        if not num.terms:
-            break
-        num = exact_laurent_div(num, _ROOT_MINUS_ONE, KAPPA)
-        den = exact_laurent_div(den, _ROOT_MINUS_ONE, KAPPA)
-        n1, d1 = num.subs(KAPPA, 1), den.subs(KAPPA, 1)
-    if not num.terms:
-        return LaurentElement.zero()
-    result = n1 / d1
-    if isinstance(result, RationalElement):
-        return result.maybe_laurent()
-    return result
 
 
 # -- slopes and weight symbols -------------------------------------------------

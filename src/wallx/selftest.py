@@ -3,9 +3,14 @@
 Every criterion function computes the library's answer and an expected
 answer through a separate route — closed forms, brute-force enumeration,
 or a hand-built series — and raises AssertionError on the first
-mismatch.  ``run_all`` executes all of them with one pass/fail line per
-criterion plus timings; it is shared by the test suite and the
-``selftest`` subcommand of the command-line tool.
+mismatch.  The routes that only these checks and the tests call live here
+rather than in the library modules: ``class_sum``, the composition and
+partition sums ``c_n`` and ``mu_n``, the left-nested bracketing
+``left_nested``, the exp(ad) conjugation check ``exp_ad_check`` and the
+κ = 1 specialization ``specialize_kappa``.  The oracles that the benchmark
+harness imports by name stay in their modules.  ``run_all`` executes
+every criterion with one pass/fail line each plus timings; it is shared by
+the test suite and the ``selftest`` subcommand of the command-line tool.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .descendent import (
     SetPartition,
@@ -26,15 +32,14 @@ from .descendent import (
     y_explicit,
     y_recursion,
 )
-from .errors import NotPrimitive
+from .errors import NotPrimitive, PoleAtOne
 from .freelie import (
     LieContext,
     LieElement,
     UEAElement,
+    Word,
     dynkin_project,
-    exp_ad_check,
     expand_to_uea,
-    left_nested,
     lyndon_words,
 )
 from .kclasses import (
@@ -51,17 +56,17 @@ from .kclasses import (
     theta_closed,
     theta_coefficients,
 )
-from .ring import LaurentElement, SlopeValue, exact_laurent_div, specialize_kappa
+from .ring import KAPPA, Element, LaurentElement, RationalElement, SlopeValue, exact_laurent_div
 from .ucoeff import (
+    ClassVec,
     EffectiveMonoid,
     S_coeff,
     StabilityData,
     U_coeff,
-    c_n,
-    class_sum,
+    as_class,
     compositions,
     linear_stability,
-    mu_n,
+    set_partitions,
     utilde_lie_element,
     utilde_word_sum,
 )
@@ -101,6 +106,111 @@ def _symbol_table(classes, **kwargs) -> InvariantTable:
     return InvariantTable(
         {cls: L.gen("v" + "".join(map(str, cls))) for cls in classes}, **kwargs
     )
+
+
+# -- oracles ----------------------------------------------------------------------
+
+
+def class_sum(classes: Iterable[ClassVec]) -> ClassVec:
+    classes = [as_class(c) for c in classes]
+    if not classes:
+        raise ValueError("empty class sum")
+    dim = len(classes[0])
+    if any(len(c) != dim for c in classes):
+        raise ValueError("class vectors of mixed dimension")
+    return tuple(sum(col) for col in zip(*classes))
+
+
+def c_n(n: int) -> Fraction:
+    """Σ over compositions of n of (-1)^{#blocks}·Π 1/(block size)!."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    acc = Fraction(0)
+    for comp in compositions(n):
+        term = Fraction(-1 if len(comp) % 2 == 1 else 1)
+        for size in comp:
+            term /= math.factorial(size)
+        acc += term
+    return acc
+
+
+def mu_n(n: int) -> Fraction:
+    """Σ over set partitions of {1..n} of Π (-1)^{|B|-1}(|B|-1)!."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    acc = Fraction(0)
+    for part in set_partitions(range(n)):
+        term = Fraction(1)
+        for block in part:
+            size = len(block)
+            term *= Fraction(
+                math.factorial(size - 1) * (1 if size % 2 == 1 else -1)
+            )
+        acc += term
+    return acc
+
+
+def left_nested(word: Word, ctx: LieContext) -> LieElement:
+    """The left-nested bracketing [[..[w1, w2], w3], .., wn] as a Lie element."""
+    acc = LieElement.letter(ctx, word[0])
+    for letter in word[1:]:
+        acc = acc.bracket(LieElement.letter(ctx, letter))
+    return acc
+
+
+def _exp_truncated(x: UEAElement, order: int) -> UEAElement:
+    if () in x.terms:
+        raise ValueError("series exponential needs no constant term")
+    acc = UEAElement.unit(x.context)
+    term = acc
+    k = 0
+    while not term.is_zero():
+        k += 1
+        term = (term * x).truncated(order) * Fraction(1, k)
+        acc = acc + term
+    return acc
+
+
+def exp_ad_check(x: LieElement, y: LieElement, order: int) -> bool:
+    """Verify e^{ad_x} y = e^x y e^{-x} in the length-truncated tensor algebra."""
+    xe = expand_to_uea(x)
+    ye = expand_to_uea(y)
+    lhs = UEAElement.zero(x.context)
+    term = ye
+    k = 0
+    while not term.is_zero():
+        lhs = lhs + term
+        k += 1
+        term = xe.bracket(term).truncated(order) * Fraction(1, k)
+    ex = _exp_truncated(xe, order)
+    exm = _exp_truncated(-xe, order)
+    rhs = (ex * ye).truncated(order) * exm
+    return lhs.truncated(order) == rhs.truncated(order)
+
+
+_ROOT_MINUS_ONE = LaurentElement.monomial(1, {KAPPA: Fraction(1, 2)}) - 1
+
+
+def specialize_kappa(f: Element):
+    """Value at κ = 1 when the limit exists; PoleAtOne otherwise."""
+    if isinstance(f, LaurentElement):
+        return f.subs(KAPPA, 1)
+    num, den = f.num, f.den
+    n1, d1 = num.subs(KAPPA, 1), den.subs(KAPPA, 1)
+    while d1 == LaurentElement.zero():
+        if n1 != LaurentElement.zero():
+            raise PoleAtOne(f"genuine pole at {KAPPA} = 1")
+        if not num:
+            break
+        num = exact_laurent_div(num, _ROOT_MINUS_ONE, KAPPA)
+        den = exact_laurent_div(den, _ROOT_MINUS_ONE, KAPPA)
+        n1, d1 = num.subs(KAPPA, 1), den.subs(KAPPA, 1)
+    if not num:
+        return LaurentElement.zero()
+    result = n1 / d1
+    if isinstance(result, RationalElement):
+        return result.maybe_laurent()
+    return result
 
 
 # -- criteria ---------------------------------------------------------------------

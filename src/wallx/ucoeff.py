@@ -50,16 +50,6 @@ def as_class(cls) -> ClassVec:
     return out
 
 
-def class_sum(classes: Iterable[ClassVec]) -> ClassVec:
-    classes = [as_class(c) for c in classes]
-    if not classes:
-        raise ValueError("empty class sum")
-    dim = len(classes[0])
-    if any(len(c) != dim for c in classes):
-        raise ValueError("class vectors of mixed dimension")
-    return tuple(sum(col) for col in zip(*classes))
-
-
 def _mass(cls: ClassVec) -> int:
     return sum(cls)
 
@@ -339,22 +329,19 @@ def pairing_form(chi) -> tuple:
 
 def class_lookup(source):
     """The cosection count ``cls -> int`` of the reduced sum, read from a
-    class-keyed mapping (copied once) or a callable, each value read by
-    ``integer_entry``; a class a mapping lacks and a negative count raise
-    ValueError when they are read.
+    class-keyed mapping (copied once), each value read by ``integer_entry``;
+    a callable raises TypeError, and a class the mapping lacks and a
+    negative count raise ValueError when they are read.
     """
-    mapping = None
-    if not callable(source):
-        mapping = {as_class(cls): integer_entry(v) for cls, v in source.items()}
+    if callable(source):
+        raise TypeError("the o counts must be a class-keyed mapping, not a callable")
+    mapping = {as_class(cls): integer_entry(v) for cls, v in source.items()}
 
     def lookup(cls) -> int:
         cls = as_class(cls)
-        if mapping is None:
-            count = integer_entry(source(cls))
-        elif cls in mapping:
-            count = mapping[cls]
-        else:
+        if cls not in mapping:
             raise ValueError(f"no o count for class {cls}")
+        count = mapping[cls]
         if count < 0:
             raise ValueError("o counts must be nonnegative")
         return count
@@ -365,8 +352,8 @@ def class_lookup(source):
 def linear_stability(a: Sequence[int], b: Sequence[int]) -> StabilityData:
     """Slope (a·γ)/(b·γ), with the usual ±infinity convention when b·γ = 0."""
     # Integral entries stay ints, so the sums below are int arithmetic.
-    a = tuple(canonical_coefficient(Fraction(x)) for x in a)
-    b = tuple(canonical_coefficient(Fraction(x)) for x in b)
+    a = tuple(map(canonical_coefficient, a))
+    b = tuple(map(canonical_coefficient, b))
     if len(a) != len(b):
         raise ValueError("linear_stability needs a and b of the same length")
 
@@ -684,20 +671,7 @@ def _factor(slope_of, splits, linear) -> dict:
     return out
 
 
-# -- composition sums ---------------------------------------------------------------
-
-
-def c_n(n: int) -> Fraction:
-    """Σ over compositions of n of (-1)^{#blocks}·Π 1/(block size)!."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    acc = Fraction(0)
-    for comp in compositions(n):
-        term = Fraction(-1 if len(comp) % 2 == 1 else 1)
-        for size in comp:
-            term /= math.factorial(size)
-        acc += term
-    return acc
+# -- set partitions -----------------------------------------------------------------
 
 
 def set_partitions(items: Sequence):
@@ -712,18 +686,3 @@ def set_partitions(items: Sequence):
             yield part[:i] + [[first] + part[i]] + part[i + 1 :]
         yield [[first]] + part
 
-
-def mu_n(n: int) -> Fraction:
-    """Σ over set partitions of {1..n} of Π (-1)^{|B|-1}(|B|-1)!."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    acc = Fraction(0)
-    for part in set_partitions(range(n)):
-        term = Fraction(1)
-        for block in part:
-            size = len(block)
-            term *= Fraction(
-                math.factorial(size - 1) * (1 if size % 2 == 1 else -1)
-            )
-        acc += term
-    return acc

@@ -431,10 +431,10 @@ def vw_wcf(
     size (``ucoeff.pairing_form``; else ValueError at every target).
 
     The reduced sum: ``o_table`` gives the cosection count of a class, as a
-    class-keyed mapping (read once) or a callable.  Only the splittings
-    whose o counts add up to the count of α contribute.  The counts are
-    read at α and at every class with a table entry; a missing one raises
-    ValueError, and so does a negative one.
+    class-keyed mapping (read once); a callable raises TypeError.  Only the
+    splittings whose o counts add up to the count of α contribute.  The
+    counts are read at α and at every class with a table entry; a missing
+    one raises ValueError, and so does a negative one.
     """
     alpha = as_class(alpha)
     chi = _chi_matrix(chi, table.monoid.dim)

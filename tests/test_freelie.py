@@ -12,13 +12,12 @@ from wallx.freelie import (
     UEAElement,
     dynkin_project,
     evaluate_lie,
-    exp_ad_check,
     expand_to_uea,
-    left_nested,
     lyndon_words,
     standard_split,
 )
 from wallx.ring import LaurentElement
+from wallx.selftest import exp_ad_check, left_nested
 from wallx.ucoeff import (
     EffectiveMonoid,
     linear_stability,

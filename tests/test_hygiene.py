@@ -4,9 +4,10 @@ name is read by its own module, every public function and class is read
 or imported by name outside its own definition and every public method is
 read as an attribute there (or either is named in a README code span; a
 string keeps no name), only ``ring`` and its own tests know how a Laurent
-element stores its terms, and nothing outside the standard library is
-imported, and every dotted reference the README and the docstrings make
-into a module of the package names something that exists."""
+element stores its terms, nothing outside the standard library is
+imported, no library module imports ``selftest`` or ``cli``, and every
+dotted reference the README and the docstrings make into a module of the
+package names something that exists."""
 
 from __future__ import annotations
 
@@ -126,6 +127,58 @@ def test_scan_sees_a_private_import() -> None:
     assert _private_imports(tree) == [
         ".ring._coef (line 2)",
         "wallx.freelie._expand_lyndon (line 3)",
+    ]
+
+
+# The library modules; ``selftest`` and ``cli`` sit above them.
+_LIBRARY = ("ring.py", "kclasses.py", "freelie.py", "ucoeff.py", "wallcross.py", "descendent.py")
+_ABOVE_THE_LIBRARY = ("wallx.selftest", "wallx.cli")
+
+
+def _imports_from_above(tree: ast.Module) -> list[str]:
+    """Imports of ``wallx.selftest`` or ``wallx.cli``, or of a name in
+    them, relative (a relative import is this package) or absolute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level > 0:
+                base = "wallx." + base if base else "wallx"
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if any(name == top or name.startswith(top + ".") for top in _ABOVE_THE_LIBRARY):
+                found.append(f"{name} (line {node.lineno})")
+                break
+    return found
+
+
+@pytest.mark.parametrize("name", _LIBRARY)
+def test_no_library_module_imports_the_checks_or_the_cli(name: str) -> None:
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    assert _imports_from_above(tree) == []
+
+
+def test_scan_sees_an_import_from_above_the_library() -> None:
+    tree = ast.parse(
+        "from .selftest import c_n\n"
+        "from . import cli, ring\n"
+        "from wallx.selftest import mu_n\n"
+        "import wallx.cli as front\n"
+        "from wallx import selftest\n"
+        "from .ring import KAPPA\n"
+        "import wallx.ucoeff\n"
+        "from .selftests import x\n"
+    )
+    assert _imports_from_above(tree) == [
+        "wallx.selftest (line 1)",
+        "wallx.cli (line 2)",
+        "wallx.selftest (line 3)",
+        "wallx.cli (line 4)",
+        "wallx.selftest (line 5)",
     ]
 
 

@@ -25,7 +25,6 @@ from wallx.kclasses import (
     quantum_integer,
     rigidity_residue,
     rigidity_residue_coh,
-    segre_class,
     symmetrized_wedge,
     theta_closed,
     theta_coefficients,
@@ -40,8 +39,8 @@ from wallx.ring import (
     expand,
     exp_times,
     laurent_sum,
-    specialize_kappa,
 )
+from wallx.selftest import specialize_kappa
 
 L = LaurentElement
 one = L.const(1)
@@ -397,15 +396,19 @@ def test_pushforward_coh_gives_segre_classes() -> None:
 
 
 def test_segre_class_inverts_total_chern_class() -> None:
-    # sum_j s_j u**j is the inverse of sum_i c_i u**i, checked to degree 4.
+    # sum_j s_j u**j is the inverse of sum_i c_i u**i, checked to degree 4;
+    # s_j(V) is the closed pushforward of h**(j + r - 1).
     roots = [L.gen("w1"), L.gen("w2")]
     V = VirtualClass(roots, mode="coh")
     u = L.gen("u")
     total_c = one
     for w in roots:
         total_c = (total_c * (1 + u * w)).truncate({"u"}, 4)
-    total_s = laurent_sum(segre_class(V, j) * u**j for j in range(5))
+    total_s = laurent_sum(pushforward_closed_coh(j + 1, V) * u**j for j in range(5))
     assert (total_c * total_s).truncate({"u"}, 4) == one
+    assert pushforward_closed_coh(0, V) == L.zero()
+    with pytest.raises(ModeMismatch, match="additive-mode"):
+        pushforward_closed_coh(1, VirtualClass(roots))
 
 
 # -- residue variables never capture an input name ------------------------------

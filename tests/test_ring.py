@@ -28,9 +28,9 @@ from wallx.ring import (
     residue_coh,
     scaled_terms,
     slope_entry,
-    specialize_kappa,
     sum_terms,
 )
+from wallx.selftest import specialize_kappa
 
 L = LaurentElement
 z = L.gen("z")

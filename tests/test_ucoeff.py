@@ -18,20 +18,17 @@ from wallx.freelie import (
     UEAElement,
     dynkin_project,
     expand_to_uea,
-    left_nested,
 )
 from wallx.ring import LaurentElement, SlopeValue
+from wallx.selftest import c_n, class_sum, left_nested, mu_n
 from wallx.ucoeff import (
     EffectiveMonoid,
     S_coeff,
     StabilityData,
     U_coeff,
-    c_n,
     class_lookup,
-    class_sum,
     compositions,
     linear_stability,
-    mu_n,
     pairing_form,
     peel_classes,
     refactor,
@@ -392,24 +389,21 @@ class TestClassLookup:
             lookup((1, 1))
 
     def test_callable(self):
-        lookup = class_lookup(lambda cls: cls[0] + 2 * cls[1])
-        assert lookup([1, 1]) == 3
+        counts = {(1, 0): 1, (0, 1): 2}
+        for source in (lambda cls: cls[0] + 2 * cls[1], counts.__getitem__):
+            with pytest.raises(TypeError, match="not a callable"):
+                class_lookup(source)
 
     def test_values_follow_the_integer_rule(self):
         for bad in (0.6, 1.2, True, "2"):
             with pytest.raises(ValueError, match="expected an integer"):
                 class_lookup({(1, 0): bad})
-            lookup = class_lookup(lambda cls: bad)
-            with pytest.raises(ValueError, match="expected an integer"):
-                lookup((1, 0))
 
     def test_a_negative_count_is_refused_when_read(self):
-        sources = (({(1, 0): 3, (0, 1): -1}, 3), (lambda cls: cls[0] - cls[1], 1))
-        for source, count in sources:
-            lookup = class_lookup(source)
-            assert lookup((1, 0)) == count
-            with pytest.raises(ValueError, match="o counts must be nonnegative"):
-                lookup((0, 1))
+        lookup = class_lookup({(1, 0): 3, (0, 1): -1})
+        assert lookup((1, 0)) == 3
+        with pytest.raises(ValueError, match="o counts must be nonnegative"):
+            lookup((0, 1))
 
 
 def counting_linear(a, b, calls):
@@ -475,6 +469,14 @@ class TestSlopeMemo:
         zero_den = linear_stability([1, 0], [1, -1])
         assert zero_den.slope_of((1, 1)) == SlopeValue.of("inf")
         assert zero_den.slope_of((-1, -1)) == SlopeValue.of("-inf")
+
+    @pytest.mark.parametrize("bad", [0.1, 0.5, "1/3", "2"])
+    def test_linear_stability_refuses_a_float_or_a_string_entry(self, bad):
+        # The coefficient rule: a float is not read as its binary fraction,
+        # nor a string as its parse, even where the value would be exact.
+        for a, b in (([bad, 1], [1, 1]), ([1, 1], [1, bad])):
+            with pytest.raises(TypeError, match="an int or a Fraction"):
+                linear_stability(a, b)
 
     @pytest.mark.parametrize("a, b", [([1, 0], [1]), ([1], [1, 1]), ([], [0])])
     def test_linear_stability_refuses_vectors_of_unequal_length(self, a, b):
